@@ -507,6 +507,24 @@ def _path_crossings(path: Sequence[str], twisted: str) -> int:
     return count
 
 
+def twist_coefficients(
+    image: BassWord,
+    twists: Sequence[SmallModularElement],
+    o: OrientationFunctional,
+) -> List[int]:
+    """Per twist, the change of o(image) per unit of it: sum n(e, image) * o(z)."""
+    coeffs = []
+    for twist in twists:
+        coeff = 0
+        for twisted, z in twist.twist_data():
+            sign = 1 if twisted == unoriented(twisted) else -1
+            coeff += sign * image.edge_exponent(twisted) * o.of_element(
+                o.gog.term(twisted), z
+            )
+        coeffs.append(coeff)
+    return coeffs
+
+
 def build_system(
     images: Sequence[BassWord],
     twists: Sequence[SmallModularElement],
@@ -518,15 +536,6 @@ def build_system(
     for image in images:
         if not image.is_loop():
             raise DomainError("fiber generator image must be a loop")
-        row = []
-        for twist in twists:
-            coeff = 0
-            for twisted, z in twist.twist_data():
-                sign = 1 if twisted == unoriented(twisted) else -1
-                coeff += sign * image.edge_exponent(twisted) * o.of_element(
-                    o.gog.term(twisted), z
-                )
-            row.append(coeff)
-        rows.append(tuple(row))
+        rows.append(tuple(twist_coefficients(image, twists, o)))
         rhs.append(-o.of_loop(image))
     return DiophantineSystem(tuple(rows), tuple(rhs))

@@ -5,7 +5,6 @@ from .words import (
     Letter,
     Word,
     canonical_conjugate,
-    enumerate_cyclic_words,
     is_conjugate,
     primitive_root,
     reduce_letters,
@@ -36,7 +35,6 @@ __all__ = [
     "primitive_root",
     "root_power",
     "canonical_conjugate",
-    "enumerate_cyclic_words",
     "FreeAut",
     "is_automorphism",
     "nielsen_generators",

@@ -1,9 +1,9 @@
-"""Automorphisms of free groups, built and inverted by folding with history.
+"""Automorphisms of free groups, built and inverted by labeled folding.
 
-``is_automorphism`` folds the wedge of the candidate images while each edge
-remembers an expression in the abstract generators.  A fold that would drop
-the graph's first Betti number proves the images are not a basis; otherwise
-the final rose reads off the inverse images directly.
+``is_automorphism`` folds the wedge of the candidate images while each
+petal's first edge carries its abstract generator as a label.  A fold that
+would drop the graph's first Betti number proves the images are not a
+basis; otherwise the final rose reads off the inverse images directly.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..errors import DomainError
+from .stallings import _Folder, _inverse
 from .words import FreeGroup, Letter, Word, is_conjugate, reduce_letters
 
 
@@ -36,9 +37,6 @@ class FreeAut:
             img = self.images[i] if s > 0 else self.images[i].inverse()
             letters.extend(img.letters)
         return Word(self.group, reduce_letters(letters))
-
-    def apply_inverse(self, w: Word) -> Word:
-        return self.inverse().apply(w)
 
     def inverse(self) -> "FreeAut":
         return FreeAut(self.group, self.inverse_images, self.images)
@@ -88,152 +86,6 @@ class FreeAut:
         return mat
 
 
-class _HistoryFolder:
-    """Stallings folding where every edge carries a word in the petal symbols."""
-
-    def __init__(self, group: FreeGroup, images: Sequence[Word]):
-        self.group = group
-        self.parent: list[int] = [0]
-        # edge records: [alive, u, v, gen, expr]; traversing u->v reads gen
-        # positively and contributes expr; v->u contributes expr^-1.
-        self.edges: list[list] = []
-        self.incidence: list[set] = [set()]
-        self.base = 0
-        self.ok = True
-        for j, image in enumerate(images):
-            self._add_petal(j, image)
-
-    def _new_vertex(self) -> int:
-        self.parent.append(len(self.parent))
-        self.incidence.append(set())
-        return len(self.parent) - 1
-
-    def find(self, v: int) -> int:
-        while self.parent[v] != v:
-            self.parent[v] = self.parent[self.parent[v]]
-            v = self.parent[v]
-        return v
-
-    def _add_edge(self, u, v, gen, expr):
-        eid = len(self.edges)
-        self.edges.append([True, u, v, gen, expr])
-        self.incidence[u].add(eid)
-        self.incidence[v].add(eid)
-
-    def _add_petal(self, j: int, image: Word):
-        if image.is_identity():
-            return
-        symbol = self.group.generator(j)
-        prev = self.base
-        n = len(image.letters)
-        for pos, (i, s) in enumerate(image.letters):
-            nxt = self.base if pos == n - 1 else self._new_vertex()
-            expr = self.group.identity()
-            if pos == 0:
-                expr = symbol if s > 0 else symbol.inverse()
-            if s > 0:
-                self._add_edge(prev, nxt, i, expr)
-            else:
-                self._add_edge(nxt, prev, i, expr)
-            prev = nxt
-
-    def _gauge(self, x: int, c: Word):
-        """Multiply path expressions by the gauge element c at vertex x."""
-        for eid in self.incidence[x]:
-            alive, u, v, gen, expr = self.edges[eid]
-            if not alive:
-                continue
-            ru, rv = self.find(u), self.find(v)
-            if ru == x and rv == x:
-                self.edges[eid][4] = c * expr * c.inverse()
-            elif ru == x:
-                self.edges[eid][4] = c * expr
-            elif rv == x:
-                self.edges[eid][4] = expr * c.inverse()
-
-    def fold(self) -> bool:
-        queue = set(range(len(self.parent)))
-        while queue:
-            v = queue.pop()
-            if self.find(v) != v:
-                continue
-            pair = self._find_foldable(v)
-            if pair is None:
-                continue
-            e1, e2, outgoing = pair
-            if not self._fold_pair(e1, e2, outgoing):
-                return False
-            queue.add(self.find(v))
-            queue.add(self.find(self.edges[e1][1]))
-            queue.add(self.find(self.edges[e1][2]))
-        return True
-
-    def _find_foldable(self, v: int):
-        out_seen: dict[int, int] = {}
-        in_seen: dict[int, int] = {}
-        for eid in sorted(self.incidence[v]):
-            alive, u, w, gen, _ = self.edges[eid]
-            if not alive:
-                continue
-            ru, rw = self.find(u), self.find(w)
-            if ru == v:
-                if gen in out_seen:
-                    return out_seen[gen], eid, True
-                out_seen[gen] = eid
-            if rw == v:
-                if gen in in_seen:
-                    return in_seen[gen], eid, False
-                in_seen[gen] = eid
-        return None
-
-    def _fold_pair(self, e1: int, e2: int, outgoing: bool) -> bool:
-        _, u1, v1, _, m1 = self.edges[e1]
-        _, u2, v2, _, m2 = self.edges[e2]
-        if outgoing:
-            t1, t2 = self.find(v1), self.find(v2)
-        else:
-            t1, t2 = self.find(u1), self.find(u2)
-        if t1 == t2:
-            # a fold with both endpoints identified drops the rank
-            return False
-        base = self.find(self.base)
-        if t2 != base:
-            if outgoing:
-                c = m1.inverse() * m2  # new expr(e2) = m2 * c^-1 = m1
-            else:
-                c = m1 * m2.inverse()  # new expr(e2) = c * m2 = m1
-            self._gauge(t2, c)
-            keep, drop = t1, t2
-        else:
-            if outgoing:
-                d = m2.inverse() * m1
-            else:
-                d = m2 * m1.inverse()
-            self._gauge(t1, d)
-            keep, drop = t2, t1
-        self.parent[drop] = keep
-        self.incidence[keep] |= self.incidence[drop]
-        self.incidence[drop] = set()
-        self.edges[e2][0] = False
-        return True
-
-    def rose_expressions(self) -> Optional[list[Word]]:
-        """If the folded graph is the full rose, the expression per loop."""
-        base = self.find(self.base)
-        exprs: dict[int, Word] = {}
-        for alive, u, v, gen, expr in self.edges:
-            if not alive:
-                continue
-            if self.find(u) != base or self.find(v) != base:
-                return None
-            if gen in exprs:
-                return None
-            exprs[gen] = expr
-        if set(exprs) != set(range(self.group.rank)):
-            return None
-        return [exprs[i] for i in range(self.group.rank)]
-
-
 def is_automorphism(group: FreeGroup, images: Sequence[Word]) -> Optional[FreeAut]:
     """Return the automorphism with the given generator images, or None.
 
@@ -245,16 +97,19 @@ def is_automorphism(group: FreeGroup, images: Sequence[Word]) -> Optional[FreeAu
     images = [group.word(w.letters) if isinstance(w, Word) else group.word(w) for w in images]
     if len(images) != group.rank:
         raise DomainError(f"need {group.rank} images, got {len(images)}")
-    folder = _HistoryFolder(group, images)
-    if not folder.fold():
+    folder = _Folder(group.rank)
+    for j, image in enumerate(images):
+        folder.add_petal(image, ((j, 1),))
+    if folder.rank_drop:
         return None
-    exprs = folder.rose_expressions()
-    if exprs is None:
+    table = folder.transitions()
+    if len(table) != group.rank or any(u or v for (u, _), (v, _) in table.items()):
         return None
+    exprs = [Word(group, table[(0, i)][1]) for i in range(group.rank)]
     aut = FreeAut(group, images, exprs)
     for i in range(group.rank):
         if aut.apply(exprs[i]) != group.generator(i):
-            raise AssertionError("history folding produced a bad inverse")
+            raise AssertionError("labeled folding produced a bad inverse")
     return aut
 
 
@@ -270,33 +125,20 @@ class BasisExpresser:
             raise DomainError("empty basis")
         self.group = group
         self.symbols = FreeGroup(len(basis))
-        folder = _HistoryFolder.__new__(_HistoryFolder)
-        folder.group = self.symbols
-        folder.parent = [0]
-        folder.edges = []
-        folder.incidence = [set()]
-        folder.base = 0
+        folder = _Folder(group.rank)
         for j, image in enumerate(basis):
             if image.group != group:
                 raise DomainError("basis words from the wrong group")
-            _HistoryFolder._add_petal(folder, j, image)
-        if not folder.fold():
+            folder.add_petal(image, ((j, 1),))
+        if folder.rank_drop:
             raise DomainError("basis words do not freely generate")
-        self._folder = folder
         # deterministic transition maps of the folded graph, with expressions
-        self.fwd: dict[tuple[int, int], tuple[int, Word]] = {}
-        for alive, u, v, gen, expr in folder.edges:
-            if not alive:
-                continue
-            self.fwd[(folder.find(u), gen)] = (folder.find(v), expr)
-        self.bwd: dict[tuple[int, int], tuple[int, Word]] = {}
-        for (u, gen), (v, expr) in self.fwd.items():
-            self.bwd[(v, gen)] = (u, expr.inverse())
-        self.base = folder.find(folder.base)
+        self.fwd = folder.transitions()
+        self.bwd = {(v, i): (u, _inverse(expr)) for (u, i), (v, expr) in self.fwd.items()}
 
     def express(self, w: Word) -> Optional[Word]:
         """Express w in the basis symbols, or None if w is not in the subgroup."""
-        state = self.base
+        state = 0
         parts: list[Letter] = []
         for i, s in w.letters:
             table = self.fwd if s > 0 else self.bwd
@@ -304,8 +146,8 @@ class BasisExpresser:
             if hop is None:
                 return None
             state, expr = hop
-            parts.extend(expr.letters)
-        if state != self.base:
+            parts.extend(expr)
+        if state != 0:
             return None
         return Word(self.symbols, reduce_letters(parts))
 

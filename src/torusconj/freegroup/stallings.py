@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import DomainError, FormatError, ResourceError
-from .autos import FreeAut
-from .words import FreeGroup, Letter, Word
+from .words import FreeGroup, Letter, Word, reduce_letters
+
+if TYPE_CHECKING:
+    from .autos import FreeAut
 
 STATE_BUDGET_DEFAULT = 10**6
 
@@ -98,10 +100,6 @@ class SubgroupGraph:
                         queue.append(t)
         assert all(w is not None for w in words)
         return words, tree_edges  # type: ignore[return-value]
-
-    def spanning_tree_words(self) -> List[Word]:
-        """Word labeling the tree path from base to each state."""
-        return self._tree()[0]
 
     def generators(self) -> List[Word]:
         """A free basis of the subgroup, one word per non-tree transition."""
@@ -270,90 +268,191 @@ def _core_and_canonicalize(group, nstates, fwd, base) -> SubgroupGraph:
 
 
 class _Folder:
-    """Union-find folding with merge queues; near-linear in the edge count."""
+    """Union-find Stallings folding, near-linear in the edge count.
+
+    Edge records are ``(u, i, v, label)``: the edge reads generator i from u
+    to v, and ``label`` is a letter tuple in the frames of u and v as they
+    were created.  Each vertex keeps a gauge word to its union-find parent,
+    composed during path compression, so an edge reads
+    ``gauge(u) * label * gauge(v)^-1`` between the roots.  A merge sets the
+    gauge of the dropped root so that the two folded edges read the same
+    label, and never rewrites a label.  A merge whose ends already share a
+    root but disagree by a non-trivial gauge would collapse a loop with a
+    non-trivial label: the petal labels then do not freely generate, which
+    is recorded in ``rank_drop``.  Unlabeled folding keeps every gauge
+    empty.  The base vertex 0 is never dropped, so it stays a root.
+    """
 
     def __init__(self, rank: int):
         self.rank = rank
-        self.parent: List[int] = []
-        self.out: List[Dict[int, int]] = []
-        self.inc: List[Dict[int, int]] = []
-        self.pending: deque = deque()
+        self.parent: List[int] = [0]
+        self.gauge: List[Tuple[Letter, ...]] = [()]
+        self.out: List[Optional[Dict[int, int]]] = [{}]
+        self.inc: List[Optional[Dict[int, int]]] = [{}]
+        self.edges: List[Tuple[int, int, int, Tuple[Letter, ...]]] = []
+        # merge requests (x, y, w): identify x and y along a path labeled w
+        self.pending: List[Tuple[int, int, Tuple[Letter, ...]]] = []
+        self.rank_drop = False
 
     def new_vertex(self) -> int:
         self.parent.append(len(self.parent))
+        self.gauge.append(())
         self.out.append({})
         self.inc.append({})
         return len(self.parent) - 1
 
     def find(self, v: int) -> int:
-        while self.parent[v] != v:
-            self.parent[v] = self.parent[self.parent[v]]
-            v = self.parent[v]
-        return v
+        """Root of v; afterwards ``gauge[v]`` is relative to that root."""
+        parent = self.parent
+        root = parent[v]
+        if parent[root] == root:
+            return root
+        path = [v]
+        while parent[root] != root:
+            path.append(root)
+            root = parent[root]
+        gauge = self.gauge
+        for x in reversed(path):
+            p = parent[x]
+            if p != root:
+                gp = gauge[p]
+                if gp:
+                    gauge[x] = _product(gp, gauge[x])
+                parent[x] = root
+        return root
 
-    def add_edge(self, u: int, i: int, v: int):
-        self.pending.append(("edge", u, i, v))
-        self.drain()
-
-    def drain(self):
-        while self.pending:
-            item = self.pending.popleft()
-            if item[0] == "edge":
-                _, u, i, v = item
-                self._insert(self.find(u), i, self.find(v))
+    def add_petal(self, word: Word, label: Tuple[Letter, ...] = ()):
+        """A loop at the base reading ``word``, its first edge labeled."""
+        letters = word.letters
+        if not letters:
+            if label:
+                self.rank_drop = True
+            return
+        last = len(letters) - 1
+        prev = 0
+        for pos, (i, s) in enumerate(letters):
+            nxt = 0 if pos == last else self.new_vertex()
+            if s > 0:
+                self._add_edge(prev, i, nxt, label)
             else:
-                _, a, b = item
-                self._merge(self.find(a), self.find(b))
+                self._add_edge(nxt, i, prev, _inverse(label))
+            label = ()
+            prev = nxt
 
-    def _insert(self, u: int, i: int, v: int):
-        existing = self.out[u].get(i)
-        if existing is not None:
-            ev = self.find(existing)
-            self.out[u][i] = ev
-            if ev != v:
-                self.pending.append(("merge", ev, v))
-            return
-        self.out[u][i] = v
-        existing_in = self.inc[v].get(i)
-        if existing_in is not None:
-            eu = self.find(existing_in)
-            self.inc[v][i] = eu
-            if eu != u:
-                self.pending.append(("merge", eu, u))
-            return
-        self.inc[v][i] = u
+    def _add_edge(self, u: int, i: int, v: int, label: Tuple[Letter, ...]):
+        eid = len(self.edges)
+        self.edges.append((u, i, v, label))
+        ru, rv = self.find(u), self.find(v)
+        h = self.out[ru].get(i)
+        if h is not None:
+            self._fold_out(h, eid)
+        else:
+            h = self.inc[rv].get(i)
+            if h is None:
+                self.out[ru][i] = eid
+                self.inc[rv][i] = eid
+                return
+            self._fold_in(h, eid)
+        self._drain()
 
-    def _merge(self, a: int, b: int):
-        if a == b:
-            return
-        # keep the vertex with more incident entries
-        if len(self.out[a]) + len(self.inc[a]) < len(self.out[b]) + len(self.inc[b]):
-            a, b = b, a
-        self.parent[b] = a
-        out_b, inc_b = self.out[b], self.inc[b]
-        self.out[b], self.inc[b] = {}, {}
-        for i, v in out_b.items():
-            self._insert(a, i, self.find(v))
-        for i, u in inc_b.items():
-            fu = self.find(u)
-            cur = self.inc[a].get(i)
-            if cur is None:
-                self.inc[a][i] = fu
-                self._insert(fu, i, a)
-            else:
-                fcur = self.find(cur)
-                self.inc[a][i] = fcur
-                if fcur != fu:
-                    self.pending.append(("merge", fcur, fu))
+    def _fold_out(self, h: int, f: int):
+        """Edge f leaves the root of edge h with h's letter: request h.v ~ f.v."""
+        fu, _, fv, fl = self.edges[f]
+        hu, _, hv, hl = self.edges[h]
+        self.find(fu)
+        self.find(hu)
+        w = _product(_inverse(hl), _inverse(self.gauge[hu]), self.gauge[fu], fl)
+        self.pending.append((hv, fv, w))
 
-    def extract(self, group: FreeGroup, base: int) -> SubgroupGraph:
-        roots = sorted({self.find(v) for v in range(len(self.parent))})
+    def _fold_in(self, h: int, f: int):
+        """Edge f enters the root of edge h with h's letter: request h.u ~ f.u."""
+        fu, _, fv, fl = self.edges[f]
+        hu, _, hv, hl = self.edges[h]
+        self.find(fv)
+        self.find(hv)
+        w = _product(hl, _inverse(self.gauge[hv]), self.gauge[fv], _inverse(fl))
+        self.pending.append((hu, fu, w))
+
+    def _drain(self):
+        pending, gauge, out, inc = self.pending, self.gauge, self.out, self.inc
+        while pending:
+            x, y, w = pending.pop()
+            rx, ry = self.find(x), self.find(y)
+            g = _product(gauge[x], w, _inverse(gauge[y]))
+            if rx == ry:
+                if g:
+                    self.rank_drop = True
+                continue
+            # keep the base, else the vertex with more incident entries
+            if ry == 0 or (rx != 0 and len(out[rx]) + len(inc[rx]) < len(out[ry]) + len(inc[ry])):
+                rx, ry, g = ry, rx, _inverse(g)
+            self._absorb(rx, ry, g)
+
+    def _absorb(self, k: int, d: int, g: Tuple[Letter, ...]):
+        """Make root d a child of root k with gauge g and fold its edges in."""
+        out, inc, edges = self.out, self.inc, self.edges
+        self.parent[d] = k
+        self.gauge[d] = g
+        out_d, inc_d = out[d], inc[d]
+        out[d] = inc[d] = None
+        out_k, inc_k = out[k], inc[k]
+        for i, f in out_d.items():
+            h = out_k.get(i)
+            if h is None:
+                out_k[i] = f
+                continue
+            # f goes: unregister it at its head, which may still be in inc_d
+            head = inc[self.find(edges[f][2])]
+            if head.get(i) == f:
+                del head[i]
+            elif inc_d.get(i) == f:
+                del inc_d[i]
+            self._fold_out(h, f)
+        for i, f in inc_d.items():
+            h = inc_k.get(i)
+            if h is None:
+                inc_k[i] = f
+                continue
+            tail = out[self.find(edges[f][0])]
+            if tail.get(i) == f:
+                del tail[i]
+            self._fold_in(h, f)
+
+    def transitions(self) -> Dict[Tuple[int, int], Tuple[int, Tuple[Letter, ...]]]:
+        """(root, i) -> (target root, label read between the roots)."""
+        find, gauge, edges = self.find, self.gauge, self.edges
+        table = {}
+        for r, out_r in enumerate(self.out):
+            if out_r is None:
+                continue
+            for i, f in out_r.items():
+                u, _, v, label = edges[f]
+                find(u)
+                t = find(v)
+                table[(r, i)] = (t, _product(gauge[u], label, _inverse(gauge[v])))
+        return table
+
+    def graph(self, group: FreeGroup) -> SubgroupGraph:
+        roots = [v for v, p in enumerate(self.parent) if p == v]
         numbering = {r: k for k, r in enumerate(roots)}
         fwd = [[None] * len(roots) for _ in range(self.rank)]
         for r in roots:
-            for i, v in self.out[r].items():
-                fwd[i][numbering[r]] = numbering[self.find(v)]
-        return _core_and_canonicalize(group, len(roots), fwd, numbering[self.find(base)])
+            for i, f in self.out[r].items():
+                fwd[i][numbering[r]] = numbering[self.find(self.edges[f][2])]
+        return _core_and_canonicalize(group, len(roots), fwd, 0)
+
+
+def _inverse(letters: Tuple[Letter, ...]) -> Tuple[Letter, ...]:
+    if not letters:
+        return letters
+    return tuple((i, -s) for i, s in reversed(letters))
+
+
+def _product(*parts: Tuple[Letter, ...]) -> Tuple[Letter, ...]:
+    """Reduced concatenation; no work when every part is empty."""
+    if any(parts):
+        return reduce_letters(sum(parts, ()))
+    return ()
 
 
 def fold(group: FreeGroup, generators: Sequence[Word]) -> SubgroupGraph:
@@ -361,20 +460,11 @@ def fold(group: FreeGroup, generators: Sequence[Word]) -> SubgroupGraph:
     if not generators:
         raise DomainError("fold requires a nonempty generating set")
     folder = _Folder(group.rank)
-    base = folder.new_vertex()
     for gen in generators:
         if gen.group != group:
             raise DomainError("generator over a different group")
-        prev = base
-        n = len(gen.letters)
-        for pos, (i, s) in enumerate(gen.letters):
-            nxt = base if pos == n - 1 else folder.new_vertex()
-            if s > 0:
-                folder.add_edge(prev, i, nxt)
-            else:
-                folder.add_edge(nxt, i, prev)
-            prev = nxt
-    return folder.extract(group, base)
+        folder.add_petal(gen)
+    return folder.graph(group)
 
 
 def whole_group_graph(group: FreeGroup) -> SubgroupGraph:

@@ -384,17 +384,3 @@ def _canonical_plateau(group: FreeGroup, words: Tuple[Word, ...]):
     conj = Word(group, reduce_letters(seen[best]))
     return tuple(Word(group, ls) for ls in best), conj
 
-
-def enumerate_cyclic_words(group: FreeGroup, length: int) -> Iterator[Word]:
-    """Canonical representatives of conjugacy classes of the given cyclic length."""
-    seen = set()
-    if length == 0:
-        yield group.identity()
-        return
-    for word in group.words_of_length(length):
-        if not word.is_cyclically_reduced():
-            continue
-        canon, _ = canonical_conjugate((word,))
-        if canon not in seen:
-            seen.add(canon)
-            yield canon[0]

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, FormatError
 from .freegroup import (
     BasisExpresser,
-    FreeAut,
     FreeGroup,
     Word,
-    canonical_conjugate,
     fold,
     is_automorphism,
     primitive_root,
@@ -173,22 +171,6 @@ def _z2_normalize(slot: GroupSlot, word: Word) -> Word:
     return slot.free_group.generator(0) ** exp if exp else slot.free_group.identity()
 
 
-def slot_is_conjugate(a: SlotElement, b: SlotElement) -> Tuple[bool, Optional[SlotElement]]:
-    """Conjugacy in the slot group, with witness g so that a^g == b."""
-    if a.slot != b.slot:
-        raise DomainError("elements of different slots")
-    if a.center != b.center:
-        return False, None
-    if a.slot.kind in ("Z", "Z2"):
-        return (a == b), (a.slot.identity() if a == b else None)
-    from .freegroup import is_conjugate
-
-    ok, w = is_conjugate(a.word, b.word)
-    if not ok:
-        return False, None
-    return True, SlotElement(a.slot, w, 0)
-
-
 def slot_centralizer_of_subgroup(slot: GroupSlot, gens: Sequence[SlotElement]) -> List[SlotElement]:
     """Generators of the centralizer of <gens> in the slot group."""
     free_parts = [g.word for g in gens if not g.word.is_identity()]
@@ -247,9 +229,6 @@ class SlotHom:
         if x.center:
             out = out * _pow_slot(self.images[-1], x.center)
         return out
-
-    def apply_word_part(self, w: Word) -> SlotElement:
-        return self.apply(SlotElement(self.src, w, 0))
 
 
 def _commute(a: SlotElement, b: SlotElement) -> bool:
@@ -595,24 +574,6 @@ class GraphOfGroups:
                     seen.add(self.term(e))
                     queue.append(self.term(e))
         return len(seen) == len(self.vertices)
-
-    def spanning_tree(self) -> List[str]:
-        """BFS spanning tree, deterministic: sorted vertices and edges."""
-        if not self.is_connected():
-            raise DomainError("graph of groups is not connected")
-        seen = {self.vertices[0]}
-        tree = []
-        frontier = [self.vertices[0]]
-        while frontier:
-            nxt = []
-            for v in sorted(frontier):
-                for e in self.oriented_edges():
-                    if self.init(e) == v and self.term(e) not in seen:
-                        seen.add(self.term(e))
-                        tree.append(unoriented(e))
-                        nxt.append(self.term(e))
-            frontier = nxt
-        return tree
 
     def __eq__(self, other):
         return (
@@ -1130,7 +1091,7 @@ def small_modular_generators(gog: GraphOfGroups) -> List[SmallModularElement]:
 
 
 # ---------------------------------------------------------------------------
-# coset representatives of delta_0 Aut in delta Aut
+# graph isomorphisms
 
 
 def graph_isomorphisms(g1: GraphOfGroups, g2: GraphOfGroups) -> Iterator[Tuple[Dict, Dict]]:
@@ -1189,128 +1150,6 @@ def graph_isomorphisms(g1: GraphOfGroups, g2: GraphOfGroups) -> Iterator[Tuple[D
             for part in combo:
                 emap.update(part)
             yield dict(vmap), emap
-
-
-def default_vertex_iso_oracle(g1: GraphOfGroups, g2: GraphOfGroups, v: str, w: str) -> List[SlotIso]:
-    s1, s2 = g1.vslot(v), g2.vslot(w)
-    if (s1.free_rank, s1.has_center) != (s2.free_rank, s2.has_center):
-        return []
-    return [SlotIso(s1, s2, tuple(_transport(s2, x) for x in s1.generators()))]
-
-
-def _transport(dst: GroupSlot, x: SlotElement) -> SlotElement:
-    return SlotElement(dst, Word(dst.free_group, x.word.letters), x.center)
-
-
-def coset_reps_delta0(
-    gog: GraphOfGroups,
-    gog2: Optional[GraphOfGroups] = None,
-    vertex_iso_oracle: Optional[Callable] = None,
-    gamma_candidates: Optional[Callable] = None,
-) -> List[GoGMorphism]:
-    """Graph maps extendable to graph-of-groups isomorphisms, one witness each.
-
-    delta_0 Aut (identity graph map) has finite index in delta Aut; the list
-    covers the quotient.  Vertex iso candidates come from the oracle; gammas
-    are searched among the identity and slot conjugators derived from the
-    mismatch between transported and target edge images.
-    """
-    gog2 = gog2 if gog2 is not None else gog
-    oracle = vertex_iso_oracle if vertex_iso_oracle is not None else default_vertex_iso_oracle
-    found: List[GoGMorphism] = []
-    for vmap, emap in graph_isomorphisms(gog, gog2):
-        vertex_choices = []
-        for v in gog.vertices:
-            candidates = oracle(gog, gog2, v, vmap[v])
-            if not candidates:
-                vertex_choices = None
-                break
-            vertex_choices.append(candidates)
-        if vertex_choices is None:
-            continue
-        witness = None
-        for combo in itertools.product(*vertex_choices):
-            vertex_isos = dict(zip(gog.vertices, combo))
-            attempt = _extend_to_morphism(gog, gog2, vmap, emap, vertex_isos, gamma_candidates)
-            if attempt is not None:
-                witness = attempt
-                break
-        if witness is not None:
-            found.append(witness)
-    return found
-
-
-def _extend_to_morphism(gog, gog2, vmap, emap, vertex_isos, gamma_candidates=None):
-    """Derive edge isos and gammas from vertex isos, or None."""
-    edge_isos: Dict[str, SlotIso] = {}
-    gammas: Dict[str, SlotElement] = {}
-    for oe in gog.oriented_edges():
-        v = gog.term(oe)
-        phi_v = vertex_isos[v]
-        inj = gog.injection(oe)
-        inj2 = gog2.injection(emap[oe])
-        transported = [phi_v.apply(inj.apply(x)) for x in gog.eslot(oe).generators()]
-        targets = [inj2.apply(y) for y in gog2.eslot(emap[oe]).generators()]
-        match = _match_edge_tuples(gog2.vslot(gog2.term(emap[oe])), transported, targets, gamma_candidates)
-        if match is None:
-            return None
-        gamma, edge_iso_images = match
-        gammas[oe] = gamma
-        if not oe.endswith("~"):
-            iso = _edge_iso_from_images(gog.eslot(oe), gog2.eslot(emap[oe]), edge_iso_images, inj2)
-            if iso is None:
-                return None
-            prev = edge_isos.get(unoriented(oe))
-            if prev is not None and prev != iso:
-                return None
-            edge_isos[unoriented(oe)] = iso
-    try:
-        return validate(
-            gog,
-            {
-                "vertex_map": vmap,
-                "edge_map": emap,
-                "vertex_isos": vertex_isos,
-                "edge_isos": edge_isos,
-                "gammas": gammas,
-            },
-            codomain=gog2,
-        )
-    except DomainError:
-        return None
-
-
-def _match_edge_tuples(slot, transported, targets, gamma_candidates=None):
-    """Find gamma with transported[i]^gamma in the image, expressed over targets.
-
-    Returns (gamma, preimage exponent data) where the data lists, for each
-    transported generator, its expression as a target-side edge element.
-    """
-    trans_words = tuple(x.word for x in transported)
-    targ_words = tuple(y.word for y in targets)
-    canon_t, gt = canonical_conjugate(trans_words)
-    canon_s, gs = canonical_conjugate(targ_words)
-    gamma_list: List[SlotElement] = []
-    if canon_t == canon_s and all(
-        x.center == y.center for x, y in zip(transported, targets)
-    ):
-        gamma_word = gt * gs.inverse()
-        gamma_list.append(SlotElement(slot, gamma_word, 0))
-    if gamma_candidates is not None:
-        gamma_list.extend(gamma_candidates(slot, transported, targets))
-    for gamma in gamma_list:
-        moved = [x.conjugate(gamma) for x in transported]
-        if moved == list(targets):
-            return gamma, list(range(len(targets)))
-    return None
-
-
-def _edge_iso_from_images(src_slot, dst_slot, perm, inj2):
-    if perm == list(range(src_slot.ngens)):
-        if (src_slot.free_rank, src_slot.has_center) != (dst_slot.free_rank, dst_slot.has_center):
-            return None
-        return SlotIso(src_slot, dst_slot, tuple(_transport(dst_slot, x) for x in src_slot.generators()))
-    return None
 
 
 # ---------------------------------------------------------------------------

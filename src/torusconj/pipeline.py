@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, FormatError, Undecided
-from .fibercorrect import OrientationFunctional, build_system, solve
+from .fibercorrect import OrientationFunctional, build_system, solve, twist_coefficients
 from .freegroup import BasisExpresser, FreeAut, FreeGroup, Word, fold, is_automorphism
 from .gog import (
     BassWord,
@@ -29,6 +29,7 @@ from .gog import (
     bar,
     graph_isomorphisms,
     hom_preimage,
+    induced_on_pi1,
     parse_gog,
     parse_tree_section,
     serialize_gog,
@@ -248,14 +249,8 @@ def slot_subgroup_conjugator(
             if ok:
                 return SlotElement(slot, w, 0)
         return None
-    # several generators: try the simultaneous-conjugacy witness directly
-    canon_s, gs = canonical_conjugate(tuple(x.word for x in source))
-    canon_t, gt = canonical_conjugate(tuple(x.word for x in target))
-    if canon_s == canon_t and all(
-        x.center == y.center for x, y in zip(source, target)
-    ):
-        return SlotElement(slot, gs * gt.inverse(), 0)
-    return None
+    # several generators: a simultaneous conjugator matching them one by one
+    return slot_elementwise_conjugator(slot, source, target)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +582,7 @@ def fiber_correct(collection, jsj_a: JSJInput, jsj_b: JSJInput) -> Verdict:
     o_b = jsj_b.orientation
     for morphism in collection:
         images = tuple(
-            (name, induced_on_pi1_safe(morphism, loop)) for name, loop in jsj_a.fiber_loops
+            (name, induced_on_pi1(morphism, loop)) for name, loop in jsj_a.fiber_loops
         )
         system = build_system([img for _, img in images], twists, o_b)
         x = solve(system)
@@ -595,17 +590,11 @@ def fiber_correct(collection, jsj_a: JSJInput, jsj_b: JSJInput) -> Verdict:
             continue
         stable_image = None
         if jsj_a.stable_loop is not None:
-            stable_image = induced_on_pi1_safe(morphism, jsj_a.stable_loop)
+            stable_image = induced_on_pi1(morphism, jsj_a.stable_loop)
         witness = Witness(morphism, twists, tuple(x), images, stable_image)
         if verify_witness(jsj_a, jsj_b, witness):
             return Verdict("isomorphic-fop", witness)
     return Verdict("vertexwise-but-fiber-fails")
-
-
-def induced_on_pi1_safe(morphism: GoGMorphism, loop: BassWord) -> BassWord:
-    from .gog import induced_on_pi1
-
-    return induced_on_pi1(morphism, loop)
 
 
 def verify_witness(jsj_a: JSJInput, jsj_b: JSJInput, witness: Witness) -> bool:
@@ -636,39 +625,24 @@ def verify_witness(jsj_a: JSJInput, jsj_b: JSJInput, witness: Witness) -> bool:
         return False
     if len(witness.twist_vector) != len(witness.twists):
         return False
+
+    def corrected_degree(image: BassWord) -> int:
+        coeffs = twist_coefficients(image, witness.twists, o_b)
+        return o_b.of_loop(image) + sum(c * x for c, x in zip(coeffs, witness.twist_vector))
+
     for name, loop in jsj_a.fiber_loops:
-        image = induced_on_pi1_safe(witness.morphism, loop)
+        image = induced_on_pi1(witness.morphism, loop)
         if name not in recorded or not (recorded[name] == image):
             return False
-        corrected = o_b.of_loop(image)
-        for twist, mult in zip(witness.twists, witness.twist_vector):
-            for twisted, z in twist.twist_data():
-                sign = 1 if twisted == unoriented(twisted) else -1
-                corrected += (
-                    mult
-                    * sign
-                    * image.edge_exponent(twisted)
-                    * o_b.of_element(jsj_b.gog.term(twisted), z)
-                )
-        if corrected != 0:
+        if corrected_degree(image) != 0:
             return False
     if jsj_a.stable_loop is not None:
         if witness.stable_image is None:
             return False
-        image = induced_on_pi1_safe(witness.morphism, jsj_a.stable_loop)
+        image = induced_on_pi1(witness.morphism, jsj_a.stable_loop)
         if not (witness.stable_image == image):
             return False
-        corrected = o_b.of_loop(image)
-        for twist, mult in zip(witness.twists, witness.twist_vector):
-            for twisted, z in twist.twist_data():
-                sign = 1 if twisted == unoriented(twisted) else -1
-                corrected += (
-                    mult
-                    * sign
-                    * image.edge_exponent(twisted)
-                    * o_b.of_element(jsj_b.gog.term(twisted), z)
-                )
-        if corrected != 1:
+        if corrected_degree(image) != 1:
             return False
     return True
 

@@ -12,6 +12,7 @@ from torusconj.freegroup import (
     is_automorphism,
     nielsen_generators,
     outer_order,
+    whole_group_graph,
 )
 
 from .helpers import random_word, subgroup_elements_up_to
@@ -109,6 +110,43 @@ class TestBasisExpresser:
     def test_dependent_basis_rejected(self):
         with pytest.raises(DomainError):
             BasisExpresser(F2, [F2.parse("a"), F2.parse("a")])
+
+    def test_rank_drop_rejected(self):
+        # (a b) (b a)^-1 == a b a' b': three words spanning a rank-2 subgroup
+        with pytest.raises(DomainError):
+            BasisExpresser(F2, [F2.parse("a b"), F2.parse("b a"), F2.parse("a b a' b'")])
+
+
+class TestLabeledFolding:
+    """Labeled folding (is_automorphism, BasisExpresser) against plain
+    folding, through the Hopfian criterion: n words freely generate exactly
+    when their subgroup has rank n, and generate F exactly when they fold
+    to the rose."""
+
+    def test_agrees_with_plain_folding(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            group = rng.choice((F2, F3))
+            images = list(random_aut(rng, group, rng.randint(0, 6)).images)
+            if rng.random() < 0.5:
+                j = rng.randrange(group.rank)
+                images[j] = images[j] * random_word(rng, group, 3)
+            whole = fold(group, images) == whole_group_graph(group)
+            assert (is_automorphism(group, images) is not None) == whole
+            basis = images[: rng.randint(1, group.rank)]
+            if rng.random() < 0.5:
+                basis.append(random_word(rng, group, 4))
+            if fold(group, basis).rank() < len(basis):
+                with pytest.raises(DomainError):
+                    BasisExpresser(group, basis)
+                continue
+            expresser = BasisExpresser(group, basis)
+            for _ in range(5):
+                w = random_word(rng, expresser.symbols, 8)
+                image = group.identity()
+                for i, s in w.letters:
+                    image = image * (basis[i] if s > 0 else basis[i].inverse())
+                assert expresser.express(image) == w
 
 
 class TestInnerConjugator:

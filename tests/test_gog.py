@@ -17,7 +17,6 @@ from torusconj.gog import (
     ad_iso,
     bar,
     compose,
-    coset_reps_delta0,
     dehn_twist,
     graph_isomorphisms,
     hom_preimage,
@@ -385,50 +384,6 @@ class TestSmallModular:
         for sme in small_modular_generators(gog):
             morphism = sme.to_morphism()
             assert all(v == morphism.vertex_map[v] for v in gog.vertices)
-
-
-class TestCosetReps:
-    def test_asymmetric_graph_identity_only(self):
-        gog = star_gog()
-        # break symmetry: make b2 an fxz slot instead of Z2
-        reps = coset_reps_delta0(gog)
-        # graph swap of b1, b2 exists but needs the injections to match
-        assert any(all(m.vertex_map[v] == v for v in gog.vertices) for m in reps)
-
-    def test_symmetric_star_includes_swap(self):
-        # both leaves attach to conjugate cyclic subgroups via x0 and x1;
-        # the graph swap must come with a vertex iso swapping x0, x1 ... the
-        # default identity-iso oracle cannot provide it, so only the identity
-        # survives; with a swap-aware oracle the swap appears
-        gog = star_gog()
-
-        def oracle(g1, g2, v, w):
-            from torusconj.gog import default_vertex_iso_oracle
-
-            base = default_vertex_iso_oracle(g1, g2, v, w)
-            if v == "w":
-                swap = SlotIso(F2, F2, (F2.parse("x1"), F2.parse("x0")))
-                base = base + [swap]
-            return base
-
-        reps = coset_reps_delta0(gog, vertex_iso_oracle=oracle)
-        assert any(m.vertex_map["b1"] == "b2" for m in reps)
-
-    def test_rank_mismatch_excludes_swap(self):
-        F3 = GroupSlot(3, False)
-        inj1 = SlotHom(Z, F2, (F2.parse("x0"),))
-        inj2 = SlotHom(Z, F3, (F3.parse("x0"),))
-        injz = SlotHom(Z, Z2, (Z2.parse("x0"),))
-        gog = GraphOfGroups(
-            ["u", "v", "z"],
-            {"e1": ("z", "u"), "e2": ("z", "v")},
-            {"u": F2, "v": F3, "z": Z2},
-            {"e1": Z, "e2": Z},
-            {"e1": SlotHom(Z, F2, (F2.parse("x0"),)), "e1~": SlotHom(Z, Z2, (Z2.parse("x0"),)),
-             "e2": SlotHom(Z, F3, (F3.parse("x0"),)), "e2~": SlotHom(Z, Z2, (Z2.parse("x0"),))},
-        )
-        reps = coset_reps_delta0(gog)
-        assert all(m.vertex_map["u"] == "u" for m in reps)
 
 
 class TestSerialization:

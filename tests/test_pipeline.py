@@ -220,6 +220,36 @@ class TestDecideVerdicts:
         assert fiber_correct(collection, jsj, jsj).status == "isomorphic-fop"
         assert fiber_correct(collection * 2, jsj, jsj).status == "isomorphic-fop"
 
+    def test_rank_mismatch_excludes_swap(self):
+        # the star's two white leaves have different ranks, so the graph map
+        # swapping them has no candidate and only the identity map assembles
+        from torusconj.gog import GraphOfGroups, SlotHom
+
+        Z, Z2 = GroupSlot(1, False), GroupSlot(1, True)
+        F2, F3 = GroupSlot(2, False), GroupSlot(3, False)
+        gog = GraphOfGroups(
+            ["u", "v", "z"],
+            {"e1": ("z", "u"), "e2": ("z", "v")},
+            {"u": F2, "v": F3, "z": Z2},
+            {"e1": Z, "e2": Z},
+            {
+                "e1": SlotHom(Z, F2, (F2.parse("x0"),)),
+                "e1~": SlotHom(Z, Z2, (Z2.parse("x0"),)),
+                "e2": SlotHom(Z, F3, (F3.parse("x0"),)),
+                "e2~": SlotHom(Z, Z2, (Z2.parse("x0"),)),
+            },
+        )
+        orientation = OrientationFunctional(
+            gog, {"u": (0, 0), "v": (0, 0, 0), "z": (0, 1)}, {"e1": 0, "e2": 0}
+        )
+        jsj = JSJInput(
+            gog, {"u": "white", "v": "white", "z": "black"}, orientation, ("e1", "e2"), ()
+        )
+        whitelist = {(w, w): [SlotIso.identity(gog.vslot(w))] for w in ("u", "v")}
+        collection = assemble(jsj, jsj, whitelist)
+        assert collection
+        assert all(m.vertex_map["u"] == "u" for m in collection)
+
     def test_witness_revalidates(self):
         jsj = one_twistor_jsj(2, "x0 x1")
         verdict = decide(jsj, jsj, identity_whitelist(jsj, jsj))
