@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, FormatError
@@ -38,7 +39,7 @@ class GroupSlot:
         if self.free_rank < 1:
             raise DomainError("slot free rank must be >= 1")
 
-    @property
+    @cached_property
     def free_group(self) -> FreeGroup:
         return FreeGroup(tuple(f"x{i}" for i in range(self.free_rank)))
 
@@ -115,8 +116,6 @@ class SlotElement:
     def __post_init__(self):
         if self.center and not self.slot.has_center:
             raise DomainError("center exponent in a centerless slot")
-        if self.slot.free_rank == 1 and self.slot.has_center:
-            pass  # Z^2: both coordinates commute; nothing to normalize
         if self.word.group != self.slot.free_group:
             raise DomainError("free part over the wrong group")
 
@@ -229,6 +228,13 @@ class SlotHom:
         if x.center:
             out = out * _pow_slot(self.images[-1], x.center)
         return out
+
+    @cached_property
+    def expresser(self) -> BasisExpresser:
+        """Membership in the span of the free-part images, for free and
+        F x Z sources whose images freely generate (see validate_injection)."""
+        basis = [self.images[i].word for i in range(self.src.free_rank)]
+        return BasisExpresser(self.dst.free_group, basis)
 
 
 def _commute(a: SlotElement, b: SlotElement) -> bool:
@@ -348,9 +354,7 @@ def hom_preimage(hom: SlotHom, y: SlotElement) -> Optional[SlotElement]:
         cand = _pow_slot(src.generator(0), a) * _pow_slot(src.generator(1), b)
         return _check_preimage(hom, cand, y)
     # free / fxz
-    basis = [hom.images[i].word for i in range(src.free_rank)]
-    expresser = BasisExpresser(dst.free_group, basis)
-    sym = expresser.express(y.word)
+    sym = hom.expresser.express(y.word)
     if sym is None:
         return None
     word = Word(src.free_group, sym.letters)
@@ -423,11 +427,15 @@ class SlotIso:
     def identity(slot: GroupSlot) -> "SlotIso":
         return SlotIso(slot, slot, tuple(slot.generators()))
 
-    def as_hom(self) -> SlotHom:
+    @cached_property
+    def _hom(self) -> SlotHom:
         return SlotHom(self.src, self.dst, self.images)
 
+    def as_hom(self) -> SlotHom:
+        return self._hom
+
     def apply(self, x: SlotElement) -> SlotElement:
-        return self.as_hom().apply(x)
+        return self._hom.apply(x)
 
     def matrix(self) -> List[List[int]]:
         """For Z2 slots: columns are generator images over (x0, c)."""

@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, FormatError, Undecided
-from .fibercorrect import OrientationFunctional, build_system, solve, twist_coefficients
+from .fibercorrect import (
+    OrientationFunctional,
+    build_system,
+    solve,
+    solve_linear_system,
+    solve_with_nullspace,
+    twist_coefficients,
+)
 from .freegroup import BasisExpresser, FreeAut, FreeGroup, Word, fold, is_automorphism
 from .gog import (
     BassWord,
@@ -276,20 +283,18 @@ class EdgeTransport:
 def _edge_transport(
     jsj_a: JSJInput,
     jsj_b: JSJInput,
-    emap: Dict[str, str],
-    white_isos: Dict[str, SlotIso],
-    edge: str,
+    ew: str,
+    ew2: str,
+    phi_w: SlotIso,
 ) -> Optional[EdgeTransport]:
-    """Transport the edge group through the white vertex candidate."""
+    """Transport the edge group of `ew` (oriented towards its white vertex)
+    onto `ew2` through the white vertex candidate `phi_w`."""
     gog_a, gog_b = jsj_a.gog, jsj_b.gog
-    ew = edge if jsj_a.colors[gog_a.term(edge)] == "white" else bar(edge)
-    w = gog_a.term(ew)
-    phi_w = white_isos[w]
     inj_w = gog_a.injection(ew)
-    inj_w2 = gog_b.injection(emap[ew])
-    wslot2 = gog_b.vslot(gog_b.term(emap[ew]))
-    moved = [phi_w.apply(inj_w.apply(g)) for g in gog_a.eslot(edge).generators()]
-    targets = [inj_w2.apply(g) for g in gog_b.eslot(unoriented(emap[ew])).generators()]
+    inj_w2 = gog_b.injection(ew2)
+    wslot2 = gog_b.vslot(gog_b.term(ew2))
+    moved = [phi_w.apply(inj_w.apply(g)) for g in gog_a.eslot(ew).generators()]
+    targets = [inj_w2.apply(g) for g in gog_b.eslot(ew2).generators()]
     d = slot_subgroup_conjugator(wslot2, moved, targets)
     if d is None:
         return None
@@ -300,14 +305,10 @@ def _edge_transport(
             return None
         edge_images.append(pre)
     try:
-        edge_iso = SlotIso(
-            gog_a.eslot(edge), gog_b.eslot(unoriented(emap[ew])), tuple(edge_images)
-        )
+        edge_iso = SlotIso(gog_a.eslot(ew), gog_b.eslot(ew2), tuple(edge_images))
     except DomainError:
         return None
-    target_black = [
-        gog_b.injection(emap[bar(ew)]).apply(img) for img in edge_images
-    ]
+    target_black = [gog_b.injection(bar(ew2)).apply(img) for img in edge_images]
     return EdgeTransport(edge_iso, d.inverse(), tuple(target_black))
 
 
@@ -315,37 +316,25 @@ def match_black(
     jsj_a: JSJInput,
     jsj_b: JSJInput,
     vmap: Dict[str, str],
-    emap: Dict[str, str],
     b: str,
     transports: Dict[str, EdgeTransport],
+    memo: dict,
 ) -> Optional[BlackMatch]:
     """Decide the compounded-marking match at one black vertex.
 
     The base isomorphism comes from the degree data; the residual matching
-    is the fiber-and-orientation orbit problem in the black slot.
+    is the fiber-and-orientation orbit problem in the black slot.  `memo`
+    (see `assemble`) keeps the base data of each vertex pair.
     """
-    gog_a, gog_b = jsj_a.gog, jsj_b.gog
     b2 = vmap[b]
-    slot_b, slot_b2 = gog_a.vslot(b), gog_b.vslot(b2)
-    base = slot_fop_base_iso(
-        slot_b,
-        jsj_a.orientation.vertex_values[b],
-        slot_b2,
-        jsj_b.orientation.vertex_values[b2],
-    )
-    if base is None:
+    key = ("black base", b, b2)
+    if key not in memo:
+        memo[key] = _black_base(jsj_a, jsj_b, b, b2)
+    if memo[key] is None:
         return None
-    adjacent = sorted(
-        oe for oe in gog_a.oriented_edges() if gog_a.term(oe) == b
-    )
-    source_classes = []
-    target_classes = []
-    for oe in adjacent:
-        inj = gog_a.injection(oe)
-        source_classes.append(
-            tuple(base.apply(inj.apply(g)) for g in gog_a.eslot(oe).generators())
-        )
-        target_classes.append(transports[unoriented(oe)].target_images)
+    base, adjacent, source_classes = memo[key]
+    slot_b2 = jsj_b.gog.vslot(b2)
+    target_classes = [transports[unoriented(oe)].target_images for oe in adjacent]
     eta = _black_orbit_match(
         slot_b2, jsj_b.orientation.vertex_values[b2], source_classes, target_classes
     )
@@ -361,6 +350,27 @@ def match_black(
             return None
         gammas[oe] = p.inverse()
     return BlackMatch(phi_b, gammas)
+
+
+def _black_base(jsj_a: JSJInput, jsj_b: JSJInput, b: str, b2: str):
+    """(base iso, adjacent oriented edges, their classes moved by the base
+    iso) at the black pair b -> b2, or None if no degree-preserving base
+    iso exists."""
+    gog_a = jsj_a.gog
+    base = slot_fop_base_iso(
+        gog_a.vslot(b),
+        jsj_a.orientation.vertex_values[b],
+        jsj_b.gog.vslot(b2),
+        jsj_b.orientation.vertex_values[b2],
+    )
+    if base is None:
+        return None
+    adjacent = tuple(sorted(oe for oe in gog_a.oriented_edges() if gog_a.term(oe) == b))
+    source_classes = tuple(
+        tuple(base.apply(gog_a.injection(oe).apply(g)) for g in gog_a.eslot(oe).generators())
+        for oe in adjacent
+    )
+    return base, adjacent, source_classes
 
 
 def slot_elementwise_conjugator(slot, moved, target) -> Optional[SlotElement]:
@@ -427,14 +437,20 @@ def _classes_match(slot, iso, source_classes, target_classes) -> bool:
 
 
 def _zsquare_orbit_match(slot, o_vec, source_classes, target_classes) -> Optional[SlotIso]:
-    """Degree-preserving GL_2(Z) matrices matching all marking vectors
-    exactly; abelianness makes classes pointwise.
+    """A degree-preserving GL_2(Z) matrix matching all marking vectors
+    exactly, or None; abelianness makes classes pointwise.
 
-    The matching and degree constraints are linear in the matrix entries; a
-    particular integer solution plus its nullspace is computed exactly and
-    only the residual lattice is searched for the determinant condition.
+    The matching and degree constraints are linear in the entries of M; a
+    particular integer solution P and the integer nullspace are exact.  The
+    determinant condition is then settled in closed form by the rank of the
+    source vectors:
+
+    * rank 2: M is determined, the nullspace is empty; check det P;
+    * rank 1: every nullspace matrix kills the source line, so it is n r^T
+      for the fixed row r^T annihilating it, and det(P + n r^T) is affine in
+      n; one linear equation per sign of the determinant;
+    * rank 0: the targets are zero too and the identity matches.
     """
-    from .fibercorrect import solve_with_nullspace
 
     src_vectors = [x.abelianized() for cls in source_classes for x in cls]
     tgt_vectors = [x.abelianized() for cls in target_classes for x in cls]
@@ -454,20 +470,40 @@ def _zsquare_orbit_match(slot, o_vec, source_classes, target_classes) -> Optiona
     if solved is None:
         return None
     particular, basis = solved
-    span = range(-8, 9)
-    for coeffs in itertools.product(span, repeat=len(basis)):
-        entry = list(particular)
-        for c, vec in zip(coeffs, basis):
-            entry = [e + c * v for e, v in zip(entry, vec)]
-        m00, m01, m10, m11 = entry
-        if m00 * m11 - m01 * m10 in (1, -1):
-            word0 = slot.free_group.generator(0) ** m00 if m00 else slot.free_group.identity()
-            word1 = slot.free_group.generator(0) ** m01 if m01 else slot.free_group.identity()
-            return SlotIso(
-                slot,
-                slot,
-                (SlotElement(slot, word0, m10), SlotElement(slot, word1, m11)),
-            )
+    if any(s[0] * t[1] - s[1] * t[0] for s in src_vectors for t in src_vectors):
+        entry = particular
+    elif any(any(s) for s in src_vectors):
+        entry = _unimodular_along_line(particular, basis)
+    else:
+        entry = [1, 0, 0, 1]
+    if entry is None or _det2(entry) not in (1, -1):
+        return None
+    m00, m01, m10, m11 = entry
+    images = []
+    for x, c in ((m00, m10), (m01, m11)):
+        word = slot.free_group.generator(0) ** x if x else slot.free_group.identity()
+        images.append(SlotElement(slot, word, c))
+    return SlotIso(slot, slot, tuple(images))
+
+
+def _det2(entry: Sequence[int]) -> int:
+    m00, m01, m10, m11 = entry
+    return m00 * m11 - m01 * m10
+
+
+def _unimodular_along_line(particular, basis) -> Optional[List[int]]:
+    """particular + sum c_k basis_k with determinant +-1, when the
+    determinant is affine in c (each basis matrix has rank one with a common
+    row space, so the quadratic terms vanish), or None."""
+    d0 = _det2(particular)
+    slopes = [_det2([p + v for p, v in zip(particular, vec)]) - d0 for vec in basis]
+    for sign in (1, -1):
+        coeffs = solve_linear_system([slopes], [sign - d0])
+        if coeffs is not None:
+            entry = list(particular)
+            for c, vec in zip(coeffs, basis):
+                entry = [e + c * v for e, v in zip(entry, vec)]
+            return entry
     return None
 
 
@@ -502,22 +538,28 @@ def assemble(
     results: List[GoGMorphism] = []
     seen_keys = set()
     whites = jsj_a.white_vertices()
+    # Pieces shared between graph maps, computed once per call: fop-filtered
+    # white candidates per vertex pair, edge transports, black base data.
+    # The memo is dropped with the call.
+    memo: dict = {}
     for vmap, emap in graph_isomorphisms(jsj_a.gog, jsj_b.gog):
         if any(jsj_a.colors[v] != jsj_b.colors[vmap[v]] for v in jsj_a.gog.vertices):
             continue
         choice_lists = []
         for w in whites:
-            candidates = [
-                iso
-                for iso in whitelist.get((w, vmap[w]), [])
-                if _candidate_is_fop(jsj_a, jsj_b, w, vmap[w], iso)
-            ]
-            choice_lists.append(candidates)
+            key = ("candidates", w, vmap[w])
+            if key not in memo:
+                memo[key] = [
+                    iso
+                    for iso in whitelist.get((w, vmap[w]), [])
+                    if _candidate_is_fop(jsj_a, jsj_b, w, vmap[w], iso)
+                ]
+            choice_lists.append(memo[key])
         if any(not c for c in choice_lists):
             continue
         for combo in itertools.product(*choice_lists):
             white_isos = dict(zip(whites, combo))
-            morphism = _assemble_one(jsj_a, jsj_b, vmap, emap, white_isos)
+            morphism = _assemble_one(jsj_a, jsj_b, vmap, emap, white_isos, memo)
             if morphism is not None:
                 key = morphism.canonical_key()
                 if key not in seen_keys:
@@ -527,21 +569,26 @@ def assemble(
     return results
 
 
-def _assemble_one(jsj_a, jsj_b, vmap, emap, white_isos) -> Optional[GoGMorphism]:
+def _assemble_one(jsj_a, jsj_b, vmap, emap, white_isos, memo: dict) -> Optional[GoGMorphism]:
     gog_a, gog_b = jsj_a.gog, jsj_b.gog
     transports: Dict[str, EdgeTransport] = {}
+    gammas: Dict[str, SlotElement] = {}
     for edge in gog_a.edge_names:
-        transport = _edge_transport(jsj_a, jsj_b, emap, white_isos, edge)
+        # a transport depends only on the edge, the image of its white end
+        # and the white candidate there; failures are kept too
+        ew = edge if jsj_a.colors[gog_a.term(edge)] == "white" else bar(edge)
+        phi_w = white_isos[gog_a.term(ew)]
+        key = ("transport", ew, emap[ew], phi_w)
+        if key not in memo:
+            memo[key] = _edge_transport(jsj_a, jsj_b, ew, emap[ew], phi_w)
+        transport = memo[key]
         if transport is None:
             return None
         transports[edge] = transport
+        gammas[ew] = transport.gamma_white
     vertex_isos: Dict[str, SlotIso] = dict(white_isos)
-    gammas: Dict[str, SlotElement] = {}
-    for edge in gog_a.edge_names:
-        ew = edge if jsj_a.colors[gog_a.term(edge)] == "white" else bar(edge)
-        gammas[ew] = transports[edge].gamma_white
     for b in jsj_a.black_vertices():
-        match = match_black(jsj_a, jsj_b, vmap, emap, b, transports)
+        match = match_black(jsj_a, jsj_b, vmap, b, transports, memo)
         if match is None:
             return None
         vertex_isos[b] = match.phi_b

@@ -11,7 +11,8 @@ loop is subdivided by a cyclic white vertex to keep the graph bipartite:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import re
+from typing import Dict, Optional, Sequence, Tuple
 
 from torusconj.fibercorrect import OrientationFunctional
 from torusconj.freegroup import FreeAut, FreeGroup, Word, is_automorphism
@@ -23,7 +24,7 @@ from torusconj.gog import (
     SlotHom,
     SlotIso,
 )
-from torusconj.pipeline import ConjUngInput, JSJInput, PeripheralDatum
+from torusconj.pipeline import ConjUngInput, JSJInput, PeripheralDatum, parse_jsj, serialize_jsj
 
 
 def _gcd(a, b):
@@ -32,59 +33,94 @@ def _gcd(a, b):
     return abs(a)
 
 
-def one_twistor_jsj(poly_rank: int, twist_word_text: str = "1", center_degree: int = 1,
-                    edge2_degree: int = 0) -> JSJInput:
-    """JSJ input for F_{poly_rank+1} with s -> s * w, w over the first
-    poly_rank generators.  `edge2_degree` reassigns the Bass-generator degree
-    of e2 (a different fibration of the same group); the declared s-loop is
-    then the power-and-center combination lying in that fiber."""
+def twistor_jsj(poly_rank: int, twist_word_texts: Sequence[str], center_degree: int = 1,
+                edge2_degree: int = 0) -> JSJInput:
+    """JSJ input for F_{poly_rank+k} with s_j -> s_j * w_j, one block per
+    twist word w_j over the first poly_rank generators.
+
+    The black vertex B is P x <t> (Z^2 when poly_rank == 1, F_p x Z
+    otherwise); block j has a cyclic white vertex W_j joined to B by edges
+    e_{2j-1} and e_{2j}, so the graph has k! * 2^k automorphisms.  A single
+    block keeps the names W, e1, e2 and the fiber loop name hs.
+    `edge2_degree` reassigns the Bass-generator degree of every second edge
+    (a different fibration of the same group); the declared s-loops are then
+    the power-and-center combinations lying in that fiber."""
+    k = len(twist_word_texts)
     bslot = GroupSlot(poly_rank, True)
     wslot = GroupSlot(1, False)
-    w_word = bslot.free_group.parse(twist_word_text)
-    injections = {
-        "e1": SlotHom(wslot, bslot, (SlotElement(bslot, bslot.free_group.identity(), 1),)),
-        "e1~": SlotHom(wslot, wslot, (wslot.generator(0),)),
-        "e2": SlotHom(wslot, bslot, (SlotElement(bslot, w_word.inverse(), 1),)),
-        "e2~": SlotHom(wslot, wslot, (wslot.generator(0),)),
-    }
+    blocks = [("W", "") if k == 1 else (f"W{j}", str(j)) for j in range(1, k + 1)]
+    edge_ends, injections, vertex_values, edge_values, peripheral = {}, {}, {}, {}, {}
+    for j, ((w, _), text) in enumerate(zip(blocks, twist_word_texts), start=1):
+        first, second = f"e{2 * j - 1}", f"e{2 * j}"
+        w_word = bslot.free_group.parse(text)
+        edge_ends[first] = edge_ends[second] = (w, "B")
+        injections[first] = SlotHom(wslot, bslot, (SlotElement(bslot, bslot.free_group.identity(), 1),))
+        injections[second] = SlotHom(wslot, bslot, (SlotElement(bslot, w_word.inverse(), 1),))
+        injections[first + "~"] = injections[second + "~"] = SlotHom(wslot, wslot, (wslot.generator(0),))
+        vertex_values[w] = (center_degree,)
+        edge_values[first], edge_values[second] = 0, edge2_degree
+        peripheral[w] = {"EZ": (first, second)}
+    whites = [w for w, _ in blocks]
     gog = GraphOfGroups(
-        ["B", "W"],
-        {"e1": ("W", "B"), "e2": ("W", "B")},
-        {"B": bslot, "W": wslot},
-        {"e1": wslot, "e2": wslot},
+        ["B"] + whites,
+        edge_ends,
+        {"B": bslot, **{w: wslot for w in whites}},
+        {e: wslot for e in edge_ends},
         injections,
     )
-    orientation = OrientationFunctional(
-        gog,
-        {"B": tuple([0] * poly_rank + [center_degree]), "W": (center_degree,)},
-        {"e1": 0, "e2": edge2_degree},
-    )
+    vertex_values["B"] = tuple([0] * poly_rank + [center_degree])
+    orientation = OrientationFunctional(gog, vertex_values, edge_values)
     fiber = []
     for i in range(poly_rank):
         fiber.append((f"h{i}", BassWord.parse(gog, f"B: (x{i})")))
     g = _gcd(center_degree, edge2_degree)
     loop_power = center_degree // g
     center_power = -edge2_degree // g
-    chunk = " e1~ e2 " * loop_power
     tail = f"(c^{center_power})" if center_power else ""
-    fiber.append(("hs", BassWord.parse(gog, f"B: {chunk} {tail}")))
+    for j, (_, suffix) in enumerate(blocks, start=1):
+        chunk = f" e{2 * j - 1}~ e{2 * j} " * loop_power
+        fiber.append((f"hs{suffix}", BassWord.parse(gog, f"B: {chunk} {tail}")))
     stable = BassWord.parse(gog, "B: (c)") if center_degree == 1 else None
-    peripheral = {"W": {"EZ": ("e1", "e2")}}
     return JSJInput(
         gog,
-        {"B": "black", "W": "white"},
+        {"B": "black", **{w: "white" for w in whites}},
         orientation,
-        ("e1",),
+        tuple(f"e{2 * j - 1}" for j in range(1, k + 1)),
         tuple(fiber),
         stable,
         peripheral,
     )
 
 
+def one_twistor_jsj(poly_rank: int, twist_word_text: str = "1", center_degree: int = 1,
+                    edge2_degree: int = 0) -> JSJInput:
+    """The single-block `twistor_jsj`: F_{poly_rank+1} with s -> s * w."""
+    return twistor_jsj(poly_rank, [twist_word_text], center_degree, edge2_degree)
+
+
+def relabel_blocks(jsj: JSJInput, perm: Sequence[int]) -> JSJInput:
+    """`jsj` (from `twistor_jsj` with k >= 2 blocks) with its blocks renamed:
+    block j becomes block perm[j - 1] + 1, i.e. W_j and its edges e_{2j-1},
+    e_{2j} take the names of that block.  The result is the same graph of
+    groups under other names, so it is isomorphic to `jsj` preserving fiber
+    and orientation by a non-identity graph map."""
+    names = {}
+    for j, target in enumerate(perm, start=1):
+        names[f"W{j}"] = f"W{target + 1}"
+        names[f"e{2 * j - 1}"] = f"e{2 * target + 1}"
+        names[f"e{2 * j}"] = f"e{2 * target + 2}"
+    text = re.sub(r"\b(W\d+|e\d+)\b", lambda m: names[m.group(1)], serialize_jsj(jsj))
+    return parse_jsj(text)
+
+
 def identity_whitelist(jsj_a: JSJInput, jsj_b: JSJInput):
-    wslot_a = jsj_a.gog.vslot("W")
-    wslot_b = jsj_b.gog.vslot("W")
-    return {("W", "W"): [SlotIso(wslot_a, wslot_b, tuple(wslot_b.generators()))]}
+    """The identity candidate between every pair of white vertices."""
+    out = {}
+    for w in jsj_a.white_vertices():
+        for w2 in jsj_b.white_vertices():
+            wslot_a, wslot_b = jsj_a.gog.vslot(w), jsj_b.gog.vslot(w2)
+            out[(w, w2)] = [SlotIso(wslot_a, wslot_b, tuple(wslot_b.generators()))]
+    return out
 
 
 def one_twistor_conj_input(rank: int, twist_word_text: str,

@@ -113,6 +113,11 @@ class TestSlots:
         assert gens == Z2.generators()
 
 
+    def test_free_group_built_once(self):
+        slot = GroupSlot(3, True)
+        assert slot.free_group is slot.free_group
+        assert slot == GroupSlot(3, True) and hash(slot) == hash(GroupSlot(3, True))
+
 class TestSlotIso:
     def test_fxz_inverse(self):
         iso = SlotIso(
@@ -145,6 +150,22 @@ class TestSlotIso:
             SlotIso(FXZ2, FXZ2, (FXZ2.parse("x0"), FXZ2.parse("x1"), FXZ2.parse("c^2")))
 
 
+    def test_apply_builds_one_hom(self, monkeypatch):
+        built = []
+        original = SlotHom.__post_init__
+
+        def counting(hom):
+            built.append(hom)
+            original(hom)
+
+        monkeypatch.setattr(SlotHom, "__post_init__", counting)
+        iso = SlotIso(FXZ2, FXZ2, (FXZ2.parse("x0 x1 * c"), FXZ2.parse("x1"), FXZ2.parse("c")))
+        x = FXZ2.parse("x0 x1' * c^2")
+        images = {iso.apply(x) for _ in range(100)}
+        assert images == {FXZ2.parse("x0 x1 x1' * c^3")}
+        assert len(built) == 1
+        assert iso.as_hom() is iso.as_hom()
+
 class TestHomPreimage:
     def test_cyclic_preimage(self):
         hom = SlotHom(Z, F2, (F2.parse("x0 x1"),))
@@ -170,6 +191,26 @@ class TestHomPreimage:
         y = hom.apply(FXZ2.parse("x0 x1 * c^3"))
         assert hom_preimage(hom, y) == FXZ2.parse("x0 x1 * c^3")
 
+
+    def test_one_expresser_per_injection(self, monkeypatch):
+        import torusconj.gog as gog
+
+        built = []
+
+        class CountingExpresser(gog.BasisExpresser):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(gog, "BasisExpresser", CountingExpresser)
+        hom = SlotHom(
+            FXZ2, FXZ2, (FXZ2.parse("x0 * c"), FXZ2.parse("x1 x0"), FXZ2.parse("c^2"))
+        )
+        for text in ("x0 x1 * c^3", "x1", "x0' x1 x1 * c^-1", "1", "c"):
+            x = FXZ2.parse(text)
+            assert hom_preimage(hom, hom.apply(x)) == x
+        assert hom_preimage(hom, FXZ2.parse("x1")) is None
+        assert len(built) == 1
 
 class TestValidate:
     def test_identity_accepted(self):

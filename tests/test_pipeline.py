@@ -29,7 +29,13 @@ from torusconj.pipeline import (
     verify_witness,
 )
 
-from .corpus import identity_whitelist, one_twistor_conj_input, one_twistor_jsj
+from .corpus import (
+    identity_whitelist,
+    one_twistor_conj_input,
+    one_twistor_jsj,
+    relabel_blocks,
+    twistor_jsj,
+)
 
 
 class TestSlotFopBaseIso:
@@ -113,6 +119,91 @@ class TestZSquareOrbitMatch:
         moved = eta.apply(Z2.parse("c"))
         assert moved.abelianized() == (7, 1)
 
+
+    def test_determinant_solution_outside_small_entries(self):
+        # o == 0 leaves the second column free; det 1 needs (21, 13), which
+        # a coefficient box of [-8, 8] over the nullspace misses
+        from torusconj.pipeline import _zsquare_orbit_match
+
+        Z2 = GroupSlot(1, True)
+        target = Z2.parse(" ".join(["x0"] * 55) + " * c^34")
+        eta = _zsquare_orbit_match(Z2, (0, 0), [(Z2.parse("x0"),)], [(target,)])
+        assert eta is not None
+        m = eta.matrix()
+        assert (m[0][0], m[1][0]) == (55, 34)
+        assert m[0][0] * m[1][1] - m[0][1] * m[1][0] in (1, -1)
+
+    def test_exact_match_covers_bounded_search(self):
+        # seeded GL_2(Z) cases: whenever a matrix exists (constructed cases)
+        # or the former [-8, 8] coefficient box finds one, the closed form
+        # finds one too, and every matrix it returns satisfies all conditions
+        from torusconj.pipeline import _zsquare_orbit_match
+
+        Z2 = GroupSlot(1, True)
+        rng = random.Random(20261018)
+        small = [
+            m for m in itertools.product(range(-3, 4), repeat=4)
+            if m[0] * m[3] - m[1] * m[2] in (1, -1)
+        ]
+        orientations = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 1), (1, -3)]
+        found = {"box": 0, "exact": 0}
+        for _ in range(400):
+            o = rng.choice(orientations)
+            stabilizer = [m for m in small if (o[0] * m[0] + o[1] * m[2], o[0] * m[1] + o[1] * m[3]) == o]
+            m = rng.choice(stabilizer)
+            base = (rng.randint(-3, 3), rng.randint(-3, 3))
+            if base == (0, 0):
+                base = (1, 0)
+            if rng.random() < 0.5:
+                sources = [base, tuple(rng.randint(-2, 2) * x for x in base)]  # rank one
+            else:
+                sources = [base, (rng.randint(-3, 3), rng.randint(-3, 3))]
+            targets = [(m[0] * s[0] + m[1] * s[1], m[2] * s[0] + m[3] * s[1]) for s in sources]
+            realizable = rng.random() < 0.7
+            if not realizable:
+                i = rng.randrange(len(targets))
+                targets[i] = (targets[i][0] + rng.choice((1, -1)), targets[i][1])
+            as_classes = [
+                [(Z2.element(Z2.free_group.generator(0) ** v[0] if v[0] else Z2.free_group.identity(), v[1]),) for v in vecs]
+                for vecs in (sources, targets)
+            ]
+            eta = _zsquare_orbit_match(Z2, o, *as_classes)
+            box = _box_zsquare_match(o, sources, targets)
+            if realizable or box is not None:
+                assert eta is not None, (o, sources, targets)
+            if eta is not None:
+                e = eta.matrix()
+                assert e[0][0] * e[1][1] - e[0][1] * e[1][0] in (1, -1)
+                for s, t in zip(sources, targets):
+                    assert (e[0][0] * s[0] + e[0][1] * s[1], e[1][0] * s[0] + e[1][1] * s[1]) == t
+                assert (o[0] * e[0][0] + o[1] * e[1][0], o[0] * e[0][1] + o[1] * e[1][1]) == o
+            found["box"] += box is not None
+            found["exact"] += eta is not None
+        assert found["exact"] >= found["box"] > 100
+
+
+def _box_zsquare_match(o, sources, targets):
+    """The former bounded search: the linear constraints solved exactly,
+    then nullspace coefficients in [-8, 8] tried for det == +-1."""
+    from torusconj.fibercorrect import solve_with_nullspace
+
+    rows, rhs = [], []
+    for s, t in zip(sources, targets):
+        rows += [[s[0], s[1], 0, 0], [0, 0, s[0], s[1]]]
+        rhs += [t[0], t[1]]
+    rows += [[o[0], 0, o[1], 0], [0, o[0], 0, o[1]]]
+    rhs += [o[0], o[1]]
+    solved = solve_with_nullspace(rows, rhs)
+    if solved is None:
+        return None
+    particular, basis = solved
+    for coeffs in itertools.product(range(-8, 9), repeat=len(basis)):
+        entry = list(particular)
+        for c, vec in zip(coeffs, basis):
+            entry = [e + c * v for e, v in zip(entry, vec)]
+        if entry[0] * entry[3] - entry[1] * entry[2] in (1, -1):
+            return entry
+    return None
 
 class TestSubgroupConjugator:
     def test_cyclic_in_free_slot(self):
@@ -325,6 +416,90 @@ class TestNontrivialWhiteCandidates:
         # the witness records the swapping white iso
         assert verdict.witness.morphism.vertex_isos["w"] == swap
 
+
+# (poly rank, twist words of a, twist words of b); rank 1 gives a Z^2 black
+# slot, rank 2 an F_2 x Z one.  b's blocks are a's in another order, or (the
+# last of each rank) differ, so some graph maps fail at the black vertex.
+BLOCK_CASES = [
+    (1, ["x0", "x0 x0"], ["x0 x0", "x0"]),
+    (1, ["x0", "x0'", "x0 x0"], ["x0 x0", "x0", "x0'"]),
+    (1, ["x0", "x0 x0", "x0"], ["x0", "x0", "x0 x0 x0"]),
+    (2, ["x0", "x1"], ["x1", "x0"]),
+    (2, ["x0 x1", "x1", "x0"], ["x0", "x0 x1", "x1"]),
+    (2, ["x0", "x1 x1"], ["x1", "x0"]),
+]
+
+
+def _block_whitelist(jsj_a, jsj_b):
+    """Identity and inversion between every pair of cyclic white vertices;
+    the inversion breaks the orientation and is filtered out."""
+    out = identity_whitelist(jsj_a, jsj_b)
+    for (w, w2), isos in out.items():
+        slot = jsj_b.gog.vslot(w2)
+        isos.append(SlotIso(jsj_a.gog.vslot(w), slot, (slot.generator(0).inverse(),)))
+    return out
+
+
+class TestAssembleMemo:
+    @pytest.mark.parametrize("rank, twists_a, twists_b", BLOCK_CASES)
+    def test_memo_matches_fresh_assembly(self, rank, twists_a, twists_b):
+        # the memo shared by all graph maps of one call changes no result:
+        # the same keys in the same order as a fresh memo per graph map and
+        # white combination
+        from torusconj.gog import graph_isomorphisms
+        from torusconj.pipeline import _assemble_one, _candidate_is_fop
+
+        jsj_a, jsj_b = twistor_jsj(rank, twists_a), twistor_jsj(rank, twists_b)
+        whitelist = _block_whitelist(jsj_a, jsj_b)
+        whites = jsj_a.white_vertices()
+        fresh = set()
+        for vmap, emap in graph_isomorphisms(jsj_a.gog, jsj_b.gog):
+            if any(jsj_a.colors[v] != jsj_b.colors[vmap[v]] for v in jsj_a.gog.vertices):
+                continue
+            choices = [
+                [iso for iso in whitelist[(w, vmap[w])] if _candidate_is_fop(jsj_a, jsj_b, w, vmap[w], iso)]
+                for w in whites
+            ]
+            for combo in itertools.product(*choices):
+                morphism = _assemble_one(jsj_a, jsj_b, vmap, emap, dict(zip(whites, combo)), {})
+                if morphism is not None:
+                    fresh.add(morphism.canonical_key())
+        keys = [m.canonical_key() for m in assemble(jsj_a, jsj_b, whitelist)]
+        assert keys == sorted(fresh)
+
+    def test_edge_transport_once_per_key(self, monkeypatch):
+        # a transport depends on the edge, the image of its white end and the
+        # white candidate: at most #edges x #edges x #candidates per pair
+        # transports per call, against one per edge per graph map (48 maps)
+        import torusconj.pipeline as pipeline
+
+        calls = []
+        original = pipeline._edge_transport
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, "_edge_transport", counting)
+        jsj_a = twistor_jsj(1, ["x0", "x0'", "x0 x0"])
+        jsj_b = twistor_jsj(1, ["x0 x0", "x0", "x0'"])
+        whitelist = identity_whitelist(jsj_a, jsj_b)
+        assert assemble(jsj_a, jsj_b, whitelist)
+        per_pair = max(len(isos) for isos in whitelist.values())
+        assert 0 < len(calls) <= len(jsj_a.gog.edge_names) * len(jsj_b.gog.edge_names) * per_pair
+
+
+class TestBlockRelabel:
+    @pytest.mark.parametrize("rank, twists", [(1, ["x0", "x0 x0"]), (1, ["x0", "x0'", "x0 x0"]),
+                                              (2, ["x0", "x1 x0"]), (2, ["x0 x1", "x1", "x0"])])
+    def test_relabel_is_isomorphic(self, rank, twists):
+        jsj_a = twistor_jsj(rank, twists)
+        perm = list(range(len(twists)))[1:] + [0]
+        jsj_b = relabel_blocks(jsj_a, perm)
+        assert jsj_b.gog != jsj_a.gog
+        verdict = decide(jsj_a, jsj_b, identity_whitelist(jsj_a, jsj_b))
+        assert verdict.status == "isomorphic-fop"
+        assert verify_witness(jsj_a, jsj_b, verdict.witness)
 
 class TestConjUng:
     def test_identity_monodromy(self):
