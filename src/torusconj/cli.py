@@ -11,7 +11,7 @@ import sys
 
 from .errors import DomainError, FormatError, ResourceError, Undecided
 from .fibercorrect import DiophantineSystem, solve
-from .freegroup import FreeGroup, is_automorphism
+from .freegroup import FreeGroup
 from .minkowski import Budgets, certify, certify_product, certify_zsquare
 from .pipeline import (
     ConjUngInput,
@@ -25,6 +25,7 @@ from .pipeline import (
     serialize_verdict,
     verify_witness,
 )
+from .torus import parse_monodromy
 from .whitehead import Marking, ProductGroup, ProductMarking, same_orbit
 from .gog import SlotIso
 
@@ -68,7 +69,7 @@ def cmd_decide(args) -> int:
 
 def _parse_conj_side(path: str) -> ConjUngInput:
     text = _read(path)
-    rank = None
+    rank_text = None
     images_text = None
     peripherals = []
     jsj_text_lines = []
@@ -86,7 +87,7 @@ def _parse_conj_side(path: str) -> ConjUngInput:
         key, _, value = line.partition(":")
         key = key.strip().lower()
         if key == "fiber rank":
-            rank = int(value)
+            rank_text = value
         elif key == "monodromy":
             images_text = value.strip()
         elif key == "peripheral":
@@ -94,16 +95,8 @@ def _parse_conj_side(path: str) -> ConjUngInput:
             peripherals.append((gens_text.strip(), gamma_text.strip() or "1"))
         else:
             raise FormatError(f"unknown header {key!r}")
-    if rank is None or images_text is None:
-        raise FormatError("side file needs `fiber rank:` and `monodromy:`")
-    group = FreeGroup(rank)
-    images = {}
-    for part in images_text.split(","):
-        name, _, image = part.partition("->")
-        images[name.strip()] = group.parse(image)
-    aut = is_automorphism(group, [images[n] for n in group.names])
-    if aut is None:
-        raise FormatError("monodromy images do not define an automorphism")
+    aut = parse_monodromy(rank_text, images_text)
+    group = aut.group
     data = tuple(
         PeripheralDatum(
             tuple(group.parse(g) for g in gens.split()), group.parse(gamma)

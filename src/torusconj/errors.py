@@ -26,7 +26,3 @@ class Undecided:
 
     def __bool__(self):
         return False
-
-
-def is_undecided(result) -> bool:
-    return isinstance(result, Undecided)

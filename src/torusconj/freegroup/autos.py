@@ -170,39 +170,37 @@ def nielsen_generators(group: FreeGroup) -> list[FreeAut]:
     return auts
 
 
-def inner_conjugator(aut: FreeAut, length_bound: int = 16) -> Optional[Word]:
-    """If aut == ad_g (x -> g^-1 x g) for some g found within bounds, return g.
+def inner_conjugator(aut: FreeAut) -> Optional[Word]:
+    """The g with aut == ad_g (x -> g^-1 x g), or None if aut is not inner.
 
-    Abelianization pre-filter, then the conjugator is pinned down from a
-    conjugacy witness for the first generator; the remaining ambiguity is a
-    power of that generator, searched up to the bound.  A None return means
-    "not found within bounds"; for rank 1 it is exact.
+    Exact.  For rank >= 2 the centralizer of x0 is <x0>, so g == x0^k w for
+    the conjugacy witness w of x0 and aut(x0).  Then w aut(x1) w^-1 must be
+    the reduced word x0^-k x1 x0^k, whose leading x0-run gives k; the one
+    candidate is verified on every generator.
     """
     group = aut.group
-    n = group.rank
-    mat = aut.abelianized()
-    if any(mat[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
-        return None
-    if n == 1:
+    if group.rank == 1:
         return group.identity() if aut.is_identity() else None
     x0 = group.generator(0)
     ok, witness = is_conjugate(x0, aut.images[0])
     if not ok:
         return None
-    for k in range(-length_bound, length_bound + 1):
-        g = (x0 ** k) * witness
-        if len(g) > length_bound:
-            continue
-        if all(aut.images[i] == group.generator(i).conjugate(g) for i in range(n)):
-            return g
+    k = 0
+    for i, s in (witness * aut.images[1] * witness.inverse()).letters:
+        if i != 0:
+            break
+        k -= s
+    g = (x0 ** k) * witness
+    if all(aut.images[i] == group.generator(i).conjugate(g) for i in range(group.rank)):
+        return g
     return None
 
 
-def outer_order(aut: FreeAut, max_order: int, length_bound: int = 16) -> Optional[int]:
-    """Least d <= max_order with aut^d inner, or None if none is found."""
+def outer_order(aut: FreeAut, max_order: int) -> Optional[int]:
+    """Least d <= max_order with aut^d inner, or None if there is none."""
     power = FreeAut.identity(aut.group)
     for d in range(1, max_order + 1):
         power = aut * power
-        if inner_conjugator(power, length_bound) is not None:
+        if inner_conjugator(power) is not None:
             return d
     return None

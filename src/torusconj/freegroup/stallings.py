@@ -471,10 +471,6 @@ def whole_group_graph(group: FreeGroup) -> SubgroupGraph:
     return fold(group, group.generators())
 
 
-def _permutations(d: int):
-    return itertools.permutations(range(d))
-
-
 def _transitive(perms: Sequence[Sequence[int]], d: int) -> bool:
     seen = {0}
     queue = deque([0])
@@ -494,7 +490,7 @@ def subgroups_of_index_at_most(group: FreeGroup, m: int) -> List[SubgroupGraph]:
         raise DomainError("index bound must be >= 1")
     found: Set[SubgroupGraph] = set()
     for d in range(1, m + 1):
-        for perms in itertools.product(list(_permutations(d)), repeat=group.rank):
+        for perms in itertools.product(list(itertools.permutations(range(d))), repeat=group.rank):
             if not _transitive(perms, d):
                 continue
             fwd = [list(perm) for perm in perms]

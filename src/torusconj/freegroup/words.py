@@ -209,10 +209,6 @@ class Word:
             j -= 1
         return Word(self.group, letters[:i]), Word(self.group, letters[i : j + 1])
 
-    def is_cyclically_reduced(self) -> bool:
-        prefix, _ = self.cyclic_reduction()
-        return prefix.is_identity()
-
     def rotations(self) -> Iterator["Word"]:
         letters = self.letters
         for r in range(max(1, len(letters))):

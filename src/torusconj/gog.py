@@ -138,11 +138,6 @@ class SlotElement:
     def is_identity(self) -> bool:
         return self.word.is_identity() and self.center == 0
 
-    def is_central(self) -> bool:
-        if self.slot.kind in ("Z", "Z2"):
-            return True
-        return self.word.is_identity()
-
     def abelianized(self) -> Tuple[int, ...]:
         vec = [0] * self.slot.ngens
         for i, s in self.word.letters:
@@ -262,10 +257,10 @@ def validate_injection(hom: SlotHom) -> None:
         return
     free_words = [hom.images[i].word for i in range(src.free_rank)]
     if src.kind == "Z2":
-        v1 = _cyclic_coordinates(dst, hom.images[0], hom.images[1])
-        if v1 is None:
+        coords = _cyclic_coordinates(*hom.images)
+        if coords is None:
             raise DomainError("Z2 edge group image is not rank two abelian")
-        (m1, c1), (m2, c2) = v1
+        (m1, c1), (m2, c2) = coords
         if m1 * c2 - m2 * c1 == 0:
             raise DomainError("Z2 edge group image is degenerate")
         return
@@ -282,29 +277,26 @@ def validate_injection(hom: SlotHom) -> None:
             raise DomainError("unsupported center image for an fxz edge group")
 
 
-def _cyclic_coordinates(dst, g1: SlotElement, g2: SlotElement):
-    """Coordinates of two commuting elements over (common root, center)."""
-    if not _commute(g1, g2):
-        return None
-    words = [g for g in (g1.word, g2.word) if not g.is_identity()]
-    if not words:
-        return ((0, g1.center), (0, g2.center))
-    root = primitive_root(words[0])
-
-    def coord(g: SlotElement):
+def _cyclic_coordinates(*elements: SlotElement):
+    """Coordinates (n, center) of each element over (root, center), where
+    root is the primitive root of the first nontrivial free part; None when
+    some free part is not a power of it (exactly when the elements do not
+    all commute)."""
+    words = [g.word for g in elements if not g.word.is_identity()]
+    root = primitive_root(words[0]) if words else None
+    coords = []
+    for g in elements:
         if g.word.is_identity():
-            return (0, g.center)
+            coords.append((0, g.center))
+            continue
         r, n = root_power(g.word)
         if r == root:
-            return (n, g.center)
-        if r == root.inverse():
-            return (-n, g.center)
-        return None
-
-    c1, c2 = coord(g1), coord(g2)
-    if c1 is None or c2 is None:
-        return None
-    return (c1, c2)
+            coords.append((n, g.center))
+        elif r == root.inverse():
+            coords.append((-n, g.center))
+        else:
+            return None
+    return tuple(coords)
 
 
 def hom_preimage(hom: SlotHom, y: SlotElement) -> Optional[SlotElement]:
@@ -336,15 +328,12 @@ def hom_preimage(hom: SlotHom, y: SlotElement) -> Optional[SlotElement]:
         cand = src.generator(0)
         return _check_preimage(hom, _pow_slot(cand, k), y)
     if src.kind == "Z2":
-        coords = _cyclic_coordinates(dst, hom.images[0], hom.images[1])
+        # the images come first, so a valid injection fixes the root
+        coords = _cyclic_coordinates(hom.images[0], hom.images[1], y)
         if coords is None:
             return None
-        (m1, c1), (m2, c2) = coords
+        (m1, c1), (m2, c2), (p, q) = coords
         det = m1 * c2 - m2 * c1
-        ty = _target_coordinates(dst, hom, y)
-        if ty is None:
-            return None
-        p, q = ty
         # solve (a, b) with a*(m1,c1) + b*(m2,c2) == (p,q)
         num_a = p * c2 - q * m2
         num_b = q * m1 - p * c1
@@ -367,21 +356,6 @@ def hom_preimage(hom: SlotHom, y: SlotElement) -> Optional[SlotElement]:
     if rem:
         return None
     return _check_preimage(hom, SlotElement(src, word, k), y)
-
-
-def _target_coordinates(dst, hom: SlotHom, y: SlotElement):
-    words = [g.word for g in (hom.images[0], hom.images[1]) if not g.word.is_identity()]
-    if not words:
-        return (0, y.center) if y.word.is_identity() else None
-    root = primitive_root(words[0])
-    if y.word.is_identity():
-        return (0, y.center)
-    ry, ny = root_power(y.word)
-    if ry == root:
-        return (ny, y.center)
-    if ry == root.inverse():
-        return (-ny, y.center)
-    return None
 
 
 def _check_preimage(hom: SlotHom, cand: SlotElement, y: SlotElement) -> Optional[SlotElement]:
@@ -427,6 +401,13 @@ class SlotIso:
     def identity(slot: GroupSlot) -> "SlotIso":
         return SlotIso(slot, slot, tuple(slot.generators()))
 
+    @staticmethod
+    def from_matrix(src: GroupSlot, dst: GroupSlot, m: Sequence[Sequence[int]]) -> "SlotIso":
+        """The Z2 slot map whose generator images have the columns of m
+        over (x0, c); the inverse of `matrix`."""
+        x0 = dst.free_group.generator(0)
+        return SlotIso(src, dst, tuple(SlotElement(dst, x0 ** m[0][j], m[1][j]) for j in range(2)))
+
     @cached_property
     def _hom(self) -> SlotHom:
         return SlotHom(self.src, self.dst, self.images)
@@ -453,14 +434,9 @@ class SlotIso:
         if kind == "Z":
             return SlotIso(self.dst, self.src, (SlotElement(self.src, Word(self.src.free_group, self.images[0].word.letters), 0),))
         if kind == "Z2":
-            m = self.matrix()
-            det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-            inv = [[m[1][1] * det, -m[0][1] * det], [-m[1][0] * det, m[0][0] * det]]
-            gens = []
-            for j in range(2):
-                word = self.src.free_group.generator(0) ** inv[0][j] if inv[0][j] else self.src.free_group.identity()
-                gens.append(SlotElement(self.src, word, inv[1][j]))
-            return SlotIso(self.dst, self.src, tuple(gens))
+            (a, b), (c, d) = self.matrix()
+            det = a * d - b * c
+            return SlotIso.from_matrix(self.dst, self.src, [[d * det, -b * det], [-c * det, a * det]])
         free_words = [img.word for img in self.images[: self.src.free_rank]]
         aut = is_automorphism(self.dst.free_group, free_words)
         assert aut is not None
@@ -762,11 +738,6 @@ class GoGMorphism:
     vertex_isos: Dict[str, SlotIso]
     edge_isos: Dict[str, SlotIso]  # per unoriented edge
     gammas: Dict[str, SlotElement]  # per oriented edge, in G_{phi(t(e))}
-
-    def graph_map(self, edge_or_vertex: str) -> str:
-        if edge_or_vertex in self.vertex_map:
-            return self.vertex_map[edge_or_vertex]
-        return self.edge_map[edge_or_vertex]
 
     def canonical_key(self):
         vm = tuple(sorted(self.vertex_map.items()))

@@ -36,7 +36,6 @@ class Budgets:
     degree_bound: int = 5
     length_bound: int = 3
     state_budget: int = STATE_BUDGET_DEFAULT
-    conjugator_bound: int = 16
 
 
 # ---------------------------------------------------------------------------
@@ -77,18 +76,6 @@ class FiniteQuotient:
                     seen.add(h)
                     frontier.append(h)
         return seen
-
-    def is_transitive(self) -> bool:
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for p in self.perms:
-                for y in (p[x], p.index(x)):
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-        return len(seen) == self.degree
 
     def conjugate_in_image(self, a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
         for h in self.image_group():

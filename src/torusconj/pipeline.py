@@ -147,7 +147,8 @@ def slot_fop_base_iso(
             return SlotIso(slot_a, slot_b, (slot_b.generator(0).inverse(),))
         return None
     if kind == "Z2":
-        return _zsquare_degree_iso(slot_a, o_a, slot_b, o_b)
+        m = _gl2_solve(o_a, o_b, [], [])
+        return None if m is None else SlotIso.from_matrix(slot_a, slot_b, m)
     # free / fxz: generator-wise transport must preserve degrees
     images = []
     for i in range(slot_a.ngens):
@@ -155,86 +156,6 @@ def slot_fop_base_iso(
             return None
         images.append(slot_b.generator(i))
     return SlotIso(slot_a, slot_b, tuple(images))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _zsquare_degree_iso(slot_a, o_a, slot_b, o_b) -> Optional[SlotIso]:
-    """Solve o_b (M x) == o_a x with M in GL_2(Z)."""
-    if o_a == (0, 0) or o_b == (0, 0):
-        if o_a != o_b:
-            return None
-        return SlotIso(slot_a, slot_b, tuple(_transportively(slot_b, g) for g in slot_a.generators()))
-    ga, gb = _gcd(*o_a), _gcd(*o_b)
-    if ga != gb:
-        return None
-    ua, va = _functional_basis(o_a)
-    ub, vb = _functional_basis(o_b)
-    # M sends (ker basis, degree-g vector) pairs onto each other
-    m = _basis_change(ua, va, ub, vb)
-    images = []
-    for j in range(2):
-        col = (m[0][j], m[1][j])
-        word = slot_b.free_group.generator(0) ** col[0] if col[0] else slot_b.free_group.identity()
-        images.append(SlotElement(slot_b, word, col[1]))
-    iso = SlotIso(slot_a, slot_b, tuple(images))
-    for i, gen in enumerate(slot_a.generators()):
-        img = iso.apply(gen)
-        if o_b[0] * img.abelianized()[0] + o_b[1] * img.abelianized()[1] != o_a[i]:
-            return None
-    return iso
-
-
-def _transportively(dst: GroupSlot, x: SlotElement) -> SlotElement:
-    return SlotElement(dst, Word(dst.free_group, x.word.letters), x.center)
-
-
-def _functional_basis(o: Tuple[int, int]):
-    """(u, v) basis of Z^2 with o(u) == 0 and o(v) == gcd(o)."""
-    a, b = o
-    g = _gcd(a, b)
-    # extended gcd: s a + t b == g
-    s, t = _extended_gcd(a, b)
-    u = (b // g, -a // g)
-    v = (s, t)
-    return u, v
-
-
-def _extended_gcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
-
-
-def _basis_change(ua, va, ub, vb):
-    """Matrix sending the a-basis coordinates onto the b-basis: columns are
-    the images of the standard generators of the a-side."""
-    # write standard basis in terms of (ua, va): inverse of [ua va]
-    det = ua[0] * va[1] - ua[1] * va[0]
-    inv = [[va[1] * det, -va[0] * det], [-ua[1] * det, ua[0] * det]]
-    # columns of M: image of e_j = coords(e_j) in (ua, va) applied to (ub, vb)
-    cols = []
-    for j in range(2):
-        cu, cv = inv[0][j], inv[1][j]
-        cols.append(
-            (
-                cu * ub[0] + cv * vb[0],
-                cu * ub[1] + cv * vb[1],
-            )
-        )
-    return [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]
 
 
 # ---------------------------------------------------------------------------
@@ -438,52 +359,39 @@ def _classes_match(slot, iso, source_classes, target_classes) -> bool:
 
 def _zsquare_orbit_match(slot, o_vec, source_classes, target_classes) -> Optional[SlotIso]:
     """A degree-preserving GL_2(Z) matrix matching all marking vectors
-    exactly, or None; abelianness makes classes pointwise.
+    exactly, or None; abelianness makes classes pointwise."""
+    m = _gl2_solve(
+        o_vec,
+        o_vec,
+        [x.abelianized() for cls in source_classes for x in cls],
+        [x.abelianized() for cls in target_classes for x in cls],
+    )
+    return None if m is None else SlotIso.from_matrix(slot, slot, m)
 
-    The matching and degree constraints are linear in the entries of M; a
-    particular integer solution P and the integer nullspace are exact.  The
-    determinant condition is then settled in closed form by the rank of the
-    source vectors:
 
-    * rank 2: M is determined, the nullspace is empty; check det P;
-    * rank 1: every nullspace matrix kills the source line, so it is n r^T
-      for the fixed row r^T annihilating it, and det(P + n r^T) is affine in
-      n; one linear equation per sign of the determinant;
-    * rank 0: the targets are zero too and the identity matches.
+def _gl2_solve(o_src, o_dst, sources, targets) -> Optional[List[List[int]]]:
+    """M in GL_2(Z) with M s == t for each source/target pair and
+    o_dst M == o_src (so o_dst(M x) == o_src(x)), or None.  Exact.
+
+    The constraints are linear in the entries of M, so a particular integer
+    solution P and the integer nullspace are exact; the determinant is then
+    settled by `_unimodular_along_line`.
     """
-
-    src_vectors = [x.abelianized() for cls in source_classes for x in cls]
-    tgt_vectors = [x.abelianized() for cls in target_classes for x in cls]
     rows: List[List[int]] = []
     rhs: List[int] = []
-    for s, t in zip(src_vectors, tgt_vectors):
-        rows.append([s[0], s[1], 0, 0])
-        rhs.append(t[0])
-        rows.append([0, 0, s[0], s[1]])
-        rhs.append(t[1])
-    # degree preservation: o(M e_j) == o(e_j)
-    rows.append([o_vec[0], 0, o_vec[1], 0])
-    rhs.append(o_vec[0])
-    rows.append([0, o_vec[0], 0, o_vec[1]])
-    rhs.append(o_vec[1])
+    for s, t in zip(sources, targets):
+        rows += [[s[0], s[1], 0, 0], [0, 0, s[0], s[1]]]
+        rhs += [t[0], t[1]]
+    rows += [[o_dst[0], 0, o_dst[1], 0], [0, o_dst[0], 0, o_dst[1]]]
+    rhs += [o_src[0], o_src[1]]
     solved = solve_with_nullspace(rows, rhs)
     if solved is None:
         return None
-    particular, basis = solved
-    if any(s[0] * t[1] - s[1] * t[0] for s in src_vectors for t in src_vectors):
-        entry = particular
-    elif any(any(s) for s in src_vectors):
-        entry = _unimodular_along_line(particular, basis)
-    else:
-        entry = [1, 0, 0, 1]
-    if entry is None or _det2(entry) not in (1, -1):
-        return None
-    m00, m01, m10, m11 = entry
-    images = []
-    for x, c in ((m00, m10), (m01, m11)):
-        word = slot.free_group.generator(0) ** x if x else slot.free_group.identity()
-        images.append(SlotElement(slot, word, c))
-    return SlotIso(slot, slot, tuple(images))
+    if not any(o_dst) and not any(any(s) for s in sources):
+        # solvable only with o_src == 0 and zero targets: the identity fits
+        return [[1, 0], [0, 1]]
+    entry = _unimodular_along_line(*solved)
+    return None if entry is None else [entry[:2], entry[2:]]
 
 
 def _det2(entry: Sequence[int]) -> int:
@@ -492,9 +400,16 @@ def _det2(entry: Sequence[int]) -> int:
 
 
 def _unimodular_along_line(particular, basis) -> Optional[List[int]]:
-    """particular + sum c_k basis_k with determinant +-1, when the
-    determinant is affine in c (each basis matrix has rank one with a common
-    row space, so the quadratic terms vanish), or None."""
+    """particular + sum c_k basis_k with determinant +-1, or None.
+
+    Every nullspace matrix N has o_dst N == 0 and N s == 0 for each source
+    s, so N == u r^T with one factor fixed: if o_dst != 0 the columns of N
+    lie in the line ker o_dst (u fixed); if o_dst == 0 and some s != 0 the
+    rows of N lie in the line s^perp (r fixed).  By the matrix determinant
+    lemma det(P + u r^T) == det P + r^T adj(P) u is then affine in the
+    coefficients c: one linear equation per sign.  A rank-2 source leaves
+    no nullspace, and the equation just checks det P.
+    """
     d0 = _det2(particular)
     slopes = [_det2([p + v for p, v in zip(particular, vec)]) - d0 for vec in basis]
     for sign in (1, -1):

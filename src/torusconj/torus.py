@@ -22,7 +22,6 @@ from .freegroup import (
 )
 
 KMAX_DEFAULT = 12
-CONJUGATOR_LENGTH_DEFAULT = 16
 
 
 class MappingTorus:
@@ -318,17 +317,14 @@ class ProductForm:
     center: TorusElement
 
 
-def product_form(
-    torus: MappingTorus, length_bound: int = CONJUGATOR_LENGTH_DEFAULT
-) -> Optional[ProductForm]:
+def product_form(torus: MappingTorus) -> Optional[ProductForm]:
     """Recognize T == F x Z when the monodromy is inner (or identity).
 
     With alpha == ad_gamma the element t * gamma^-1 is central and generates
-    the complementing factor.  Recognition is an abelianization pre-filter
-    followed by a bounded conjugator search; None means "not recognized
-    within the envelope".
+    the complementing factor.  Recognition is the exact inner-automorphism
+    test; None means the monodromy is not inner.
     """
-    gamma = inner_conjugator(torus.monodromy, length_bound)
+    gamma = inner_conjugator(torus.monodromy)
     if gamma is None:
         return None
     center = torus.element(1, gamma.inverse())
@@ -349,7 +345,7 @@ def fop_isomorphic_classC(t1: MappingTorus, t2: MappingTorus) -> bool:
 
 def parse_torus(text: str, stable_name: str = "t"):
     """Torus description: `fiber rank: n`, `monodromy: a -> w, ...`, optional conjugator."""
-    rank = None
+    rank_text = None
     images_text = None
     conjugator_text = None
     for raw in text.splitlines():
@@ -359,15 +355,28 @@ def parse_torus(text: str, stable_name: str = "t"):
         key, _, value = line.partition(":")
         key = key.strip().lower()
         if key == "fiber rank":
-            rank = int(value)
+            rank_text = value
         elif key == "monodromy":
             images_text = value.strip()
         elif key == "conjugator":
             conjugator_text = value.strip()
         else:
             raise FormatError(f"unknown torus header {key!r}")
-    if rank is None or images_text is None:
-        raise FormatError("torus description needs `fiber rank:` and `monodromy:`")
+    aut = parse_monodromy(rank_text, images_text)
+    torus = MappingTorus(aut.group, aut, stable_name)
+    conjugator = aut.group.parse(conjugator_text) if conjugator_text else None
+    return torus, conjugator
+
+
+def parse_monodromy(rank_text: Optional[str], images_text: Optional[str]) -> FreeAut:
+    """The automorphism of `fiber rank: n` / `monodromy: a -> w, ...`
+    header values; every generator gets exactly one image."""
+    if rank_text is None or images_text is None:
+        raise FormatError("needs `fiber rank:` and `monodromy:`")
+    try:
+        rank = int(rank_text)
+    except ValueError as exc:
+        raise FormatError(f"bad fiber rank {rank_text.strip()!r}") from exc
     fiber = FreeGroup(rank)
     images = {}
     for part in images_text.split(","):
@@ -375,6 +384,8 @@ def parse_torus(text: str, stable_name: str = "t"):
         name = name.strip()
         if name not in fiber.names:
             raise FormatError(f"monodromy names unknown generator {name!r}")
+        if name in images:
+            raise FormatError(f"monodromy gives {name!r} twice")
         images[name] = fiber.parse(image)
     try:
         image_list = [images[name] for name in fiber.names]
@@ -383,6 +394,4 @@ def parse_torus(text: str, stable_name: str = "t"):
     aut = is_automorphism(fiber, image_list)
     if aut is None:
         raise FormatError("monodromy images do not define an automorphism")
-    torus = MappingTorus(fiber, aut, stable_name)
-    conjugator = fiber.parse(conjugator_text) if conjugator_text else None
-    return torus, conjugator
+    return aut

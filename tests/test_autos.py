@@ -14,6 +14,7 @@ from torusconj.freegroup import (
     outer_order,
     whole_group_graph,
 )
+from torusconj.torus import MappingTorus, product_form
 
 from .helpers import random_word, subgroup_elements_up_to
 
@@ -164,6 +165,35 @@ class TestInnerConjugator:
     def test_swap_not_inner(self):
         swap = is_automorphism(F2, [F2.parse("b"), F2.parse("a")])
         assert inner_conjugator(swap) is None
+
+    def test_long_conjugator_recognized(self):
+        g = F2.parse("a b") ** 9
+        aut = is_automorphism(F2, [F2.generator(i).conjugate(g) for i in range(2)])
+        assert inner_conjugator(aut) == g
+        form = product_form(MappingTorus(F2, aut))
+        assert form is not None and form.center == form.torus.element(1, g.inverse())
+
+    @pytest.mark.parametrize("group", [F2, F3], ids=["F2", "F3"])
+    def test_seeded_conjugators_recovered_exactly(self, group):
+        # the conjugator of an inner automorphism of a rank >= 2 free group is
+        # unique, so the test must return exactly the g it was built from
+        rng = random.Random(20 + group.rank)
+        for length in range(61):
+            letters = []
+            while len(letters) < length:
+                letter = (rng.randrange(group.rank), rng.choice((1, -1)))
+                if not letters or letters[-1] != (letter[0], -letter[1]):
+                    letters.append(letter)
+            g = group.word(letters)
+            assert len(g) == length
+            aut = is_automorphism(group, [x.conjugate(g) for x in group.generators()])
+            assert inner_conjugator(aut) == g
+
+    def test_partial_conjugation_not_inner(self):
+        a, b, c = F3.generators()
+        aut = is_automorphism(F3, [a, b, c.conjugate(a)])
+        assert inner_conjugator(aut) is None
+        assert outer_order(aut, 6) is None
 
     def test_outer_order_of_swap(self):
         swap = is_automorphism(F2, [F2.parse("b"), F2.parse("a")])

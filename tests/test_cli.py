@@ -154,6 +154,23 @@ class TestConjUngCommand:
         assert code == 0
         assert f"status: {expected}" in out
 
+    @pytest.mark.parametrize(
+        "monodromy",
+        ["a -> a, b -> b", "a -> a, b -> b, c -> c, z -> a"],
+        ids=["missing-generator", "unknown-generator"],
+    )
+    def test_malformed_monodromy_is_input_error(self, monodromy, tmp_path, capsys):
+        folder = DATA / "02_identity_vs_inner"
+        text = (folder / "alpha.txt").read_text()
+        assert "monodromy: a -> a, b -> b, c -> c\n" in text
+        alpha = tmp_path / "alpha.txt"
+        alpha.write_text(text.replace("a -> a, b -> b, c -> c", monodromy, 1))
+        code, _, err = run_cli(
+            ["conj-ung", "--alpha", str(alpha), "--beta", str(folder / "beta.txt")], capsys
+        )
+        assert code == 1
+        assert "input error" in err
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

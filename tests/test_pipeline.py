@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -58,6 +59,24 @@ class TestSlotFopBaseIso:
     def test_z2_gcd_obstruction(self):
         Z2 = GroupSlot(1, True)
         assert slot_fop_base_iso(Z2, (0, 1), Z2, (0, 2)) is None
+
+    def test_z2_matches_gcd_oracle(self):
+        # o_b M == o_a has a GL_2(Z) solution iff gcd(o_a) == gcd(o_b): GL_2(Z)
+        # acts transitively on the primitive vectors, and o_b M keeps gcd(o_b)
+        Z2 = GroupSlot(1, True)
+        values = range(-4, 5)
+        solvable = 0
+        for o_a in itertools.product(values, values):
+            for o_b in itertools.product(values, values):
+                iso = slot_fop_base_iso(Z2, o_a, Z2, o_b)
+                assert (iso is not None) == (math.gcd(*o_a) == math.gcd(*o_b)), (o_a, o_b)
+                if iso is None:
+                    continue
+                solvable += 1
+                m = iso.matrix()
+                assert m[0][0] * m[1][1] - m[0][1] * m[1][0] in (1, -1)
+                assert all(o_b[0] * m[0][j] + o_b[1] * m[1][j] == o_a[j] for j in range(2))
+        assert solvable == 2689
 
     def test_fxz_generatorwise(self):
         FXZ = GroupSlot(2, True)
@@ -516,6 +535,14 @@ class TestConjUng:
         for p in b.peripherals[0].generators:
             moved = b.aut.apply(p).conjugate(b.peripherals[0].conjugator)
             assert moved == p
+        verdict = conj_ung(a, b, identity_whitelist(a.jsj, b.jsj))
+        assert verdict.status == "conjugate"
+
+    def test_long_inner_monodromy(self):
+        # the peripheral monodromy is ad_{(ab)^9}: inner, with a conjugator
+        # of length 18
+        a = one_twistor_conj_input(3, "x0")
+        b = one_twistor_conj_input(3, "x0", conjugator_text=" ".join(["a b"] * 9))
         verdict = conj_ung(a, b, identity_whitelist(a.jsj, b.jsj))
         assert verdict.status == "conjugate"
 
