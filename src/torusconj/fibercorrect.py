@@ -1,8 +1,11 @@
-"""Abelianized endgame: modules, orientation functionals, transvections,
-and exact integer linear systems.
+"""Fiber correction: orientation functionals, the Dehn-twist correction
+system, and exact integer linear systems.
 
-All arithmetic is arbitrary-precision; normal-form reductions are Smith and
-column-style Hermite over plain Python integers.
+A vertexwise isomorphism is corrected by twists so that it maps the fiber
+to the fiber; `twist_coefficients` is the one formula for how a twist moves
+the orientation value of a loop, and `build_system` turns it into an integer
+system.  All arithmetic is arbitrary-precision; the one normal form is
+Smith's, over plain Python integers.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from .errors import DomainError, FormatError
 from .gog import (
     BassWord,
     GraphOfGroups,
-    Presentation,
     SlotElement,
     SmallModularElement,
     bar,
@@ -30,13 +32,6 @@ Matrix = List[List[int]]
 
 def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
 
 
 def mat_vec(a: Matrix, x: Sequence[int]) -> List[int]:
@@ -123,121 +118,45 @@ def smith_normal_form(a: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
     return d, s, t
 
 
-def solve_linear_system(a: Matrix, b: Sequence[int]) -> Optional[List[int]]:
-    """One integer solution of a x == b, or None.  Exact.
+def solve_with_nullspace(a: Matrix, b: Sequence[int]):
+    """(particular solution, integer nullspace basis) of a x == b, or None.
 
-    Column-style Hermite reduction: with a u == h in column echelon form,
-    h y == b is solved by forward substitution and x == u y.
+    Exact.  With s a t == d in Smith form, a x == b becomes d y == s b with
+    x == t y: one division per diagonal entry, and a row of d with a zero
+    diagonal entry needs a zero right-hand side.  The columns of t at the
+    zero diagonal entries are a basis of the whole integer kernel.
+    Repeated equations are dropped first: s is square in the row count, and
+    the GL_2(Z) matching systems repeat most of their rows.
     """
-    m = len(a)
-    if m == 0:
-        return [0] * (len(a[0]) if a else 0)
-    n = len(a[0])
-    if len(b) != m:
+    if len(b) != len(a):
         raise DomainError("dimension mismatch")
-    if n == 0:
-        return [] if all(x == 0 for x in b) else None
-    h, u = hermite_column_form(a)
-    pivots: List[Tuple[int, int]] = []  # (row, col) per pivot column
-    col = 0
-    for row in range(m):
-        if col < n and h[row][col] != 0:
-            pivots.append((row, col))
-            col += 1
+    n = len(a[0]) if a else 0
+    equations: Dict[Tuple[int, ...], int] = {}
+    for row, value in zip(a, b):
+        if equations.setdefault(tuple(row), value) != value:
+            return None
+    a = [list(row) for row in equations]
+    m = len(a)
+    d, s, t = smith_normal_form(a)
     y = [0] * n
-    for row in range(m):
-        residual = b[row] - sum(h[row][j] * y[j] for j in range(n))
-        pivot = next(((r, c) for r, c in pivots if r == row), None)
-        if pivot is None:
-            if residual != 0:
+    for i, value in enumerate(mat_vec(s, list(equations.values()))):
+        pivot = d[i][i] if i < n else 0
+        if pivot == 0:
+            if value:
                 return None
             continue
-        _, c = pivot
-        q, r = divmod(residual, h[row][c])
+        q, r = divmod(value, pivot)
         if r:
             return None
-        y[c] = q
-    return mat_vec(u, y)
+        y[i] = q
+    basis = [[row[j] for row in t] for j in range(n) if j >= m or d[j][j] == 0]
+    return mat_vec(t, y), basis
 
 
-def solve_with_nullspace(a: Matrix, b: Sequence[int]):
-    """(particular solution, integer nullspace basis) of a x == b, or None."""
-    particular = solve_linear_system(a, b)
-    if particular is None:
-        return None
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if n == 0:
-        return particular, []
-    d, s, t = smith_normal_form(a)
-    basis = []
-    for j in range(n):
-        dj = d[j][j] if j < m else 0
-        if dj == 0:
-            basis.append([t[i][j] for i in range(n)])
-    return particular, basis
-
-
-def hermite_column_form(a: Matrix) -> Tuple[Matrix, Matrix]:
-    """Column-style Hermite form: returns (h, u) with a * u == h.
-
-    h is lower-triangular-ish with nonnegative pivots; u is unimodular.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    h = [row[:] for row in a]
-    u = identity_matrix(n)
-
-    def col(j):
-        return [h[i][j] for i in range(m)]
-
-    def add_col(i, j, q):
-        for row in h:
-            row[i] += q * row[j]
-        for row in u:
-            row[i] += q * row[j]
-
-    def swap_cols(i, j):
-        for row in h:
-            row[i], row[j] = row[j], row[i]
-        for row in u:
-            row[i], row[j] = row[j], row[i]
-
-    def negate_col(j):
-        for row in h:
-            row[j] = -row[j]
-        for row in u:
-            row[j] = -row[j]
-
-    pivot_col = 0
-    for row_idx in range(m):
-        if pivot_col >= n:
-            break
-        # reduce columns pivot_col.. against each other on this row
-        while True:
-            nonzero = [j for j in range(pivot_col, n) if h[row_idx][j] != 0]
-            if len(nonzero) <= 1:
-                break
-            jmin = min(nonzero, key=lambda j: abs(h[row_idx][j]))
-            for j in nonzero:
-                if j == jmin:
-                    continue
-                q = h[row_idx][j] // h[row_idx][jmin]
-                add_col(j, jmin, -q)
-        nonzero = [j for j in range(pivot_col, n) if h[row_idx][j] != 0]
-        if not nonzero:
-            continue
-        j = nonzero[0]
-        swap_cols(pivot_col, j)
-        if h[row_idx][pivot_col] < 0:
-            negate_col(pivot_col)
-        # reduce earlier columns: keep 0 <= entry < pivot
-        for j in range(pivot_col):
-            q = h[row_idx][j] // h[row_idx][pivot_col]
-            if q:
-                add_col(j, pivot_col, -q)
-        pivot_col += 1
-    return h, u
+def solve_linear_system(a: Matrix, b: Sequence[int]) -> Optional[List[int]]:
+    """One integer solution of a x == b, or None.  Exact."""
+    solved = solve_with_nullspace(a, b)
+    return None if solved is None else solved[0]
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +192,8 @@ class DiophantineSystem:
         b: Optional[Tuple[int, ...]] = None
         mode = None
         for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
                 continue
             if line.lower().startswith("a:"):
                 mode = "a"
@@ -307,52 +226,6 @@ def solve(system: DiophantineSystem) -> Optional[List[int]]:
         if list(check) != list(system.b):
             raise AssertionError("solver produced a bad witness")
     return result
-
-
-# ---------------------------------------------------------------------------
-# abelianization of presentations
-
-
-@dataclass(frozen=True)
-class AbelianModule:
-    """Z-module on ordered generators; each relation is a column vector."""
-
-    generators: Tuple[str, ...]
-    relations: Tuple[Tuple[int, ...], ...]  # column vectors, one per relator
-
-    def __post_init__(self):
-        for col in self.relations:
-            if len(col) != len(self.generators):
-                raise DomainError("relation column of the wrong height")
-
-    def relation_matrix(self) -> Matrix:
-        """Generators x relators."""
-        if not self.relations:
-            return [[] for _ in self.generators]
-        return [
-            [col[i] for col in self.relations] for i in range(len(self.generators))
-        ]
-
-    def invariant_factors(self) -> Tuple[int, ...]:
-        """Nontrivial torsion invariant factors, then one 0 per free rank."""
-        if not self.relations:
-            return tuple([0] * len(self.generators))
-        d, _, _ = smith_normal_form(self.relation_matrix())
-        diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
-        torsion = [x for x in diag if x not in (0, 1)]
-        rank = len(self.generators) - sum(1 for x in diag if x != 0)
-        return tuple(torsion + [0] * rank)
-
-
-def abelianize(pres: Presentation) -> AbelianModule:
-    """Module with relation columns = exponent-sum vectors of the relators."""
-    cols = []
-    for relator in pres.relators:
-        col = [0] * len(pres.generators)
-        for idx, sign in relator:
-            col[idx] += sign
-        cols.append(tuple(col))
-    return AbelianModule(tuple(pres.generators), tuple(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -410,101 +283,9 @@ class OrientationFunctional:
                 at = w.gog.term(item)
         return out
 
-    def on_presentation(self, pres: Presentation) -> Tuple[int, ...]:
-        """Per-generator values; tree-edge contributions fold into loop reps."""
-        values = [0] * len(pres.generators)
-        for (v, i), idx in pres.vertex_gen_index.items():
-            values[idx] = self.vertex_values[v][i]
-        tree_path = _tree_paths(self.gog, pres.tree)
-        for e, idx in pres.edge_gen_index.items():
-            u, v = self.gog.edge_ends[e]
-            values[idx] = (
-                _path_value(self, tree_path[u])
-                + self.edge_values[e]
-                - _path_value(self, tree_path[v])
-            )
-        vec = tuple(values)
-        for relator in pres.relators:
-            if sum(s * vec[i] for i, s in relator) != 0:
-                raise DomainError("orientation functional does not kill a relator")
-        return vec
-
-
-def _tree_paths(gog: GraphOfGroups, tree: Sequence[str]) -> Dict[str, List[str]]:
-    """Oriented tree-edge path from the base vertex to each vertex."""
-    base = gog.vertices[0]
-    paths: Dict[str, List[str]] = {base: []}
-    frontier = [base]
-    tree_set = set(tree)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for oe in gog.oriented_edges():
-                if unoriented(oe) in tree_set and gog.init(oe) == v:
-                    w = gog.term(oe)
-                    if w not in paths:
-                        paths[w] = paths[v] + [oe]
-                        nxt.append(w)
-        frontier = nxt
-    return paths
-
-
-def _path_value(o: OrientationFunctional, path: Sequence[str]) -> int:
-    return sum(o.of_edge(oe) for oe in path)
-
 
 # ---------------------------------------------------------------------------
-# transvections and the correction system
-
-
-def transvection_matrix(
-    twist: SmallModularElement, module: AbelianModule, pres: Presentation
-) -> Matrix:
-    """Action of the twist on the module: identity plus updates on the
-    columns of Bass generators crossing the twisted edges.
-
-    Vectors are column coordinates over the module generators; the matrix
-    acts on the left.
-    """
-    gog = pres.gog
-    n = len(module.generators)
-    mat = identity_matrix(n)
-    tree_path = _tree_paths(gog, pres.tree)
-    for twisted, z in twist.twist_data():
-        zbar = [0] * n
-        v = gog.term(twisted)
-        for letters_idx, s in _element_letters(pres, v, z):
-            zbar[letters_idx] += s
-        for e, col in pres.edge_gen_index.items():
-            # loop representative: treepath(u) . e . treepath(w)^-1
-            u, w = gog.edge_ends[e]
-            crossings = (
-                _path_crossings(tree_path[u], twisted)
-                - _path_crossings(tree_path[w], twisted)
-            )
-            if twisted == e:
-                crossings += 1
-            elif twisted == bar(e):
-                crossings -= 1
-            if crossings:
-                for i in range(n):
-                    mat[i][col] += crossings * zbar[i]
-    return mat
-
-
-def _element_letters(pres: Presentation, vertex: str, x: SlotElement):
-    for idx, s in pres.word_of_element(vertex, x):
-        yield idx, s
-
-
-def _path_crossings(path: Sequence[str], twisted: str) -> int:
-    count = 0
-    for oe in path:
-        if oe == twisted:
-            count += 1
-        elif oe == bar(twisted):
-            count -= 1
-    return count
+# the correction system
 
 
 def twist_coefficients(

@@ -182,8 +182,8 @@ class SubgroupGraph:
         edges = []
         states: Set[int] = set()
         for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
                 continue
             if line.startswith("base:"):
                 base = int(line.split(":", 1)[1])

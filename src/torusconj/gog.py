@@ -917,101 +917,6 @@ def induced_on_pi1(a: GoGMorphism, w: BassWord) -> BassWord:
 
 
 # ---------------------------------------------------------------------------
-# presentations of the fundamental group
-
-
-@dataclass(frozen=True)
-class Presentation:
-    generators: Tuple[str, ...]
-    relators: Tuple[Tuple[Tuple[int, int], ...], ...]
-    vertex_gen_index: Dict[Tuple[str, int], int]
-    edge_gen_index: Dict[str, int]
-    tree: Tuple[str, ...]
-    gog: Optional[GraphOfGroups] = None
-    base_vertex: Optional[str] = None
-
-    def word_of_element(self, vertex: str, x: SlotElement) -> List[Tuple[int, int]]:
-        letters = []
-        for i, s in x.word.letters:
-            letters.append((self.vertex_gen_index[(vertex, i)], s))
-        if x.center:
-            idx = self.vertex_gen_index[(vertex, x.slot.free_rank)]
-            letters.extend([(idx, 1 if x.center > 0 else -1)] * abs(x.center))
-        return letters
-
-
-def pi1_presentation(gog: GraphOfGroups, tree: Sequence[str]) -> Presentation:
-    """Presentation on vertex generators plus non-tree Bass generators."""
-    tree = [unoriented(e) for e in tree]
-    _check_spanning(gog, tree)
-    generators: List[str] = []
-    vertex_gen_index: Dict[Tuple[str, int], int] = {}
-    for v in gog.vertices:
-        slot = gog.vslot(v)
-        for i, name in enumerate(slot.gen_names()):
-            vertex_gen_index[(v, i)] = len(generators)
-            generators.append(f"{v}.{name}")
-    edge_gen_index: Dict[str, int] = {}
-    for e in gog.edge_names:
-        if e not in tree:
-            edge_gen_index[e] = len(generators)
-            generators.append(e)
-
-    pres = Presentation(
-        tuple(generators), (), vertex_gen_index, edge_gen_index, tuple(tree), gog, gog.vertices[0]
-    )
-    relators: List[Tuple[Tuple[int, int], ...]] = []
-    for v in gog.vertices:
-        slot = gog.vslot(v)
-        if slot.has_center:
-            c = vertex_gen_index[(v, slot.free_rank)]
-            for i in range(slot.free_rank):
-                x = vertex_gen_index[(v, i)]
-                relators.append(((x, 1), (c, 1), (x, -1), (c, -1)))
-    for e in gog.edge_names:
-        for gen in gog.eslot(e).generators():
-            left = pres.word_of_element(gog.term(bar(e)), gog.injection(bar(e)).apply(gen))
-            right = pres.word_of_element(gog.term(e), gog.injection(e).apply(gen))
-            if e in tree:
-                relator = left + [(i, -s) for i, s in reversed(right)]
-            else:
-                be = edge_gen_index[e]
-                relator = [(be, -1)] + left + [(be, 1)] + [(i, -s) for i, s in reversed(right)]
-            relators.append(tuple(relator))
-    return Presentation(
-        tuple(generators),
-        tuple(relators),
-        vertex_gen_index,
-        edge_gen_index,
-        tuple(tree),
-        gog,
-        gog.vertices[0],
-    )
-
-
-def _check_spanning(gog: GraphOfGroups, tree: Sequence[str]) -> None:
-    for e in tree:
-        if e not in gog.edge_names:
-            raise DomainError(f"tree edge {e} is not an edge")
-    if len(tree) != len(gog.vertices) - 1:
-        raise DomainError("tree edge count must be |V| - 1")
-    seen = {gog.vertices[0]}
-    changed = True
-    while changed:
-        changed = False
-        for e in tree:
-            u, v = gog.edge_ends[e]
-            if u in seen and v not in seen:
-                seen.add(v)
-                changed = True
-            elif v in seen and u not in seen:
-                seen.add(u)
-                changed = True
-    if len(seen) != len(gog.vertices):
-        raise DomainError("tree does not span the graph")
-
-
-# ---------------------------------------------------------------------------
 # small modular group
 
 
@@ -1105,7 +1010,6 @@ def graph_isomorphisms(g1: GraphOfGroups, g2: GraphOfGroups) -> Iterator[Tuple[D
                     good = True
                     for e, f, flip in zip(sources, tperm, flips):
                         u, v = g1.edge_ends[e]
-                        fu, fv = g2.edge_ends[f]
                         image = bar(f) if flip else f
                         if g2.init(image) != vmap[u] or g2.term(image) != vmap[v]:
                             good = False
@@ -1114,16 +1018,7 @@ def graph_isomorphisms(g1: GraphOfGroups, g2: GraphOfGroups) -> Iterator[Tuple[D
                         emap[bar(e)] = bar(image)
                     if good:
                         assignments.append(emap)
-                    # avoid duplicate orientation choices for non-loops
-            # dedupe assignments
-            unique = []
-            seen = set()
-            for emap in assignments:
-                key2 = tuple(sorted(emap.items()))
-                if key2 not in seen:
-                    seen.add(key2)
-                    unique.append(emap)
-            choices_per_key.append(unique)
+            choices_per_key.append(assignments)
         for combo in itertools.product(*choices_per_key):
             emap: Dict[str, str] = {}
             for part in combo:
@@ -1211,18 +1106,3 @@ def parse_gog(text: str) -> GraphOfGroups:
     return GraphOfGroups(
         sorted(vertex_slots), edge_ends, vertex_slots, edge_slots, injections
     )
-
-
-def parse_tree_section(text: str) -> List[str]:
-    section = None
-    tree: List[str] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            section = line.strip("[]").lower()
-            continue
-        if section == "tree":
-            tree.extend(line.replace(",", " ").split())
-    return tree

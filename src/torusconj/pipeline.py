@@ -38,7 +38,6 @@ from .gog import (
     hom_preimage,
     induced_on_pi1,
     parse_gog,
-    parse_tree_section,
     serialize_gog,
     small_modular_generators,
     unoriented,
@@ -60,7 +59,6 @@ class JSJInput:
     gog: GraphOfGroups
     colors: Dict[str, str]  # vertex -> "white" | "black"
     orientation: OrientationFunctional
-    tree: Tuple[str, ...]
     fiber_loops: Tuple[Tuple[str, BassWord], ...]
     stable_loop: Optional[BassWord] = None
     peripheral: Dict[str, Dict[str, Tuple[str, ...]]] = field(default_factory=dict)
@@ -697,9 +695,9 @@ def _validate_ung_side(side: ConjUngInput) -> List[int]:
 
 def parse_jsj(text: str) -> JSJInput:
     """Sectioned JSJ input: graph-of-groups sections plus [colors],
-    [orientation], [fiber], and optional [stable] and [peripheral]."""
+    [orientation], [fiber], and optional [stable] and [peripheral]; other
+    sections (such as [tree]) are skipped."""
     gog = parse_gog(text)
-    tree = tuple(parse_tree_section(text))
     colors: Dict[str, str] = {}
     vertex_values: Dict[str, Tuple[int, ...]] = {}
     edge_values: Dict[str, int] = {}
@@ -743,15 +741,12 @@ def parse_jsj(text: str) -> JSJInput:
             peripheral[vertex.strip()] = annot
     orientation = OrientationFunctional(gog, vertex_values, edge_values)
     return JSJInput(
-        gog, colors, orientation, tree, tuple(fiber_loops), stable_loop, peripheral
+        gog, colors, orientation, tuple(fiber_loops), stable_loop, peripheral
     )
 
 
 def serialize_jsj(jsj: JSJInput) -> str:
     lines = [serialize_gog(jsj.gog).rstrip()]
-    lines.append("[tree]")
-    if jsj.tree:
-        lines.append(" ".join(jsj.tree))
     lines.append("[colors]")
     for v in jsj.gog.vertices:
         lines.append(f"{v}: {jsj.colors[v]}")

@@ -349,8 +349,8 @@ def parse_torus(text: str, stable_name: str = "t"):
     images_text = None
     conjugator_text = None
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         key, _, value = line.partition(":")
         key = key.strip().lower()

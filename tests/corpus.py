@@ -85,7 +85,6 @@ def twistor_jsj(poly_rank: int, twist_word_texts: Sequence[str], center_degree: 
         gog,
         {"B": "black", **{w: "white" for w in whites}},
         orientation,
-        tuple(f"e{2 * j - 1}" for j in range(1, k + 1)),
         tuple(fiber),
         stable,
         peripheral,

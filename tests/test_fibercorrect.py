@@ -1,34 +1,33 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from torusconj.errors import DomainError
 from torusconj.fibercorrect import (
-    AbelianModule,
     DiophantineSystem,
     OrientationFunctional,
-    abelianize,
     build_system,
-    hermite_column_form,
-    identity_matrix,
-    mat_mul,
     mat_vec,
     smith_normal_form,
     solve,
-    transvection_matrix,
+    solve_with_nullspace,
+    twist_coefficients,
 )
 from torusconj.gog import (
     BassWord,
     GraphOfGroups,
     GroupSlot,
-    SlotElement,
     SlotHom,
+    bar,
+    compose,
     dehn_twist,
     induced_on_pi1,
-    pi1_presentation,
     small_modular_generators,
 )
+
+from .helpers import abelian_invariants, mat_mul
 
 Z = GroupSlot(1, False)
 F2 = GroupSlot(2, False)
@@ -59,6 +58,22 @@ def two_loop_gog():
     )
 
 
+def rational_rank(a):
+    rows = [[Fraction(x) for x in row] for row in a]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                q = rows[r][col] / rows[rank][col]
+                rows[r] = [x - q * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 def box_search_solve(a, b, bound):
     n = len(a[0]) if a else 0
     for cand in itertools.product(range(-bound, bound + 1), repeat=n):
@@ -86,16 +101,7 @@ class TestNormalForms:
             for x, y in zip(nz, nz[1:]):
                 assert y % x == 0
 
-    def test_hermite_transforms(self):
-        rng = random.Random(83)
-        for _ in range(50):
-            m, n = rng.randint(1, 4), rng.randint(1, 4)
-            a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
-            h, u = hermite_column_form(a)
-            assert mat_mul(a, u) == h
-            # u unimodular: smith diagonal all ones
-            d, _, _ = smith_normal_form(u)
-            assert all(abs(d[i][i]) == 1 for i in range(n))
+
 
 
 class TestSolve:
@@ -134,20 +140,58 @@ class TestSolve:
         system = DiophantineSystem(((2, 3), (0, 0)), (1, 0))
         assert DiophantineSystem.deserialize(system.serialize()) == system
 
+    def test_trailing_comments_ignored(self):
+        text = "A:  # coefficients\n2 3 # row\n0 0\nb: 1 0  # right-hand side\n"
+        assert DiophantineSystem.deserialize(text) == DiophantineSystem(((2, 3), (0, 0)), (1, 0))
+
+
+class TestSolveWithNullspace:
+    def test_random_systems(self):
+        # particular solution, kernel basis, its size and its saturation,
+        # against the box oracle and a rank computed over the rationals
+        rng = random.Random(101)
+        for _ in range(200):
+            m, n = rng.randint(1, 4), rng.randint(1, 5)
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+            x0 = [rng.randint(-3, 3) for _ in range(n)]
+            for b in ([rng.randint(-3, 3) for _ in range(m)], mat_vec(a, x0)):
+                solved = solve_with_nullspace(a, b)
+                if box_search_solve(a, b, 2) is not None or b == mat_vec(a, x0):
+                    assert solved is not None
+                if solved is None:
+                    continue
+                particular, basis = solved
+                assert mat_vec(a, particular) == b
+                for vec in basis:
+                    assert mat_vec(a, vec) == [0] * m
+                assert len(basis) == n - rational_rank(a)
+                if basis:
+                    d, _, _ = smith_normal_form([list(col) for col in zip(*basis)])
+                    assert all(abs(d[i][i]) == 1 for i in range(len(basis)))
+
+    def test_zero_matrix(self):
+        particular, basis = solve_with_nullspace([[0, 0]], [0])
+        assert particular == [0, 0]
+        assert sorted(map(tuple, basis)) == [(0, 1), (1, 0)]
+        assert solve_with_nullspace([[0, 0]], [1]) is None
+
+    def test_repeated_equations(self):
+        assert solve_with_nullspace([[1, 2], [1, 2]], [3, 4]) is None
+        assert solve_with_nullspace([[1, 2], [1, 2], [0, 1]], [3, 3, 1]) == ([1, 1], [])
+
 
 class TestAbelianize:
+    """The H_1 oracle of tests.helpers on groups of known homology."""
+
     def test_free_rank_two(self):
         gog = GraphOfGroups(["v"], {}, {"v": F2}, {}, {})
-        module = abelianize(pi1_presentation(gog, []))
-        assert module.invariant_factors() == (0, 0)
+        assert abelian_invariants(gog, []) == (0, 0)
 
     def test_hnn_relator_dies(self):
-        module = abelianize(pi1_presentation(hnn_z_gog(), []))
-        assert module.invariant_factors() == (0, 0)
+        assert abelian_invariants(hnn_z_gog(), []) == (0, 0)
 
     def test_amalgam(self):
-        module = abelianize(pi1_presentation(amalgam_zz_gog(), ["e"]))
-        assert module.invariant_factors() == (0,)
+        assert abelian_invariants(amalgam_zz_gog(), ["e"]) == (0,)
 
     def test_tree_choice_preserves_invariants(self):
         # two spanning trees of a two-vertex, two-edge graph
@@ -159,9 +203,7 @@ class TestAbelianize:
             {"e": Z, "f": Z},
             {"e": inj, "e~": inj, "f": inj, "f~": inj},
         )
-        m1 = abelianize(pi1_presentation(double, ["e"]))
-        m2 = abelianize(pi1_presentation(double, ["f"]))
-        assert m1.invariant_factors() == m2.invariant_factors()
+        assert abelian_invariants(double, ["e"]) == abelian_invariants(double, ["f"])
 
 
 class TestOrientation:
@@ -175,9 +217,20 @@ class TestOrientation:
         assert o.of_loop(loop) == 1
 
     def test_presentation_projection_kills_relators(self):
-        gog, o = self.orientation_for_hnn()
-        pres = pi1_presentation(gog, [])
-        assert o.on_presentation(pres) == (0, 1)
+        # every Bass relator e~ i_e~(g) e i_e(g)^-1 is trivial in pi_1
+        gog = two_loop_gog()
+        o = OrientationFunctional(gog, {"v": (1, 2)}, {"e": 3, "f": -1})
+        for e in gog.edge_names:
+            for gen in gog.eslot(e).generators():
+                v = gog.term(e)
+                relator = BassWord(gog, v, [
+                    gog.vslot(v).identity(),
+                    bar(e),
+                    gog.injection(bar(e)).apply(gen),
+                    e,
+                    gog.injection(e).apply(gen).inverse(),
+                ])
+                assert o.of_loop(relator) == 0
 
     def test_ill_defined_rejected(self):
         gog = amalgam_zz_gog()
@@ -186,72 +239,74 @@ class TestOrientation:
 
 
 class TestTransvection:
+    """`twist_coefficients`, the linear model of a twist, against the twist
+    acting on loops in the graph of groups."""
+
+    LOOPS = ["v: e (x0) f (x1)", "v: f~ (x0 x1) e (x0')", "v: e e (x1) f~"]
+
+    def shift(self, o, twist, loop):
+        """The degree change that the linear model predicts."""
+        return twist_coefficients(loop, [twist], o)[0]
+
     def test_hnn_twist_adds_fiber_generator(self):
         gog = hnn_z_gog()
-        pres = pi1_presentation(gog, [])
-        module = abelianize(pres)
+        o = OrientationFunctional(gog, {"v": (1,)}, {"e": 0})
         twist = dehn_twist(gog, "e", Z.parse("x0"))
-        mat = transvection_matrix(twist, module, pres)
-        # basis (v.x0, e): the image of e gains +1 in coordinate v.x0
-        assert mat == [[1, 1], [0, 1]]
+        loop = BassWord.parse(gog, "v: e")
+        # the image of e gains one x0, so its degree gains o(x0) == 1
+        image = induced_on_pi1(twist.to_morphism(), loop)
+        assert image == BassWord.parse(gog, "v: e (x0)")
+        assert self.shift(o, twist, loop) == 1
+        assert o.of_loop(image) == o.of_loop(loop) + 1
 
     def test_identity_twist(self):
         gog = hnn_z_gog()
-        pres = pi1_presentation(gog, [])
-        module = abelianize(pres)
+        o = OrientationFunctional(gog, {"v": (1,)}, {"e": 0})
         twist = dehn_twist(gog, "e", Z.identity())
-        assert transvection_matrix(twist, module, pres) == identity_matrix(2)
+        for text in ("v: e", "v: e (x0) e~ (x0')", "v: (x0)"):
+            loop = BassWord.parse(gog, text)
+            assert induced_on_pi1(twist.to_morphism(), loop) == loop
+            assert self.shift(o, twist, loop) == 0
 
     def test_composite_twists_multiply(self):
+        # twists compose by multiplying their twist elements, so their
+        # shifts add
         gog = two_loop_gog()
-        pres = pi1_presentation(gog, [])
-        module = abelianize(pres)
+        o = OrientationFunctional(gog, {"v": (1, 2)}, {"e": 1, "f": 2})
         t1 = dehn_twist(gog, "e", F2.parse("x0"))
         t2 = dehn_twist(gog, "e", F2.parse("x0 x0"))
-        m1 = transvection_matrix(t1, module, pres)
-        m2 = transvection_matrix(t2, module, pres)
-        # oracle: symbolic composition in the graph of groups, re-extracted
-        from torusconj.gog import compose
-
-        merged_gamma = (
-            compose(t1.to_morphism(), t2.to_morphism()).gammas["e"]
-        )
+        merged_gamma = compose(t1.to_morphism(), t2.to_morphism()).gammas["e"]
         assert merged_gamma == F2.parse("x0 x0 x0")
         t3 = dehn_twist(gog, "e", merged_gamma)
-        assert mat_mul(m1, m2) == transvection_matrix(t3, module, pres)
+        for text in self.LOOPS:
+            loop = BassWord.parse(gog, text)
+            assert self.shift(o, t3, loop) == self.shift(o, t1, loop) + self.shift(o, t2, loop)
 
     def test_unipotent(self):
+        # the linear action of a twist is I + N with N^2 == 0: its k-th
+        # power shifts the degree by k times one step
         gog = two_loop_gog()
-        pres = pi1_presentation(gog, [])
-        module = abelianize(pres)
-        n = len(module.generators)
+        o = OrientationFunctional(gog, {"v": (1, 2)}, {"e": 1, "f": 2})
         for twist in small_modular_generators(gog):
-            m = transvection_matrix(twist, module, pres)
-            delta = [[m[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-            assert mat_mul(delta, delta) == [[0] * n for _ in range(n)]
+            morphism = twist.to_morphism()
+            for text in self.LOOPS:
+                loop = BassWord.parse(gog, text)
+                image = loop
+                for k in range(1, 4):
+                    image = induced_on_pi1(morphism, image)
+                    assert o.of_loop(image) == o.of_loop(loop) + k * self.shift(o, twist, loop)
 
     def test_linear_model_matches_group_action(self):
         gog = two_loop_gog()
-        pres = pi1_presentation(gog, [])
-        o = OrientationFunctional(gog, {"v": (0, 0)}, {"e": 1, "f": 2})
+        o = OrientationFunctional(gog, {"v": (1, 2)}, {"e": 1, "f": 2})
         rng = random.Random(97)
         twists = small_modular_generators(gog)
-        loops = [
-            BassWord.parse(gog, "v: e (x0) f (x1)"),
-            BassWord.parse(gog, "v: f~ (x0 x1) e (x0')"),
-            BassWord.parse(gog, "v: e e (x1) f~"),
-        ]
+        loops = [BassWord.parse(gog, text) for text in self.LOOPS]
         for _ in range(200):
             twist = rng.choice(twists)
             loop = rng.choice(loops)
             image = induced_on_pi1(twist.to_morphism(), loop)
-            predicted = o.of_loop(loop)
-            for twisted, z in twist.twist_data():
-                sign = 1 if twisted == twisted.rstrip("~") else -1
-                predicted += sign * loop.edge_exponent(twisted) * o.of_element(
-                    gog.term(twisted), z
-                )
-            assert o.of_loop(image) == predicted
+            assert o.of_loop(image) == o.of_loop(loop) + self.shift(o, twist, loop)
 
     def test_conjugation_neutrality(self):
         # pure vertex conjugation: gamma_v == gamma_e everywhere

@@ -10,7 +10,6 @@ from torusconj.gog import (
     GoGMorphism,
     GraphOfGroups,
     GroupSlot,
-    Presentation,
     SlotElement,
     SlotHom,
     SlotIso,
@@ -25,12 +24,13 @@ from torusconj.gog import (
     induced_on_pi1,
     invert,
     parse_gog,
-    pi1_presentation,
     serialize_gog,
     slot_centralizer_of_subgroup,
     small_modular_generators,
     validate,
 )
+
+from .corpus import twistor_jsj
 
 Z = GroupSlot(1, False)
 Z2 = GroupSlot(1, True)
@@ -48,20 +48,6 @@ def loop_gog_f2():
         {"v": F2},
         {"e": Z},
         {"e": inj_fwd, "e~": inj_bwd},
-    )
-
-
-def hnn_z_gog():
-    """<a, e | e^-1 a e = a>: one Z vertex, one loop, identity injections."""
-    inj = SlotHom(Z, Z, (Z.parse("x0"),))
-    return GraphOfGroups(["v"], {"e": ("v", "v")}, {"v": Z}, {"e": Z}, {"e": inj, "e~": inj})
-
-
-def amalgam_zz_gog():
-    """Two Z vertices glued over Z with identity injections: pi1 = Z."""
-    inj = SlotHom(Z, Z, (Z.parse("x0"),))
-    return GraphOfGroups(
-        ["u", "v"], {"e": ("u", "v")}, {"u": Z, "v": Z}, {"e": Z}, {"e": inj, "e~": inj}
     )
 
 
@@ -365,34 +351,6 @@ class TestBassWords:
         assert prod.parts[2] == F2.parse("x0 x1")
 
 
-class TestPresentation:
-    def test_single_vertex_free(self):
-        gog = GraphOfGroups(["v"], {}, {"v": F2}, {}, {})
-        pres = pi1_presentation(gog, [])
-        assert list(pres.generators) == ["v.x0", "v.x1"]
-        assert pres.relators == ()
-
-    def test_hnn_over_identity(self):
-        gog = hnn_z_gog()
-        pres = pi1_presentation(gog, [])
-        assert list(pres.generators) == ["v.x0", "e"]
-        # single relator e^-1 a e a^-1
-        assert len(pres.relators) == 1
-        rel = pres.relators[0]
-        assert len(rel) == 4
-
-    def test_amalgam_collapse(self):
-        gog = amalgam_zz_gog()
-        pres = pi1_presentation(gog, ["e"])
-        assert list(pres.generators) == ["u.x0", "v.x0"]
-        assert pres.relators == (((0, 1), (1, -1)),)
-
-    def test_non_spanning_tree_rejected(self):
-        gog = hnn_z_gog()
-        with pytest.raises(DomainError):
-            pi1_presentation(gog, ["e"])  # loop edge cannot span
-
-
 class TestSmallModular:
     def test_loop_edge_cyclic_twists(self):
         gog = loop_gog_f2()
@@ -425,6 +383,29 @@ class TestSmallModular:
         for sme in small_modular_generators(gog):
             morphism = sme.to_morphism()
             assert all(v == morphism.vertex_map[v] for v in gog.vertices)
+
+
+class TestGraphIsomorphisms:
+    @staticmethod
+    def assert_distinct(gog, count):
+        maps = list(graph_isomorphisms(gog, gog))
+        keys = {(tuple(sorted(vmap.items())), tuple(sorted(emap.items()))) for vmap, emap in maps}
+        assert len(maps) == len(keys) == count
+
+    @pytest.mark.parametrize("blocks, count", [(1, 4), (2, 8), (3, 48)])
+    def test_twistor_maps_distinct(self, blocks, count):
+        self.assert_distinct(twistor_jsj(1, ["1"] * blocks).gog, count)
+
+    def test_two_loop_rose_maps_distinct(self):
+        inj = SlotHom(Z, F2, (F2.parse("x0"),))
+        rose = GraphOfGroups(
+            ["v"],
+            {"e": ("v", "v"), "f": ("v", "v")},
+            {"v": F2},
+            {"e": Z, "f": Z},
+            {"e": inj, "e~": inj, "f": inj, "f~": inj},
+        )
+        self.assert_distinct(rose, 8)
 
 
 class TestSerialization:

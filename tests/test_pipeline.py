@@ -1,13 +1,14 @@
 import itertools
 import math
+import pathlib
 import random
 
 import pytest
 
 from torusconj.errors import DomainError, Undecided
-from torusconj.fibercorrect import abelianize, OrientationFunctional
+from torusconj.fibercorrect import OrientationFunctional
 from torusconj.freegroup import FreeGroup, is_automorphism
-from torusconj.gog import GroupSlot, SlotElement, SlotIso, pi1_presentation
+from torusconj.gog import GroupSlot, SlotElement, SlotIso
 from torusconj.pipeline import (
     ConjUngInput,
     JSJInput,
@@ -37,6 +38,9 @@ from .corpus import (
     relabel_blocks,
     twistor_jsj,
 )
+from .helpers import abelian_invariants
+
+CORPUS = pathlib.Path(__file__).parent / "data" / "corpus"
 
 
 class TestSlotFopBaseIso:
@@ -280,12 +284,7 @@ class TestDecideVerdicts:
         verdict = decide(jsj_a, jsj_b, wl)
         assert verdict.status == "no-vertexwise-iso"
         # oracle: abelianized fundamental groups have different torsion
-        pres_a = pi1_presentation(jsj_a.gog, jsj_a.tree)
-        pres_b = pi1_presentation(jsj_b.gog, jsj_b.tree)
-        assert (
-            abelianize(pres_a).invariant_factors()
-            != abelianize(pres_b).invariant_factors()
-        )
+        assert abelian_invariants(jsj_a.gog, ["e1"]) != abelian_invariants(jsj_b.gog, ["e1"])
 
     def test_twist_word_swap_isomorphic(self):
         jsj_a = one_twistor_jsj(2, "x0")
@@ -353,7 +352,7 @@ class TestDecideVerdicts:
             gog, {"u": (0, 0), "v": (0, 0, 0), "z": (0, 1)}, {"e1": 0, "e2": 0}
         )
         jsj = JSJInput(
-            gog, {"u": "white", "v": "white", "z": "black"}, orientation, ("e1", "e2"), ()
+            gog, {"u": "white", "v": "white", "z": "black"}, orientation, ()
         )
         whitelist = {(w, w): [SlotIso.identity(gog.vslot(w))] for w in ("u", "v")}
         collection = assemble(jsj, jsj, whitelist)
@@ -407,7 +406,6 @@ def _rigid_star_pair():
             gog,
             {"b1": "black", "b2": "black", "w": "white"},
             orientation,
-            ("e1", "e2"),
             fiber,
             BassWord.parse(gog, "b1: (c)"),
             {"w": {"EP": ("e1", "e2")}},
@@ -591,7 +589,11 @@ class TestSerialization:
         assert parsed.orientation.edge_values == jsj.orientation.edge_values
         assert parsed.fiber_loops == jsj.fiber_loops
         assert parsed.stable_loop == jsj.stable_loop
-        assert parsed.tree == jsj.tree
+
+    def test_tree_section_skipped(self):
+        text = (CORPUS / "12_orientation_shift" / "jsj_a.txt").read_text()
+        assert "[tree]\ne1\n" in text
+        assert parse_jsj(text) == parse_jsj(text.replace("[tree]\ne1\n", ""))
 
     def test_whitelist_round_trip(self):
         jsj = one_twistor_jsj(2, "x0")

@@ -209,6 +209,11 @@ class TestSerialization:
         g = fold(F2, [F2.parse("a b a b")])
         assert SubgroupGraph.deserialize(F2, g.serialize()) == g
 
+    def test_trailing_comments_ignored(self):
+        g = fold(F2, [F2.parse("a a"), F2.parse("b")])
+        commented = "".join(line + "  # note\n" for line in g.serialize().splitlines())
+        assert SubgroupGraph.deserialize(F2, commented) == g
+
 
 class TestSubgroupEnumeration:
     def test_index_two_count(self):

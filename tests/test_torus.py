@@ -225,6 +225,15 @@ class TestParsing:
         assert T.monodromy.apply(F2.parse("a")) == F2.parse("a b")
         assert conj == F2.parse("a")
 
+    def test_trailing_comments_ignored(self):
+        text = """
+        fiber rank: 2  # rank of the fiber
+        monodromy: a -> b, b -> a  # swap
+        """
+        T, conj = parse_torus(text)
+        assert T.monodromy.apply(F2.parse("a")) == F2.parse("b")
+        assert conj is None
+
     def test_element_syntax(self):
         T = nielsen_torus()
         assert T.parse_element("t^2 * a b'") == T.element(2, F2.parse("a b'"))
