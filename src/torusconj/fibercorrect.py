@@ -242,6 +242,8 @@ class OrientationFunctional:
 
     def __post_init__(self):
         for v in self.gog.vertices:
+            if v not in self.vertex_values:
+                raise DomainError(f"missing orientation vector for vertex {v}")
             if len(self.vertex_values[v]) != self.gog.vslot(v).ngens:
                 raise DomainError(f"orientation vector at {v} has wrong length")
         for e in self.gog.edge_names:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, FormatError
 from .freegroup import (
@@ -160,27 +160,109 @@ def move_alphabet(group: FreeGroup) -> Tuple[WhiteheadMove, ...]:
 
 
 # ---------------------------------------------------------------------------
+# length changes read off the Whitehead graph
+#
+# Letters are indexed 2i (generator i) and 2i + 1 (its inverse), so index ^ 1
+# inverts.  A type-II move with multiplier v and cut Y = chosen + {v} sends a
+# letter x other than v^+-1 to (v^-1 if x^-1 in Y) x (v if x in Y).  In a
+# cyclically reduced word, an image ends in v exactly when its letter is in
+# Y and starts with v^-1 exactly when its letter's inverse is in Y, and each
+# such v v^-1 meeting cancels once, with no further cancellation (Whitehead;
+# Lyndon-Schupp, Prop. I.4.16).  So with C[x] the count of letter x and
+# P[x, y] the count of cyclic successor pairs x y:
+#   |move(w)| - |w| = sum_{x in Y, x != v} C[x] + sum_{x^-1 in Y, x != v^-1} C[x]
+#                     - 2 sum_{x in Y, y^-1 in Y} P[x, y].
+
+
+def _letter_index(letter: Letter) -> int:
+    return 2 * letter[0] + (letter[1] < 0)
+
+
+# (letters whose counts add, with multiplicity; flat successor-pair indices
+# whose counts subtract twice), or None for a type-I move
+_Cut = Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]
+
+
+@lru_cache(maxsize=None)
+def _move_cuts(group: FreeGroup) -> Tuple[_Cut, ...]:
+    """Cut data of each move of `move_alphabet(group)`, in its order."""
+    width = 2 * group.rank
+    cuts: List[_Cut] = []
+    for move in move_alphabet(group):
+        if move.kind == "perm":
+            cuts.append(None)
+            continue
+        v, chosen = move.data
+        chosen = [_letter_index(x) for x in chosen]
+        cut = chosen + [_letter_index(v)]
+        cuts.append((
+            tuple(chosen + [x ^ 1 for x in chosen]),
+            tuple(x * width + (y ^ 1) for x in cut for y in cut),
+        ))
+    return tuple(cuts)
+
+
+def _length_changes(m: Marking) -> Optional[Iterator[int]]:
+    """|move(m)| - |m| for each move of the alphabet, in order and lazily,
+    without applying any move; None when a class holds several words.  The
+    classes must be canonical, as `Marking.of` and `apply_marking` leave
+    them, so each single word is cyclically reduced."""
+    width = 2 * m.group.rank
+    counts = [0] * width
+    pairs = [0] * (width * width)
+    for entry in m.classes:
+        if len(entry) != 1:
+            return None
+        word = [_letter_index(letter) for letter in entry[0].letters]
+        prev = word[-1] if word else 0
+        for x in word:
+            counts[x] += 1
+            pairs[prev * width + x] += 1
+            prev = x
+    count, pair = counts.__getitem__, pairs.__getitem__
+    return (
+        0 if cut is None else sum(map(count, cut[0])) - 2 * sum(map(pair, cut[1]))
+        for cut in _move_cuts(m.group)
+    )
+
+
+def _moves_changing_length(
+    m: Marking, keep: Callable[[int], bool]
+) -> Iterator[Tuple[WhiteheadMove, Marking]]:
+    """(move, move(m)) for each move of the alphabet, in order, whose length
+    change passes `keep`.  Single-word classes apply only those moves;
+    classes of several words apply every move and measure the image."""
+    moves = move_alphabet(m.group)
+    changes = _length_changes(m)
+    if changes is None:
+        length = m.total_length()
+        for move in moves:
+            image = move.apply_marking(m)
+            if keep(image.total_length() - length):
+                yield move, image
+        return
+    for move, change in zip(moves, changes):
+        if keep(change):
+            yield move, move.apply_marking(m)
+
+
+# ---------------------------------------------------------------------------
 # minimize and orbit decision
 
 
 def minimize(m: Marking) -> Tuple[Marking, List[WhiteheadMove]]:
     """Greedy descent to a length-minimal marking; peak reduction makes the
     first strictly shortening move in the fixed enumeration sufficient."""
-    moves = move_alphabet(m.group)
     current = Marking.of(m.group, m.classes)
     applied: List[WhiteheadMove] = []
-    improved = True
-    while improved:
-        improved = False
-        length = current.total_length()
-        for move in moves:
-            candidate = move.apply_marking(current)
-            if candidate.total_length() < length:
-                current = candidate
-                applied.append(move)
-                improved = True
-                break
-    return current, applied
+    while True:
+        step = next(_moves_changing_length(current, lambda change: change < 0), None)
+        if step is None:
+            return current, applied
+        move, image = step
+        assert image.total_length() < current.total_length()
+        current = image
+        applied.append(move)
 
 
 def _compose_moves(group: FreeGroup, moves: Sequence[WhiteheadMove]) -> FreeAut:
@@ -227,16 +309,13 @@ def _level_path(start: Marking, goal: Marking) -> Optional[List[WhiteheadMove]]:
     """Breadth-first connectivity through length-preserving moves."""
     if start == goal:
         return []
-    moves = move_alphabet(start.group)
-    length = start.total_length()
     parents: Dict[Marking, Tuple[Marking, WhiteheadMove]] = {start: None}  # type: ignore[assignment]
     frontier = [start]
     while frontier:
         nxt = []
         for marking in frontier:
-            for move in moves:
-                candidate = move.apply_marking(marking)
-                if candidate.total_length() != length or candidate in parents:
+            for move, candidate in _moves_changing_length(marking, lambda change: change == 0):
+                if candidate in parents:
                     continue
                 parents[candidate] = (marking, move)
                 if candidate == goal:

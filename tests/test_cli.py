@@ -124,6 +124,20 @@ class TestDecideCommand:
         assert code == 2
         assert "undecided" in out
 
+    def test_missing_orientation_vertex_is_input_error(self, tmp_path, capsys):
+        folder = DATA / "12_orientation_shift"
+        text = (folder / "jsj_a.txt").read_text()
+        assert "vertex W: 1\n" in text
+        jsj_a = tmp_path / "jsj_a.txt"
+        jsj_a.write_text(text.replace("vertex W: 1\n", "", 1))
+        code, _, err = run_cli(
+            ["decide", "--jsj-a", str(jsj_a), "--jsj-b", str(folder / "jsj_b.txt")], capsys
+        )
+        assert code == 1
+        assert "input error" in err
+        assert "missing orientation vector for vertex W" in err
+        assert "Traceback" not in err
+
     def test_missing_file_exit_one(self, capsys):
         code, _, err = run_cli(
             ["decide", "--jsj-a", "/nonexistent", "--jsj-b", "/nonexistent"], capsys

@@ -10,6 +10,7 @@ from torusconj.whitehead import (
     ProductGroup,
     ProductMarking,
     WhiteheadMove,
+    _length_changes,
     minimize,
     move_alphabet,
     mwp_product,
@@ -20,6 +21,7 @@ from torusconj.whitehead import (
 from .helpers import random_word
 
 F2 = FreeGroup(2)
+F3 = FreeGroup(3)
 PROD = ProductGroup(F2)
 
 
@@ -95,6 +97,204 @@ class TestMinimize:
                 nxt = move.apply_marking(current)
                 assert nxt.total_length() < current.total_length()
                 current = nxt
+
+
+def random_marking(rng, group, classes, max_len, words_per_class=1):
+    return Marking.of(
+        group,
+        [
+            [random_word(rng, group, max_len) for _ in range(words_per_class)]
+            for _ in range(classes)
+        ],
+    )
+
+
+def random_aut(rng, group, steps):
+    nielsen = nielsen_generators(group)
+    aut = FreeAut.identity(group)
+    for _ in range(steps):
+        aut = rng.choice(nielsen) * aut
+    return aut
+
+
+def reference_minimize(m):
+    """Greedy descent that applies every move and measures the image."""
+    moves = move_alphabet(m.group)
+    current = Marking.of(m.group, m.classes)
+    applied = []
+    improved = True
+    while improved:
+        improved = False
+        for move in moves:
+            candidate = move.apply_marking(current)
+            if candidate.total_length() < current.total_length():
+                current = candidate
+                applied.append(move)
+                improved = True
+                break
+    return current, applied
+
+
+def reference_level_path(start, goal):
+    """Breadth-first search that applies every move at every marking."""
+    if start == goal:
+        return []
+    moves = move_alphabet(start.group)
+    parents = {start: None}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for current in frontier:
+            for move in moves:
+                candidate = move.apply_marking(current)
+                if candidate.total_length() != start.total_length() or candidate in parents:
+                    continue
+                parents[candidate] = (current, move)
+                if candidate == goal:
+                    path = []
+                    while parents[candidate] is not None:
+                        candidate, move = parents[candidate]
+                        path.append(move)
+                    return path[::-1]
+                nxt.append(candidate)
+        frontier = nxt
+    return None
+
+
+def reference_same_orbit(m1, m2):
+    group = m1.group
+    min1, moves1 = reference_minimize(m1)
+    min2, moves2 = reference_minimize(m2)
+    if min1.total_length() != min2.total_length():
+        return False, None
+    path = reference_level_path(min1, min2)
+    if path is None:
+        return False, None
+
+    def compose(moves):
+        aut = FreeAut.identity(group)
+        for move in moves:
+            aut = move.aut * aut
+        return aut
+
+    return True, compose(moves2).inverse() * compose(path) * compose(moves1)
+
+
+class TestLengthChanges:
+    """The Whitehead-graph length change equals the measured one."""
+
+    @staticmethod
+    def assert_exact(m):
+        changes = list(_length_changes(m))
+        moves = move_alphabet(m.group)
+        assert len(changes) == len(moves)
+        for move, change in zip(moves, changes):
+            measured = move.apply_marking(m).total_length() - m.total_length()
+            assert change == measured, f"{move} on {m.format()}"
+
+    @pytest.mark.parametrize("group", [F2, F3], ids=["rank2", "rank3"])
+    def test_seeded_markings_and_minimized_forms(self, group):
+        rng = random.Random(601 + group.rank)
+        for _ in range(60):
+            m = random_marking(rng, group, rng.randint(1, 3), 8)
+            self.assert_exact(m)
+            self.assert_exact(minimize(m)[0])
+
+    @pytest.mark.parametrize(
+        "group, text",
+        [
+            (F2, "[ a ]"),
+            (F2, "[ b' ]"),
+            (F3, "[ c ]"),
+            (F2, "[ 1 ] ; [ a ]"),
+            (F2, "[ a a a ]"),
+            (F2, "[ a b a b ]"),
+            (F3, "[ a b c' a b c' ]"),
+            (F2, "[ a b ] ; [ a b ]"),
+            (F3, "[ a c ] ; [ a c ] ; [ b ]"),
+            (F2, "[ a b a' b' ] ; [ a b' ]"),
+            (F3, "[ a b' c ] ; [ c' b ]"),
+        ],
+    )
+    def test_edge_cases(self, group, text):
+        self.assert_exact(Marking.parse(group, text))
+
+    def test_type_one_moves_keep_length(self):
+        m = Marking.parse(F3, "[ a b' c a ] ; [ b c ]")
+        for move, change in zip(move_alphabet(F3), _length_changes(m)):
+            if move.kind == "perm":
+                assert change == 0
+
+    def test_tuple_classes_have_no_graph_changes(self):
+        assert _length_changes(marking("[ a b , b' ]")) is None
+
+
+class TestFilteredMovesMatchReference:
+    """Applying only the moves that can help picks the same moves as
+    applying every move, so markings, paths and witnesses are unchanged."""
+
+    @pytest.mark.parametrize(
+        "group, max_len, count",
+        [(F2, 8, 80), (F3, 4, 40)],
+        ids=["rank2", "rank3"],
+    )
+    def test_minimize_and_same_orbit(self, group, max_len, count):
+        rng = random.Random(701 + group.rank)
+        for i in range(count):
+            m1 = random_marking(rng, group, rng.randint(1, 2), max_len)
+            if i % 2:
+                m2 = m1.apply(random_aut(rng, group, rng.randint(1, 4)))
+            else:
+                m2 = random_marking(rng, group, len(m1.classes), max_len)
+            assert minimize(m1) == reference_minimize(m1)
+            assert minimize(m2) == reference_minimize(m2)
+            assert same_orbit(m1, m2) == reference_same_orbit(m1, m2)
+
+    def test_tuple_classes_fall_back(self):
+        rng = random.Random(709)
+        for i in range(12):
+            m1 = random_marking(rng, F2, 1, 4, words_per_class=2)
+            assert _length_changes(m1) is None
+            m2 = m1.apply(random_aut(rng, F2, 3)) if i % 2 else random_marking(rng, F2, 1, 4, 2)
+            assert minimize(m1) == reference_minimize(m1)
+            assert same_orbit(m1, m2) == reference_same_orbit(m1, m2)
+
+
+class TestMetamorphic:
+    """Relabelling generators or swapping sides keeps the verdict."""
+
+    @staticmethod
+    def signed_permutation(rng, group):
+        perm = list(range(group.rank))
+        rng.shuffle(perm)
+        images = [group.word([(perm[i], rng.choice((1, -1)))]) for i in range(group.rank)]
+        return is_automorphism(group, images)
+
+    @pytest.mark.parametrize(
+        "group, max_len, count",
+        [(F2, 8, 300), (F3, 4, 150)],
+        ids=["rank2", "rank3"],
+    )
+    def test_relabel_and_swap(self, group, max_len, count):
+        rng = random.Random(809 + group.rank)
+        positives = 0
+        for i in range(count):
+            m1 = random_marking(rng, group, rng.randint(1, 2), max_len)
+            if i % 2:
+                m2 = m1.apply(random_aut(rng, group, rng.randint(1, 4)))
+            else:
+                m2 = random_marking(rng, group, len(m1.classes), max_len)
+            relabel = self.signed_permutation(rng, group)
+            r1, r2 = m1.apply(relabel), m2.apply(relabel)
+            verdict = None
+            for a, b in ((m1, m2), (m2, m1), (r1, r2), (r2, r1)):
+                ok, witness = same_orbit(a, b)
+                assert verdict in (None, ok), f"{m1.format()} vs {m2.format()}"
+                verdict = ok
+                if ok:
+                    assert a.apply(witness) == b
+            positives += verdict
+        assert positives >= count // 2
 
 
 class TestSameOrbit:
