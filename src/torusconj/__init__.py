@@ -1,7 +1,7 @@
 """torusconj: conjugacy of free-group automorphisms via mapping tori.
 
 Subpackages and modules follow the pipeline's stages: free-group algebra,
-Whitehead orbit decisions, mapping tori, graphs of groups, the integer
+Whitehead orbit decisions, monodromy parsing, graphs of groups, the integer
 linear endgame, congruence certificates, and the orchestrating pipeline.
 """
 

@@ -709,10 +709,6 @@ class BassWord:
         return f"<BassWord {self.format()}>"
 
 
-def identity_loop(gog: GraphOfGroups, vertex: str) -> BassWord:
-    return BassWord(gog, vertex, (gog.vslot(vertex).identity(),))
-
-
 # ---------------------------------------------------------------------------
 # graph-of-groups morphisms
 
@@ -1050,6 +1046,18 @@ def serialize_gog(gog: GraphOfGroups) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_slot_kind(text: str) -> GroupSlot:
+    """`kind` or `kind rank`, as in `Z`, `Z2 1` or `fxz 2`."""
+    parts = text.split()
+    if not 1 <= len(parts) <= 2:
+        raise FormatError(f"bad slot kind {text.strip()!r}")
+    try:
+        rank = int(parts[1]) if len(parts) > 1 else 1
+    except ValueError as exc:
+        raise FormatError(f"bad slot rank {parts[1]!r}") from exc
+    return GroupSlot.from_kind(parts[0], rank)
+
+
 def parse_gog(text: str) -> GraphOfGroups:
     """Parse the sectioned graph-of-groups format; see serialize_gog."""
     section = None
@@ -1066,9 +1074,7 @@ def parse_gog(text: str) -> GraphOfGroups:
             continue
         if section == "vertices":
             name, _, kind_text = line.partition(":")
-            kind_parts = kind_text.split()
-            rank = int(kind_parts[1]) if len(kind_parts) > 1 else 1
-            vertex_slots[name.strip()] = GroupSlot.from_kind(kind_parts[0], rank)
+            vertex_slots[name.strip()] = _parse_slot_kind(kind_text)
         elif section == "edges":
             name, _, rest = line.partition(":")
             name = name.strip()
@@ -1077,9 +1083,7 @@ def parse_gog(text: str) -> GraphOfGroups:
             u, v = u.strip().rstrip("-").strip(), v.strip()
             edge_ends[name] = (u, v)
             if slot_text:
-                slot_parts = slot_text.rstrip(")").split()
-                rank = int(slot_parts[1]) if len(slot_parts) > 1 else 1
-                edge_slots[name] = GroupSlot.from_kind(slot_parts[0], rank)
+                edge_slots[name] = _parse_slot_kind(slot_text.rstrip(")"))
             else:
                 edge_slots[name] = GroupSlot(1, False)
         elif section == "injections":
@@ -1091,6 +1095,9 @@ def parse_gog(text: str) -> GraphOfGroups:
         # other sections belong to embedding formats and are skipped here
     injections: Dict[str, SlotHom] = {}
     for e, (u, v) in edge_ends.items():
+        for end in (u, v):
+            if end not in vertex_slots:
+                raise FormatError(f"edge {e} names undeclared vertex {end!r}")
         eslot = edge_slots[e]
         for oe, target in ((e, v), (bar(e), u)):
             table = raw_injections.get(oe)

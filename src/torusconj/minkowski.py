@@ -651,19 +651,6 @@ def certify_zsquare() -> ZSquareCertificate:
 # F_k x Z
 
 
-def is_infinite_order_center_fixing(psi_images: Sequence[Word], lam: Sequence[int]) -> bool:
-    """h -> psi(h) c^{lambda(h)}, c -> c with psi inner and lambda != 0 has
-    infinite outer order: the abelianized lambda row grows linearly under
-    powers and inner automorphisms cannot cancel it."""
-    group = psi_images[0].group
-    psi = is_automorphism(group, list(psi_images))
-    if psi is None:
-        raise DomainError("psi images do not define an automorphism")
-    if inner_conjugator(psi) is None:
-        raise DomainError("analysis applies to inner psi only")
-    return any(lam)
-
-
 def certify_product(rank: int, budgets: Budgets = Budgets()):
     """Certificate for F_rank x Z: the free-part certificate combined with a
     center quotient of order 3 that separates the orientation flip."""

@@ -23,7 +23,7 @@ from .fibercorrect import (
     solve_with_nullspace,
     twist_coefficients,
 )
-from .freegroup import BasisExpresser, FreeAut, FreeGroup, Word, fold, is_automorphism
+from .freegroup import FreeAut, FreeGroup, Word, canonical_conjugate, fold, is_conjugate
 from .gog import (
     BassWord,
     GoGMorphism,
@@ -43,8 +43,6 @@ from .gog import (
     unoriented,
     validate,
 )
-from .freegroup import canonical_conjugate, is_conjugate
-from .torus import MappingTorus, product_form, sub_mapping_torus
 from .whitehead import ProductGroup, ProductMarking, mwp_product
 
 MAX_EDGES_DEFAULT = 12
@@ -160,7 +158,7 @@ def slot_fop_base_iso(
 # subgroup conjugators inside slots
 
 
-def slot_subgroup_conjugator(
+def edge_group_conjugator(
     slot: GroupSlot, source: Sequence[SlotElement], target: Sequence[SlotElement]
 ) -> Optional[SlotElement]:
     """d with ad_d(<source>) == <target>, for the supported edge kinds."""
@@ -214,7 +212,7 @@ def _edge_transport(
     wslot2 = gog_b.vslot(gog_b.term(ew2))
     moved = [phi_w.apply(inj_w.apply(g)) for g in gog_a.eslot(ew).generators()]
     targets = [inj_w2.apply(g) for g in gog_b.eslot(ew2).generators()]
-    d = slot_subgroup_conjugator(wslot2, moved, targets)
+    d = edge_group_conjugator(wslot2, moved, targets)
     if d is None:
         return None
     edge_images = []
@@ -632,11 +630,13 @@ class ConjUngInput:
 def conj_ung(a: ConjUngInput, b: ConjUngInput, whitelist: WhiteList) -> Verdict:
     """Conjugacy in Out(F) for the unipotent non-growing class.
 
-    Validates class membership (each peripheral subgroup carries a
-    conjugator trivializing the automorphism, and its sub-mapping torus is
-    recognized as a product), then runs the isomorphism pipeline on the
-    supplied decompositions.  The verdict status becomes "conjugate",
-    "not-conjugate", or "undecided".
+    Each side's peripheral datum (P, gamma) is validated on P's generators:
+    ad_gamma . phi(p) == p, with ad_gamma(x) == gamma^-1 x gamma.  Then the
+    sub-mapping torus <P, t gamma> is P x Z, so its product rank is
+    fold(P).rank() and no period search is needed.  Malnormality of P (true
+    of parabolic subgroups) is an input assumption and is not checked.  The
+    isomorphism pipeline then runs on the supplied decompositions, and the
+    verdict status becomes "conjugate", "not-conjugate", or "undecided".
     """
     ranks_a = _validate_ung_side(a)
     ranks_b = _validate_ung_side(b)
@@ -651,41 +651,16 @@ def conj_ung(a: ConjUngInput, b: ConjUngInput, whitelist: WhiteList) -> Verdict:
 
 
 def _validate_ung_side(side: ConjUngInput) -> List[int]:
-    torus = MappingTorus(side.group, side.aut)
     ranks = []
     for datum in side.peripherals:
-        subgroup_name = "<" + ", ".join(w.format() for w in datum.generators) + ">"
         for p in datum.generators:
-            moved = side.aut.apply(p).conjugate(datum.conjugator)
-            if moved != p:
+            if side.aut.apply(p).conjugate(datum.conjugator) != p:
+                subgroup_name = "<" + ", ".join(w.format() for w in datum.generators) + ">"
                 raise DomainError(
                     f"ad_gamma . phi is not the identity on {subgroup_name} "
                     f"(fails at {p.format()})"
                 )
-        graph = fold(side.group, list(datum.generators))
-        smt = sub_mapping_torus(torus, graph)
-        if isinstance(smt, Undecided):
-            raise DomainError("peripheral subgroup has no recognized sub-mapping torus")
-        basis = graph.generators()
-        expresser = BasisExpresser(side.group, basis)
-        sub_fiber = FreeGroup(len(basis))
-        images = []
-        for w in basis:
-            total = side.aut.apply(w)
-            for _ in range(smt.period - 1):
-                total = side.aut.apply(total)
-            moved = total.conjugate(smt.corrector.inverse())
-            expr = expresser.express(moved)
-            if expr is None:
-                raise DomainError("monodromy does not restrict to the peripheral subgroup")
-            images.append(Word(sub_fiber, expr.letters))
-        sub_aut = is_automorphism(sub_fiber, images)
-        if sub_aut is None:
-            raise DomainError("restricted monodromy is not an automorphism")
-        form = product_form(MappingTorus(sub_fiber, sub_aut))
-        if form is None:
-            raise DomainError("peripheral sub-mapping torus is not in the product class")
-        ranks.append(form.free_rank)
+        ranks.append(fold(side.group, list(datum.generators)).rank())
     return ranks
 
 

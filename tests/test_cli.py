@@ -186,6 +186,91 @@ class TestConjUngCommand:
         assert "input error" in err
 
 
+CONJ_UNG_FOLDERS = sorted(f.name for f in DATA.iterdir() if (f / "alpha.txt").exists())
+
+
+class TestMalformedInput:
+    """Deleting any one line of a conj-ung side file gives a verdict or an
+    input error, never a traceback; every positive verdict still carries a
+    witness that `verify-witness` accepts."""
+
+    @staticmethod
+    def _jsj_part(text):
+        return text.partition("[jsj]\n")[2]
+
+    @pytest.mark.parametrize("name", CONJ_UNG_FOLDERS)
+    def test_line_deletions(self, name, tmp_path, capsys):
+        folder = DATA / name
+        lines = (folder / "alpha.txt").read_text().splitlines(keepends=True)
+        beta = folder / "beta.txt"
+        jsj_b = tmp_path / "jsj_b.txt"
+        jsj_b.write_text(self._jsj_part(beta.read_text()))
+        alpha = tmp_path / "alpha.txt"
+        jsj_a = tmp_path / "jsj_a.txt"
+        witness = tmp_path / "witness.txt"
+        verified = 0
+        for i, line in enumerate(lines):
+            mutated = "".join(lines[:i] + lines[i + 1 :])
+            alpha.write_text(mutated)
+            witness.unlink(missing_ok=True)
+            code, out, err = run_cli(
+                [
+                    "conj-ung",
+                    "--alpha",
+                    str(alpha),
+                    "--beta",
+                    str(beta),
+                    "--whitelists",
+                    str(folder / "whitelists.txt"),
+                    "--witness-out",
+                    str(witness),
+                ],
+                capsys,
+            )
+            assert code in (0, 1, 2), line
+            assert (code == 1) == ("input error" in err), line
+            if code == 0 and "status: conjugate" in out:
+                jsj_a.write_text(self._jsj_part(mutated))
+                code, out, _ = run_cli(
+                    [
+                        "verify-witness",
+                        "--jsj-a",
+                        str(jsj_a),
+                        "--jsj-b",
+                        str(jsj_b),
+                        "--witness",
+                        str(witness),
+                    ],
+                    capsys,
+                )
+                assert code == 0 and "witness verified" in out, line
+                verified += 1
+        if (folder / "expected.txt").read_text().strip() == "conjugate":
+            # deleting a line of the [tree] section keeps the verdict
+            assert verified > 0
+
+    @pytest.mark.parametrize(
+        "deleted, message",
+        [
+            ("B: Z2 1\n", "edge e1 names undeclared vertex 'B'"),
+            # edge lines are then read as vertex lines
+            ("[edges]\n", "bad slot kind 'W --> B (Z 1)'"),
+        ],
+        ids=["undeclared-vertex", "missing-edges-header"],
+    )
+    def test_named_input_error(self, deleted, message, tmp_path, capsys):
+        folder = DATA / "01_identity_f2"
+        text = (folder / "alpha.txt").read_text()
+        assert deleted in text
+        alpha = tmp_path / "alpha.txt"
+        alpha.write_text(text.replace(deleted, "", 1))
+        code, _, err = run_cli(
+            ["conj-ung", "--alpha", str(alpha), "--beta", str(folder / "beta.txt")], capsys
+        )
+        assert code == 1
+        assert f"input error: {message}" in err
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         result = subprocess.run(

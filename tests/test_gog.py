@@ -19,7 +19,6 @@ from torusconj.gog import (
     dehn_twist,
     graph_isomorphisms,
     hom_preimage,
-    identity_loop,
     identity_morphism,
     induced_on_pi1,
     invert,

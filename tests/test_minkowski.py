@@ -23,7 +23,6 @@ from torusconj.minkowski import (
     cycle_type,
     gl2_finite_order_classes,
     graph_symmetries,
-    is_infinite_order_center_fixing,
     realizing_graphs,
     separate,
     symmetry_to_automorphism,
@@ -236,12 +235,3 @@ class TestCertifyProduct:
     def test_rank1_rejected(self):
         with pytest.raises(DomainError):
             certify_product(1)
-
-    def test_lambda_twist_has_infinite_order(self):
-        # h -> h c^(lambda(h)) with lambda != 0 is excluded from torsion
-        assert is_infinite_order_center_fixing(
-            [F2.parse("a"), F2.parse("b")], [1, 0]
-        )
-        assert not is_infinite_order_center_fixing(
-            [F2.parse("a"), F2.parse("b")], [0, 0]
-        )

@@ -7,16 +7,18 @@ import pytest
 
 from torusconj.errors import DomainError, Undecided
 from torusconj.fibercorrect import OrientationFunctional
-from torusconj.freegroup import FreeGroup, is_automorphism
+from torusconj.freegroup import FreeAut, FreeGroup, is_automorphism, nielsen_generators
 from torusconj.gog import GroupSlot, SlotElement, SlotIso
 from torusconj.pipeline import (
     ConjUngInput,
     JSJInput,
     PeripheralDatum,
     Verdict,
+    _validate_ung_side,
     assemble,
     conj_ung,
     decide,
+    edge_group_conjugator,
     fiber_correct,
     invert_whitelist,
     match_black,
@@ -27,7 +29,6 @@ from torusconj.pipeline import (
     serialize_verdict,
     serialize_whitelist,
     slot_fop_base_iso,
-    slot_subgroup_conjugator,
     verify_witness,
 )
 
@@ -38,6 +39,7 @@ from .corpus import (
     relabel_blocks,
     twistor_jsj,
 )
+from .cli_helpers import load_conj_side
 from .helpers import abelian_invariants
 
 CORPUS = pathlib.Path(__file__).parent / "data" / "corpus"
@@ -231,19 +233,19 @@ def _box_zsquare_match(o, sources, targets):
 class TestSubgroupConjugator:
     def test_cyclic_in_free_slot(self):
         F2 = GroupSlot(2, False)
-        d = slot_subgroup_conjugator(F2, [F2.parse("x0")], [F2.parse("x1 x0 x1'")])
+        d = edge_group_conjugator(F2, [F2.parse("x0")], [F2.parse("x1 x0 x1'")])
         assert d is not None
         assert F2.parse("x0").conjugate(d) == F2.parse("x1 x0 x1'")
 
     def test_inverse_generator_allowed(self):
         F2 = GroupSlot(2, False)
-        d = slot_subgroup_conjugator(F2, [F2.parse("x0")], [F2.parse("x0'")])
+        d = edge_group_conjugator(F2, [F2.parse("x0")], [F2.parse("x0'")])
         assert d is not None
 
     def test_center_mismatch(self):
         FXZ = GroupSlot(1, True)
         assert (
-            slot_subgroup_conjugator(FXZ, [FXZ.parse("x0 * c")], [FXZ.parse("x0 * c^2")])
+            edge_group_conjugator(FXZ, [FXZ.parse("x0 * c")], [FXZ.parse("x0 * c^2")])
             is None
         )
 
@@ -518,13 +520,22 @@ class TestBlockRelabel:
         assert verdict.status == "isomorphic-fop"
         assert verify_witness(jsj_a, jsj_b, verdict.witness)
 
+
+def assert_conj_ung(a, b, whitelist, expected):
+    """conj_ung answers `expected`; a `conjugate` answer carries a witness
+    that verify_witness accepts."""
+    verdict = conj_ung(a, b, whitelist)
+    assert verdict.status == expected
+    if expected == "conjugate":
+        assert verify_witness(a.jsj, b.jsj, verdict.witness)
+    return verdict
+
+
 class TestConjUng:
     def test_identity_monodromy(self):
         a = one_twistor_conj_input(3, "x0")
         b = one_twistor_conj_input(3, "x0")
-        wl = identity_whitelist(a.jsj, b.jsj)
-        verdict = conj_ung(a, b, wl)
-        assert verdict.status == "conjugate"
+        assert_conj_ung(a, b, identity_whitelist(a.jsj, b.jsj), "conjugate")
 
     def test_inner_monodromy_with_witness(self):
         a = one_twistor_conj_input(3, "x0")
@@ -533,16 +544,14 @@ class TestConjUng:
         for p in b.peripherals[0].generators:
             moved = b.aut.apply(p).conjugate(b.peripherals[0].conjugator)
             assert moved == p
-        verdict = conj_ung(a, b, identity_whitelist(a.jsj, b.jsj))
-        assert verdict.status == "conjugate"
+        assert_conj_ung(a, b, identity_whitelist(a.jsj, b.jsj), "conjugate")
 
     def test_long_inner_monodromy(self):
         # the peripheral monodromy is ad_{(ab)^9}: inner, with a conjugator
         # of length 18
         a = one_twistor_conj_input(3, "x0")
         b = one_twistor_conj_input(3, "x0", conjugator_text=" ".join(["a b"] * 9))
-        verdict = conj_ung(a, b, identity_whitelist(a.jsj, b.jsj))
-        assert verdict.status == "conjugate"
+        assert_conj_ung(a, b, identity_whitelist(a.jsj, b.jsj), "conjugate")
 
     def test_abelianization_negative(self):
         a = one_twistor_conj_input(3, "x0")
@@ -562,8 +571,7 @@ class TestConjUng:
             b = one_twistor_conj_input(3, wb)
             wl = identity_whitelist(a.jsj, b.jsj)
             forward = conj_ung(a, b, wl).status
-            backward = conj_ung(b, a, invert_whitelist(wl)).status
-            assert forward == backward
+            assert_conj_ung(b, a, invert_whitelist(wl), forward)
 
     def test_invalid_class_rejected(self):
         group = FreeGroup(3)
@@ -576,6 +584,105 @@ class TestConjUng:
         good = one_twistor_conj_input(3, "x0")
         with pytest.raises(DomainError):
             conj_ung(bad, good, identity_whitelist(jsj, good.jsj))
+
+    def test_peripheral_normalized_by_outer_element(self):
+        # phi = ad_b on F2 (a -> b' a b, b -> b), P = <a, bab', b^2> and
+        # gamma = b', so ad_gamma . phi is the identity on P and <P, t gamma>
+        # is P x Z of rank 3.  P has index 2 and is normalized by b, whose
+        # restriction to P is outer in P: the trivial corrector from N(P)
+        # gives no product form, and the datum's own gamma must be used.
+        group = FreeGroup(2)
+        aut = is_automorphism(group, [group.parse("b' a b"), group.parse("b")])
+        peripheral = PeripheralDatum(
+            tuple(group.parse(w) for w in ("a", "b a b'", "b b")), group.parse("b'")
+        )
+        jsj = one_twistor_jsj(2, "1")
+        side = ConjUngInput(group, aut, (peripheral,), jsj)
+        assert _validate_ung_side(side) == [3]
+        assert_conj_ung(side, side, identity_whitelist(jsj, jsj), "conjugate")
+        # a redundant generator b^2 a b^-2 of P leaves the rank at 3
+        redundant = PeripheralDatum(
+            peripheral.generators + (group.parse("b b a b' b'"),), peripheral.conjugator
+        )
+        assert _validate_ung_side(ConjUngInput(group, aut, (redundant,), jsj)) == [3]
+
+
+CONJ_UNG_FOLDERS = sorted(
+    f.name for f in CORPUS.iterdir() if (f / "kind.txt").read_text().strip() == "conj-ung"
+)
+
+
+def random_automorphism(rng, group, moves):
+    """A product of `moves` Nielsen moves and their inverses."""
+    theta = FreeAut.identity(group)
+    for _ in range(moves):
+        move = rng.choice(nielsen_generators(group))
+        theta = theta * (move if rng.random() < 0.5 else move.inverse())
+    return theta
+
+
+def transport_side(side, theta):
+    """(theta alpha theta^-1, theta(P), theta(gamma)) with the JSJ unchanged."""
+    peripherals = tuple(
+        PeripheralDatum(
+            tuple(theta.apply(p) for p in datum.generators), theta.apply(datum.conjugator)
+        )
+        for datum in side.peripherals
+    )
+    return ConjUngInput(side.group, theta * side.aut * theta.inverse(), peripherals, side.jsj)
+
+
+def rebase_side(rng, side):
+    """Replace each peripheral basis by its image under one Nielsen move
+    inside P: invert, swap, or multiply one generator by another."""
+    peripherals = []
+    for datum in side.peripherals:
+        gens = list(datum.generators)
+        i, j = rng.sample(range(len(gens)), 2) if len(gens) > 1 else (0, 0)
+        move = rng.randrange(3) if len(gens) > 1 else 0
+        if move == 0:
+            gens[i] = gens[i].inverse()
+        elif move == 1:
+            gens[i], gens[j] = gens[j], gens[i]
+        else:
+            gens[i] = gens[i] * gens[j]
+        peripherals.append(PeripheralDatum(tuple(gens), datum.conjugator))
+    return ConjUngInput(side.group, side.aut, tuple(peripherals), side.jsj)
+
+
+class TestConjUngMetamorphic:
+    """Moving a side's automorphism and peripheral datum by theta in Aut(F),
+    or changing the basis of P, keeps it in the class and keeps the status."""
+
+    @staticmethod
+    def _load(name):
+        folder = CORPUS / name
+        a = load_conj_side(folder / "alpha.txt")
+        b = load_conj_side(folder / "beta.txt")
+        whitelist = parse_whitelist((folder / "whitelists.txt").read_text(), a.jsj, b.jsj)
+        return a, b, whitelist, (folder / "expected.txt").read_text().strip()
+
+    @pytest.mark.parametrize("name", CONJ_UNG_FOLDERS)
+    def test_conjugate_by_automorphism(self, name):
+        a, b, whitelist, expected = self._load(name)
+        rng = random.Random(f"theta-{name}")
+        for _ in range(3):
+            theta_a = random_automorphism(rng, a.group, rng.randint(1, 6))
+            theta_b = random_automorphism(rng, b.group, rng.randint(1, 6))
+            moved_a, moved_b = transport_side(a, theta_a), transport_side(b, theta_b)
+            assert _validate_ung_side(moved_a) == _validate_ung_side(a)
+            assert _validate_ung_side(moved_b) == _validate_ung_side(b)
+            assert_conj_ung(moved_a, b, whitelist, expected)
+            assert_conj_ung(moved_a, moved_b, whitelist, expected)
+
+    @pytest.mark.parametrize("name", CONJ_UNG_FOLDERS)
+    def test_rebase_peripheral(self, name):
+        a, b, whitelist, expected = self._load(name)
+        rng = random.Random(f"rebase-{name}")
+        for _ in range(3):
+            moved_a, moved_b = rebase_side(rng, a), rebase_side(rng, b)
+            assert _validate_ung_side(moved_a) == _validate_ung_side(a)
+            assert_conj_ung(moved_a, moved_b, whitelist, expected)
 
 
 class TestSerialization:
