@@ -7,6 +7,7 @@ Exit codes: 0 when a decision was reached (the verdict is in the output),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import DomainError, FormatError, ResourceError, Undecided
@@ -185,7 +186,10 @@ def cmd_verify_witness(args) -> int:
     return EXIT_INPUT
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building the tree costs
+    far more than parsing with it, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="torusconj",
         description="conjugacy of free-group automorphisms via mapping tori",

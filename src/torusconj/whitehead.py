@@ -4,7 +4,8 @@ A marking stores an ordered sequence of classes; each class is a tuple of
 words up to simultaneous conjugation, held in canonical form.  Orbit
 decisions run minimize-then-connect: greedy descent through the finite
 Whitehead move alphabet, then a breadth-first search through the
-length-preserving moves at the minimal level (peak reduction).
+length-preserving type-II moves at the minimal level (peak reduction) to a
+signed relabelling of the goal.
 
 The fiber-and-orientation variant for products H x <c> reduces to the plain
 problem on the H-parts: such automorphisms fix the center and preserve the
@@ -229,20 +230,23 @@ def _length_changes(m: Marking) -> Optional[Iterator[int]]:
 def _moves_changing_length(
     m: Marking, keep: Callable[[int], bool]
 ) -> Iterator[Tuple[WhiteheadMove, Marking]]:
-    """(move, move(m)) for each move of the alphabet, in order, whose length
-    change passes `keep`.  Single-word classes apply only those moves;
-    classes of several words apply every move and measure the image."""
+    """(move, move(m)) for each type-II move of the alphabet, in order, whose
+    length change passes `keep`; type-I moves never change length.
+    Single-word classes apply only those moves; classes of several words
+    apply every type-II move and measure the image."""
     moves = move_alphabet(m.group)
     changes = _length_changes(m)
     if changes is None:
         length = m.total_length()
         for move in moves:
+            if move.kind == "perm":
+                continue
             image = move.apply_marking(m)
             if keep(image.total_length() - length):
                 yield move, image
         return
     for move, change in zip(moves, changes):
-        if keep(change):
+        if move.kind == "mult" and keep(change):
             yield move, move.apply_marking(m)
 
 
@@ -305,10 +309,29 @@ def same_orbit(m1: Marking, m2: Marking, group="aut") -> Tuple[bool, Optional[Fr
     return True, witness
 
 
+@lru_cache(maxsize=None)
+def _relabellings(group: FreeGroup) -> Tuple[Tuple[WhiteheadMove, WhiteheadMove], ...]:
+    """(sigma, sigma^-1) for each type-I move sigma of the alphabet."""
+    perms = {move.aut: move for move in move_alphabet(group) if move.kind == "perm"}
+    return tuple((move, perms[aut.inverse()]) for aut, move in perms.items())
+
+
 def _level_path(start: Marking, goal: Marking) -> Optional[List[WhiteheadMove]]:
-    """Breadth-first connectivity through length-preserving moves."""
+    """Breadth-first connectivity through length-preserving type-II moves
+    to a signed relabelling sigma(goal), followed by sigma^-1.
+
+    Conjugating a type-II move by a signed permutation gives another type-II
+    move (sigma tau_{v,Y} sigma^-1 == tau_{sigma(v),sigma(Y)}), so every
+    length-preserving path can be rewritten as type-II moves followed by one
+    signed permutation; the markings it then passes through are relabellings
+    of the old ones and keep their lengths."""
     if start == goal:
         return []
+    targets: Dict[Marking, List[WhiteheadMove]] = {goal: []}
+    for move, inverse in _relabellings(goal.group):
+        targets.setdefault(move.apply_marking(goal), [inverse])
+    if start in targets:
+        return targets[start]
     parents: Dict[Marking, Tuple[Marking, WhiteheadMove]] = {start: None}  # type: ignore[assignment]
     frontier = [start]
     while frontier:
@@ -318,14 +341,14 @@ def _level_path(start: Marking, goal: Marking) -> Optional[List[WhiteheadMove]]:
                 if candidate in parents:
                     continue
                 parents[candidate] = (marking, move)
-                if candidate == goal:
+                if candidate in targets:
                     path = []
                     cur = candidate
                     while parents[cur] is not None:
                         prev, mv = parents[cur]
                         path.append(mv)
                         cur = prev
-                    return list(reversed(path))
+                    return path[::-1] + targets[candidate]
                 nxt.append(candidate)
         frontier = nxt
     return None

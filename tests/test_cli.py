@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from torusconj.cli import main
+from torusconj.cli import build_parser, main
 
 DATA = pathlib.Path(__file__).parent / "data" / "corpus"
 
@@ -190,16 +190,17 @@ CONJ_UNG_FOLDERS = sorted(f.name for f in DATA.iterdir() if (f / "alpha.txt").ex
 
 
 class TestMalformedInput:
-    """Deleting any one line of a conj-ung side file gives a verdict or an
-    input error, never a traceback; every positive verdict still carries a
+    """Deleting or duplicating any one line of a conj-ung side file, or
+    swapping the first two tokens of a line, gives a verdict or an input
+    error, never a traceback; every positive verdict still carries a
     witness that `verify-witness` accepts."""
 
     @staticmethod
     def _jsj_part(text):
         return text.partition("[jsj]\n")[2]
 
-    @pytest.mark.parametrize("name", CONJ_UNG_FOLDERS)
-    def test_line_deletions(self, name, tmp_path, capsys):
+    def _check_mutants(self, name, mutate, tmp_path, capsys):
+        """Runs conj-ung on each (line, mutated alpha text) of `mutate`."""
         folder = DATA / name
         lines = (folder / "alpha.txt").read_text().splitlines(keepends=True)
         beta = folder / "beta.txt"
@@ -209,8 +210,7 @@ class TestMalformedInput:
         jsj_a = tmp_path / "jsj_a.txt"
         witness = tmp_path / "witness.txt"
         verified = 0
-        for i, line in enumerate(lines):
-            mutated = "".join(lines[:i] + lines[i + 1 :])
+        for line, mutated in mutate(lines):
             alpha.write_text(mutated)
             witness.unlink(missing_ok=True)
             code, out, err = run_cli(
@@ -246,8 +246,36 @@ class TestMalformedInput:
                 assert code == 0 and "witness verified" in out, line
                 verified += 1
         if (folder / "expected.txt").read_text().strip() == "conjugate":
-            # deleting a line of the [tree] section keeps the verdict
+            # the reader skips the [tree] section, so its mutants keep the verdict
             assert verified > 0
+
+    @pytest.mark.parametrize("name", CONJ_UNG_FOLDERS)
+    def test_line_deletions(self, name, tmp_path, capsys):
+        def deletions(lines):
+            for i, line in enumerate(lines):
+                yield line, "".join(lines[:i] + lines[i + 1 :])
+
+        self._check_mutants(name, deletions, tmp_path, capsys)
+
+    @pytest.mark.parametrize("name", CONJ_UNG_FOLDERS)
+    def test_line_duplications(self, name, tmp_path, capsys):
+        def duplications(lines):
+            for i, line in enumerate(lines):
+                yield line, "".join(lines[: i + 1] + lines[i:])
+
+        self._check_mutants(name, duplications, tmp_path, capsys)
+
+    @pytest.mark.parametrize("name", CONJ_UNG_FOLDERS)
+    def test_token_swaps(self, name, tmp_path, capsys):
+        def swaps(lines):
+            for i, line in enumerate(lines):
+                tokens = line.split()
+                if len(tokens) < 2:
+                    continue
+                tokens[0], tokens[1] = tokens[1], tokens[0]
+                yield line, "".join(lines[:i] + [" ".join(tokens) + "\n"] + lines[i + 1 :])
+
+        self._check_mutants(name, swaps, tmp_path, capsys)
 
     @pytest.mark.parametrize(
         "deleted, message",
@@ -269,6 +297,44 @@ class TestMalformedInput:
         )
         assert code == 1
         assert f"input error: {message}" in err
+
+
+class TestParserReuse:
+    """One parser serves every call in a process, and a call after an
+    argument error answers as it would in a fresh process."""
+
+    DECIDE = [
+        "decide",
+        "--jsj-a",
+        str(DATA / "12_orientation_shift" / "jsj_a.txt"),
+        "--jsj-b",
+        str(DATA / "12_orientation_shift" / "jsj_b.txt"),
+        "--whitelists",
+        str(DATA / "12_orientation_shift" / "whitelists.txt"),
+    ]
+    CALLS = [["whitehead", "orbit", "[ a b ]", "[ b' ]"], ["whitehead", "orbit", "[ a ]"], DECIDE]
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_same_outputs_as_separate_processes(self, capsys):
+        in_process = []
+        for argv in self.CALLS:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        separate = []
+        for argv in self.CALLS:
+            result = subprocess.run(
+                [sys.executable, "-m", "torusconj.cli", *argv], capture_output=True, text=True
+            )
+            separate.append((result.returncode, result.stdout, result.stderr))
+        assert [code for code, _, _ in in_process] == [0, 2, 0]
+        assert "status: isomorphic-fop" in in_process[2][1]
+        assert in_process == separate
 
 
 class TestEntryPoint:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -11,6 +12,8 @@ from torusconj.whitehead import (
     ProductMarking,
     WhiteheadMove,
     _length_changes,
+    _level_path,
+    _moves_changing_length,
     minimize,
     move_alphabet,
     mwp_product,
@@ -230,8 +233,16 @@ class TestLengthChanges:
 
 
 class TestFilteredMovesMatchReference:
-    """Applying only the moves that can help picks the same moves as
-    applying every move, so markings, paths and witnesses are unchanged."""
+    """Applying only the moves that can help descends to the same minimal
+    markings as applying every move, and reaches the same verdicts with a
+    witness that carries one marking to the other."""
+
+    @staticmethod
+    def assert_same_verdict(m1, m2):
+        ok, witness = same_orbit(m1, m2)
+        assert ok == reference_same_orbit(m1, m2)[0], f"{m1.format()} vs {m2.format()}"
+        if ok:
+            assert m1.apply(witness) == m2
 
     @pytest.mark.parametrize(
         "group, max_len, count",
@@ -248,7 +259,7 @@ class TestFilteredMovesMatchReference:
                 m2 = random_marking(rng, group, len(m1.classes), max_len)
             assert minimize(m1) == reference_minimize(m1)
             assert minimize(m2) == reference_minimize(m2)
-            assert same_orbit(m1, m2) == reference_same_orbit(m1, m2)
+            self.assert_same_verdict(m1, m2)
 
     def test_tuple_classes_fall_back(self):
         rng = random.Random(709)
@@ -257,7 +268,49 @@ class TestFilteredMovesMatchReference:
             assert _length_changes(m1) is None
             m2 = m1.apply(random_aut(rng, F2, 3)) if i % 2 else random_marking(rng, F2, 1, 4, 2)
             assert minimize(m1) == reference_minimize(m1)
-            assert same_orbit(m1, m2) == reference_same_orbit(m1, m2)
+            self.assert_same_verdict(m1, m2)
+
+
+class TestTypeTwoLevelSearch:
+    """The level search applies type-II moves only and matches against the
+    goal's signed relabellings, which rests on the closure lemma below."""
+
+    @pytest.mark.parametrize("group", [F2, F3], ids=["rank2", "rank3"])
+    def test_type_two_closed_under_signed_conjugation(self, group):
+        moves = move_alphabet(group)
+        type_two = {move.aut for move in moves if move.kind == "mult"}
+        perms = [move.aut for move in moves if move.kind == "perm"]
+        assert len(perms) == 2**group.rank * math.factorial(group.rank) - 1
+        for sigma in perms:
+            for tau in type_two:
+                assert sigma * tau * sigma.inverse() in type_two, f"{sigma} {tau}"
+
+    @pytest.mark.parametrize("group", [F2, F3], ids=["rank2", "rank3"])
+    def test_search_yields_no_type_one_move(self, group):
+        rng = random.Random(733 + group.rank)
+        type_two = sum(move.kind == "mult" for move in move_alphabet(group))
+        for words_per_class in (1, 2):
+            m = random_marking(rng, group, 2, 5, words_per_class)
+            yielded = [move for move, _ in _moves_changing_length(m, lambda change: True)]
+            assert len(yielded) == type_two
+            assert all(move.kind == "mult" for move in yielded)
+
+    @pytest.mark.parametrize(
+        "texts, kinds",
+        [
+            (("[ a ] ; [ b ]", "[ b ] ; [ a ]"), ["perm"]),
+            (("[ a a b b ]", "[ a b a b' ]"), ["mult", "perm"]),
+            (("[ a b a b' ]", "[ a b a b' ]"), []),
+        ],
+        ids=["relabelling-only", "type-two-then-relabelling", "equal"],
+    )
+    def test_path_ends_with_one_relabelling(self, texts, kinds):
+        m1, m2 = (Marking.parse(F2, text) for text in texts)
+        assert m1.total_length() == minimize(m1)[0].total_length()
+        path = _level_path(m1, m2)
+        assert [move.kind for move in path] == kinds
+        ok, witness = same_orbit(m1, m2)
+        assert ok and m1.apply(witness) == m2
 
 
 class TestMetamorphic:
