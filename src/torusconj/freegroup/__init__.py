@@ -5,6 +5,7 @@ from .words import (
     Letter,
     Word,
     canonical_conjugate,
+    conjugacy_length,
     is_conjugate,
     primitive_root,
     reduce_letters,
@@ -35,6 +36,7 @@ __all__ = [
     "primitive_root",
     "root_power",
     "canonical_conjugate",
+    "conjugacy_length",
     "FreeAut",
     "is_automorphism",
     "nielsen_generators",

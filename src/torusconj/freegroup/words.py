@@ -207,6 +207,8 @@ class Word:
         while i < j and letters[i] == _inv(letters[j]):
             i += 1
             j -= 1
+        if i == 0:
+            return Word(self.group, ()), self
         return Word(self.group, letters[:i]), Word(self.group, letters[i : j + 1])
 
     def rotations(self) -> Iterator["Word"]:
@@ -273,18 +275,6 @@ def is_conjugate(u: Word, v: Word) -> Tuple[bool, Optional[Word]]:
     return False, None
 
 
-_CANONICAL_CACHE: dict = {}
-_CANONICAL_CACHE_LIMIT = 1_000_000
-
-
-def _letter_key(letter: Letter) -> Tuple[int, int]:
-    return (letter[0], 0 if letter[1] > 0 else 1)
-
-
-def _tuple_key(letters: Tuple[Letter, ...]):
-    return (len(letters), tuple(_letter_key(l) for l in letters))
-
-
 def _conj_letters(letters: Tuple[Letter, ...], l: Letter) -> Tuple[Letter, ...]:
     """reduce(l^-1 + letters + l) for reduced input; boundary-only work."""
     linv = (l[0], -l[1])
@@ -295,6 +285,43 @@ def _conj_letters(letters: Tuple[Letter, ...], l: Letter) -> Tuple[Letter, ...]:
     if out and out[-1] == linv:
         return out[:-1]
     return out + (l,)
+
+
+def _end_hits(tup: Tuple[Tuple[Letter, ...], ...], rank: int) -> Tuple[int, list]:
+    """(k, hits): k nontrivial words in `tup`, hits[2i + (s < 0)] of them
+    starting with the letter l = (i, s) plus those ending with l^-1.  Each
+    end of a word loses a letter under conjugation by l if it cancels and
+    gains one if not, so the total length changes by 2 * (k - hits[l])."""
+    hits, k = [0] * (2 * rank), 0
+    for ls in tup:
+        if ls:
+            (i, s), (j, t) = ls[0], ls[-1]
+            hits[2 * i + (s < 0)] += 1
+            hits[2 * j + (t > 0)] += 1
+            k += 1
+    return k, hits
+
+
+def _descend(tup: Tuple[Tuple[Letter, ...], ...], rank: int):
+    """Greedy descent by the first letter, in the order a < a' < b < ...,
+    that shortens the tuple, down to its least total length; returns the
+    tuple reached and the letters it was conjugated by."""
+    g: list = []
+    while True:
+        k, hits = _end_hits(tup, rank)
+        x = next((x for x, h in enumerate(hits) if h > k), None)
+        if x is None:
+            return tup, g
+        l = (x >> 1, -1 if x & 1 else 1)
+        tup = tuple(_conj_letters(ls, l) for ls in tup)
+        g.append(l)
+
+
+def conjugacy_length(words: Sequence[Word]) -> int:
+    """Least total length of a simultaneous conjugate of `words`: the total
+    length of `canonical_conjugate(words)[0]`, found by the descent alone."""
+    tup, _ = _descend(tuple(w.letters for w in words), words[0].group.rank)
+    return sum(map(len, tup))
 
 
 def canonical_conjugate(words: Sequence[Word]) -> Tuple[Tuple[Word, ...], Word]:
@@ -310,73 +337,50 @@ def canonical_conjugate(words: Sequence[Word]) -> Tuple[Tuple[Word, ...], Word]:
     words = tuple(words)
     if not words:
         raise DomainError("empty tuple has no canonical conjugate")
+    if len(words) == 1:
+        return _canonical_single(words[0])
     group = words[0].group
     for w in words:
         if w.group != group:
             raise DomainError("tuple entries from different groups")
-    cache_key = (group._hash, tuple(w.letters for w in words))
-    hit = _CANONICAL_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-    if len(words) == 1:
-        result = _canonical_single(words[0])
-    else:
-        result = _canonical_plateau(group, words)
-    if len(_CANONICAL_CACHE) < _CANONICAL_CACHE_LIMIT:
-        _CANONICAL_CACHE[cache_key] = result
-    return result
+    return _canonical_plateau(group, words)
 
 
 def _canonical_single(w: Word) -> Tuple[Tuple[Word, ...], Word]:
-    """Least rotation of the cyclic reduction; same answer as the plateau."""
-    group = w.group
+    """Least rotation of the cyclic reduction; same canonical word as the
+    plateau.  The conjugator is the prefix of `w` up to the least rotation,
+    already reduced; a word that is already canonical is returned itself."""
     prefix, core = w.cyclic_reduction()
     letters = core.letters
-    if not letters:
-        return (group.identity(),), group.identity()
-    best_r = 0
-    best = tuple(_letter_key(l) for l in letters)
-    for r in range(1, len(letters)):
-        cand_letters = letters[r:] + letters[:r]
-        cand = tuple(_letter_key(l) for l in cand_letters)
-        if cand < best:
-            best = cand
-            best_r = r
-    g = prefix * Word(group, letters[:best_r])
-    return (Word(group, letters[best_r:] + letters[:best_r]),), g
+    n = len(letters)
+    if n <= 1:
+        return (core,), prefix
+    keys = [2 * i + (s < 0) for i, s in letters]
+    low, doubled = min(keys), keys + keys
+    r = min((k for k in range(n) if keys[k] == low), key=lambda k: doubled[k : k + n])
+    if r == 0:
+        return (core,), prefix
+    group, cut = w.group, len(prefix) + r
+    return (Word(group, letters[r:] + letters[:r]),), Word(group, w.letters[:cut])
 
 
 def _canonical_plateau(group: FreeGroup, words: Tuple[Word, ...]):
-    letters = [(i, s) for i in range(group.rank) for s in (1, -1)]
-    current = tuple(w.letters for w in words)
-    g: list = []
-
-    def total(tup):
-        return sum(len(ls) for ls in tup)
-
-    improved = True
-    while improved:
-        improved = False
-        base = total(current)
-        for letter in letters:
-            cand = tuple(_conj_letters(ls, letter) for ls in current)
-            if total(cand) < base:
-                current = cand
-                g.append(letter)
-                improved = True
-                break
-    best_len = total(current)
+    rank = group.rank
+    current, g = _descend(tuple(w.letters for w in words), rank)
     seen = {current: tuple(g)}
     queue = [current]
     while queue:
         tup = queue.pop()
         base_g = seen[tup]
-        for letter in letters:
-            cand = tuple(_conj_letters(ls, letter) for ls in tup)
-            if total(cand) == best_len and cand not in seen:
-                seen[cand] = base_g + (letter,)
-                queue.append(cand)
-    best = min(seen, key=lambda tup: tuple(_tuple_key(ls) for ls in tup))
+        k, hits = _end_hits(tup, rank)
+        for x, h in enumerate(hits):
+            if h == k:
+                l = (x >> 1, -1 if x & 1 else 1)
+                cand = tuple(_conj_letters(ls, l) for ls in tup)
+                if cand not in seen:
+                    seen[cand] = base_g + (l,)
+                    queue.append(cand)
+    # least in the order of `Word.key`, with the int letter key 2i + (s < 0)
+    best = min(seen, key=lambda t: [(len(ls), [2 * i + (s < 0) for i, s in ls]) for ls in t])
     conj = Word(group, reduce_letters(seen[best]))
     return tuple(Word(group, ls) for ls in best), conj
-

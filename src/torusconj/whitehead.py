@@ -26,6 +26,7 @@ from .freegroup import (
     Letter,
     Word,
     canonical_conjugate,
+    conjugacy_length,
     is_automorphism,
     reduce_letters,
 )
@@ -36,23 +37,22 @@ from .freegroup import (
 
 @dataclass(frozen=True)
 class Marking:
-    """Ordered tuple of canonical simultaneous-conjugacy classes."""
+    """Ordered tuple of canonical simultaneous-conjugacy classes, canonical
+    by construction: build one with `of`, `parse`, `apply` or a move's
+    `apply_marking`, which canonicalize each class once; nothing else does."""
 
     group: FreeGroup
     classes: Tuple[Tuple[Word, ...], ...]
 
     @staticmethod
     def of(group: FreeGroup, classes: Iterable[Iterable[Word]]) -> "Marking":
-        canonical = []
-        for entry in classes:
-            words = tuple(entry)
+        classes = [tuple(entry) for entry in classes]
+        for words in classes:
             if not words:
                 raise DomainError("empty tuple entry in a marking")
-            for w in words:
-                if w.group != group:
-                    raise DomainError("marking word over the wrong group")
-            canonical.append(canonical_conjugate(words)[0])
-        return Marking(group, tuple(canonical))
+            if any(w.group != group for w in words):
+                raise DomainError("marking word over the wrong group")
+        return _canonical_marking(group, classes)
 
     def total_length(self) -> int:
         return sum(len(w) for entry in self.classes for w in entry)
@@ -80,10 +80,6 @@ class Marking:
         return f"<Marking {self.format()}>"
 
 
-def total_length(m: Marking) -> int:
-    return m.total_length()
-
-
 # ---------------------------------------------------------------------------
 # the Whitehead move alphabet
 
@@ -97,12 +93,7 @@ class WhiteheadMove:
     aut: FreeAut
 
     def apply_marking(self, m: Marking) -> Marking:
-        table = _letter_table(self.aut)
-        classes = []
-        for entry in m.classes:
-            words = tuple(_apply_table(table, w) for w in entry)
-            classes.append(canonical_conjugate(words)[0])
-        return Marking(m.group, tuple(classes))
+        return _canonical_marking(m.group, _image_classes(self, m))
 
     def __repr__(self):
         return f"<WhiteheadMove {self.kind} {self.data}>"
@@ -115,6 +106,16 @@ def _letter_table(aut: FreeAut) -> Dict[Letter, Tuple[Letter, ...]]:
         table[(i, 1)] = img.letters
         table[(i, -1)] = img.inverse().letters
     return table
+
+
+def _canonical_marking(group: FreeGroup, classes: Iterable[Tuple[Word, ...]]) -> Marking:
+    return Marking(group, tuple(canonical_conjugate(words)[0] for words in classes))
+
+
+def _image_classes(move: WhiteheadMove, m: Marking) -> List[Tuple[Word, ...]]:
+    """The move's image of each class of `m`, not yet canonical."""
+    table = _letter_table(move.aut)
+    return [tuple(_apply_table(table, w) for w in entry) for entry in m.classes]
 
 
 def _apply_table(table, w: Word) -> Word:
@@ -233,7 +234,8 @@ def _moves_changing_length(
     """(move, move(m)) for each type-II move of the alphabet, in order, whose
     length change passes `keep`; type-I moves never change length.
     Single-word classes apply only those moves; classes of several words
-    apply every type-II move and measure the image."""
+    apply every type-II move, measure each image by `conjugacy_length` and
+    canonicalize only the images kept."""
     moves = move_alphabet(m.group)
     changes = _length_changes(m)
     if changes is None:
@@ -241,9 +243,9 @@ def _moves_changing_length(
         for move in moves:
             if move.kind == "perm":
                 continue
-            image = move.apply_marking(m)
-            if keep(image.total_length() - length):
-                yield move, image
+            images = _image_classes(move, m)
+            if keep(sum(map(conjugacy_length, images)) - length):
+                yield move, _canonical_marking(m.group, images)
         return
     for move, change in zip(moves, changes):
         if move.kind == "mult" and keep(change):
@@ -257,7 +259,7 @@ def _moves_changing_length(
 def minimize(m: Marking) -> Tuple[Marking, List[WhiteheadMove]]:
     """Greedy descent to a length-minimal marking; peak reduction makes the
     first strictly shortening move in the fixed enumeration sufficient."""
-    current = Marking.of(m.group, m.classes)
+    current = m
     applied: List[WhiteheadMove] = []
     while True:
         step = next(_moves_changing_length(current, lambda change: change < 0), None)
@@ -286,8 +288,6 @@ def same_orbit(m1: Marking, m2: Marking, group="aut") -> Tuple[bool, Optional[Fr
         raise DomainError(f"unknown automorphism-group descriptor {group!r}")
     if m1.group != m2.group:
         raise DomainError("markings over different groups")
-    m1 = Marking.of(m1.group, m1.classes)
-    m2 = Marking.of(m2.group, m2.classes)
     if len(m1.classes) != len(m2.classes):
         return False, None
     if tuple(len(e) for e in m1.classes) != tuple(len(e) for e in m2.classes):
@@ -375,24 +375,16 @@ class ProductMarking:
 
     @staticmethod
     def of(product: ProductGroup, classes) -> "ProductMarking":
-        canonical = []
-        for entry in classes:
-            entry = tuple(entry)
-            if not entry:
-                raise DomainError("empty tuple entry in a marking")
-            words = tuple(w for w, _ in entry)
-            centers = tuple(k for _, k in entry)
-            for w in words:
-                if w.group != product.free:
-                    raise DomainError("marking word over the wrong group")
-            canon, _ = canonical_conjugate(words)
-            canonical.append(tuple(zip(canon, centers)))
-        return ProductMarking(product, tuple(canonical))
+        classes = [tuple(entry) for entry in classes]
+        h = Marking.of(product.free, [[w for w, _ in entry] for entry in classes])
+        return ProductMarking(product, tuple(
+            tuple((w, k) for w, (_, k) in zip(canon, entry))
+            for canon, entry in zip(h.classes, classes)
+        ))
 
     def h_marking(self) -> Marking:
-        return Marking.of(
-            self.product.free, [[w for w, _ in entry] for entry in self.classes]
-        )
+        # the H-parts, which `of` has canonicalized
+        return Marking(self.product.free, tuple(tuple(w for w, _ in e) for e in self.classes))
 
     def centers(self) -> Tuple[Tuple[int, ...], ...]:
         return tuple(tuple(k for _, k in entry) for entry in self.classes)

@@ -200,54 +200,57 @@ class TestMalformedInput:
         return text.partition("[jsj]\n")[2]
 
     def _check_mutants(self, name, mutate, tmp_path, capsys):
-        """Runs conj-ung on each (line, mutated alpha text) of `mutate`."""
+        """Runs conj-ung on each (line, mutated text) of `mutate`, applied
+        to `alpha.txt` and then to `beta.txt`, the other side unchanged."""
         folder = DATA / name
-        lines = (folder / "alpha.txt").read_text().splitlines(keepends=True)
-        beta = folder / "beta.txt"
-        jsj_b = tmp_path / "jsj_b.txt"
-        jsj_b.write_text(self._jsj_part(beta.read_text()))
-        alpha = tmp_path / "alpha.txt"
-        jsj_a = tmp_path / "jsj_a.txt"
+        originals = {side: (folder / f"{side}.txt").read_text() for side in ("alpha", "beta")}
+        paths = {side: tmp_path / f"{side}.txt" for side in originals}
+        jsj = {side: tmp_path / f"jsj_{side}.txt" for side in originals}
         witness = tmp_path / "witness.txt"
-        verified = 0
-        for line, mutated in mutate(lines):
-            alpha.write_text(mutated)
-            witness.unlink(missing_ok=True)
-            code, out, err = run_cli(
-                [
-                    "conj-ung",
-                    "--alpha",
-                    str(alpha),
-                    "--beta",
-                    str(beta),
-                    "--whitelists",
-                    str(folder / "whitelists.txt"),
-                    "--witness-out",
-                    str(witness),
-                ],
-                capsys,
-            )
-            assert code in (0, 1, 2), line
-            assert (code == 1) == ("input error" in err), line
-            if code == 0 and "status: conjugate" in out:
-                jsj_a.write_text(self._jsj_part(mutated))
-                code, out, _ = run_cli(
+        for side in originals:
+            texts = dict(originals)
+            verified = 0
+            for line, mutated in mutate(originals[side].splitlines(keepends=True)):
+                texts[side] = mutated
+                for s in texts:
+                    paths[s].write_text(texts[s])
+                witness.unlink(missing_ok=True)
+                code, out, err = run_cli(
                     [
-                        "verify-witness",
-                        "--jsj-a",
-                        str(jsj_a),
-                        "--jsj-b",
-                        str(jsj_b),
-                        "--witness",
+                        "conj-ung",
+                        "--alpha",
+                        str(paths["alpha"]),
+                        "--beta",
+                        str(paths["beta"]),
+                        "--whitelists",
+                        str(folder / "whitelists.txt"),
+                        "--witness-out",
                         str(witness),
                     ],
                     capsys,
                 )
-                assert code == 0 and "witness verified" in out, line
-                verified += 1
-        if (folder / "expected.txt").read_text().strip() == "conjugate":
-            # the reader skips the [tree] section, so its mutants keep the verdict
-            assert verified > 0
+                assert code in (0, 1, 2), (side, line)
+                assert (code == 1) == ("input error" in err), (side, line)
+                if code == 0 and "status: conjugate" in out:
+                    for s in texts:
+                        jsj[s].write_text(self._jsj_part(texts[s]))
+                    code, out, _ = run_cli(
+                        [
+                            "verify-witness",
+                            "--jsj-a",
+                            str(jsj["alpha"]),
+                            "--jsj-b",
+                            str(jsj["beta"]),
+                            "--witness",
+                            str(witness),
+                        ],
+                        capsys,
+                    )
+                    assert code == 0 and "witness verified" in out, (side, line)
+                    verified += 1
+            if (folder / "expected.txt").read_text().strip() == "conjugate":
+                # the reader skips the [tree] section, so its mutants keep the verdict
+                assert verified > 0, side
 
     @pytest.mark.parametrize("name", CONJ_UNG_FOLDERS)
     def test_line_deletions(self, name, tmp_path, capsys):

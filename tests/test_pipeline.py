@@ -521,6 +521,49 @@ class TestBlockRelabel:
         assert verify_witness(jsj_a, jsj_b, verdict.witness)
 
 
+class TestDecideSwapSides:
+    """Swapping the sides, with the whitelist inverted, keeps decide's
+    status; every positive, either way round, passes verify_witness."""
+
+    @staticmethod
+    def _assert_swap(jsj_a, jsj_b, whitelist, expected=None):
+        forward = decide(jsj_a, jsj_b, whitelist)
+        backward = decide(jsj_b, jsj_a, invert_whitelist(whitelist))
+        assert backward.status == forward.status
+        if expected is not None:
+            assert forward.status == expected
+        if forward.status == "isomorphic-fop":
+            assert verify_witness(jsj_a, jsj_b, forward.witness)
+            assert verify_witness(jsj_b, jsj_a, backward.witness)
+        return forward.status
+
+    @pytest.mark.parametrize("name", ["12_orientation_shift", "13_parity_obstruction"])
+    def test_corpus(self, name):
+        folder = CORPUS / name
+        jsj_a = parse_jsj((folder / "jsj_a.txt").read_text())
+        jsj_b = parse_jsj((folder / "jsj_b.txt").read_text())
+        whitelist = parse_whitelist((folder / "whitelists.txt").read_text(), jsj_a, jsj_b)
+        self._assert_swap(jsj_a, jsj_b, whitelist, (folder / "expected.txt").read_text().strip())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_blocks(self, seed):
+        # rank 1 gives Z^2 black slots with three blocks, rank 2 F_2 x Z
+        # with two; b is a relabelling of a, then a with one block retwisted
+        rng = random.Random(f"swap-{seed}")
+        rank = 1 + seed % 2
+        letters = [f"x{i}{s}" for i in range(rank) for s in ("", "'")]
+        twists = [" ".join(rng.choices(letters, k=rng.randint(1, 2))) for _ in range(4 - rank)]
+        jsj_a = twistor_jsj(rank, twists)
+        perm = list(range(len(twists)))
+        rng.shuffle(perm)
+        relabelled = relabel_blocks(jsj_a, perm)
+        self._assert_swap(jsj_a, relabelled, _block_whitelist(jsj_a, relabelled), "isomorphic-fop")
+        retwisted = list(twists)
+        retwisted[rng.randrange(len(twists))] = " ".join(rng.choices(letters, k=3))
+        jsj_b = twistor_jsj(rank, retwisted)
+        self._assert_swap(jsj_a, jsj_b, _block_whitelist(jsj_a, jsj_b))
+
+
 def assert_conj_ung(a, b, whitelist, expected):
     """conj_ung answers `expected`; a `conjugate` answer carries a witness
     that verify_witness accepts."""

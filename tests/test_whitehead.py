@@ -18,7 +18,6 @@ from torusconj.whitehead import (
     move_alphabet,
     mwp_product,
     same_orbit,
-    total_length,
 )
 
 from .helpers import random_word
@@ -56,17 +55,17 @@ def bfs_oracle(m1, m2, max_moves, length_cap):
 
 class TestTotalLength:
     def test_two_singletons(self):
-        assert total_length(marking("[ a ]", "[ b ]")) == 2
+        assert marking("[ a ]", "[ b ]").total_length() == 2
 
     def test_single_word(self):
-        assert total_length(marking("[ a b a b ]")) == 4
+        assert marking("[ a b a b ]").total_length() == 4
 
     def test_conjugation_removed(self):
         # canonical form minimizes over simultaneous conjugation
-        assert total_length(marking("[ b a b' ]")) == 1
+        assert marking("[ b a b' ]").total_length() == 1
 
     def test_empty_marking(self):
-        assert total_length(Marking.of(F2, [])) == 0
+        assert Marking.of(F2, []).total_length() == 0
 
 
 class TestMinimize:

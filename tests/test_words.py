@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,10 +10,18 @@ from torusconj.freegroup import (
     FreeGroup,
     Word,
     canonical_conjugate,
+    conjugacy_length,
     is_conjugate,
     primitive_root,
     reduce_letters,
     root_power,
+)
+
+from torusconj.freegroup.words import (
+    _canonical_plateau,
+    _canonical_single,
+    _conj_letters,
+    _end_hits,
 )
 
 from .helpers import random_word
@@ -146,3 +156,81 @@ class TestCanonicalConjugate:
             tup = tuple(random_word(rng, F2, 5) for _ in range(3))
             canon, g = canonical_conjugate(tup)
             assert tuple(w.conjugate(g) for w in tup) == canon
+
+
+def _seeded_words(rng, group, count):
+    """Random words, and conjugates of proper powers, most of them not
+    cyclically reduced, together with the identity and every length-1 word."""
+    words = [group.identity()] + [group.word([(i, s)]) for i in range(group.rank) for s in (1, -1)]
+    for _ in range(count):
+        w = random_word(rng, group, 10)
+        if rng.random() < 0.3:
+            w = (w ** rng.randint(2, 3)).conjugate(random_word(rng, group, 4))
+        words.append(w)
+    return words
+
+
+class TestCanonicalForms:
+    """The direct forms agree with the letter-by-letter plateau search."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_single_matches_plateau(self, rank):
+        group = FreeGroup(rank)
+        words = _seeded_words(random.Random(rank), group, 400)
+        assert rank == 1 or any(w.cyclic_reduction()[0].letters for w in words)
+        for w in words:
+            single, g = _canonical_single(w)
+            plateau, h = _canonical_plateau(group, (w,))
+            assert single == plateau
+            # a conjugator is unique up to the centralizer of w, which is
+            # nontrivial; the direct one is the prefix of w up to the rotation
+            assert w.conjugate(g) == single[0] == w.conjugate(h)
+            assert g.letters == w.letters[: len(g)]
+
+    def test_canonical_input_is_returned_itself(self):
+        w = F2.parse("a b a b'")
+        assert canonical_conjugate((w,))[0][0] is w
+        assert canonical_conjugate((F2.identity(),))[1].is_identity()
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_end_letter_change_is_measured_change(self, rank):
+        group = FreeGroup(rank)
+        rng = random.Random(10 + rank)
+        alphabet = [(i, s) for i in range(rank) for s in (1, -1)]
+        for _ in range(300):
+            tup = tuple(random_word(rng, group, 6).letters for _ in range(rng.randint(1, 3)))
+            k, hits = _end_hits(tup, rank)
+            for x, l in enumerate(alphabet):
+                measured = sum(len(_conj_letters(ls, l)) - len(ls) for ls in tup)
+                assert 2 * (k - hits[x]) == measured
+                letter = group.word([l])
+                assert measured == sum(
+                    len(group.word(ls).conjugate(letter)) - len(ls) for ls in tup
+                )
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_descent_length_is_canonical_length(self, rank):
+        group = FreeGroup(rank)
+        rng = random.Random(20 + rank)
+        for _ in range(300):
+            tup = tuple(_seeded_words(rng, group, 3)[-rng.randint(1, 3):])
+            canon, _ = canonical_conjugate(tup)
+            assert conjugacy_length(tup) == sum(len(w) for w in canon)
+
+    def test_no_memory_retained(self):
+        # canonical forms are computed, not remembered: results of fresh
+        # words leave nothing behind once dropped
+        rng = random.Random(4)
+        F3 = FreeGroup(3)
+        canonical_conjugate((F3.parse("a b"),))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(20_000):
+                canonical_conjugate((random_word(rng, F3, 12),))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1_000_000
