@@ -7,6 +7,7 @@ equality coincides with based labeled-graph isomorphism.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
@@ -118,54 +119,51 @@ class SubgroupGraph:
         nedges = sum(1 for row in self.fwd for t in row if t is not None)
         return nedges - self.nstates + 1
 
-    def intersect(self, other: "SubgroupGraph", state_budget: int = STATE_BUDGET_DEFAULT) -> "SubgroupGraph":
-        """Fiber product over the base states, cored and canonicalized."""
-        if self.group != other.group:
+    def intersect(self, *others: "SubgroupGraph", state_budget: int = STATE_BUDGET_DEFAULT) -> "SubgroupGraph":
+        """Fiber product of this graph and all of ``others`` over their base
+        states, cored and canonicalized: the intersection of the subgroups.
+
+        One walk over tuples of states.  It goes backward too, to find the
+        whole component of the base, unless every graph is complete: each
+        generator then permutes the tuples, so walking forward reaches them all.
+        """
+        graphs = (self,) + others
+        if any(g.group != self.group for g in others):
             raise DomainError("graphs over different groups")
         rank = self.group.rank
-        start = (self.base, other.base)
-        numbering = {start: 0}
-        order = [start]
-        queue = deque([start])
+        steps = [(i, True, [g.fwd[i] for g in graphs]) for i in range(rank)]
+        if not all(g.is_complete() for g in graphs):
+            steps += [(i, False, [g.bwd[i] for g in graphs]) for i in range(rank)]
+        order = [(self.base,) * len(graphs)]
+        numbering = {order[0]: 0}
         edges: List[Tuple[int, int, int]] = []
-        while queue:
-            s1, s2 = queue.popleft()
-            for i in range(rank):
-                t1, t2 = self.fwd[i][s1], other.fwd[i][s2]
-                if t1 is None or t2 is None:
+        for k, state in enumerate(order):  # order grows as the walk finds states
+            for i, forward, rows in steps:
+                neighbour = tuple(map(tuple.__getitem__, rows, state))
+                if None in neighbour:
                     continue
-                target = (t1, t2)
-                if target not in numbering:
-                    if len(numbering) >= state_budget:
-                        raise ResourceError(
-                            f"fiber product exceeded the state budget of {state_budget}"
-                        )
-                    numbering[target] = len(order)
-                    order.append(target)
-                    queue.append(target)
-                edges.append((numbering[(s1, s2)], i, numbering[target]))
-            # walk backward transitions too so the whole component is found
-            for i in range(rank):
-                t1, t2 = self.bwd[i][s1], other.bwd[i][s2]
-                if t1 is None or t2 is None:
-                    continue
-                source = (t1, t2)
-                if source not in numbering:
-                    if len(numbering) >= state_budget:
-                        raise ResourceError(
-                            f"fiber product exceeded the state budget of {state_budget}"
-                        )
-                    numbering[source] = len(order)
-                    order.append(source)
-                    queue.append(source)
-                edges.append((numbering[source], i, numbering[(s1, s2)]))
+                n = numbering.get(neighbour)
+                if n is None:
+                    if len(order) >= state_budget:
+                        raise ResourceError(f"fiber product exceeded the state budget of {state_budget}")
+                    n = numbering[neighbour] = len(order)
+                    order.append(neighbour)
+                edges.append((k, i, n) if forward else (n, i, k))
         fwd = [[None] * len(order) for _ in range(rank)]
         for u, i, v in edges:
             fwd[i][u] = v
         return _core_and_canonicalize(self.group, len(order), fwd, 0)
 
-    def image_under(self, aut: FreeAut) -> "SubgroupGraph":
-        return fold(self.group, [aut.apply(g) for g in self.generators()])
+    def preimage_under(self, aut: FreeAut) -> "SubgroupGraph":
+        """The graph of aut^-1(H) for a finite-index H: the stabilizer of the
+        base when generator i acts as the word aut(x_i) (Stallings' pullback)."""
+        if not self.is_complete():
+            raise DomainError("preimage requires a finite-index subgroup")
+        if aut.group != self.group:
+            raise DomainError("automorphism of a different group")
+        states = range(self.nstates)
+        fwd = [[functools.reduce(self.step, w.letters, s) for s in states] for w in aut.images]
+        return _core_and_canonicalize(self.group, self.nstates, fwd, self.base)
 
     def serialize(self) -> str:
         lines = [f"base: {self.base}"]
@@ -214,21 +212,21 @@ class SubgroupGraph:
 def _core_and_canonicalize(group, nstates, fwd, base) -> SubgroupGraph:
     rank = group.rank
     bwd = [[None] * nstates for _ in range(rank)]
+    degree = [0] * nstates
     for i in range(rank):
         for s in range(nstates):
-            if fwd[i][s] is not None:
-                bwd[i][fwd[i][s]] = s
+            t = fwd[i][s]
+            if t is not None:
+                bwd[i][t] = s
+                degree[s] += 1
+                degree[t] += 1
 
-    def degree(s):
-        return sum(1 for i in range(rank) if fwd[i][s] is not None) + sum(
-            1 for i in range(rank) if bwd[i][s] is not None
-        )
-
+    # prune hanging trees; a degree only falls, so a queued state stays prunable
     alive = [True] * nstates
-    queue = deque(s for s in range(nstates) if s != base and degree(s) <= 1)
+    queue = deque(s for s in range(nstates) if s != base and degree[s] <= 1)
     while queue:
         s = queue.popleft()
-        if not alive[s] or s == base or degree(s) > 1:
+        if not alive[s]:
             continue
         alive[s] = False
         for i in range(rank):
@@ -236,13 +234,15 @@ def _core_and_canonicalize(group, nstates, fwd, base) -> SubgroupGraph:
             if t is not None:
                 fwd[i][s] = None
                 bwd[i][t] = None
-                if t != base and degree(t) <= 1:
+                degree[t] -= 1
+                if t != base and degree[t] <= 1:
                     queue.append(t)
             u = bwd[i][s]
             if u is not None:
                 bwd[i][s] = None
                 fwd[i][u] = None
-                if u != base and degree(u) <= 1:
+                degree[u] -= 1
+                if u != base and degree[u] <= 1:
                     queue.append(u)
 
     # canonical renumbering: BFS from base, letters in fixed order
@@ -521,10 +521,8 @@ def congruence_kernel(
         inner = congruence_kernel(inner_group, m, state_budget)
         translated = [_substitute(w, basis, ambient.group) for w in inner.generators()]
         return fold(ambient.group, translated)
-    group: FreeGroup = ambient
-    result = whole_group_graph(group)
-    for sub in subgroups_of_index_at_most(group, m):
-        result = result.intersect(sub, state_budget=state_budget)
+    whole, *subgroups = subgroups_of_index_at_most(ambient, m)
+    result = whole.intersect(*subgroups, state_budget=state_budget)
     if auts is not None and not is_characteristic(result, auts):
         raise DomainError("congruence kernel failed the characteristic check")
     return result
@@ -538,18 +536,12 @@ def _substitute(w: Word, images: Sequence[Word], target: FreeGroup) -> Word:
 
 
 def is_characteristic(h: SubgroupGraph, auts: Sequence[FreeAut]) -> bool:
-    """True iff every generator image under every aut stays in h.
+    """True iff aut^-1(H) == H for every aut.
 
-    Requires finite index; there phi(H) <= H forces phi(H) == H, so the
-    one-sided check suffices when the auts generate the automorphism group.
+    Requires finite index; there phi(H) <= H, phi(H) == H and
+    phi^-1(H) == H are equivalent, so one test per aut suffices when the
+    auts generate the automorphism group.
     """
     if not h.is_complete():
         raise DomainError("characteristic check requires a finite-index subgroup")
-    gens = h.generators()
-    for aut in auts:
-        if aut.group != h.group:
-            raise DomainError("automorphism of a different group")
-        for g in gens:
-            if not h.membership(aut.apply(g)):
-                return False
-    return True
+    return all(h.preimage_under(aut) == h for aut in auts)

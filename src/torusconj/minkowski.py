@@ -20,7 +20,6 @@ from .freegroup import (
     SubgroupGraph,
     Word,
     fold,
-    inner_conjugator,
     is_automorphism,
     is_characteristic,
     nielsen_generators,
@@ -339,18 +338,19 @@ def _gl_conjugacy_invariant(aut: FreeAut, order: int) -> tuple:
     mat = aut.abelianized()
     n = len(mat)
     invariants = [order]
-    power = [row[:] for row in mat]
+    power = mat
     for _ in range(order):
         delta = [
             [power[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)
         ]
         d, _, _ = smith_normal_form(delta)
         invariants.append(tuple(abs(d[i][i]) for i in range(n)))
-        power = [
-            [sum(power[i][t] * mat[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
+        power = _mat_mul(power, mat)
     return tuple(invariants)
+
+
+def _mat_mul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def culler_reps(rank: int, rank_bound: int = RANK_BOUND_DEFAULT) -> List[TorsionRep]:
@@ -400,12 +400,17 @@ def _symmetry_order(sym: GraphSymmetry) -> int:
 
 
 def _outer_order_bounded(aut: FreeAut, symmetry_order: int) -> int:
-    """The outer order divides the symmetry order; check its divisors."""
-    divisors = [d for d in range(1, symmetry_order + 1) if symmetry_order % d == 0]
-    for d in divisors:
-        power = aut ** d
-        if inner_conjugator(power) is not None:
+    """The order of aut's abelianization, which divides the symmetry order.
+
+    For an aut of finite outer order this is the outer order: the kernel of
+    Out(F_n) -> GL_n(Z) is torsion-free (Baumslag-Taylor, 1968).
+    """
+    mat = power = aut.abelianized()
+    identity = FreeAut.identity(aut.group).abelianized()
+    for d in range(1, symmetry_order + 1):
+        if power == identity and symmetry_order % d == 0:
             return d
+        power = _mat_mul(power, mat)
     raise AssertionError("outer order must divide the symmetry order")
 
 
@@ -432,21 +437,24 @@ def separate(aut: FreeAut, degree_bound: int = 5, length_bound: int = 3):
     budget is exhausted.
     """
     group = aut.group
-    words_by_length = {
-        l: list(group.words_of_length(l)) for l in range(1, length_bound + 1)
-    }
+    # (g, aut(g)) per length, listed the first time the search reaches it
+    words_by_length: Dict[int, List[Tuple[Word, Word]]] = {}
     for cost in range(3, length_bound + degree_bound + 1):
         for length in range(1, length_bound + 1):
             degree = cost - length
             if degree < 2 or degree > degree_bound:
                 continue
+            if length not in words_by_length:
+                words_by_length[length] = [
+                    (g, aut.apply(g)) for g in group.words_of_length(length)
+                ]
             for perms in itertools.product(
                 sorted(itertools.permutations(range(degree))), repeat=group.rank
             ):
                 quotient = FiniteQuotient(group, degree, perms)
-                for g in words_by_length[length]:
+                for g, g_a in words_by_length[length]:
                     img = quotient.image_of(g)
-                    img_a = quotient.image_of(aut.apply(g))
+                    img_a = quotient.image_of(g_a)
                     if img == img_a:
                         continue
                     if not quotient.conjugate_in_image(img, img_a):
@@ -486,10 +494,8 @@ class CongruenceCertificate:
             if q.conjugate_in_image(img, img_a):
                 return False
             # the certified kernel must sit inside the witness kernel
-            kernel_q = q.kernel_graph()
-            for gen in self.kernel.generators():
-                if not kernel_q.membership(gen):
-                    return False
+            if self.kernel.intersect(q.kernel_graph()) != self.kernel:
+                return False
         return True
 
     def serialize(self) -> str:
@@ -527,24 +533,26 @@ def characteristic_closure(
 
     The orbit of a finite-index subgroup under the Nielsen generators is
     finite; the intersection is the largest characteristic subgroup inside
-    all of its images.
+    all of its images.  Each generator permutes the finitely many subgroups
+    of a given index, so closing under their preimages gives the same orbit
+    as closing under their images.
     """
+    if not graph.is_complete():
+        raise DomainError("characteristic closure requires a finite-index subgroup")
     auts = nielsen_generators(graph.group)
     orbit = {graph}
     frontier = [graph]
     while frontier:
         g = frontier.pop()
         for aut in auts:
-            image = g.image_under(aut)
-            if image not in orbit:
+            preimage = g.preimage_under(aut)
+            if preimage not in orbit:
                 if len(orbit) > 512:
                     raise ResourceError("Aut-orbit of the kernel exceeded 512 subgroups")
-                orbit.add(image)
-                frontier.append(image)
-    result = None
-    for g in sorted(orbit, key=lambda x: (x.nstates, x.fwd)):
-        result = g if result is None else result.intersect(g, state_budget=state_budget)
-    return result
+                orbit.add(preimage)
+                frontier.append(preimage)
+    first, *rest = sorted(orbit, key=lambda x: (x.nstates, x.fwd))
+    return first.intersect(*rest, state_budget=state_budget)
 
 
 def certify(rank: int, budgets: Budgets = Budgets()):
@@ -565,9 +573,7 @@ def certify(rank: int, budgets: Budgets = Budgets()):
     if not kernels:
         kernel = fold(group, group.generators())
     else:
-        merged = kernels[0]
-        for k in kernels[1:]:
-            merged = merged.intersect(k, state_budget=budgets.state_budget)
+        merged = kernels[0].intersect(*kernels[1:], state_budget=budgets.state_budget)
         kernel = characteristic_closure(merged, budgets.state_budget)
     certificate = CongruenceCertificate(group, kernel, tuple(entries))
     if not certificate.verify():

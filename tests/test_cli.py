@@ -186,73 +186,69 @@ class TestConjUngCommand:
         assert "input error" in err
 
 
-CONJ_UNG_FOLDERS = sorted(f.name for f in DATA.iterdir() if (f / "alpha.txt").exists())
+CORPUS_FOLDERS = sorted(f.name for f in DATA.iterdir() if (f / "kind.txt").exists())
 
 
 class TestMalformedInput:
-    """Deleting or duplicating any one line of a conj-ung side file, or
-    swapping the first two tokens of a line, gives a verdict or an input
-    error, never a traceback; every positive verdict still carries a
-    witness that `verify-witness` accepts."""
+    """Deleting or duplicating any one line of an input file, or swapping
+    the first two tokens of a line, gives a verdict or an input error, never
+    a traceback; every positive verdict still carries a witness that
+    `verify-witness` accepts.  Conj-ung instances mutate `alpha.txt` and
+    `beta.txt`; decide instances mutate `jsj_a.txt` and `whitelists.txt`."""
 
     @staticmethod
     def _jsj_part(text):
         return text.partition("[jsj]\n")[2]
 
     def _check_mutants(self, name, mutate, tmp_path, capsys):
-        """Runs conj-ung on each (line, mutated text) of `mutate`, applied
-        to `alpha.txt` and then to `beta.txt`, the other side unchanged."""
+        """Runs the instance's command on each (line, mutated text) of
+        `mutate`, applied to each mutated file in turn, the others unchanged."""
         folder = DATA / name
-        originals = {side: (folder / f"{side}.txt").read_text() for side in ("alpha", "beta")}
-        paths = {side: tmp_path / f"{side}.txt" for side in originals}
-        jsj = {side: tmp_path / f"jsj_{side}.txt" for side in originals}
+        decide = (folder / "kind.txt").read_text().strip() == "decide"
+        files = ("jsj_a", "whitelists") if decide else ("alpha", "beta")
+        originals = {f: (folder / f"{f}.txt").read_text() for f in files}
+        paths = {f: tmp_path / f"{f}.txt" for f in files}
         witness = tmp_path / "witness.txt"
-        for side in originals:
+        if decide:
+            argv = ["decide", "--jsj-a", str(paths["jsj_a"]), "--jsj-b", str(folder / "jsj_b.txt")]
+            argv += ["--whitelists", str(paths["whitelists"])]
+            jsj = {"a": paths["jsj_a"], "b": folder / "jsj_b.txt"}
+            positive = "isomorphic-fop"
+        else:
+            argv = ["conj-ung", "--alpha", str(paths["alpha"]), "--beta", str(paths["beta"])]
+            argv += ["--whitelists", str(folder / "whitelists.txt")]
+            jsj = {"a": tmp_path / "jsj_alpha.txt", "b": tmp_path / "jsj_beta.txt"}
+            positive = "conjugate"
+        argv += ["--witness-out", str(witness)]
+        for mutated_file in files:
             texts = dict(originals)
             verified = 0
-            for line, mutated in mutate(originals[side].splitlines(keepends=True)):
-                texts[side] = mutated
-                for s in texts:
-                    paths[s].write_text(texts[s])
+            for line, mutated in mutate(originals[mutated_file].splitlines(keepends=True)):
+                texts[mutated_file] = mutated
+                for f in files:
+                    paths[f].write_text(texts[f])
                 witness.unlink(missing_ok=True)
-                code, out, err = run_cli(
-                    [
-                        "conj-ung",
-                        "--alpha",
-                        str(paths["alpha"]),
-                        "--beta",
-                        str(paths["beta"]),
-                        "--whitelists",
-                        str(folder / "whitelists.txt"),
-                        "--witness-out",
-                        str(witness),
-                    ],
-                    capsys,
-                )
-                assert code in (0, 1, 2), (side, line)
-                assert (code == 1) == ("input error" in err), (side, line)
-                if code == 0 and "status: conjugate" in out:
-                    for s in texts:
-                        jsj[s].write_text(self._jsj_part(texts[s]))
+                code, out, err = run_cli(argv, capsys)
+                where = (mutated_file, line)
+                assert code in (0, 1, 2), where
+                assert (code == 1) == ("input error" in err), where
+                if code == 0 and f"status: {positive}" in out:
+                    if not decide:
+                        jsj["a"].write_text(self._jsj_part(texts["alpha"]))
+                        jsj["b"].write_text(self._jsj_part(texts["beta"]))
                     code, out, _ = run_cli(
-                        [
-                            "verify-witness",
-                            "--jsj-a",
-                            str(jsj["alpha"]),
-                            "--jsj-b",
-                            str(jsj["beta"]),
-                            "--witness",
-                            str(witness),
-                        ],
+                        ["verify-witness", "--jsj-a", str(jsj["a"]), "--jsj-b", str(jsj["b"]),
+                         "--witness", str(witness)],
                         capsys,
                     )
-                    assert code == 0 and "witness verified" in out, (side, line)
+                    assert code == 0 and "witness verified" in out, where
                     verified += 1
-            if (folder / "expected.txt").read_text().strip() == "conjugate":
+            expected = (folder / "expected.txt").read_text().strip()
+            if expected == positive and "[tree]\n" in originals[mutated_file]:
                 # the reader skips the [tree] section, so its mutants keep the verdict
-                assert verified > 0, side
+                assert verified > 0, mutated_file
 
-    @pytest.mark.parametrize("name", CONJ_UNG_FOLDERS)
+    @pytest.mark.parametrize("name", CORPUS_FOLDERS)
     def test_line_deletions(self, name, tmp_path, capsys):
         def deletions(lines):
             for i, line in enumerate(lines):
@@ -260,7 +256,7 @@ class TestMalformedInput:
 
         self._check_mutants(name, deletions, tmp_path, capsys)
 
-    @pytest.mark.parametrize("name", CONJ_UNG_FOLDERS)
+    @pytest.mark.parametrize("name", CORPUS_FOLDERS)
     def test_line_duplications(self, name, tmp_path, capsys):
         def duplications(lines):
             for i, line in enumerate(lines):
@@ -268,7 +264,7 @@ class TestMalformedInput:
 
         self._check_mutants(name, duplications, tmp_path, capsys)
 
-    @pytest.mark.parametrize("name", CONJ_UNG_FOLDERS)
+    @pytest.mark.parametrize("name", CORPUS_FOLDERS)
     def test_token_swaps(self, name, tmp_path, capsys):
         def swaps(lines):
             for i, line in enumerate(lines):

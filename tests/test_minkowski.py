@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -15,6 +16,8 @@ from torusconj.minkowski import (
     Budgets,
     CongruenceCertificate,
     FiniteQuotient,
+    _outer_order_bounded,
+    _symmetry_order,
     certify,
     certify_product,
     certify_zsquare,
@@ -134,6 +137,26 @@ class TestCullerReps:
         with pytest.raises(ResourceError):
             culler_reps(4)
 
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_outer_order_from_abelianization(self, rank):
+        # oracle: the least divisor d of the symmetry order with aut^d inner
+        from torusconj.freegroup import inner_conjugator
+
+        group = FreeGroup(rank)
+        checked = 0
+        for graph in realizing_graphs(rank):
+            for sym in graph_symmetries(graph):
+                aut = symmetry_to_automorphism(graph, sym, group)
+                order = _symmetry_order(sym)
+                oracle = next(
+                    d
+                    for d in range(1, order + 1)
+                    if order % d == 0 and inner_conjugator(aut**d) is not None
+                )
+                assert _outer_order_bounded(aut, order) == oracle
+                checked += 1
+        assert checked == {2: 28, 3: 304}[rank]
+
 
 class TestSeparate:
     def test_swap_separated(self):
@@ -188,6 +211,21 @@ class TestCertify:
         text = cert.serialize()
         assert "witness word" in text and "cycle types" in text
 
+    @pytest.mark.parametrize(
+        "rank, degree, length, digest",
+        [
+            (2, 3, 1, "8c0ca91759b94ddf8d9221ff31b0834467a069c0d6ddce7145700988bce78e36"),
+            (2, 12, 5, "8c0ca91759b94ddf8d9221ff31b0834467a069c0d6ddce7145700988bce78e36"),
+            (3, 4, 3, "2b078b7290490f525dac5fc9506e2d8f0569f6cdfdb8456ede909019162bb854"),
+            (3, 6, 2, "2b078b7290490f525dac5fc9506e2d8f0569f6cdfdb8456ede909019162bb854"),
+        ],
+    )
+    def test_pinned_serialization(self, rank, degree, length, digest):
+        # digests of the certificates that the image-and-fold kernel assembly
+        # produced; assembling from permutation actions must match byte for byte
+        text = certify(rank, Budgets(degree, length)).serialize()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_characteristic_closure(self):
         from torusconj.freegroup import fold
 
@@ -196,6 +234,12 @@ class TestCertify:
         assert is_characteristic(closed, nielsen_generators(F2))
         # closure is contained in the original subgroup
         assert all(g.membership(w) for w in closed.generators())
+
+    def test_closure_of_infinite_index_rejected(self):
+        from torusconj.freegroup import fold
+
+        with pytest.raises(DomainError):
+            characteristic_closure(fold(F2, [F2.parse("a")]))
 
     def test_rank3_certificate(self):
         cert = certify(3)

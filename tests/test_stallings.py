@@ -15,11 +15,34 @@ from torusconj.freegroup import (
     subgroups_of_index_at_most,
     whole_group_graph,
 )
+from torusconj.freegroup.stallings import _core_and_canonicalize
 
-from .helpers import random_word, subgroup_elements_up_to
+from .helpers import random_nontrivial_word, random_word, subgroup_elements_up_to
 
 F1 = FreeGroup(1)
 F2 = FreeGroup(2)
+F3 = FreeGroup(3)
+
+
+def random_finite_index(rng, group, max_degree=4):
+    """The stabilizer of the base point of a random action on <= max_degree
+    points (its orbit of the base, so the index may be smaller)."""
+    degree = rng.randint(1, max_degree)
+    fwd = [rng.sample(range(degree), degree) for _ in range(group.rank)]
+    return _core_and_canonicalize(group, degree, fwd, 0)
+
+
+def random_automorphisms(rng, group, count):
+    """Every Nielsen generator, then random products of them and their inverses."""
+    gens = nielsen_generators(group)
+    letters = gens + [g.inverse() for g in gens]
+    auts = list(gens)
+    for _ in range(count):
+        aut = rng.choice(letters)
+        for _ in range(rng.randint(1, 4)):
+            aut = aut * rng.choice(letters)
+        auts.append(aut)
+    return auts
 
 
 def cayley_graph_of_quotient(group, images, size, mult, identity):
@@ -37,8 +60,6 @@ def cayley_graph_of_quotient(group, images, size, mult, identity):
                 elements.append(h)
     index = {g: i for i, g in enumerate(elements)}
     fwd = [[index[mult(g, img)] for g in elements] for img in images]
-    from torusconj.freegroup.stallings import _core_and_canonicalize
-
     return _core_and_canonicalize(group, len(elements), fwd, 0)
 
 
@@ -196,6 +217,80 @@ class TestIsCharacteristic:
         g = fold(F2, [F2.parse("a")])
         with pytest.raises(DomainError):
             is_characteristic(g, nielsen_generators(F2))
+
+
+class TestPreimage:
+    """preimage_under reads aut^-1(H) off the permutation action of H."""
+
+    @pytest.mark.parametrize("group", [F2, F3], ids=["F2", "F3"])
+    def test_matches_folded_inverse_images(self, group):
+        rng = random.Random(41 + group.rank)
+        auts = random_automorphisms(rng, group, 8)
+        for _ in range(12):
+            h = random_finite_index(rng, group)
+            for aut in auts:
+                oracle = fold(group, [aut.inverse().apply(g) for g in h.generators()])
+                assert h.preimage_under(aut) == oracle
+
+    def test_infinite_index_rejected(self):
+        with pytest.raises(DomainError):
+            fold(F2, [F2.parse("a")]).preimage_under(nielsen_generators(F2)[0])
+
+
+class TestNaryIntersect:
+    """One walk over tuples of states equals chained pairwise intersections."""
+
+    @pytest.mark.parametrize("group", [F2, F3], ids=["F2", "F3"])
+    def test_matches_chained_pairwise(self, group):
+        rng = random.Random(43 + group.rank)
+        for trial in range(30):
+            graphs = []
+            for _ in range(rng.randint(2, 4)):
+                if rng.random() < 0.5:
+                    graphs.append(random_finite_index(rng, group))
+                else:  # infinite index: incomplete graphs
+                    gens = [random_nontrivial_word(rng, group, 5) for _ in range(rng.randint(1, 3))]
+                    graphs.append(fold(group, gens))
+            chained = graphs[0]
+            for g in graphs[1:]:
+                chained = chained.intersect(g)
+            product = graphs[0].intersect(*graphs[1:])
+            assert product == chained, trial
+            # membership oracle: an element of every subgroup and nothing else
+            for _ in range(20):
+                w = random_word(rng, group, 8)
+                assert product.membership(w) == all(g.membership(w) for g in graphs)
+            for w in product.generators():
+                assert all(g.membership(w) for g in graphs)
+
+    def test_no_others_canonicalizes(self):
+        g = fold(F2, [F2.parse("a a"), F2.parse("b a b")])
+        assert g.intersect() == g
+
+    def test_budget_error(self):
+        graphs = subgroups_of_index_at_most(F2, 3)
+        with pytest.raises(ResourceError, match="state budget of 4"):
+            graphs[0].intersect(*graphs[1:], state_budget=4)
+
+
+class TestCharacteristicEquivalence:
+    """is_characteristic agrees with the definition: every aut sends every
+    generator of H into H."""
+
+    @pytest.mark.parametrize("group", [F2, F3], ids=["F2", "F3"])
+    def test_agrees_with_generator_membership(self, group):
+        rng = random.Random(47 + group.rank)
+        auts = random_automorphisms(rng, group, 4)
+        subgroups = [whole_group_graph(group), congruence_kernel(group, 2)]
+        subgroups += [random_finite_index(rng, group) for _ in range(12)]
+        outcomes = set()
+        for h in subgroups:
+            gens = h.generators()
+            for aut_set in [auts] + [[aut] for aut in auts]:
+                expected = all(h.membership(aut.apply(g)) for aut in aut_set for g in gens)
+                assert is_characteristic(h, aut_set) == expected
+                outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
 class TestSerialization:
