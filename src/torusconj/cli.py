@@ -10,10 +10,10 @@ import argparse
 import functools
 import sys
 
-from .errors import DomainError, FormatError, ResourceError, Undecided
+from .errors import DomainError, FormatError, ResourceError
 from .fibercorrect import DiophantineSystem, solve
 from .freegroup import FreeGroup
-from .minkowski import Budgets, certify, certify_product, certify_zsquare
+from .minkowski import certify, certify_product, certify_zsquare
 from .pipeline import (
     ConjUngInput,
     PeripheralDatum,
@@ -147,18 +147,13 @@ def cmd_whitehead_orbit(args) -> int:
 
 
 def cmd_minkowski_certify(args) -> int:
-    budgets = Budgets(degree_bound=args.degree_bound, length_bound=args.length_bound)
     if args.zsquare:
         cert = certify_zsquare()
         print(f"kernel: {cert.modulus} Z^2")
         print(f"separated finite-order classes: {len(cert.representatives)}")
         return EXIT_DECIDED
     runner = certify_product if args.product else certify
-    result = runner(args.rank, budgets)
-    if isinstance(result, Undecided):
-        print(f"undecided: {result.reason}")
-        return EXIT_UNDECIDED
-    sys.stdout.write(result.serialize())
+    sys.stdout.write(runner(args.rank).serialize())
     return EXIT_DECIDED
 
 
@@ -228,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--rank", type=int, default=2)
     m.add_argument("--product", action="store_true", help="certify F_rank x Z")
     m.add_argument("--zsquare", action="store_true", help="the Z^2 specialization")
-    m.add_argument("--degree-bound", type=int, default=5)
-    m.add_argument("--length-bound", type=int, default=3)
+    for flag in ("--degree-bound", "--length-bound"):
+        m.add_argument(flag, metavar="N", help="ignored; accepted so that existing command lines parse")
     m.set_defaults(func=cmd_minkowski_certify)
 
     p = sub.add_parser("solve-diophantine", help="integer linear system from a file")

@@ -17,7 +17,6 @@ from .autos import (
     inner_conjugator,
     is_automorphism,
     nielsen_generators,
-    outer_order,
 )
 from .stallings import (
     SubgroupGraph,
@@ -41,7 +40,6 @@ __all__ = [
     "is_automorphism",
     "nielsen_generators",
     "inner_conjugator",
-    "outer_order",
     "BasisExpresser",
     "SubgroupGraph",
     "fold",

@@ -195,12 +195,3 @@ def inner_conjugator(aut: FreeAut) -> Optional[Word]:
         return g
     return None
 
-
-def outer_order(aut: FreeAut, max_order: int) -> Optional[int]:
-    """Least d <= max_order with aut^d inner, or None if there is none."""
-    power = FreeAut.identity(aut.group)
-    for d in range(1, max_order + 1):
-        power = aut * power
-        if inner_conjugator(power) is not None:
-            return d
-    return None

@@ -1,10 +1,16 @@
 """Effective Minkowskian certificates for free groups, Z^2, and F_k x Z.
 
-The pipeline: enumerate finite-order outer-automorphism representatives from
-graph symmetries (realization on graphs with all vertex degrees >= 3), find
-for each a witness element and finite quotient where the images of g and
-alpha(g) are non-conjugate, then assemble a characteristic finite-index
-kernel contained in every witness kernel.
+Finite-order outer-automorphism representatives are enumerated from graph
+symmetries (realization on graphs with all vertex degrees >= 3).  Every one
+is separated by the same characteristic kernel K_3, the kernel of
+F_n -> H_1(F_n; Z/3) = (Z/3)^n.  A nontrivial finite-order outer class has
+a nontrivial image M in GL_n(Z) (Baumslag-Taylor, 1968), and the kernel of
+GL_n(Z) -> GL_n(Z/3) is torsion-free (Minkowski, 1887), so M is not the
+identity mod 3.  An entry (i, j) with M_ij != delta_ij mod 3 gives the
+witness: the images of x_j and alpha(x_j) differ in the quotient F_n -> Z/3
+that sends x_i to a 3-cycle and every other generator to 1, and differing
+elements of an abelian group are not conjugate.  Each witness kernel
+contains K_3, so no search, intersection or closure is needed.
 """
 
 from __future__ import annotations
@@ -13,28 +19,20 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import DomainError, ResourceError, Undecided
+from .errors import DomainError, ResourceError
 from .freegroup import (
     FreeAut,
     FreeGroup,
     SubgroupGraph,
     Word,
-    fold,
     is_automorphism,
     is_characteristic,
     nielsen_generators,
 )
-from .freegroup.stallings import STATE_BUDGET_DEFAULT, _core_and_canonicalize
+from .freegroup.stallings import _core_and_canonicalize
 from .fibercorrect import smith_normal_form
 
-RANK_BOUND_DEFAULT = 3
-
-
-@dataclass(frozen=True)
-class Budgets:
-    degree_bound: int = 5
-    length_bound: int = 3
-    state_budget: int = STATE_BUDGET_DEFAULT
+RANK_BOUND = 3
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +351,15 @@ def _mat_mul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def culler_reps(rank: int, rank_bound: int = RANK_BOUND_DEFAULT) -> List[TorsionRep]:
+def culler_reps(rank: int) -> List[TorsionRep]:
     """Representatives of every finite-order outer class, from graph symmetries.
 
     Rank 1 is special-cased (the outer group is Z/2); otherwise realizing
     graphs with minimum degree 3 are enumerated and their symmetry groups
     converted through spanning-tree markings.
     """
-    if rank > rank_bound:
-        raise ResourceError(f"culler_reps supports rank <= {rank_bound}")
+    if rank > RANK_BOUND:
+        raise ResourceError(f"culler_reps supports rank <= {RANK_BOUND}")
     group = FreeGroup(rank)
     if rank == 1:
         flip = is_automorphism(group, [group.generator(0).inverse()])
@@ -415,7 +413,7 @@ def _outer_order_bounded(aut: FreeAut, symmetry_order: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# separation search
+# separation in the mod-3 homology quotient
 
 
 @dataclass(frozen=True)
@@ -429,39 +427,38 @@ class SeparationWitness:
         return cycle_type(self.image_word), cycle_type(self.image_aut_word)
 
 
-def separate(aut: FreeAut, degree_bound: int = 5, length_bound: int = 3):
-    """First (word, quotient) with non-conjugate images of g and aut(g).
+def mod3_witness(aut: FreeAut) -> SeparationWitness:
+    """The generator x_j in the quotient F -> Z/3 sending x_i to (1, 2, 0)
+    and every other generator to 1, for the first (i, j) where the exponent
+    sum of x_i in aut(x_j) is not delta_ij mod 3.
 
-    Deterministic interleaving: increasing word length plus quotient degree,
-    permutation tuples in lexicographic order.  Returns Undecided when the
-    budget is exhausted.
+    Every automorphism of nontrivial finite outer order has such a pair
+    (Baumslag-Taylor with Minkowski); finding none raises AssertionError.
     """
     group = aut.group
-    # (g, aut(g)) per length, listed the first time the search reaches it
-    words_by_length: Dict[int, List[Tuple[Word, Word]]] = {}
-    for cost in range(3, length_bound + degree_bound + 1):
-        for length in range(1, length_bound + 1):
-            degree = cost - length
-            if degree < 2 or degree > degree_bound:
-                continue
-            if length not in words_by_length:
-                words_by_length[length] = [
-                    (g, aut.apply(g)) for g in group.words_of_length(length)
-                ]
-            for perms in itertools.product(
-                sorted(itertools.permutations(range(degree))), repeat=group.rank
-            ):
-                quotient = FiniteQuotient(group, degree, perms)
-                for g, g_a in words_by_length[length]:
-                    img = quotient.image_of(g)
-                    img_a = quotient.image_of(g_a)
-                    if img == img_a:
-                        continue
-                    if not quotient.conjugate_in_image(img, img_a):
-                        return SeparationWitness(g, quotient, img, img_a)
-    return Undecided(
-        f"no separating quotient with degree <= {degree_bound}, length <= {length_bound}"
-    )
+    mat = aut.abelianized()
+    for i, j in itertools.product(range(group.rank), repeat=2):
+        if (mat[i][j] - (i == j)) % 3:
+            identity = tuple(range(3))
+            perms = tuple((1, 2, 0) if k == i else identity for k in range(group.rank))
+            quotient = FiniteQuotient(group, 3, perms)
+            word = group.generator(j)
+            return SeparationWitness(
+                word, quotient, quotient.image_of(word), quotient.image_of(aut.apply(word))
+            )
+    raise AssertionError("automorphism is the identity mod 3, so not of nontrivial finite outer order")
+
+
+def mod3_kernel(group: FreeGroup) -> SubgroupGraph:
+    """K_3 as the regular action of (Z/3)^n: a state is an exponent-sum
+    vector mod 3, and generator i adds 1 to coordinate i."""
+    states = list(itertools.product(range(3), repeat=group.rank))
+    index = {v: k for k, v in enumerate(states)}
+    fwd = [
+        [index[v[:i] + ((v[i] + 1) % 3,) + v[i + 1:]] for v in states]
+        for i in range(group.rank)
+    ]
+    return _core_and_canonicalize(group, len(states), fwd, index[(0,) * group.rank])
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +523,7 @@ class CongruenceCertificate:
         return "\n".join(lines) + "\n"
 
 
-def characteristic_closure(
-    graph: SubgroupGraph, state_budget: int = STATE_BUDGET_DEFAULT
-) -> SubgroupGraph:
+def characteristic_closure(graph: SubgroupGraph) -> SubgroupGraph:
     """Intersection of the Aut-orbit of a finite-index subgroup.
 
     The orbit of a finite-index subgroup under the Nielsen generators is
@@ -552,32 +547,20 @@ def characteristic_closure(
                 orbit.add(preimage)
                 frontier.append(preimage)
     first, *rest = sorted(orbit, key=lambda x: (x.nstates, x.fwd))
-    return first.intersect(*rest, state_budget=state_budget)
+    return first.intersect(*rest)
 
 
-def certify(rank: int, budgets: Budgets = Budgets()):
-    """Run culler_reps, separate each nontrivial class, and assemble a
-    verified characteristic kernel.  Undecided results propagate."""
+def certify(rank: int) -> CongruenceCertificate:
+    """K_3 with a mod-3 witness for every nontrivial class of culler_reps."""
     group = FreeGroup(rank)
-    reps = culler_reps(rank)
-    entries: List[CertifiedRep] = []
-    kernels: List[SubgroupGraph] = []
-    for rep in reps:
-        if rep.outer_order == 1:
-            continue
-        witness = separate(rep.aut, budgets.degree_bound, budgets.length_bound)
-        if isinstance(witness, Undecided):
-            return Undecided(f"representative of order {rep.outer_order}: {witness.reason}")
-        entries.append(CertifiedRep(rep, witness))
-        kernels.append(witness.quotient.kernel_graph())
-    if not kernels:
-        kernel = fold(group, group.generators())
-    else:
-        merged = kernels[0].intersect(*kernels[1:], state_budget=budgets.state_budget)
-        kernel = characteristic_closure(merged, budgets.state_budget)
-    certificate = CongruenceCertificate(group, kernel, tuple(entries))
+    entries = tuple(
+        CertifiedRep(rep, mod3_witness(rep.aut))
+        for rep in culler_reps(rank)
+        if rep.outer_order != 1
+    )
+    certificate = CongruenceCertificate(group, mod3_kernel(group), entries)
     if not certificate.verify():
-        return Undecided("assembled certificate failed verification")
+        raise AssertionError("the mod-3 certificate failed verification")
     return certificate
 
 
@@ -657,12 +640,10 @@ def certify_zsquare() -> ZSquareCertificate:
 # F_k x Z
 
 
-def certify_product(rank: int, budgets: Budgets = Budgets()):
+def certify_product(rank: int) -> CongruenceCertificate:
     """Certificate for F_rank x Z: the free-part certificate combined with a
     center quotient of order 3 that separates the orientation flip."""
     if rank < 2:
         raise DomainError("rank 1 products are Z^2; use certify_zsquare")
-    base = certify(rank, budgets)
-    if isinstance(base, Undecided):
-        return base
+    base = certify(rank)
     return CongruenceCertificate(base.group, base.kernel, base.entries, center_modulus=3)

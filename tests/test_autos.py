@@ -11,7 +11,6 @@ from torusconj.freegroup import (
     inner_conjugator,
     is_automorphism,
     nielsen_generators,
-    outer_order,
     whole_group_graph,
 )
 
@@ -190,8 +189,3 @@ class TestInnerConjugator:
         a, b, c = F3.generators()
         aut = is_automorphism(F3, [a, b, c.conjugate(a)])
         assert inner_conjugator(aut) is None
-        assert outer_order(aut, 6) is None
-
-    def test_outer_order_of_swap(self):
-        swap = is_automorphism(F2, [F2.parse("b"), F2.parse("a")])
-        assert outer_order(swap, 4) == 2

@@ -70,6 +70,24 @@ class TestMinkowskiCommand:
         assert code == 0
         assert "3 Z^2" in out
 
+    @pytest.mark.parametrize(
+        "rank, product", [(1, False), (2, False), (3, False), (2, True), (3, True)]
+    )
+    def test_small_bounds_still_certify(self, capsys, rank, product):
+        # the certificate needs no search, so the bound flags change nothing
+        argv = ["minkowski", "certify", "--rank", str(rank)] + (["--product"] if product else [])
+        code, plain, _ = run_cli(argv, capsys)
+        assert code == 0
+        code, bounded, _ = run_cli(argv + ["--degree-bound", "2", "--length-bound", "2"], capsys)
+        assert code == 0
+        assert bounded == plain
+
+    def test_rank_four_is_a_resource_limit(self, capsys):
+        code, out, err = run_cli(["minkowski", "certify", "--rank", "4"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "resource limit: culler_reps supports rank <= 3" in err
+
 
 class TestDecideCommand:
     def test_corpus_instance(self, tmp_path, capsys):

@@ -1,9 +1,13 @@
 import hashlib
+import importlib.util
 import itertools
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from torusconj.errors import DomainError, ResourceError, Undecided
+from torusconj.errors import DomainError, ResourceError
 from torusconj.freegroup import (
     FreeAut,
     FreeGroup,
@@ -13,7 +17,6 @@ from torusconj.freegroup import (
     nielsen_generators,
 )
 from torusconj.minkowski import (
-    Budgets,
     CongruenceCertificate,
     FiniteQuotient,
     _outer_order_bounded,
@@ -26,10 +29,12 @@ from torusconj.minkowski import (
     cycle_type,
     gl2_finite_order_classes,
     graph_symmetries,
+    mod3_witness,
     realizing_graphs,
-    separate,
     symmetry_to_automorphism,
 )
+
+from .helpers import random_word
 
 F1 = FreeGroup(1)
 F2 = FreeGroup(2)
@@ -161,8 +166,7 @@ class TestCullerReps:
 class TestSeparate:
     def test_swap_separated(self):
         swap = is_automorphism(F2, [F2.parse("b"), F2.parse("a")])
-        witness = separate(swap)
-        assert not isinstance(witness, Undecided)
+        witness = mod3_witness(swap)
         q = witness.quotient
         img = q.image_of(witness.word)
         img_a = q.image_of(swap.apply(witness.word))
@@ -176,18 +180,19 @@ class TestSeparate:
         assert cycle_type(img_a) != cycle_type(img_b)
 
     def test_inner_never_separates(self):
+        # an inner automorphism is the identity mod 3, so it has no witness
         ad_a = is_automorphism(
             F2, [F2.parse("a"), F2.parse("a' b a")]
         )
-        result = separate(ad_a, degree_bound=3, length_bound=2)
-        assert isinstance(result, Undecided)
+        with pytest.raises(AssertionError):
+            mod3_witness(ad_a)
 
     def test_rank1_inversion(self):
         flip = is_automorphism(F1, [F1.parse("a'")])
-        witness = separate(flip)
-        assert not isinstance(witness, Undecided)
-        # first find is the 3-cycle quotient: images of a and a' differ there
+        witness = mod3_witness(flip)
+        # a and a' map to the two different 3-cycles of Z/3
         assert witness.quotient.degree == 3
+        assert witness.image_word != witness.image_aut_word
 
 
 class TestCertify:
@@ -212,18 +217,18 @@ class TestCertify:
         assert "witness word" in text and "cycle types" in text
 
     @pytest.mark.parametrize(
-        "rank, degree, length, digest",
+        "rank, product, digest",
         [
-            (2, 3, 1, "8c0ca91759b94ddf8d9221ff31b0834467a069c0d6ddce7145700988bce78e36"),
-            (2, 12, 5, "8c0ca91759b94ddf8d9221ff31b0834467a069c0d6ddce7145700988bce78e36"),
-            (3, 4, 3, "2b078b7290490f525dac5fc9506e2d8f0569f6cdfdb8456ede909019162bb854"),
-            (3, 6, 2, "2b078b7290490f525dac5fc9506e2d8f0569f6cdfdb8456ede909019162bb854"),
+            (2, False, "5d5982b2d4a2b0f5cbff9fa71aaec119e55d6fca2e9ebb3e7768cc465912bd1c"),
+            (3, False, "3e1371114c3a34816547820d28e23db6bba160a94cebec05abd0c93f3f6c7cd7"),
+            (2, True, "d16936e7edcd92ff83529068c50850d94e6da9d02104670d9fcc74dd68cd6fba"),
+            (3, True, "14864154c7d39f118af48eff7c50292fbce722a0a847d639ec5e5b56b9f7fe84"),
         ],
     )
-    def test_pinned_serialization(self, rank, degree, length, digest):
-        # digests of the certificates that the image-and-fold kernel assembly
-        # produced; assembling from permutation actions must match byte for byte
-        text = certify(rank, Budgets(degree, length)).serialize()
+    def test_pinned_serialization(self, rank, product, digest):
+        # digests of the K_3 certificates with mod-3 witnesses, pinned after
+        # verify() and the benchmark's independent certificate check passed
+        text = (certify_product if product else certify)(rank).serialize()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_characteristic_closure(self):
@@ -246,6 +251,69 @@ class TestCertify:
         assert isinstance(cert, CongruenceCertificate)
         assert cert.verify()
         assert sorted({e.rep.outer_order for e in cert.entries}) == [2, 3, 4, 6]
+
+
+def _exponent_sums(w):
+    sums = [0] * w.group.rank
+    for i, s in w.letters:
+        sums[i] += s
+    return sums
+
+
+class TestMod3Kernel:
+    """Oracle independent of the construction: K_3 holds exactly the words
+    whose exponent sums are all divisible by 3."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_kernel_is_exponent_sums_mod3(self, rank):
+        group = FreeGroup(rank)
+        cert = certify(rank)
+        assert cert.kernel.index() == 3**rank
+        assert cert.verify()
+        rng = random.Random(1000 + rank)
+        members = 0
+        for _ in range(300):
+            w = random_word(rng, group, 12)
+            if rng.random() < 0.5:
+                # append generator powers that zero every exponent sum mod 3;
+                # the reduced product is then a member
+                for i, x in enumerate(_exponent_sums(w)):
+                    w = w * group.generator(i) ** (-x % 3)
+            expected = all(x % 3 == 0 for x in _exponent_sums(w))
+            assert cert.kernel.membership(w) == expected, w.format()
+            members += expected
+        assert members > 0
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_witnesses_are_generators_in_degree_three(self, rank):
+        group = FreeGroup(rank)
+        for entry in certify(rank).entries:
+            witness = entry.witness
+            assert witness.word in group.generators()
+            assert witness.quotient.degree == 3
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench_check_certificate():
+    """The benchmark's own certificate check, loaded from its file."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("bench_checks", BENCH / "checks.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH))
+    return module.check_certificate
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("product", [False, True])
+def test_certificate_passes_bench_check(bench_check_certificate, rank, product):
+    text = (certify_product if product else certify)(rank).serialize()
+    assert bench_check_certificate(text, rank, product) is None
 
 
 class TestZSquare:
