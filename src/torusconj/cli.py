@@ -27,7 +27,7 @@ from .pipeline import (
     verify_witness,
 )
 from .torus import parse_monodromy
-from .whitehead import Marking, ProductGroup, ProductMarking, same_orbit
+from .whitehead import Marking, ProductGroup, ProductMarking, mwp_product, same_orbit
 from .gog import SlotIso
 
 EXIT_DECIDED = 0
@@ -134,7 +134,7 @@ def cmd_whitehead_orbit(args) -> int:
         product = ProductGroup(group)
         m1 = ProductMarking.parse(product, args.m1)
         m2 = ProductMarking.parse(product, args.m2)
-        ok, witness = same_orbit(m1, m2, product)
+        ok, witness = mwp_product(m1, m2)
     else:
         m1 = Marking.parse(group, args.m1)
         m2 = Marking.parse(group, args.m2)

@@ -16,9 +16,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import DomainError, FormatError
 from .gog import (
     BassWord,
+    DehnTwist,
     GraphOfGroups,
     SlotElement,
-    SmallModularElement,
     bar,
     unoriented,
 )
@@ -292,25 +292,23 @@ class OrientationFunctional:
 
 def twist_coefficients(
     image: BassWord,
-    twists: Sequence[SmallModularElement],
+    twists: Sequence[DehnTwist],
     o: OrientationFunctional,
 ) -> List[int]:
-    """Per twist, the change of o(image) per unit of it: sum n(e, image) * o(z)."""
-    coeffs = []
-    for twist in twists:
-        coeff = 0
-        for twisted, z in twist.twist_data():
-            sign = 1 if twisted == unoriented(twisted) else -1
-            coeff += sign * image.edge_exponent(twisted) * o.of_element(
-                o.gog.term(twisted), z
-            )
-        coeffs.append(coeff)
-    return coeffs
+    """Per twist along e by z, the change of o(image) per unit of it:
+    n(e, image) * o(z), with n(e, image) the signed crossing count of the
+    twisted orientation of e."""
+    return [
+        (1 if t.edge == unoriented(t.edge) else -1)
+        * image.edge_exponent(t.edge)
+        * o.of_element(o.gog.term(t.edge), t.z)
+        for t in twists
+    ]
 
 
 def build_system(
     images: Sequence[BassWord],
-    twists: Sequence[SmallModularElement],
+    twists: Sequence[DehnTwist],
     o: OrientationFunctional,
 ) -> DiophantineSystem:
     """Row i:  sum_j n(e_j, image_i) * o(z_j) * x_j  ==  -o(image_i)."""

@@ -102,17 +102,22 @@ class SubgroupGraph:
         assert all(w is not None for w in words)
         return words, tree_edges  # type: ignore[return-value]
 
+    def _non_tree_edges(self) -> Tuple[List[Word], List[Tuple[int, int, int]]]:
+        """Tree path word per state, and the non-tree transitions (s, i, t)
+        in basis order: the k-th one gives the k-th generator."""
+        path, tree_edges = self._tree()
+        edges = [
+            (s, i, t)
+            for i in range(self.group.rank)
+            for s, t in enumerate(self.fwd[i])
+            if t is not None and (s, i) not in tree_edges
+        ]
+        return path, edges
+
     def generators(self) -> List[Word]:
         """A free basis of the subgroup, one word per non-tree transition."""
-        path, tree_edges = self._tree()
-        gens = []
-        for i in range(self.group.rank):
-            for s in range(self.nstates):
-                t = self.fwd[i][s]
-                if t is None or (s, i) in tree_edges:
-                    continue
-                gens.append(path[s] * self.group.word([(i, 1)]) * path[t].inverse())
-        return gens
+        path, edges = self._non_tree_edges()
+        return [path[s] * self.group.word([(i, 1)]) * path[t].inverse() for s, i, t in edges]
 
     def rank(self) -> int:
         """First Betti number: the rank of the subgroup."""
@@ -498,41 +503,36 @@ def subgroups_of_index_at_most(group: FreeGroup, m: int) -> List[SubgroupGraph]:
     return sorted(found, key=lambda g: (g.nstates, g.fwd))
 
 
-def congruence_kernel(
-    ambient,
-    m: int,
-    state_budget: int = STATE_BUDGET_DEFAULT,
-    auts: Optional[Sequence[FreeAut]] = None,
-) -> SubgroupGraph:
+def congruence_kernel(ambient, m: int, state_budget: int = STATE_BUDGET_DEFAULT) -> SubgroupGraph:
     """Intersection of all subgroups of index <= m of the ambient group.
 
-    The ambient group may be a FreeGroup or a SubgroupGraph; in the latter
-    case the computation runs over the subgroup's own basis and the result is
-    translated back to ambient words.  When ``auts`` is supplied the result
-    is verified characteristic under them.
+    The ambient group may be a FreeGroup or a SubgroupGraph H.  For H the
+    kernel K is first computed over H's own basis, and the result is read
+    off the cover of H's graph that K defines: states are pairs (s, c) of a
+    state of H and a coset of K, and the k-th basis transition of H moves c
+    as the k-th generator acts on the cosets.  Over a FreeGroup the result
+    is characteristic, being the intersection of a set of subgroups that
+    every automorphism permutes.
 
     Enumeration runs over all transitive actions on <= m points, so the cost
     grows like (m!)^rank; m <= 3 at rank <= 3 is the supported envelope, with
     the state budget guarding the intersection itself.
     """
     if isinstance(ambient, SubgroupGraph):
-        basis = ambient.generators()
-        inner_group = FreeGroup(len(basis))
-        inner = congruence_kernel(inner_group, m, state_budget)
-        translated = [_substitute(w, basis, ambient.group) for w in inner.generators()]
-        return fold(ambient.group, translated)
+        inner = congruence_kernel(FreeGroup(ambient.rank()), m, state_budget)
+        n = inner.nstates
+        _, basis_edges = ambient._non_tree_edges()
+        moves = {(s, i): inner.fwd[k] for k, (s, i, _) in enumerate(basis_edges)}
+        fwd = [[None] * (ambient.nstates * n) for _ in range(ambient.group.rank)]
+        for i, row in enumerate(ambient.fwd):
+            for s, t in enumerate(row):
+                if t is not None:
+                    cosets = moves.get((s, i), range(n))  # tree transitions fix c
+                    for c in range(n):
+                        fwd[i][s * n + c] = t * n + cosets[c]
+        return _core_and_canonicalize(ambient.group, ambient.nstates * n, fwd, 0)
     whole, *subgroups = subgroups_of_index_at_most(ambient, m)
-    result = whole.intersect(*subgroups, state_budget=state_budget)
-    if auts is not None and not is_characteristic(result, auts):
-        raise DomainError("congruence kernel failed the characteristic check")
-    return result
-
-
-def _substitute(w: Word, images: Sequence[Word], target: FreeGroup) -> Word:
-    out = target.identity()
-    for i, s in w.letters:
-        out = out * (images[i] if s > 0 else images[i].inverse())
-    return out
+    return whole.intersect(*subgroups, state_budget=state_budget)
 
 
 def is_characteristic(h: SubgroupGraph, auts: Sequence[FreeAut]) -> bool:

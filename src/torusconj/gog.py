@@ -3,7 +3,8 @@
 Group slots are Z, Z^2, F_k, or F_k x Z, uniformly represented as a free
 part with an optional central coordinate.  Oriented edges are named `e` and
 `e~`; conjugation is a^g == g^-1 a g throughout, matching the free-group
-convention.
+convention.  A Dehn twist is an oriented edge e with an element z of the
+centralizer of i_e(G_e); as a morphism it is the identity with gamma_e == z.
 """
 
 from __future__ import annotations
@@ -464,12 +465,6 @@ class SlotIso:
         )
 
 
-def ad_iso(g: SlotElement) -> SlotIso:
-    """Conjugation x -> g^-1 x g as a slot automorphism."""
-    slot = g.slot
-    return SlotIso(slot, slot, tuple(x.conjugate(g) for x in slot.generators()))
-
-
 # ---------------------------------------------------------------------------
 # graphs and graphs of groups
 
@@ -913,60 +908,54 @@ def induced_on_pi1(a: GoGMorphism, w: BassWord) -> BassWord:
 
 
 # ---------------------------------------------------------------------------
-# small modular group
+# Dehn twists
 
 
 @dataclass(frozen=True)
-class SmallModularElement:
-    """(Id_X, (ad_{gamma_v}), (Id_e), (gamma_e)); the Bass diagram pins
-    gamma_v gamma_e^-1 into the centralizer of the edge image."""
+class DehnTwist:
+    """The twist along the oriented edge `edge` by z in G_{t(edge)}:
+    (Id_X, (Id_v), (Id_e), (gamma_e)) with gamma_edge == z and every other
+    gamma trivial.  The Bass diagram holds iff z centralizes i_edge(G_edge),
+    the only condition checked here."""
 
     gog: GraphOfGroups
-    gamma_v: Dict[str, SlotElement]
-    gamma_e: Dict[str, SlotElement]
+    edge: str
+    z: SlotElement
 
     def __post_init__(self):
-        for e in self.gog.oriented_edges():
-            v = self.gog.term(e)
-            g = self.gamma_v[v] * self.gamma_e[e].inverse()
-            image = [self.gog.injection(e).apply(x) for x in self.gog.eslot(e).generators()]
-            for y in image:
-                if y.conjugate(g) != y:
-                    raise DomainError(f"gamma_v gamma_e^-1 fails to centralize at {e}")
+        inj = self.gog.injection(self.edge)
+        for x in inj.src.generators():
+            y = inj.apply(x)
+            if y.conjugate(self.z) != y:
+                raise DomainError(f"twist element fails to centralize at {self.edge}")
 
     def to_morphism(self) -> GoGMorphism:
         gog = self.gog
+        gammas = {e: gog.vslot(gog.term(e)).identity() for e in gog.oriented_edges()}
+        gammas[self.edge] = self.z
         return validate(
             gog,
             {
                 "vertex_map": {v: v for v in gog.vertices},
                 "edge_map": {e: e for e in gog.oriented_edges()},
-                "vertex_isos": {v: ad_iso(self.gamma_v[v]) for v in gog.vertices},
+                "vertex_isos": {v: SlotIso.identity(gog.vslot(v)) for v in gog.vertices},
                 "edge_isos": {e: SlotIso.identity(gog.eslot(e)) for e in gog.edge_names},
-                "gammas": dict(self.gamma_e),
+                "gammas": gammas,
             },
         )
 
-    def twist_data(self) -> List[Tuple[str, SlotElement]]:
-        """The oriented edges with a nontrivial gamma."""
-        return [(e, g) for e, g in sorted(self.gamma_e.items()) if not g.is_identity()]
+
+dehn_twist = DehnTwist
 
 
-def dehn_twist(gog: GraphOfGroups, edge: str, z: SlotElement) -> SmallModularElement:
-    gamma_v = {v: gog.vslot(v).identity() for v in gog.vertices}
-    gamma_e = {e: gog.vslot(gog.term(e)).identity() for e in gog.oriented_edges()}
-    gamma_e[edge] = z
-    return SmallModularElement(gog, gamma_v, gamma_e)
-
-
-def small_modular_generators(gog: GraphOfGroups) -> List[SmallModularElement]:
+def small_modular_generators(gog: GraphOfGroups) -> List[DehnTwist]:
     """One Dehn twist per oriented edge per centralizer generator."""
     out = []
     for e in sorted(gog.oriented_edges()):
         v = gog.term(e)
         image = [gog.injection(e).apply(x) for x in gog.eslot(e).generators()]
         for z in slot_centralizer_of_subgroup(gog.vslot(v), image):
-            out.append(dehn_twist(gog, e, z))
+            out.append(DehnTwist(gog, e, z))
     return out
 
 

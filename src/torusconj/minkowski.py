@@ -333,22 +333,35 @@ class TorsionRep:
 
 def _gl_conjugacy_invariant(aut: FreeAut, order: int) -> tuple:
     """Dedup key: order, characteristic data and Smith forms of M^k - I."""
-    mat = aut.abelianized()
-    n = len(mat)
+    mat = power = aut.abelianized()
     invariants = [order]
-    power = mat
     for _ in range(order):
-        delta = [
-            [power[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)
-        ]
-        d, _, _ = smith_normal_form(delta)
-        invariants.append(tuple(abs(d[i][i]) for i in range(n)))
+        invariants.append(_shift_smith(power))
         power = _mat_mul(power, mat)
     return tuple(invariants)
 
 
-def _mat_mul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
+def _shift_smith(mat) -> Tuple[int, ...]:
+    """The Smith invariants of M - I, a GL_n(Z) conjugacy invariant of M."""
+    n = len(mat)
+    delta = [[mat[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    d, _, _ = smith_normal_form(delta)
+    return tuple(abs(d[i][i]) for i in range(n))
+
+
+def _mat_mul(a, b) -> List[List[int]]:
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _matrix_order(m, bound: int) -> Optional[int]:
+    """The least k <= bound with m^k == I, else None."""
+    identity = [[1 if i == j else 0 for j in range(len(m))] for i in range(len(m))]
+    power = [list(row) for row in m]
+    for k in range(1, bound + 1):
+        if power == identity:
+            return k
+        power = _mat_mul(power, m)
+    return None
 
 
 def culler_reps(rank: int) -> List[TorsionRep]:
@@ -403,13 +416,10 @@ def _outer_order_bounded(aut: FreeAut, symmetry_order: int) -> int:
     For an aut of finite outer order this is the outer order: the kernel of
     Out(F_n) -> GL_n(Z) is torsion-free (Baumslag-Taylor, 1968).
     """
-    mat = power = aut.abelianized()
-    identity = FreeAut.identity(aut.group).abelianized()
-    for d in range(1, symmetry_order + 1):
-        if power == identity and symmetry_order % d == 0:
-            return d
-        power = _mat_mul(power, mat)
-    raise AssertionError("outer order must divide the symmetry order")
+    order = _matrix_order(aut.abelianized(), symmetry_order)
+    if order is None or symmetry_order % order:
+        raise AssertionError("outer order must divide the symmetry order")
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -596,35 +606,10 @@ def gl2_finite_order_classes(entry_bound: int = 2) -> List[Tuple[Tuple[int, ...]
         order = _matrix_order(m, 12)
         if order is None:
             continue
-        key = (order, a + d, det, _smith_key(m))
+        key = (order, a + d, det, _shift_smith(m))
         if key not in classes:
             classes[key] = m
     return sorted(classes.values())
-
-
-def _matrix_order(m, bound):
-    identity = ((1, 0), (0, 1))
-    cur = m
-    for k in range(1, bound + 1):
-        if cur == identity:
-            return k
-        cur = (
-            (
-                cur[0][0] * m[0][0] + cur[0][1] * m[1][0],
-                cur[0][0] * m[0][1] + cur[0][1] * m[1][1],
-            ),
-            (
-                cur[1][0] * m[0][0] + cur[1][1] * m[1][0],
-                cur[1][0] * m[0][1] + cur[1][1] * m[1][1],
-            ),
-        )
-    return None
-
-
-def _smith_key(m):
-    delta = [[m[0][0] - 1, m[0][1]], [m[1][0], m[1][1] - 1]]
-    d, _, _ = smith_normal_form(delta)
-    return tuple(abs(d[i][i]) for i in range(2))
 
 
 def certify_zsquare() -> ZSquareCertificate:

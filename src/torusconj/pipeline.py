@@ -26,13 +26,13 @@ from .fibercorrect import (
 from .freegroup import FreeAut, FreeGroup, Word, canonical_conjugate, fold, is_conjugate
 from .gog import (
     BassWord,
+    DehnTwist,
     GoGMorphism,
     GraphOfGroups,
     GroupSlot,
     SlotElement,
     SlotHom,
     SlotIso,
-    SmallModularElement,
     bar,
     graph_isomorphisms,
     hom_preimage,
@@ -109,7 +109,7 @@ WhiteList = Dict[Tuple[str, str], List[SlotIso]]
 @dataclass(frozen=True)
 class Witness:
     morphism: GoGMorphism
-    twists: Tuple[SmallModularElement, ...]
+    twists: Tuple[DehnTwist, ...]
     twist_vector: Tuple[int, ...]
     fiber_images: Tuple[Tuple[str, BassWord], ...]
     stable_image: Optional[BassWord] = None
@@ -334,7 +334,7 @@ def _black_orbit_match(slot, o_vec, source_classes, target_classes) -> Optional[
                 for cls in target_classes
             ],
         )
-        ok, psi = mwp_product(m1, m2, product)
+        ok, psi = mwp_product(m1, m2)
         if not ok:
             return None
         images = tuple(
@@ -827,8 +827,7 @@ def serialize_verdict(verdict: Verdict, jsj_a: JSJInput, jsj_b: JSJInput) -> str
         lines.append(f"{e}: {m.gammas[e].format()}")
     lines.append("[twists]")
     for twist, mult in zip(w.twists, w.twist_vector):
-        (edge, z) = twist.twist_data()[0]
-        lines.append(f"{edge} | {z.format()}: {mult}")
+        lines.append(f"{twist.edge} | {twist.z.format()}: {mult}")
     lines.append("[fiber images]")
     for name, loop in w.fiber_images:
         lines.append(f"{name} = {loop.format()}")
@@ -909,8 +908,7 @@ def parse_witness(text: str, jsj_a: JSJInput, jsj_b: JSJInput) -> Tuple[str, Opt
     vector = [0] * len(expected)
     for edge, z, mult in twist_entries:
         for idx, twist in enumerate(expected):
-            data = twist.twist_data()
-            if len(data) == 1 and data[0] == (edge, z):
+            if (twist.edge, twist.z) == (edge, z):
                 vector[idx] = mult
                 break
         else:

@@ -278,14 +278,9 @@ def _compose_moves(group: FreeGroup, moves: Sequence[WhiteheadMove]) -> FreeAut:
     return aut
 
 
-def same_orbit(m1: Marking, m2: Marking, group="aut") -> Tuple[bool, Optional[FreeAut]]:
-    """Orbit decision with witness.  `group` selects the acting group:
-    "aut" for the full automorphism group, or a ProductGroup descriptor for
-    the fiber-and-orientation preserving action (product markings)."""
-    if isinstance(group, ProductGroup):
-        return mwp_product(m1, m2, group)
-    if group != "aut":
-        raise DomainError(f"unknown automorphism-group descriptor {group!r}")
+def same_orbit(m1: Marking, m2: Marking) -> Tuple[bool, Optional[FreeAut]]:
+    """Orbit decision under the full automorphism group, with witness;
+    `mwp_product` is the fiber-and-orientation preserving variant."""
     if m1.group != m2.group:
         raise DomainError("markings over different groups")
     if len(m1.classes) != len(m2.classes):
@@ -357,13 +352,14 @@ def _level_path(start: Marking, goal: Marking) -> Optional[List[WhiteheadMove]]:
 # ---------------------------------------------------------------------------
 # the F x Z variant
 
+CENTER = "c"  # the name of the center generator in product markings
+
 
 @dataclass(frozen=True)
 class ProductGroup:
-    """Descriptor of G == H x <c> with H free and c the designated center."""
+    """Descriptor of G == H x <c> with H free and c (`CENTER`) the center."""
 
     free: FreeGroup
-    center_name: str = "c"
 
 
 @dataclass(frozen=True)
@@ -390,11 +386,10 @@ class ProductMarking:
         return tuple(tuple(k for _, k in entry) for entry in self.classes)
 
     def format(self) -> str:
-        c = self.product.center_name
         chunks = []
         for entry in self.classes:
             items = [
-                (w.format() if k == 0 else f"{w.format()} * {c}^{k}") for w, k in entry
+                (w.format() if k == 0 else f"{w.format()} * {CENTER}^{k}") for w, k in entry
             ]
             chunks.append("[ " + " , ".join(items) + " ]")
         return " ; ".join(chunks)
@@ -414,23 +409,20 @@ class ProductMarking:
 
 
 def _parse_product_element(product: ProductGroup, text: str) -> Tuple[Word, int]:
-    c = product.center_name
     center = 0
     word_parts = []
     for factor in text.split("*"):
         factor = factor.strip()
-        if factor == c:
+        if factor == CENTER:
             center += 1
-        elif factor.startswith(c + "^"):
-            center += int(factor[len(c) + 1 :])
+        elif factor.startswith(CENTER + "^"):
+            center += int(factor[len(CENTER) + 1 :])
         else:
             word_parts.append(factor)
     return product.free.parse(" ".join(word_parts)), center
 
 
-def mwp_product(
-    m1: ProductMarking, m2: ProductMarking, product: Optional[ProductGroup] = None
-) -> Tuple[bool, Optional[FreeAut]]:
+def mwp_product(m1: ProductMarking, m2: ProductMarking) -> Tuple[bool, Optional[FreeAut]]:
     """Fiber-and-orientation preserving orbit decision in H x <c>.
 
     Such an automorphism has the shape h -> psi(h) c^{lambda(h)}, c -> c,
@@ -439,8 +431,7 @@ def mwp_product(
     decision is the plain orbit problem on the H-parts together with
     entrywise equality of the center exponents, which such maps leave fixed.
     """
-    product = product if product is not None else m1.product
-    if m1.product != m2.product or m1.product != product:
+    if m1.product != m2.product:
         raise DomainError("markings over different product groups")
     if len(m1.classes) != len(m2.classes):
         return False, None
@@ -449,4 +440,4 @@ def mwp_product(
     # fiber preservation forces lambda == 0, which pins the centers entrywise
     if m1.centers() != m2.centers():
         return False, None
-    return same_orbit(m1.h_marking(), m2.h_marking(), "aut")
+    return same_orbit(m1.h_marking(), m2.h_marking())

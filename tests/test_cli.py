@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 import subprocess
 import sys
@@ -205,6 +206,36 @@ class TestConjUngCommand:
 
 
 CORPUS_FOLDERS = sorted(f.name for f in DATA.iterdir() if (f / "kind.txt").exists())
+
+# sha256 of the stdout of `decide`/`conj-ung` on each corpus instance: pins
+# the whole verdict, witness and [twists] section included
+CORPUS_STDOUT_SHA256 = {
+    "01_identity_f2": "6236b0fc66facf6a977c4b5c1f35590ef50e9a8995c9ae77ab0125d4145a19e2",
+    "02_identity_vs_inner": "d0ffd4a8d7ddcbe6bfd280aa1ba7a9eee30ecb10a6534ed4ed0ce3b46b75e2c9",
+    "03_twistor_equal": "b3eab0379e0c2d9b87a0bd4678a04734a6758ae171b6f6577d335adf67e9a6b8",
+    "04_twistor_inner_witness": "b3eab0379e0c2d9b87a0bd4678a04734a6758ae171b6f6577d335adf67e9a6b8",
+    "05_twistor_swap": "015338f36b70e1916e2d697568c3b24049eb83e64137e48289526e89a654dfd7",
+    "06_twistor_inverse": "6c4abbd717f330818e2c8397a00366bd655fdc2143185115d7c67c3850cc1dbe",
+    "07_twistor_rotation": "7296016657be0ec6f8b74e3ec64edf24e7c614321b1cc9ac36fcaf5c72a5f668",
+    "08_abelianization_negative": "575062c12c92c69e664b259059f86a0f4cfb0f29d1cee771b059874f401eb50a",
+    "09_twistor_mirror": "3fe691b1729bc1f6c21405225816ed23964195fd53bd04a2a06341ac938697cd",
+    "10_commutator_negative": "575062c12c92c69e664b259059f86a0f4cfb0f29d1cee771b059874f401eb50a",
+    "11_identity_vs_twistor": "575062c12c92c69e664b259059f86a0f4cfb0f29d1cee771b059874f401eb50a",
+    "12_orientation_shift": "1488a673c06f60fc920451c251bd859475954630c8cafeafed5caeedb15fa5b7",
+    "13_parity_obstruction": "53a0967593e798b8f2194cb59f909fcf5f6697074a00f9d6884df9d6745c4199",
+}
+
+
+@pytest.mark.parametrize("name", CORPUS_FOLDERS)
+def test_corpus_stdout_pinned(name, capsys):
+    folder = DATA / name
+    if (folder / "kind.txt").read_text().strip() == "decide":
+        argv = ["decide", "--jsj-a", str(folder / "jsj_a.txt"), "--jsj-b", str(folder / "jsj_b.txt")]
+    else:
+        argv = ["conj-ung", "--alpha", str(folder / "alpha.txt"), "--beta", str(folder / "beta.txt")]
+    code, out, _ = run_cli(argv + ["--whitelists", str(folder / "whitelists.txt")], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CORPUS_STDOUT_SHA256[name]
 
 
 class TestMalformedInput:

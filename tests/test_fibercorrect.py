@@ -20,11 +20,13 @@ from torusconj.gog import (
     GraphOfGroups,
     GroupSlot,
     SlotHom,
+    SlotIso,
     bar,
     compose,
     dehn_twist,
     induced_on_pi1,
     small_modular_generators,
+    validate,
 )
 
 from .helpers import abelian_invariants, mat_mul
@@ -309,23 +311,27 @@ class TestTransvection:
             assert o.of_loop(image) == o.of_loop(loop) + self.shift(o, twist, loop)
 
     def test_conjugation_neutrality(self):
-        # pure vertex conjugation: gamma_v == gamma_e everywhere
-        from torusconj.gog import SmallModularElement
-
+        # pure vertex conjugation, ad_g at v with gamma_e == g everywhere,
+        # leaves every orientation value unchanged
         gog = two_loop_gog()
         o = OrientationFunctional(gog, {"v": (0, 0)}, {"e": 1, "f": 2})
         g = F2.parse("x0 x1")
-        sme = SmallModularElement(
+        conjugation = validate(
             gog,
-            {"v": g},
-            {e: g for e in gog.oriented_edges()},
+            {
+                "vertex_map": {"v": "v"},
+                "edge_map": {e: e for e in gog.oriented_edges()},
+                "vertex_isos": {"v": SlotIso(F2, F2, tuple(x.conjugate(g) for x in F2.generators()))},
+                "edge_isos": {e: SlotIso.identity(gog.eslot(e)) for e in gog.edge_names},
+                "gammas": {e: g for e in gog.oriented_edges()},
+            },
         )
         loops = [
             BassWord.parse(gog, "v: e (x0) f (x1)"),
             BassWord.parse(gog, "v: f~ (x0 x1) e (x0')"),
         ]
         for loop in loops:
-            image = induced_on_pi1(sme.to_morphism(), loop)
+            image = induced_on_pi1(conjugation, loop)
             assert o.of_loop(image) == o.of_loop(loop)
 
 

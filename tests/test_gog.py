@@ -13,7 +13,6 @@ from torusconj.gog import (
     SlotElement,
     SlotHom,
     SlotIso,
-    ad_iso,
     bar,
     compose,
     dehn_twist,
@@ -356,9 +355,8 @@ class TestSmallModular:
         twists = small_modular_generators(gog)
         # oracle: centralizer of <x0 x1> in F2 is its primitive root
         by_edge = {}
-        for sme in twists:
-            for e, z in sme.twist_data():
-                by_edge.setdefault(e, []).append(z)
+        for twist in twists:
+            by_edge.setdefault(twist.edge, []).append(twist.z)
         assert by_edge["e"] == [F2.parse("x0 x1")]
         assert by_edge["e~"] == [F2.parse("x1 x0")]
 
@@ -369,7 +367,7 @@ class TestSmallModular:
             {"e": inj, "e~": inj},
         )
         twists = small_modular_generators(gog)
-        data = [z for sme in twists for _, z in sme.twist_data()]
+        data = [twist.z for twist in twists]
         assert Z2.parse("x0") in data and Z2.parse("c") in data
         assert len(twists) == 4  # two oriented edges, two centralizer gens
 
@@ -379,9 +377,25 @@ class TestSmallModular:
 
     def test_every_twist_validates(self):
         gog = star_gog()
-        for sme in small_modular_generators(gog):
-            morphism = sme.to_morphism()
+        for twist in small_modular_generators(gog):
+            morphism = twist.to_morphism()
             assert all(v == morphism.vertex_map[v] for v in gog.vertices)
+
+    def test_non_centralizing_twist_rejected(self):
+        # x0 fails to commute with the edge image x0 x1
+        with pytest.raises(DomainError):
+            dehn_twist(loop_gog_f2(), "e", F2.parse("x0"))
+
+    def test_twist_checks_only_its_own_edge(self):
+        # x0 x1 centralizes i_e(G_e) == <x0 x1> but not i_{e~}(G_e) == <x1 x0>,
+        # the other edge image at the same vertex: the twist along e is valid
+        gog = loop_gog_f2()
+        z = F2.parse("x0 x1")
+        twist = dehn_twist(gog, "e", z)
+        assert (twist.edge, twist.z) == ("e", z)
+        assert twist.to_morphism().gammas == {"e": z, "e~": F2.identity()}
+        with pytest.raises(DomainError):
+            dehn_twist(gog, "e~", z)
 
 
 class TestGraphIsomorphisms:

@@ -197,6 +197,35 @@ class TestCongruenceKernel:
         # kernel is a finite-index subgroup of h
         assert all(h.membership(g) for g in kernel.generators())
 
+    @staticmethod
+    def translated_kernel(h, m):
+        """Oracle: the kernel over h's own basis, its generators translated
+        back to ambient words and folded."""
+        basis = h.generators()
+        inner = congruence_kernel(FreeGroup(len(basis)), m)
+
+        def substitute(w):
+            out = h.group.identity()
+            for i, s in w.letters:
+                out = out * (basis[i] if s > 0 else basis[i].inverse())
+            return out
+
+        return fold(h.group, [substitute(w) for w in inner.generators()])
+
+    def test_subgroup_ambient_matches_translation(self):
+        rng = random.Random(83)
+        subgroups = [random_finite_index(rng, group, 3) for group in (F2, F2, F2, F3, F3)]
+        subgroups += [fold(F2, [random_nontrivial_word(rng, F2, 4) for _ in range(rng.randint(1, 2))])
+                      for _ in range(4)]
+        for h in subgroups:
+            for m in (2, 3) if h.rank() <= 2 else (2,):
+                assert congruence_kernel(h, m) == self.translated_kernel(h, m)
+
+    def test_trivial_subgroup_ambient_rejected(self):
+        trivial = _core_and_canonicalize(F2, 1, [[None], [None]], 0)
+        with pytest.raises(DomainError):
+            congruence_kernel(trivial, 2)
+
 
 class TestIsCharacteristic:
     def test_klein_kernel_characteristic(self):

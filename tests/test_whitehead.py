@@ -472,12 +472,6 @@ class TestMwpProduct:
         ok, _ = mwp_product(m1, m2)
         assert not ok
 
-    def test_same_orbit_dispatch(self):
-        m1 = ProductMarking.parse(PROD, "[ a ]")
-        m2 = ProductMarking.parse(PROD, "[ b ]")
-        ok, _ = same_orbit(m1, m2, PROD)
-        assert ok
-
     def test_aut_invariance_of_product_markings(self):
         # fiber-and-orientation preserving maps (psi, lambda=0) never change
         # the answer; oracle for the small exhaustive search examples
