@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, parse_int
 from .gog import (
     BassWord,
     DehnTwist,
@@ -203,10 +203,7 @@ class DiophantineSystem:
             if line.lower().startswith("b:"):
                 mode = "b"
                 line = line[2:].strip()
-            try:
-                values = tuple(int(x) for x in line.split())
-            except ValueError as exc:
-                raise FormatError(f"bad integer row: {line!r}") from exc
+            values = tuple(parse_int(x, "integer") for x in line.split())
             if mode == "a":
                 rows.append(values)
             elif mode == "b":

@@ -77,13 +77,17 @@ class FreeAut:
         return f"FreeAut({parts})"
 
     def abelianized(self) -> list[list[int]]:
-        """Column i is the exponent vector of the image of generator i."""
-        n = self.group.rank
-        mat = [[0] * n for _ in range(n)]
-        for i, img in enumerate(self.images):
-            for j, s in img.letters:
-                mat[j][i] += s
-        return mat
+        return abelianization(self.images)
+
+
+def abelianization(images: Sequence[Word]) -> list[list[int]]:
+    """Column i is the exponent vector of images[i], the image of generator i."""
+    n = len(images)
+    mat = [[0] * n for _ in range(n)]
+    for i, img in enumerate(images):
+        for j, s in img.letters:
+            mat[j][i] += s
+    return mat
 
 
 def is_automorphism(group: FreeGroup, images: Sequence[Word]) -> Optional[FreeAut]:

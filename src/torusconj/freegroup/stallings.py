@@ -12,7 +12,7 @@ import itertools
 from collections import deque
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..errors import DomainError, FormatError, ResourceError
+from ..errors import DomainError, FormatError, ResourceError, parse_int
 from .words import FreeGroup, Letter, Word, reduce_letters
 
 if TYPE_CHECKING:
@@ -189,7 +189,7 @@ class SubgroupGraph:
             if not line:
                 continue
             if line.startswith("base:"):
-                base = int(line.split(":", 1)[1])
+                base = parse_int(line.split(":", 1)[1], "base state")
                 states.add(base)
                 continue
             try:
@@ -200,7 +200,7 @@ class SubgroupGraph:
             gen = gen.strip().rstrip("-")
             if gen not in group.names:
                 raise FormatError(f"unknown generator {gen!r}")
-            u, v = int(left), int(right)
+            u, v = parse_int(left, "state"), parse_int(right, "state")
             edges.append((u, group.names.index(gen), v))
             states.update((u, v))
         if base is None:

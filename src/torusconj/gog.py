@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, parse_int
 from .freegroup import (
     BasisExpresser,
     FreeGroup,
@@ -86,7 +86,7 @@ class GroupSlot:
             if part.startswith("c^") or part == "c":
                 if not self.has_center:
                     raise FormatError("slot has no center")
-                center += 1 if part == "c" else int(part[2:])
+                center += 1 if part == "c" else parse_int(part[2:], "center exponent")
             else:
                 word_parts.append(part)
         word = self.free_group.parse(" ".join(word_parts))
@@ -413,9 +413,6 @@ class SlotIso:
     def _hom(self) -> SlotHom:
         return SlotHom(self.src, self.dst, self.images)
 
-    def as_hom(self) -> SlotHom:
-        return self._hom
-
     def apply(self, x: SlotElement) -> SlotElement:
         return self._hom.apply(x)
 
@@ -671,7 +668,9 @@ class BassWord:
                 pos += 1
                 continue
             if ch == "(":
-                close = body.index(")", pos)
+                close = body.find(")", pos)
+                if close < 0:
+                    raise FormatError(f"unclosed bracket in {text.strip()!r}")
                 tokens.append(("elem", body[pos + 1 : close]))
                 pos = close + 1
             else:
@@ -777,6 +776,9 @@ def validate(
     gammas = dict(cand["gammas"])
 
     _check_graph_map(gog, codomain, vertex_map, edge_map)
+    keys = (set(vertex_isos), set(edge_isos), set(gammas))
+    if keys != (set(gog.vertices), set(gog.edge_names), set(gog.oriented_edges())):
+        raise DomainError("vertex iso, edge iso or gamma keys mismatch")
     for v in gog.vertices:
         iso = vertex_isos[v]
         if iso.src != gog.vslot(v) or iso.dst != codomain.vslot(vertex_map[v]):
@@ -1040,10 +1042,7 @@ def _parse_slot_kind(text: str) -> GroupSlot:
     parts = text.split()
     if not 1 <= len(parts) <= 2:
         raise FormatError(f"bad slot kind {text.strip()!r}")
-    try:
-        rank = int(parts[1]) if len(parts) > 1 else 1
-    except ValueError as exc:
-        raise FormatError(f"bad slot rank {parts[1]!r}") from exc
+    rank = parse_int(parts[1], "slot rank") if len(parts) > 1 else 1
     return GroupSlot.from_kind(parts[0], rank)
 
 

@@ -11,6 +11,10 @@ witness: the images of x_j and alpha(x_j) differ in the quotient F_n -> Z/3
 that sends x_i to a 3-cycle and every other generator to 1, and differing
 elements of an abelian group are not conjugate.  Each witness kernel
 contains K_3, so no search, intersection or closure is needed.
+
+A symmetry's class is read off its action on homology (the exponent sums of
+its image words), so only one symmetry per class is folded into an
+automorphism.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .freegroup import (
     is_characteristic,
     nielsen_generators,
 )
+from .freegroup.autos import abelianization
 from .freegroup.stallings import _core_and_canonicalize
 from .fibercorrect import smith_normal_form
 
@@ -254,6 +259,13 @@ def graph_symmetries(graph: RealizingGraph) -> List[GraphSymmetry]:
 
 
 def symmetry_to_automorphism(graph: RealizingGraph, sym: GraphSymmetry, group: FreeGroup) -> FreeAut:
+    aut = is_automorphism(group, _symmetry_images(graph, sym, group))
+    if aut is None:
+        raise AssertionError("graph symmetry failed to give an automorphism")
+    return aut
+
+
+def _symmetry_images(graph: RealizingGraph, sym: GraphSymmetry, group: FreeGroup) -> List[Word]:
     """Spanning-tree marking: petal loops read through the symmetry.
 
     Different tree choices move the representative by an inner factor only.
@@ -314,10 +326,7 @@ def symmetry_to_automorphism(graph: RealizingGraph, sym: GraphSymmetry, group: F
             [(i, -s) for i, s in reversed(conj)] + image_letters + conj
         )
         images.append(word)
-    aut = is_automorphism(group, images)
-    if aut is None:
-        raise AssertionError("graph symmetry failed to give an automorphism")
-    return aut
+    return images
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +340,9 @@ class TorsionRep:
     provenance: str
 
 
-def _gl_conjugacy_invariant(aut: FreeAut, order: int) -> tuple:
+def _gl_conjugacy_invariant(mat, order: int) -> tuple:
     """Dedup key: order, characteristic data and Smith forms of M^k - I."""
-    mat = power = aut.abelianized()
+    power = mat
     invariants = [order]
     for _ in range(order):
         invariants.append(_shift_smith(power))
@@ -368,8 +377,10 @@ def culler_reps(rank: int) -> List[TorsionRep]:
     """Representatives of every finite-order outer class, from graph symmetries.
 
     Rank 1 is special-cased (the outer group is Z/2); otherwise realizing
-    graphs with minimum degree 3 are enumerated and their symmetry groups
-    converted through spanning-tree markings.
+    graphs with minimum degree 3 are enumerated and each symmetry is read
+    through a spanning-tree marking.  Its class key and outer order depend
+    only on its homology matrix M (Baumslag-Taylor), which is read off the
+    image words by exponent sums; only a symmetry with a new key is folded.
     """
     if rank > RANK_BOUND:
         raise ResourceError(f"culler_reps supports rank <= {RANK_BOUND}")
@@ -381,45 +392,21 @@ def culler_reps(rank: int) -> List[TorsionRep]:
             TorsionRep(flip, 2, "rose1"),
         ]
     reps: Dict[tuple, TorsionRep] = {}
+    seen: Set[tuple] = set()
     for graph in realizing_graphs(rank):
         for sym in graph_symmetries(graph):
-            aut = symmetry_to_automorphism(graph, sym, group)
-            order = _symmetry_order(sym)
-            outer = _outer_order_bounded(aut, order)
-            key = _gl_conjugacy_invariant(aut, outer)
+            mat = abelianization(_symmetry_images(graph, sym, group))
+            frozen = tuple(map(tuple, mat))
+            if frozen in seen:
+                continue
+            seen.add(frozen)
+            order = _matrix_order(mat, 12)  # finite orders in GL_n(Z), n <= 3, divide 12
+            if order is None:
+                raise AssertionError("a graph symmetry acts on homology with order above 12")
+            key = _gl_conjugacy_invariant(mat, order)
             if key not in reps:
-                reps[key] = TorsionRep(aut, outer, graph.name())
+                reps[key] = TorsionRep(symmetry_to_automorphism(graph, sym, group), order, graph.name())
     return sorted(reps.values(), key=lambda r: (r.outer_order, r.provenance))
-
-
-def _symmetry_order(sym: GraphSymmetry) -> int:
-    order = 1
-    vperm = sym.vperm
-    emap = sym.emap
-    cur_v, cur_e = vperm, emap
-    identity_v = tuple(range(len(vperm)))
-    identity_e = tuple((i, False) for i in range(len(emap)))
-    while cur_v != identity_v or cur_e != identity_e:
-        cur_v = tuple(vperm[x] for x in cur_v)
-        cur_e = tuple(
-            (emap[e][0], emap[e][1] != f) for e, f in cur_e
-        )
-        order += 1
-        if order > 10_000:
-            raise AssertionError("symmetry order runaway")
-    return order
-
-
-def _outer_order_bounded(aut: FreeAut, symmetry_order: int) -> int:
-    """The order of aut's abelianization, which divides the symmetry order.
-
-    For an aut of finite outer order this is the outer order: the kernel of
-    Out(F_n) -> GL_n(Z) is torsion-free (Baumslag-Taylor, 1968).
-    """
-    order = _matrix_order(aut.abelianized(), symmetry_order)
-    if order is None or symmetry_order % order:
-        raise AssertionError("outer order must divide the symmetry order")
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +615,7 @@ def certify_zsquare() -> ZSquareCertificate:
 def certify_product(rank: int) -> CongruenceCertificate:
     """Certificate for F_rank x Z: the free-part certificate combined with a
     center quotient of order 3 that separates the orientation flip."""
-    if rank < 2:
+    if rank == 1:
         raise DomainError("rank 1 products are Z^2; use certify_zsquare")
     base = certify(rank)
     return CongruenceCertificate(base.group, base.kernel, base.entries, center_modulus=3)

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import DomainError, FormatError, Undecided
+from .errors import DomainError, FormatError, Undecided, parse_int
 from .fibercorrect import (
     OrientationFunctional,
     build_system,
@@ -82,6 +82,8 @@ class JSJInput:
                 raise DomainError("stable loop must have orientation degree 1")
         for w, annot in self.peripheral.items():
             for e in annot.get("EZ", ()):
+                if unoriented(e) not in self.gog.edge_ends:
+                    raise FormatError(f"peripheral marking at {w} names unknown edge {e!r}")
                 gen = self.gog.eslot(e).generators()[0]
                 img = self.gog.injection(_white_end(self, e, w)).apply(gen)
                 if self.orientation.of_element(w, img) <= 0:
@@ -504,12 +506,7 @@ def _assemble_one(jsj_a, jsj_b, vmap, emap, white_isos, memo: dict) -> Optional[
             return None
         vertex_isos[b] = match.phi_b
         gammas.update(match.gammas_black)
-    edge_isos = {}
-    for edge in gog_a.edge_names:
-        target = unoriented(emap[edge])
-        edge_isos[edge] = transports[edge].edge_iso
-        if transports[edge].edge_iso.dst != gog_b.eslot(target):
-            return None
+    edge_isos = {edge: transports[edge].edge_iso for edge in gog_a.edge_names}
     try:
         return validate(
             gog_a,
@@ -694,10 +691,10 @@ def parse_jsj(text: str) -> JSJInput:
             kind, _, rest = line.partition(" ")
             if kind == "vertex":
                 name, _, values = rest.partition(":")
-                vertex_values[name.strip()] = tuple(int(x) for x in values.split())
+                vertex_values[name.strip()] = tuple(parse_int(x, "orientation value") for x in values.split())
             elif kind == "edge":
                 name, _, value = rest.partition(":")
-                edge_values[name.strip()] = int(value)
+                edge_values[name.strip()] = parse_int(value, "orientation value")
             else:
                 raise FormatError(f"bad orientation line: {line!r}")
         elif section == "fiber":
@@ -840,6 +837,13 @@ def serialize_verdict(verdict: Verdict, jsj_a: JSJInput, jsj_b: JSJInput) -> str
 def parse_witness(text: str, jsj_a: JSJInput, jsj_b: JSJInput) -> Tuple[str, Optional[Witness]]:
     """Re-read a serialized verdict; rebuilds the morphism unvalidated (the
     checker validates it afterwards)."""
+    gog_a, gog_b = jsj_a.gog, jsj_b.gog
+
+    def named(table, name, what):
+        if name not in table:
+            raise FormatError(f"witness names unknown {what} {name!r}")
+        return table[name]
+
     status = None
     section = None
     vertex_map: Dict[str, str] = {}
@@ -871,40 +875,43 @@ def parse_witness(text: str, jsj_a: JSJInput, jsj_b: JSJInput) -> Tuple[str, Opt
         elif section == "vertex isos":
             v, _, rest = line.partition(":")
             v = v.strip()
-            dst_slot = jsj_b.gog.vslot(vertex_map[v])
+            src_slot = named(gog_a.vertex_slots, v, "vertex")
+            dst_slot = named(gog_b.vertex_slots, named(vertex_map, v, "vertex-map source"), "vertex")
             images = [
                 dst_slot.parse(chunk.partition("->")[2]) for chunk in rest.split(",")
             ]
-            vertex_isos[v] = SlotIso(jsj_a.gog.vslot(v), dst_slot, tuple(images))
+            vertex_isos[v] = SlotIso(src_slot, dst_slot, tuple(images))
         elif section == "edge isos":
             e, _, rest = line.partition(":")
             e = e.strip()
-            dst_slot = jsj_b.gog.eslot(unoriented(edge_map[e]))
+            src_slot = named(gog_a.edge_slots, e, "edge")
+            dst_slot = named(gog_b.injections, named(edge_map, e, "edge-map source"), "edge").src
             images = [
                 dst_slot.parse(chunk.partition("->")[2]) for chunk in rest.split(",")
             ]
-            edge_isos[e] = SlotIso(jsj_a.gog.eslot(e), dst_slot, tuple(images))
+            edge_isos[e] = SlotIso(src_slot, dst_slot, tuple(images))
         elif section == "gammas":
             e, _, rest = line.partition(":")
             e = e.strip()
-            slot = jsj_b.gog.vslot(jsj_b.gog.term(edge_map[e]))
+            # an injection's codomain is the slot of the edge's terminal vertex
+            slot = named(gog_b.injections, named(edge_map, e, "edge-map source"), "edge").dst
             gammas[e] = slot.parse(rest.strip())
         elif section == "twists":
             head, _, mult = line.rpartition(":")
             edge, _, z_text = head.partition("|")
             edge = edge.strip()
-            slot = jsj_b.gog.vslot(jsj_b.gog.term(edge))
-            twist_entries.append((edge, slot.parse(z_text.strip()), int(mult)))
+            slot = named(gog_b.injections, edge, "edge").dst
+            twist_entries.append((edge, slot.parse(z_text.strip()), parse_int(mult, "twist multiplier")))
         elif section == "fiber images":
             name, _, loop_text = line.partition("=")
-            fiber_images.append((name.strip(), BassWord.parse(jsj_b.gog, loop_text.strip())))
+            fiber_images.append((name.strip(), BassWord.parse(gog_b, loop_text.strip())))
         elif section == "stable image":
-            stable_image = BassWord.parse(jsj_b.gog, line)
+            stable_image = BassWord.parse(gog_b, line)
     if status is None:
         raise FormatError("witness file misses status:")
     if not vertex_map:
         return status, None
-    expected = tuple(small_modular_generators(jsj_b.gog))
+    expected = tuple(small_modular_generators(gog_b))
     vector = [0] * len(expected)
     for edge, z, mult in twist_entries:
         for idx, twist in enumerate(expected):
@@ -914,7 +921,7 @@ def parse_witness(text: str, jsj_a: JSJInput, jsj_b: JSJInput) -> Tuple[str, Opt
         else:
             raise FormatError(f"twist over {edge} by {z.format()} is not a generator")
     morphism = GoGMorphism(
-        jsj_a.gog, jsj_b.gog, vertex_map, edge_map, vertex_isos, edge_isos, gammas
+        gog_a, gog_b, vertex_map, edge_map, vertex_isos, edge_isos, gammas
     )
     return status, Witness(
         morphism, expected, tuple(vector), tuple(fiber_images), stable_image

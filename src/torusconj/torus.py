@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import FormatError
+from .errors import FormatError, parse_int
 from .freegroup import FreeAut, FreeGroup, is_automorphism
 
 
@@ -18,11 +18,7 @@ def parse_monodromy(rank_text: Optional[str], images_text: Optional[str]) -> Fre
     header values; every generator gets exactly one image."""
     if rank_text is None or images_text is None:
         raise FormatError("needs `fiber rank:` and `monodromy:`")
-    try:
-        rank = int(rank_text)
-    except ValueError as exc:
-        raise FormatError(f"bad fiber rank {rank_text.strip()!r}") from exc
-    fiber = FreeGroup(rank)
+    fiber = FreeGroup(parse_int(rank_text, "fiber rank"))
     images = {}
     for part in images_text.split(","):
         name, _, image = part.partition("->")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, parse_int
 from .freegroup import (
     FreeAut,
     FreeGroup,
@@ -416,7 +416,7 @@ def _parse_product_element(product: ProductGroup, text: str) -> Tuple[Word, int]
         if factor == CENTER:
             center += 1
         elif factor.startswith(CENTER + "^"):
-            center += int(factor[len(CENTER) + 1 :])
+            center += parse_int(factor[len(CENTER) + 1 :], "center exponent")
         else:
             word_parts.append(factor)
     return product.free.parse(" ".join(word_parts)), center

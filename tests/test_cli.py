@@ -1,5 +1,6 @@
 import hashlib
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -34,6 +35,13 @@ class TestWhiteheadCommand:
         )
         assert code == 0
         assert out.startswith("not-equivalent")
+
+    def test_product_bad_center_exponent(self, capsys):
+        code, out, err = run_cli(
+            ["whitehead", "orbit", "[ a * c^x ]", "[ b ]", "--product"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert "input error: bad center exponent 'x'" in err
 
 
 class TestSolveCommand:
@@ -88,6 +96,13 @@ class TestMinkowskiCommand:
         assert code == 2
         assert out == ""
         assert "resource limit: culler_reps supports rank <= 3" in err
+
+    @pytest.mark.parametrize("product", [False, True])
+    def test_rank_zero_is_an_input_error(self, capsys, product):
+        argv = ["minkowski", "certify", "--rank", "0"] + (["--product"] if product else [])
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert "input error: rank must be >= 1" in err
 
 
 class TestDecideCommand:
@@ -206,6 +221,11 @@ class TestConjUngCommand:
 
 
 CORPUS_FOLDERS = sorted(f.name for f in DATA.iterdir() if (f / "kind.txt").exists())
+POSITIVE_FOLDERS = [
+    name
+    for name in CORPUS_FOLDERS
+    if (DATA / name / "expected.txt").read_text().strip() in ("conjugate", "isomorphic-fop")
+]
 
 # sha256 of the stdout of `decide`/`conj-ung` on each corpus instance: pins
 # the whole verdict, witness and [twists] section included
@@ -238,10 +258,46 @@ def test_corpus_stdout_pinned(name, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CORPUS_STDOUT_SHA256[name]
 
 
+def _replaced(lines, i, line):
+    return "".join(lines[:i] + [line] + lines[i + 1 :])
+
+
+def deletions(lines):
+    for i, line in enumerate(lines):
+        yield line, "".join(lines[:i] + lines[i + 1 :])
+
+
+def duplications(lines):
+    for i, line in enumerate(lines):
+        yield line, "".join(lines[: i + 1] + lines[i:])
+
+
+def token_swaps(lines):
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        if len(tokens) >= 2:
+            tokens[0], tokens[1] = tokens[1], tokens[0]
+            yield line, _replaced(lines, i, " ".join(tokens) + "\n")
+
+
+def digit_replacements(lines):
+    """One mutant per run of digits, replaced by `q`."""
+    for i, line in enumerate(lines):
+        for match in re.finditer(r"\d+", line):
+            yield line, _replaced(lines, i, line[: match.start()] + "q" + line[match.end() :])
+
+
+def bracket_drops(lines):
+    for i, line in enumerate(lines):
+        if ")" in line:
+            yield line, _replaced(lines, i, line.replace(")", "", 1))
+
+
 class TestMalformedInput:
-    """Deleting or duplicating any one line of an input file, or swapping
-    the first two tokens of a line, gives a verdict or an input error, never
-    a traceback; every positive verdict still carries a witness that
+    """Deleting or duplicating any one line of an input file, swapping the
+    first two tokens of a line, replacing a run of digits by a letter or
+    dropping a line's first `)` gives a verdict or an input error, never a
+    traceback; every positive verdict still carries a witness that
     `verify-witness` accepts.  Conj-ung instances mutate `alpha.txt` and
     `beta.txt`; decide instances mutate `jsj_a.txt` and `whitelists.txt`."""
 
@@ -299,31 +355,50 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("name", CORPUS_FOLDERS)
     def test_line_deletions(self, name, tmp_path, capsys):
-        def deletions(lines):
-            for i, line in enumerate(lines):
-                yield line, "".join(lines[:i] + lines[i + 1 :])
-
         self._check_mutants(name, deletions, tmp_path, capsys)
 
     @pytest.mark.parametrize("name", CORPUS_FOLDERS)
     def test_line_duplications(self, name, tmp_path, capsys):
-        def duplications(lines):
-            for i, line in enumerate(lines):
-                yield line, "".join(lines[: i + 1] + lines[i:])
-
         self._check_mutants(name, duplications, tmp_path, capsys)
 
     @pytest.mark.parametrize("name", CORPUS_FOLDERS)
     def test_token_swaps(self, name, tmp_path, capsys):
-        def swaps(lines):
-            for i, line in enumerate(lines):
-                tokens = line.split()
-                if len(tokens) < 2:
-                    continue
-                tokens[0], tokens[1] = tokens[1], tokens[0]
-                yield line, "".join(lines[:i] + [" ".join(tokens) + "\n"] + lines[i + 1 :])
+        self._check_mutants(name, token_swaps, tmp_path, capsys)
 
-        self._check_mutants(name, swaps, tmp_path, capsys)
+    @pytest.mark.parametrize("name", CORPUS_FOLDERS)
+    def test_digit_replacements(self, name, tmp_path, capsys):
+        self._check_mutants(name, digit_replacements, tmp_path, capsys)
+
+    @pytest.mark.parametrize("name", CORPUS_FOLDERS)
+    def test_bracket_drops(self, name, tmp_path, capsys):
+        self._check_mutants(name, bracket_drops, tmp_path, capsys)
+
+    @pytest.mark.parametrize("name", POSITIVE_FOLDERS)
+    def test_witness_mutants(self, name, tmp_path, capsys):
+        """A witness file with one line deleted, duplicated, token-swapped or
+        digit-replaced is verified or rejected, never a traceback."""
+        folder = DATA / name
+        witness = tmp_path / "witness.txt"
+        if (folder / "kind.txt").read_text().strip() == "decide":
+            jsj_a, jsj_b = folder / "jsj_a.txt", folder / "jsj_b.txt"
+            argv = ["decide", "--jsj-a", str(jsj_a), "--jsj-b", str(jsj_b)]
+        else:
+            jsj_a, jsj_b = tmp_path / "jsj_alpha.txt", tmp_path / "jsj_beta.txt"
+            jsj_a.write_text(self._jsj_part((folder / "alpha.txt").read_text()))
+            jsj_b.write_text(self._jsj_part((folder / "beta.txt").read_text()))
+            argv = ["conj-ung", "--alpha", str(folder / "alpha.txt"), "--beta", str(folder / "beta.txt")]
+        argv += ["--whitelists", str(folder / "whitelists.txt"), "--witness-out", str(witness)]
+        assert run_cli(argv, capsys)[0] == 0
+        verify = ["verify-witness", "--jsj-a", str(jsj_a), "--jsj-b", str(jsj_b), "--witness"]
+        code, out, _ = run_cli(verify + [str(witness)], capsys)
+        assert code == 0 and "witness verified" in out
+        mutant = tmp_path / "mutant.txt"
+        lines = witness.read_text().splitlines(keepends=True)
+        for mutate in (deletions, duplications, token_swaps, digit_replacements):
+            for line, mutated in mutate(lines):
+                mutant.write_text(mutated)
+                code, out, _ = run_cli(verify + [str(mutant)], capsys)
+                assert code in (0, 1), (mutate.__name__, line)
 
     @pytest.mark.parametrize(
         "deleted, message",

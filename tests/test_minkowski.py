@@ -19,8 +19,7 @@ from torusconj.freegroup import (
 from torusconj.minkowski import (
     CongruenceCertificate,
     FiniteQuotient,
-    _outer_order_bounded,
-    _symmetry_order,
+    _matrix_order,
     certify,
     certify_product,
     certify_zsquare,
@@ -144,7 +143,7 @@ class TestCullerReps:
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_outer_order_from_abelianization(self, rank):
-        # oracle: the least divisor d of the symmetry order with aut^d inner
+        # oracle: the least d <= 12 with aut^d inner
         from torusconj.freegroup import inner_conjugator
 
         group = FreeGroup(rank)
@@ -152,15 +151,26 @@ class TestCullerReps:
         for graph in realizing_graphs(rank):
             for sym in graph_symmetries(graph):
                 aut = symmetry_to_automorphism(graph, sym, group)
-                order = _symmetry_order(sym)
-                oracle = next(
-                    d
-                    for d in range(1, order + 1)
-                    if order % d == 0 and inner_conjugator(aut**d) is not None
-                )
-                assert _outer_order_bounded(aut, order) == oracle
+                oracle = next(d for d in range(1, 13) if inner_conjugator(aut**d) is not None)
+                assert _matrix_order(aut.abelianized(), 12) == oracle
                 checked += 1
         assert checked == {2: 28, 3: 304}[rank]
+
+    @pytest.mark.parametrize("rank, folds", [(2, 7), (3, 14)])
+    def test_one_fold_per_representative(self, monkeypatch, rank, folds):
+        # a symmetry is folded into an automorphism only when its homology
+        # matrix gives a new class, against one fold per symmetry (28, 304)
+        import torusconj.minkowski as minkowski
+
+        calls = []
+        original = minkowski.is_automorphism
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(minkowski, "is_automorphism", counting)
+        assert len(culler_reps(rank)) == len(calls) == folds
 
 
 class TestSeparate:
@@ -324,8 +334,6 @@ class TestZSquare:
         # oracle: the bounded-entry enumeration covers orders 2, 3, 4, 6
         orders = set()
         for m in gl2_finite_order_classes():
-            from torusconj.minkowski import _matrix_order
-
             orders.add(_matrix_order(m, 12))
         assert orders == {1, 2, 3, 4, 6}
 
