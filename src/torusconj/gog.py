@@ -538,19 +538,6 @@ class GraphOfGroups:
     def injection(self, edge: str) -> SlotHom:
         return self.injections[edge]
 
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        seen = {self.vertices[0]}
-        queue = [self.vertices[0]]
-        while queue:
-            v = queue.pop()
-            for e in self.oriented_edges():
-                if self.init(e) == v and self.term(e) not in seen:
-                    seen.add(self.term(e))
-                    queue.append(self.term(e))
-        return len(seen) == len(self.vertices)
-
     def __eq__(self, other):
         return (
             isinstance(other, GraphOfGroups)

@@ -69,9 +69,18 @@ class JSJInput:
             u, v = self.gog.edge_ends[e]
             if self.colors[u] == self.colors[v]:
                 raise DomainError(f"edge {e} breaks the bipartite coloring")
-        for v, color in self.colors.items():
-            if color == "black" and self.gog.vslot(v).kind == "free":
+        for v in self.black_vertices():
+            kind = self.gog.vslot(v).kind
+            if kind == "free":
                 raise DomainError(f"black vertex {v} must have an elementary kind")
+            if kind == "fxz":
+                # P x <c> with P in the fiber: c has nonzero degree d, and
+                # the x_i c^(-o(x_i)/d) generate P
+                *free, d = self.orientation.vertex_values[v]
+                if d == 0 or any(a % d for a in free):
+                    raise DomainError(
+                        f"black vertex {v}: center degree {d} must be nonzero and divide every free degree"
+                    )
         for name, loop in self.fiber_loops:
             if not loop.is_loop():
                 raise DomainError(f"fiber generator {name} is not a loop")
@@ -122,38 +131,6 @@ class Verdict:
     status: str  # isomorphic-fop | no-vertexwise-iso | vertexwise-but-fiber-fails | undecided
     witness: Optional[Witness] = None
     detail: str = ""
-
-
-# ---------------------------------------------------------------------------
-# fiber-and-orientation base isomorphisms of elementary slots
-
-
-def slot_fop_base_iso(
-    slot_a: GroupSlot,
-    o_a: Tuple[int, ...],
-    slot_b: GroupSlot,
-    o_b: Tuple[int, ...],
-) -> Optional[SlotIso]:
-    """A degree-preserving isomorphism between elementary slots, or None."""
-    if (slot_a.free_rank, slot_a.has_center) != (slot_b.free_rank, slot_b.has_center):
-        return None
-    kind = slot_a.kind
-    if kind == "Z":
-        if o_a[0] == o_b[0]:
-            return SlotIso(slot_a, slot_b, (slot_b.generator(0),))
-        if o_a[0] == -o_b[0] and o_a[0] != 0:
-            return SlotIso(slot_a, slot_b, (slot_b.generator(0).inverse(),))
-        return None
-    if kind == "Z2":
-        m = _gl2_solve(o_a, o_b, [], [])
-        return None if m is None else SlotIso.from_matrix(slot_a, slot_b, m)
-    # free / fxz: generator-wise transport must preserve degrees
-    images = []
-    for i in range(slot_a.ngens):
-        if o_a[i] != o_b[i]:
-            return None
-        images.append(slot_b.generator(i))
-    return SlotIso(slot_a, slot_b, tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -239,57 +216,35 @@ def match_black(
     transports: Dict[str, EdgeTransport],
     memo: dict,
 ) -> Optional[BlackMatch]:
-    """Decide the compounded-marking match at one black vertex.
-
-    The base isomorphism comes from the degree data; the residual matching
-    is the fiber-and-orientation orbit problem in the black slot.  `memo`
-    (see `assemble`) keeps the base data of each vertex pair.
+    """Decide the compounded-marking match at one black vertex: a
+    fiber-and-orientation isomorphism G_b -> G_b' carrying each adjacent
+    edge class to a conjugate of its transported image, with the conjugators
+    as gammas.  `memo` (see `assemble`) keeps each black vertex's adjacent
+    edges and their classes.
     """
     b2 = vmap[b]
-    key = ("black base", b, b2)
+    key = ("black classes", b)
     if key not in memo:
-        memo[key] = _black_base(jsj_a, jsj_b, b, b2)
-    if memo[key] is None:
-        return None
-    base, adjacent, source_classes = memo[key]
+        gog_a = jsj_a.gog
+        adjacent = tuple(sorted(oe for oe in gog_a.oriented_edges() if gog_a.term(oe) == b))
+        memo[key] = adjacent, tuple(
+            tuple(gog_a.injection(oe).apply(g) for g in gog_a.eslot(oe).generators())
+            for oe in adjacent
+        )
+    adjacent, sources = memo[key]
     slot_b2 = jsj_b.gog.vslot(b2)
-    target_classes = [transports[unoriented(oe)].target_images for oe in adjacent]
-    eta = _black_orbit_match(
-        slot_b2, jsj_b.orientation.vertex_values[b2], source_classes, target_classes
-    )
-    if eta is None:
+    targets = [transports[unoriented(oe)].target_images for oe in adjacent]
+    o_a, o_b = jsj_a.orientation.vertex_values[b], jsj_b.orientation.vertex_values[b2]
+    phi_b = match_black_slot(jsj_a.gog.vslot(b), o_a, slot_b2, o_b, sources, targets)
+    if phi_b is None:
         return None
-    phi_b = eta.compose(base)
     gammas: Dict[str, SlotElement] = {}
-    for oe, source in zip(adjacent, source_classes):
-        moved = tuple(eta.apply(x) for x in source)
-        target = transports[unoriented(oe)].target_images
-        p = slot_elementwise_conjugator(slot_b2, moved, target)
+    for oe, source, target in zip(adjacent, sources, targets):
+        p = slot_elementwise_conjugator(slot_b2, tuple(phi_b.apply(x) for x in source), target)
         if p is None:
             return None
         gammas[oe] = p.inverse()
     return BlackMatch(phi_b, gammas)
-
-
-def _black_base(jsj_a: JSJInput, jsj_b: JSJInput, b: str, b2: str):
-    """(base iso, adjacent oriented edges, their classes moved by the base
-    iso) at the black pair b -> b2, or None if no degree-preserving base
-    iso exists."""
-    gog_a = jsj_a.gog
-    base = slot_fop_base_iso(
-        gog_a.vslot(b),
-        jsj_a.orientation.vertex_values[b],
-        jsj_b.gog.vslot(b2),
-        jsj_b.orientation.vertex_values[b2],
-    )
-    if base is None:
-        return None
-    adjacent = tuple(sorted(oe for oe in gog_a.oriented_edges() if gog_a.term(oe) == b))
-    source_classes = tuple(
-        tuple(base.apply(gog_a.injection(oe).apply(g)) for g in gog_a.eslot(oe).generators())
-        for oe in adjacent
-    )
-    return base, adjacent, source_classes
 
 
 def slot_elementwise_conjugator(slot, moved, target) -> Optional[SlotElement]:
@@ -305,66 +260,60 @@ def slot_elementwise_conjugator(slot, moved, target) -> Optional[SlotElement]:
     return SlotElement(slot, gm * gt.inverse(), 0)
 
 
-def _black_orbit_match(slot, o_vec, source_classes, target_classes) -> Optional[SlotIso]:
-    """Fiber-and-orientation automorphism of the black slot matching the
-    compounded markings classwise, or None."""
-    kind = slot.kind
+def _degree(o: Sequence[int], x: SlotElement) -> int:
+    return sum(v * d for v, d in zip(x.abelianized(), o))
+
+
+def match_black_slot(slot_a, o_a, slot_b, o_b, sources, targets) -> Optional[SlotIso]:
+    """A fiber-and-orientation isomorphism phi: slot_a -> slot_b (o_b . phi
+    == o_a) carrying each source class to a simultaneous conjugate of its
+    target class, or None.  Exact for each elementary kind:
+
+    * Z: x0 -> x0^eps with eps * o_b == o_a, eps == 1 tried first;
+    * Z^2: one linear problem over GL_2(Z), since classes are pointwise;
+    * F_k x Z (with the degree condition `JSJInput` checks): in fiber
+      coordinates G == P x <c>, where an element's center exponent is its
+      degree over |o(c)|, phi is psi x id for psi in Aut(F_k), which is
+      `mwp_product`.  Back in slot coordinates phi(x_i) == psi(x_i) c^l_i
+      with l_i == (o_a(x_i) - o_b(psi(x_i))) / o_b(c), and
+      phi(c) == c^(o_a(c) / o_b(c)).
+    """
+    if (slot_a.free_rank, slot_a.has_center) != (slot_b.free_rank, slot_b.has_center):
+        return None
+    kind = slot_a.kind
     if kind == "Z":
-        flip_ok = o_vec[0] == 0
+        # abelian and centerless: a class matches only its target itself
+        x0 = slot_b.generator(0)
         for eps in (1, -1):
-            if eps == -1 and not flip_ok:
+            if eps * o_b[0] != o_a[0]:
                 continue
-            candidate = SlotIso(slot, slot, (slot.generator(0) if eps == 1 else slot.generator(0).inverse(),))
-            if _classes_match(slot, candidate, source_classes, target_classes):
-                return candidate
+            phi = SlotIso(slot_a, slot_b, (x0 if eps == 1 else x0.inverse(),))
+            if all(tuple(phi.apply(x) for x in src) == tuple(tgt) for src, tgt in zip(sources, targets)):
+                return phi
         return None
     if kind == "Z2":
-        return _zsquare_orbit_match(slot, o_vec, source_classes, target_classes)
-    if kind == "fxz":
-        product = ProductGroup(slot.free_group)
-        m1 = ProductMarking.of(
-            product,
-            [
-                tuple((x.word, x.center) for x in cls)
-                for cls in source_classes
-            ],
+        vectors = [[x.abelianized() for cls in classes for x in cls] for classes in (sources, targets)]
+        m = _gl2_solve(o_a, o_b, *vectors)
+        return None if m is None else SlotIso.from_matrix(slot_a, slot_b, m)
+    d_a, d_b = o_a[-1], o_b[-1]
+    if abs(d_a) != abs(d_b):
+        return None
+    product = ProductGroup(slot_b.free_group)
+
+    def fiber_marking(classes, o) -> ProductMarking:
+        return ProductMarking.of(
+            product, [tuple((x.word, _degree(o, x) // abs(d_a)) for x in cls) for cls in classes]
         )
-        m2 = ProductMarking.of(
-            product,
-            [
-                tuple((x.word, x.center) for x in cls)
-                for cls in target_classes
-            ],
-        )
-        ok, psi = mwp_product(m1, m2)
-        if not ok:
-            return None
-        images = tuple(
-            SlotElement(slot, Word(slot.free_group, psi.apply(slot.free_group.generator(i)).letters), 0)
-            for i in range(slot.free_rank)
-        ) + (slot.generator(slot.free_rank),)
-        return SlotIso(slot, slot, images)
-    return None
 
-
-def _classes_match(slot, iso, source_classes, target_classes) -> bool:
-    for src, tgt in zip(source_classes, target_classes):
-        moved = tuple(iso.apply(x) for x in src)
-        if slot_elementwise_conjugator(slot, moved, tgt) is None:
-            return False
-    return True
-
-
-def _zsquare_orbit_match(slot, o_vec, source_classes, target_classes) -> Optional[SlotIso]:
-    """A degree-preserving GL_2(Z) matrix matching all marking vectors
-    exactly, or None; abelianness makes classes pointwise."""
-    m = _gl2_solve(
-        o_vec,
-        o_vec,
-        [x.abelianized() for cls in source_classes for x in cls],
-        [x.abelianized() for cls in target_classes for x in cls],
-    )
-    return None if m is None else SlotIso.from_matrix(slot, slot, m)
+    ok, psi = mwp_product(fiber_marking(sources, o_a), fiber_marking(targets, o_b))
+    if not ok:
+        return None
+    images = []
+    for i in range(slot_a.free_rank):
+        image = SlotElement(slot_b, psi.apply(slot_b.free_group.generator(i)), 0)
+        images.append(SlotElement(slot_b, image.word, (o_a[i] - _degree(o_b, image)) // d_b))
+    images.append(SlotElement(slot_b, slot_b.free_group.identity(), d_a // d_b))
+    return SlotIso(slot_a, slot_b, tuple(images))
 
 
 def _gl2_solve(o_src, o_dst, sources, targets) -> Optional[List[List[int]]]:
@@ -452,7 +401,8 @@ def assemble(
     seen_keys = set()
     whites = jsj_a.white_vertices()
     # Pieces shared between graph maps, computed once per call: fop-filtered
-    # white candidates per vertex pair, edge transports, black base data.
+    # white candidates per vertex pair, edge transports, each black vertex's
+    # adjacent edges and classes.
     # The memo is dropped with the call.
     memo: dict = {}
     for vmap, emap in graph_isomorphisms(jsj_a.gog, jsj_b.gog):

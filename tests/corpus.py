@@ -112,6 +112,44 @@ def relabel_blocks(jsj: JSJInput, perm: Sequence[int]) -> JSJInput:
     return parse_jsj(text)
 
 
+def recoordinatize(jsj: JSJInput, vertex: str, iso: SlotIso) -> JSJInput:
+    """`jsj` with the group at `vertex` re-expressed through the slot
+    automorphism `iso`: what was x there is iso(x) in the result.  The
+    injections into `vertex`, the fiber and stable loop elements at it and
+    the orientation (o . iso^-1) follow, so the identity elsewhere and `iso`
+    at `vertex` is an isomorphism preserving fiber and orientation."""
+    gog = jsj.gog
+    injections = {
+        oe: SlotHom(hom.src, hom.dst, tuple(iso.apply(img) for img in hom.images))
+        if gog.term(oe) == vertex else hom
+        for oe, hom in gog.injections.items()
+    }
+    moved_gog = GraphOfGroups(gog.vertices, gog.edge_ends, gog.vertex_slots, gog.edge_slots, injections)
+    inverse = iso.inverse()
+    vertex_values = dict(jsj.orientation.vertex_values)
+    vertex_values[vertex] = tuple(
+        jsj.orientation.of_element(vertex, inverse.apply(g)) for g in gog.vslot(vertex).generators()
+    )
+    orientation = OrientationFunctional(moved_gog, vertex_values, jsj.orientation.edge_values)
+
+    def moved(loop: BassWord) -> BassWord:
+        parts, at = [], loop.start
+        for k, item in enumerate(loop.parts):
+            if k % 2:
+                at = gog.term(item)
+            parts.append(iso.apply(item) if k % 2 == 0 and at == vertex else item)
+        return BassWord(moved_gog, loop.start, parts)
+
+    return JSJInput(
+        moved_gog,
+        dict(jsj.colors),
+        orientation,
+        tuple((name, moved(loop)) for name, loop in jsj.fiber_loops),
+        None if jsj.stable_loop is None else moved(jsj.stable_loop),
+        jsj.peripheral,
+    )
+
+
 def identity_whitelist(jsj_a: JSJInput, jsj_b: JSJInput):
     """The identity candidate between every pair of white vertices."""
     out = {}

@@ -1,15 +1,18 @@
 """Regenerate the regression corpus under tests/data/corpus.
 
-Run from the repository root:  python3 -m tests.make_corpus
+Run from the repository root:  python3 -m tests.make_corpus [OUT_DIR]
+(OUT_DIR defaults to tests/data/corpus).
 """
 
 from __future__ import annotations
 
 import pathlib
+import sys
 
+from torusconj.gog import SlotIso
 from torusconj.pipeline import serialize_jsj, serialize_whitelist
 
-from .corpus import identity_whitelist, one_twistor_conj_input, one_twistor_jsj
+from .corpus import identity_whitelist, one_twistor_conj_input, one_twistor_jsj, recoordinatize
 
 DATA = pathlib.Path(__file__).parent / "data" / "corpus"
 
@@ -28,21 +31,57 @@ CONJ_INSTANCES = [
     ("11_identity_vs_twistor", 3, "1", "1", "x0", "1", "not-conjugate"),
 ]
 
-# decide-level instances: (name, jsj_a kwargs, jsj_b kwargs, expected status)
+# decide-level instances: (name, jsj_a kwargs, jsj_b kwargs, images of B's
+# generators re-coordinatizing side b at B (None: as built), expected status)
 DECIDE_INSTANCES = [
     (
         "12_orientation_shift",
         dict(poly_rank=1, twist_word_text="1", center_degree=1, edge2_degree=0),
         dict(poly_rank=1, twist_word_text="1", center_degree=1, edge2_degree=2),
+        None,
         "isomorphic-fop",
     ),
     (
         "13_parity_obstruction",
         dict(poly_rank=1, twist_word_text="1", center_degree=2, edge2_degree=0),
         dict(poly_rank=1, twist_word_text="1", center_degree=2, edge2_degree=1),
+        None,
         "vertexwise-but-fiber-fails",
     ),
+    (
+        "14_center_inverted",
+        dict(poly_rank=2, twist_word_text="x0"),
+        dict(poly_rank=2, twist_word_text="x0"),
+        ("x0", "x1", "c^-1"),
+        "isomorphic-fop",
+    ),
+    (
+        "15_fiber_basis_shift",
+        dict(poly_rank=2, twist_word_text="x0"),
+        dict(poly_rank=2, twist_word_text="x0"),
+        ("x0 * c", "x1", "c"),
+        "isomorphic-fop",
+    ),
 ]
+
+
+def jsj_text(jsj) -> str:
+    """`serialize_jsj` with a [tree] section: the spanning tree that takes
+    each edge, in name order, joining two components."""
+    component = {v: v for v in jsj.gog.vertices}
+
+    def root(v):
+        while component[v] != v:
+            v = component[v]
+        return v
+
+    tree = []
+    for e in jsj.gog.edge_names:
+        u, v = (root(end) for end in jsj.gog.edge_ends[e])
+        if u != v:
+            component[u] = v
+            tree.append(e)
+    return serialize_jsj(jsj).replace("[colors]\n", f"[tree]\n{' '.join(tree)}\n[colors]\n", 1)
 
 
 def side_file_text(side) -> str:
@@ -56,16 +95,18 @@ def side_file_text(side) -> str:
         gens = " ".join(w.format() for w in datum.generators)
         lines.append(f"peripheral: {gens} | {datum.conjugator.format()}")
     lines.append("[jsj]")
-    lines.append(serialize_jsj(side.jsj).rstrip())
+    lines.append(jsj_text(side.jsj).rstrip())
     return "\n".join(lines) + "\n"
 
 
-def main():
-    DATA.mkdir(parents=True, exist_ok=True)
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    out = pathlib.Path(args[0]) if args else DATA
+    out.mkdir(parents=True, exist_ok=True)
     for name, rank, wa, ga, wb, gb, expected in CONJ_INSTANCES:
         a = one_twistor_conj_input(rank, wa, ga)
         b = one_twistor_conj_input(rank, wb, gb)
-        folder = DATA / name
+        folder = out / name
         folder.mkdir(exist_ok=True)
         (folder / "alpha.txt").write_text(side_file_text(a))
         (folder / "beta.txt").write_text(side_file_text(b))
@@ -74,19 +115,23 @@ def main():
         )
         (folder / "expected.txt").write_text(expected + "\n")
         (folder / "kind.txt").write_text("conj-ung\n")
-    for name, kwargs_a, kwargs_b, expected in DECIDE_INSTANCES:
+    for name, kwargs_a, kwargs_b, b_images, expected in DECIDE_INSTANCES:
         jsj_a = one_twistor_jsj(**kwargs_a)
         jsj_b = one_twistor_jsj(**kwargs_b)
-        folder = DATA / name
+        if b_images is not None:
+            slot = jsj_b.gog.vslot("B")
+            iso = SlotIso(slot, slot, tuple(slot.parse(text) for text in b_images))
+            jsj_b = recoordinatize(jsj_b, "B", iso)
+        folder = out / name
         folder.mkdir(exist_ok=True)
-        (folder / "jsj_a.txt").write_text(serialize_jsj(jsj_a))
-        (folder / "jsj_b.txt").write_text(serialize_jsj(jsj_b))
+        (folder / "jsj_a.txt").write_text(jsj_text(jsj_a))
+        (folder / "jsj_b.txt").write_text(jsj_text(jsj_b))
         (folder / "whitelists.txt").write_text(
             serialize_whitelist(identity_whitelist(jsj_a, jsj_b), jsj_a)
         )
         (folder / "expected.txt").write_text(expected + "\n")
         (folder / "kind.txt").write_text("decide\n")
-    print(f"corpus written under {DATA}")
+    print(f"corpus written under {out}")
 
 
 if __name__ == "__main__":

@@ -243,6 +243,8 @@ CORPUS_STDOUT_SHA256 = {
     "11_identity_vs_twistor": "575062c12c92c69e664b259059f86a0f4cfb0f29d1cee771b059874f401eb50a",
     "12_orientation_shift": "1488a673c06f60fc920451c251bd859475954630c8cafeafed5caeedb15fa5b7",
     "13_parity_obstruction": "53a0967593e798b8f2194cb59f909fcf5f6697074a00f9d6884df9d6745c4199",
+    "14_center_inverted": "6cfb4e32da58707f4f58eb0aaca5ac86afd98adbc99e90a8f3eac64d7bff5b0c",
+    "15_fiber_basis_shift": "7e39f1b080856a1f826f2a3b5bdf80aee9d014d1066eedbeb555866ae796404f",
 }
 
 
@@ -256,6 +258,40 @@ def test_corpus_stdout_pinned(name, capsys):
     code, out, _ = run_cli(argv + ["--whitelists", str(folder / "whitelists.txt")], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CORPUS_STDOUT_SHA256[name]
+
+
+def test_make_corpus_reproduces_committed(tmp_path, capsys):
+    from . import make_corpus
+
+    make_corpus.main([str(tmp_path)])
+    committed = sorted(p.relative_to(DATA) for p in DATA.rglob("*") if p.is_file())
+    assert committed == sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    for rel in committed:
+        assert (tmp_path / rel).read_bytes() == (DATA / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("b_values, w_value", [("0 0 0", "0"), ("0 1 2", "2")])
+def test_black_center_degree_is_input_error(b_values, w_value, tmp_path, capsys):
+    # o(W) == o(c) keeps the orientation well defined on both edges
+    folder = DATA / "14_center_inverted"
+    text = (folder / "jsj_a.txt").read_text()
+    assert "vertex B: 0 0 1\nvertex W: 1\n" in text
+    jsj_a = tmp_path / "jsj_a.txt"
+    jsj_a.write_text(text.replace("vertex B: 0 0 1\nvertex W: 1\n", f"vertex B: {b_values}\nvertex W: {w_value}\n"))
+    code, _, err = run_cli(["decide", "--jsj-a", str(jsj_a), "--jsj-b", str(folder / "jsj_b.txt")], capsys)
+    assert code == 1
+    assert "input error: black vertex B" in err
+
+
+def test_unknown_black_vertex_in_colors(tmp_path, capsys):
+    # a [colors] line naming a vertex the graph lacks gives a verdict or an
+    # input error, not a traceback
+    folder = DATA / "12_orientation_shift"
+    jsj_a = tmp_path / "jsj_a.txt"
+    jsj_a.write_text((folder / "jsj_a.txt").read_text().replace("B: black\n", "B: black\nZ: black\n"))
+    code, _, err = run_cli(["decide", "--jsj-a", str(jsj_a), "--jsj-b", str(folder / "jsj_b.txt")], capsys)
+    assert code in (0, 1)
+    assert (code == 1) == ("input error" in err)
 
 
 def _replaced(lines, i, line):

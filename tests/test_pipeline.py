@@ -22,13 +22,13 @@ from torusconj.pipeline import (
     fiber_correct,
     invert_whitelist,
     match_black,
+    match_black_slot,
     parse_jsj,
     parse_whitelist,
     parse_witness,
     serialize_jsj,
     serialize_verdict,
     serialize_whitelist,
-    slot_fop_base_iso,
     verify_witness,
 )
 
@@ -36,6 +36,7 @@ from .corpus import (
     identity_whitelist,
     one_twistor_conj_input,
     one_twistor_jsj,
+    recoordinatize,
     relabel_blocks,
     twistor_jsj,
 )
@@ -48,14 +49,14 @@ CORPUS = pathlib.Path(__file__).parent / "data" / "corpus"
 class TestSlotFopBaseIso:
     def test_z_slot_degree_match(self):
         Z = GroupSlot(1, False)
-        assert slot_fop_base_iso(Z, (2,), Z, (2,)) is not None
-        assert slot_fop_base_iso(Z, (2,), Z, (3,)) is None
-        flip = slot_fop_base_iso(Z, (2,), Z, (-2,))
+        assert match_black_slot(Z, (2,), Z, (2,), [], []) is not None
+        assert match_black_slot(Z, (2,), Z, (3,), [], []) is None
+        flip = match_black_slot(Z, (2,), Z, (-2,), [], [])
         assert flip is not None and flip.apply(Z.generator(0)) == Z.generator(0).inverse()
 
     def test_z2_degree_iso(self):
         Z2 = GroupSlot(1, True)
-        iso = slot_fop_base_iso(Z2, (0, 1), Z2, (1, 1))
+        iso = match_black_slot(Z2, (0, 1), Z2, (1, 1), [], [])
         assert iso is not None
         for i, gen in enumerate(Z2.generators()):
             img = iso.apply(gen)
@@ -64,7 +65,7 @@ class TestSlotFopBaseIso:
 
     def test_z2_gcd_obstruction(self):
         Z2 = GroupSlot(1, True)
-        assert slot_fop_base_iso(Z2, (0, 1), Z2, (0, 2)) is None
+        assert match_black_slot(Z2, (0, 1), Z2, (0, 2), [], []) is None
 
     def test_z2_matches_gcd_oracle(self):
         # o_b M == o_a has a GL_2(Z) solution iff gcd(o_a) == gcd(o_b): GL_2(Z)
@@ -74,7 +75,7 @@ class TestSlotFopBaseIso:
         solvable = 0
         for o_a in itertools.product(values, values):
             for o_b in itertools.product(values, values):
-                iso = slot_fop_base_iso(Z2, o_a, Z2, o_b)
+                iso = match_black_slot(Z2, o_a, Z2, o_b, [], [])
                 assert (iso is not None) == (math.gcd(*o_a) == math.gcd(*o_b)), (o_a, o_b)
                 if iso is None:
                     continue
@@ -86,20 +87,24 @@ class TestSlotFopBaseIso:
 
     def test_fxz_generatorwise(self):
         FXZ = GroupSlot(2, True)
-        assert slot_fop_base_iso(FXZ, (0, 0, 1), FXZ, (0, 0, 1)) is not None
-        assert slot_fop_base_iso(FXZ, (0, 0, 1), FXZ, (0, 0, 2)) is None
+        assert match_black_slot(FXZ, (0, 0, 1), FXZ, (0, 0, 1), [], []) is not None
+        assert match_black_slot(FXZ, (0, 0, 1), FXZ, (0, 0, 2), [], []) is None
+        # B re-coordinatized by c -> c^-1, and by x0 -> x0 * c (o_b(x0) == -1)
+        flip = match_black_slot(FXZ, (0, 0, 1), FXZ, (0, 0, -1), [], [])
+        assert flip is not None and list(flip.images) == FXZ.generators()[:2] + [FXZ.parse("c^-1")]
+        shift = match_black_slot(FXZ, (0, 0, 1), FXZ, (-1, 0, 1), [], [])
+        assert shift is not None and shift.images[0] == FXZ.parse("x0 * c")
+        assert match_black_slot(FXZ, (0, 0, 1), FXZ, (-1, 0, -1), [], []) is not None
 
 
 class TestZSquareOrbitMatch:
     def test_swapped_center_shifts_realizable(self):
         # two adjacent edges with markings shifted by opposite fiber powers:
         # the transvection [[1, m], [0, 1]] on (z, c) realizes the match
-        from torusconj.pipeline import _zsquare_orbit_match
-
         Z2 = GroupSlot(1, True)
         src = [(Z2.parse("c"),), (Z2.parse("x0 * c"),)]
         tgt = [(Z2.parse("x0' * c"),), (Z2.parse("c"),)]
-        eta = _zsquare_orbit_match(Z2, (0, 1), src, tgt)
+        eta = match_black_slot(Z2, (0, 1), Z2, (0, 1), src, tgt)
         assert eta is not None
         # oracle: bounded-entry enumeration of GL2(Z) fixing the degree row
         found = False
@@ -124,22 +129,18 @@ class TestZSquareOrbitMatch:
     def test_unrealizable_swap(self):
         # determinant/orientation constraints exclude matching (z, c) onto
         # (c, z): the degree row pins the second column
-        from torusconj.pipeline import _zsquare_orbit_match
-
         Z2 = GroupSlot(1, True)
         src = [(Z2.parse("x0"),), (Z2.parse("c"),)]
         tgt = [(Z2.parse("c"),), (Z2.parse("x0"),)]
-        assert _zsquare_orbit_match(Z2, (0, 1), src, tgt) is None
+        assert match_black_slot(Z2, (0, 1), Z2, (0, 1), src, tgt) is None
 
     def test_large_transvection_found_exactly(self):
         # the matching equations are solved, not enumerated, so large
         # center-shift multiples are found
-        from torusconj.pipeline import _zsquare_orbit_match
-
         Z2 = GroupSlot(1, True)
         src = [(Z2.parse("c"),), (Z2.parse("x0"),)]
         tgt = [(Z2.parse("x0^7 * c".replace("x0^7", "x0 " * 7)),), (Z2.parse("x0"),)]
-        eta = _zsquare_orbit_match(Z2, (0, 1), src, tgt)
+        eta = match_black_slot(Z2, (0, 1), Z2, (0, 1), src, tgt)
         assert eta is not None
         moved = eta.apply(Z2.parse("c"))
         assert moved.abelianized() == (7, 1)
@@ -148,11 +149,9 @@ class TestZSquareOrbitMatch:
     def test_determinant_solution_outside_small_entries(self):
         # o == 0 leaves the second column free; det 1 needs (21, 13), which
         # a coefficient box of [-8, 8] over the nullspace misses
-        from torusconj.pipeline import _zsquare_orbit_match
-
         Z2 = GroupSlot(1, True)
         target = Z2.parse(" ".join(["x0"] * 55) + " * c^34")
-        eta = _zsquare_orbit_match(Z2, (0, 0), [(Z2.parse("x0"),)], [(target,)])
+        eta = match_black_slot(Z2, (0, 0), Z2, (0, 0), [(Z2.parse("x0"),)], [(target,)])
         assert eta is not None
         m = eta.matrix()
         assert (m[0][0], m[1][0]) == (55, 34)
@@ -162,8 +161,6 @@ class TestZSquareOrbitMatch:
         # seeded GL_2(Z) cases: whenever a matrix exists (constructed cases)
         # or the former [-8, 8] coefficient box finds one, the closed form
         # finds one too, and every matrix it returns satisfies all conditions
-        from torusconj.pipeline import _zsquare_orbit_match
-
         Z2 = GroupSlot(1, True)
         rng = random.Random(20261018)
         small = [
@@ -192,7 +189,7 @@ class TestZSquareOrbitMatch:
                 [(Z2.element(Z2.free_group.generator(0) ** v[0] if v[0] else Z2.free_group.identity(), v[1]),) for v in vecs]
                 for vecs in (sources, targets)
             ]
-            eta = _zsquare_orbit_match(Z2, o, *as_classes)
+            eta = match_black_slot(Z2, o, Z2, o, *as_classes)
             box = _box_zsquare_match(o, sources, targets)
             if realizable or box is not None:
                 assert eta is not None, (o, sources, targets)
@@ -537,7 +534,10 @@ class TestDecideSwapSides:
             assert verify_witness(jsj_b, jsj_a, backward.witness)
         return forward.status
 
-    @pytest.mark.parametrize("name", ["12_orientation_shift", "13_parity_obstruction"])
+    @pytest.mark.parametrize(
+        "name",
+        ["12_orientation_shift", "13_parity_obstruction", "14_center_inverted", "15_fiber_basis_shift"],
+    )
     def test_corpus(self, name):
         folder = CORPUS / name
         jsj_a = parse_jsj((folder / "jsj_a.txt").read_text())
@@ -562,6 +562,90 @@ class TestDecideSwapSides:
         retwisted[rng.randrange(len(twists))] = " ".join(rng.choices(letters, k=3))
         jsj_b = twistor_jsj(rank, retwisted)
         self._assert_swap(jsj_a, jsj_b, _block_whitelist(jsj_a, jsj_b))
+
+
+def _random_black_iso(rng, slot):
+    """A random automorphism of a black slot: a product of elementary
+    GL_2(Z) matrices for Z^2; for F_k x Z a signed permutation of the free
+    generators, each times a random center power, and c -> c^+-1."""
+    if slot.kind == "Z2":
+        m = [[1, 0], [0, 1]]
+        for _ in range(4):
+            i, j = rng.sample((0, 1), 2)
+            r = rng.randint(-3, 3)
+            m[i] = [a + r * b for a, b in zip(m[i], m[j])]
+        if rng.random() < 0.5:
+            m = [[-x for x in row] if k == 0 else row for k, row in enumerate(m)]
+        return SlotIso.from_matrix(slot, slot, m)
+    perm = rng.sample(range(slot.free_rank), slot.free_rank)
+    images = []
+    for i in perm:
+        x = slot.generator(i)
+        x = x if rng.random() < 0.5 else x.inverse()
+        images.append(SlotElement(slot, x.word, rng.randint(-2, 2)))
+    images.append(SlotElement(slot, slot.free_group.identity(), rng.choice((1, -1))))
+    return SlotIso(slot, slot, tuple(images))
+
+
+class TestBlackRecoordinatization:
+    """Re-expressing side b's black vertex in another basis (a GL_2(Z)
+    matrix at Z^2, a signed permutation with center shifts and c -> c^+-1
+    at F_k x Z) keeps decide's status; positives pass verify_witness."""
+
+    @pytest.mark.parametrize("seed", range(9))
+    def test_status_unchanged(self, seed):
+        rng = random.Random(f"recoordinatize-{seed}")
+        rank, blocks = 1 + seed % 3, 1 + seed // 3
+        letters = [f"x{i}{s}" for i in range(rank) for s in ("", "'")]
+        twists = [" ".join(rng.choices(letters, k=rng.randint(1, 2))) for _ in range(blocks)]
+        jsj_a = twistor_jsj(rank, twists)
+        perm = list(range(blocks))
+        rng.shuffle(perm)
+        retwisted = list(twists)
+        retwisted[rng.randrange(blocks)] = " ".join(rng.choices(letters, k=3))
+        pairs = [relabel_blocks(jsj_a, perm) if blocks > 1 else jsj_a, twistor_jsj(rank, retwisted)]
+        for jsj_b in pairs:
+            whitelist = _block_whitelist(jsj_a, jsj_b)
+            expected = decide(jsj_a, jsj_b, whitelist).status
+            assert expected != "undecided"
+            for _ in range(2):
+                iso = _random_black_iso(rng, jsj_b.gog.vslot("B"))
+                moved = recoordinatize(jsj_b, "B", iso)
+                verdict = decide(jsj_a, moved, whitelist)
+                assert verdict.status == expected, (seed, iso.images)
+                if verdict.status == "isomorphic-fop":
+                    assert verify_witness(jsj_a, moved, verdict.witness)
+
+
+class TestBlackDegreeCondition:
+    """A black F_k x Z vertex is P x <c> with P in the fiber only if its
+    center degree is nonzero and divides every free generator's degree."""
+
+    @pytest.mark.parametrize(
+        "values, accepted",
+        [
+            ((0, 0, 1), True),
+            ((0, 0, -1), True),
+            ((-1, 0, 1), True),
+            ((4, -2, 2), True),
+            ((2, 6, -2), True),
+            ((0, 0, 0), False),
+            ((1, 0, 0), False),
+            ((1, 0, 2), False),
+            ((0, 3, -2), False),
+        ],
+    )
+    def test_center_degree_divides(self, values, accepted):
+        # both edges inject the white generator as c, so any vector with
+        # o(W) == o(c) is well defined
+        jsj = one_twistor_jsj(2, "1")
+        vertex_values = {"B": values, "W": values[-1:]}
+        orientation = OrientationFunctional(jsj.gog, vertex_values, jsj.orientation.edge_values)
+        if accepted:
+            JSJInput(jsj.gog, jsj.colors, orientation, ())
+        else:
+            with pytest.raises(DomainError, match="black vertex B"):
+                JSJInput(jsj.gog, jsj.colors, orientation, ())
 
 
 def assert_conj_ung(a, b, whitelist, expected):
