@@ -9,10 +9,9 @@ centralizer of i_e(G_e); as a morphism it is the identity with gamma_e == z.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, FormatError, parse_int
 from .freegroup import (
@@ -22,6 +21,7 @@ from .freegroup import (
     fold,
     is_automorphism,
     primitive_root,
+    reduce_letters,
     root_power,
 )
 
@@ -217,13 +217,22 @@ class SlotHom:
     def apply(self, x: SlotElement) -> SlotElement:
         if x.slot != self.src:
             raise DomainError("element from the wrong slot")
-        out = self.dst.identity()
+        # the images' letters reduced once: the element that multiplying
+        # them one at a time gives
+        letters: List = []
+        center = 0
         for i, s in x.word.letters:
             img = self.images[i]
-            out = out * (img if s > 0 else img.inverse())
+            letters.extend(img.word.letters if s > 0 else img.word.inverse().letters)
+            center += s * img.center
         if x.center:
-            out = out * _pow_slot(self.images[-1], x.center)
-        return out
+            img = self.images[-1]
+            letters.extend((img.word.letters if x.center > 0 else img.word.inverse().letters) * abs(x.center))
+            center += x.center * img.center
+        word = Word(self.dst.free_group, reduce_letters(letters))
+        if self.dst.kind == "Z2":
+            word = _z2_normalize(self.dst, word)
+        return SlotElement(self.dst, word, center)
 
     @cached_property
     def expresser(self) -> BasisExpresser:
@@ -946,58 +955,6 @@ def small_modular_generators(gog: GraphOfGroups) -> List[DehnTwist]:
         for z in slot_centralizer_of_subgroup(gog.vslot(v), image):
             out.append(DehnTwist(gog, e, z))
     return out
-
-
-# ---------------------------------------------------------------------------
-# graph isomorphisms
-
-
-def graph_isomorphisms(g1: GraphOfGroups, g2: GraphOfGroups) -> Iterator[Tuple[Dict, Dict]]:
-    """All (vertex_map, oriented edge_map) graph isomorphisms."""
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edge_names) != len(g2.edge_names):
-        return
-    for perm in itertools.permutations(g2.vertices):
-        vmap = dict(zip(g1.vertices, perm))
-        # group unoriented edges of g1 by endpoint pair images
-        buckets: Dict[Tuple[str, str], List[str]] = {}
-        target_buckets: Dict[Tuple[str, str], List[str]] = {}
-        for e in g1.edge_names:
-            u, v = g1.edge_ends[e]
-            key = tuple(sorted((vmap[u], vmap[v])))
-            buckets.setdefault(key, []).append(e)
-        for f in g2.edge_names:
-            u, v = g2.edge_ends[f]
-            target_buckets.setdefault(tuple(sorted((u, v))), []).append(f)
-        if set(buckets) != set(target_buckets):
-            continue
-        if any(len(buckets[k]) != len(target_buckets[k]) for k in buckets):
-            continue
-        keys = sorted(buckets)
-        choices_per_key = []
-        for key in keys:
-            sources = buckets[key]
-            targets = target_buckets[key]
-            assignments = []
-            for tperm in itertools.permutations(targets):
-                for flips in itertools.product((False, True), repeat=len(sources)):
-                    emap = {}
-                    good = True
-                    for e, f, flip in zip(sources, tperm, flips):
-                        u, v = g1.edge_ends[e]
-                        image = bar(f) if flip else f
-                        if g2.init(image) != vmap[u] or g2.term(image) != vmap[v]:
-                            good = False
-                            break
-                        emap[e] = image
-                        emap[bar(e)] = bar(image)
-                    if good:
-                        assignments.append(emap)
-            choices_per_key.append(assignments)
-        for combo in itertools.product(*choices_per_key):
-            emap: Dict[str, str] = {}
-            for part in combo:
-                emap.update(part)
-            yield dict(vmap), emap
 
 
 # ---------------------------------------------------------------------------

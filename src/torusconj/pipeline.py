@@ -1,6 +1,12 @@
 """Decision pipeline: consume JSJ-shaped inputs and white-vertex candidate
-lists, assemble graph-of-groups isomorphisms via black-vertex orbit matching,
-and settle the fiber with the integer correction system.
+lists, assemble graph-of-groups isomorphisms, and settle the fiber with the
+integer correction system.
+
+Graph maps are enumerated by backtracking over the images of each black
+vertex's incoming edges, and only those every black vertex admits are
+assembled: per black vertex pair, a table computed once per call says which
+edge images some fiber-and-orientation isomorphism of the black slots can
+match (`BlackTable`), so the full black match runs only where it succeeds.
 
 White lists are inputs, not computed; a negative verdict is therefore sound
 relative to the completeness of the supplied lists, and the verdict
@@ -11,8 +17,9 @@ fails" apart.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, FormatError, Undecided, parse_int
 from .fibercorrect import (
@@ -34,7 +41,6 @@ from .gog import (
     SlotHom,
     SlotIso,
     bar,
-    graph_isomorphisms,
     hom_preimage,
     induced_on_pi1,
     parse_gog,
@@ -43,7 +49,7 @@ from .gog import (
     unoriented,
     validate,
 )
-from .whitehead import ProductGroup, ProductMarking, mwp_product
+from .whitehead import Marking, ProductGroup, ProductMarking, level_component, minimized, mwp_product
 
 MAX_EDGES_DEFAULT = 12
 
@@ -220,22 +226,14 @@ def match_black(
     fiber-and-orientation isomorphism G_b -> G_b' carrying each adjacent
     edge class to a conjugate of its transported image, with the conjugators
     as gammas.  `memo` (see `assemble`) keeps each black vertex's adjacent
-    edges and their classes.
+    edges and their classes, and the minimized markings.
     """
     b2 = vmap[b]
-    key = ("black classes", b)
-    if key not in memo:
-        gog_a = jsj_a.gog
-        adjacent = tuple(sorted(oe for oe in gog_a.oriented_edges() if gog_a.term(oe) == b))
-        memo[key] = adjacent, tuple(
-            tuple(gog_a.injection(oe).apply(g) for g in gog_a.eslot(oe).generators())
-            for oe in adjacent
-        )
-    adjacent, sources = memo[key]
+    adjacent, sources = _black_classes(jsj_a, "source", b, memo)
     slot_b2 = jsj_b.gog.vslot(b2)
     targets = [transports[unoriented(oe)].target_images for oe in adjacent]
     o_a, o_b = jsj_a.orientation.vertex_values[b], jsj_b.orientation.vertex_values[b2]
-    phi_b = match_black_slot(jsj_a.gog.vslot(b), o_a, slot_b2, o_b, sources, targets)
+    phi_b = match_black_slot(jsj_a.gog.vslot(b), o_a, slot_b2, o_b, sources, targets, memo)
     if phi_b is None:
         return None
     gammas: Dict[str, SlotElement] = {}
@@ -245,6 +243,20 @@ def match_black(
             return None
         gammas[oe] = p.inverse()
     return BlackMatch(phi_b, gammas)
+
+
+def _black_classes(jsj: JSJInput, side: str, b: str, memo: dict):
+    """The oriented edges into the black vertex b, sorted, and the class
+    (the injected edge generators) of each; kept in `memo` per side."""
+    key = ("black classes", side, b)
+    if key not in memo:
+        gog = jsj.gog
+        adjacent = tuple(sorted(oe for oe in gog.oriented_edges() if gog.term(oe) == b))
+        memo[key] = adjacent, tuple(
+            tuple(gog.injection(oe).apply(g) for g in gog.eslot(oe).generators())
+            for oe in adjacent
+        )
+    return memo[key]
 
 
 def slot_elementwise_conjugator(slot, moved, target) -> Optional[SlotElement]:
@@ -264,7 +276,7 @@ def _degree(o: Sequence[int], x: SlotElement) -> int:
     return sum(v * d for v, d in zip(x.abelianized(), o))
 
 
-def match_black_slot(slot_a, o_a, slot_b, o_b, sources, targets) -> Optional[SlotIso]:
+def match_black_slot(slot_a, o_a, slot_b, o_b, sources, targets, memo=None) -> Optional[SlotIso]:
     """A fiber-and-orientation isomorphism phi: slot_a -> slot_b (o_b . phi
     == o_a) carrying each source class to a simultaneous conjugate of its
     target class, or None.  Exact for each elementary kind:
@@ -277,6 +289,8 @@ def match_black_slot(slot_a, o_a, slot_b, o_b, sources, targets) -> Optional[Slo
       `mwp_product`.  Back in slot coordinates phi(x_i) == psi(x_i) c^l_i
       with l_i == (o_a(x_i) - o_b(psi(x_i))) / o_b(c), and
       phi(c) == c^(o_a(c) / o_b(c)).
+
+    `memo`, when given, keeps the minimized markings (`whitehead.minimized`).
     """
     if (slot_a.free_rank, slot_a.has_center) != (slot_b.free_rank, slot_b.has_center):
         return None
@@ -299,13 +313,9 @@ def match_black_slot(slot_a, o_a, slot_b, o_b, sources, targets) -> Optional[Slo
     if abs(d_a) != abs(d_b):
         return None
     product = ProductGroup(slot_b.free_group)
-
-    def fiber_marking(classes, o) -> ProductMarking:
-        return ProductMarking.of(
-            product, [tuple((x.word, _degree(o, x) // abs(d_a)) for x in cls) for cls in classes]
-        )
-
-    ok, psi = mwp_product(fiber_marking(sources, o_a), fiber_marking(targets, o_b))
+    ok, psi = mwp_product(
+        _fiber_marking(product, sources, o_a), _fiber_marking(product, targets, o_b), memo
+    )
     if not ok:
         return None
     images = []
@@ -314,6 +324,16 @@ def match_black_slot(slot_a, o_a, slot_b, o_b, sources, targets) -> Optional[Slo
         images.append(SlotElement(slot_b, image.word, (o_a[i] - _degree(o_b, image)) // d_b))
     images.append(SlotElement(slot_b, slot_b.free_group.identity(), d_a // d_b))
     return SlotIso(slot_a, slot_b, tuple(images))
+
+
+def _fiber_class(cls, o) -> Tuple[Tuple[Word, int], ...]:
+    """A class of an F_k x Z slot in fiber coordinates: each element's
+    center exponent becomes its degree over |o(c)|."""
+    return tuple((x.word, _degree(o, x) // abs(o[-1])) for x in cls)
+
+
+def _fiber_marking(product: ProductGroup, classes, o) -> ProductMarking:
+    return ProductMarking.of(product, [_fiber_class(cls, o) for cls in classes])
 
 
 def _gl2_solve(o_src, o_dst, sources, targets) -> Optional[List[List[int]]]:
@@ -370,6 +390,206 @@ def _unimodular_along_line(particular, basis) -> Optional[List[int]]:
 
 
 # ---------------------------------------------------------------------------
+# admissible edge assignments at a black vertex pair
+
+
+@dataclass(frozen=True)
+class BlackTable:
+    """Which assignments of edges at a black vertex pair (b, b2) admit a
+    black match.
+
+    `options[i]` lists the possible images of the i-th oriented edge into b
+    (sorted, as in `match_black`): pairs (f, k) of an oriented edge f into
+    b2 and the index k of a fop white candidate between the two white ends
+    (see `_white_candidates`) under which the edge transport exists.  Each
+    row stands for one class of slot automorphisms and holds, per edge, the
+    indices of the options whose transported class those automorphisms
+    match.  An assignment admits a black match exactly when one row holds
+    all of its options; only at F_k x Z with a non-cyclic edge group does
+    the single row hold every option, leaving the decision to the match.
+    """
+
+    edges: Tuple[str, ...]
+    options: Tuple[Tuple[Tuple[str, int], ...], ...]
+    rows: Tuple[Tuple[FrozenSet[int], ...], ...]
+
+
+def _white_candidates(jsj_a, jsj_b, whitelist: WhiteList, w: str, w2: str, memo: dict) -> List[SlotIso]:
+    """The supplied candidates w -> w2 that preserve fiber and orientation,
+    without repeats."""
+    key = ("candidates", w, w2)
+    if key not in memo:
+        memo[key] = list(dict.fromkeys(
+            iso for iso in whitelist.get((w, w2), []) if _candidate_is_fop(jsj_a, jsj_b, w, w2, iso)
+        ))
+    return memo[key]
+
+
+def _transport(jsj_a, jsj_b, ew: str, ew2: str, phi_w: SlotIso, memo: dict) -> Optional[EdgeTransport]:
+    # a transport depends only on the edge, the image of its white end and
+    # the white candidate there; failures are kept too
+    key = ("transport", ew, ew2, phi_w)
+    if key not in memo:
+        memo[key] = _edge_transport(jsj_a, jsj_b, ew, ew2, phi_w)
+    return memo[key]
+
+
+def _black_table(jsj_a, jsj_b, whitelist: WhiteList, b: str, b2: str, memo: dict) -> BlackTable:
+    key = ("black table", b, b2)
+    if key in memo:
+        return memo[key]
+    gog_a, gog_b = jsj_a.gog, jsj_b.gog
+    edges, sources = _black_classes(jsj_a, "source", b, memo)
+    targets, natives = _black_classes(jsj_b, "target", b2, memo)
+    options, pools = [], []
+    for oe in edges:
+        w = gog_a.init(oe)
+        edge_options, pool = [], []
+        for f in targets:
+            for k, phi in enumerate(_white_candidates(jsj_a, jsj_b, whitelist, w, gog_b.init(f), memo)):
+                transport = _transport(jsj_a, jsj_b, bar(oe), bar(f), phi, memo)
+                if transport is not None:
+                    edge_options.append((f, k))
+                    pool.append(transport.target_images)
+        options.append(tuple(edge_options))
+        pools.append(pool)
+    o_a, o_b = jsj_a.orientation.vertex_values[b], jsj_b.orientation.vertex_values[b2]
+    target_keys, row_keys = _match_keys(
+        gog_a.vslot(b), o_a, gog_b.vslot(b2), o_b, sources, pools, natives, memo
+    )
+    indexes = []
+    for keys in target_keys:
+        index: Dict[object, List[int]] = {}
+        for j, option_key in enumerate(keys):
+            index.setdefault(option_key, []).append(j)
+        indexes.append({option_key: frozenset(js) for option_key, js in index.items()})
+    rows = set()
+    for keys in row_keys:
+        row = tuple(index.get(k, frozenset()) for index, k in zip(indexes, keys))
+        if all(row):
+            rows.add(row)
+    memo[key] = BlackTable(edges, tuple(options), tuple(rows))
+    return memo[key]
+
+
+def _match_keys(slot_a, o_a, slot_b, o_b, sources, pools, natives, memo):
+    """(target_keys, row_keys) for `_black_table`: target_keys[i][j] is a key
+    of the transported class of option j of edge i, and each entry of
+    row_keys lists, per edge, the key its source class takes under one
+    class of fop isomorphisms slot_a -> slot_b; `natives` are the classes of
+    the edges into b2.  Equal keys mean "carried to a conjugate", and every
+    fop isomorphism carrying all sources to conjugates of some assignment's
+    targets lies in one of the classes:
+
+    * Z: the map x0 -> x0^eps with eps * o_b == o_a, keyed by the classes;
+    * Z^2: M in GL_2(Z) with o_b M == o_a, keyed by abelianized vectors and
+      pinned on the span of the sources by the images of two independent
+      source vectors (or of the primitive vector of a rank-one span);
+    * F_k x Z: psi x id in fiber coordinates (see `match_black_slot`).
+      Minimizing the sources to S* by alpha and the classes into b2 by
+      beta, an assignment T is carried to iff beta(T) is in the minimal
+      level of S*'s orbit, provided beta(T) is minimal itself.  It is when
+      every edge group is Z: each transported class is then a class into b2
+      or its inverse, each used once, and so beta(T) has the length of
+      beta(natives).  So the rows are the markings of
+      `whitehead.level_component(S*)`, each class keyed with its center
+      exponents; other edge groups get one row matching every option.
+    """
+    kind = slot_a.kind
+    if kind == "Z":
+        x0 = slot_b.generator(0)
+        maps = [
+            SlotIso(slot_a, slot_b, (x0 if eps == 1 else x0.inverse(),))
+            for eps in (1, -1)
+            if eps * o_b[0] == o_a[0]
+        ]
+        return (
+            [[tuple(cls) for cls in pool] for pool in pools],
+            [[tuple(phi.apply(x) for x in cls) for cls in sources] for phi in maps],
+        )
+    if kind == "Z2":
+        vectors = [tuple(x.abelianized() for x in cls) for cls in sources]
+        target_keys = [[tuple(x.abelianized() for x in cls) for cls in pool] for pool in pools]
+        return target_keys, [
+            [tuple(_mat_vec2(m, v) for v in cls) for cls in vectors]
+            for m in _pinned_matrices(o_a, o_b, vectors, target_keys)
+        ]
+    if abs(o_a[-1]) != abs(o_b[-1]):
+        return [[None] * len(pool) for pool in pools], []
+    if any(len(cls) != 1 for cls in sources + natives):
+        return [[None] * len(pool) for pool in pools], [[None] * len(sources)]
+    product = ProductGroup(slot_b.free_group)
+    source = _fiber_marking(product, sources, o_a)
+    minimal, _ = minimized(source.h_marking(), memo)
+    native_minimal, moves = minimized(_fiber_marking(product, natives, o_b).h_marking(), memo)
+    if minimal.total_length() != native_minimal.total_length():
+        return [[None] * len(pool) for pool in pools], []
+
+    def carried(cls):
+        words = []
+        for w, _ in _fiber_class(cls, o_b):
+            for move in moves:
+                w = move.aut.apply(w)
+            words.append(w)
+        canonical = Marking.of(product.free, [words]).classes[0]
+        return canonical, tuple(k for _, k in _fiber_class(cls, o_b))
+
+    centers = source.centers()
+    return (
+        [[carried(cls) for cls in pool] for pool in pools],
+        [list(zip(level.classes, centers)) for level in level_component(minimal)],
+    )
+
+
+def _mat_vec2(m: Sequence[Sequence[int]], v: Sequence[int]) -> Tuple[int, int]:
+    return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
+
+
+def _pinned_matrices(o_a, o_b, sources, targets) -> List[List[List[int]]]:
+    """M in GL_2(Z) with o_b M == o_a, one per action on the span of the
+    source vectors that some choice of targets asks for.  sources[i] is a
+    tuple of vectors and targets[i] lists the candidate images of it.
+
+    With two independent source vectors p and q, M == [t_p t_q][p q]^-1 for
+    each pair of candidate images, kept when integral, unimodular and
+    orientation preserving.  With a rank-one span, M is fixed there by the
+    image v of its primitive vector u, and `_gl2_solve` settles each v.
+    With no nonzero source, any solution will do.
+    """
+    flat = [(i, j, v) for i, cls in enumerate(sources) for j, v in enumerate(cls) if any(v)]
+    if not flat:
+        m = _gl2_solve(o_a, o_b, [], [])
+        return [] if m is None else [m]
+    i0, j0, p = flat[0]
+    second = next(((i, j, q) for i, j, q in flat if p[0] * q[1] - p[1] * q[0]), None)
+    if second is None:
+        g = math.gcd(*p)
+        u = (p[0] // g, p[1] // g)
+        images = {
+            (cls[j0][0] // g, cls[j0][1] // g)
+            for cls in targets[i0]
+            if cls[j0][0] % g == 0 and cls[j0][1] % g == 0
+        }
+        solved = (_gl2_solve(o_a, o_b, [u], [v]) for v in sorted(images))
+        return [m for m in solved if m is not None]
+    i1, j1, q = second
+    det = p[0] * q[1] - p[1] * q[0]
+    if i1 == i0:
+        pairs = [(cls[j0], cls[j1]) for cls in targets[i0]]
+    else:
+        pairs = [(a[j0], c[j1]) for a in targets[i0] for c in targets[i1]]
+    found = {}
+    for tp, tq in pairs:
+        num = [[tp[r] * q[1] - tq[r] * p[1], tq[r] * p[0] - tp[r] * q[0]] for r in range(2)]
+        if any(x % det for row in num for x in row):
+            continue
+        m = [[x // det for x in row] for row in num]
+        if _det2(m[0] + m[1]) in (1, -1) and _mat_vec2(list(zip(*m)), o_b) == tuple(o_a):
+            found[tuple(m[0] + m[1])] = m
+    return list(found.values())
+
+
+# ---------------------------------------------------------------------------
 # assembling the finite collection of candidate isomorphisms
 
 
@@ -383,53 +603,121 @@ def _candidate_is_fop(jsj_a: JSJInput, jsj_b: JSJInput, w: str, w2: str, iso: Sl
     return True
 
 
+def admissible_graph_maps(jsj_a: JSJInput, jsj_b: JSJInput, whitelist: WhiteList, memo: dict):
+    """Yield (vertex map, oriented edge map, white isos) for every graph
+    isomorphism keeping colors and black slot kinds, with a fop white
+    candidate per white vertex, whose edge transports all exist and which
+    every black vertex's `BlackTable` admits.
+
+    Backtracking: each black vertex picks an image, then its incoming edges
+    pick options one at a time, which fixes the images and candidates of
+    their white ends; a partial map is dropped as soon as some black vertex
+    has no table row left.  White vertices without edges are matched last.
+    """
+    gog_a, gog_b = jsj_a.gog, jsj_b.gog
+    blacks, blacks_b = jsj_a.black_vertices(), jsj_b.black_vertices()
+    if (len(gog_a.vertices), len(gog_a.edge_names), len(blacks)) != (
+        len(gog_b.vertices), len(gog_b.edge_names), len(blacks_b)
+    ):
+        return
+    degree_a = {v: sum(gog_a.term(oe) == v for oe in gog_a.oriented_edges()) for v in gog_a.vertices}
+    degree_b = {v: sum(gog_b.term(oe) == v for oe in gog_b.oriented_edges()) for v in gog_b.vertices}
+    vmap: Dict[str, str] = {}
+    emap: Dict[str, str] = {}
+    chosen: Dict[str, int] = {}
+    used_vertices, used_edges = set(), set()
+
+    def place(n: int):
+        if n == len(blacks):
+            yield from finish()
+            return
+        b = blacks[n]
+        slot = gog_a.vslot(b)
+        for b2 in blacks_b:
+            if b2 in used_vertices or degree_a[b] != degree_b[b2]:
+                continue
+            if (slot.free_rank, slot.has_center) != (gog_b.vslot(b2).free_rank, gog_b.vslot(b2).has_center):
+                continue
+            table = _black_table(jsj_a, jsj_b, whitelist, b, b2, memo)
+            if table.rows:
+                vmap[b] = b2
+                used_vertices.add(b2)
+                yield from assign(n, table, 0, range(len(table.rows)))
+                used_vertices.discard(b2)
+                del vmap[b]
+
+    def assign(n: int, table: BlackTable, i: int, alive):
+        if i == len(table.edges):
+            yield from place(n + 1)
+            return
+        oe = table.edges[i]
+        w = gog_a.init(oe)
+        for j, (f, k) in enumerate(table.options[i]):
+            if f in used_edges:
+                continue
+            w2 = gog_b.init(f)
+            fresh = w not in vmap
+            if fresh and (w2 in used_vertices or degree_a[w] != degree_b[w2]):
+                continue
+            if not fresh and (vmap[w], chosen[w]) != (w2, k):
+                continue
+            rows = [r for r in alive if j in table.rows[r][i]]
+            if not rows:
+                continue
+            if fresh:
+                vmap[w], chosen[w] = w2, k
+                used_vertices.add(w2)
+            emap[oe], emap[bar(oe)] = f, bar(f)
+            used_edges.add(f)
+            yield from assign(n, table, i + 1, rows)
+            used_edges.discard(f)
+            del emap[oe], emap[bar(oe)]
+            if fresh:
+                used_vertices.discard(w2)
+                del vmap[w], chosen[w]
+
+    def finish():
+        white_isos = {
+            w: _white_candidates(jsj_a, jsj_b, whitelist, w, vmap[w], memo)[k] for w, k in chosen.items()
+        }
+        lone = [w for w in jsj_a.white_vertices() if w not in vmap]
+        lone_b = [w2 for w2 in jsj_b.white_vertices() if w2 not in used_vertices]
+        for images in itertools.permutations(lone_b):
+            lists = [_white_candidates(jsj_a, jsj_b, whitelist, w, w2, memo) for w, w2 in zip(lone, images)]
+            for combo in itertools.product(*lists):
+                yield {**vmap, **dict(zip(lone, images))}, dict(emap), {**white_isos, **dict(zip(lone, combo))}
+
+    yield from place(0)
+
+
 def assemble(
     jsj_a: JSJInput,
     jsj_b: JSJInput,
     whitelist: WhiteList,
     max_edges: int = MAX_EDGES_DEFAULT,
 ):
-    """The finite collection O of validated vertexwise-fop isomorphisms.
+    """The finite collection O of validated vertexwise-fop isomorphisms,
+    sorted by `canonical_key`.
 
-    Iterates deterministically over graph maps and white-candidate tuples;
-    an empty result is meaningful (no vertexwise isomorphism relative to the
-    supplied lists).
+    Each graph map and white-candidate tuple that `admissible_graph_maps`
+    yields is assembled in full (`_assemble_one`); the tables there are
+    exact, so the maps it skips are the ones whose assembly fails.  An empty
+    result is meaningful (no vertexwise isomorphism relative to the supplied
+    lists).
     """
     if len(jsj_a.gog.edge_names) > max_edges or len(jsj_b.gog.edge_names) > max_edges:
         return Undecided(f"graph-map enumeration capped at {max_edges} edges")
-    results: List[GoGMorphism] = []
-    seen_keys = set()
-    whites = jsj_a.white_vertices()
     # Pieces shared between graph maps, computed once per call: fop-filtered
     # white candidates per vertex pair, edge transports, each black vertex's
-    # adjacent edges and classes.
+    # adjacent edges and classes, the black tables and minimized markings.
     # The memo is dropped with the call.
     memo: dict = {}
-    for vmap, emap in graph_isomorphisms(jsj_a.gog, jsj_b.gog):
-        if any(jsj_a.colors[v] != jsj_b.colors[vmap[v]] for v in jsj_a.gog.vertices):
-            continue
-        choice_lists = []
-        for w in whites:
-            key = ("candidates", w, vmap[w])
-            if key not in memo:
-                memo[key] = [
-                    iso
-                    for iso in whitelist.get((w, vmap[w]), [])
-                    if _candidate_is_fop(jsj_a, jsj_b, w, vmap[w], iso)
-                ]
-            choice_lists.append(memo[key])
-        if any(not c for c in choice_lists):
-            continue
-        for combo in itertools.product(*choice_lists):
-            white_isos = dict(zip(whites, combo))
-            morphism = _assemble_one(jsj_a, jsj_b, vmap, emap, white_isos, memo)
-            if morphism is not None:
-                key = morphism.canonical_key()
-                if key not in seen_keys:
-                    seen_keys.add(key)
-                    results.append(morphism)
-    results.sort(key=lambda m: m.canonical_key())
-    return results
+    results: Dict[tuple, GoGMorphism] = {}
+    for vmap, emap, white_isos in admissible_graph_maps(jsj_a, jsj_b, whitelist, memo):
+        morphism = _assemble_one(jsj_a, jsj_b, vmap, emap, white_isos, memo)
+        if morphism is not None:
+            results.setdefault(morphism.canonical_key(), morphism)
+    return [results[key] for key in sorted(results)]
 
 
 def _assemble_one(jsj_a, jsj_b, vmap, emap, white_isos, memo: dict) -> Optional[GoGMorphism]:
@@ -437,14 +725,8 @@ def _assemble_one(jsj_a, jsj_b, vmap, emap, white_isos, memo: dict) -> Optional[
     transports: Dict[str, EdgeTransport] = {}
     gammas: Dict[str, SlotElement] = {}
     for edge in gog_a.edge_names:
-        # a transport depends only on the edge, the image of its white end
-        # and the white candidate there; failures are kept too
         ew = edge if jsj_a.colors[gog_a.term(edge)] == "white" else bar(edge)
-        phi_w = white_isos[gog_a.term(ew)]
-        key = ("transport", ew, emap[ew], phi_w)
-        if key not in memo:
-            memo[key] = _edge_transport(jsj_a, jsj_b, ew, emap[ew], phi_w)
-        transport = memo[key]
+        transport = _transport(jsj_a, jsj_b, ew, emap[ew], white_isos[gog_a.term(ew)], memo)
         if transport is None:
             return None
         transports[edge] = transport

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, FormatError, parse_int
 from .freegroup import (
@@ -271,6 +271,17 @@ def minimize(m: Marking) -> Tuple[Marking, List[WhiteheadMove]]:
         applied.append(move)
 
 
+def minimized(m: Marking, memo: Optional[dict] = None) -> Tuple[Marking, List[WhiteheadMove]]:
+    """`minimize(m)`, kept in `memo` (when given) under the marking's value,
+    so that a caller asking about one marking many times minimizes it once."""
+    if memo is None:
+        return minimize(m)
+    key = ("minimize", m)
+    if key not in memo:
+        memo[key] = minimize(m)
+    return memo[key]
+
+
 def _compose_moves(group: FreeGroup, moves: Sequence[WhiteheadMove]) -> FreeAut:
     aut = FreeAut.identity(group)
     for move in moves:
@@ -278,9 +289,10 @@ def _compose_moves(group: FreeGroup, moves: Sequence[WhiteheadMove]) -> FreeAut:
     return aut
 
 
-def same_orbit(m1: Marking, m2: Marking) -> Tuple[bool, Optional[FreeAut]]:
+def same_orbit(m1: Marking, m2: Marking, memo: Optional[dict] = None) -> Tuple[bool, Optional[FreeAut]]:
     """Orbit decision under the full automorphism group, with witness;
-    `mwp_product` is the fiber-and-orientation preserving variant."""
+    `mwp_product` is the fiber-and-orientation preserving variant.  `memo`
+    is passed to `minimized`."""
     if m1.group != m2.group:
         raise DomainError("markings over different groups")
     if len(m1.classes) != len(m2.classes):
@@ -288,8 +300,8 @@ def same_orbit(m1: Marking, m2: Marking) -> Tuple[bool, Optional[FreeAut]]:
     if tuple(len(e) for e in m1.classes) != tuple(len(e) for e in m2.classes):
         return False, None
     fg = m1.group
-    min1, moves1 = minimize(m1)
-    min2, moves2 = minimize(m2)
+    min1, moves1 = minimized(m1, memo)
+    min2, moves2 = minimized(m2, memo)
     if min1.total_length() != min2.total_length():
         return False, None
     path = _level_path(min1, min2)
@@ -302,6 +314,25 @@ def same_orbit(m1: Marking, m2: Marking) -> Tuple[bool, Optional[FreeAut]]:
     )
     assert m1.apply(witness) == m2
     return True, witness
+
+
+def level_component(m: Marking) -> FrozenSet[Marking]:
+    """Every marking that length-preserving Whitehead moves reach from the
+    length-minimal `m`: by peak reduction, all the minimal markings of its
+    orbit (McCool's minimal level).  As in `_level_path`, type-II moves are
+    searched and the signed relabellings applied once at the end."""
+    seen = {m}
+    frontier = [m]
+    while frontier:
+        nxt = []
+        for marking in frontier:
+            for _, candidate in _moves_changing_length(marking, lambda change: change == 0):
+                if candidate not in seen:
+                    seen.add(candidate)
+                    nxt.append(candidate)
+        frontier = nxt
+    relabelled = {move.apply_marking(x) for x in seen for move, _ in _relabellings(m.group)}
+    return frozenset(seen | relabelled)
 
 
 @lru_cache(maxsize=None)
@@ -422,7 +453,9 @@ def _parse_product_element(product: ProductGroup, text: str) -> Tuple[Word, int]
     return product.free.parse(" ".join(word_parts)), center
 
 
-def mwp_product(m1: ProductMarking, m2: ProductMarking) -> Tuple[bool, Optional[FreeAut]]:
+def mwp_product(
+    m1: ProductMarking, m2: ProductMarking, memo: Optional[dict] = None
+) -> Tuple[bool, Optional[FreeAut]]:
     """Fiber-and-orientation preserving orbit decision in H x <c>.
 
     Such an automorphism has the shape h -> psi(h) c^{lambda(h)}, c -> c,
@@ -430,6 +463,7 @@ def mwp_product(m1: ProductMarking, m2: ProductMarking) -> Tuple[bool, Optional[
     fiber H forces lambda == 0, so the group is a copy of Aut(H).  The
     decision is the plain orbit problem on the H-parts together with
     entrywise equality of the center exponents, which such maps leave fixed.
+    `memo` is passed to `same_orbit`.
     """
     if m1.product != m2.product:
         raise DomainError("markings over different product groups")
@@ -440,4 +474,4 @@ def mwp_product(m1: ProductMarking, m2: ProductMarking) -> Tuple[bool, Optional[
     # fiber preservation forces lambda == 0, which pins the centers entrywise
     if m1.centers() != m2.centers():
         return False, None
-    return same_orbit(m1.h_marking(), m2.h_marking())
+    return same_orbit(m1.h_marking(), m2.h_marking(), memo)

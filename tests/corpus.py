@@ -23,6 +23,10 @@ from torusconj.gog import (
     SlotElement,
     SlotHom,
     SlotIso,
+    bar,
+    induced_on_pi1,
+    unoriented,
+    validate,
 )
 from torusconj.pipeline import ConjUngInput, JSJInput, PeripheralDatum, parse_jsj, serialize_jsj
 
@@ -91,6 +95,29 @@ def twistor_jsj(poly_rank: int, twist_word_texts: Sequence[str], center_degree: 
     )
 
 
+def attached_jsj(black_ranks: Dict[str, int], attachments: Sequence[Tuple[str, str, str]]) -> JSJInput:
+    """A JSJ input with several black vertices, without fiber loops: black
+    vertex b is P x <t> with P free of rank black_ranks[b] (Z^2 for rank 1),
+    and attachment j, a triple (white vertex, black vertex, word w over P),
+    is an edge e_j from a cyclic white vertex u -> u to the black vertex
+    u -> t w^-1, as in `twistor_jsj`; a white vertex may reach several
+    black vertices."""
+    wslot = GroupSlot(1, False)
+    slots = {b: GroupSlot(rank, True) for b, rank in black_ranks.items()}
+    edge_ends, injections = {}, {}
+    for j, (w, b, text) in enumerate(attachments, start=1):
+        e, bslot = f"e{j}", slots[b]
+        slots[w] = wslot
+        edge_ends[e] = (w, b)
+        injections[e] = SlotHom(wslot, bslot, (SlotElement(bslot, bslot.free_group.parse(text).inverse(), 1),))
+        injections[e + "~"] = SlotHom(wslot, wslot, (wslot.generator(0),))
+    gog = GraphOfGroups(list(slots), edge_ends, slots, {e: wslot for e in edge_ends}, injections)
+    values = {v: tuple([0] * black_ranks[v] + [1]) if v in black_ranks else (1,) for v in slots}
+    orientation = OrientationFunctional(gog, values, {e: 0 for e in edge_ends})
+    colors = {v: "black" if v in black_ranks else "white" for v in slots}
+    return JSJInput(gog, colors, orientation, ())
+
+
 def one_twistor_jsj(poly_rank: int, twist_word_text: str = "1", center_degree: int = 1,
                     edge2_degree: int = 0) -> JSJInput:
     """The single-block `twistor_jsj`: F_{poly_rank+1} with s -> s * w."""
@@ -112,6 +139,26 @@ def relabel_blocks(jsj: JSJInput, perm: Sequence[int]) -> JSJInput:
     return parse_jsj(text)
 
 
+def _rebuilt(jsj: JSJInput, gog: GraphOfGroups, moved, vertex_values=None, edge_values=None,
+             names=None) -> JSJInput:
+    """`jsj` over the graph of groups `gog`, with every fiber and stable loop
+    replaced by `moved(loop)` and its vertices renamed by `names`."""
+    names = names or {v: v for v in jsj.gog.vertices}
+    orientation = OrientationFunctional(
+        gog,
+        {names[v]: x for v, x in (vertex_values or jsj.orientation.vertex_values).items()},
+        edge_values or jsj.orientation.edge_values,
+    )
+    return JSJInput(
+        gog,
+        {names[v]: color for v, color in jsj.colors.items()},
+        orientation,
+        tuple((name, moved(loop)) for name, loop in jsj.fiber_loops),
+        None if jsj.stable_loop is None else moved(jsj.stable_loop),
+        {names[v]: annot for v, annot in jsj.peripheral.items()},
+    )
+
+
 def recoordinatize(jsj: JSJInput, vertex: str, iso: SlotIso) -> JSJInput:
     """`jsj` with the group at `vertex` re-expressed through the slot
     automorphism `iso`: what was x there is iso(x) in the result.  The
@@ -130,7 +177,6 @@ def recoordinatize(jsj: JSJInput, vertex: str, iso: SlotIso) -> JSJInput:
     vertex_values[vertex] = tuple(
         jsj.orientation.of_element(vertex, inverse.apply(g)) for g in gog.vslot(vertex).generators()
     )
-    orientation = OrientationFunctional(moved_gog, vertex_values, jsj.orientation.edge_values)
 
     def moved(loop: BassWord) -> BassWord:
         parts, at = [], loop.start
@@ -140,14 +186,93 @@ def recoordinatize(jsj: JSJInput, vertex: str, iso: SlotIso) -> JSJInput:
             parts.append(iso.apply(item) if k % 2 == 0 and at == vertex else item)
         return BassWord(moved_gog, loop.start, parts)
 
-    return JSJInput(
-        moved_gog,
-        dict(jsj.colors),
-        orientation,
-        tuple((name, moved(loop)) for name, loop in jsj.fiber_loops),
-        None if jsj.stable_loop is None else moved(jsj.stable_loop),
-        jsj.peripheral,
+    return _rebuilt(jsj, moved_gog, moved, vertex_values)
+
+
+def reverse_edge(jsj: JSJInput, edge: str) -> JSJInput:
+    """`jsj` with the canonical orientation of `edge` reversed: its ends
+    swap, so do its e and e~ injections and every loop's crossings of it,
+    and its edge value is negated.  The same graph of groups written the
+    other way round, isomorphic to `jsj` preserving fiber and orientation."""
+    gog = jsj.gog
+    u, v = gog.edge_ends[edge]
+    injections = dict(gog.injections)
+    injections[edge], injections[bar(edge)] = gog.injection(bar(edge)), gog.injection(edge)
+    moved_gog = GraphOfGroups(
+        gog.vertices, {**gog.edge_ends, edge: (v, u)}, gog.vertex_slots, gog.edge_slots, injections
     )
+    swap = {edge: bar(edge), bar(edge): edge}
+
+    def moved(loop: BassWord) -> BassWord:
+        parts = [swap.get(item, item) if k % 2 else item for k, item in enumerate(loop.parts)]
+        return BassWord(moved_gog, loop.start, parts)
+
+    edge_values = {**jsj.orientation.edge_values, edge: -jsj.orientation.edge_values[edge]}
+    return _rebuilt(jsj, moved_gog, moved, edge_values=edge_values)
+
+
+def rename_vertices(jsj: JSJInput, names: Dict[str, str]) -> JSJInput:
+    """`jsj` with vertex v renamed names[v] everywhere (the names must be
+    distinct); edges keep their names."""
+    gog = jsj.gog
+    moved_gog = GraphOfGroups(
+        [names[v] for v in gog.vertices],
+        {e: (names[u], names[v]) for e, (u, v) in gog.edge_ends.items()},
+        {names[v]: slot for v, slot in gog.vertex_slots.items()},
+        gog.edge_slots,
+        gog.injections,
+    )
+
+    def moved(loop: BassWord) -> BassWord:
+        return BassWord(moved_gog, names[loop.start], loop.parts)
+
+    return _rebuilt(jsj, moved_gog, moved, names=names)
+
+
+def conjugate_injection(jsj: JSJInput, oriented_edge: str, g: SlotElement) -> JSJInput:
+    """`jsj` with the injection of `oriented_edge` followed by ad_g
+    (x -> g^-1 x g), g in the group at its terminal vertex.  The identity
+    map with gamma == g^-1 on that edge is an isomorphism onto the result;
+    the loops are carried along by it, and the edge value moves by o(g) so
+    that it keeps every loop's degree."""
+    gog = jsj.gog
+    hom = gog.injection(oriented_edge)
+    injections = {
+        **gog.injections,
+        oriented_edge: SlotHom(hom.src, hom.dst, tuple(img.conjugate(g) for img in hom.images)),
+    }
+    moved_gog = GraphOfGroups(gog.vertices, gog.edge_ends, gog.vertex_slots, gog.edge_slots, injections)
+    gammas = {oe: gog.vslot(gog.term(oe)).identity() for oe in gog.oriented_edges()}
+    gammas[oriented_edge] = g.inverse()
+    carry = validate(
+        gog,
+        {
+            "vertex_map": {v: v for v in gog.vertices},
+            "edge_map": {oe: oe for oe in gog.oriented_edges()},
+            "vertex_isos": {v: SlotIso.identity(gog.vslot(v)) for v in gog.vertices},
+            "edge_isos": {e: SlotIso.identity(gog.eslot(e)) for e in gog.edge_names},
+            "gammas": gammas,
+        },
+        codomain=moved_gog,
+    )
+    edge = unoriented(oriented_edge)
+    shift = jsj.orientation.of_element(gog.term(oriented_edge), g)
+    edge_values = dict(jsj.orientation.edge_values)
+    edge_values[edge] += shift if oriented_edge == edge else -shift
+    return _rebuilt(jsj, moved_gog, lambda loop: induced_on_pi1(carry, loop), edge_values=edge_values)
+
+
+def fiber_nielsen(jsj: JSJInput, i: int, j: int) -> JSJInput:
+    """`jsj` with another basis of the fiber and another stable lift: the
+    fiber generator h_i becomes h_i h_j (a Nielsen move, i != j), the list
+    is rotated by one place, and the stable loop becomes stable * h_j.  The
+    loops must share their base vertex."""
+    loops = list(jsj.fiber_loops)
+    name, loop = loops[i]
+    loops[i] = (name, loop * loops[j][1])
+    loops = loops[1:] + loops[:1]
+    stable = None if jsj.stable_loop is None else jsj.stable_loop * jsj.fiber_loops[j][1]
+    return JSJInput(jsj.gog, jsj.colors, jsj.orientation, tuple(loops), stable, jsj.peripheral)
 
 
 def identity_whitelist(jsj_a: JSJInput, jsj_b: JSJInput):
@@ -179,6 +304,26 @@ def one_twistor_conj_input(rank: int, twist_word_text: str,
     )
     jsj = one_twistor_jsj(poly, twist_word_text)
     return ConjUngInput(group, aut, (peripheral,), jsj)
+
+
+def twistor_side_text(poly_rank: int, twist_word_texts: Sequence[str]) -> str:
+    """A `conj-ung` side file for `twistor_jsj(poly_rank, twist_word_texts)`:
+    F_{p+k} on a, b, ..., with x -> x on the first p generators and
+    s_j -> s_j w_j on the others, the peripheral subgroup of the first p
+    with trivial conjugator, and the decomposition after `[jsj]`."""
+    k = len(twist_word_texts)
+    names = "abcdefghijklmnopqrstuvwxyz"[: poly_rank + k]
+    images = [f"{x} -> {x}" for x in names[:poly_rank]]
+    for s, text in zip(names[poly_rank:], twist_word_texts):
+        w = re.sub(r"x(\d+)", lambda m: names[int(m.group(1))], text)
+        images.append(f"{s} -> {s}" if w == "1" else f"{s} -> {s} {w}")
+    header = [
+        f"fiber rank: {poly_rank + k}",
+        "monodromy: " + ", ".join(images),
+        f"peripheral: {' '.join(names[:poly_rank])} | 1",
+        "[jsj]",
+    ]
+    return "\n".join(header) + "\n" + serialize_jsj(twistor_jsj(poly_rank, twist_word_texts))
 
 
 def _subword_to_ambient(group: FreeGroup, text: str, poly: int) -> Word:

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from torusconj.fibercorrect import smith_normal_form
 from torusconj.freegroup import FreeGroup, Word
@@ -77,3 +78,51 @@ def abelian_invariants(gog: GraphOfGroups, tree: Sequence[str]) -> Tuple[int, ..
     diag = [d[i][i] for i in range(min(len(index), len(columns)))]
     torsion = [x for x in diag if x not in (0, 1)]
     return tuple(torsion + [0] * (len(index) - sum(1 for x in diag if x)))
+
+
+def graph_isomorphisms(g1: GraphOfGroups, g2: GraphOfGroups) -> Iterator[Tuple[Dict, Dict]]:
+    """All (vertex_map, oriented edge_map) graph isomorphisms."""
+    if len(g1.vertices) != len(g2.vertices) or len(g1.edge_names) != len(g2.edge_names):
+        return
+    for perm in itertools.permutations(g2.vertices):
+        vmap = dict(zip(g1.vertices, perm))
+        # group unoriented edges of g1 by endpoint pair images
+        buckets: Dict[Tuple[str, str], List[str]] = {}
+        target_buckets: Dict[Tuple[str, str], List[str]] = {}
+        for e in g1.edge_names:
+            u, v = g1.edge_ends[e]
+            key = tuple(sorted((vmap[u], vmap[v])))
+            buckets.setdefault(key, []).append(e)
+        for f in g2.edge_names:
+            u, v = g2.edge_ends[f]
+            target_buckets.setdefault(tuple(sorted((u, v))), []).append(f)
+        if set(buckets) != set(target_buckets):
+            continue
+        if any(len(buckets[k]) != len(target_buckets[k]) for k in buckets):
+            continue
+        keys = sorted(buckets)
+        choices_per_key = []
+        for key in keys:
+            sources = buckets[key]
+            targets = target_buckets[key]
+            assignments = []
+            for tperm in itertools.permutations(targets):
+                for flips in itertools.product((False, True), repeat=len(sources)):
+                    emap = {}
+                    good = True
+                    for e, f, flip in zip(sources, tperm, flips):
+                        u, v = g1.edge_ends[e]
+                        image = bar(f) if flip else f
+                        if g2.init(image) != vmap[u] or g2.term(image) != vmap[v]:
+                            good = False
+                            break
+                        emap[e] = image
+                        emap[bar(e)] = bar(image)
+                    if good:
+                        assignments.append(emap)
+            choices_per_key.append(assignments)
+        for combo in itertools.product(*choices_per_key):
+            emap: Dict[str, str] = {}
+            for part in combo:
+                emap.update(part)
+            yield dict(vmap), emap

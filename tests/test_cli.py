@@ -260,6 +260,225 @@ def test_corpus_stdout_pinned(name, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CORPUS_STDOUT_SHA256[name]
 
 
+def _seeded_twistor_cases():
+    """40 seeded twistor pairs (Z^2 with k <= 4, F_2 x Z with k <= 3), as
+    {case id: (command, poly rank, twists a, twists b)}.  A positive b takes
+    a's blocks in another order and relabels P (x0 -> x0^-1 for Z^2, a
+    signed swap of x0 and x1 for F_2 x Z); a negative retwists one block."""
+    import random
+
+    rng = random.Random("seeded-twistor-pins")
+    draws = [(1, 1), (1, 2), (1, 3), (1, 4), (1, 4), (2, 1), (2, 2), (2, 2), (2, 3), (2, 3)]
+    cases = {}
+    for n, (rank, k) in enumerate(draws):
+        letters = [f"x{i}{s}" for i in range(rank) for s in ("", "'")]
+        twists = [" ".join(rng.choices(letters, k=rng.randint(1, 2))) for _ in range(k)]
+        order = rng.sample(range(k), k)
+        relabel = {"x0": "x0'", "x0'": "x0"} if rank == 1 else {"x0": "x1'", "x0'": "x1", "x1": "x0", "x1'": "x0'"}
+        positive = [" ".join(relabel[x] for x in twists[j].split()) for j in order]
+        negative = list(twists)
+        negative[rng.randrange(k)] = " ".join(rng.choices(letters, k=3))
+        for command in ("decide", "conj-ung"):
+            for sign, twists_b in (("pos", positive), ("neg", negative)):
+                cases[f"{n:02d}-{command}-r{rank}-k{k}-{sign}"] = (command, rank, twists, twists_b)
+    return cases
+
+
+SEEDED_CASES = _seeded_twistor_cases()
+
+# sha256 of (stdout, --witness-out file or "") of each seeded case: pins
+# verdicts and witnesses beyond the corpus
+SEEDED_SHA256 = {
+    "00-conj-ung-r1-k1-neg": (
+        "b1f002bda807df848135cc70b3f2270aac61ce289442442ef25c68be45e9d44d",
+        "b1f002bda807df848135cc70b3f2270aac61ce289442442ef25c68be45e9d44d",
+    ),
+    "00-conj-ung-r1-k1-pos": (
+        "b1f002bda807df848135cc70b3f2270aac61ce289442442ef25c68be45e9d44d",
+        "b1f002bda807df848135cc70b3f2270aac61ce289442442ef25c68be45e9d44d",
+    ),
+    "00-decide-r1-k1-neg": (
+        "c2e43669340c34094d22a99e614abadc1c81740094e721f3275a924b97a65a26",
+        "c2e43669340c34094d22a99e614abadc1c81740094e721f3275a924b97a65a26",
+    ),
+    "00-decide-r1-k1-pos": (
+        "c2e43669340c34094d22a99e614abadc1c81740094e721f3275a924b97a65a26",
+        "c2e43669340c34094d22a99e614abadc1c81740094e721f3275a924b97a65a26",
+    ),
+    "01-conj-ung-r1-k2-neg": (
+        "575062c12c92c69e664b259059f86a0f4cfb0f29d1cee771b059874f401eb50a",
+        "",
+    ),
+    "01-conj-ung-r1-k2-pos": (
+        "17d36f03f977f33180c3a0866b4061c2ab019b911e3155488d84e5c6b296528b",
+        "17d36f03f977f33180c3a0866b4061c2ab019b911e3155488d84e5c6b296528b",
+    ),
+    "01-decide-r1-k2-neg": (
+        "0d18b0585f44afbb58dac41aa33b28aa9320b67cc715a2975b3a6e7457cfeb9d",
+        "",
+    ),
+    "01-decide-r1-k2-pos": (
+        "985d528baf670b53564fba166d4024e65a331ac96acb2429579f5951d737365c",
+        "985d528baf670b53564fba166d4024e65a331ac96acb2429579f5951d737365c",
+    ),
+    "02-conj-ung-r1-k3-neg": (
+        "31fa2faeba8c452ca60d9019a559f28ea652fc69f96d76c54b75533b4835c89d",
+        "31fa2faeba8c452ca60d9019a559f28ea652fc69f96d76c54b75533b4835c89d",
+    ),
+    "02-conj-ung-r1-k3-pos": (
+        "31fa2faeba8c452ca60d9019a559f28ea652fc69f96d76c54b75533b4835c89d",
+        "31fa2faeba8c452ca60d9019a559f28ea652fc69f96d76c54b75533b4835c89d",
+    ),
+    "02-decide-r1-k3-neg": (
+        "3f70135fcfacb2de352670759f5542db5dab9c546ac3f6418d03d7405f3a653a",
+        "3f70135fcfacb2de352670759f5542db5dab9c546ac3f6418d03d7405f3a653a",
+    ),
+    "02-decide-r1-k3-pos": (
+        "3f70135fcfacb2de352670759f5542db5dab9c546ac3f6418d03d7405f3a653a",
+        "3f70135fcfacb2de352670759f5542db5dab9c546ac3f6418d03d7405f3a653a",
+    ),
+    "03-conj-ung-r1-k4-neg": (
+        "575062c12c92c69e664b259059f86a0f4cfb0f29d1cee771b059874f401eb50a",
+        "",
+    ),
+    "03-conj-ung-r1-k4-pos": (
+        "e07fca80743da13ced4a38d0293db8c0cba69d9c03928412840722de7a615b44",
+        "e07fca80743da13ced4a38d0293db8c0cba69d9c03928412840722de7a615b44",
+    ),
+    "03-decide-r1-k4-neg": (
+        "0d18b0585f44afbb58dac41aa33b28aa9320b67cc715a2975b3a6e7457cfeb9d",
+        "",
+    ),
+    "03-decide-r1-k4-pos": (
+        "4002a4506ad8277bc38ffc3db453784cc22274912c6828fa1236f90f88fabbe3",
+        "4002a4506ad8277bc38ffc3db453784cc22274912c6828fa1236f90f88fabbe3",
+    ),
+    "04-conj-ung-r1-k4-neg": (
+        "575062c12c92c69e664b259059f86a0f4cfb0f29d1cee771b059874f401eb50a",
+        "",
+    ),
+    "04-conj-ung-r1-k4-pos": (
+        "df4859486f5afb498038ee6598929a35b0bb040967c0f887b36ba1860747df32",
+        "df4859486f5afb498038ee6598929a35b0bb040967c0f887b36ba1860747df32",
+    ),
+    "04-decide-r1-k4-neg": (
+        "0d18b0585f44afbb58dac41aa33b28aa9320b67cc715a2975b3a6e7457cfeb9d",
+        "",
+    ),
+    "04-decide-r1-k4-pos": (
+        "3d5901449d26d2d0b5c8f010ce7066545e87780cd848bbd0d5e817aace4b79e3",
+        "3d5901449d26d2d0b5c8f010ce7066545e87780cd848bbd0d5e817aace4b79e3",
+    ),
+    "05-conj-ung-r2-k1-neg": (
+        "71543f47b38fac10b84cdfd6c6f06b2fc10db8e64c1bcd558465c5574138dbd1",
+        "71543f47b38fac10b84cdfd6c6f06b2fc10db8e64c1bcd558465c5574138dbd1",
+    ),
+    "05-conj-ung-r2-k1-pos": (
+        "3851811b2d640ff1d502aee8f7e65e3e5c9e9b093ba70938f6d8a8c02a3c1053",
+        "3851811b2d640ff1d502aee8f7e65e3e5c9e9b093ba70938f6d8a8c02a3c1053",
+    ),
+    "05-decide-r2-k1-neg": (
+        "ee3c4c3f3944b980a386c370b44d5f1f70850fa3f78abcb92c8b182963440c26",
+        "ee3c4c3f3944b980a386c370b44d5f1f70850fa3f78abcb92c8b182963440c26",
+    ),
+    "05-decide-r2-k1-pos": (
+        "b1917c1cd19fc348dda51fca3c88ddba03f81479687cf8e7f0a746f126eda7f0",
+        "b1917c1cd19fc348dda51fca3c88ddba03f81479687cf8e7f0a746f126eda7f0",
+    ),
+    "06-conj-ung-r2-k2-neg": (
+        "bd62dd6a24af7e5c03246d4fdbaa9cf3a83839b953733be5014ec46a16ccc84d",
+        "bd62dd6a24af7e5c03246d4fdbaa9cf3a83839b953733be5014ec46a16ccc84d",
+    ),
+    "06-conj-ung-r2-k2-pos": (
+        "f61295f187df34b1212bdab1bebabde4490e13832cd07f04514a9195b95686d3",
+        "f61295f187df34b1212bdab1bebabde4490e13832cd07f04514a9195b95686d3",
+    ),
+    "06-decide-r2-k2-neg": (
+        "710751dda536eb31497e7af0e9893a7f8eb0369258c7b70943ab6ed04816df3e",
+        "710751dda536eb31497e7af0e9893a7f8eb0369258c7b70943ab6ed04816df3e",
+    ),
+    "06-decide-r2-k2-pos": (
+        "359ccdf2471cf52a6dedac2e2df5aab704364d5022b9e12483a6c9559c8e2f4a",
+        "359ccdf2471cf52a6dedac2e2df5aab704364d5022b9e12483a6c9559c8e2f4a",
+    ),
+    "07-conj-ung-r2-k2-neg": (
+        "eaf9cb6066c849a74279de5ea7c37c36f67eaa2224efccc11a2a1b5cd3f03ac8",
+        "eaf9cb6066c849a74279de5ea7c37c36f67eaa2224efccc11a2a1b5cd3f03ac8",
+    ),
+    "07-conj-ung-r2-k2-pos": (
+        "5525393861dcf8c43f1147f447f06ffc402ba605215edf63490184756a17a2db",
+        "5525393861dcf8c43f1147f447f06ffc402ba605215edf63490184756a17a2db",
+    ),
+    "07-decide-r2-k2-neg": (
+        "cbde73ba32e670f09d486112f89d2e9c6cfd268f80e773e14916ac56a4f34c50",
+        "cbde73ba32e670f09d486112f89d2e9c6cfd268f80e773e14916ac56a4f34c50",
+    ),
+    "07-decide-r2-k2-pos": (
+        "f7e8535c3f76eee94cfbe8752da19000cea2d7b1715c05f54e0451ef64a83a38",
+        "f7e8535c3f76eee94cfbe8752da19000cea2d7b1715c05f54e0451ef64a83a38",
+    ),
+    "08-conj-ung-r2-k3-neg": (
+        "575062c12c92c69e664b259059f86a0f4cfb0f29d1cee771b059874f401eb50a",
+        "",
+    ),
+    "08-conj-ung-r2-k3-pos": (
+        "657ff9cb0777cb5134f66b7416f89113c4dc019a855af33e0e23dd0c8bff3a9c",
+        "657ff9cb0777cb5134f66b7416f89113c4dc019a855af33e0e23dd0c8bff3a9c",
+    ),
+    "08-decide-r2-k3-neg": (
+        "0d18b0585f44afbb58dac41aa33b28aa9320b67cc715a2975b3a6e7457cfeb9d",
+        "",
+    ),
+    "08-decide-r2-k3-pos": (
+        "cfb1a6027d8fd7a8cc607cdd9aa793b090e67e92abd188be327f7f2cab17cef4",
+        "cfb1a6027d8fd7a8cc607cdd9aa793b090e67e92abd188be327f7f2cab17cef4",
+    ),
+    "09-conj-ung-r2-k3-neg": (
+        "5f4d90da2821f1b5c23eb4fd4ad1e8a68a9f45d516dc8dab81a9fb1e34781e1f",
+        "5f4d90da2821f1b5c23eb4fd4ad1e8a68a9f45d516dc8dab81a9fb1e34781e1f",
+    ),
+    "09-conj-ung-r2-k3-pos": (
+        "6d12774790a95257f07ec58919eaffdb0bde067798bc3531128ed3fb415495c0",
+        "6d12774790a95257f07ec58919eaffdb0bde067798bc3531128ed3fb415495c0",
+    ),
+    "09-decide-r2-k3-neg": (
+        "92171daab8cf0d52cfdbc38655d65b8a7327bce392127122bd5f41d1120ed47d",
+        "92171daab8cf0d52cfdbc38655d65b8a7327bce392127122bd5f41d1120ed47d",
+    ),
+    "09-decide-r2-k3-pos": (
+        "4a0f3630abcc4c04949acee22898a897ce200f8149d20b2e7528f38c4c733119",
+        "4a0f3630abcc4c04949acee22898a897ce200f8149d20b2e7528f38c4c733119",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEEDED_CASES))
+def test_seeded_twistor_output_pinned(case, tmp_path, capsys):
+    from torusconj.pipeline import serialize_jsj, serialize_whitelist
+
+    from .corpus import identity_whitelist, twistor_jsj, twistor_side_text
+
+    command, rank, twists_a, twists_b = SEEDED_CASES[case]
+    jsj_a, jsj_b = twistor_jsj(rank, twists_a), twistor_jsj(rank, twists_b)
+    (tmp_path / "wl.txt").write_text(serialize_whitelist(identity_whitelist(jsj_a, jsj_b), jsj_a))
+    if command == "decide":
+        (tmp_path / "a.txt").write_text(serialize_jsj(jsj_a))
+        (tmp_path / "b.txt").write_text(serialize_jsj(jsj_b))
+        argv = ["decide", "--jsj-a", str(tmp_path / "a.txt"), "--jsj-b", str(tmp_path / "b.txt")]
+    else:
+        (tmp_path / "a.txt").write_text(twistor_side_text(rank, twists_a))
+        (tmp_path / "b.txt").write_text(twistor_side_text(rank, twists_b))
+        argv = ["conj-ung", "--alpha", str(tmp_path / "a.txt"), "--beta", str(tmp_path / "b.txt")]
+    witness = tmp_path / "witness.txt"
+    code, out, _ = run_cli(argv + ["--whitelists", str(tmp_path / "wl.txt"), "--witness-out", str(witness)], capsys)
+    assert code == 0
+    digests = tuple(
+        hashlib.sha256(text.encode()).hexdigest() if text else ""
+        for text in (out, witness.read_text() if witness.exists() else "")
+    )
+    assert digests == SEEDED_SHA256[case]
+
+
 def test_make_corpus_reproduces_committed(tmp_path, capsys):
     from . import make_corpus
 

@@ -16,7 +16,6 @@ from torusconj.gog import (
     bar,
     compose,
     dehn_twist,
-    graph_isomorphisms,
     hom_preimage,
     identity_morphism,
     induced_on_pi1,
@@ -29,6 +28,7 @@ from torusconj.gog import (
 )
 
 from .corpus import twistor_jsj
+from .helpers import graph_isomorphisms
 
 Z = GroupSlot(1, False)
 Z2 = GroupSlot(1, True)

@@ -15,6 +15,7 @@ from torusconj.pipeline import (
     PeripheralDatum,
     Verdict,
     _validate_ung_side,
+    admissible_graph_maps,
     assemble,
     conj_ung,
     decide,
@@ -33,11 +34,16 @@ from torusconj.pipeline import (
 )
 
 from .corpus import (
+    attached_jsj,
+    conjugate_injection,
+    fiber_nielsen,
     identity_whitelist,
     one_twistor_conj_input,
     one_twistor_jsj,
     recoordinatize,
     relabel_blocks,
+    rename_vertices,
+    reverse_edge,
     twistor_jsj,
 )
 from .cli_helpers import load_conj_side
@@ -456,32 +462,53 @@ def _block_whitelist(jsj_a, jsj_b):
     return out
 
 
+def _fresh_assembly_keys(jsj_a, jsj_b, whitelist):
+    """The brute-force oracle for `assemble`: every graph isomorphism that
+    keeps colors, every tuple of fop white candidates, each assembled with
+    a fresh memo; the canonical keys of the morphisms that validate."""
+    from torusconj.pipeline import _assemble_one, _candidate_is_fop
+
+    from .helpers import graph_isomorphisms
+
+    whites = jsj_a.white_vertices()
+    fresh = set()
+    for vmap, emap in graph_isomorphisms(jsj_a.gog, jsj_b.gog):
+        if any(jsj_a.colors[v] != jsj_b.colors[vmap[v]] for v in jsj_a.gog.vertices):
+            continue
+        choices = [
+            [iso for iso in whitelist[(w, vmap[w])] if _candidate_is_fop(jsj_a, jsj_b, w, vmap[w], iso)]
+            for w in whites
+        ]
+        for combo in itertools.product(*choices):
+            morphism = _assemble_one(jsj_a, jsj_b, vmap, emap, dict(zip(whites, combo)), {})
+            if morphism is not None:
+                fresh.add(morphism.canonical_key())
+    return fresh
+
+
 class TestAssembleMemo:
     @pytest.mark.parametrize("rank, twists_a, twists_b", BLOCK_CASES)
     def test_memo_matches_fresh_assembly(self, rank, twists_a, twists_b):
         # the memo shared by all graph maps of one call changes no result:
         # the same keys in the same order as a fresh memo per graph map and
         # white combination
-        from torusconj.gog import graph_isomorphisms
-        from torusconj.pipeline import _assemble_one, _candidate_is_fop
-
         jsj_a, jsj_b = twistor_jsj(rank, twists_a), twistor_jsj(rank, twists_b)
         whitelist = _block_whitelist(jsj_a, jsj_b)
-        whites = jsj_a.white_vertices()
-        fresh = set()
-        for vmap, emap in graph_isomorphisms(jsj_a.gog, jsj_b.gog):
-            if any(jsj_a.colors[v] != jsj_b.colors[vmap[v]] for v in jsj_a.gog.vertices):
-                continue
-            choices = [
-                [iso for iso in whitelist[(w, vmap[w])] if _candidate_is_fop(jsj_a, jsj_b, w, vmap[w], iso)]
-                for w in whites
-            ]
-            for combo in itertools.product(*choices):
-                morphism = _assemble_one(jsj_a, jsj_b, vmap, emap, dict(zip(whites, combo)), {})
-                if morphism is not None:
-                    fresh.add(morphism.canonical_key())
+        fresh = _fresh_assembly_keys(jsj_a, jsj_b, whitelist)
         keys = [m.canonical_key() for m in assemble(jsj_a, jsj_b, whitelist)]
         assert keys == sorted(fresh)
+
+    @pytest.mark.parametrize("rank, blocks", [(1, 3), (1, 4), (2, 2), (2, 3), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_seeded_matches_fresh_assembly(self, rank, blocks, seed):
+        # the oracle on seeded pairs, a positive and a usually negative one:
+        # Z^2 with k <= 4, F_2 x Z with k <= 3, F_3 x Z with k <= 2
+        rng = random.Random(f"oracle-{rank}-{blocks}-{seed}")
+        jsj_a, pairs = _seeded_pairs(rng, rank, blocks)
+        for jsj_b in pairs:
+            whitelist = _block_whitelist(jsj_a, jsj_b)
+            keys = [m.canonical_key() for m in assemble(jsj_a, jsj_b, whitelist)]
+            assert keys == sorted(_fresh_assembly_keys(jsj_a, jsj_b, whitelist))
 
     def test_edge_transport_once_per_key(self, monkeypatch):
         # a transport depends on the edge, the image of its white end and the
@@ -503,6 +530,72 @@ class TestAssembleMemo:
         assert assemble(jsj_a, jsj_b, whitelist)
         per_pair = max(len(isos) for isos in whitelist.values())
         assert 0 < len(calls) <= len(jsj_a.gog.edge_names) * len(jsj_b.gog.edge_names) * per_pair
+
+
+    def test_black_match_only_on_admissible_maps(self, monkeypatch):
+        # the black tables admit a graph map only when its black match
+        # succeeds, so a Z^2 pair with k = 4 blocks makes |O| black matches,
+        # against one per graph map (384) when every map was matched in full
+        import torusconj.pipeline as pipeline
+
+        calls = []
+        original = pipeline.match_black_slot
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, "match_black_slot", counting)
+        jsj_a = twistor_jsj(1, ["x0", "x0'", "x0 x0", "x0 x0 x0"])
+        jsj_b = relabel_blocks(jsj_a, [2, 0, 3, 1])
+        whitelist = _block_whitelist(jsj_a, jsj_b)
+        admitted = sum(1 for _ in admissible_graph_maps(jsj_a, jsj_b, whitelist, {}))
+        collection = assemble(jsj_a, jsj_b, whitelist)
+        assert collection
+        assert len(calls) <= admitted + len(collection)
+        assert admitted == len(collection) < 384
+
+    @pytest.mark.parametrize("rank, blocks", [(1, 3), (1, 4), (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_tables_exact(self, rank, blocks):
+        # every graph map and candidate tuple the tables admit assembles
+        rng = random.Random(f"tables-{rank}-{blocks}")
+        jsj_a, pairs = _seeded_pairs(rng, rank, blocks)
+        for jsj_b in pairs:
+            whitelist = _block_whitelist(jsj_a, jsj_b)
+            admitted = sum(1 for _ in admissible_graph_maps(jsj_a, jsj_b, whitelist, {}))
+            assert admitted == len(assemble(jsj_a, jsj_b, whitelist))
+
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_several_black_vertices_match_fresh_assembly(self, seed):
+        # two black vertices, white vertices reaching one or both; side b
+        # is a, or a with one word changed, then with its black vertices
+        # recoordinatized, some edges reversed and its vertices renamed
+        rng = random.Random(f"two-black-{seed}")
+        ranks = {"B1": rng.choice((1, 2)), "B2": rng.choice((1, 2))}
+        attachments = [
+            (f"W{j}", b, " ".join(rng.choices([f"x{i}{s}" for i in range(ranks[b]) for s in ("", "'")], k=rng.randint(0, 2))) or "1")
+            for j in range(rng.randint(2, 3))
+            for b in rng.sample(sorted(ranks), rng.choice((1, 2)))
+            for _ in range(rng.choice((1, 2)))
+        ][:7]
+        jsj_a = attached_jsj(ranks, attachments)
+        jsj_b = jsj_a
+        if seed % 2:
+            changed = list(attachments)
+            w, b, _ = changed[0]
+            changed[0] = (w, b, "x0 x0")
+            jsj_b = attached_jsj(ranks, changed)
+        for b in ranks:
+            jsj_b = recoordinatize(jsj_b, b, _random_black_iso(rng, jsj_b.gog.vslot(b)))
+        for edge in jsj_b.gog.edge_names:
+            if rng.random() < 0.3:
+                jsj_b = reverse_edge(jsj_b, edge)
+        jsj_b = rename_vertices(jsj_b, _random_names(rng, jsj_b))
+        whitelist = _block_whitelist(jsj_a, jsj_b)
+        keys = [m.canonical_key() for m in assemble(jsj_a, jsj_b, whitelist)]
+        assert keys == sorted(_fresh_assembly_keys(jsj_a, jsj_b, whitelist))
+        assert sum(1 for _ in admissible_graph_maps(jsj_a, jsj_b, whitelist, {})) == len(keys)
 
 
 class TestBlockRelabel:
@@ -615,6 +708,89 @@ class TestBlackRecoordinatization:
                 assert verdict.status == expected, (seed, iso.images)
                 if verdict.status == "isomorphic-fop":
                     assert verify_witness(jsj_a, moved, verdict.witness)
+
+
+def _seeded_pairs(rng, rank, blocks):
+    """A seeded twistor torus a, with b its blocks in another order (a
+    positive) and b with one block retwisted (usually a negative)."""
+    letters = [f"x{i}{s}" for i in range(rank) for s in ("", "'")]
+    twists = [" ".join(rng.choices(letters, k=rng.randint(1, 2))) for _ in range(blocks)]
+    jsj_a = twistor_jsj(rank, twists)
+    perm = list(range(blocks))
+    rng.shuffle(perm)
+    retwisted = list(twists)
+    retwisted[rng.randrange(blocks)] = " ".join(rng.choices(letters, k=3))
+    return jsj_a, [relabel_blocks(jsj_a, perm) if blocks > 1 else jsj_a, twistor_jsj(rank, retwisted)]
+
+
+def _random_names(rng, jsj):
+    """Distinct fresh vertex names, so that their sorted order is random."""
+    names = rng.sample(["Q", "a7", "zeta", "B0", "m_1", "W", "x", "k2", "Vb"], len(jsj.gog.vertices))
+    return dict(zip(jsj.gog.vertices, names))
+
+
+def _edges_reversed(rng, jsj):
+    for edge in jsj.gog.edge_names:
+        if rng.random() < 0.5:
+            jsj = reverse_edge(jsj, edge)
+    return jsj
+
+
+def _injection_conjugated(rng, jsj):
+    # a fiber element at B: a word in the free generators, whose degrees
+    # are 0 in every twistor torus
+    edge = rng.choice([oe for oe in jsj.gog.oriented_edges() if jsj.gog.term(oe) == "B"])
+    slot = jsj.gog.vslot("B")
+    letters = [f"x{i}{s}" for i in range(slot.free_rank) for s in ("", "'")]
+    g = slot.parse(" ".join(rng.choices(letters, k=rng.randint(1, 3))))
+    assert jsj.orientation.of_element("B", g) == 0
+    return conjugate_injection(jsj, edge, g)
+
+
+def _fiber_rebased(rng, jsj):
+    i, j = rng.sample(range(len(jsj.fiber_loops)), 2)
+    return fiber_nielsen(jsj, i, j)
+
+
+SYMMETRIES = {
+    "reverse-edges": _edges_reversed,
+    "rename-vertices": lambda rng, jsj: rename_vertices(jsj, _random_names(rng, jsj)),
+    "conjugate-injection": _injection_conjugated,
+    "fiber-nielsen": _fiber_rebased,
+}
+
+
+class TestInputSymmetries:
+    """Rewriting side b's file by a symmetry of the input format (reversing
+    edges, renaming vertices, conjugating an injection into the black vertex
+    by a fiber element, changing the fiber basis and the stable lift) keeps
+    decide's status; positives pass verify_witness.  Every rewritten input
+    is read back from its serialization first."""
+
+    @staticmethod
+    def _check(seed, transforms):
+        rng = random.Random(f"symmetry-{seed}")
+        rank, blocks = [(1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1)][seed % 6]
+        jsj_a, pairs = _seeded_pairs(rng, rank, blocks)
+        for jsj_b in pairs:
+            expected = decide(jsj_a, jsj_b, _block_whitelist(jsj_a, jsj_b)).status
+            assert expected != "undecided"
+            moved = jsj_b
+            for transform in transforms:
+                moved = parse_jsj(serialize_jsj(transform(rng, moved)))
+            verdict = decide(jsj_a, moved, _block_whitelist(jsj_a, moved))
+            assert verdict.status == expected, (seed, [t.__name__ for t in transforms])
+            if verdict.status == "isomorphic-fop":
+                assert verify_witness(jsj_a, moved, verdict.witness)
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIES))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_status_unchanged(self, name, seed):
+        self._check(seed, [SYMMETRIES[name]])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_composite(self, seed):
+        self._check(100 + seed, [SYMMETRIES[name] for name in sorted(SYMMETRIES)])
 
 
 class TestBlackDegreeCondition:
