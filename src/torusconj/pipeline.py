@@ -151,7 +151,7 @@ def edge_group_conjugator(
         return slot.identity()
     if len(source) == 1 and len(target) == 1:
         s, t = source[0], target[0]
-        for cand, flip in ((t, False), (t.inverse(), True)):
+        for cand in (t, t.inverse()):
             if s.center != cand.center:
                 continue
             ok, w = is_conjugate(s.word, cand.word)
@@ -190,7 +190,11 @@ def _edge_transport(
     phi_w: SlotIso,
 ) -> Optional[EdgeTransport]:
     """Transport the edge group of `ew` (oriented towards its white vertex)
-    onto `ew2` through the white vertex candidate `phi_w`."""
+    onto `ew2` through the white vertex candidate `phi_w`.
+
+    Only maps being assembled need the edge isomorphism and the gamma; the
+    black tables read which transports exist, and the class each carries,
+    off conjugacy keys instead (`_edge_options`)."""
     gog_a, gog_b = jsj_a.gog, jsj_b.gog
     inj_w = gog_a.injection(ew)
     inj_w2 = gog_b.injection(ew2)
@@ -401,7 +405,8 @@ class BlackTable:
     `options[i]` lists the possible images of the i-th oriented edge into b
     (sorted, as in `match_black`): pairs (f, k) of an oriented edge f into
     b2 and the index k of a fop white candidate between the two white ends
-    (see `_white_candidates`) under which the edge transport exists.  Each
+    (see `_white_candidates`) under which the edge transport exists, as
+    `_edge_options` reads off conjugacy keys without transporting.  Each
     row stands for one class of slot automorphisms and holds, per edge, the
     indices of the options whose transported class those automorphisms
     match.  An assignment admits a black match exactly when one row holds
@@ -425,34 +430,83 @@ def _white_candidates(jsj_a, jsj_b, whitelist: WhiteList, w: str, w2: str, memo:
     return memo[key]
 
 
-def _transport(jsj_a, jsj_b, ew: str, ew2: str, phi_w: SlotIso, memo: dict) -> Optional[EdgeTransport]:
-    # a transport depends only on the edge, the image of its white end and
-    # the white candidate there; failures are kept too
-    key = ("transport", ew, ew2, phi_w)
+def _class_key(elements: Sequence[SlotElement]) -> tuple:
+    """A key of a tuple of slot elements up to simultaneous conjugation:
+    the canonical conjugate of the free parts, and the centers (which
+    conjugation leaves alone)."""
+    words, _ = canonical_conjugate(tuple(x.word for x in elements))
+    return words, tuple(x.center for x in elements)
+
+
+def _moved_keys(jsj_a, jsj_b, whitelist: WhiteList, ew: str, w2: str, memo: dict) -> List[tuple]:
+    """Per fop white candidate k from the white end of `ew` to w2, the key
+    of the edge class of `ew` moved by it."""
+    key = ("moved keys", ew, w2)
     if key not in memo:
-        memo[key] = _edge_transport(jsj_a, jsj_b, ew, ew2, phi_w)
+        gog_a = jsj_a.gog
+        inj = gog_a.injection(ew)
+        edge_class = [inj.apply(g) for g in gog_a.eslot(ew).generators()]
+        memo[key] = [
+            _class_key([phi.apply(x) for x in edge_class])
+            for phi in _white_candidates(jsj_a, jsj_b, whitelist, gog_a.term(ew), w2, memo)
+        ]
     return memo[key]
 
 
+def _target_keys(jsj_b, ew2: str) -> Tuple[tuple, Optional[tuple]]:
+    """The key of the edge class of `ew2` (oriented towards its white
+    vertex) and, for a cyclic edge group, the key of its inverse."""
+    gog_b = jsj_b.gog
+    inj = gog_b.injection(ew2)
+    edge_class = [inj.apply(g) for g in gog_b.eslot(ew2).generators()]
+    inverse = _class_key([edge_class[0].inverse()]) if len(edge_class) == 1 else None
+    return _class_key(edge_class), inverse
+
+
+def _edge_options(jsj_a, jsj_b, whitelist: WhiteList, b: str, b2: str, memo: dict):
+    """(options, pools) of the black table at (b, b2): per oriented edge oe
+    into b, the options (f, k) under which the edge transport of oe onto f
+    through white candidate k exists, and the class it carries into b2.
+
+    Read off keys, without transporting: `edge_group_conjugator` finds d
+    exactly when the moved class of oe is simultaneously conjugate to the
+    class of f at its white end (sigma == 1) or, for a cyclic edge group,
+    to its inverse (sigma == -1).  Then the edge isomorphism is g -> g^sigma
+    and the carried class is f's class into b2 to the power sigma.
+    """
+    edges, _ = _black_classes(jsj_a, "source", b, memo)
+    targets, natives = _black_classes(jsj_b, "target", b2, memo)
+    columns = [
+        (f, native, jsj_b.gog.init(f), *_target_keys(jsj_b, bar(f))) for f, native in zip(targets, natives)
+    ]
+    options, pools = [], []
+    for oe in edges:
+        edge_options, pool = [], []
+        for f, native, w2, same, inverse in columns:
+            for k, moved in enumerate(_moved_keys(jsj_a, jsj_b, whitelist, bar(oe), w2, memo)):
+                if moved == same:
+                    pool.append(native)
+                elif moved == inverse:
+                    pool.append((native[0].inverse(),))
+                else:
+                    continue
+                edge_options.append((f, k))
+        options.append(tuple(edge_options))
+        pools.append(pool)
+    return options, pools
+
+
 def _black_table(jsj_a, jsj_b, whitelist: WhiteList, b: str, b2: str, memo: dict) -> BlackTable:
+    """The `BlackTable` of (b, b2), kept in `memo`: its options and carried
+    classes come from conjugacy keys (`_edge_options`), its rows from
+    `_match_keys`; no edge transport runs here, only in `_assemble_one`."""
     key = ("black table", b, b2)
     if key in memo:
         return memo[key]
     gog_a, gog_b = jsj_a.gog, jsj_b.gog
     edges, sources = _black_classes(jsj_a, "source", b, memo)
-    targets, natives = _black_classes(jsj_b, "target", b2, memo)
-    options, pools = [], []
-    for oe in edges:
-        w = gog_a.init(oe)
-        edge_options, pool = [], []
-        for f in targets:
-            for k, phi in enumerate(_white_candidates(jsj_a, jsj_b, whitelist, w, gog_b.init(f), memo)):
-                transport = _transport(jsj_a, jsj_b, bar(oe), bar(f), phi, memo)
-                if transport is not None:
-                    edge_options.append((f, k))
-                    pool.append(transport.target_images)
-        options.append(tuple(edge_options))
-        pools.append(pool)
+    _, natives = _black_classes(jsj_b, "target", b2, memo)
+    options, pools = _edge_options(jsj_a, jsj_b, whitelist, b, b2, memo)
     o_a, o_b = jsj_a.orientation.vertex_values[b], jsj_b.orientation.vertex_values[b2]
     target_keys, row_keys = _match_keys(
         gog_a.vslot(b), o_a, gog_b.vslot(b2), o_b, sources, pools, natives, memo
@@ -604,10 +658,11 @@ def _candidate_is_fop(jsj_a: JSJInput, jsj_b: JSJInput, w: str, w2: str, iso: Sl
 
 
 def admissible_graph_maps(jsj_a: JSJInput, jsj_b: JSJInput, whitelist: WhiteList, memo: dict):
-    """Yield (vertex map, oriented edge map, white isos) for every graph
+    """Yield (vertex map, oriented edge map, white choices) for every graph
     isomorphism keeping colors and black slot kinds, with a fop white
-    candidate per white vertex, whose edge transports all exist and which
-    every black vertex's `BlackTable` admits.
+    candidate per white vertex (its index in `_white_candidates`), whose
+    edge transports all exist and which every black vertex's `BlackTable`
+    admits.
 
     Backtracking: each black vertex picks an image, then its incoming edges
     pick options one at a time, which fixes the images and candidates of
@@ -677,15 +732,12 @@ def admissible_graph_maps(jsj_a: JSJInput, jsj_b: JSJInput, whitelist: WhiteList
                 del vmap[w], chosen[w]
 
     def finish():
-        white_isos = {
-            w: _white_candidates(jsj_a, jsj_b, whitelist, w, vmap[w], memo)[k] for w, k in chosen.items()
-        }
         lone = [w for w in jsj_a.white_vertices() if w not in vmap]
         lone_b = [w2 for w2 in jsj_b.white_vertices() if w2 not in used_vertices]
         for images in itertools.permutations(lone_b):
-            lists = [_white_candidates(jsj_a, jsj_b, whitelist, w, w2, memo) for w, w2 in zip(lone, images)]
-            for combo in itertools.product(*lists):
-                yield {**vmap, **dict(zip(lone, images))}, dict(emap), {**white_isos, **dict(zip(lone, combo))}
+            counts = [len(_white_candidates(jsj_a, jsj_b, whitelist, w, w2, memo)) for w, w2 in zip(lone, images)]
+            for combo in itertools.product(*map(range, counts)):
+                yield {**vmap, **dict(zip(lone, images))}, dict(emap), {**chosen, **dict(zip(lone, combo))}
 
     yield from place(0)
 
@@ -708,30 +760,43 @@ def assemble(
     if len(jsj_a.gog.edge_names) > max_edges or len(jsj_b.gog.edge_names) > max_edges:
         return Undecided(f"graph-map enumeration capped at {max_edges} edges")
     # Pieces shared between graph maps, computed once per call: fop-filtered
-    # white candidates per vertex pair, edge transports, each black vertex's
-    # adjacent edges and classes, the black tables and minimized markings.
+    # white candidates per vertex pair, the conjugacy key of each edge class
+    # moved by each candidate, each black vertex's adjacent edges and
+    # classes, the black tables and minimized markings, and the full edge
+    # transports of assembled maps.
     # The memo is dropped with the call.
     memo: dict = {}
     results: Dict[tuple, GoGMorphism] = {}
-    for vmap, emap, white_isos in admissible_graph_maps(jsj_a, jsj_b, whitelist, memo):
-        morphism = _assemble_one(jsj_a, jsj_b, vmap, emap, white_isos, memo)
+    for vmap, emap, chosen in admissible_graph_maps(jsj_a, jsj_b, whitelist, memo):
+        morphism = _assemble_one(jsj_a, jsj_b, whitelist, vmap, emap, chosen, memo)
         if morphism is not None:
             results.setdefault(morphism.canonical_key(), morphism)
     return [results[key] for key in sorted(results)]
 
 
-def _assemble_one(jsj_a, jsj_b, vmap, emap, white_isos, memo: dict) -> Optional[GoGMorphism]:
+def _assemble_one(jsj_a, jsj_b, whitelist: WhiteList, vmap, emap, chosen, memo: dict) -> Optional[GoGMorphism]:
+    """The morphism of one graph map, with white vertex w taking its
+    candidate chosen[w] (an index into `_white_candidates`), if it
+    validates; the only place where full edge transports run."""
     gog_a, gog_b = jsj_a.gog, jsj_b.gog
+    vertex_isos: Dict[str, SlotIso] = {
+        w: _white_candidates(jsj_a, jsj_b, whitelist, w, vmap[w], memo)[k] for w, k in chosen.items()
+    }
     transports: Dict[str, EdgeTransport] = {}
     gammas: Dict[str, SlotElement] = {}
     for edge in gog_a.edge_names:
         ew = edge if jsj_a.colors[gog_a.term(edge)] == "white" else bar(edge)
-        transport = _transport(jsj_a, jsj_b, ew, emap[ew], white_isos[gog_a.term(ew)], memo)
+        w = gog_a.term(ew)
+        # a transport depends only on the edge, the image of its white end
+        # and the index of the white candidate there; failures are kept too
+        key = ("transport", ew, emap[ew], chosen[w])
+        if key not in memo:
+            memo[key] = _edge_transport(jsj_a, jsj_b, ew, emap[ew], vertex_isos[w])
+        transport = memo[key]
         if transport is None:
             return None
         transports[edge] = transport
         gammas[ew] = transport.gamma_white
-    vertex_isos: Dict[str, SlotIso] = dict(white_isos)
     for b in jsj_a.black_vertices():
         match = match_black(jsj_a, jsj_b, vmap, b, transports, memo)
         if match is None:

@@ -262,6 +262,29 @@ def conjugate_injection(jsj: JSJInput, oriented_edge: str, g: SlotElement) -> JS
     return _rebuilt(jsj, moved_gog, lambda loop: induced_on_pi1(carry, loop), edge_values=edge_values)
 
 
+def conjugate_at_vertex(jsj: JSJInput, vertex: str, g: SlotElement) -> JSJInput:
+    """`jsj` with every injection into `vertex` followed by ad_g, one edge
+    at a time through `conjugate_injection`: at a white vertex this moves
+    how each edge group sits in it, and at a cyclic one, where ad_g is the
+    identity, it moves only the edge values and the loops."""
+    for oe in sorted(oe for oe in jsj.gog.oriented_edges() if jsj.gog.term(oe) == vertex):
+        jsj = conjugate_injection(jsj, oe, g)
+    return jsj
+
+
+def element_of_degree(jsj: JSJInput, vertex: str, degree: int, word_text: str = "1") -> SlotElement:
+    """The element w * z^m of the group at `vertex` with orientation degree
+    `degree`: w is parsed from `word_text`, z is the slot's last generator
+    (its center, or the generator of a cyclic slot), and m must come out
+    integral."""
+    slot = jsj.gog.vslot(vertex)
+    w, z = slot.parse(word_text), slot.generator(slot.ngens - 1)
+    m, rem = divmod(degree - jsj.orientation.of_element(vertex, w), jsj.orientation.of_element(vertex, z))
+    if rem:
+        raise ValueError(f"no element of degree {degree} over {word_text} at {vertex}")
+    return w * SlotElement(slot, z.word ** m, z.center * m)
+
+
 def fiber_nielsen(jsj: JSJInput, i: int, j: int) -> JSJInput:
     """`jsj` with another basis of the fiber and another stable lift: the
     fiber generator h_i becomes h_i h_j (a Nielsen move, i != j), the list

@@ -126,3 +126,27 @@ def graph_isomorphisms(g1: GraphOfGroups, g2: GraphOfGroups) -> Iterator[Tuple[D
             for part in combo:
                 emap.update(part)
             yield dict(vmap), emap
+
+
+def transport_options(jsj_a, jsj_b, whitelist, b: str, b2: str):
+    """Oracle for the options of the black table at (b, b2): one full
+    `_edge_transport` per (edge into b, edge into b2, fop white candidate
+    between their white ends).  Returns (options, transports): per sorted
+    edge into b, the (f, k) whose transport exists, and those transports."""
+    from torusconj.pipeline import _edge_transport, _white_candidates
+
+    gog_a, gog_b = jsj_a.gog, jsj_b.gog
+    targets = sorted(f for f in gog_b.oriented_edges() if gog_b.term(f) == b2)
+    options, transports = [], []
+    for oe in sorted(e for e in gog_a.oriented_edges() if gog_a.term(e) == b):
+        edge_options, edge_transports = [], []
+        for f in targets:
+            candidates = _white_candidates(jsj_a, jsj_b, whitelist, gog_a.init(oe), gog_b.init(f), {})
+            for k, phi in enumerate(candidates):
+                transport = _edge_transport(jsj_a, jsj_b, bar(oe), bar(f), phi)
+                if transport is not None:
+                    edge_options.append((f, k))
+                    edge_transports.append(transport)
+        options.append(tuple(edge_options))
+        transports.append(edge_transports)
+    return options, transports

@@ -35,7 +35,9 @@ from torusconj.pipeline import (
 
 from .corpus import (
     attached_jsj,
+    conjugate_at_vertex,
     conjugate_injection,
+    element_of_degree,
     fiber_nielsen,
     identity_whitelist,
     one_twistor_conj_input,
@@ -47,7 +49,7 @@ from .corpus import (
     twistor_jsj,
 )
 from .cli_helpers import load_conj_side
-from .helpers import abelian_invariants
+from .helpers import abelian_invariants, transport_options
 
 CORPUS = pathlib.Path(__file__).parent / "data" / "corpus"
 
@@ -465,8 +467,9 @@ def _block_whitelist(jsj_a, jsj_b):
 def _fresh_assembly_keys(jsj_a, jsj_b, whitelist):
     """The brute-force oracle for `assemble`: every graph isomorphism that
     keeps colors, every tuple of fop white candidates, each assembled with
-    a fresh memo; the canonical keys of the morphisms that validate."""
-    from torusconj.pipeline import _assemble_one, _candidate_is_fop
+    a fresh memo; the canonical keys of the morphisms that validate.  White
+    candidates are named by their index among the distinct fop ones."""
+    from torusconj.pipeline import _assemble_one, _white_candidates
 
     from .helpers import graph_isomorphisms
 
@@ -475,12 +478,9 @@ def _fresh_assembly_keys(jsj_a, jsj_b, whitelist):
     for vmap, emap in graph_isomorphisms(jsj_a.gog, jsj_b.gog):
         if any(jsj_a.colors[v] != jsj_b.colors[vmap[v]] for v in jsj_a.gog.vertices):
             continue
-        choices = [
-            [iso for iso in whitelist[(w, vmap[w])] if _candidate_is_fop(jsj_a, jsj_b, w, vmap[w], iso)]
-            for w in whites
-        ]
+        choices = [range(len(_white_candidates(jsj_a, jsj_b, whitelist, w, vmap[w], {}))) for w in whites]
         for combo in itertools.product(*choices):
-            morphism = _assemble_one(jsj_a, jsj_b, vmap, emap, dict(zip(whites, combo)), {})
+            morphism = _assemble_one(jsj_a, jsj_b, whitelist, vmap, emap, dict(zip(whites, combo)), {})
             if morphism is not None:
                 fresh.add(morphism.canonical_key())
     return fresh
@@ -511,9 +511,11 @@ class TestAssembleMemo:
             assert keys == sorted(_fresh_assembly_keys(jsj_a, jsj_b, whitelist))
 
     def test_edge_transport_once_per_key(self, monkeypatch):
-        # a transport depends on the edge, the image of its white end and the
-        # white candidate: at most #edges x #edges x #candidates per pair
-        # transports per call, against one per edge per graph map (48 maps)
+        # the black tables read their options off conjugacy keys, so full
+        # transports run only for the maps admissible_graph_maps yields, each
+        # edge once per (edge, image, candidate): at most #edges x #maps,
+        # below #edges x #edges x #candidates, the count when every option
+        # was transported (36 at k = 3, 100 at k = 5)
         import torusconj.pipeline as pipeline
 
         calls = []
@@ -524,13 +526,19 @@ class TestAssembleMemo:
             return original(*args)
 
         monkeypatch.setattr(pipeline, "_edge_transport", counting)
-        jsj_a = twistor_jsj(1, ["x0", "x0'", "x0 x0"])
-        jsj_b = twistor_jsj(1, ["x0 x0", "x0", "x0'"])
-        whitelist = identity_whitelist(jsj_a, jsj_b)
-        assert assemble(jsj_a, jsj_b, whitelist)
-        per_pair = max(len(isos) for isos in whitelist.values())
-        assert 0 < len(calls) <= len(jsj_a.gog.edge_names) * len(jsj_b.gog.edge_names) * per_pair
-
+        for twists_a, twists_b in [
+            (["x0", "x0'", "x0 x0"], ["x0 x0", "x0", "x0'"]),
+            (["x0", "x0'", "x0 x0", "x0 x0 x0", "x0' x0'"], ["x0 x0 x0", "x0' x0'", "x0", "x0 x0", "x0'"]),
+        ]:
+            jsj_a, jsj_b = twistor_jsj(1, twists_a), twistor_jsj(1, twists_b)
+            whitelist = identity_whitelist(jsj_a, jsj_b)
+            calls.clear()
+            maps = sum(1 for _ in admissible_graph_maps(jsj_a, jsj_b, whitelist, {}))
+            assert not calls
+            assert assemble(jsj_a, jsj_b, whitelist)
+            edges = len(jsj_a.gog.edge_names)
+            per_pair = max(len(isos) for isos in whitelist.values())
+            assert 0 < len(calls) <= edges * maps < edges * len(jsj_b.gog.edge_names) * per_pair
 
     def test_black_match_only_on_admissible_maps(self, monkeypatch):
         # the black tables admit a graph map only when its black match
@@ -568,34 +576,138 @@ class TestAssembleMemo:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_several_black_vertices_match_fresh_assembly(self, seed):
-        # two black vertices, white vertices reaching one or both; side b
-        # is a, or a with one word changed, then with its black vertices
-        # recoordinatized, some edges reversed and its vertices renamed
-        rng = random.Random(f"two-black-{seed}")
-        ranks = {"B1": rng.choice((1, 2)), "B2": rng.choice((1, 2))}
-        attachments = [
-            (f"W{j}", b, " ".join(rng.choices([f"x{i}{s}" for i in range(ranks[b]) for s in ("", "'")], k=rng.randint(0, 2))) or "1")
-            for j in range(rng.randint(2, 3))
-            for b in rng.sample(sorted(ranks), rng.choice((1, 2)))
-            for _ in range(rng.choice((1, 2)))
-        ][:7]
-        jsj_a = attached_jsj(ranks, attachments)
-        jsj_b = jsj_a
-        if seed % 2:
-            changed = list(attachments)
-            w, b, _ = changed[0]
-            changed[0] = (w, b, "x0 x0")
-            jsj_b = attached_jsj(ranks, changed)
-        for b in ranks:
-            jsj_b = recoordinatize(jsj_b, b, _random_black_iso(rng, jsj_b.gog.vslot(b)))
-        for edge in jsj_b.gog.edge_names:
-            if rng.random() < 0.3:
-                jsj_b = reverse_edge(jsj_b, edge)
-        jsj_b = rename_vertices(jsj_b, _random_names(rng, jsj_b))
+        jsj_a, jsj_b = _two_black_pair(seed)
         whitelist = _block_whitelist(jsj_a, jsj_b)
         keys = [m.canonical_key() for m in assemble(jsj_a, jsj_b, whitelist)]
         assert keys == sorted(_fresh_assembly_keys(jsj_a, jsj_b, whitelist))
         assert sum(1 for _ in admissible_graph_maps(jsj_a, jsj_b, whitelist, {})) == len(keys)
+
+
+def _two_black_pair(seed):
+    """Two black vertices, white vertices reaching one or both; side b is
+    a, or a with one word changed, then with its black vertices
+    recoordinatized, some edges reversed and its vertices renamed."""
+    rng = random.Random(f"two-black-{seed}")
+    ranks = {"B1": rng.choice((1, 2)), "B2": rng.choice((1, 2))}
+    attachments = [
+        (f"W{j}", b, " ".join(rng.choices([f"x{i}{s}" for i in range(ranks[b]) for s in ("", "'")], k=rng.randint(0, 2))) or "1")
+        for j in range(rng.randint(2, 3))
+        for b in rng.sample(sorted(ranks), rng.choice((1, 2)))
+        for _ in range(rng.choice((1, 2)))
+    ][:7]
+    jsj_a = attached_jsj(ranks, attachments)
+    jsj_b = jsj_a
+    if seed % 2:
+        changed = list(attachments)
+        w, b, _ = changed[0]
+        changed[0] = (w, b, "x0 x0")
+        jsj_b = attached_jsj(ranks, changed)
+    for b in ranks:
+        jsj_b = recoordinatize(jsj_b, b, _random_black_iso(rng, jsj_b.gog.vslot(b)))
+    for edge in jsj_b.gog.edge_names:
+        if rng.random() < 0.3:
+            jsj_b = reverse_edge(jsj_b, edge)
+    return jsj_a, rename_vertices(jsj_b, _random_names(rng, jsj_b))
+
+
+def _rigid_star_whitelist(jsj_a, jsj_b, signed=False):
+    """The identity and the swap at the free white vertex; `signed` adds
+    the swap with one image inverted, fop since o(w) == 0, under which the
+    moved class of e1 is the inverse of its target."""
+    W, W2 = jsj_a.gog.vslot("w"), jsj_b.gog.vslot("w")
+    images = [("x0", "x1"), ("x1", "x0")] + ([("x1'", "x0")] if signed else [])
+    return {("w", "w"): [SlotIso(W, W2, (W2.parse(p), W2.parse(q))) for p, q in images]}
+
+
+def _center_white_pair():
+    """A white F_2 x Z vertex joined to a black Z^2 one by two edges whose
+    classes at the white end differ only in the center: x0 and x0 * c.  On
+    side b the two edges trade their injections."""
+    from torusconj.gog import GraphOfGroups, SlotHom
+
+    Z, Z2, W = GroupSlot(1, False), GroupSlot(1, True), GroupSlot(2, True)
+
+    def build(first, second):
+        injections = {}
+        for e, text in (("e1", first), ("e2", second)):
+            injections[e] = SlotHom(Z, Z2, (Z2.parse(text),))
+            injections[e + "~"] = SlotHom(Z, W, (W.parse(text),))
+        gog = GraphOfGroups(["b", "w"], {"e1": ("w", "b"), "e2": ("w", "b")}, {"w": W, "b": Z2},
+                            {"e1": Z, "e2": Z}, injections)
+        orientation = OrientationFunctional(gog, {"w": (0, 0, 1), "b": (0, 1)}, {"e1": 0, "e2": 0})
+        return JSJInput(gog, {"b": "black", "w": "white"}, orientation, ())
+
+    return build("x0", "x0 * c"), build("x0 * c", "x0")
+
+
+class TestEdgeOptions:
+    """Each black table's options and carried classes, read off conjugacy
+    keys, equal the ones one full edge transport per (edge into b, edge
+    into b2, white candidate) gives: the same options in the same order."""
+
+    @staticmethod
+    def _check(jsj_a, jsj_b, whitelist):
+        """Assert the oracle on every pair of black vertices; return what
+        the transports exercised: an inverted edge group, a non-trivial
+        conjugator at the white end."""
+        from torusconj.pipeline import _edge_options
+
+        seen = set()
+        for b in jsj_a.black_vertices():
+            for b2 in jsj_b.black_vertices():
+                options, pools = _edge_options(jsj_a, jsj_b, whitelist, b, b2, {})
+                expected, transports = transport_options(jsj_a, jsj_b, whitelist, b, b2)
+                assert options == expected
+                assert pools == [[t.target_images for t in edge] for edge in transports]
+                for t in itertools.chain(*transports):
+                    if not t.edge_iso.is_identity():
+                        seen.add("inverted")
+                    if not t.gamma_white.is_identity():
+                        seen.add("conjugated")
+        return seen
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.iterdir()))
+    def test_corpus(self, name):
+        folder = CORPUS / name
+        if (folder / "jsj_a.txt").exists():
+            jsj_a = parse_jsj((folder / "jsj_a.txt").read_text())
+            jsj_b = parse_jsj((folder / "jsj_b.txt").read_text())
+        else:
+            jsj_a, jsj_b = (load_conj_side(folder / side).jsj for side in ("alpha.txt", "beta.txt"))
+        self._check(jsj_a, jsj_b, parse_whitelist((folder / "whitelists.txt").read_text(), jsj_a, jsj_b))
+
+    @pytest.mark.parametrize("rank, blocks", [(1, 2), (1, 4), (2, 1), (2, 3), (3, 1), (3, 2)])
+    def test_seeded(self, rank, blocks):
+        jsj_a, pairs = _seeded_pairs(random.Random(f"options-{rank}-{blocks}"), rank, blocks)
+        for jsj_b in pairs:
+            self._check(jsj_a, jsj_b, _block_whitelist(jsj_a, jsj_b))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_two_black_vertices(self, seed):
+        jsj_a, jsj_b = _two_black_pair(seed)
+        self._check(jsj_a, jsj_b, _block_whitelist(jsj_a, jsj_b))
+
+    def test_rigid_star(self):
+        # identity and swap candidates, then signed ones (sigma == -1), each
+        # also with side b's white injections conjugated in the free white
+        # slot (a non-trivial conjugator d)
+        jsj_a, jsj_b = _rigid_star_pair()
+        W = jsj_b.gog.vslot("w")
+        conjugated = conjugate_injection(jsj_b, "e1~", W.parse("x0 x1'"))
+        conjugated = conjugate_injection(conjugated, "e2~", W.parse("x1 x1 x0"))
+        seen = set()
+        for b_side in (jsj_b, conjugated):
+            for signed in (False, True):
+                seen |= self._check(jsj_a, b_side, _rigid_star_whitelist(jsj_a, b_side, signed))
+        assert seen == {"inverted", "conjugated"}
+
+    def test_white_center(self):
+        # the keys hold the centers: x0 and x0 * c are not conjugate
+        jsj_a, jsj_b = _center_white_pair()
+        W = jsj_a.gog.vslot("w")
+        self._check(jsj_a, jsj_b, {("w", "w"): [SlotIso.identity(W)]})
+        options, _ = transport_options(jsj_a, jsj_b, {("w", "w"): [SlotIso.identity(W)]}, "b", "b")
+        assert options == [(("e2", 0),), (("e1", 0),)]
 
 
 class TestBlockRelabel:
@@ -752,20 +864,40 @@ def _fiber_rebased(rng, jsj):
     return fiber_nielsen(jsj, i, j)
 
 
+def _white_conjugated(rng, jsj):
+    # every twistor white slot is Z with o == 1, so ad_g fixes the
+    # injections and the rewrite moves the edge values by the nonzero o(g)
+    w = rng.choice(jsj.white_vertices())
+    return conjugate_at_vertex(jsj, w, element_of_degree(jsj, w, rng.choice((-2, -1, 1, 2))))
+
+
+def _injection_conjugated_off_fiber(rng, jsj):
+    # an element of nonzero degree at B: a word in the free generators
+    # times a power of the center
+    edge = rng.choice([oe for oe in jsj.gog.oriented_edges() if jsj.gog.term(oe) == "B"])
+    slot = jsj.gog.vslot("B")
+    letters = [f"x{i}{s}" for i in range(slot.free_rank) for s in ("", "'")]
+    word = " ".join(rng.choices(letters, k=rng.randint(0, 2))) or "1"
+    return conjugate_injection(jsj, edge, element_of_degree(jsj, "B", rng.choice((-2, -1, 1, 2)), word))
+
+
 SYMMETRIES = {
     "reverse-edges": _edges_reversed,
     "rename-vertices": lambda rng, jsj: rename_vertices(jsj, _random_names(rng, jsj)),
     "conjugate-injection": _injection_conjugated,
     "fiber-nielsen": _fiber_rebased,
+    "conjugate-white": _white_conjugated,
+    "conjugate-off-fiber": _injection_conjugated_off_fiber,
 }
 
 
 class TestInputSymmetries:
     """Rewriting side b's file by a symmetry of the input format (reversing
     edges, renaming vertices, conjugating an injection into the black vertex
-    by a fiber element, changing the fiber basis and the stable lift) keeps
-    decide's status; positives pass verify_witness.  Every rewritten input
-    is read back from its serialization first."""
+    by a fiber element or by an element of nonzero degree, conjugating the
+    injections into a white vertex, changing the fiber basis and the stable
+    lift) keeps decide's status; positives pass verify_witness.  Every
+    rewritten input is read back from its serialization first."""
 
     @staticmethod
     def _check(seed, transforms):
@@ -791,6 +923,25 @@ class TestInputSymmetries:
     @pytest.mark.parametrize("seed", range(6))
     def test_composite(self, seed):
         self._check(100 + seed, [SYMMETRIES[name] for name in sorted(SYMMETRIES)])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nonzero_degree_composite(self, seed):
+        self._check(200 + seed, [SYMMETRIES["conjugate-white"], SYMMETRIES["conjugate-off-fiber"]])
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_free_white_conjugated(self, signed):
+        # side b's injections into its free white vertex conjugated there by
+        # different elements: every edge transport needs a non-trivial
+        # conjugator, and under the signed candidate e1's is inverted
+        jsj_a, jsj_b = _rigid_star_pair()
+        whitelist = _rigid_star_whitelist(jsj_a, jsj_b, signed)
+        assert decide(jsj_a, jsj_b, whitelist).status == "isomorphic-fop"
+        W = jsj_b.gog.vslot("w")
+        moved = conjugate_injection(jsj_b, "e1~", W.parse("x0 x1'"))
+        moved = parse_jsj(serialize_jsj(conjugate_injection(moved, "e2~", W.parse("x1 x1 x0"))))
+        verdict = decide(jsj_a, moved, _rigid_star_whitelist(jsj_a, moved, signed))
+        assert verdict.status == "isomorphic-fop"
+        assert verify_witness(jsj_a, moved, verdict.witness)
 
 
 class TestBlackDegreeCondition:
