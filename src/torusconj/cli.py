@@ -15,6 +15,7 @@ from .fibercorrect import DiophantineSystem, solve
 from .freegroup import FreeGroup
 from .minkowski import certify, certify_product, certify_zsquare
 from .pipeline import (
+    MAX_EDGES_DEFAULT,
     ConjUngInput,
     PeripheralDatum,
     WhiteList,
@@ -195,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jsj-a", required=True)
     p.add_argument("--jsj-b", required=True)
     p.add_argument("--whitelists")
-    p.add_argument("--max-edges", type=int, default=12)
+    p.add_argument("--max-edges", type=int, default=MAX_EDGES_DEFAULT)
     p.add_argument("--witness-out")
     p.set_defaults(func=cmd_decide)
 

@@ -1,6 +1,7 @@
 """Decision pipeline: consume JSJ-shaped inputs and white-vertex candidate
 lists, assemble graph-of-groups isomorphisms, and settle the fiber with the
-integer correction system.
+integer correction system.  The isomorphisms are built by construction, and
+validated once per positive verdict by `verify_witness`.
 
 Graph maps are enumerated by backtracking over the images of each black
 vertex's incoming edges, and only those every black vertex admits are
@@ -41,7 +42,6 @@ from .gog import (
     SlotHom,
     SlotIso,
     bar,
-    hom_preimage,
     induced_on_pi1,
     parse_gog,
     serialize_gog,
@@ -146,7 +146,8 @@ class Verdict:
 def edge_group_conjugator(
     slot: GroupSlot, source: Sequence[SlotElement], target: Sequence[SlotElement]
 ) -> Optional[SlotElement]:
-    """d with ad_d(<source>) == <target>, for the supported edge kinds."""
+    """d with ad_d(source[i]) == target[i] for all i or, failing that for a
+    single generator, ad_d(source[0]) == target[0]^-1; else None."""
     if list(source) == list(target):
         return slot.identity()
     if len(source) == 1 and len(target) == 1:
@@ -192,6 +193,10 @@ def _edge_transport(
     """Transport the edge group of `ew` (oriented towards its white vertex)
     onto `ew2` through the white vertex candidate `phi_w`.
 
+    d conjugates the moved class onto the class of `ew2` (sigma == 1) or,
+    for a cyclic edge group, onto its inverse (sigma == -1), so the edge
+    isomorphism is g -> g^sigma and the gamma is d^-1.
+
     Only maps being assembled need the edge isomorphism and the gamma; the
     black tables read which transports exist, and the class each carries,
     off conjugacy keys instead (`_edge_options`)."""
@@ -199,23 +204,16 @@ def _edge_transport(
     inj_w = gog_a.injection(ew)
     inj_w2 = gog_b.injection(ew2)
     wslot2 = gog_b.vslot(gog_b.term(ew2))
+    gens2 = gog_b.eslot(ew2).generators()
     moved = [phi_w.apply(inj_w.apply(g)) for g in gog_a.eslot(ew).generators()]
-    targets = [inj_w2.apply(g) for g in gog_b.eslot(ew2).generators()]
+    targets = [inj_w2.apply(g) for g in gens2]
     d = edge_group_conjugator(wslot2, moved, targets)
     if d is None:
         return None
-    edge_images = []
-    for x in moved:
-        pre = hom_preimage(inj_w2, x.conjugate(d))
-        if pre is None:
-            return None
-        edge_images.append(pre)
-    try:
-        edge_iso = SlotIso(gog_a.eslot(ew), gog_b.eslot(ew2), tuple(edge_images))
-    except DomainError:
-        return None
-    target_black = [gog_b.injection(bar(ew2)).apply(img) for img in edge_images]
-    return EdgeTransport(edge_iso, d.inverse(), tuple(target_black))
+    sigma = 1 if [x.conjugate(d) for x in moved] == targets else -1
+    images = tuple(g if sigma == 1 else g.inverse() for g in gens2)
+    target_black = tuple(gog_b.injection(bar(ew2)).apply(g) for g in images)
+    return EdgeTransport(SlotIso(gog_a.eslot(ew), gog_b.eslot(ew2), images), d.inverse(), target_black)
 
 
 def match_black(
@@ -748,12 +746,13 @@ def assemble(
     whitelist: WhiteList,
     max_edges: int = MAX_EDGES_DEFAULT,
 ):
-    """The finite collection O of validated vertexwise-fop isomorphisms,
-    sorted by `canonical_key`.
+    """The finite collection O of vertexwise-fop isomorphisms, sorted by
+    `canonical_key`.
 
     Each graph map and white-candidate tuple that `admissible_graph_maps`
-    yields is assembled in full (`_assemble_one`); the tables there are
-    exact, so the maps it skips are the ones whose assembly fails.  An empty
+    yields is assembled in full (`_assemble_one`), which builds its morphism
+    by construction, without validating it; the tables there are exact, so
+    the maps it skips are the ones whose assembly fails.  An empty
     result is meaningful (no vertexwise isomorphism relative to the supplied
     lists).
     """
@@ -776,8 +775,12 @@ def assemble(
 
 def _assemble_one(jsj_a, jsj_b, whitelist: WhiteList, vmap, emap, chosen, memo: dict) -> Optional[GoGMorphism]:
     """The morphism of one graph map, with white vertex w taking its
-    candidate chosen[w] (an index into `_white_candidates`), if it
-    validates; the only place where full edge transports run."""
+    candidate chosen[w] (an index into `_white_candidates`), or None when an
+    edge transport or black match fails; the only place where full edge
+    transports run.  It is not validated, as its Bass diagram commutes by
+    construction: the graph map is a bar-equivariant bijection keeping colors
+    and incidence, `_edge_transport` closes the diagram at white ends and
+    `match_black` at black ends.  `verify_witness` checks each positive."""
     gog_a, gog_b = jsj_a.gog, jsj_b.gog
     vertex_isos: Dict[str, SlotIso] = {
         w: _white_candidates(jsj_a, jsj_b, whitelist, w, vmap[w], memo)[k] for w, k in chosen.items()
@@ -804,20 +807,7 @@ def _assemble_one(jsj_a, jsj_b, whitelist: WhiteList, vmap, emap, chosen, memo: 
         vertex_isos[b] = match.phi_b
         gammas.update(match.gammas_black)
     edge_isos = {edge: transports[edge].edge_iso for edge in gog_a.edge_names}
-    try:
-        return validate(
-            gog_a,
-            {
-                "vertex_map": vmap,
-                "edge_map": emap,
-                "vertex_isos": vertex_isos,
-                "edge_isos": edge_isos,
-                "gammas": gammas,
-            },
-            codomain=gog_b,
-        )
-    except DomainError:
-        return None
+    return GoGMorphism(gog_a, gog_b, vmap, emap, vertex_isos, edge_isos, gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -1052,6 +1042,10 @@ def parse_whitelist(text: str, jsj_a: JSJInput, jsj_b: JSJInput) -> WhiteList:
             inner = line.strip("[]")[len("candidates"):].strip()
             src, _, dst = inner.partition("->")
             current = (src.strip(), dst.strip())
+            for name, jsj in zip(current, (jsj_a, jsj_b)):
+                if name not in jsj.gog.vertex_slots:
+                    problem = f"names unknown vertex {name!r}" if name else "misses a vertex"
+                    raise FormatError(f"whitelist header {line!r} {problem}")
             out.setdefault(current, [])
             continue
         if line.startswith("iso:"):

@@ -513,6 +513,54 @@ def test_unknown_black_vertex_in_colors(tmp_path, capsys):
     assert (code == 1) == ("input error" in err)
 
 
+@pytest.mark.parametrize(
+    "header, problem",
+    [("[candidates NOPE -> W]", "names unknown vertex 'NOPE'"), ("[candidates W]", "misses a vertex")],
+    ids=["unknown-vertex", "missing-vertex"],
+)
+@pytest.mark.parametrize("name", ["12_orientation_shift", "03_twistor_equal"])
+def test_whitelist_header_vertex_is_input_error(name, header, problem, tmp_path, capsys):
+    folder = DATA / name
+    text = (folder / "whitelists.txt").read_text()
+    assert "[candidates W -> W]\n" in text
+    whitelists = tmp_path / "whitelists.txt"
+    whitelists.write_text(text.replace("[candidates W -> W]", header, 1))
+    if (folder / "kind.txt").read_text().strip() == "decide":
+        argv = ["decide", "--jsj-a", str(folder / "jsj_a.txt"), "--jsj-b", str(folder / "jsj_b.txt")]
+    else:
+        argv = ["conj-ung", "--alpha", str(folder / "alpha.txt"), "--beta", str(folder / "beta.txt")]
+    code, out, err = run_cli(argv + ["--whitelists", str(whitelists)], capsys)
+    assert (code, out) == (1, "")
+    assert f"input error: whitelist header {header!r} {problem}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", CORPUS_FOLDERS)
+def test_default_whitelists(name, tmp_path, capsys):
+    # without --whitelists each white pair of one kind gets the identity
+    # candidate, which gives every corpus instance its expected status, and
+    # each positive a witness that verify-witness accepts
+    folder = DATA / name
+    witness = tmp_path / "witness.txt"
+    if (folder / "kind.txt").read_text().strip() == "decide":
+        jsj_a, jsj_b = folder / "jsj_a.txt", folder / "jsj_b.txt"
+        argv = ["decide", "--jsj-a", str(jsj_a), "--jsj-b", str(jsj_b)]
+    else:
+        jsj_a, jsj_b = tmp_path / "jsj_a.txt", tmp_path / "jsj_b.txt"
+        for path, side in ((jsj_a, "alpha"), (jsj_b, "beta")):
+            path.write_text((folder / f"{side}.txt").read_text().partition("[jsj]\n")[2])
+        argv = ["conj-ung", "--alpha", str(folder / "alpha.txt"), "--beta", str(folder / "beta.txt")]
+    code, out, _ = run_cli(argv + ["--witness-out", str(witness)], capsys)
+    expected = (folder / "expected.txt").read_text().strip()
+    assert code == 0
+    assert f"status: {expected}\n" in out
+    if name in POSITIVE_FOLDERS:
+        verify = ["verify-witness", "--jsj-a", str(jsj_a), "--jsj-b", str(jsj_b), "--witness", str(witness)]
+        assert run_cli(verify, capsys)[:2] == (0, "witness verified\n")
+    else:
+        assert not witness.exists()
+
+
 def _replaced(lines, i, line):
     return "".join(lines[:i] + [line] + lines[i + 1 :])
 

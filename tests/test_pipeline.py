@@ -8,7 +8,7 @@ import pytest
 from torusconj.errors import DomainError, Undecided
 from torusconj.fibercorrect import OrientationFunctional
 from torusconj.freegroup import FreeAut, FreeGroup, is_automorphism, nielsen_generators
-from torusconj.gog import GroupSlot, SlotElement, SlotIso
+from torusconj.gog import GroupSlot, SlotElement, SlotIso, validate
 from torusconj.pipeline import (
     ConjUngInput,
     JSJInput,
@@ -464,10 +464,21 @@ def _block_whitelist(jsj_a, jsj_b):
     return out
 
 
+def _validates(morphism) -> bool:
+    """Whether the Bass diagram of `morphism` commutes (`gog.validate`)."""
+    parts = ("vertex_map", "edge_map", "vertex_isos", "edge_isos", "gammas")
+    try:
+        validate(morphism.domain, {k: getattr(morphism, k) for k in parts}, codomain=morphism.codomain)
+    except DomainError:
+        return False
+    return True
+
+
 def _fresh_assembly_keys(jsj_a, jsj_b, whitelist):
     """The brute-force oracle for `assemble`: every graph isomorphism that
     keeps colors, every tuple of fop white candidates, each assembled with
-    a fresh memo; the canonical keys of the morphisms that validate.  White
+    a fresh memo; the canonical keys of the morphisms that validate, checked
+    here with `gog.validate` since `_assemble_one` does not.  White
     candidates are named by their index among the distinct fop ones."""
     from torusconj.pipeline import _assemble_one, _white_candidates
 
@@ -481,7 +492,7 @@ def _fresh_assembly_keys(jsj_a, jsj_b, whitelist):
         choices = [range(len(_white_candidates(jsj_a, jsj_b, whitelist, w, vmap[w], {}))) for w in whites]
         for combo in itertools.product(*choices):
             morphism = _assemble_one(jsj_a, jsj_b, whitelist, vmap, emap, dict(zip(whites, combo)), {})
-            if morphism is not None:
+            if morphism is not None and _validates(morphism):
                 fresh.add(morphism.canonical_key())
     return fresh
 
@@ -495,8 +506,9 @@ class TestAssembleMemo:
         jsj_a, jsj_b = twistor_jsj(rank, twists_a), twistor_jsj(rank, twists_b)
         whitelist = _block_whitelist(jsj_a, jsj_b)
         fresh = _fresh_assembly_keys(jsj_a, jsj_b, whitelist)
-        keys = [m.canonical_key() for m in assemble(jsj_a, jsj_b, whitelist)]
-        assert keys == sorted(fresh)
+        collection = assemble(jsj_a, jsj_b, whitelist)
+        assert [m.canonical_key() for m in collection] == sorted(fresh)
+        assert all(_validates(m) for m in collection)
 
     @pytest.mark.parametrize("rank, blocks", [(1, 3), (1, 4), (2, 2), (2, 3), (3, 1), (3, 2)])
     @pytest.mark.parametrize("seed", range(2))
@@ -507,8 +519,9 @@ class TestAssembleMemo:
         jsj_a, pairs = _seeded_pairs(rng, rank, blocks)
         for jsj_b in pairs:
             whitelist = _block_whitelist(jsj_a, jsj_b)
-            keys = [m.canonical_key() for m in assemble(jsj_a, jsj_b, whitelist)]
-            assert keys == sorted(_fresh_assembly_keys(jsj_a, jsj_b, whitelist))
+            collection = assemble(jsj_a, jsj_b, whitelist)
+            assert [m.canonical_key() for m in collection] == sorted(_fresh_assembly_keys(jsj_a, jsj_b, whitelist))
+            assert all(_validates(m) for m in collection)
 
     def test_edge_transport_once_per_key(self, monkeypatch):
         # the black tables read their options off conjugacy keys, so full
@@ -539,6 +552,33 @@ class TestAssembleMemo:
             edges = len(jsj_a.gog.edge_names)
             per_pair = max(len(isos) for isos in whitelist.values())
             assert 0 < len(calls) <= edges * maps < edges * len(jsj_b.gog.edge_names) * per_pair
+
+    def test_validate_once_per_positive(self, monkeypatch):
+        # assemble builds its morphisms without validating them, so the Bass
+        # diagram is checked only by verify_witness: once for a positive
+        # Z^2 pair with k = 4 blocks, never for a negative one, nor for a
+        # vertexwise negative whose fiber systems have no solution
+        import torusconj.pipeline as pipeline
+
+        calls = []
+        original = pipeline.validate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "validate", counting)
+        jsj_a = twistor_jsj(1, ["x0", "x0'", "x0 x0", "x0 x0 x0"])
+        parity = [parse_jsj((CORPUS / "13_parity_obstruction" / f"jsj_{s}.txt").read_text()) for s in "ab"]
+        cases = [
+            (jsj_a, relabel_blocks(jsj_a, [2, 0, 3, 1]), "isomorphic-fop", 1),
+            (jsj_a, twistor_jsj(1, ["x0", "x0'", "x0 x0", "x0 x0 x0 x0"]), "no-vertexwise-iso", 0),
+            (*parity, "vertexwise-but-fiber-fails", 0),
+        ]
+        for jsj_a, jsj_b, status, count in cases:
+            calls.clear()
+            assert decide(jsj_a, jsj_b, identity_whitelist(jsj_a, jsj_b)).status == status
+            assert len(calls) == count
 
     def test_black_match_only_on_admissible_maps(self, monkeypatch):
         # the black tables admit a graph map only when its black match
@@ -578,8 +618,10 @@ class TestAssembleMemo:
     def test_several_black_vertices_match_fresh_assembly(self, seed):
         jsj_a, jsj_b = _two_black_pair(seed)
         whitelist = _block_whitelist(jsj_a, jsj_b)
-        keys = [m.canonical_key() for m in assemble(jsj_a, jsj_b, whitelist)]
+        collection = assemble(jsj_a, jsj_b, whitelist)
+        keys = [m.canonical_key() for m in collection]
         assert keys == sorted(_fresh_assembly_keys(jsj_a, jsj_b, whitelist))
+        assert all(_validates(m) for m in collection)
         assert sum(1 for _ in admissible_graph_maps(jsj_a, jsj_b, whitelist, {})) == len(keys)
 
 
