@@ -149,12 +149,17 @@ def cmd_whitehead_orbit(args) -> int:
 
 def cmd_minkowski_certify(args) -> int:
     if args.zsquare:
+        if args.product or args.rank is not None:
+            raise DomainError("--zsquare certifies Z^2 and takes neither --rank nor --product")
         cert = certify_zsquare()
         print(f"kernel: {cert.modulus} Z^2")
         print(f"separated finite-order classes: {len(cert.representatives)}")
         return EXIT_DECIDED
+    rank = 2 if args.rank is None else args.rank
+    if args.product and rank == 1:
+        raise DomainError("rank 1 products are Z^2; use --zsquare")
     runner = certify_product if args.product else certify
-    sys.stdout.write(runner(args.rank).serialize())
+    sys.stdout.write(runner(rank).serialize())
     return EXIT_DECIDED
 
 
@@ -221,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minkowski", help="congruence certificates")
     msub = p.add_subparsers(dest="minkowski_command", required=True)
     m = msub.add_parser("certify")
-    m.add_argument("--rank", type=int, default=2)
+    m.add_argument("--rank", type=int, help="free rank (default 2)")
     m.add_argument("--product", action="store_true", help="certify F_rank x Z")
     m.add_argument("--zsquare", action="store_true", help="the Z^2 specialization")
     for flag in ("--degree-bound", "--length-bound"):

@@ -12,9 +12,9 @@ that sends x_i to a 3-cycle and every other generator to 1, and differing
 elements of an abelian group are not conjugate.  Each witness kernel
 contains K_3, so no search, intersection or closure is needed.
 
-A symmetry's class is read off its action on homology (the exponent sums of
-its image words), so only one symmetry per class is folded into an
-automorphism.
+A symmetry's class is read off its action on homology (the signed edge
+counts of the marking loops it moves), so only one symmetry per class is
+turned into image words and folded into an automorphism.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .freegroup import (
     is_characteristic,
     nielsen_generators,
 )
-from .freegroup.autos import abelianization
 from .freegroup.stallings import _core_and_canonicalize
 from .fibercorrect import smith_normal_form
 
@@ -161,14 +160,11 @@ class RealizingGraph:
         return len(seen) == self.nvertices
 
     def canonical(self) -> Tuple[Tuple[int, int], ...]:
-        best = None
-        for perm in itertools.permutations(range(self.nvertices)):
-            relabeled = tuple(
-                sorted(tuple(sorted((perm[u], perm[v]))) for u, v in self.edges)
-            )
-            if best is None or relabeled < best:
-                best = relabeled
-        return best  # type: ignore[return-value]
+        """The least sorted edge list over all vertex relabellings."""
+        return min(
+            tuple(sorted((p[u], p[v]) if p[u] <= p[v] else (p[v], p[u]) for u, v in self.edges))
+            for p in itertools.permutations(range(self.nvertices))
+        )
 
     def name(self) -> str:
         loops = sum(1 for u, v in self.edges if u == v)
@@ -182,28 +178,52 @@ class RealizingGraph:
 
 
 def realizing_graphs(rank: int) -> List[RealizingGraph]:
-    """Connected multigraphs, all degrees >= 3, first Betti number == rank."""
+    """Connected multigraphs, all degrees >= 3, first Betti number == rank.
+
+    The edge multisets on nv vertices are generated slot by slot in
+    lexicographic order.  A vertex never rises above 2*ne - 3*(nv - 1), the
+    degree left once every other vertex has degree 3; a branch is cut once
+    its remaining edge ends cannot lift every vertex to degree 3, or once a
+    vertex that no later slot touches is below 3.  Each complete multiset
+    with non-increasing degrees (every graph has such a labelling) is
+    keyed by `canonical()`, and the list is built from the keys.
+    """
     if rank < 2:
         raise DomainError("realizing graphs need rank >= 2")
-    found: Dict[tuple, RealizingGraph] = {}
-    max_vertices = 2 * rank - 2
-    for nv in range(1, max_vertices + 1):
+    keys: Set[Tuple[int, Tuple[Tuple[int, int], ...]]] = set()
+    for nv in range(1, 2 * rank - 1):
         ne = nv + rank - 1
+        cap = 2 * ne - 3 * (nv - 1)
         slots = [(u, v) for u in range(nv) for v in range(u, nv)]
-        for combo in itertools.combinations_with_replacement(slots, ne):
-            graph = RealizingGraph(nv, tuple(sorted(combo)))
-            if min(graph.degrees(), default=0) < 3:
-                continue
-            if not graph.is_connected():
-                continue
-            key = (nv, graph.canonical())
-            if key not in found:
-                found[key] = graph
-        # normalize representatives to their canonical edge lists
-    return [
-        RealizingGraph(nv, edges)
-        for (nv, edges) in sorted(found.keys())
-    ]
+        degree = [0] * nv
+        edges: List[Tuple[int, int]] = []
+
+        def extend(start: int) -> None:
+            ends_left = 2 * (ne - len(edges))
+            if sum(max(0, 3 - d) for d in degree) > ends_left:
+                return
+            if not ends_left:
+                if all(a >= b for a, b in zip(degree, degree[1:])):
+                    graph = RealizingGraph(nv, tuple(edges))
+                    if graph.is_connected():
+                        keys.add((nv, graph.canonical()))
+                return
+            for k in range(start, len(slots)):
+                u, v = slots[k]
+                if u and degree[u - 1] < 3:
+                    return  # no later slot touches vertex u - 1
+                if degree[u] + 1 + (u == v) > cap or degree[v] == cap:
+                    continue  # a loop adds 2 to its vertex
+                degree[u] += 1
+                degree[v] += 1
+                edges.append((u, v))
+                extend(k)
+                edges.pop()
+                degree[u] -= 1
+                degree[v] -= 1
+
+        extend(0)
+    return [RealizingGraph(nv, edges) for nv, edges in sorted(keys)]
 
 
 @dataclass(frozen=True)
@@ -258,75 +278,99 @@ def graph_symmetries(graph: RealizingGraph) -> List[GraphSymmetry]:
     return out
 
 
-def symmetry_to_automorphism(graph: RealizingGraph, sym: GraphSymmetry, group: FreeGroup) -> FreeAut:
-    aut = is_automorphism(group, _symmetry_images(graph, sym, group))
-    if aut is None:
-        raise AssertionError("graph symmetry failed to give an automorphism")
-    return aut
+Oriented = Tuple[Tuple[int, bool], ...]  # (edge index, reversed?) per step
+Matrix = Tuple[Tuple[int, ...], ...]
 
 
-def _symmetry_images(graph: RealizingGraph, sym: GraphSymmetry, group: FreeGroup) -> List[Word]:
-    """Spanning-tree marking: petal loops read through the symmetry.
+@dataclass(frozen=True)
+class GraphMarking:
+    """A spanning tree of a realizing graph and its fundamental loops.
 
-    Different tree choices move the representative by an inner factor only.
+    Generator k is the loop through the k-th non-tree edge: the tree path
+    from vertex 0 to its start, the edge, and the tree path back.  A
+    symmetry is read through the loops it moves; different tree choices
+    move the representative by an inner factor only.
     """
-    # build a spanning tree over the non-loop edges
-    tree: Dict[int, Optional[int]] = {0: None}
-    tree_edges: Set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for idx, (u, v) in enumerate(graph.edges):
-            if u == v:
-                continue
-            for a, b in ((u, v), (v, u)):
-                if a in tree and b not in tree:
-                    tree[b] = idx
-                    tree_edges.add(idx)
-                    changed = True
-    basis_edges = [idx for idx in range(len(graph.edges)) if idx not in tree_edges]
-    assert len(basis_edges) == group.rank
-    basis_index = {idx: k for k, idx in enumerate(basis_edges)}
 
-    def tree_path(v: int) -> List[Tuple[int, bool]]:
-        """Oriented tree edges from vertex 0 to v: (edge index, reversed?)."""
-        path = []
-        while tree[v] is not None:
-            idx = tree[v]
-            u, w = graph.edges[idx]
-            if w == v:
-                path.append((idx, False))
-                v = u
-            else:
-                path.append((idx, True))
-                v = w
-        return list(reversed(path))
+    index: Dict[int, int]  # non-tree edge index -> its generator
+    paths: Tuple[Oriented, ...]  # oriented tree path from vertex 0, per vertex
+    loops: Tuple[Oriented, ...]  # per generator
 
-    def rho(oriented: Sequence[Tuple[int, bool]]) -> List[Tuple[int, int]]:
-        letters = []
-        for idx, reversed_ in oriented:
-            if idx in basis_index:
-                letters.append((basis_index[idx], -1 if reversed_ else 1))
-        return letters
+    @classmethod
+    def of(cls, graph: RealizingGraph) -> "GraphMarking":
+        # build a spanning tree over the non-loop edges
+        tree: Dict[int, Optional[int]] = {0: None}
+        changed = True
+        while changed:
+            changed = False
+            for idx, (u, v) in enumerate(graph.edges):
+                if u == v:
+                    continue
+                for a, b in ((u, v), (v, u)):
+                    if a in tree and b not in tree:
+                        tree[b] = idx
+                        changed = True
+        tree_edges = set(tree.values())
+        basis = [idx for idx in range(len(graph.edges)) if idx not in tree_edges]
 
-    def apply_sym(oriented: Sequence[Tuple[int, bool]]):
-        out = []
-        for idx, reversed_ in oriented:
-            dst, flip = sym.emap[idx]
-            out.append((dst, reversed_ != flip))
-        return out
+        def tree_path(v: int) -> Oriented:
+            path = []
+            while tree[v] is not None:
+                idx = tree[v]
+                u, w = graph.edges[idx]
+                if w == v:
+                    path.append((idx, False))
+                    v = u
+                else:
+                    path.append((idx, True))
+                    v = w
+            return tuple(reversed(path))
 
-    conj = rho(tree_path(sym.vperm[0]))
-    images = []
-    for idx in basis_edges:
-        u, v = graph.edges[idx]
-        loop = tree_path(u) + [(idx, False)] + [(e, not r) for e, r in reversed(tree_path(v))]
-        image_letters = rho(apply_sym(loop))
-        word = group.word(
-            [(i, -s) for i, s in reversed(conj)] + image_letters + conj
-        )
-        images.append(word)
-    return images
+        paths = tuple(tree_path(v) for v in range(graph.nvertices))
+        loops = []
+        for idx in basis:
+            u, v = graph.edges[idx]
+            back = tuple((e, not r) for e, r in reversed(paths[v]))
+            loops.append(paths[u] + ((idx, False),) + back)
+        return cls({idx: k for k, idx in enumerate(basis)}, paths, tuple(loops))
+
+    def homology(self, sym: GraphSymmetry) -> Matrix:
+        """M[i][j]: the signed count of basis edge i in the image of loop j,
+        which is abelianization(images(sym)); the tree path to the image of
+        vertex 0 conjugates every image and cancels in homology."""
+        index = self.index
+        mat = [[0] * len(index) for _ in index]
+        for j, loop in enumerate(self.loops):
+            for idx, reversed_ in loop:
+                dst, flip = sym.emap[idx]
+                if dst in index:
+                    mat[index[dst]][j] += -1 if reversed_ != flip else 1
+        return tuple(map(tuple, mat))
+
+    def images(self, sym: GraphSymmetry, group: FreeGroup) -> List[Word]:
+        """The loops' images, each conjugated back to vertex 0."""
+        index = self.index
+        assert len(index) == group.rank
+
+        def rho(oriented: Sequence[Tuple[int, bool]]) -> List[Tuple[int, int]]:
+            return [(index[idx], -1 if reversed_ else 1) for idx, reversed_ in oriented if idx in index]
+
+        def apply_sym(oriented: Oriented):
+            return [(sym.emap[idx][0], reversed_ != sym.emap[idx][1]) for idx, reversed_ in oriented]
+
+        conj = rho(self.paths[sym.vperm[0]])
+        inverse_conj = [(i, -s) for i, s in reversed(conj)]
+        return [group.word(inverse_conj + rho(apply_sym(loop)) + conj) for loop in self.loops]
+
+    def automorphism(self, sym: GraphSymmetry, group: FreeGroup) -> FreeAut:
+        aut = is_automorphism(group, self.images(sym, group))
+        if aut is None:
+            raise AssertionError("graph symmetry failed to give an automorphism")
+        return aut
+
+
+def symmetry_to_automorphism(graph: RealizingGraph, sym: GraphSymmetry, group: FreeGroup) -> FreeAut:
+    return GraphMarking.of(graph).automorphism(sym, group)
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +384,34 @@ class TorsionRep:
     provenance: str
 
 
-def _gl_conjugacy_invariant(mat, order: int) -> tuple:
-    """Dedup key: order, characteristic data and Smith forms of M^k - I."""
-    power = mat
-    invariants = [order]
-    for _ in range(order):
-        invariants.append(_shift_smith(power))
-        power = _mat_mul(power, mat)
-    return tuple(invariants)
+def _power_chain(m: Sequence[Sequence[int]], bound: int) -> Optional[List[Matrix]]:
+    """The powers m, m^2, ..., m^k == I for the least k <= bound, else None."""
+    m = tuple(map(tuple, m))
+    identity = tuple(tuple(int(i == j) for j in range(len(m))) for i in range(len(m)))
+    cols = tuple(zip(*m))
+    chain = [m]
+    while chain[-1] != identity:
+        if len(chain) == bound:
+            return None
+        chain.append(tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in chain[-1]))
+    return chain
+
+
+def _matrix_order(m, bound: int) -> Optional[int]:
+    """The least k <= bound with m^k == I, else None."""
+    chain = _power_chain(m, bound)
+    return None if chain is None else len(chain)
+
+
+def _gl_conjugacy_invariant(chain: Sequence[Matrix]) -> tuple:
+    """Dedup key from the power chain of M: the order o, then the Smith
+    invariants of M^k - I for k = 1..o.  Entries k and o - k agree, since
+    M^-k - I == -M^-k (M^k - I) with M^-k unimodular, so only k <= o/2 is
+    computed; M^o - I is zero."""
+    order = len(chain)
+    half = [_shift_smith(power) for power in chain[: order // 2]]
+    mirrored = [half[min(k, order - k) - 1] for k in range(1, order)]
+    return (order, *mirrored, (0,) * len(chain[0]))
 
 
 def _shift_smith(mat) -> Tuple[int, ...]:
@@ -358,29 +422,17 @@ def _shift_smith(mat) -> Tuple[int, ...]:
     return tuple(abs(d[i][i]) for i in range(n))
 
 
-def _mat_mul(a, b) -> List[List[int]]:
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
-def _matrix_order(m, bound: int) -> Optional[int]:
-    """The least k <= bound with m^k == I, else None."""
-    identity = [[1 if i == j else 0 for j in range(len(m))] for i in range(len(m))]
-    power = [list(row) for row in m]
-    for k in range(1, bound + 1):
-        if power == identity:
-            return k
-        power = _mat_mul(power, m)
-    return None
-
-
 def culler_reps(rank: int) -> List[TorsionRep]:
     """Representatives of every finite-order outer class, from graph symmetries.
 
-    Rank 1 is special-cased (the outer group is Z/2); otherwise realizing
-    graphs with minimum degree 3 are enumerated and each symmetry is read
-    through a spanning-tree marking.  Its class key and outer order depend
-    only on its homology matrix M (Baumslag-Taylor), which is read off the
-    image words by exponent sums; only a symmetry with a new key is folded.
+    Rank 1 is special-cased (the outer group is Z/2); otherwise the
+    degree-capped realizing graphs are enumerated, each gets one spanning-tree
+    marking, and each of its symmetries is read through that marking.  The
+    class key and outer order depend only on the homology matrix M
+    (Baumslag-Taylor), which is read straight off the marking's loops, and
+    both come from one power chain M, M^2, ..., I.  M^-1 has the same key,
+    so it is marked as seen together with M.  Only a symmetry with a new key
+    is turned into image words and folded.
     """
     if rank > RANK_BOUND:
         raise ResourceError(f"culler_reps supports rank <= {RANK_BOUND}")
@@ -392,20 +444,21 @@ def culler_reps(rank: int) -> List[TorsionRep]:
             TorsionRep(flip, 2, "rose1"),
         ]
     reps: Dict[tuple, TorsionRep] = {}
-    seen: Set[tuple] = set()
+    seen: Set[Matrix] = set()
     for graph in realizing_graphs(rank):
+        marking = GraphMarking.of(graph)
         for sym in graph_symmetries(graph):
-            mat = abelianization(_symmetry_images(graph, sym, group))
-            frozen = tuple(map(tuple, mat))
-            if frozen in seen:
+            mat = marking.homology(sym)
+            if mat in seen:
                 continue
-            seen.add(frozen)
-            order = _matrix_order(mat, 12)  # finite orders in GL_n(Z), n <= 3, divide 12
-            if order is None:
+            chain = _power_chain(mat, 12)  # finite orders in GL_n(Z), n <= 3, divide 12
+            if chain is None:
                 raise AssertionError("a graph symmetry acts on homology with order above 12")
-            key = _gl_conjugacy_invariant(mat, order)
+            seen.add(mat)
+            seen.add(chain[-2] if len(chain) > 1 else mat)  # M^-1
+            key = _gl_conjugacy_invariant(chain)
             if key not in reps:
-                reps[key] = TorsionRep(symmetry_to_automorphism(graph, sym, group), order, graph.name())
+                reps[key] = TorsionRep(marking.automorphism(sym, group), len(chain), graph.name())
     return sorted(reps.values(), key=lambda r: (r.outer_order, r.provenance))
 
 

@@ -9,6 +9,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 from torusconj.fibercorrect import smith_normal_form
 from torusconj.freegroup import FreeGroup, Word
 from torusconj.gog import GraphOfGroups, bar
+from torusconj.minkowski import RealizingGraph
 
 
 def random_word(rng: random.Random, group: FreeGroup, max_len: int) -> Word:
@@ -150,3 +151,24 @@ def transport_options(jsj_a, jsj_b, whitelist, b: str, b2: str):
         options.append(tuple(edge_options))
         transports.append(edge_transports)
     return options, transports
+
+
+def realizing_graphs_oracle(rank: int) -> List[RealizingGraph]:
+    """Brute-force oracle for `minkowski.realizing_graphs`: every multiset of
+    edge slots, kept when connected with all degrees >= 3, keyed by its
+    canonical edge list."""
+    found: Dict[tuple, RealizingGraph] = {}
+    max_vertices = 2 * rank - 2
+    for nv in range(1, max_vertices + 1):
+        ne = nv + rank - 1
+        slots = [(u, v) for u in range(nv) for v in range(u, nv)]
+        for combo in itertools.combinations_with_replacement(slots, ne):
+            graph = RealizingGraph(nv, tuple(sorted(combo)))
+            if min(graph.degrees(), default=0) < 3:
+                continue
+            if not graph.is_connected():
+                continue
+            key = (nv, graph.canonical())
+            if key not in found:
+                found[key] = graph
+    return [RealizingGraph(nv, edges) for (nv, edges) in sorted(found.keys())]

@@ -79,6 +79,22 @@ class TestMinkowskiCommand:
         assert code == 0
         assert "3 Z^2" in out
 
+    @pytest.mark.parametrize("extra", [["--product"], ["--rank", "2"], ["--rank", "3", "--product"]])
+    def test_zsquare_with_rank_or_product_is_an_input_error(self, capsys, extra):
+        code, out, err = run_cli(["minkowski", "certify", "--zsquare"] + extra, capsys)
+        assert (code, out) == (1, "")
+        assert "input error: --zsquare certifies Z^2 and takes neither --rank nor --product" in err
+
+    def test_rank_one_product_names_the_zsquare_flag(self, capsys):
+        code, out, err = run_cli(["minkowski", "certify", "--rank", "1", "--product"], capsys)
+        assert (code, out) == (1, "")
+        assert "input error: rank 1 products are Z^2; use --zsquare" in err
+
+    def test_default_rank_is_two(self, capsys):
+        code, plain, _ = run_cli(["minkowski", "certify"], capsys)
+        assert code == 0
+        assert run_cli(["minkowski", "certify", "--rank", "2"], capsys)[1] == plain
+
     @pytest.mark.parametrize(
         "rank, product", [(1, False), (2, False), (3, False), (2, True), (3, True)]
     )

@@ -16,10 +16,15 @@ from torusconj.freegroup import (
     is_characteristic,
     nielsen_generators,
 )
+from torusconj.freegroup.autos import abelianization
 from torusconj.minkowski import (
     CongruenceCertificate,
     FiniteQuotient,
+    GraphMarking,
+    _gl_conjugacy_invariant,
     _matrix_order,
+    _power_chain,
+    _shift_smith,
     certify,
     certify_product,
     certify_zsquare,
@@ -33,7 +38,7 @@ from torusconj.minkowski import (
     symmetry_to_automorphism,
 )
 
-from .helpers import random_word
+from .helpers import mat_mul, random_word, realizing_graphs_oracle
 
 F1 = FreeGroup(1)
 F2 = FreeGroup(2)
@@ -73,6 +78,14 @@ class TestRealizingGraphs:
         oracle = multigraph_oracle_rank2()
         mine = {(g.nvertices, g.canonical()) for g in realizing_graphs(2)}
         assert mine == oracle
+
+    def test_rank3_against_oracle(self):
+        # the degree-capped generation against every multiset of edge slots:
+        # the same graphs in the same order, which fixes the certificates
+        for rank, count in ((2, 3), (3, 15)):
+            graphs = realizing_graphs(rank)
+            assert graphs == realizing_graphs_oracle(rank)
+            assert len(graphs) == count
 
     def test_betti_and_degrees(self):
         for rank in (2, 3):
@@ -171,6 +184,57 @@ class TestCullerReps:
 
         monkeypatch.setattr(minkowski, "is_automorphism", counting)
         assert len(culler_reps(rank)) == len(calls) == folds
+
+    @pytest.mark.parametrize("rank, symmetries, matrices", [(2, 28, 16), (3, 304, 113)])
+    def test_inverse_shares_the_key(self, rank, symmetries, matrices):
+        # M read off the loops is the abelianized image words, and M^-1 (the
+        # last power before I) has M's key, which is the full Smith list
+        group = FreeGroup(rank)
+        checked, distinct = 0, set()
+        for graph in realizing_graphs(rank):
+            marking = GraphMarking.of(graph)
+            for sym in graph_symmetries(graph):
+                mat = marking.homology(sym)
+                assert [list(row) for row in mat] == abelianization(marking.images(sym, group))
+                checked += 1
+                if mat in distinct:
+                    continue
+                distinct.add(mat)
+                chain = _power_chain(mat, 12)
+                inverse = chain[-2] if len(chain) > 1 else mat
+                identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
+                assert mat_mul([list(r) for r in mat], [list(r) for r in inverse]) == identity
+                full = (len(chain), *map(_shift_smith, chain))
+                assert _gl_conjugacy_invariant(chain) == full
+                assert _gl_conjugacy_invariant(_power_chain(inverse, 12)) == full
+        assert (checked, len(distinct)) == (symmetries, matrices)
+
+    @pytest.mark.parametrize("rank, smiths, graphs", [(2, 15, 6), (3, 109, 77)])
+    def test_work_per_call(self, monkeypatch, rank, smiths, graphs):
+        # Smith forms per culler_reps (45 and 375 when every power of every
+        # new matrix was reduced) and RealizingGraph constructions per
+        # realizing_graphs (14 and 5,288 over every multiset of edge slots);
+        # a second call repeats the same work, so nothing is kept between calls
+        import torusconj.minkowski as minkowski
+
+        counts = {"smith": 0, "graph": 0}
+
+        def counting(name, original):
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(minkowski, "_shift_smith", counting("smith", minkowski._shift_smith))
+        monkeypatch.setattr(minkowski, "RealizingGraph", counting("graph", minkowski.RealizingGraph))
+        for _ in range(2):
+            counts.update(smith=0, graph=0)
+            realizing_graphs(rank)
+            assert counts == {"smith": 0, "graph": graphs}
+            counts.update(smith=0, graph=0)
+            culler_reps(rank)
+            assert counts == {"smith": smiths, "graph": graphs}
 
 
 class TestSeparate:
