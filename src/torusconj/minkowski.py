@@ -532,6 +532,11 @@ class CongruenceCertificate:
         """Re-check characteristicity and every non-conjugacy witness."""
         if not is_characteristic(self.kernel, nielsen_generators(self.group)):
             return False
+        # the certified kernel must sit inside every witness kernel; entries
+        # share quotients, so each distinct one is checked once
+        for q in {entry.witness.quotient for entry in self.entries}:
+            if self.kernel.intersect(q.kernel_graph()) != self.kernel:
+                return False
         for entry in self.entries:
             q = entry.witness.quotient
             img = q.image_of(entry.witness.word)
@@ -539,9 +544,6 @@ class CongruenceCertificate:
             if img != entry.witness.image_word or img_a != entry.witness.image_aut_word:
                 return False
             if q.conjugate_in_image(img, img_a):
-                return False
-            # the certified kernel must sit inside the witness kernel
-            if self.kernel.intersect(q.kernel_graph()) != self.kernel:
                 return False
         return True
 

@@ -165,67 +165,76 @@ def move_alphabet(group: FreeGroup) -> Tuple[WhiteheadMove, ...]:
 # length changes read off the Whitehead graph
 #
 # Letters are indexed 2i (generator i) and 2i + 1 (its inverse), so index ^ 1
-# inverts.  A type-II move with multiplier v and cut Y = chosen + {v} sends a
-# letter x other than v^+-1 to (v^-1 if x^-1 in Y) x (v if x in Y).  In a
-# cyclically reduced word, an image ends in v exactly when its letter is in
-# Y and starts with v^-1 exactly when its letter's inverse is in Y, and each
-# such v v^-1 meeting cancels once, with no further cancellation (Whitehead;
-# Lyndon-Schupp, Prop. I.4.16).  So with C[x] the count of letter x and
-# P[x, y] the count of cyclic successor pairs x y:
-#   |move(w)| - |w| = sum_{x in Y, x != v} C[x] + sum_{x^-1 in Y, x != v^-1} C[x]
-#                     - 2 sum_{x in Y, y^-1 in Y} P[x, y].
+# inverts.  The Whitehead graph of a set of cyclically reduced words has one
+# vertex per letter and, for each cyclic successor pair x y, one edge joining
+# x and y^-1; so the degree of x is the count of x plus the count of x^-1.
+# A type-II move with multiplier v and cut Y (v in Y, v^-1 not) changes the
+# total length by the capacity of the cut minus the degree of v (Whitehead;
+# Lyndon-Schupp, Prop. I.4.16):
+#   |move(w)| - |w| = sum_{a in Y, b not in Y} E[a, b] - deg(v),
+# with E[a, b] the number of edges joining a and b.  Type-I moves never
+# change length.
 
 
 def _letter_index(letter: Letter) -> int:
     return 2 * letter[0] + (letter[1] < 0)
 
 
-# (letters whose counts add, with multiplicity; flat successor-pair indices
-# whose counts subtract twice), or None for a type-I move
-_Cut = Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]
-
-
 @lru_cache(maxsize=None)
-def _move_cuts(group: FreeGroup) -> Tuple[_Cut, ...]:
-    """Cut data of each move of `move_alphabet(group)`, in its order."""
+def _type_two_cuts(group: FreeGroup) -> Tuple[Tuple[WhiteheadMove, int, Tuple[int, ...]], ...]:
+    """(move, index of v, flat indices a * width + b with a in Y and b not
+    in Y) for each type-II move of `move_alphabet(group)`, in its order."""
     width = 2 * group.rank
-    cuts: List[_Cut] = []
+    table = []
     for move in move_alphabet(group):
-        if move.kind == "perm":
-            cuts.append(None)
-            continue
-        v, chosen = move.data
-        chosen = [_letter_index(x) for x in chosen]
-        cut = chosen + [_letter_index(v)]
-        cuts.append((
-            tuple(chosen + [x ^ 1 for x in chosen]),
-            tuple(x * width + (y ^ 1) for x in cut for y in cut),
-        ))
-    return tuple(cuts)
+        if move.kind == "mult":
+            v, chosen = move.data
+            cut = {_letter_index(x) for x in chosen} | {_letter_index(v)}
+            cross = tuple(a * width + b for a in sorted(cut) for b in range(width) if b not in cut)
+            table.append((move, _letter_index(v), cross))
+    return tuple(table)
 
 
-def _length_changes(m: Marking) -> Optional[Iterator[int]]:
-    """|move(m)| - |m| for each move of the alphabet, in order and lazily,
-    without applying any move; None when a class holds several words.  The
+def _whitehead_graph(m: Marking) -> Optional[Tuple[List[int], List[int]]]:
+    """(E flattened as a * width + b, the degree of each letter) for the
+    Whitehead graph of `m`; None when a class holds several words.  The
     classes must be canonical, as `Marking.of` and `apply_marking` leave
     them, so each single word is cyclically reduced."""
     width = 2 * m.group.rank
-    counts = [0] * width
-    pairs = [0] * (width * width)
+    edges = [0] * (width * width)
+    degrees = [0] * width
     for entry in m.classes:
         if len(entry) != 1:
             return None
         word = [_letter_index(letter) for letter in entry[0].letters]
         prev = word[-1] if word else 0
         for x in word:
-            counts[x] += 1
-            pairs[prev * width + x] += 1
+            y = x ^ 1
+            edges[prev * width + y] += 1
+            edges[y * width + prev] += 1
+            degrees[x] += 1
+            degrees[y] += 1
             prev = x
-    count, pair = counts.__getitem__, pairs.__getitem__
-    return (
-        0 if cut is None else sum(map(count, cut[0])) - 2 * sum(map(pair, cut[1]))
-        for cut in _move_cuts(m.group)
-    )
+    return edges, degrees
+
+
+def _length_changes(m: Marking) -> Optional[Iterator[int]]:
+    """|move(m)| - |m| for each move of the alphabet, in order and lazily,
+    without applying any move: 0 for type-I moves, the cut formula for
+    type-II ones; None when a class holds several words."""
+    graph = _whitehead_graph(m)
+    if graph is None:
+        return None
+    edges, degrees = graph
+    cuts = iter(_type_two_cuts(m.group))
+
+    def change(move: WhiteheadMove) -> int:
+        if move.kind == "perm":
+            return 0
+        _, v, cross = next(cuts)
+        return sum(edges[ab] for ab in cross) - degrees[v]
+
+    return map(change, move_alphabet(m.group))
 
 
 def _moves_changing_length(
@@ -236,19 +245,17 @@ def _moves_changing_length(
     Single-word classes apply only those moves; classes of several words
     apply every type-II move, measure each image by `conjugacy_length` and
     canonicalize only the images kept."""
-    moves = move_alphabet(m.group)
-    changes = _length_changes(m)
-    if changes is None:
+    graph = _whitehead_graph(m)
+    if graph is None:
         length = m.total_length()
-        for move in moves:
-            if move.kind == "perm":
-                continue
+        for move, _, _ in _type_two_cuts(m.group):
             images = _image_classes(move, m)
             if keep(sum(map(conjugacy_length, images)) - length):
                 yield move, _canonical_marking(m.group, images)
         return
-    for move, change in zip(moves, changes):
-        if move.kind == "mult" and keep(change):
+    edge, degrees = graph[0].__getitem__, graph[1]
+    for move, v, cross in _type_two_cuts(m.group):
+        if keep(sum(map(edge, cross)) - degrees[v]):
             yield move, move.apply_marking(m)
 
 
@@ -331,15 +338,49 @@ def level_component(m: Marking) -> FrozenSet[Marking]:
                     seen.add(candidate)
                     nxt.append(candidate)
         frontier = nxt
-    relabelled = {move.apply_marking(x) for x in seen for move, _ in _relabellings(m.group)}
+    relabelled = {move.apply_marking(x) for x in seen for move, _, _ in _relabellings(m.group)}
     return frozenset(seen | relabelled)
 
 
 @lru_cache(maxsize=None)
-def _relabellings(group: FreeGroup) -> Tuple[Tuple[WhiteheadMove, WhiteheadMove], ...]:
-    """(sigma, sigma^-1) for each type-I move sigma of the alphabet."""
+def _relabellings(group: FreeGroup) -> Tuple[Tuple[WhiteheadMove, WhiteheadMove, Tuple[int, ...]], ...]:
+    """(sigma, sigma^-1, pre) for each type-I move sigma of the alphabet,
+    where pre[y] is the index of the letter that sigma sends to letter y."""
     perms = {move.aut: move for move in move_alphabet(group) if move.kind == "perm"}
-    return tuple((move, perms[aut.inverse()]) for aut, move in perms.items())
+    table = []
+    for aut, move in perms.items():
+        pre = [0] * (2 * group.rank)
+        for i, image in enumerate(aut.images):
+            y = _letter_index(image.letters[0])
+            pre[y], pre[y ^ 1] = 2 * i, 2 * i + 1
+        table.append((move, perms[aut.inverse()], tuple(pre)))
+    return tuple(table)
+
+
+def _profile(m: Marking) -> Tuple[int, ...]:
+    """The letter counts, by letter index, of the cyclic reduction of each
+    word of each class, in order.  Simultaneous conjugation keeps them, and
+    a signed relabelling permutes them (`_relabel_profile`).  Single words
+    of canonical classes are already cyclically reduced."""
+    width = 2 * m.group.rank
+    profile: List[int] = []
+    for entry in m.classes:
+        for word in entry:
+            if len(entry) > 1:
+                word = word.cyclic_reduction()[1]
+            counts = [0] * width
+            for i, s in word.letters:
+                counts[2 * i + (s < 0)] += 1
+            profile.extend(counts)
+    return tuple(profile)
+
+
+def _relabel_profile(profile: Tuple[int, ...], pre: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The profile of sigma(m) from that of m, with `pre` as in `_relabellings`."""
+    width = len(pre)
+    return tuple(
+        profile[base + x] for base in range(0, len(profile), width) for x in pre
+    )
 
 
 def _level_path(start: Marking, goal: Marking) -> Optional[List[WhiteheadMove]]:
@@ -350,14 +391,35 @@ def _level_path(start: Marking, goal: Marking) -> Optional[List[WhiteheadMove]]:
     move (sigma tau_{v,Y} sigma^-1 == tau_{sigma(v),sigma(Y)}), so every
     length-preserving path can be rewritten as type-II moves followed by one
     signed permutation; the markings it then passes through are relabellings
-    of the old ones and keep their lengths."""
+    of the old ones and keep their lengths.
+
+    A marking is compared only with the sigma(goal) whose profile equals its
+    own, each built on first use, and matches the first such sigma in the
+    order of `_relabellings`, after the identity."""
     if start == goal:
         return []
-    targets: Dict[Marking, List[WhiteheadMove]] = {goal: []}
-    for move, inverse in _relabellings(goal.group):
-        targets.setdefault(move.apply_marking(goal), [inverse])
-    if start in targets:
-        return targets[start]
+    profile = _profile(goal)
+    # (sigma, the path's tail sigma^-1), the identity first
+    steps: List[Tuple[Optional[WhiteheadMove], List[WhiteheadMove]]] = [(None, [])]
+    by_profile: Dict[Tuple[int, ...], List[int]] = {profile: [0]}
+    for sigma, inverse, pre in _relabellings(goal.group):
+        by_profile.setdefault(_relabel_profile(profile, pre), []).append(len(steps))
+        steps.append((sigma, [inverse]))
+    images: Dict[int, Marking] = {0: goal}
+
+    def tail(marking: Marking) -> Optional[List[WhiteheadMove]]:
+        """sigma^-1 for the first sigma with sigma(goal) == marking."""
+        for k in by_profile.get(_profile(marking), ()):
+            sigma, rest = steps[k]
+            if k not in images:
+                images[k] = sigma.apply_marking(goal)
+            if images[k] == marking:
+                return rest
+        return None
+
+    found = tail(start)
+    if found is not None:
+        return found
     parents: Dict[Marking, Tuple[Marking, WhiteheadMove]] = {start: None}  # type: ignore[assignment]
     frontier = [start]
     while frontier:
@@ -367,14 +429,15 @@ def _level_path(start: Marking, goal: Marking) -> Optional[List[WhiteheadMove]]:
                 if candidate in parents:
                     continue
                 parents[candidate] = (marking, move)
-                if candidate in targets:
+                found = tail(candidate)
+                if found is not None:
                     path = []
                     cur = candidate
                     while parents[cur] is not None:
                         prev, mv = parents[cur]
                         path.append(mv)
                         cur = prev
-                    return path[::-1] + targets[candidate]
+                    return path[::-1] + found
                 nxt.append(candidate)
         frontier = nxt
     return None

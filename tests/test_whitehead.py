@@ -11,9 +11,13 @@ from torusconj.whitehead import (
     ProductGroup,
     ProductMarking,
     WhiteheadMove,
+    _compose_moves,
     _length_changes,
     _level_path,
     _moves_changing_length,
+    _profile,
+    _relabel_profile,
+    _relabellings,
     minimize,
     move_alphabet,
     mwp_product,
@@ -310,6 +314,99 @@ class TestTypeTwoLevelSearch:
         assert [move.kind for move in path] == kinds
         ok, witness = same_orbit(m1, m2)
         assert ok and m1.apply(witness) == m2
+
+
+def eager_level_path(start, goal):
+    """`_level_path` with every signed relabelling of the goal built up
+    front, the first sigma in order (after the identity) kept per image."""
+    if start == goal:
+        return []
+    targets = {goal: []}
+    for sigma, inverse, _ in _relabellings(goal.group):
+        targets.setdefault(sigma.apply_marking(goal), [inverse])
+    if start in targets:
+        return targets[start]
+    parents = {start: None}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for current in frontier:
+            for move, candidate in _moves_changing_length(current, lambda change: change == 0):
+                if candidate in parents:
+                    continue
+                parents[candidate] = (current, move)
+                if candidate in targets:
+                    path, cur = [], candidate
+                    while parents[cur] is not None:
+                        cur, move = parents[cur]
+                        path.append(move)
+                    return path[::-1] + targets[candidate]
+                nxt.append(candidate)
+        frontier = nxt
+    return None
+
+
+class TestLazyRelabelledGoals:
+    """The level search matches relabelled goals through their letter-count
+    profiles and returns the path of the eager search."""
+
+    @pytest.mark.parametrize("group", [F2, F3], ids=["rank2", "rank3"])
+    @pytest.mark.parametrize("words_per_class", [1, 2])
+    def test_same_path_as_eager_targets(self, group, words_per_class):
+        rng = random.Random(911 + 10 * group.rank + words_per_class)
+        max_len = 6 if group.rank == 2 else 3
+        for i in range(30):
+            m1 = minimize(random_marking(rng, group, rng.randint(1, 2), max_len, words_per_class))[0]
+            if i % 2:
+                m2 = minimize(m1.apply(random_aut(rng, group, rng.randint(1, 4))))[0]
+            else:
+                m2 = minimize(random_marking(rng, group, len(m1.classes), max_len, words_per_class))[0]
+            if m1.total_length() == m2.total_length():
+                assert _level_path(m1, m2) == eager_level_path(m1, m2), f"{m1.format()} vs {m2.format()}"
+
+    @pytest.mark.parametrize(
+        "group, text",
+        [
+            (F2, "[ a b ] ; [ a b ]"),
+            (F3, "[ a b ] ; [ a b ]"),
+            (F3, "[ a ] ; [ b ]"),
+            (F3, "[ a , b ]"),
+        ],
+    )
+    def test_goals_fixed_by_a_relabelling(self, group, text):
+        # several sigma send the goal to the same start, so the first one
+        # in order must be the one chosen
+        goal = Marking.parse(group, text)
+        starts = [goal] + [sigma.apply_marking(goal) for sigma, _, _ in _relabellings(group)]
+        assert len(set(starts)) < len(starts)
+        for start in starts:
+            path = _level_path(start, goal)
+            assert path == eager_level_path(start, goal)
+            assert len(path) <= 1 and start.apply(_compose_moves(group, path)) == goal
+
+
+class TestProfile:
+    """The profile prefilter never drops a real relabelling: relabelling a
+    marking permutes its profile."""
+
+    @pytest.mark.parametrize("group", [F2, F3], ids=["rank2", "rank3"])
+    @pytest.mark.parametrize("words_per_class", [1, 2, 3])
+    def test_relabelling_permutes_profile(self, group, words_per_class):
+        rng = random.Random(953 + 10 * group.rank + words_per_class)
+        for _ in range(20):
+            m = random_marking(rng, group, rng.randint(1, 3), 6, words_per_class)
+            profile = _profile(m)
+            for sigma, _, pre in _relabellings(group):
+                assert _profile(sigma.apply_marking(m)) == _relabel_profile(profile, pre), (
+                    f"{sigma} on {m.format()}"
+                )
+
+    def test_profile_ignores_conjugation(self):
+        m = Marking.parse(F2, "[ a b , b a' ]")
+        conjugated = Marking.parse(F2, "[ b' a b b , b' b a' b ]")
+        assert m == conjugated and _profile(m) == _profile(conjugated)
+        # the cyclic reductions of a b and b a' count one a, one b, one a'
+        assert _profile(m) == (1, 0, 1, 0, 0, 1, 1, 0)
 
 
 class TestMetamorphic:
