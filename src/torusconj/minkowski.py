@@ -533,8 +533,8 @@ class CongruenceCertificate:
         if not is_characteristic(self.kernel, nielsen_generators(self.group)):
             return False
         # the certified kernel must sit inside every witness kernel; entries
-        # share quotients, so each distinct one is checked once
-        for q in {entry.witness.quotient for entry in self.entries}:
+        # share quotients, so each distinct one is checked once, in entry order
+        for q in dict.fromkeys(entry.witness.quotient for entry in self.entries):
             if self.kernel.intersect(q.kernel_graph()) != self.kernel:
                 return False
         for entry in self.entries:
