@@ -42,7 +42,9 @@ def _read(path: str) -> str:
 
 
 def _auto_whitelist(jsj_a, jsj_b) -> WhiteList:
-    """Generator-wise identity candidates for same-kind white pairs."""
+    """Generator-wise identity candidates for same-kind white pairs, and for
+    a pair of Z slots also x0 -> x0^-1: Aut(Z) == {+-1}, so a Z pair gets
+    every candidate, and `decide` keeps those that preserve orientation."""
     out: WhiteList = {}
     for w in jsj_a.white_vertices():
         for w2 in jsj_b.white_vertices():
@@ -50,6 +52,8 @@ def _auto_whitelist(jsj_a, jsj_b) -> WhiteList:
             if (sa.free_rank, sa.has_center) != (sb.free_rank, sb.has_center):
                 continue
             out[(w, w2)] = [SlotIso(sa, sb, tuple(sb.generators()))]
+            if sa.kind == "Z":
+                out[(w, w2)].append(SlotIso(sa, sb, (sb.generator(0).inverse(),)))
     return out
 
 

@@ -5,9 +5,12 @@ validated once per positive verdict by `verify_witness`.
 
 Graph maps are enumerated by backtracking over the images of each black
 vertex's incoming edges, and only those every black vertex admits are
-assembled: per black vertex pair, a table computed once per call says which
-edge images some fiber-and-orientation isomorphism of the black slots can
-match (`BlackTable`), so the full black match runs only where it succeeds.
+assembled.  Per black vertex pair, one matcher (`fop_slot_isos`) gives the
+classes of fiber-and-orientation isomorphisms of the black slots, and a
+table computed once per call (`BlackTable`) lists the edge images each
+class matches, with one isomorphism of the class that assembly takes as is.
+Only an F_k x Z pair with a non-cyclic edge group keeps a catch-all row,
+decided per map by the full match (`mwp_product`).
 
 White lists are inputs, not computed; a negative verdict is therefore sound
 relative to the completeness of the supplied lists, and the verdict
@@ -17,10 +20,11 @@ fails" apart.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, FormatError, Undecided, parse_int
 from .fibercorrect import (
@@ -49,7 +53,7 @@ from .gog import (
     unoriented,
     validate,
 )
-from .whitehead import Marking, ProductGroup, ProductMarking, level_component, minimized, mwp_product
+from .whitehead import Marking, ProductGroup, ProductMarking, compose_moves, level_component, minimized, mwp_product
 
 MAX_EDGES_DEFAULT = 12
 
@@ -168,13 +172,6 @@ def edge_group_conjugator(
 
 
 @dataclass(frozen=True)
-class BlackMatch:
-    phi_b: SlotIso
-    # per adjacent oriented edge (term == black): the gamma at the black end
-    gammas_black: Dict[str, SlotElement]
-
-
-@dataclass(frozen=True)
 class EdgeTransport:
     """White-side data for one unoriented edge under the current graph map."""
 
@@ -216,37 +213,6 @@ def _edge_transport(
     return EdgeTransport(SlotIso(gog_a.eslot(ew), gog_b.eslot(ew2), images), d.inverse(), target_black)
 
 
-def match_black(
-    jsj_a: JSJInput,
-    jsj_b: JSJInput,
-    vmap: Dict[str, str],
-    b: str,
-    transports: Dict[str, EdgeTransport],
-    memo: dict,
-) -> Optional[BlackMatch]:
-    """Decide the compounded-marking match at one black vertex: a
-    fiber-and-orientation isomorphism G_b -> G_b' carrying each adjacent
-    edge class to a conjugate of its transported image, with the conjugators
-    as gammas.  `memo` (see `assemble`) keeps each black vertex's adjacent
-    edges and their classes, and the minimized markings.
-    """
-    b2 = vmap[b]
-    adjacent, sources = _black_classes(jsj_a, "source", b, memo)
-    slot_b2 = jsj_b.gog.vslot(b2)
-    targets = [transports[unoriented(oe)].target_images for oe in adjacent]
-    o_a, o_b = jsj_a.orientation.vertex_values[b], jsj_b.orientation.vertex_values[b2]
-    phi_b = match_black_slot(jsj_a.gog.vslot(b), o_a, slot_b2, o_b, sources, targets, memo)
-    if phi_b is None:
-        return None
-    gammas: Dict[str, SlotElement] = {}
-    for oe, source, target in zip(adjacent, sources, targets):
-        p = slot_elementwise_conjugator(slot_b2, tuple(phi_b.apply(x) for x in source), target)
-        if p is None:
-            return None
-        gammas[oe] = p.inverse()
-    return BlackMatch(phi_b, gammas)
-
-
 def _black_classes(jsj: JSJInput, side: str, b: str, memo: dict):
     """The oriented edges into the black vertex b, sorted, and the class
     (the injected edge generators) of each; kept in `memo` per side."""
@@ -278,54 +244,124 @@ def _degree(o: Sequence[int], x: SlotElement) -> int:
     return sum(v * d for v, d in zip(x.abelianized(), o))
 
 
-def match_black_slot(slot_a, o_a, slot_b, o_b, sources, targets, memo=None) -> Optional[SlotIso]:
-    """A fiber-and-orientation isomorphism phi: slot_a -> slot_b (o_b . phi
-    == o_a) carrying each source class to a simultaneous conjugate of its
-    target class, or None.  Exact for each elementary kind:
+def fop_slot_isos(slot_a, o_a, slot_b, o_b, sources, pools, natives, memo: dict):
+    """The black matcher: the classes of fiber-and-orientation isomorphisms
+    phi: slot_a -> slot_b (o_b . phi == o_a) that carry each source class
+    to a simultaneous conjugate of one of its candidate targets.
 
-    * Z: x0 -> x0^eps with eps * o_b == o_a, eps == 1 tried first;
-    * Z^2: one linear problem over GL_2(Z), since classes are pointwise;
+    `pools[i]` lists the candidate target classes of source i, and
+    `natives` are the classes of the edges into slot_b's vertex.  Returns
+    (target_keys, classes): target_keys[i][j] is a key of pools[i][j], and
+    each class is (row_keys, make), where row_keys[i] is the key that
+    source i takes under the class's maps and make() builds one of them.
+    Equal keys mean "carried to a conjugate", and every fop isomorphism
+    carrying all sources to conjugates of some choice of targets lies in
+    one of the classes:
+
+    * Z: the map x0 -> x0^eps with eps * o_b == o_a (eps == 1 first),
+      keyed by the classes;
+    * Z^2: M in GL_2(Z) with o_b M == o_a, keyed by abelianized vectors and
+      pinned on the span of the sources (`_pinned_matrices`);
     * F_k x Z (with the degree condition `JSJInput` checks): in fiber
       coordinates G == P x <c>, where an element's center exponent is its
-      degree over |o(c)|, phi is psi x id for psi in Aut(F_k), which is
-      `mwp_product`.  Back in slot coordinates phi(x_i) == psi(x_i) c^l_i
-      with l_i == (o_a(x_i) - o_b(psi(x_i))) / o_b(c), and
-      phi(c) == c^(o_a(c) / o_b(c)).
+      degree over |o(c)|, phi is psi x id for psi in Aut(F_k)
+      (`whitehead.mwp_product`; `_fxz_slot_iso` goes back to slot
+      coordinates).  Minimizing the sources to S* by alpha and the natives
+      by beta, an assignment T is carried to iff beta(T) is in the minimal
+      level of S*'s orbit, provided beta(T) is minimal itself.  It is when
+      every edge group is Z: each transported class is then a native class
+      or its inverse, each used once, and so beta(T) has the length of
+      beta(natives).  So the classes are the markings L of
+      `whitehead.level_component(S*)`, each source keyed by its class in L
+      and its center exponents, with psi == beta^-1 . (path to L) . alpha.
+      Other edge groups get one catch-all class, keyed None throughout and
+      with no representative (make is None): the assembly then runs the
+      full match, `_match_fxz_slot`, once per map.
 
-    `memo`, when given, keeps the minimized markings (`whitehead.minimized`).
+    `memo` keeps the minimized markings and the level components.
     """
-    if (slot_a.free_rank, slot_a.has_center) != (slot_b.free_rank, slot_b.has_center):
-        return None
     kind = slot_a.kind
     if kind == "Z":
-        # abelian and centerless: a class matches only its target itself
         x0 = slot_b.generator(0)
-        for eps in (1, -1):
-            if eps * o_b[0] != o_a[0]:
-                continue
-            phi = SlotIso(slot_a, slot_b, (x0 if eps == 1 else x0.inverse(),))
-            if all(tuple(phi.apply(x) for x in src) == tuple(tgt) for src, tgt in zip(sources, targets)):
-                return phi
-        return None
+        maps = [
+            SlotIso(slot_a, slot_b, (x0 if eps == 1 else x0.inverse(),))
+            for eps in (1, -1)
+            if eps * o_b[0] == o_a[0]
+        ]
+        return [[tuple(cls) for cls in pool] for pool in pools], [
+            ([tuple(phi.apply(x) for x in cls) for cls in sources], functools.partial(SlotIso, slot_a, slot_b, phi.images))
+            for phi in maps
+        ]
     if kind == "Z2":
-        vectors = [[x.abelianized() for cls in classes for x in cls] for classes in (sources, targets)]
-        m = _gl2_solve(o_a, o_b, *vectors)
-        return None if m is None else SlotIso.from_matrix(slot_a, slot_b, m)
-    d_a, d_b = o_a[-1], o_b[-1]
-    if abs(d_a) != abs(d_b):
-        return None
+        vectors = [tuple(x.abelianized() for x in cls) for cls in sources]
+        target_keys = [[tuple(x.abelianized() for x in cls) for cls in pool] for pool in pools]
+        return target_keys, [
+            (
+                [tuple(_mat_vec2(m, v) for v in cls) for cls in vectors],
+                functools.partial(SlotIso.from_matrix, slot_a, slot_b, m),
+            )
+            for m in _pinned_matrices(o_a, o_b, vectors, target_keys)
+        ]
+    unkeyed = [[None] * len(pool) for pool in pools]
+    if abs(o_a[-1]) != abs(o_b[-1]):
+        return unkeyed, []
+    if any(len(cls) != 1 for cls in (*sources, *natives)):
+        return unkeyed, [([None] * len(sources), None)]
     product = ProductGroup(slot_b.free_group)
-    ok, psi = mwp_product(
-        _fiber_marking(product, sources, o_a), _fiber_marking(product, targets, o_b), memo
-    )
-    if not ok:
-        return None
+    source = _fiber_marking(product, sources, o_a)
+    minimal, alpha = minimized(source.h_marking(), memo)
+    native_minimal, beta = minimized(_fiber_marking(product, natives, o_b).h_marking(), memo)
+    if minimal.total_length() != native_minimal.total_length():
+        return unkeyed, []
+    beta_aut = compose_moves(product.free, beta)
+
+    def carried(cls):
+        fiber = _fiber_class(cls, o_b)
+        return Marking.of(product.free, [[beta_aut.apply(w) for w, _ in fiber]]).classes[0], tuple(k for _, k in fiber)
+
+    key = ("level", minimal)
+    if key not in memo:
+        memo[key] = level_component(minimal)
+    centers = source.centers()
+    return [[carried(cls) for cls in pool] for pool in pools], [
+        (
+            list(zip(level.classes, centers)),
+            functools.partial(_fxz_row_iso, slot_a, o_a, slot_b, o_b, alpha + path, beta_aut),
+        )
+        for level, path in memo[key].items()
+    ]
+
+
+def _fxz_row_iso(slot_a, o_a, slot_b, o_b, moves, beta: FreeAut) -> SlotIso:
+    """The representative of an F_k x Z class of `fop_slot_isos`:
+    psi == beta^-1 . (moves), where `moves` are alpha then the level path."""
+    psi = beta.inverse() * compose_moves(slot_b.free_group, moves)
+    return _fxz_slot_iso(slot_a, o_a, slot_b, o_b, psi)
+
+
+def _fxz_slot_iso(slot_a, o_a, slot_b, o_b, psi: FreeAut) -> SlotIso:
+    """psi x id on F_k x Z slots in fiber coordinates, in slot coordinates:
+    phi(x_i) == psi(x_i) c^l_i with l_i == (o_a(x_i) - o_b(psi(x_i))) /
+    o_b(c), and phi(c) == c^(o_a(c) / o_b(c))."""
+    d_a, d_b = o_a[-1], o_b[-1]
     images = []
     for i in range(slot_a.free_rank):
         image = SlotElement(slot_b, psi.apply(slot_b.free_group.generator(i)), 0)
         images.append(SlotElement(slot_b, image.word, (o_a[i] - _degree(o_b, image)) // d_b))
     images.append(SlotElement(slot_b, slot_b.free_group.identity(), d_a // d_b))
     return SlotIso(slot_a, slot_b, tuple(images))
+
+
+def _match_fxz_slot(slot_a, o_a, slot_b, o_b, sources, targets, memo: dict) -> Optional[SlotIso]:
+    """A fop isomorphism of F_k x Z slots with |o_a(c)| == |o_b(c)|
+    carrying each source class to a simultaneous conjugate of its target
+    class, or None: `mwp_product` in fiber coordinates.  Only the
+    catch-all row of `fop_slot_isos` (a non-cyclic edge group) needs it."""
+    product = ProductGroup(slot_b.free_group)
+    ok, psi = mwp_product(
+        _fiber_marking(product, sources, o_a), _fiber_marking(product, targets, o_b), memo
+    )
+    return _fxz_slot_iso(slot_a, o_a, slot_b, o_b, psi) if ok else None
 
 
 def _fiber_class(cls, o) -> Tuple[Tuple[Word, int], ...]:
@@ -398,23 +434,27 @@ def _unimodular_along_line(particular, basis) -> Optional[List[int]]:
 @dataclass(frozen=True)
 class BlackTable:
     """Which assignments of edges at a black vertex pair (b, b2) admit a
-    black match.
+    black match, and by which slot isomorphism.
 
     `options[i]` lists the possible images of the i-th oriented edge into b
-    (sorted, as in `match_black`): pairs (f, k) of an oriented edge f into
-    b2 and the index k of a fop white candidate between the two white ends
-    (see `_white_candidates`) under which the edge transport exists, as
-    `_edge_options` reads off conjugacy keys without transporting.  Each
-    row stands for one class of slot automorphisms and holds, per edge, the
-    indices of the options whose transported class those automorphisms
-    match.  An assignment admits a black match exactly when one row holds
-    all of its options; only at F_k x Z with a non-cyclic edge group does
-    the single row hold every option, leaving the decision to the match.
+    (sorted, as in `_black_classes`): pairs (f, k) of an oriented edge f
+    into b2 and the index k of a fop white candidate between the two white
+    ends (see `_white_candidates`) under which the edge transport exists,
+    as `_edge_options` reads off conjugacy keys without transporting.  Each
+    row stands for one class of fop slot isomorphisms of `fop_slot_isos`,
+    in its order, and holds, per edge, the indices of the options whose
+    transported class those isomorphisms carry the edge's class to a
+    conjugate of; `isos[r]` builds the representative of row r.  An
+    assignment admits a black match exactly when one row holds all of its
+    options.  Only at F_k x Z with a non-cyclic edge group is there instead
+    a single catch-all row, holding every option, with no representative
+    (`isos` == (None,)): there the full match decides per map.
     """
 
     edges: Tuple[str, ...]
     options: Tuple[Tuple[Tuple[str, int], ...], ...]
     rows: Tuple[Tuple[FrozenSet[int], ...], ...]
+    isos: Tuple[Optional[Callable[[], SlotIso]], ...]
 
 
 def _white_candidates(jsj_a, jsj_b, whitelist: WhiteList, w: str, w2: str, memo: dict) -> List[SlotIso]:
@@ -497,7 +537,7 @@ def _edge_options(jsj_a, jsj_b, whitelist: WhiteList, b: str, b2: str, memo: dic
 def _black_table(jsj_a, jsj_b, whitelist: WhiteList, b: str, b2: str, memo: dict) -> BlackTable:
     """The `BlackTable` of (b, b2), kept in `memo`: its options and carried
     classes come from conjugacy keys (`_edge_options`), its rows from
-    `_match_keys`; no edge transport runs here, only in `_assemble_one`."""
+    `fop_slot_isos`; no edge transport runs here, only in `_assemble_one`."""
     key = ("black table", b, b2)
     if key in memo:
         return memo[key]
@@ -506,7 +546,7 @@ def _black_table(jsj_a, jsj_b, whitelist: WhiteList, b: str, b2: str, memo: dict
     _, natives = _black_classes(jsj_b, "target", b2, memo)
     options, pools = _edge_options(jsj_a, jsj_b, whitelist, b, b2, memo)
     o_a, o_b = jsj_a.orientation.vertex_values[b], jsj_b.orientation.vertex_values[b2]
-    target_keys, row_keys = _match_keys(
+    target_keys, classes = fop_slot_isos(
         gog_a.vslot(b), o_a, gog_b.vslot(b2), o_b, sources, pools, natives, memo
     )
     indexes = []
@@ -515,82 +555,13 @@ def _black_table(jsj_a, jsj_b, whitelist: WhiteList, b: str, b2: str, memo: dict
         for j, option_key in enumerate(keys):
             index.setdefault(option_key, []).append(j)
         indexes.append({option_key: frozenset(js) for option_key, js in index.items()})
-    rows = set()
-    for keys in row_keys:
+    rows: Dict[tuple, Optional[Callable[[], SlotIso]]] = {}
+    for keys, make in classes:
         row = tuple(index.get(k, frozenset()) for index, k in zip(indexes, keys))
         if all(row):
-            rows.add(row)
-    memo[key] = BlackTable(edges, tuple(options), tuple(rows))
+            rows.setdefault(row, make)
+    memo[key] = BlackTable(edges, tuple(options), tuple(rows), tuple(rows.values()))
     return memo[key]
-
-
-def _match_keys(slot_a, o_a, slot_b, o_b, sources, pools, natives, memo):
-    """(target_keys, row_keys) for `_black_table`: target_keys[i][j] is a key
-    of the transported class of option j of edge i, and each entry of
-    row_keys lists, per edge, the key its source class takes under one
-    class of fop isomorphisms slot_a -> slot_b; `natives` are the classes of
-    the edges into b2.  Equal keys mean "carried to a conjugate", and every
-    fop isomorphism carrying all sources to conjugates of some assignment's
-    targets lies in one of the classes:
-
-    * Z: the map x0 -> x0^eps with eps * o_b == o_a, keyed by the classes;
-    * Z^2: M in GL_2(Z) with o_b M == o_a, keyed by abelianized vectors and
-      pinned on the span of the sources by the images of two independent
-      source vectors (or of the primitive vector of a rank-one span);
-    * F_k x Z: psi x id in fiber coordinates (see `match_black_slot`).
-      Minimizing the sources to S* by alpha and the classes into b2 by
-      beta, an assignment T is carried to iff beta(T) is in the minimal
-      level of S*'s orbit, provided beta(T) is minimal itself.  It is when
-      every edge group is Z: each transported class is then a class into b2
-      or its inverse, each used once, and so beta(T) has the length of
-      beta(natives).  So the rows are the markings of
-      `whitehead.level_component(S*)`, each class keyed with its center
-      exponents; other edge groups get one row matching every option.
-    """
-    kind = slot_a.kind
-    if kind == "Z":
-        x0 = slot_b.generator(0)
-        maps = [
-            SlotIso(slot_a, slot_b, (x0 if eps == 1 else x0.inverse(),))
-            for eps in (1, -1)
-            if eps * o_b[0] == o_a[0]
-        ]
-        return (
-            [[tuple(cls) for cls in pool] for pool in pools],
-            [[tuple(phi.apply(x) for x in cls) for cls in sources] for phi in maps],
-        )
-    if kind == "Z2":
-        vectors = [tuple(x.abelianized() for x in cls) for cls in sources]
-        target_keys = [[tuple(x.abelianized() for x in cls) for cls in pool] for pool in pools]
-        return target_keys, [
-            [tuple(_mat_vec2(m, v) for v in cls) for cls in vectors]
-            for m in _pinned_matrices(o_a, o_b, vectors, target_keys)
-        ]
-    if abs(o_a[-1]) != abs(o_b[-1]):
-        return [[None] * len(pool) for pool in pools], []
-    if any(len(cls) != 1 for cls in sources + natives):
-        return [[None] * len(pool) for pool in pools], [[None] * len(sources)]
-    product = ProductGroup(slot_b.free_group)
-    source = _fiber_marking(product, sources, o_a)
-    minimal, _ = minimized(source.h_marking(), memo)
-    native_minimal, moves = minimized(_fiber_marking(product, natives, o_b).h_marking(), memo)
-    if minimal.total_length() != native_minimal.total_length():
-        return [[None] * len(pool) for pool in pools], []
-
-    def carried(cls):
-        words = []
-        for w, _ in _fiber_class(cls, o_b):
-            for move in moves:
-                w = move.aut.apply(w)
-            words.append(w)
-        canonical = Marking.of(product.free, [words]).classes[0]
-        return canonical, tuple(k for _, k in _fiber_class(cls, o_b))
-
-    centers = source.centers()
-    return (
-        [[carried(cls) for cls in pool] for pool in pools],
-        [list(zip(level.classes, centers)) for level in level_component(minimal)],
-    )
 
 
 def _mat_vec2(m: Sequence[Sequence[int]], v: Sequence[int]) -> Tuple[int, int]:
@@ -605,12 +576,15 @@ def _pinned_matrices(o_a, o_b, sources, targets) -> List[List[List[int]]]:
     With two independent source vectors p and q, M == [t_p t_q][p q]^-1 for
     each pair of candidate images, kept when integral, unimodular and
     orientation preserving.  With a rank-one span, M is fixed there by the
-    image v of its primitive vector u, and `_gl2_solve` settles each v.
-    With no nonzero source, any solution will do.
+    image v of its primitive vector u, and `_gl2_solve` settles each v on
+    all the source vectors at once, each a multiple n u going to n v.  With
+    no nonzero source, any solution will do.  Below rank two the linear
+    problem is the one a matching assignment poses, so its solution is too.
     """
+    every = [v for cls in sources for v in cls]
     flat = [(i, j, v) for i, cls in enumerate(sources) for j, v in enumerate(cls) if any(v)]
     if not flat:
-        m = _gl2_solve(o_a, o_b, [], [])
+        m = _gl2_solve(o_a, o_b, every, every)
         return [] if m is None else [m]
     i0, j0, p = flat[0]
     second = next(((i, j, q) for i, j, q in flat if p[0] * q[1] - p[1] * q[0]), None)
@@ -622,7 +596,8 @@ def _pinned_matrices(o_a, o_b, sources, targets) -> List[List[List[int]]]:
             for cls in targets[i0]
             if cls[j0][0] % g == 0 and cls[j0][1] % g == 0
         }
-        solved = (_gl2_solve(o_a, o_b, [u], [v]) for v in sorted(images))
+        multiples = [s[0] // u[0] if u[0] else s[1] // u[1] for s in every]
+        solved = (_gl2_solve(o_a, o_b, every, [(n * v[0], n * v[1]) for n in multiples]) for v in sorted(images))
         return [m for m in solved if m is not None]
     i1, j1, q = second
     det = p[0] * q[1] - p[1] * q[0]
@@ -656,11 +631,12 @@ def _candidate_is_fop(jsj_a: JSJInput, jsj_b: JSJInput, w: str, w2: str, iso: Sl
 
 
 def admissible_graph_maps(jsj_a: JSJInput, jsj_b: JSJInput, whitelist: WhiteList, memo: dict):
-    """Yield (vertex map, oriented edge map, white choices) for every graph
-    isomorphism keeping colors and black slot kinds, with a fop white
-    candidate per white vertex (its index in `_white_candidates`), whose
-    edge transports all exist and which every black vertex's `BlackTable`
-    admits.
+    """Yield (vertex map, oriented edge map, white choices, black rows) for
+    every graph isomorphism keeping colors and black slot kinds, with a fop
+    white candidate per white vertex (its index in `_white_candidates`),
+    whose edge transports all exist and which every black vertex's
+    `BlackTable` admits; black rows[b] is the first row of b's table, in
+    the table's order, that holds all the options of b's edges.
 
     Backtracking: each black vertex picks an image, then its incoming edges
     pick options one at a time, which fixes the images and candidates of
@@ -678,6 +654,7 @@ def admissible_graph_maps(jsj_a: JSJInput, jsj_b: JSJInput, whitelist: WhiteList
     vmap: Dict[str, str] = {}
     emap: Dict[str, str] = {}
     chosen: Dict[str, int] = {}
+    rows: Dict[str, int] = {}
     used_vertices, used_edges = set(), set()
 
     def place(n: int):
@@ -701,6 +678,7 @@ def admissible_graph_maps(jsj_a: JSJInput, jsj_b: JSJInput, whitelist: WhiteList
 
     def assign(n: int, table: BlackTable, i: int, alive):
         if i == len(table.edges):
+            rows[blacks[n]] = alive[0]
             yield from place(n + 1)
             return
         oe = table.edges[i]
@@ -714,15 +692,15 @@ def admissible_graph_maps(jsj_a: JSJInput, jsj_b: JSJInput, whitelist: WhiteList
                 continue
             if not fresh and (vmap[w], chosen[w]) != (w2, k):
                 continue
-            rows = [r for r in alive if j in table.rows[r][i]]
-            if not rows:
+            left = [r for r in alive if j in table.rows[r][i]]
+            if not left:
                 continue
             if fresh:
                 vmap[w], chosen[w] = w2, k
                 used_vertices.add(w2)
             emap[oe], emap[bar(oe)] = f, bar(f)
             used_edges.add(f)
-            yield from assign(n, table, i + 1, rows)
+            yield from assign(n, table, i + 1, left)
             used_edges.discard(f)
             del emap[oe], emap[bar(oe)]
             if fresh:
@@ -735,7 +713,7 @@ def admissible_graph_maps(jsj_a: JSJInput, jsj_b: JSJInput, whitelist: WhiteList
         for images in itertools.permutations(lone_b):
             counts = [len(_white_candidates(jsj_a, jsj_b, whitelist, w, w2, memo)) for w, w2 in zip(lone, images)]
             for combo in itertools.product(*map(range, counts)):
-                yield {**vmap, **dict(zip(lone, images))}, dict(emap), {**chosen, **dict(zip(lone, combo))}
+                yield {**vmap, **dict(zip(lone, images))}, dict(emap), {**chosen, **dict(zip(lone, combo))}, dict(rows)
 
     yield from place(0)
 
@@ -750,9 +728,10 @@ def assemble(
     `canonical_key`.
 
     Each graph map and white-candidate tuple that `admissible_graph_maps`
-    yields is assembled in full (`_assemble_one`), which builds its morphism
-    by construction, without validating it; the tables there are exact, so
-    the maps it skips are the ones whose assembly fails.  An empty
+    yields is assembled (`_assemble_one`), which builds its morphism by
+    construction, without validating it, taking each black vertex's
+    isomorphism from its table row; the tables there are exact, so the maps
+    it skips are the ones whose assembly fails.  An empty
     result is meaningful (no vertexwise isomorphism relative to the supplied
     lists).
     """
@@ -761,26 +740,29 @@ def assemble(
     # Pieces shared between graph maps, computed once per call: fop-filtered
     # white candidates per vertex pair, the conjugacy key of each edge class
     # moved by each candidate, each black vertex's adjacent edges and
-    # classes, the black tables and minimized markings, and the full edge
-    # transports of assembled maps.
+    # classes, the black tables, the minimized markings and level components
+    # (with their paths) behind the F_k x Z tables, the representative of
+    # each table row used, and the full edge transports of assembled maps.
     # The memo is dropped with the call.
     memo: dict = {}
     results: Dict[tuple, GoGMorphism] = {}
-    for vmap, emap, chosen in admissible_graph_maps(jsj_a, jsj_b, whitelist, memo):
-        morphism = _assemble_one(jsj_a, jsj_b, whitelist, vmap, emap, chosen, memo)
+    for vmap, emap, chosen, rows in admissible_graph_maps(jsj_a, jsj_b, whitelist, memo):
+        morphism = _assemble_one(jsj_a, jsj_b, whitelist, vmap, emap, chosen, rows, memo)
         if morphism is not None:
             results.setdefault(morphism.canonical_key(), morphism)
     return [results[key] for key in sorted(results)]
 
 
-def _assemble_one(jsj_a, jsj_b, whitelist: WhiteList, vmap, emap, chosen, memo: dict) -> Optional[GoGMorphism]:
+def _assemble_one(jsj_a, jsj_b, whitelist: WhiteList, vmap, emap, chosen, rows, memo: dict) -> Optional[GoGMorphism]:
     """The morphism of one graph map, with white vertex w taking its
-    candidate chosen[w] (an index into `_white_candidates`), or None when an
-    edge transport or black match fails; the only place where full edge
-    transports run.  It is not validated, as its Bass diagram commutes by
-    construction: the graph map is a bar-equivariant bijection keeping colors
-    and incidence, `_edge_transport` closes the diagram at white ends and
-    `match_black` at black ends.  `verify_witness` checks each positive."""
+    candidate chosen[w] (an index into `_white_candidates`) and black vertex
+    b the representative of row rows[b] of its `BlackTable`, or None when an
+    edge transport or the catch-all match fails; the only place where full
+    edge transports run.  It is not validated, as its Bass diagram commutes
+    by construction: the graph map is a bar-equivariant bijection keeping
+    colors and incidence, `_edge_transport` closes the diagram at white ends
+    and the black-end gammas (`slot_elementwise_conjugator`) at black ends.
+    `verify_witness` checks each positive."""
     gog_a, gog_b = jsj_a.gog, jsj_b.gog
     vertex_isos: Dict[str, SlotIso] = {
         w: _white_candidates(jsj_a, jsj_b, whitelist, w, vmap[w], memo)[k] for w, k in chosen.items()
@@ -800,12 +782,28 @@ def _assemble_one(jsj_a, jsj_b, whitelist: WhiteList, vmap, emap, chosen, memo: 
             return None
         transports[edge] = transport
         gammas[ew] = transport.gamma_white
-    for b in jsj_a.black_vertices():
-        match = match_black(jsj_a, jsj_b, vmap, b, transports, memo)
-        if match is None:
-            return None
-        vertex_isos[b] = match.phi_b
-        gammas.update(match.gammas_black)
+    for b, r in rows.items():
+        b2 = vmap[b]
+        slot_b2 = gog_b.vslot(b2)
+        adjacent, sources = _black_classes(jsj_a, "source", b, memo)
+        targets = [transports[unoriented(oe)].target_images for oe in adjacent]
+        make = _black_table(jsj_a, jsj_b, whitelist, b, b2, memo).isos[r]
+        if make is None:
+            o_a, o_b = jsj_a.orientation.vertex_values[b], jsj_b.orientation.vertex_values[b2]
+            phi_b = _match_fxz_slot(gog_a.vslot(b), o_a, slot_b2, o_b, sources, targets, memo)
+            if phi_b is None:
+                return None
+        else:
+            key = ("black iso", b, b2, r)
+            if key not in memo:
+                memo[key] = make()
+            phi_b = memo[key]
+        vertex_isos[b] = phi_b
+        for oe, source, target in zip(adjacent, sources, targets):
+            p = slot_elementwise_conjugator(slot_b2, tuple(phi_b.apply(x) for x in source), target)
+            if p is None:
+                return None
+            gammas[oe] = p.inverse()
     edge_isos = {edge: transports[edge].edge_iso for edge in gog_a.edge_names}
     return GoGMorphism(gog_a, gog_b, vmap, emap, vertex_isos, edge_isos, gammas)
 

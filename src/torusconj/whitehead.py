@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, FormatError, parse_int
 from .freegroup import (
@@ -289,7 +289,8 @@ def minimized(m: Marking, memo: Optional[dict] = None) -> Tuple[Marking, List[Wh
     return memo[key]
 
 
-def _compose_moves(group: FreeGroup, moves: Sequence[WhiteheadMove]) -> FreeAut:
+def compose_moves(group: FreeGroup, moves: Sequence[WhiteheadMove]) -> FreeAut:
+    """The automorphism that applies `moves` in order."""
     aut = FreeAut.identity(group)
     for move in moves:
         aut = move.aut * aut
@@ -315,31 +316,44 @@ def same_orbit(m1: Marking, m2: Marking, memo: Optional[dict] = None) -> Tuple[b
     if path is None:
         return False, None
     witness = (
-        _compose_moves(fg, moves2).inverse()
-        * _compose_moves(fg, path)
-        * _compose_moves(fg, moves1)
+        compose_moves(fg, moves2).inverse()
+        * compose_moves(fg, path)
+        * compose_moves(fg, moves1)
     )
     assert m1.apply(witness) == m2
     return True, witness
 
 
-def level_component(m: Marking) -> FrozenSet[Marking]:
+def level_component(m: Marking) -> Dict[Marking, List[WhiteheadMove]]:
     """Every marking that length-preserving Whitehead moves reach from the
-    length-minimal `m`: by peak reduction, all the minimal markings of its
-    orbit (McCool's minimal level).  As in `_level_path`, type-II moves are
-    searched and the signed relabellings applied once at the end."""
-    seen = {m}
-    frontier = [m]
+    length-minimal `m`, with a path of moves from `m` to it: by peak
+    reduction, all the minimal markings of its orbit (McCool's minimal
+    level).  The walk is `_level_path`'s, run to the end; the signed
+    relabellings are applied once afterwards, so a path ends with its
+    relabelling.  In order of discovery, the relabelled markings last."""
+    paths = dict(_level_walk(m))
+    for x, path in list(paths.items()):
+        for sigma, _, _ in _relabellings(m.group):
+            paths.setdefault(sigma.apply_marking(x), path + [sigma])
+    return paths
+
+
+def _level_walk(start: Marking) -> Iterator[Tuple[Marking, List[WhiteheadMove]]]:
+    """Breadth-first walk through the length-preserving type-II moves from
+    the length-minimal `start`: (marking, the moves from `start` to it) for
+    `start`, then for each marking in order of discovery."""
+    paths: Dict[Marking, List[WhiteheadMove]] = {start: []}
+    yield start, []
+    frontier = [start]
     while frontier:
         nxt = []
         for marking in frontier:
-            for _, candidate in _moves_changing_length(marking, lambda change: change == 0):
-                if candidate not in seen:
-                    seen.add(candidate)
+            for move, candidate in _moves_changing_length(marking, lambda change: change == 0):
+                if candidate not in paths:
+                    paths[candidate] = paths[marking] + [move]
+                    yield candidate, paths[candidate]
                     nxt.append(candidate)
         frontier = nxt
-    relabelled = {move.apply_marking(x) for x in seen for move, _, _ in _relabellings(m.group)}
-    return frozenset(seen | relabelled)
 
 
 @lru_cache(maxsize=None)
@@ -385,7 +399,8 @@ def _relabel_profile(profile: Tuple[int, ...], pre: Tuple[int, ...]) -> Tuple[in
 
 def _level_path(start: Marking, goal: Marking) -> Optional[List[WhiteheadMove]]:
     """Breadth-first connectivity through length-preserving type-II moves
-    to a signed relabelling sigma(goal), followed by sigma^-1.
+    (`_level_walk`, stopped at the first match) to a signed relabelling
+    sigma(goal), followed by sigma^-1.
 
     Conjugating a type-II move by a signed permutation gives another type-II
     move (sigma tau_{v,Y} sigma^-1 == tau_{sigma(v),sigma(Y)}), so every
@@ -417,29 +432,10 @@ def _level_path(start: Marking, goal: Marking) -> Optional[List[WhiteheadMove]]:
                 return rest
         return None
 
-    found = tail(start)
-    if found is not None:
-        return found
-    parents: Dict[Marking, Tuple[Marking, WhiteheadMove]] = {start: None}  # type: ignore[assignment]
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for marking in frontier:
-            for move, candidate in _moves_changing_length(marking, lambda change: change == 0):
-                if candidate in parents:
-                    continue
-                parents[candidate] = (marking, move)
-                found = tail(candidate)
-                if found is not None:
-                    path = []
-                    cur = candidate
-                    while parents[cur] is not None:
-                        prev, mv = parents[cur]
-                        path.append(mv)
-                        cur = prev
-                    return path[::-1] + found
-                nxt.append(candidate)
-        frontier = nxt
+    for marking, path in _level_walk(start):
+        found = tail(marking)
+        if found is not None:
+            return path + found
     return None
 
 

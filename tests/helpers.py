@@ -6,10 +6,11 @@ import itertools
 import random
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from torusconj.fibercorrect import smith_normal_form
+from torusconj.fibercorrect import smith_normal_form, solve_linear_system, solve_with_nullspace
 from torusconj.freegroup import FreeGroup, Word
-from torusconj.gog import GraphOfGroups, bar
+from torusconj.gog import GraphOfGroups, SlotElement, SlotIso, bar
 from torusconj.minkowski import RealizingGraph
+from torusconj.whitehead import ProductGroup, ProductMarking, mwp_product
 
 
 def random_word(rng: random.Random, group: FreeGroup, max_len: int) -> Word:
@@ -151,6 +152,97 @@ def transport_options(jsj_a, jsj_b, whitelist, b: str, b2: str):
         options.append(tuple(edge_options))
         transports.append(edge_transports)
     return options, transports
+
+
+def match_black_slot(slot_a, o_a, slot_b, o_b, sources, targets):
+    """Reference black matcher, independent of the black tables: a
+    fiber-and-orientation isomorphism phi: slot_a -> slot_b (o_b . phi ==
+    o_a) carrying each source class to a simultaneous conjugate of its
+    target class, or None.  Exact for each elementary kind:
+
+    * Z: x0 -> x0^eps with eps * o_b == o_a, eps == 1 tried first;
+    * Z^2: one linear problem over GL_2(Z), since classes are pointwise;
+    * F_k x Z (with the degree condition `JSJInput` checks): in fiber
+      coordinates G == P x <c>, where an element's center exponent is its
+      degree over |o(c)|, phi is psi x id for psi in Aut(F_k), which is
+      `mwp_product`.  Back in slot coordinates phi(x_i) == psi(x_i) c^l_i
+      with l_i == (o_a(x_i) - o_b(psi(x_i))) / o_b(c), and
+      phi(c) == c^(o_a(c) / o_b(c)).
+    """
+    if (slot_a.free_rank, slot_a.has_center) != (slot_b.free_rank, slot_b.has_center):
+        return None
+    kind = slot_a.kind
+    if kind == "Z":
+        # abelian and centerless: a class matches only its target itself
+        x0 = slot_b.generator(0)
+        for eps in (1, -1):
+            if eps * o_b[0] != o_a[0]:
+                continue
+            phi = SlotIso(slot_a, slot_b, (x0 if eps == 1 else x0.inverse(),))
+            if all(tuple(phi.apply(x) for x in src) == tuple(tgt) for src, tgt in zip(sources, targets)):
+                return phi
+        return None
+    if kind == "Z2":
+        vectors = [[x.abelianized() for cls in classes for x in cls] for classes in (sources, targets)]
+        m = _gl2_solve(o_a, o_b, *vectors)
+        return None if m is None else SlotIso.from_matrix(slot_a, slot_b, m)
+    d_a, d_b = o_a[-1], o_b[-1]
+    if abs(d_a) != abs(d_b):
+        return None
+    product = ProductGroup(slot_b.free_group)
+
+    def degree(o, x):
+        return sum(v * d for v, d in zip(x.abelianized(), o))
+
+    def fiber_marking(classes, o):
+        return ProductMarking.of(product, [[(x.word, degree(o, x) // abs(o[-1])) for x in cls] for cls in classes])
+
+    ok, psi = mwp_product(fiber_marking(sources, o_a), fiber_marking(targets, o_b))
+    if not ok:
+        return None
+    images = []
+    for i in range(slot_a.free_rank):
+        image = SlotElement(slot_b, psi.apply(slot_b.free_group.generator(i)), 0)
+        images.append(SlotElement(slot_b, image.word, (o_a[i] - degree(o_b, image)) // d_b))
+    images.append(SlotElement(slot_b, slot_b.free_group.identity(), d_a // d_b))
+    return SlotIso(slot_a, slot_b, tuple(images))
+
+
+def _gl2_solve(o_src, o_dst, sources, targets):
+    """M in GL_2(Z) with M s == t for each source/target pair and
+    o_dst M == o_src, or None.  Exact: the constraints are linear in the
+    entries of M, so a particular integer solution P and the integer
+    nullspace are exact.  Every nullspace matrix N has o_dst N == 0 and
+    N s == 0 for each source s, so N == u r^T with one factor fixed, and by
+    the matrix determinant lemma det(P + sum c_k N_k) is affine in the
+    coefficients c: one linear equation per sign of the determinant."""
+    rows, rhs = [], []
+    for s, t in zip(sources, targets):
+        rows += [[s[0], s[1], 0, 0], [0, 0, s[0], s[1]]]
+        rhs += [t[0], t[1]]
+    rows += [[o_dst[0], 0, o_dst[1], 0], [0, o_dst[0], 0, o_dst[1]]]
+    rhs += [o_src[0], o_src[1]]
+    solved = solve_with_nullspace(rows, rhs)
+    if solved is None:
+        return None
+    if not any(o_dst) and not any(any(s) for s in sources):
+        # solvable only with o_src == 0 and zero targets: the identity fits
+        return [[1, 0], [0, 1]]
+    particular, basis = solved
+
+    def det(e):
+        return e[0] * e[3] - e[1] * e[2]
+
+    d0 = det(particular)
+    slopes = [det([p + v for p, v in zip(particular, vec)]) - d0 for vec in basis]
+    for sign in (1, -1):
+        coeffs = solve_linear_system([slopes], [sign - d0])
+        if coeffs is not None:
+            entry = list(particular)
+            for c, vec in zip(coeffs, basis):
+                entry = [e + c * v for e, v in zip(entry, vec)]
+            return [entry[:2], entry[2:]]
+    return None
 
 
 def realizing_graphs_oracle(rank: int) -> List[RealizingGraph]:

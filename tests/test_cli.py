@@ -554,8 +554,9 @@ def test_whitelist_header_vertex_is_input_error(name, header, problem, tmp_path,
 @pytest.mark.parametrize("name", CORPUS_FOLDERS)
 def test_default_whitelists(name, tmp_path, capsys):
     # without --whitelists each white pair of one kind gets the identity
-    # candidate, which gives every corpus instance its expected status, and
-    # each positive a witness that verify-witness accepts
+    # candidate, and a pair of Z slots also x0 -> x0^-1; this gives every
+    # corpus instance its expected status, and each positive a witness that
+    # verify-witness accepts
     folder = DATA / name
     witness = tmp_path / "witness.txt"
     if (folder / "kind.txt").read_text().strip() == "decide":
@@ -575,6 +576,46 @@ def test_default_whitelists(name, tmp_path, capsys):
         assert run_cli(verify, capsys)[:2] == (0, "witness verified\n")
     else:
         assert not witness.exists()
+
+
+def _white_flipped(text: str) -> str:
+    """The JSJ `text` with its Z white vertex W re-expressed by x0 -> x0^-1:
+    fop-isomorphic to it, with the opposite orientation at W."""
+    from torusconj.gog import SlotIso
+    from torusconj.pipeline import parse_jsj, serialize_jsj
+
+    from .corpus import recoordinatize
+
+    jsj = parse_jsj(text)
+    slot = jsj.gog.vslot("W")
+    assert slot.kind == "Z"
+    return serialize_jsj(recoordinatize(jsj, "W", SlotIso(slot, slot, (slot.generator(0).inverse(),))))
+
+
+@pytest.mark.parametrize("name", [n for n in CORPUS_FOLDERS if (DATA / n / "jsj_b.txt").exists()])
+def test_default_whitelists_flipped_white(name, tmp_path, capsys):
+    # the default candidates of a Z white pair are both x0 -> x0^+-1, so
+    # flipping side b's W keeps the expected status; with the identity
+    # alone every flip answered no-vertexwise-iso
+    folder = DATA / name
+    jsj_b, witness = tmp_path / "jsj_b.txt", tmp_path / "witness.txt"
+    jsj_b.write_text(_white_flipped((folder / "jsj_b.txt").read_text()))
+    sides = ["--jsj-a", str(folder / "jsj_a.txt"), "--jsj-b", str(jsj_b)]
+    code, out, _ = run_cli(["decide", *sides, "--witness-out", str(witness)], capsys)
+    assert code == 0
+    assert out.startswith(f"status: {(folder / 'expected.txt').read_text().strip()}\n")
+    if name in POSITIVE_FOLDERS:
+        assert run_cli(["verify-witness", *sides, "--witness", str(witness)], capsys)[:2] == (0, "witness verified\n")
+
+
+def test_conj_ung_default_whitelists_flipped_white(tmp_path, capsys):
+    # a conjugate pair whose side b has W flipped is still conjugate
+    folder = DATA / "03_twistor_equal"
+    jsj_b = tmp_path / "jsj_b.txt"
+    jsj_b.write_text(_white_flipped((folder / "beta.txt").read_text().partition("[jsj]\n")[2]))
+    argv = ["conj-ung", "--alpha", str(folder / "alpha.txt"), "--beta", str(folder / "beta.txt"), "--jsj-b", str(jsj_b)]
+    code, out, _ = run_cli(argv, capsys)
+    assert (code, out.splitlines()[0]) == (0, "status: conjugate")
 
 
 def _replaced(lines, i, line):

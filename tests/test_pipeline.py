@@ -21,9 +21,8 @@ from torusconj.pipeline import (
     decide,
     edge_group_conjugator,
     fiber_correct,
+    fop_slot_isos,
     invert_whitelist,
-    match_black,
-    match_black_slot,
     parse_jsj,
     parse_whitelist,
     parse_witness,
@@ -54,17 +53,26 @@ from .helpers import abelian_invariants, transport_options
 CORPUS = pathlib.Path(__file__).parent / "data" / "corpus"
 
 
+def _match_one(slot_a, o_a, slot_b, o_b, sources, targets):
+    """`fop_slot_isos` with one option per edge, its target: the
+    representative of the class of fop isomorphisms carrying each source
+    class to a conjugate of its target class, or None."""
+    target_keys, classes = fop_slot_isos(slot_a, o_a, slot_b, o_b, sources, [[t] for t in targets], targets, {})
+    wanted = [keys[0] for keys in target_keys]
+    return next((make() for keys, make in classes if list(keys) == wanted), None)
+
+
 class TestSlotFopBaseIso:
     def test_z_slot_degree_match(self):
         Z = GroupSlot(1, False)
-        assert match_black_slot(Z, (2,), Z, (2,), [], []) is not None
-        assert match_black_slot(Z, (2,), Z, (3,), [], []) is None
-        flip = match_black_slot(Z, (2,), Z, (-2,), [], [])
+        assert _match_one(Z, (2,), Z, (2,), [], []) is not None
+        assert _match_one(Z, (2,), Z, (3,), [], []) is None
+        flip = _match_one(Z, (2,), Z, (-2,), [], [])
         assert flip is not None and flip.apply(Z.generator(0)) == Z.generator(0).inverse()
 
     def test_z2_degree_iso(self):
         Z2 = GroupSlot(1, True)
-        iso = match_black_slot(Z2, (0, 1), Z2, (1, 1), [], [])
+        iso = _match_one(Z2, (0, 1), Z2, (1, 1), [], [])
         assert iso is not None
         for i, gen in enumerate(Z2.generators()):
             img = iso.apply(gen)
@@ -73,7 +81,7 @@ class TestSlotFopBaseIso:
 
     def test_z2_gcd_obstruction(self):
         Z2 = GroupSlot(1, True)
-        assert match_black_slot(Z2, (0, 1), Z2, (0, 2), [], []) is None
+        assert _match_one(Z2, (0, 1), Z2, (0, 2), [], []) is None
 
     def test_z2_matches_gcd_oracle(self):
         # o_b M == o_a has a GL_2(Z) solution iff gcd(o_a) == gcd(o_b): GL_2(Z)
@@ -83,7 +91,7 @@ class TestSlotFopBaseIso:
         solvable = 0
         for o_a in itertools.product(values, values):
             for o_b in itertools.product(values, values):
-                iso = match_black_slot(Z2, o_a, Z2, o_b, [], [])
+                iso = _match_one(Z2, o_a, Z2, o_b, [], [])
                 assert (iso is not None) == (math.gcd(*o_a) == math.gcd(*o_b)), (o_a, o_b)
                 if iso is None:
                     continue
@@ -95,14 +103,14 @@ class TestSlotFopBaseIso:
 
     def test_fxz_generatorwise(self):
         FXZ = GroupSlot(2, True)
-        assert match_black_slot(FXZ, (0, 0, 1), FXZ, (0, 0, 1), [], []) is not None
-        assert match_black_slot(FXZ, (0, 0, 1), FXZ, (0, 0, 2), [], []) is None
+        assert _match_one(FXZ, (0, 0, 1), FXZ, (0, 0, 1), [], []) is not None
+        assert _match_one(FXZ, (0, 0, 1), FXZ, (0, 0, 2), [], []) is None
         # B re-coordinatized by c -> c^-1, and by x0 -> x0 * c (o_b(x0) == -1)
-        flip = match_black_slot(FXZ, (0, 0, 1), FXZ, (0, 0, -1), [], [])
+        flip = _match_one(FXZ, (0, 0, 1), FXZ, (0, 0, -1), [], [])
         assert flip is not None and list(flip.images) == FXZ.generators()[:2] + [FXZ.parse("c^-1")]
-        shift = match_black_slot(FXZ, (0, 0, 1), FXZ, (-1, 0, 1), [], [])
+        shift = _match_one(FXZ, (0, 0, 1), FXZ, (-1, 0, 1), [], [])
         assert shift is not None and shift.images[0] == FXZ.parse("x0 * c")
-        assert match_black_slot(FXZ, (0, 0, 1), FXZ, (-1, 0, -1), [], []) is not None
+        assert _match_one(FXZ, (0, 0, 1), FXZ, (-1, 0, -1), [], []) is not None
 
 
 class TestZSquareOrbitMatch:
@@ -112,7 +120,7 @@ class TestZSquareOrbitMatch:
         Z2 = GroupSlot(1, True)
         src = [(Z2.parse("c"),), (Z2.parse("x0 * c"),)]
         tgt = [(Z2.parse("x0' * c"),), (Z2.parse("c"),)]
-        eta = match_black_slot(Z2, (0, 1), Z2, (0, 1), src, tgt)
+        eta = _match_one(Z2, (0, 1), Z2, (0, 1), src, tgt)
         assert eta is not None
         # oracle: bounded-entry enumeration of GL2(Z) fixing the degree row
         found = False
@@ -140,7 +148,7 @@ class TestZSquareOrbitMatch:
         Z2 = GroupSlot(1, True)
         src = [(Z2.parse("x0"),), (Z2.parse("c"),)]
         tgt = [(Z2.parse("c"),), (Z2.parse("x0"),)]
-        assert match_black_slot(Z2, (0, 1), Z2, (0, 1), src, tgt) is None
+        assert _match_one(Z2, (0, 1), Z2, (0, 1), src, tgt) is None
 
     def test_large_transvection_found_exactly(self):
         # the matching equations are solved, not enumerated, so large
@@ -148,7 +156,7 @@ class TestZSquareOrbitMatch:
         Z2 = GroupSlot(1, True)
         src = [(Z2.parse("c"),), (Z2.parse("x0"),)]
         tgt = [(Z2.parse("x0^7 * c".replace("x0^7", "x0 " * 7)),), (Z2.parse("x0"),)]
-        eta = match_black_slot(Z2, (0, 1), Z2, (0, 1), src, tgt)
+        eta = _match_one(Z2, (0, 1), Z2, (0, 1), src, tgt)
         assert eta is not None
         moved = eta.apply(Z2.parse("c"))
         assert moved.abelianized() == (7, 1)
@@ -159,7 +167,7 @@ class TestZSquareOrbitMatch:
         # a coefficient box of [-8, 8] over the nullspace misses
         Z2 = GroupSlot(1, True)
         target = Z2.parse(" ".join(["x0"] * 55) + " * c^34")
-        eta = match_black_slot(Z2, (0, 0), Z2, (0, 0), [(Z2.parse("x0"),)], [(target,)])
+        eta = _match_one(Z2, (0, 0), Z2, (0, 0), [(Z2.parse("x0"),)], [(target,)])
         assert eta is not None
         m = eta.matrix()
         assert (m[0][0], m[1][0]) == (55, 34)
@@ -197,7 +205,7 @@ class TestZSquareOrbitMatch:
                 [(Z2.element(Z2.free_group.generator(0) ** v[0] if v[0] else Z2.free_group.identity(), v[1]),) for v in vecs]
                 for vecs in (sources, targets)
             ]
-            eta = match_black_slot(Z2, o, Z2, o, *as_classes)
+            eta = _match_one(Z2, o, Z2, o, *as_classes)
             box = _box_zsquare_match(o, sources, targets)
             if realizable or box is not None:
                 assert eta is not None, (o, sources, targets)
@@ -474,41 +482,89 @@ def _validates(morphism) -> bool:
     return True
 
 
-def _fresh_assembly_keys(jsj_a, jsj_b, whitelist):
+def _fresh_assemblies(jsj_a, jsj_b, whitelist):
     """The brute-force oracle for `assemble`: every graph isomorphism that
-    keeps colors, every tuple of fop white candidates, each assembled with
-    a fresh memo; the canonical keys of the morphisms that validate, checked
-    here with `gog.validate` since `_assemble_one` does not.  White
+    keeps colors and every tuple of fop white candidates, assembled with
+    the reference black matcher `helpers.match_black_slot`, which shares no
+    code with the black tables.  Returns {(vertex map, edge map, white
+    choices), as frozensets: canonical key} for the morphisms that validate,
+    checked here with `gog.validate` since the assembly does not.  White
     candidates are named by their index among the distinct fop ones."""
-    from torusconj.pipeline import _assemble_one, _white_candidates
+    from torusconj.gog import GoGMorphism, bar, unoriented
+    from torusconj.pipeline import _edge_transport, _white_candidates, slot_elementwise_conjugator
 
-    from .helpers import graph_isomorphisms
+    from .helpers import graph_isomorphisms, match_black_slot
 
+    gog_a, gog_b = jsj_a.gog, jsj_b.gog
     whites = jsj_a.white_vertices()
-    fresh = set()
-    for vmap, emap in graph_isomorphisms(jsj_a.gog, jsj_b.gog):
-        if any(jsj_a.colors[v] != jsj_b.colors[vmap[v]] for v in jsj_a.gog.vertices):
+
+    def assembled(vmap, emap, isos):
+        transports, gammas = {}, {}
+        for edge in gog_a.edge_names:
+            ew = edge if jsj_a.colors[gog_a.term(edge)] == "white" else bar(edge)
+            transports[edge] = _edge_transport(jsj_a, jsj_b, ew, emap[ew], isos[gog_a.term(ew)])
+            if transports[edge] is None:
+                return None
+            gammas[ew] = transports[edge].gamma_white
+        for b in jsj_a.black_vertices():
+            slot_b2 = gog_b.vslot(vmap[b])
+            adjacent = sorted(oe for oe in gog_a.oriented_edges() if gog_a.term(oe) == b)
+            sources = [tuple(gog_a.injection(oe).apply(g) for g in gog_a.eslot(oe).generators()) for oe in adjacent]
+            targets = [transports[unoriented(oe)].target_images for oe in adjacent]
+            o_a, o_b = jsj_a.orientation.vertex_values[b], jsj_b.orientation.vertex_values[vmap[b]]
+            isos[b] = match_black_slot(gog_a.vslot(b), o_a, slot_b2, o_b, sources, targets)
+            if isos[b] is None:
+                return None
+            for oe, source, target in zip(adjacent, sources, targets):
+                p = slot_elementwise_conjugator(slot_b2, tuple(isos[b].apply(x) for x in source), target)
+                if p is None:
+                    return None
+                gammas[oe] = p.inverse()
+        edge_isos = {edge: transports[edge].edge_iso for edge in gog_a.edge_names}
+        return GoGMorphism(gog_a, gog_b, vmap, emap, isos, edge_isos, gammas)
+
+    fresh = {}
+    for vmap, emap in graph_isomorphisms(gog_a, gog_b):
+        if any(jsj_a.colors[v] != jsj_b.colors[vmap[v]] for v in gog_a.vertices):
             continue
-        choices = [range(len(_white_candidates(jsj_a, jsj_b, whitelist, w, vmap[w], {}))) for w in whites]
-        for combo in itertools.product(*choices):
-            morphism = _assemble_one(jsj_a, jsj_b, whitelist, vmap, emap, dict(zip(whites, combo)), {})
+        candidates = [_white_candidates(jsj_a, jsj_b, whitelist, w, vmap[w], {}) for w in whites]
+        for combo in itertools.product(*(range(len(c)) for c in candidates)):
+            isos = {w: c[k] for w, c, k in zip(whites, candidates, combo)}
+            morphism = assembled(vmap, emap, isos)
             if morphism is not None and _validates(morphism):
-                fresh.add(morphism.canonical_key())
+                fresh[_map_key(vmap, emap, dict(zip(whites, combo)))] = morphism.canonical_key()
     return fresh
+
+
+def _map_key(vmap, emap, chosen):
+    return frozenset(vmap.items()), frozenset(emap.items()), frozenset(chosen.items())
+
+
+def _assert_matches_oracle(jsj_a, jsj_b, whitelist):
+    """`admissible_graph_maps` yields exactly the maps of `_fresh_assemblies`,
+    once each, and `assemble` one morphism per map, each validating.  With
+    no F_k x Z black vertex the morphisms are the oracle's, in key order;
+    at F_k x Z the tables' representatives may differ from `mwp_product`'s
+    witness, so only the maps are compared there."""
+    fresh = _fresh_assemblies(jsj_a, jsj_b, whitelist)
+    maps = [_map_key(*found[:3]) for found in admissible_graph_maps(jsj_a, jsj_b, whitelist, {})]
+    assert len(maps) == len(set(maps)) and set(maps) == set(fresh)
+    collection = assemble(jsj_a, jsj_b, whitelist)
+    assert len(collection) == len(fresh)
+    assert all(_validates(m) for m in collection)
+    if all(jsj_a.gog.vslot(b).kind != "fxz" for b in jsj_a.black_vertices()):
+        assert [m.canonical_key() for m in collection] == sorted(fresh.values())
+    return collection
 
 
 class TestAssembleMemo:
     @pytest.mark.parametrize("rank, twists_a, twists_b", BLOCK_CASES)
     def test_memo_matches_fresh_assembly(self, rank, twists_a, twists_b):
         # the memo shared by all graph maps of one call changes no result:
-        # the same keys in the same order as a fresh memo per graph map and
-        # white combination
+        # the same maps (and at Z^2 the same keys in the same order) as a
+        # fresh assembly per graph map and white combination
         jsj_a, jsj_b = twistor_jsj(rank, twists_a), twistor_jsj(rank, twists_b)
-        whitelist = _block_whitelist(jsj_a, jsj_b)
-        fresh = _fresh_assembly_keys(jsj_a, jsj_b, whitelist)
-        collection = assemble(jsj_a, jsj_b, whitelist)
-        assert [m.canonical_key() for m in collection] == sorted(fresh)
-        assert all(_validates(m) for m in collection)
+        _assert_matches_oracle(jsj_a, jsj_b, _block_whitelist(jsj_a, jsj_b))
 
     @pytest.mark.parametrize("rank, blocks", [(1, 3), (1, 4), (2, 2), (2, 3), (3, 1), (3, 2)])
     @pytest.mark.parametrize("seed", range(2))
@@ -518,10 +574,7 @@ class TestAssembleMemo:
         rng = random.Random(f"oracle-{rank}-{blocks}-{seed}")
         jsj_a, pairs = _seeded_pairs(rng, rank, blocks)
         for jsj_b in pairs:
-            whitelist = _block_whitelist(jsj_a, jsj_b)
-            collection = assemble(jsj_a, jsj_b, whitelist)
-            assert [m.canonical_key() for m in collection] == sorted(_fresh_assembly_keys(jsj_a, jsj_b, whitelist))
-            assert all(_validates(m) for m in collection)
+            _assert_matches_oracle(jsj_a, jsj_b, _block_whitelist(jsj_a, jsj_b))
 
     def test_edge_transport_once_per_key(self, monkeypatch):
         # the black tables read their options off conjugacy keys, so full
@@ -582,25 +635,26 @@ class TestAssembleMemo:
 
     def test_black_match_only_on_admissible_maps(self, monkeypatch):
         # the black tables admit a graph map only when its black match
-        # succeeds, so a Z^2 pair with k = 4 blocks makes |O| black matches,
-        # against one per graph map (384) when every map was matched in full
+        # succeeds, and their rows carry the slot isomorphism, so a Z^2 pair
+        # with k = 4 blocks runs no per-map slot match at all, against one
+        # per graph map (384) when every map was matched in full
         import torusconj.pipeline as pipeline
 
         calls = []
-        original = pipeline.match_black_slot
+        original = pipeline._match_fxz_slot
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(pipeline, "match_black_slot", counting)
+        monkeypatch.setattr(pipeline, "_match_fxz_slot", counting)
         jsj_a = twistor_jsj(1, ["x0", "x0'", "x0 x0", "x0 x0 x0"])
         jsj_b = relabel_blocks(jsj_a, [2, 0, 3, 1])
         whitelist = _block_whitelist(jsj_a, jsj_b)
         admitted = sum(1 for _ in admissible_graph_maps(jsj_a, jsj_b, whitelist, {}))
         collection = assemble(jsj_a, jsj_b, whitelist)
         assert collection
-        assert len(calls) <= admitted + len(collection)
+        assert not calls
         assert admitted == len(collection) < 384
 
     @pytest.mark.parametrize("rank, blocks", [(1, 3), (1, 4), (2, 2), (2, 3), (3, 1), (3, 2)])
@@ -617,12 +671,7 @@ class TestAssembleMemo:
     @pytest.mark.parametrize("seed", range(12))
     def test_several_black_vertices_match_fresh_assembly(self, seed):
         jsj_a, jsj_b = _two_black_pair(seed)
-        whitelist = _block_whitelist(jsj_a, jsj_b)
-        collection = assemble(jsj_a, jsj_b, whitelist)
-        keys = [m.canonical_key() for m in collection]
-        assert keys == sorted(_fresh_assembly_keys(jsj_a, jsj_b, whitelist))
-        assert all(_validates(m) for m in collection)
-        assert sum(1 for _ in admissible_graph_maps(jsj_a, jsj_b, whitelist, {})) == len(keys)
+        _assert_matches_oracle(jsj_a, jsj_b, _block_whitelist(jsj_a, jsj_b))
 
 
 def _two_black_pair(seed):
@@ -680,6 +729,109 @@ def _center_white_pair():
         return JSJInput(gog, {"b": "black", "w": "white"}, orientation, ())
 
     return build("x0", "x0 * c"), build("x0 * c", "x0")
+
+
+class TestBlackTableRows:
+    """Each table row carries one fop slot isomorphism of its class: it
+    carries every edge class into b to a conjugate of each option the row
+    holds, for every row, not only the first one a map takes."""
+
+    @pytest.mark.parametrize("rank, blocks", [(1, 3), (1, 4), (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_every_row_carries_its_options(self, rank, blocks):
+        from torusconj.pipeline import _black_classes, _black_table, _edge_options, slot_elementwise_conjugator
+
+        rng = random.Random(f"table-rows-{rank}-{blocks}")
+        jsj_a, pairs = _seeded_pairs(rng, rank, blocks)
+        counts = []
+        for jsj_b in [*pairs, recoordinatize(pairs[0], "B", _random_black_iso(rng, pairs[0].gog.vslot("B")))]:
+            whitelist = _block_whitelist(jsj_a, jsj_b)
+            memo: dict = {}
+            table = _black_table(jsj_a, jsj_b, whitelist, "B", "B", memo)
+            _, sources = _black_classes(jsj_a, "source", "B", memo)
+            _, pools = _edge_options(jsj_a, jsj_b, whitelist, "B", "B", memo)
+            slot_a, slot_b = jsj_a.gog.vslot("B"), jsj_b.gog.vslot("B")
+            o_a = jsj_a.orientation.vertex_values["B"]
+            counts.append(len(table.rows))
+            for row, make in zip(table.rows, table.isos):
+                phi = make()
+                assert [jsj_b.orientation.of_element("B", phi.apply(g)) for g in slot_a.generators()] == list(o_a)
+                for source, pool, held in zip(sources, pools, row):
+                    moved = tuple(phi.apply(x) for x in source)
+                    assert all(slot_elementwise_conjugator(slot_b, moved, pool[j]) is not None for j in held)
+        # the positive pair and its re-expressed copy
+        assert counts[0] and counts[2], counts
+
+    @staticmethod
+    def _rank_two_edge_jsj(first: str) -> JSJInput:
+        """An F_2 x Z black vertex B with a Z^2 edge e1 to a Z^2 white
+        vertex W, injected as <first, c>, and a Z edge to a Z white V."""
+        return parse_jsj(f"""
+[vertices]
+B: fxz 2
+W: Z2 1
+V: Z 1
+[edges]
+e1: W --> B (Z2 1)
+e2: V --> B (Z 1)
+[injections]
+e1: x0 -> {first}
+e1: c -> c
+e1~: x0 -> x0
+e1~: c -> c
+e2: x0 -> x1 * c
+e2~: x0 -> x0
+[colors]
+B: black
+W: white
+V: white
+[orientation]
+vertex B: 0 0 1
+vertex W: 0 1
+vertex V: 1
+edge e1: 0
+edge e2: 0
+[fiber]
+h0 = B : (x0)
+""")
+
+    def test_catch_all_row(self, monkeypatch):
+        # a non-cyclic edge group leaves one catch-all row with no
+        # representative, and the full match decides per map: against
+        # itself, against a copy re-expressed at B, and against a copy whose
+        # e1 class is <x0^2 x1, c>, not in the orbit of <x0 x1, c> with x1 c
+        import torusconj.pipeline as pipeline
+        from torusconj.pipeline import _black_table
+
+        calls = []
+        original = pipeline._match_fxz_slot
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, "_match_fxz_slot", counting)
+        jsj_a = self._rank_two_edge_jsj("x0 x1")
+        slot = jsj_a.gog.vslot("B")
+        swap = SlotIso(slot, slot, (slot.parse("x1"), slot.parse("x0 * c"), slot.parse("c")))
+        cases = [
+            (jsj_a, "isomorphic-fop"),
+            (recoordinatize(jsj_a, "B", swap), "isomorphic-fop"),
+            (self._rank_two_edge_jsj("x0 x0 x1"), "no-vertexwise-iso"),
+        ]
+        for jsj_b, status in cases:
+            whitelist = {
+                (w, w): [SlotIso(jsj_a.gog.vslot(w), jsj_b.gog.vslot(w), tuple(jsj_b.gog.vslot(w).generators()))]
+                for w in "VW"
+            }
+            table = _black_table(jsj_a, jsj_b, whitelist, "B", "B", {})
+            assert table.isos == (None,)
+            calls.clear()
+            verdict = decide(jsj_a, jsj_b, whitelist)
+            assert verdict.status == status
+            assert len(calls) == 1
+            if status == "isomorphic-fop":
+                assert verify_witness(jsj_a, jsj_b, verdict.witness)
+                assert _validates(verdict.witness.morphism)
 
 
 class TestEdgeOptions:

@@ -11,13 +11,14 @@ from torusconj.whitehead import (
     ProductGroup,
     ProductMarking,
     WhiteheadMove,
-    _compose_moves,
     _length_changes,
     _level_path,
     _moves_changing_length,
     _profile,
     _relabel_profile,
     _relabellings,
+    compose_moves,
+    level_component,
     minimize,
     move_alphabet,
     mwp_product,
@@ -382,7 +383,48 @@ class TestLazyRelabelledGoals:
         for start in starts:
             path = _level_path(start, goal)
             assert path == eager_level_path(start, goal)
-            assert len(path) <= 1 and start.apply(_compose_moves(group, path)) == goal
+            assert len(path) <= 1 and start.apply(compose_moves(group, path)) == goal
+
+
+def bfs_level_component(m):
+    """The former `level_component`, a search of its own: every marking
+    that length-preserving type-II moves reach from `m`, and every signed
+    relabelling of those, as a set."""
+    seen = {m}
+    frontier = [m]
+    while frontier:
+        nxt = []
+        for marking in frontier:
+            for _, candidate in _moves_changing_length(marking, lambda change: change == 0):
+                if candidate not in seen:
+                    seen.add(candidate)
+                    nxt.append(candidate)
+        frontier = nxt
+    relabelled = {move.apply_marking(x) for x in seen for move, _, _ in _relabellings(m.group)}
+    return frozenset(seen | relabelled)
+
+
+class TestLevelComponent:
+    """`level_component` walks the minimal level once: it finds the markings
+    the former search found, each with a path that leads to it from `m`."""
+
+    @pytest.mark.parametrize("group", [F2, F3], ids=["rank2", "rank3"])
+    @pytest.mark.parametrize("words_per_class", [1, 2])
+    def test_paths_lead_to_their_markings(self, group, words_per_class):
+        rng = random.Random(967 + 10 * group.rank + words_per_class)
+        max_len = 6 if group.rank == 2 else 3
+        lengths = []
+        markings = [random_marking(rng, group, rng.randint(1, 2), max_len, words_per_class) for _ in range(12)]
+        for m in [Marking.parse(group, "[ a a b b ]")] + [minimize(m)[0] for m in markings]:
+            level = level_component(m)
+            assert set(level) == bfs_level_component(m)
+            assert next(iter(level.items())) == (m, [])
+            for marking, path in level.items():
+                assert m.apply(compose_moves(group, path)) == marking
+                assert all(move.kind == "mult" for move in path[:-1])
+                lengths.append(len(path))
+        # "[ a a b b ]" reaches "[ a b a b' ]" by a type-II move
+        assert max(lengths) > 1
 
 
 class TestProfile:
