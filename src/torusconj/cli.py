@@ -57,20 +57,29 @@ def _auto_whitelist(jsj_a, jsj_b) -> WhiteList:
     return out
 
 
-def cmd_decide(args) -> int:
-    jsj_a = parse_jsj(_read(args.jsj_a))
-    jsj_b = parse_jsj(_read(args.jsj_b))
+def _whitelist(args, jsj_a, jsj_b) -> WhiteList:
+    """The candidates of `--whitelists`, or `_auto_whitelist`'s without it."""
     if args.whitelists:
-        whitelist = parse_whitelist(_read(args.whitelists), jsj_a, jsj_b)
-    else:
-        whitelist = _auto_whitelist(jsj_a, jsj_b)
-    verdict = decide(jsj_a, jsj_b, whitelist, max_edges=args.max_edges)
+        return parse_whitelist(_read(args.whitelists), jsj_a, jsj_b)
+    return _auto_whitelist(jsj_a, jsj_b)
+
+
+def _report(args, verdict, jsj_a, jsj_b) -> int:
+    """Print the verdict, write it to `--witness-out` when it has a
+    witness, and return the exit code."""
     output = serialize_verdict(verdict, jsj_a, jsj_b)
     if args.witness_out and verdict.witness is not None:
         with open(args.witness_out, "w", encoding="utf-8") as handle:
             handle.write(output)
     sys.stdout.write(output)
     return EXIT_UNDECIDED if verdict.status == "undecided" else EXIT_DECIDED
+
+
+def cmd_decide(args) -> int:
+    jsj_a = parse_jsj(_read(args.jsj_a))
+    jsj_b = parse_jsj(_read(args.jsj_b))
+    verdict = decide(jsj_a, jsj_b, _whitelist(args, jsj_a, jsj_b), max_edges=args.max_edges)
+    return _report(args, verdict, jsj_a, jsj_b)
 
 
 def _parse_conj_side(path: str) -> ConjUngInput:
@@ -120,17 +129,8 @@ def cmd_conj_ung(args) -> int:
         a = ConjUngInput(a.group, a.aut, a.peripherals, parse_jsj(_read(args.jsj_a)))
     if args.jsj_b:
         b = ConjUngInput(b.group, b.aut, b.peripherals, parse_jsj(_read(args.jsj_b)))
-    if args.whitelists:
-        whitelist = parse_whitelist(_read(args.whitelists), a.jsj, b.jsj)
-    else:
-        whitelist = _auto_whitelist(a.jsj, b.jsj)
-    verdict = conj_ung(a, b, whitelist)
-    output = serialize_verdict(verdict, a.jsj, b.jsj)
-    if args.witness_out and verdict.witness is not None:
-        with open(args.witness_out, "w", encoding="utf-8") as handle:
-            handle.write(output)
-    sys.stdout.write(output)
-    return EXIT_UNDECIDED if verdict.status == "undecided" else EXIT_DECIDED
+    verdict = conj_ung(a, b, _whitelist(args, a.jsj, b.jsj))
+    return _report(args, verdict, a.jsj, b.jsj)
 
 
 def cmd_whitehead_orbit(args) -> int:

@@ -9,8 +9,7 @@ assembled.  Per black vertex pair, one matcher (`fop_slot_isos`) gives the
 classes of fiber-and-orientation isomorphisms of the black slots, and a
 table computed once per call (`BlackTable`) lists the edge images each
 class matches, with one isomorphism of the class that assembly takes as is.
-Only an F_k x Z pair with a non-cyclic edge group keeps a catch-all row,
-decided per map by the full match (`mwp_product`).
+The tables are exact for every black slot kind and edge group.
 
 White lists are inputs, not computed; a negative verdict is therefore sound
 relative to the completeness of the supplied lists, and the verdict
@@ -53,7 +52,7 @@ from .gog import (
     unoriented,
     validate,
 )
-from .whitehead import Marking, ProductGroup, ProductMarking, compose_moves, level_component, minimized, mwp_product
+from .whitehead import Marking, compose_moves, level_component, minimize
 
 MAX_EDGES_DEFAULT = 12
 
@@ -264,19 +263,19 @@ def fop_slot_isos(slot_a, o_a, slot_b, o_b, sources, pools, natives, memo: dict)
       pinned on the span of the sources (`_pinned_matrices`);
     * F_k x Z (with the degree condition `JSJInput` checks): in fiber
       coordinates G == P x <c>, where an element's center exponent is its
-      degree over |o(c)|, phi is psi x id for psi in Aut(F_k)
-      (`whitehead.mwp_product`; `_fxz_slot_iso` goes back to slot
-      coordinates).  Minimizing the sources to S* by alpha and the natives
-      by beta, an assignment T is carried to iff beta(T) is in the minimal
-      level of S*'s orbit, provided beta(T) is minimal itself.  It is when
-      every edge group is Z: each transported class is then a native class
-      or its inverse, each used once, and so beta(T) has the length of
-      beta(natives).  So the classes are the markings L of
-      `whitehead.level_component(S*)`, each source keyed by its class in L
-      and its center exponents, with psi == beta^-1 . (path to L) . alpha.
-      Other edge groups get one catch-all class, keyed None throughout and
-      with no representative (make is None): the assembly then runs the
-      full match, `_match_fxz_slot`, once per map.
+      degree over |o(c)| (`_centers`), phi is psi x id for psi in Aut(F_k),
+      which keeps the center exponents (`_fxz_row_iso` goes back to slot
+      coordinates).  Minimizing the word parts of the sources to S* by
+      alpha and those of the natives by beta, an assignment T is carried to
+      iff beta(T) is in the orbit of S*.  beta(T) is minimal: a pool holds
+      an inverse class only for a cyclic edge group (`_edge_options`), so T
+      is the native classes in some order, the cyclic ones perhaps
+      inverted, and beta(T) has the length of beta(natives).  By peak
+      reduction for tuples of classes, beta(T) is then in the orbit exactly
+      when it is in the minimal level of S*.  So, for every edge group, the
+      classes are the markings L of `whitehead.level_component(S*)`, each
+      source keyed by its class in L and its center exponents, with
+      psi == beta^-1 . (path to L) . alpha.
 
     `memo` keeps the minimized markings and the level components.
     """
@@ -305,24 +304,28 @@ def fop_slot_isos(slot_a, o_a, slot_b, o_b, sources, pools, natives, memo: dict)
     unkeyed = [[None] * len(pool) for pool in pools]
     if abs(o_a[-1]) != abs(o_b[-1]):
         return unkeyed, []
-    if any(len(cls) != 1 for cls in (*sources, *natives)):
-        return unkeyed, [([None] * len(sources), None)]
-    product = ProductGroup(slot_b.free_group)
-    source = _fiber_marking(product, sources, o_a)
-    minimal, alpha = minimized(source.h_marking(), memo)
-    native_minimal, beta = minimized(_fiber_marking(product, natives, o_b).h_marking(), memo)
+    group = slot_b.free_group
+
+    def minimize_words(classes):
+        marking = Marking.of(group, [[x.word for x in cls] for cls in classes])
+        key = ("minimize", marking)
+        if key not in memo:
+            memo[key] = minimize(marking)
+        return memo[key]
+
+    minimal, alpha = minimize_words(sources)
+    native_minimal, beta = minimize_words(natives)
     if minimal.total_length() != native_minimal.total_length():
         return unkeyed, []
-    beta_aut = compose_moves(product.free, beta)
+    beta_aut = compose_moves(group, beta)
 
     def carried(cls):
-        fiber = _fiber_class(cls, o_b)
-        return Marking.of(product.free, [[beta_aut.apply(w) for w, _ in fiber]]).classes[0], tuple(k for _, k in fiber)
+        return Marking.of(group, [[beta_aut.apply(x.word) for x in cls]]).classes[0], _centers(cls, o_b)
 
     key = ("level", minimal)
     if key not in memo:
         memo[key] = level_component(minimal)
-    centers = source.centers()
+    centers = [_centers(cls, o_a) for cls in sources]
     return [[carried(cls) for cls in pool] for pool in pools], [
         (
             list(zip(level.classes, centers)),
@@ -333,16 +336,12 @@ def fop_slot_isos(slot_a, o_a, slot_b, o_b, sources, pools, natives, memo: dict)
 
 
 def _fxz_row_iso(slot_a, o_a, slot_b, o_b, moves, beta: FreeAut) -> SlotIso:
-    """The representative of an F_k x Z class of `fop_slot_isos`:
-    psi == beta^-1 . (moves), where `moves` are alpha then the level path."""
+    """The representative of an F_k x Z class of `fop_slot_isos`: psi x id
+    in fiber coordinates, with psi == beta^-1 . (moves), where `moves` are
+    alpha then the level path.  In slot coordinates phi(x_i) == psi(x_i)
+    c^l_i with l_i == (o_a(x_i) - o_b(psi(x_i))) / o_b(c), and phi(c) ==
+    c^(o_a(c) / o_b(c))."""
     psi = beta.inverse() * compose_moves(slot_b.free_group, moves)
-    return _fxz_slot_iso(slot_a, o_a, slot_b, o_b, psi)
-
-
-def _fxz_slot_iso(slot_a, o_a, slot_b, o_b, psi: FreeAut) -> SlotIso:
-    """psi x id on F_k x Z slots in fiber coordinates, in slot coordinates:
-    phi(x_i) == psi(x_i) c^l_i with l_i == (o_a(x_i) - o_b(psi(x_i))) /
-    o_b(c), and phi(c) == c^(o_a(c) / o_b(c))."""
     d_a, d_b = o_a[-1], o_b[-1]
     images = []
     for i in range(slot_a.free_rank):
@@ -352,26 +351,11 @@ def _fxz_slot_iso(slot_a, o_a, slot_b, o_b, psi: FreeAut) -> SlotIso:
     return SlotIso(slot_a, slot_b, tuple(images))
 
 
-def _match_fxz_slot(slot_a, o_a, slot_b, o_b, sources, targets, memo: dict) -> Optional[SlotIso]:
-    """A fop isomorphism of F_k x Z slots with |o_a(c)| == |o_b(c)|
-    carrying each source class to a simultaneous conjugate of its target
-    class, or None: `mwp_product` in fiber coordinates.  Only the
-    catch-all row of `fop_slot_isos` (a non-cyclic edge group) needs it."""
-    product = ProductGroup(slot_b.free_group)
-    ok, psi = mwp_product(
-        _fiber_marking(product, sources, o_a), _fiber_marking(product, targets, o_b), memo
-    )
-    return _fxz_slot_iso(slot_a, o_a, slot_b, o_b, psi) if ok else None
-
-
-def _fiber_class(cls, o) -> Tuple[Tuple[Word, int], ...]:
-    """A class of an F_k x Z slot in fiber coordinates: each element's
-    center exponent becomes its degree over |o(c)|."""
-    return tuple((x.word, _degree(o, x) // abs(o[-1])) for x in cls)
-
-
-def _fiber_marking(product: ProductGroup, classes, o) -> ProductMarking:
-    return ProductMarking.of(product, [_fiber_class(cls, o) for cls in classes])
+def _centers(cls, o) -> Tuple[int, ...]:
+    """The center exponents of a class of an F_k x Z slot in fiber
+    coordinates, where an element's word stays and its center exponent
+    becomes its degree over |o(c)|."""
+    return tuple(_degree(o, x) // abs(o[-1]) for x in cls)
 
 
 def _gl2_solve(o_src, o_dst, sources, targets) -> Optional[List[List[int]]]:
@@ -446,15 +430,13 @@ class BlackTable:
     transported class those isomorphisms carry the edge's class to a
     conjugate of; `isos[r]` builds the representative of row r.  An
     assignment admits a black match exactly when one row holds all of its
-    options.  Only at F_k x Z with a non-cyclic edge group is there instead
-    a single catch-all row, holding every option, with no representative
-    (`isos` == (None,)): there the full match decides per map.
+    options.
     """
 
     edges: Tuple[str, ...]
     options: Tuple[Tuple[Tuple[str, int], ...], ...]
     rows: Tuple[Tuple[FrozenSet[int], ...], ...]
-    isos: Tuple[Optional[Callable[[], SlotIso]], ...]
+    isos: Tuple[Callable[[], SlotIso], ...]
 
 
 def _white_candidates(jsj_a, jsj_b, whitelist: WhiteList, w: str, w2: str, memo: dict) -> List[SlotIso]:
@@ -555,7 +537,7 @@ def _black_table(jsj_a, jsj_b, whitelist: WhiteList, b: str, b2: str, memo: dict
         for j, option_key in enumerate(keys):
             index.setdefault(option_key, []).append(j)
         indexes.append({option_key: frozenset(js) for option_key, js in index.items()})
-    rows: Dict[tuple, Optional[Callable[[], SlotIso]]] = {}
+    rows: Dict[tuple, Callable[[], SlotIso]] = {}
     for keys, make in classes:
         row = tuple(index.get(k, frozenset()) for index, k in zip(indexes, keys))
         if all(row):
@@ -730,10 +712,9 @@ def assemble(
     Each graph map and white-candidate tuple that `admissible_graph_maps`
     yields is assembled (`_assemble_one`), which builds its morphism by
     construction, without validating it, taking each black vertex's
-    isomorphism from its table row; the tables there are exact, so the maps
-    it skips are the ones whose assembly fails.  An empty
-    result is meaningful (no vertexwise isomorphism relative to the supplied
-    lists).
+    isomorphism from its table row; the tables are exact, so every map
+    assembles.  An empty result is meaningful (no vertexwise isomorphism
+    relative to the supplied lists).
     """
     if len(jsj_a.gog.edge_names) > max_edges or len(jsj_b.gog.edge_names) > max_edges:
         return Undecided(f"graph-map enumeration capped at {max_edges} edges")
@@ -748,21 +729,22 @@ def assemble(
     results: Dict[tuple, GoGMorphism] = {}
     for vmap, emap, chosen, rows in admissible_graph_maps(jsj_a, jsj_b, whitelist, memo):
         morphism = _assemble_one(jsj_a, jsj_b, whitelist, vmap, emap, chosen, rows, memo)
-        if morphism is not None:
-            results.setdefault(morphism.canonical_key(), morphism)
+        results.setdefault(morphism.canonical_key(), morphism)
     return [results[key] for key in sorted(results)]
 
 
-def _assemble_one(jsj_a, jsj_b, whitelist: WhiteList, vmap, emap, chosen, rows, memo: dict) -> Optional[GoGMorphism]:
+def _assemble_one(jsj_a, jsj_b, whitelist: WhiteList, vmap, emap, chosen, rows, memo: dict) -> GoGMorphism:
     """The morphism of one graph map, with white vertex w taking its
     candidate chosen[w] (an index into `_white_candidates`) and black vertex
-    b the representative of row rows[b] of its `BlackTable`, or None when an
-    edge transport or the catch-all match fails; the only place where full
-    edge transports run.  It is not validated, as its Bass diagram commutes
-    by construction: the graph map is a bar-equivariant bijection keeping
-    colors and incidence, `_edge_transport` closes the diagram at white ends
-    and the black-end gammas (`slot_elementwise_conjugator`) at black ends.
-    `verify_witness` checks each positive."""
+    b the representative of row rows[b] of its `BlackTable`; the only place
+    where full edge transports run.  The tables are exact, so every edge
+    transport and black-end conjugator exists; a missing one is a table
+    bug, and an assertion rather than a map silently dropped.  The morphism
+    is not validated, as its Bass diagram commutes by construction: the
+    graph map is a bar-equivariant bijection keeping colors and incidence,
+    `_edge_transport` closes the diagram at white ends and the black-end
+    gammas (`slot_elementwise_conjugator`) at black ends.  `verify_witness`
+    checks each positive."""
     gog_a, gog_b = jsj_a.gog, jsj_b.gog
     vertex_isos: Dict[str, SlotIso] = {
         w: _white_candidates(jsj_a, jsj_b, whitelist, w, vmap[w], memo)[k] for w, k in chosen.items()
@@ -773,13 +755,12 @@ def _assemble_one(jsj_a, jsj_b, whitelist: WhiteList, vmap, emap, chosen, rows, 
         ew = edge if jsj_a.colors[gog_a.term(edge)] == "white" else bar(edge)
         w = gog_a.term(ew)
         # a transport depends only on the edge, the image of its white end
-        # and the index of the white candidate there; failures are kept too
+        # and the index of the white candidate there
         key = ("transport", ew, emap[ew], chosen[w])
         if key not in memo:
             memo[key] = _edge_transport(jsj_a, jsj_b, ew, emap[ew], vertex_isos[w])
         transport = memo[key]
-        if transport is None:
-            return None
+        assert transport is not None, f"table admits {ew} -> {emap[ew]} without an edge transport"
         transports[edge] = transport
         gammas[ew] = transport.gamma_white
     for b, r in rows.items():
@@ -787,22 +768,13 @@ def _assemble_one(jsj_a, jsj_b, whitelist: WhiteList, vmap, emap, chosen, rows, 
         slot_b2 = gog_b.vslot(b2)
         adjacent, sources = _black_classes(jsj_a, "source", b, memo)
         targets = [transports[unoriented(oe)].target_images for oe in adjacent]
-        make = _black_table(jsj_a, jsj_b, whitelist, b, b2, memo).isos[r]
-        if make is None:
-            o_a, o_b = jsj_a.orientation.vertex_values[b], jsj_b.orientation.vertex_values[b2]
-            phi_b = _match_fxz_slot(gog_a.vslot(b), o_a, slot_b2, o_b, sources, targets, memo)
-            if phi_b is None:
-                return None
-        else:
-            key = ("black iso", b, b2, r)
-            if key not in memo:
-                memo[key] = make()
-            phi_b = memo[key]
-        vertex_isos[b] = phi_b
+        key = ("black iso", b, b2, r)
+        if key not in memo:
+            memo[key] = _black_table(jsj_a, jsj_b, whitelist, b, b2, memo).isos[r]()
+        phi_b = vertex_isos[b] = memo[key]
         for oe, source, target in zip(adjacent, sources, targets):
             p = slot_elementwise_conjugator(slot_b2, tuple(phi_b.apply(x) for x in source), target)
-            if p is None:
-                return None
+            assert p is not None, f"row {r} of ({b}, {b2}) does not carry {oe} to a conjugate of its target"
             gammas[oe] = p.inverse()
     edge_isos = {edge: transports[edge].edge_iso for edge in gog_a.edge_names}
     return GoGMorphism(gog_a, gog_b, vmap, emap, vertex_isos, edge_isos, gammas)

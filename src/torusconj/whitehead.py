@@ -218,25 +218,6 @@ def _whitehead_graph(m: Marking) -> Optional[Tuple[List[int], List[int]]]:
     return edges, degrees
 
 
-def _length_changes(m: Marking) -> Optional[Iterator[int]]:
-    """|move(m)| - |m| for each move of the alphabet, in order and lazily,
-    without applying any move: 0 for type-I moves, the cut formula for
-    type-II ones; None when a class holds several words."""
-    graph = _whitehead_graph(m)
-    if graph is None:
-        return None
-    edges, degrees = graph
-    cuts = iter(_type_two_cuts(m.group))
-
-    def change(move: WhiteheadMove) -> int:
-        if move.kind == "perm":
-            return 0
-        _, v, cross = next(cuts)
-        return sum(edges[ab] for ab in cross) - degrees[v]
-
-    return map(change, move_alphabet(m.group))
-
-
 def _moves_changing_length(
     m: Marking, keep: Callable[[int], bool]
 ) -> Iterator[Tuple[WhiteheadMove, Marking]]:
@@ -278,17 +259,6 @@ def minimize(m: Marking) -> Tuple[Marking, List[WhiteheadMove]]:
         applied.append(move)
 
 
-def minimized(m: Marking, memo: Optional[dict] = None) -> Tuple[Marking, List[WhiteheadMove]]:
-    """`minimize(m)`, kept in `memo` (when given) under the marking's value,
-    so that a caller asking about one marking many times minimizes it once."""
-    if memo is None:
-        return minimize(m)
-    key = ("minimize", m)
-    if key not in memo:
-        memo[key] = minimize(m)
-    return memo[key]
-
-
 def compose_moves(group: FreeGroup, moves: Sequence[WhiteheadMove]) -> FreeAut:
     """The automorphism that applies `moves` in order."""
     aut = FreeAut.identity(group)
@@ -297,10 +267,12 @@ def compose_moves(group: FreeGroup, moves: Sequence[WhiteheadMove]) -> FreeAut:
     return aut
 
 
-def same_orbit(m1: Marking, m2: Marking, memo: Optional[dict] = None) -> Tuple[bool, Optional[FreeAut]]:
-    """Orbit decision under the full automorphism group, with witness;
-    `mwp_product` is the fiber-and-orientation preserving variant.  `memo`
-    is passed to `minimized`."""
+def same_orbit(m1: Marking, m2: Marking) -> Tuple[bool, Optional[FreeAut]]:
+    """Orbit decision under the full automorphism group, with witness:
+    minimize both, then `_level_path` at the minimal level.
+    `mwp_product` is the fiber-and-orientation preserving variant.  The
+    decision pipeline asks no orbit question: its black tables enumerate
+    the minimal level once (`level_component`)."""
     if m1.group != m2.group:
         raise DomainError("markings over different groups")
     if len(m1.classes) != len(m2.classes):
@@ -308,8 +280,8 @@ def same_orbit(m1: Marking, m2: Marking, memo: Optional[dict] = None) -> Tuple[b
     if tuple(len(e) for e in m1.classes) != tuple(len(e) for e in m2.classes):
         return False, None
     fg = m1.group
-    min1, moves1 = minimized(m1, memo)
-    min2, moves2 = minimized(m2, memo)
+    min1, moves1 = minimize(m1)
+    min2, moves2 = minimize(m2)
     if min1.total_length() != min2.total_length():
         return False, None
     path = _level_path(min1, min2)
@@ -512,9 +484,7 @@ def _parse_product_element(product: ProductGroup, text: str) -> Tuple[Word, int]
     return product.free.parse(" ".join(word_parts)), center
 
 
-def mwp_product(
-    m1: ProductMarking, m2: ProductMarking, memo: Optional[dict] = None
-) -> Tuple[bool, Optional[FreeAut]]:
+def mwp_product(m1: ProductMarking, m2: ProductMarking) -> Tuple[bool, Optional[FreeAut]]:
     """Fiber-and-orientation preserving orbit decision in H x <c>.
 
     Such an automorphism has the shape h -> psi(h) c^{lambda(h)}, c -> c,
@@ -522,7 +492,9 @@ def mwp_product(
     fiber H forces lambda == 0, so the group is a copy of Aut(H).  The
     decision is the plain orbit problem on the H-parts together with
     entrywise equality of the center exponents, which such maps leave fixed.
-    `memo` is passed to `same_orbit`.
+    It serves `whitehead orbit --product`; the decision pipeline keys F_k x Z
+    slots on the same two parts without asking orbit questions
+    (`pipeline.fop_slot_isos`).
     """
     if m1.product != m2.product:
         raise DomainError("markings over different product groups")
@@ -533,4 +505,4 @@ def mwp_product(
     # fiber preservation forces lambda == 0, which pins the centers entrywise
     if m1.centers() != m2.centers():
         return False, None
-    return same_orbit(m1.h_marking(), m2.h_marking(), memo)
+    return same_orbit(m1.h_marking(), m2.h_marking())

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from torusconj.cli import _auto_whitelist
 from torusconj.errors import DomainError, Undecided
 from torusconj.fibercorrect import OrientationFunctional
 from torusconj.freegroup import FreeAut, FreeGroup, is_automorphism, nielsen_generators
@@ -635,27 +636,31 @@ class TestAssembleMemo:
 
     def test_black_match_only_on_admissible_maps(self, monkeypatch):
         # the black tables admit a graph map only when its black match
-        # succeeds, and their rows carry the slot isomorphism, so a Z^2 pair
-        # with k = 4 blocks runs no per-map slot match at all, against one
-        # per graph map (384) when every map was matched in full
-        import torusconj.pipeline as pipeline
+        # succeeds, and their rows carry the slot isomorphism, so no graph
+        # map asks an orbit question: not a Z^2 pair with k = 4 blocks (one
+        # black match per graph map, 384, when every map was matched in
+        # full), nor an F_2 x Z pair, nor an F_2 x Z vertex with a Z^2 edge
+        import torusconj.whitehead as whitehead
 
-        calls = []
-        original = pipeline._match_fxz_slot
+        def raising(*args):
+            raise AssertionError("assemble asked an orbit question")
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(pipeline, "_match_fxz_slot", counting)
-        jsj_a = twistor_jsj(1, ["x0", "x0'", "x0 x0", "x0 x0 x0"])
-        jsj_b = relabel_blocks(jsj_a, [2, 0, 3, 1])
-        whitelist = _block_whitelist(jsj_a, jsj_b)
-        admitted = sum(1 for _ in admissible_graph_maps(jsj_a, jsj_b, whitelist, {}))
-        collection = assemble(jsj_a, jsj_b, whitelist)
-        assert collection
-        assert not calls
-        assert admitted == len(collection) < 384
+        monkeypatch.setattr(whitehead, "same_orbit", raising)
+        monkeypatch.setattr(whitehead, "mwp_product", raising)
+        jsj_z = twistor_jsj(1, ["x0", "x0'", "x0 x0", "x0 x0 x0"])
+        jsj_f = twistor_jsj(2, ["x0 x1", "x1'", "x0"])
+        jsj_e = _rank_two_edge_jsj("x0 x1")
+        cases = [
+            (jsj_z, relabel_blocks(jsj_z, [2, 0, 3, 1])),
+            (jsj_f, relabel_blocks(jsj_f, [2, 0, 1])),
+            (jsj_e, jsj_e),
+        ]
+        admitted = []
+        for jsj_a, jsj_b in cases:
+            whitelist = _auto_whitelist(jsj_a, jsj_b)
+            admitted.append(sum(1 for _ in admissible_graph_maps(jsj_a, jsj_b, whitelist, {})))
+            assert admitted[-1] == len(assemble(jsj_a, jsj_b, whitelist)) > 0
+        assert admitted[0] < 384
 
     @pytest.mark.parametrize("rank, blocks", [(1, 3), (1, 4), (2, 2), (2, 3), (3, 1), (3, 2)])
     def test_tables_exact(self, rank, blocks):
@@ -731,41 +736,10 @@ def _center_white_pair():
     return build("x0", "x0 * c"), build("x0 * c", "x0")
 
 
-class TestBlackTableRows:
-    """Each table row carries one fop slot isomorphism of its class: it
-    carries every edge class into b to a conjugate of each option the row
-    holds, for every row, not only the first one a map takes."""
-
-    @pytest.mark.parametrize("rank, blocks", [(1, 3), (1, 4), (2, 2), (2, 3), (3, 1), (3, 2)])
-    def test_every_row_carries_its_options(self, rank, blocks):
-        from torusconj.pipeline import _black_classes, _black_table, _edge_options, slot_elementwise_conjugator
-
-        rng = random.Random(f"table-rows-{rank}-{blocks}")
-        jsj_a, pairs = _seeded_pairs(rng, rank, blocks)
-        counts = []
-        for jsj_b in [*pairs, recoordinatize(pairs[0], "B", _random_black_iso(rng, pairs[0].gog.vslot("B")))]:
-            whitelist = _block_whitelist(jsj_a, jsj_b)
-            memo: dict = {}
-            table = _black_table(jsj_a, jsj_b, whitelist, "B", "B", memo)
-            _, sources = _black_classes(jsj_a, "source", "B", memo)
-            _, pools = _edge_options(jsj_a, jsj_b, whitelist, "B", "B", memo)
-            slot_a, slot_b = jsj_a.gog.vslot("B"), jsj_b.gog.vslot("B")
-            o_a = jsj_a.orientation.vertex_values["B"]
-            counts.append(len(table.rows))
-            for row, make in zip(table.rows, table.isos):
-                phi = make()
-                assert [jsj_b.orientation.of_element("B", phi.apply(g)) for g in slot_a.generators()] == list(o_a)
-                for source, pool, held in zip(sources, pools, row):
-                    moved = tuple(phi.apply(x) for x in source)
-                    assert all(slot_elementwise_conjugator(slot_b, moved, pool[j]) is not None for j in held)
-        # the positive pair and its re-expressed copy
-        assert counts[0] and counts[2], counts
-
-    @staticmethod
-    def _rank_two_edge_jsj(first: str) -> JSJInput:
-        """An F_2 x Z black vertex B with a Z^2 edge e1 to a Z^2 white
-        vertex W, injected as <first, c>, and a Z edge to a Z white V."""
-        return parse_jsj(f"""
+def _rank_two_edge_jsj(first: str) -> JSJInput:
+    """An F_2 x Z black vertex B with a Z^2 edge e1 to a Z^2 white
+    vertex W, injected as <first, c>, and a Z edge to a Z white V."""
+    return parse_jsj(f"""
 [vertices]
 B: fxz 2
 W: Z2 1
@@ -794,41 +768,174 @@ edge e2: 0
 h0 = B : (x0)
 """)
 
-    def test_catch_all_row(self, monkeypatch):
-        # a non-cyclic edge group leaves one catch-all row with no
-        # representative, and the full match decides per map: against
-        # itself, against a copy re-expressed at B, and against a copy whose
-        # e1 class is <x0^2 x1, c>, not in the orbit of <x0 x1, c> with x1 c
-        import torusconj.pipeline as pipeline
-        from torusconj.pipeline import _black_table
 
-        calls = []
-        original = pipeline._match_fxz_slot
+def _free_edge_jsj(first: str, second: str) -> JSJInput:
+    """An F_3 x Z black vertex B with an F_2 x Z edge e1 from an F_2 x Z
+    white vertex W, injected as <first, second, c>, and a Z edge x2 * c
+    from a Z white V."""
+    return parse_jsj(f"""
+[vertices]
+B: fxz 3
+W: fxz 2
+V: Z 1
+[edges]
+e1: W --> B (fxz 2)
+e2: V --> B (Z 1)
+[injections]
+e1: x0 -> {first}
+e1: x1 -> {second}
+e1: c -> c
+e1~: x0 -> x0
+e1~: x1 -> x1
+e1~: c -> c
+e2: x0 -> x2 * c
+e2~: x0 -> x0
+[colors]
+B: black
+W: white
+V: white
+[orientation]
+vertex B: 0 0 0 1
+vertex W: 0 0 1
+vertex V: 1
+edge e1: 0
+edge e2: 0
+[fiber]
+h0 = B : (x0)
+""")
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
 
-        monkeypatch.setattr(pipeline, "_match_fxz_slot", counting)
-        jsj_a = self._rank_two_edge_jsj("x0 x1")
+def _two_edge_jsj(second: str) -> JSJInput:
+    """An F_2 x Z black vertex B with two Z^2 edges, <x0, c> from W1 and
+    <second, c> from W2, both Z^2 white vertices, and a Z edge x0 x1 * c
+    from a Z white V."""
+    return parse_jsj(f"""
+[vertices]
+B: fxz 2
+W1: Z2 1
+W2: Z2 1
+V: Z 1
+[edges]
+e1: W1 --> B (Z2 1)
+e2: W2 --> B (Z2 1)
+e3: V --> B (Z 1)
+[injections]
+e1: x0 -> x0
+e1: c -> c
+e1~: x0 -> x0
+e1~: c -> c
+e2: x0 -> {second}
+e2: c -> c
+e2~: x0 -> x0
+e2~: c -> c
+e3: x0 -> x0 x1 * c
+e3~: x0 -> x0
+[colors]
+B: black
+W1: white
+W2: white
+V: white
+[orientation]
+vertex B: 0 0 1
+vertex W1: 0 1
+vertex W2: 0 1
+vertex V: 1
+edge e1: 0
+edge e2: 0
+edge e3: 0
+[fiber]
+h0 = B : (x0)
+""")
+
+
+class TestNonCyclicEdgeGroups:
+    """F_k x Z black vertices with non-cyclic edge groups get level rows
+    like cyclic ones, and `assemble` matches the brute-force oracle on
+    them: each input against itself and two copies re-expressed at B (all
+    isomorphic), and against copies whose edge classes leave the orbit (no
+    vertexwise isomorphism).  The last copies of the F_3 x Z and two-edge
+    cases have the minimal length of the orbit, so only the level tells
+    them apart."""
+
+    @pytest.mark.parametrize(
+        "jsj_a, negatives",
+        [
+            (_rank_two_edge_jsj("x0 x1"), [_rank_two_edge_jsj("x0 x0 x1")]),
+            (_free_edge_jsj("x0", "x1"), [_free_edge_jsj("x0 x0", "x1"), _free_edge_jsj("x0", "x1 x2 x1'")]),
+            (_two_edge_jsj("x1"), [_two_edge_jsj("x1 x0 x1"), _two_edge_jsj("x1'")]),
+        ],
+        ids=["f2-z2-edge", "f3-f2xz-edge", "f2-two-z2-edges"],
+    )
+    def test_matches_oracle(self, jsj_a, negatives):
+        rng = random.Random(f"non-cyclic-{jsj_a.gog.vslot('B').free_rank}-{len(negatives)}")
+        copies = [recoordinatize(jsj_a, "B", _random_black_iso(rng, jsj_a.gog.vslot("B"))) for _ in range(2)]
+        for jsj_b in [jsj_a, *copies, *negatives]:
+            whitelist = _auto_whitelist(jsj_a, jsj_b)
+            collection = _assert_matches_oracle(jsj_a, jsj_b, whitelist)
+            assert bool(collection) == (jsj_b not in negatives)
+            verdict = decide(jsj_a, jsj_b, whitelist)
+            if collection:
+                assert verdict.status == "isomorphic-fop"
+                assert verify_witness(jsj_a, jsj_b, verdict.witness)
+            else:
+                assert verdict.status == "no-vertexwise-iso"
+
+
+class TestBlackTableRows:
+    """Each table row carries one fop slot isomorphism of its class: it
+    carries every edge class into b to a conjugate of each option the row
+    holds, for every row, not only the first one a map takes."""
+
+    @staticmethod
+    def _check_rows(jsj_a, jsj_b, whitelist) -> int:
+        """Check every row of the table at (B, B); the number of rows."""
+        from torusconj.pipeline import _black_classes, _black_table, _edge_options, slot_elementwise_conjugator
+
+        memo: dict = {}
+        table = _black_table(jsj_a, jsj_b, whitelist, "B", "B", memo)
+        _, sources = _black_classes(jsj_a, "source", "B", memo)
+        _, pools = _edge_options(jsj_a, jsj_b, whitelist, "B", "B", memo)
+        slot_a, slot_b = jsj_a.gog.vslot("B"), jsj_b.gog.vslot("B")
+        o_a = jsj_a.orientation.vertex_values["B"]
+        assert len(table.isos) == len(table.rows)
+        for row, make in zip(table.rows, table.isos):
+            phi = make()
+            assert [jsj_b.orientation.of_element("B", phi.apply(g)) for g in slot_a.generators()] == list(o_a)
+            for source, pool, held in zip(sources, pools, row):
+                moved = tuple(phi.apply(x) for x in source)
+                assert all(slot_elementwise_conjugator(slot_b, moved, pool[j]) is not None for j in held)
+        return len(table.rows)
+
+    @pytest.mark.parametrize("rank, blocks", [(1, 3), (1, 4), (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_every_row_carries_its_options(self, rank, blocks):
+        rng = random.Random(f"table-rows-{rank}-{blocks}")
+        jsj_a, pairs = _seeded_pairs(rng, rank, blocks)
+        counts = [
+            self._check_rows(jsj_a, jsj_b, _block_whitelist(jsj_a, jsj_b))
+            for jsj_b in [*pairs, recoordinatize(pairs[0], "B", _random_black_iso(rng, pairs[0].gog.vslot("B")))]
+        ]
+        # the positive pair and its re-expressed copy
+        assert counts[0] and counts[2], counts
+
+    def test_rank_two_edge_rows(self):
+        # a Z^2 edge group gets level rows, each with a representative,
+        # like a cyclic one: against itself, against a copy re-expressed at
+        # B, and against a copy whose e1 class is <x0^2 x1, c>, not in the
+        # orbit of <x0 x1, c> with x1 c, which has no row
+        jsj_a = _rank_two_edge_jsj("x0 x1")
         slot = jsj_a.gog.vslot("B")
         swap = SlotIso(slot, slot, (slot.parse("x1"), slot.parse("x0 * c"), slot.parse("c")))
         cases = [
             (jsj_a, "isomorphic-fop"),
             (recoordinatize(jsj_a, "B", swap), "isomorphic-fop"),
-            (self._rank_two_edge_jsj("x0 x0 x1"), "no-vertexwise-iso"),
+            (_rank_two_edge_jsj("x0 x0 x1"), "no-vertexwise-iso"),
         ]
         for jsj_b, status in cases:
-            whitelist = {
-                (w, w): [SlotIso(jsj_a.gog.vslot(w), jsj_b.gog.vslot(w), tuple(jsj_b.gog.vslot(w).generators()))]
-                for w in "VW"
-            }
-            table = _black_table(jsj_a, jsj_b, whitelist, "B", "B", {})
-            assert table.isos == (None,)
-            calls.clear()
+            whitelist = _auto_whitelist(jsj_a, jsj_b)
+            rows = self._check_rows(jsj_a, jsj_b, whitelist)
+            assert bool(rows) == (status == "isomorphic-fop")
             verdict = decide(jsj_a, jsj_b, whitelist)
             assert verdict.status == status
-            assert len(calls) == 1
             if status == "isomorphic-fop":
                 assert verify_witness(jsj_a, jsj_b, verdict.witness)
                 assert _validates(verdict.witness.morphism)
