@@ -249,9 +249,9 @@ class OrientationFunctional:
         # well-definedness: o(i_e~(g)) + o(e)... the Bass relation
         # e~ i_e~(g) e == i_e(g) forces o(i_e~(g)) == o(i_e(g))
         for e in self.gog.edge_names:
-            for gen in self.gog.eslot(e).generators():
-                left = self.of_element(self.gog.term(bar(e)), self.gog.injection(bar(e)).apply(gen))
-                right = self.of_element(self.gog.term(e), self.gog.injection(e).apply(gen))
+            ends = self.gog.term(bar(e)), self.gog.term(e)
+            for images in zip(self.gog.injection(bar(e)).images, self.gog.injection(e).images):
+                left, right = (self.of_element(v, x) for v, x in zip(ends, images))
                 if left != right:
                     raise DomainError(f"orientation functional is not well defined at {e}")
 
@@ -294,13 +294,15 @@ def twist_coefficients(
 ) -> List[int]:
     """Per twist along e by z, the change of o(image) per unit of it:
     n(e, image) * o(z), with n(e, image) the signed crossing count of the
-    twisted orientation of e."""
-    return [
-        (1 if t.edge == unoriented(t.edge) else -1)
-        * image.edge_exponent(t.edge)
-        * o.of_element(o.gog.term(t.edge), t.z)
-        for t in twists
-    ]
+    twisted orientation of e, read off one count of the image's crossings
+    (`BassWord.edge_crossings`, as `edge_exponent` reads it)."""
+    crossings = image.edge_crossings()
+    out = []
+    for t in twists:
+        e = unoriented(t.edge)
+        n = crossings[e] if t.edge == e else -crossings[e]
+        out.append(n * o.of_element(o.gog.term(t.edge), t.z) if n else 0)
+    return out
 
 
 def build_system(

@@ -34,7 +34,7 @@ def reduce_letters(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
 class FreeGroup:
     """A free group of finite rank with named generators."""
 
-    __slots__ = ("names", "rank", "_hash")
+    __slots__ = ("names", "rank", "_hash", "_by_length")
 
     def __init__(self, names):
         if isinstance(names, int):
@@ -55,6 +55,8 @@ class FreeGroup:
         self.names = names
         self.rank = len(names)
         self._hash = hash(("FreeGroup", names))
+        # longest-match tokenization order for `parse`
+        self._by_length = sorted(range(self.rank), key=lambda i: -len(names[i]))
 
     def __eq__(self, other):
         return isinstance(other, FreeGroup) and self.names == other.names
@@ -97,7 +99,7 @@ class FreeGroup:
         if text in ("", "1"):
             return self.identity()
         # longest-match tokenization so multi-character names work unspaced
-        by_len = sorted(range(self.rank), key=lambda i: -len(self.names[i]))
+        by_len = self._by_length
         letters: list[Letter] = []
         pos = 0
         while pos < len(text):
@@ -119,7 +121,8 @@ class FreeGroup:
                     break
             else:
                 raise FormatError(f"unknown generator symbol at {text[pos:]!r}")
-        return self.word(letters)
+        # the letters are in range by construction: reduce, do not re-check
+        return Word(self, reduce_letters(letters))
 
     def words_of_length(self, length: int) -> Iterator["Word"]:
         """All freely reduced words of exactly the given length, lexicographic."""

@@ -9,8 +9,10 @@ centralizer of i_e(G_e); as a morphism it is the identity with gamma_e == z.
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, FormatError, parse_int
@@ -29,9 +31,18 @@ from .freegroup import (
 # group slots and their elements
 
 
+@lru_cache(maxsize=None)
+def _slot_free_group(rank: int) -> FreeGroup:
+    return FreeGroup(tuple(f"x{i}" for i in range(rank)))
+
+
 @dataclass(frozen=True)
 class GroupSlot:
-    """One of Z, Z^2, F_k, F_k x Z: a free part plus an optional center."""
+    """One of Z, Z^2, F_k, F_k x Z: a free part plus an optional center.
+
+    Slots of one free rank share one free group, so the words of every
+    slot element of that rank live in the same `FreeGroup` object; a slot's
+    generators and their names are built once per slot."""
 
     free_rank: int
     has_center: bool
@@ -42,7 +53,19 @@ class GroupSlot:
 
     @cached_property
     def free_group(self) -> FreeGroup:
-        return FreeGroup(tuple(f"x{i}" for i in range(self.free_rank)))
+        return _slot_free_group(self.free_rank)
+
+    @cached_property
+    def _generators(self) -> Tuple["SlotElement", ...]:
+        group = self.free_group
+        gens = [SlotElement(self, group.generator(i), 0) for i in range(self.free_rank)]
+        if self.has_center:
+            gens.append(SlotElement(self, group.identity(), 1))
+        return tuple(gens)
+
+    @cached_property
+    def _gen_names(self) -> Tuple[str, ...]:
+        return self.free_group.names + (("c",) if self.has_center else ())
 
     @property
     def kind(self) -> str:
@@ -55,10 +78,7 @@ class GroupSlot:
         return self.free_rank + (1 if self.has_center else 0)
 
     def gen_names(self) -> List[str]:
-        names = list(self.free_group.names)
-        if self.has_center:
-            names.append("c")
-        return names
+        return list(self._gen_names)
 
     def identity(self) -> "SlotElement":
         return SlotElement(self, self.free_group.identity(), 0)
@@ -67,23 +87,20 @@ class GroupSlot:
         return SlotElement(self, word, center)
 
     def generator(self, i: int) -> "SlotElement":
-        if i < self.free_rank:
-            return SlotElement(self, self.free_group.generator(i), 0)
-        if self.has_center and i == self.free_rank:
-            return SlotElement(self, self.free_group.identity(), 1)
-        raise DomainError(f"slot has no generator {i}")
+        if not 0 <= i < self.ngens:
+            raise DomainError(f"slot has no generator {i}")
+        return self._generators[i]
 
     def generators(self) -> List["SlotElement"]:
-        return [self.generator(i) for i in range(self.ngens)]
+        return list(self._generators)
 
     def parse(self, text: str) -> "SlotElement":
         """`w * c^k`, `c^k`, or a bare free-part word; `1` is the identity."""
-        text = text.strip()
         center = 0
-        parts = [p.strip() for p in text.split("*")]
         word_parts = []
-        for part in parts:
-            if part.startswith("c^") or part == "c":
+        for part in text.split("*"):
+            part = part.strip()
+            if part == "c" or part.startswith("c^"):
                 if not self.has_center:
                     raise FormatError("slot has no center")
                 center += 1 if part == "c" else parse_int(part[2:], "center exponent")
@@ -94,16 +111,22 @@ class GroupSlot:
 
     @staticmethod
     def from_kind(kind: str, rank: int = 1) -> "GroupSlot":
+        """The slot of a kind name; one shared instance per slot."""
         kind = kind.strip().lower()
         if kind == "z":
-            return GroupSlot(1, False)
+            return _slot(1, False)
         if kind == "z2":
-            return GroupSlot(1, True)
+            return _slot(1, True)
         if kind == "free":
-            return GroupSlot(rank, False)
+            return _slot(rank, False)
         if kind == "fxz":
-            return GroupSlot(rank, True)
+            return _slot(rank, True)
         raise FormatError(f"unknown slot kind {kind!r}")
+
+
+@lru_cache(maxsize=None)
+def _slot(free_rank: int, has_center: bool) -> GroupSlot:
+    return GroupSlot(free_rank, has_center)
 
 
 @dataclass(frozen=True)
@@ -117,7 +140,8 @@ class SlotElement:
     def __post_init__(self):
         if self.center and not self.slot.has_center:
             raise DomainError("center exponent in a centerless slot")
-        if self.word.group != self.slot.free_group:
+        group = self.slot.free_group
+        if self.word.group is not group and self.word.group != group:
             raise DomainError("free part over the wrong group")
 
     def __mul__(self, other: "SlotElement") -> "SlotElement":
@@ -163,7 +187,7 @@ class SlotElement:
 
 def _z2_normalize(slot: GroupSlot, word: Word) -> Word:
     exp = sum(s for _, s in word.letters)
-    return slot.free_group.generator(0) ** exp if exp else slot.free_group.identity()
+    return Word(slot.free_group, ((0, 1 if exp > 0 else -1),) * abs(exp))
 
 
 def slot_centralizer_of_subgroup(slot: GroupSlot, gens: Sequence[SlotElement]) -> List[SlotElement]:
@@ -194,7 +218,12 @@ def slot_centralizer_of_subgroup(slot: GroupSlot, gens: Sequence[SlotElement]) -
 
 @dataclass(frozen=True)
 class SlotHom:
-    """A homomorphism given by generator images (free gens, then center)."""
+    """A homomorphism given by generator images (free gens, then center).
+
+    `apply(src.generator(i))` is exactly `images[i]`, the center's image
+    being `images[-1]`: the images are stored reduced, and every reduced
+    word of rank 1 already has the form `_z2_normalize` gives a Z^2 image.
+    So code that needs the image of a source generator reads `images`."""
 
     src: GroupSlot
     dst: GroupSlot
@@ -500,6 +529,10 @@ class GraphOfGroups:
         self.vertex_slots = dict(vertex_slots)
         self.edge_slots = dict(edge_slots)
         self.injections = dict(injections)
+        # oriented edge -> (initial vertex, terminal vertex)
+        self._ends: Dict[str, Tuple[str, str]] = {}
+        for e, (u, v) in self.edge_ends.items():
+            self._ends[e], self._ends[bar(e)] = (u, v), (v, u)
         self._validate()
 
     def _validate(self):
@@ -529,14 +562,10 @@ class GraphOfGroups:
         return out
 
     def init(self, edge: str) -> str:
-        e = unoriented(edge)
-        u, v = self.edge_ends[e]
-        return u if edge == e else v
+        return self._ends[edge][0]
 
     def term(self, edge: str) -> str:
-        e = unoriented(edge)
-        u, v = self.edge_ends[e]
-        return v if edge == e else u
+        return self._ends[edge][1]
 
     def vslot(self, v: str) -> GroupSlot:
         return self.vertex_slots[v]
@@ -601,16 +630,21 @@ class BassWord:
     def edges(self) -> List[str]:
         return [item for k, item in enumerate(self.parts) if k % 2 == 1]
 
+    def edge_crossings(self) -> Counter:
+        """The signed crossing count of every edge, keyed by its canonical
+        orientation: +1 per crossing along it, -1 per crossing against it."""
+        counts: Counter = Counter()
+        for k in range(1, len(self.parts), 2):
+            crossed = self.parts[k]
+            if crossed.endswith("~"):
+                counts[crossed[:-1]] -= 1
+            else:
+                counts[crossed] += 1
+        return counts
+
     def edge_exponent(self, edge: str) -> int:
         """Signed crossing count of the canonical orientation of `edge`."""
-        e = unoriented(edge)
-        count = 0
-        for crossed in self.edges():
-            if crossed == e:
-                count += 1
-            elif crossed == bar(e):
-                count -= 1
-        return count
+        return self.edge_crossings()[unoriented(edge)]
 
     def reduced(self) -> "BassWord":
         """Collapse e, i_e(h), e~ patterns eagerly left to right."""
@@ -655,35 +689,18 @@ class BassWord:
         start = head.strip()
         if start not in gog.vertex_slots:
             raise FormatError(f"unknown start vertex {start!r}")
-        tokens = []
-        pos = 0
-        body = body.strip()
-        while pos < len(body):
-            ch = body[pos]
-            if ch.isspace():
-                pos += 1
-                continue
-            if ch == "(":
-                close = body.find(")", pos)
-                if close < 0:
-                    raise FormatError(f"unclosed bracket in {text.strip()!r}")
-                tokens.append(("elem", body[pos + 1 : close]))
-                pos = close + 1
-            else:
-                end = pos
-                while end < len(body) and not body[end].isspace():
-                    end += 1
-                tokens.append(("edge", body[pos:end]))
-                pos = end
         parts = []
         at = start
         expect_elem = True
-        for kind, value in tokens:
-            if expect_elem and kind != "elem":
+        # a bracketed element, up to the first `)`, or an edge name
+        for elem, value in re.findall(r"\(([^)]*)\)|(\S+)", body):
+            if value.startswith("("):
+                raise FormatError(f"unclosed bracket in {text.strip()!r}")
+            if expect_elem and value:
                 parts.append(gog.vslot(at).identity())
                 expect_elem = False
-            if kind == "elem":
-                parts.append(gog.vslot(at).parse(value))
+            if not value:
+                parts.append(gog.vslot(at).parse(elem))
                 expect_elem = False
             else:
                 if value not in gog.injections:
@@ -790,13 +807,17 @@ def validate(
             raise DomainError(f"gamma at {oe} lives in the wrong vertex group")
         phi_t = vertex_isos[gog.term(oe)]
         phi_e = edge_isos[unoriented(oe)]
-        inj = gog.injection(oe)
         inj_img = codomain.injection(edge_map[oe])
-        for gen in gog.eslot(oe).generators():
-            lhs = phi_t.apply(inj.apply(gen))
-            rhs = inj_img.apply(phi_e.apply(gen)).conjugate(gamma)
+        # i_e'(phi_e(g)) for each generator g; an identity phi_e keeps them
+        if phi_e.is_identity():
+            moved = inj_img.images
+        else:
+            moved = tuple(inj_img.apply(x) for x in phi_e.images)
+        for i, (image, target) in enumerate(zip(gog.injection(oe).images, moved)):
+            lhs = phi_t.apply(image)
+            rhs = target.conjugate(gamma)
             if lhs != rhs:
-                raise BassDiagramError(oe, gen, lhs, rhs)
+                raise BassDiagramError(oe, gog.eslot(oe).generator(i), lhs, rhs)
     return GoGMorphism(gog, codomain, vertex_map, edge_map, vertex_isos, edge_isos, gammas)
 
 
@@ -914,16 +935,15 @@ class DehnTwist:
     """The twist along the oriented edge `edge` by z in G_{t(edge)}:
     (Id_X, (Id_v), (Id_e), (gamma_e)) with gamma_edge == z and every other
     gamma trivial.  The Bass diagram holds iff z centralizes i_edge(G_edge),
-    the only condition checked here."""
+    the only condition checked here; it runs for every twist, those of
+    `small_modular_generators` included."""
 
     gog: GraphOfGroups
     edge: str
     z: SlotElement
 
     def __post_init__(self):
-        inj = self.gog.injection(self.edge)
-        for x in inj.src.generators():
-            y = inj.apply(x)
+        for y in self.gog.injection(self.edge).images:
             if y.conjugate(self.z) != y:
                 raise DomainError(f"twist element fails to centralize at {self.edge}")
 
@@ -951,8 +971,7 @@ def small_modular_generators(gog: GraphOfGroups) -> List[DehnTwist]:
     out = []
     for e in sorted(gog.oriented_edges()):
         v = gog.term(e)
-        image = [gog.injection(e).apply(x) for x in gog.eslot(e).generators()]
-        for z in slot_centralizer_of_subgroup(gog.vslot(v), image):
+        for z in slot_centralizer_of_subgroup(gog.vslot(v), gog.injection(e).images):
             out.append(DehnTwist(gog, e, z))
     return out
 
@@ -990,20 +1009,40 @@ def _parse_slot_kind(text: str) -> GroupSlot:
     return GroupSlot.from_kind(parts[0], rank)
 
 
-def parse_gog(text: str) -> GraphOfGroups:
-    """Parse the sectioned graph-of-groups format; see serialize_gog."""
+def section_lines(text: str) -> List[Tuple[Optional[str], str]]:
+    """The lines of a sectioned text, in order, without comments, blank
+    lines and headers, each with its lowercased section name (None before
+    the first `[section]` header)."""
+    out: List[Tuple[Optional[str], str]] = []
     section = None
-    vertex_slots: Dict[str, GroupSlot] = {}
-    edge_ends: Dict[str, Tuple[str, str]] = {}
-    edge_slots: Dict[str, GroupSlot] = {}
-    raw_injections: Dict[str, Dict[str, str]] = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("["):
             section = line.strip("[]").lower()
-            continue
+        else:
+            out.append((section, line))
+    return out
+
+
+def parse_gog(text: str) -> GraphOfGroups:
+    """Parse the sectioned graph-of-groups format; see serialize_gog."""
+    return gog_from_lines(section_lines(text))
+
+
+def gog_from_lines(lines: Sequence[Tuple[Optional[str], str]]) -> GraphOfGroups:
+    """The graph of groups of the `section_lines` of a text: its
+    [vertices], [edges] and [injections] lines.  Lines of other sections
+    belong to embedding formats and are skipped; a line before any section
+    is an error, and so is an injection line of an unknown oriented edge or
+    of a generator its edge group lacks."""
+    vertex_slots: Dict[str, GroupSlot] = {}
+    edge_ends: Dict[str, Tuple[str, str]] = {}
+    edge_slots: Dict[str, GroupSlot] = {}
+    # oriented edge -> generator name -> (image text, line)
+    raw_injections: Dict[str, Dict[str, Tuple[str, str]]] = {}
+    for section, line in lines:
         if section == "vertices":
             name, _, kind_text = line.partition(":")
             vertex_slots[name.strip()] = _parse_slot_kind(kind_text)
@@ -1017,31 +1056,38 @@ def parse_gog(text: str) -> GraphOfGroups:
             if slot_text:
                 edge_slots[name] = _parse_slot_kind(slot_text.rstrip(")"))
             else:
-                edge_slots[name] = GroupSlot(1, False)
+                edge_slots[name] = GroupSlot.from_kind("z")
         elif section == "injections":
             edge, _, rest = line.partition(":")
             gen, _, image = rest.partition("->")
-            raw_injections.setdefault(edge.strip(), {})[gen.strip()] = image.strip()
+            raw_injections.setdefault(edge.strip(), {})[gen.strip()] = (image.strip(), line)
         elif section is None:
             raise FormatError(f"line outside a known section: {line!r}")
-        # other sections belong to embedding formats and are skipped here
     injections: Dict[str, SlotHom] = {}
     for e, (u, v) in edge_ends.items():
         for end in (u, v):
             if end not in vertex_slots:
                 raise FormatError(f"edge {e} names undeclared vertex {end!r}")
         eslot = edge_slots[e]
+        names = eslot._gen_names
         for oe, target in ((e, v), (bar(e), u)):
             table = raw_injections.get(oe)
             if table is None:
                 raise FormatError(f"missing [injections] for {oe}")
             dst = vertex_slots[target]
             images = []
-            for name in eslot.gen_names():
+            for name in names:
                 if name not in table:
                     raise FormatError(f"injection {oe} misses generator {name}")
-                images.append(dst.parse(table[name]))
+                images.append(dst.parse(table[name][0]))
+            if len(table) != len(names):
+                line = next(line for gen, (_, line) in table.items() if gen not in names)
+                raise FormatError(f"injection line {line!r}: edge {e} has no generator of that name")
             injections[oe] = SlotHom(eslot, dst, tuple(images))
+    for oe, table in raw_injections.items():
+        if oe not in injections:
+            line = next(iter(table.values()))[1]
+            raise FormatError(f"injection line {line!r} names unknown edge {oe!r}")
     return GraphOfGroups(
         sorted(vertex_slots), edge_ends, vertex_slots, edge_slots, injections
     )

@@ -45,8 +45,9 @@ from .gog import (
     SlotHom,
     SlotIso,
     bar,
+    gog_from_lines,
     induced_on_pi1,
-    parse_gog,
+    section_lines,
     serialize_gog,
     small_modular_generators,
     unoriented,
@@ -102,8 +103,7 @@ class JSJInput:
             for e in annot.get("EZ", ()):
                 if unoriented(e) not in self.gog.edge_ends:
                     raise FormatError(f"peripheral marking at {w} names unknown edge {e!r}")
-                gen = self.gog.eslot(e).generators()[0]
-                img = self.gog.injection(_white_end(self, e, w)).apply(gen)
+                img = self.gog.injection(_white_end(self, e, w)).images[0]
                 if self.orientation.of_element(w, img) <= 0:
                     raise DomainError(
                         f"EZ marking at {w} must carry the positive generator ({e})"
@@ -197,18 +197,15 @@ def _edge_transport(
     black tables read which transports exist, and the class each carries,
     off conjugacy keys instead (`_edge_options`)."""
     gog_a, gog_b = jsj_a.gog, jsj_b.gog
-    inj_w = gog_a.injection(ew)
-    inj_w2 = gog_b.injection(ew2)
     wslot2 = gog_b.vslot(gog_b.term(ew2))
-    gens2 = gog_b.eslot(ew2).generators()
-    moved = [phi_w.apply(inj_w.apply(g)) for g in gog_a.eslot(ew).generators()]
-    targets = [inj_w2.apply(g) for g in gens2]
+    moved = [phi_w.apply(x) for x in gog_a.injection(ew).images]
+    targets = list(gog_b.injection(ew2).images)
     d = edge_group_conjugator(wslot2, moved, targets)
     if d is None:
         return None
     sigma = 1 if [x.conjugate(d) for x in moved] == targets else -1
-    images = tuple(g if sigma == 1 else g.inverse() for g in gens2)
-    target_black = tuple(gog_b.injection(bar(ew2)).apply(g) for g in images)
+    images = tuple(g if sigma == 1 else g.inverse() for g in gog_b.eslot(ew2).generators())
+    target_black = tuple(x if sigma == 1 else x.inverse() for x in gog_b.injection(bar(ew2)).images)
     return EdgeTransport(SlotIso(gog_a.eslot(ew), gog_b.eslot(ew2), images), d.inverse(), target_black)
 
 
@@ -219,10 +216,7 @@ def _black_classes(jsj: JSJInput, side: str, b: str, memo: dict):
     if key not in memo:
         gog = jsj.gog
         adjacent = tuple(sorted(oe for oe in gog.oriented_edges() if gog.term(oe) == b))
-        memo[key] = adjacent, tuple(
-            tuple(gog.injection(oe).apply(g) for g in gog.eslot(oe).generators())
-            for oe in adjacent
-        )
+        memo[key] = adjacent, tuple(gog.injection(oe).images for oe in adjacent)
     return memo[key]
 
 
@@ -463,12 +457,10 @@ def _moved_keys(jsj_a, jsj_b, whitelist: WhiteList, ew: str, w2: str, memo: dict
     of the edge class of `ew` moved by it."""
     key = ("moved keys", ew, w2)
     if key not in memo:
-        gog_a = jsj_a.gog
-        inj = gog_a.injection(ew)
-        edge_class = [inj.apply(g) for g in gog_a.eslot(ew).generators()]
+        edge_class = jsj_a.gog.injection(ew).images
         memo[key] = [
             _class_key([phi.apply(x) for x in edge_class])
-            for phi in _white_candidates(jsj_a, jsj_b, whitelist, gog_a.term(ew), w2, memo)
+            for phi in _white_candidates(jsj_a, jsj_b, whitelist, jsj_a.gog.term(ew), w2, memo)
         ]
     return memo[key]
 
@@ -476,9 +468,7 @@ def _moved_keys(jsj_a, jsj_b, whitelist: WhiteList, ew: str, w2: str, memo: dict
 def _target_keys(jsj_b, ew2: str) -> Tuple[tuple, Optional[tuple]]:
     """The key of the edge class of `ew2` (oriented towards its white
     vertex) and, for a cyclic edge group, the key of its inverse."""
-    gog_b = jsj_b.gog
-    inj = gog_b.injection(ew2)
-    edge_class = [inj.apply(g) for g in gog_b.eslot(ew2).generators()]
+    edge_class = jsj_b.gog.injection(ew2).images
     inverse = _class_key([edge_class[0].inverse()]) if len(edge_class) == 1 else None
     return _class_key(edge_class), inverse
 
@@ -604,12 +594,7 @@ def _pinned_matrices(o_a, o_b, sources, targets) -> List[List[List[int]]]:
 
 def _candidate_is_fop(jsj_a: JSJInput, jsj_b: JSJInput, w: str, w2: str, iso: SlotIso) -> bool:
     o_a = jsj_a.orientation.vertex_values[w]
-    slot_a = jsj_a.gog.vslot(w)
-    for i in range(slot_a.ngens):
-        img = iso.apply(slot_a.generator(i))
-        if jsj_b.orientation.of_element(w2, img) != o_a[i]:
-            return False
-    return True
+    return all(jsj_b.orientation.of_element(w2, img) == o_i for img, o_i in zip(iso.images, o_a))
 
 
 def admissible_graph_maps(jsj_a: JSJInput, jsj_b: JSJInput, whitelist: WhiteList, memo: dict):
@@ -814,7 +799,10 @@ def verify_witness(jsj_a: JSJInput, jsj_b: JSJInput, witness: Witness) -> bool:
 
     Revalidates the Bass diagram, recomputes the fiber generator images,
     checks the twist-corrected images land in the fiber, and checks the
-    stable letter stays on the positive orientation coset.
+    stable letter stays on the positive orientation coset.  The twist
+    generators are recomputed from `jsj_b` on purpose, although
+    `fiber_correct` has just built the same ones: the check shares no
+    objects with the search it checks.
     """
     try:
         validate(
@@ -925,33 +913,36 @@ def _validate_ung_side(side: ConjUngInput) -> List[int]:
 def parse_jsj(text: str) -> JSJInput:
     """Sectioned JSJ input: graph-of-groups sections plus [colors],
     [orientation], [fiber], and optional [stable] and [peripheral]; other
-    sections (such as [tree]) are skipped."""
-    gog = parse_gog(text)
+    sections (such as [tree]) are skipped.  A [colors] or [orientation]
+    line naming a vertex or edge the graph lacks is an error."""
+    lines = section_lines(text)
+    gog = gog_from_lines(lines)
     colors: Dict[str, str] = {}
     vertex_values: Dict[str, Tuple[int, ...]] = {}
     edge_values: Dict[str, int] = {}
     fiber_loops: List[Tuple[str, BassWord]] = []
     stable_loop: Optional[BassWord] = None
     peripheral: Dict[str, Dict[str, Tuple[str, ...]]] = {}
-    section = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            section = line.strip("[]").lower()
-            continue
+
+    def known(name: str, names, what: str, line: str) -> str:
+        name = name.strip()
+        if name not in names:
+            raise FormatError(f"line {line!r} names unknown {what} {name!r}")
+        return name
+
+    for section, line in lines:
         if section == "colors":
             name, _, color = line.partition(":")
-            colors[name.strip()] = color.strip().lower()
+            colors[known(name, gog.vertex_slots, "vertex", line)] = color.strip().lower()
         elif section == "orientation":
             kind, _, rest = line.partition(" ")
             if kind == "vertex":
                 name, _, values = rest.partition(":")
-                vertex_values[name.strip()] = tuple(parse_int(x, "orientation value") for x in values.split())
+                name = known(name, gog.vertex_slots, "vertex", line)
+                vertex_values[name] = tuple(parse_int(x, "orientation value") for x in values.split())
             elif kind == "edge":
                 name, _, value = rest.partition(":")
-                edge_values[name.strip()] = parse_int(value, "orientation value")
+                edge_values[known(name, gog.edge_ends, "edge", line)] = parse_int(value, "orientation value")
             else:
                 raise FormatError(f"bad orientation line: {line!r}")
         elif section == "fiber":

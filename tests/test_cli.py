@@ -7,6 +7,9 @@ import sys
 import pytest
 
 from torusconj.cli import build_parser, main
+from torusconj.freegroup import FreeGroup
+from torusconj.gog import GroupSlot, SlotHom
+from torusconj.pipeline import parse_jsj
 
 DATA = pathlib.Path(__file__).parent / "data" / "corpus"
 
@@ -527,6 +530,71 @@ def test_unknown_black_vertex_in_colors(tmp_path, capsys):
     code, _, err = run_cli(["decide", "--jsj-a", str(jsj_a), "--jsj-b", str(folder / "jsj_b.txt")], capsys)
     assert code in (0, 1)
     assert (code == 1) == ("input error" in err)
+
+
+@pytest.mark.parametrize(
+    "section, line",
+    [
+        ("[injections]", "e9: x0 -> x0"),
+        ("[injections]", "e1: x7 -> x0"),
+        ("[colors]", "Q: black"),
+        ("[orientation]", "vertex Q: 5"),
+        ("[orientation]", "edge e9: 0"),
+    ],
+    ids=["injection-edge", "injection-generator", "colors-vertex", "orientation-vertex", "orientation-edge"],
+)
+def test_jsj_line_naming_unknown_name_is_input_error(section, line, tmp_path, capsys):
+    # a JSJ line naming an edge, generator or vertex the graph lacks is an
+    # input error that quotes the line; each was once read and dropped, and
+    # the instance answered isomorphic-fop
+    folder = DATA / "12_orientation_shift"
+    text = (folder / "jsj_a.txt").read_text()
+    assert f"\n{section}\n" in text
+    jsj_a = tmp_path / "jsj_a.txt"
+    jsj_a.write_text(text.replace(f"\n{section}\n", f"\n{section}\n{line}\n", 1))
+    argv = ["decide", "--jsj-a", str(jsj_a), "--jsj-b", str(folder / "jsj_b.txt")]
+    code, out, err = run_cli(argv + ["--whitelists", str(folder / "whitelists.txt")], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: ") and repr(line) in err
+
+
+@pytest.mark.parametrize("name", [n for n in CORPUS_FOLDERS if (DATA / n / "kind.txt").read_text().strip() == "decide"])
+def test_decide_reads_stored_images(name, monkeypatch, capsys):
+    # work-count guard: `decide` reads the image of a slot generator from
+    # the homomorphism (`SlotHom` docstring) instead of applying it to an
+    # element the slot handed out as a generator, and all slots of one free
+    # rank share one free group
+    handed, bare, built = {}, [], []
+    generator, generators = GroupSlot.generator, GroupSlot.generators
+    apply, init = SlotHom.apply, FreeGroup.__init__
+
+    def hand_out(elements):
+        handed.update((id(x), x) for x in elements)
+        return elements
+
+    def counting_apply(hom, x):
+        if handed.get(id(x)) is x and x.slot == hom.src:
+            bare.append((hom, x))
+        return apply(hom, x)
+
+    def counting_init(group, names):
+        built.append(names)
+        init(group, names)
+
+    monkeypatch.setattr(GroupSlot, "generator", lambda slot, i: hand_out([generator(slot, i)])[0])
+    monkeypatch.setattr(GroupSlot, "generators", lambda slot: hand_out(generators(slot)))
+    monkeypatch.setattr(SlotHom, "apply", counting_apply)
+    monkeypatch.setattr(FreeGroup, "__init__", counting_init)
+    folder = DATA / name
+    argv = ["decide", "--jsj-a", str(folder / "jsj_a.txt"), "--jsj-b", str(folder / "jsj_b.txt")]
+    code, out, _ = run_cli(argv + ["--whitelists", str(folder / "whitelists.txt")], capsys)
+    assert code == 0 and out.startswith("status: ")
+    assert bare == []
+    ranks = set()
+    for side in "ab":
+        gog = parse_jsj((folder / f"jsj_{side}.txt").read_text()).gog
+        ranks.update(slot.free_rank for slot in (*gog.vertex_slots.values(), *gog.edge_slots.values()))
+    assert len(built) <= len(ranks)
 
 
 @pytest.mark.parametrize(

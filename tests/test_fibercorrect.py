@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
@@ -26,10 +27,16 @@ from torusconj.gog import (
     dehn_twist,
     induced_on_pi1,
     small_modular_generators,
+    unoriented,
     validate,
 )
+from torusconj.pipeline import decide, parse_jsj, parse_whitelist
 
+from .cli_helpers import load_conj_side
+from .corpus import identity_whitelist, twistor_jsj
 from .helpers import abelian_invariants, mat_mul
+
+CORPUS = pathlib.Path(__file__).parent / "data" / "corpus"
 
 Z = GroupSlot(1, False)
 F2 = GroupSlot(2, False)
@@ -363,3 +370,61 @@ class TestBuildSystem:
         system = build_system([loop], [twist], o)
         assert system.a == ((2,),) and system.b == (-3,)
         assert solve(system) is None
+
+
+def _corpus_pairs():
+    """(jsj_a, jsj_b, whitelist) of every corpus instance."""
+    for folder in sorted(f for f in CORPUS.iterdir() if (f / "kind.txt").exists()):
+        if (folder / "kind.txt").read_text().strip() == "decide":
+            jsj_a, jsj_b = (parse_jsj((folder / f"jsj_{side}.txt").read_text()) for side in "ab")
+        else:
+            jsj_a, jsj_b = (load_conj_side(folder / side).jsj for side in ("alpha.txt", "beta.txt"))
+        yield jsj_a, jsj_b, parse_whitelist((folder / "whitelists.txt").read_text(), jsj_a, jsj_b)
+
+
+def _seeded_pairs():
+    """Seeded twistor pairs over Z^2 and F_2 x Z, b with a's blocks
+    reversed (isomorphic) or one block retwisted."""
+    rng = random.Random("twist-coefficients")
+    for rank, k in ((1, 2), (1, 3), (2, 2), (2, 3)):
+        letters = [f"x{i}{s}" for i in range(rank) for s in ("", "'")]
+        twists = [" ".join(rng.choices(letters, k=rng.randint(1, 3))) for _ in range(k)]
+        other = list(twists)
+        other[0] = " ".join(rng.choices(letters, k=2))
+        jsj_a = twistor_jsj(rank, twists)
+        for twists_b in (twists[::-1], other):
+            jsj_b = twistor_jsj(rank, twists_b)
+            yield jsj_a, jsj_b, identity_whitelist(jsj_a, jsj_b)
+
+
+class TestTwistCoefficients:
+    """`twist_coefficients` reads n(e, image) off one count of the image's
+    crossings; it must equal the formula with `edge_exponent` per twist."""
+
+    @staticmethod
+    def per_twist(image, twists, o):
+        return [
+            (1 if t.edge == unoriented(t.edge) else -1)
+            * image.edge_exponent(t.edge)
+            * o.of_element(o.gog.term(t.edge), t.z)
+            for t in twists
+        ]
+
+    def check(self, jsj_a, jsj_b, whitelist):
+        loops = [(jsj, loop) for jsj in (jsj_a, jsj_b) for _, loop in jsj.fiber_loops]
+        loops += [(jsj, jsj.stable_loop) for jsj in (jsj_a, jsj_b) if jsj.stable_loop is not None]
+        witness = decide(jsj_a, jsj_b, whitelist).witness
+        if witness is not None:
+            loops += [(jsj_b, image) for _, image in witness.fiber_images]
+            loops.append((jsj_b, witness.stable_image))
+        for jsj, loop in loops:
+            twists = small_modular_generators(jsj.gog)
+            assert twists
+            assert twist_coefficients(loop, twists, jsj.orientation) == self.per_twist(loop, twists, jsj.orientation)
+        return witness is not None
+
+    def test_corpus_fiber_images(self):
+        assert sum(self.check(*pair) for pair in _corpus_pairs()) == 11
+
+    def test_seeded_pairs(self):
+        assert sum(self.check(*pair) for pair in _seeded_pairs()) == 4

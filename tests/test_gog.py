@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from torusconj.errors import DomainError
 from torusconj.freegroup import FreeGroup, Word
@@ -102,6 +103,23 @@ class TestSlots:
         assert slot.free_group is slot.free_group
         assert slot == GroupSlot(3, True) and hash(slot) == hash(GroupSlot(3, True))
 
+    def test_slots_of_one_rank_share_a_free_group(self):
+        assert GroupSlot(2, False).free_group is GroupSlot(2, True).free_group is F2.free_group
+        assert GroupSlot(1, False).free_group is Z2.free_group
+        assert GroupSlot(3, False).free_group is not F2.free_group
+        # so an element parsed in one slot is over the other's group too
+        assert Z.parse("x0 x0").word == Z2.parse("x0 x0 * c").word
+
+    def test_generators_built_once(self):
+        slot = GroupSlot(2, True)
+        assert all(slot.generator(i) is g for i, g in enumerate(slot.generators()))
+        assert slot.generators() is not slot.generators()  # callers get their own list
+        assert slot.gen_names() == ["x0", "x1", "c"]
+        with pytest.raises(DomainError):
+            slot.generator(3)
+        with pytest.raises(DomainError):
+            slot.generator(-1)
+
 class TestSlotIso:
     def test_fxz_inverse(self):
         iso = SlotIso(
@@ -148,6 +166,62 @@ class TestSlotIso:
         images = {iso.apply(x) for _ in range(100)}
         assert images == {FXZ2.parse("x0 x1 x1' * c^3")}
         assert len(built) == 1
+
+# (source, target) slot pairs of the supported injections, as
+# `validate_injection` enumerates them, with target ranks above the source's
+SLOT_PAIRS = [
+    (Z, Z), (Z, Z2), (Z, F2), (Z, FXZ2),
+    (Z2, Z2), (Z2, FXZ2),
+    (F2, F2), (F2, FXZ2), (F2, GroupSlot(3, False)),
+    (FXZ2, FXZ2), (FXZ2, GroupSlot(3, True)),
+]
+
+
+def _element_text(letters, center):
+    """Slot element text with its free part written letter by letter,
+    unreduced, as in `x0 x0' x0 * c^2`."""
+    word = " ".join(f"x{i}" + ("'" if s < 0 else "") for i, s in letters) or "1"
+    return f"{word} * c^{center}" if center else word
+
+
+@st.composite
+def slot_homs(draw):
+    """A SlotHom of one of SLOT_PAIRS, its images parsed from unreduced
+    text: commuting powers of one root for a Z^2 source, a central image
+    for the center of an F_k x Z source."""
+    src, dst = draw(st.sampled_from(SLOT_PAIRS))
+    letters = st.lists(st.tuples(st.integers(0, dst.free_rank - 1), st.sampled_from((1, -1))), max_size=6)
+    centers = st.integers(-3, 3) if dst.has_center else st.just(0)
+    if src.kind == "Z2":
+        root = draw(letters)
+        inverse = [(i, -s) for i, s in reversed(root)]
+        texts = []
+        for _ in range(2):
+            n = draw(st.integers(-3, 3))
+            texts.append(_element_text((root if n > 0 else inverse) * abs(n), draw(centers)))
+    else:
+        texts = [_element_text(draw(letters), draw(centers)) for _ in range(src.free_rank)]
+        if src.has_center:
+            texts.append(_element_text([], draw(st.integers(-3, 3))))
+    return SlotHom(src, dst, tuple(dst.parse(t) for t in texts))
+
+
+class TestGeneratorImages:
+    """The identity code reads instead of applying (`SlotHom` docstring):
+    a homomorphism's value on a source generator is the stored image."""
+
+    @given(slot_homs())
+    def test_apply_to_generator_is_stored_image(self, hom):
+        for i in range(hom.src.ngens):
+            assert hom.apply(hom.src.generator(i)) == hom.images[i]
+
+    def test_unnormalised_z2_target(self):
+        hom = SlotHom(Z, Z2, (Z2.parse("x0 x0' x0 * c^2"),))
+        assert hom.images[0] == Z2.parse("x0 * c^2")
+        assert hom.apply(Z.generator(0)) == hom.images[0]
+        hom = SlotHom(Z2, Z2, (Z2.parse("x0' x0 x0'"), Z2.parse("x0 x0' * c")))
+        assert [hom.apply(g) for g in Z2.generators()] == list(hom.images)
+
 
 class TestHomPreimage:
     def test_cyclic_preimage(self):
