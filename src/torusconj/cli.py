@@ -134,13 +134,14 @@ def cmd_conj_ung(args) -> int:
 
 
 def cmd_whitehead_orbit(args) -> int:
-    group = FreeGroup(args.rank)
     if args.product:
-        product = ProductGroup(group)
+        product = ProductGroup.of_rank(args.rank)
+        group = product.free
         m1 = ProductMarking.parse(product, args.m1)
         m2 = ProductMarking.parse(product, args.m2)
         ok, witness = mwp_product(m1, m2)
     else:
+        group = FreeGroup(args.rank)
         m1 = Marking.parse(group, args.m1)
         m2 = Marking.parse(group, args.m2)
         ok, witness = same_orbit(m1, m2)

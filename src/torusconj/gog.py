@@ -147,11 +147,7 @@ class SlotElement:
     def __mul__(self, other: "SlotElement") -> "SlotElement":
         if self.slot != other.slot:
             raise DomainError("elements of different slots")
-        word = self.word * other.word
-        if self.slot.kind == "Z2":
-            # abelian: collapse the free part to a single exponent
-            word = _z2_normalize(self.slot, word)
-        return SlotElement(self.slot, word, self.center + other.center)
+        return SlotElement(self.slot, self.word * other.word, self.center + other.center)
 
     def inverse(self) -> "SlotElement":
         return SlotElement(self.slot, self.word.inverse(), -self.center)
@@ -185,11 +181,6 @@ class SlotElement:
         return f"<{self.format()}>"
 
 
-def _z2_normalize(slot: GroupSlot, word: Word) -> Word:
-    exp = sum(s for _, s in word.letters)
-    return Word(slot.free_group, ((0, 1 if exp > 0 else -1),) * abs(exp))
-
-
 def slot_centralizer_of_subgroup(slot: GroupSlot, gens: Sequence[SlotElement]) -> List[SlotElement]:
     """Generators of the centralizer of <gens> in the slot group."""
     free_parts = [g.word for g in gens if not g.word.is_identity()]
@@ -221,9 +212,9 @@ class SlotHom:
     """A homomorphism given by generator images (free gens, then center).
 
     `apply(src.generator(i))` is exactly `images[i]`, the center's image
-    being `images[-1]`: the images are stored reduced, and every reduced
-    word of rank 1 already has the form `_z2_normalize` gives a Z^2 image.
-    So code that needs the image of a source generator reads `images`."""
+    being `images[-1]`: the images are stored reduced, and a reduced word
+    of rank 1 is a power of x0, the one form a Z^2 free part takes.  So
+    code that needs the image of a source generator reads `images`."""
 
     src: GroupSlot
     dst: GroupSlot
@@ -258,10 +249,7 @@ class SlotHom:
             img = self.images[-1]
             letters.extend((img.word.letters if x.center > 0 else img.word.inverse().letters) * abs(x.center))
             center += x.center * img.center
-        word = Word(self.dst.free_group, reduce_letters(letters))
-        if self.dst.kind == "Z2":
-            word = _z2_normalize(self.dst, word)
-        return SlotElement(self.dst, word, center)
+        return SlotElement(self.dst, Word(self.dst.free_group, reduce_letters(letters)), center)
 
     @cached_property
     def expresser(self) -> BasisExpresser:
@@ -406,18 +394,14 @@ def _check_preimage(hom: SlotHom, cand: SlotElement, y: SlotElement) -> Optional
 
 
 @dataclass(frozen=True)
-class SlotIso:
-    """An isomorphism between slots of the same kind."""
-
-    src: GroupSlot
-    dst: GroupSlot
-    images: Tuple[SlotElement, ...]
+class SlotIso(SlotHom):
+    """An isomorphism between slots of the same kind: a `SlotHom` that is
+    checked invertible once, at construction."""
 
     def __post_init__(self):
+        super().__post_init__()
         if (self.src.free_rank, self.src.has_center) != (self.dst.free_rank, self.dst.has_center):
             raise DomainError("slot isomorphism between different kinds")
-        if len(self.images) != self.src.ngens:
-            raise DomainError("wrong number of generator images")
         kind = self.src.kind
         if kind == "Z":
             w = self.images[0].word
@@ -447,12 +431,8 @@ class SlotIso:
         x0 = dst.free_group.generator(0)
         return SlotIso(src, dst, tuple(SlotElement(dst, x0 ** m[0][j], m[1][j]) for j in range(2)))
 
-    @cached_property
-    def _hom(self) -> SlotHom:
-        return SlotHom(self.src, self.dst, self.images)
-
-    def apply(self, x: SlotElement) -> SlotElement:
-        return self._hom.apply(x)
+    # in the class's own namespace, where `bench/layers.py` counts its calls
+    apply = SlotHom.apply
 
     def matrix(self) -> List[List[int]]:
         """For Z2 slots: columns are generator images over (x0, c)."""

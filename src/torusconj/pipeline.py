@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .errors import DomainError, FormatError, Undecided, parse_int
+from .errors import DomainError, FormatError, parse_int
 from .fibercorrect import (
     OrientationFunctional,
     build_system,
@@ -34,7 +34,7 @@ from .fibercorrect import (
     solve_with_nullspace,
     twist_coefficients,
 )
-from .freegroup import FreeAut, FreeGroup, Word, canonical_conjugate, fold, is_conjugate
+from .freegroup import FreeAut, FreeGroup, Word, canonical_conjugate, fold
 from .gog import (
     BassWord,
     DehnTwist,
@@ -151,19 +151,10 @@ def edge_group_conjugator(
 ) -> Optional[SlotElement]:
     """d with ad_d(source[i]) == target[i] for all i or, failing that for a
     single generator, ad_d(source[0]) == target[0]^-1; else None."""
-    if list(source) == list(target):
-        return slot.identity()
-    if len(source) == 1 and len(target) == 1:
-        s, t = source[0], target[0]
-        for cand in (t, t.inverse()):
-            if s.center != cand.center:
-                continue
-            ok, w = is_conjugate(s.word, cand.word)
-            if ok:
-                return SlotElement(slot, w, 0)
-        return None
-    # several generators: a simultaneous conjugator matching them one by one
-    return slot_elementwise_conjugator(slot, source, target)
+    d = slot_elementwise_conjugator(slot, source, target)
+    if d is None and len(source) == 1 and len(target) == 1:
+        d = slot_elementwise_conjugator(slot, source, [target[0].inverse()])
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +456,15 @@ def _moved_keys(jsj_a, jsj_b, whitelist: WhiteList, ew: str, w2: str, memo: dict
     return memo[key]
 
 
-def _target_keys(jsj_b, ew2: str) -> Tuple[tuple, Optional[tuple]]:
+def _target_keys(jsj_b, ew2: str, memo: dict) -> Tuple[tuple, Optional[tuple]]:
     """The key of the edge class of `ew2` (oriented towards its white
     vertex) and, for a cyclic edge group, the key of its inverse."""
-    edge_class = jsj_b.gog.injection(ew2).images
-    inverse = _class_key([edge_class[0].inverse()]) if len(edge_class) == 1 else None
-    return _class_key(edge_class), inverse
+    key = ("target keys", ew2)
+    if key not in memo:
+        edge_class = jsj_b.gog.injection(ew2).images
+        inverse = _class_key([edge_class[0].inverse()]) if len(edge_class) == 1 else None
+        memo[key] = _class_key(edge_class), inverse
+    return memo[key]
 
 
 def _edge_options(jsj_a, jsj_b, whitelist: WhiteList, b: str, b2: str, memo: dict):
@@ -487,7 +481,7 @@ def _edge_options(jsj_a, jsj_b, whitelist: WhiteList, b: str, b2: str, memo: dic
     edges, _ = _black_classes(jsj_a, "source", b, memo)
     targets, natives = _black_classes(jsj_b, "target", b2, memo)
     columns = [
-        (f, native, jsj_b.gog.init(f), *_target_keys(jsj_b, bar(f))) for f, native in zip(targets, natives)
+        (f, native, jsj_b.gog.init(f), *_target_keys(jsj_b, bar(f), memo)) for f, native in zip(targets, natives)
     ]
     options, pools = [], []
     for oe in edges:
@@ -685,37 +679,27 @@ def admissible_graph_maps(jsj_a: JSJInput, jsj_b: JSJInput, whitelist: WhiteList
     yield from place(0)
 
 
-def assemble(
-    jsj_a: JSJInput,
-    jsj_b: JSJInput,
-    whitelist: WhiteList,
-    max_edges: int = MAX_EDGES_DEFAULT,
-):
-    """The finite collection O of vertexwise-fop isomorphisms, sorted by
-    `canonical_key`.
+def assemble(jsj_a: JSJInput, jsj_b: JSJInput, whitelist: WhiteList):
+    """Yield the finite collection O of vertexwise-fop isomorphisms, one
+    at a time, so that a consumer that stops early assembles no more.
 
     Each graph map and white-candidate tuple that `admissible_graph_maps`
-    yields is assembled (`_assemble_one`), which builds its morphism by
-    construction, without validating it, taking each black vertex's
-    isomorphism from its table row; the tables are exact, so every map
-    assembles.  An empty result is meaningful (no vertexwise isomorphism
-    relative to the supplied lists).
+    yields is assembled in turn (`_assemble_one`), in the order found,
+    which builds its morphism by construction, without validating it,
+    taking each black vertex's isomorphism from its table row; the tables
+    are exact, so every map assembles.  An empty collection is meaningful
+    (no vertexwise isomorphism relative to the supplied lists).
     """
-    if len(jsj_a.gog.edge_names) > max_edges or len(jsj_b.gog.edge_names) > max_edges:
-        return Undecided(f"graph-map enumeration capped at {max_edges} edges")
     # Pieces shared between graph maps, computed once per call: fop-filtered
     # white candidates per vertex pair, the conjugacy key of each edge class
-    # moved by each candidate, each black vertex's adjacent edges and
-    # classes, the black tables, the minimized markings and level components
-    # (with their paths) behind the F_k x Z tables, the representative of
-    # each table row used, and the full edge transports of assembled maps.
-    # The memo is dropped with the call.
+    # moved by each candidate and of each target edge class, each black
+    # vertex's adjacent edges and classes, the black tables, the minimized
+    # markings and level components (with their paths) behind the F_k x Z
+    # tables, the representative of each table row used, and the full edge
+    # transports of assembled maps.  The memo is dropped with the generator.
     memo: dict = {}
-    results: Dict[tuple, GoGMorphism] = {}
     for vmap, emap, chosen, rows in admissible_graph_maps(jsj_a, jsj_b, whitelist, memo):
-        morphism = _assemble_one(jsj_a, jsj_b, whitelist, vmap, emap, chosen, rows, memo)
-        results.setdefault(morphism.canonical_key(), morphism)
-    return [results[key] for key in sorted(results)]
+        yield _assemble_one(jsj_a, jsj_b, whitelist, vmap, emap, chosen, rows, memo)
 
 
 def _assemble_one(jsj_a, jsj_b, whitelist: WhiteList, vmap, emap, chosen, rows, memo: dict) -> GoGMorphism:
@@ -770,14 +754,13 @@ def _assemble_one(jsj_a, jsj_b, whitelist: WhiteList, vmap, emap, chosen, rows, 
 
 
 def fiber_correct(collection, jsj_a: JSJInput, jsj_b: JSJInput) -> Verdict:
-    """Try the integer correction per candidate; the trichotomy verdict."""
-    if isinstance(collection, Undecided):
-        return Verdict("undecided", detail=collection.reason)
-    if not collection:
-        return Verdict("no-vertexwise-iso")
-    twists = tuple(small_modular_generators(jsj_b.gog))
+    """Try the integer correction per candidate, in order, and stop at the
+    first witness `verify_witness` accepts; the trichotomy verdict."""
+    twists = None  # built at the first candidate, so none without one
     o_b = jsj_b.orientation
     for morphism in collection:
+        if twists is None:
+            twists = tuple(small_modular_generators(jsj_b.gog))
         images = tuple(
             (name, induced_on_pi1(morphism, loop)) for name, loop in jsj_a.fiber_loops
         )
@@ -791,6 +774,8 @@ def fiber_correct(collection, jsj_a: JSJInput, jsj_b: JSJInput) -> Verdict:
         witness = Witness(morphism, twists, tuple(x), images, stable_image)
         if verify_witness(jsj_a, jsj_b, witness):
             return Verdict("isomorphic-fop", witness)
+    if twists is None:
+        return Verdict("no-vertexwise-iso")
     return Verdict("vertexwise-but-fiber-fails")
 
 
@@ -848,7 +833,9 @@ def verify_witness(jsj_a: JSJInput, jsj_b: JSJInput, witness: Witness) -> bool:
 
 
 def decide(jsj_a: JSJInput, jsj_b: JSJInput, whitelist: WhiteList, max_edges: int = MAX_EDGES_DEFAULT) -> Verdict:
-    return fiber_correct(assemble(jsj_a, jsj_b, whitelist, max_edges), jsj_a, jsj_b)
+    if len(jsj_a.gog.edge_names) > max_edges or len(jsj_b.gog.edge_names) > max_edges:
+        return Verdict("undecided", detail=f"graph-map enumeration capped at {max_edges} edges")
+    return fiber_correct(assemble(jsj_a, jsj_b, whitelist), jsj_a, jsj_b)
 
 
 # ---------------------------------------------------------------------------

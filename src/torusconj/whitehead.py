@@ -419,9 +419,24 @@ CENTER = "c"  # the name of the center generator in product markings
 
 @dataclass(frozen=True)
 class ProductGroup:
-    """Descriptor of G == H x <c> with H free and c (`CENTER`) the center."""
+    """Descriptor of G == H x <c> with H free and c (`CENTER`) the center.
+    No generator of H takes the center's name, so each factor of a product
+    element reads one way."""
 
     free: FreeGroup
+
+    def __post_init__(self):
+        if CENTER in self.free.names:
+            raise DomainError(f"a free generator is named {CENTER!r}, the center's name")
+
+    @staticmethod
+    def of_rank(rank: int) -> "ProductGroup":
+        """H of rank `rank` with `FreeGroup`'s default names, the center's
+        left out: a, b at rank 2, and a, b, d, e, ... from rank 3 on."""
+        names = FreeGroup(rank).names
+        if CENTER in names:
+            names = tuple(name for name in FreeGroup(rank + 1).names if name != CENTER)[:rank]
+        return ProductGroup(FreeGroup(names))
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,19 @@ class TestWhiteheadCommand:
         assert code == 0
         assert out.startswith("not-equivalent")
 
+    def test_product_rank_three_reads_c_only_as_the_center(self, capsys):
+        # the third free generator of a rank-3 product is d, not c, so c and
+        # c' cannot also be read as a free generator and its inverse
+        argv = ["whitehead", "orbit", "--product", "--rank", "3"]
+        code, out, _ = run_cli(argv + ["[ d' ]", "[ a' ]"], capsys)
+        assert (code, out.splitlines()[0]) == (0, "equivalent")
+        assert "witness: b -> d" in out
+        code, out, _ = run_cli(argv + ["[ c ]", "[ a ]"], capsys)
+        assert (code, out) == (0, "not-equivalent\n")
+        code, out, err = run_cli(argv + ["[ c' ]", "[ a' ]"], capsys)
+        assert (code, out) == (1, "")
+        assert "input error: unknown generator symbol" in err
+
     def test_product_bad_center_exponent(self, capsys):
         code, out, err = run_cli(
             ["whitehead", "orbit", "[ a * c^x ]", "[ b ]", "--product"], capsys

@@ -223,6 +223,36 @@ class TestGeneratorImages:
         assert [hom.apply(g) for g in Z2.generators()] == list(hom.images)
 
 
+def _one_sign(x: SlotElement) -> bool:
+    return len({s for _, s in x.word.letters}) <= 1
+
+
+z2_elements = st.builds(
+    lambda letters, center: Z2.parse(_element_text(letters, center)),
+    st.lists(st.tuples(st.just(0), st.sampled_from((1, -1))), max_size=6),
+    st.integers(-3, 3),
+)
+
+
+class TestZ2FreeParts:
+    """A Z^2 free part is a reduced word of rank 1, a power of x0, so its
+    letters have one sign; products and images keep that form with no
+    normalising step (`SlotHom` docstring)."""
+
+    @given(z2_elements, z2_elements)
+    def test_products(self, x, y):
+        assert _one_sign(x) and _one_sign(y) and _one_sign(x * y)
+        assert sum(s for _, s in (x * y).word.letters) == sum(s for _, s in x.word.letters + y.word.letters)
+
+    @given(slot_homs().filter(lambda hom: hom.dst.kind == "Z2"), st.data())
+    def test_images(self, hom, data):
+        letters = data.draw(
+            st.lists(st.tuples(st.integers(0, hom.src.free_rank - 1), st.sampled_from((1, -1))), max_size=6)
+        )
+        center = data.draw(st.integers(-3, 3)) if hom.src.has_center else 0
+        assert _one_sign(hom.apply(hom.src.parse(_element_text(letters, center))))
+
+
 class TestHomPreimage:
     def test_cyclic_preimage(self):
         hom = SlotHom(Z, F2, (F2.parse("x0 x1"),))

@@ -341,7 +341,7 @@ class TestDecideVerdicts:
 
     def test_fiber_correct_monotone(self):
         jsj = one_twistor_jsj(2, "x0")
-        collection = assemble(jsj, jsj, identity_whitelist(jsj, jsj))
+        collection = list(assemble(jsj, jsj, identity_whitelist(jsj, jsj)))
         assert fiber_correct(collection, jsj, jsj).status == "isomorphic-fop"
         assert fiber_correct(collection * 2, jsj, jsj).status == "isomorphic-fop"
 
@@ -371,7 +371,7 @@ class TestDecideVerdicts:
             gog, {"u": "white", "v": "white", "z": "black"}, orientation, ()
         )
         whitelist = {(w, w): [SlotIso.identity(gog.vslot(w))] for w in ("u", "v")}
-        collection = assemble(jsj, jsj, whitelist)
+        collection = list(assemble(jsj, jsj, whitelist))
         assert collection
         assert all(m.vertex_map["u"] == "u" for m in collection)
 
@@ -550,7 +550,7 @@ def _assert_matches_oracle(jsj_a, jsj_b, whitelist):
     fresh = _fresh_assemblies(jsj_a, jsj_b, whitelist)
     maps = [_map_key(*found[:3]) for found in admissible_graph_maps(jsj_a, jsj_b, whitelist, {})]
     assert len(maps) == len(set(maps)) and set(maps) == set(fresh)
-    collection = assemble(jsj_a, jsj_b, whitelist)
+    collection = list(assemble(jsj_a, jsj_b, whitelist))
     assert len(collection) == len(fresh)
     assert all(_validates(m) for m in collection)
     if all(jsj_a.gog.vslot(b).kind != "fxz" for b in jsj_a.black_vertices()):
@@ -602,7 +602,7 @@ class TestAssembleMemo:
             calls.clear()
             maps = sum(1 for _ in admissible_graph_maps(jsj_a, jsj_b, whitelist, {}))
             assert not calls
-            assert assemble(jsj_a, jsj_b, whitelist)
+            assert list(assemble(jsj_a, jsj_b, whitelist))
             edges = len(jsj_a.gog.edge_names)
             per_pair = max(len(isos) for isos in whitelist.values())
             assert 0 < len(calls) <= edges * maps < edges * len(jsj_b.gog.edge_names) * per_pair
@@ -659,7 +659,7 @@ class TestAssembleMemo:
         for jsj_a, jsj_b in cases:
             whitelist = _auto_whitelist(jsj_a, jsj_b)
             admitted.append(sum(1 for _ in admissible_graph_maps(jsj_a, jsj_b, whitelist, {})))
-            assert admitted[-1] == len(assemble(jsj_a, jsj_b, whitelist)) > 0
+            assert admitted[-1] == len(list(assemble(jsj_a, jsj_b, whitelist))) > 0
         assert admitted[0] < 384
 
     @pytest.mark.parametrize("rank, blocks", [(1, 3), (1, 4), (2, 2), (2, 3), (3, 1), (3, 2)])
@@ -670,13 +670,101 @@ class TestAssembleMemo:
         for jsj_b in pairs:
             whitelist = _block_whitelist(jsj_a, jsj_b)
             admitted = sum(1 for _ in admissible_graph_maps(jsj_a, jsj_b, whitelist, {}))
-            assert admitted == len(assemble(jsj_a, jsj_b, whitelist))
+            assert admitted == len(list(assemble(jsj_a, jsj_b, whitelist)))
 
 
     @pytest.mark.parametrize("seed", range(12))
     def test_several_black_vertices_match_fresh_assembly(self, seed):
         jsj_a, jsj_b = _two_black_pair(seed)
         _assert_matches_oracle(jsj_a, jsj_b, _block_whitelist(jsj_a, jsj_b))
+
+    def test_target_keys_once_per_edge(self, monkeypatch):
+        # the keys of a target edge class and of its inverse are computed
+        # once per call, not once per black table that has the edge as a
+        # column: with two Z^2 black vertices on each side, every target edge
+        # is a column of two tables
+        import torusconj.pipeline as pipeline
+
+        asked, keyed, inside = [], [], []
+        target_keys, class_key = pipeline._target_keys, pipeline._class_key
+
+        def asking(jsj_b, ew2, memo):
+            asked.append(ew2)
+            inside.append(ew2)
+            try:
+                return target_keys(jsj_b, ew2, memo)
+            finally:
+                inside.pop()
+
+        def keying(elements):
+            if inside:
+                keyed.append(inside[-1])
+            return class_key(elements)
+
+        monkeypatch.setattr(pipeline, "_target_keys", asking)
+        monkeypatch.setattr(pipeline, "_class_key", keying)
+        jsj = attached_jsj(
+            {"B1": 1, "B2": 1},
+            [("W1", "B1", "x0"), ("W1", "B2", "1"), ("W2", "B1", "1"), ("W2", "B2", "x0 x0")],
+        )
+        assert list(assemble(jsj, jsj, identity_whitelist(jsj, jsj)))
+        # every edge group is cyclic: one key for the class, one for its inverse
+        assert sorted(keyed) == sorted(2 * list(set(asked)))
+        assert len(asked) > len(set(asked))
+
+
+class TestLazyDecide:
+    """`decide` assembles the admissible maps one at a time and stops at
+    the first verified witness."""
+
+    @staticmethod
+    def _count_assemblies(monkeypatch):
+        import torusconj.pipeline as pipeline
+
+        calls = []
+        original = pipeline._assemble_one
+
+        def counting(jsj_a, jsj_b, whitelist, vmap, emap, chosen, rows, memo):
+            calls.append(_map_key(vmap, emap, chosen))
+            return original(jsj_a, jsj_b, whitelist, vmap, emap, chosen, rows, memo)
+
+        monkeypatch.setattr(pipeline, "_assemble_one", counting)
+        return calls
+
+    def test_positive_assembles_one_map(self, monkeypatch):
+        # six identical Z^2 blocks against themselves: 1,440 admissible
+        # maps, and the first one already corrects and verifies
+        calls = self._count_assemblies(monkeypatch)
+        jsj = twistor_jsj(1, ["x0"] * 6)
+        whitelist = identity_whitelist(jsj, jsj)
+        assert decide(jsj, jsj, whitelist).status == "isomorphic-fop"
+        assert len(calls) == 1
+        assert sum(1 for _ in admissible_graph_maps(jsj, jsj, whitelist, {})) == 1440
+
+    def test_negative_assembles_each_map_once(self, monkeypatch):
+        # three repeated blocks with the parity obstruction: no map corrects,
+        # so every admissible map is assembled, and none twice
+        calls = self._count_assemblies(monkeypatch)
+        jsj_a = twistor_jsj(1, ["1"] * 3, center_degree=2, edge2_degree=0)
+        jsj_b = twistor_jsj(1, ["1"] * 3, center_degree=2, edge2_degree=1)
+        whitelist = identity_whitelist(jsj_a, jsj_b)
+        maps = [_map_key(*found[:3]) for found in admissible_graph_maps(jsj_a, jsj_b, whitelist, {})]
+        assert decide(jsj_a, jsj_b, whitelist).status == "vertexwise-but-fiber-fails"
+        assert len(calls) == len(set(calls)) == len(maps) > 1
+        assert set(calls) == set(maps)
+
+    def test_edge_cap_checked_before_assembly(self, monkeypatch):
+        calls = self._count_assemblies(monkeypatch)
+        jsj = one_twistor_jsj(1, "1")
+        verdict = decide(jsj, jsj, identity_whitelist(jsj, jsj), max_edges=1)
+        assert (verdict.status, verdict.detail) == ("undecided", "graph-map enumeration capped at 1 edges")
+        assert not calls
+
+    def test_fiber_correct_takes_any_iterable(self):
+        jsj = one_twistor_jsj(2, "x0")
+        assert fiber_correct(iter(()), jsj, jsj).status == "no-vertexwise-iso"
+        witness = fiber_correct(assemble(jsj, jsj, identity_whitelist(jsj, jsj)), jsj, jsj).witness
+        assert witness is not None and verify_witness(jsj, jsj, witness)
 
 
 def _two_black_pair(seed):

@@ -619,6 +619,17 @@ class TestMwpProduct:
         ok, _ = mwp_product(m1, m2)
         assert not ok
 
+    def test_free_generator_never_named_like_the_center(self):
+        # FreeGroup(3) calls its third generator c, the center's name
+        with pytest.raises(DomainError):
+            ProductGroup(F3)
+        assert ProductGroup.of_rank(2) == PROD
+        assert ProductGroup.of_rank(3).free.names == ("a", "b", "d")
+        product = ProductGroup.of_rank(3)
+        m = ProductMarking.parse(product, "[ d * c^2 , a d' ]")
+        assert m.centers() == ((2, 0),)
+        assert ProductMarking.parse(product, m.format()) == m
+
     def test_aut_invariance_of_product_markings(self):
         # fiber-and-orientation preserving maps (psi, lambda=0) never change
         # the answer; oracle for the small exhaustive search examples
