@@ -24,7 +24,7 @@ class FreeAut:
         self.group = group
         self.images = tuple(images)
         self.inverse_images = tuple(inverse_images)
-        self._hash = hash((group._hash, tuple(w.letters for w in self.images)))
+        self._hash = None
 
     @classmethod
     def identity(cls, group: FreeGroup) -> "FreeAut":
@@ -68,6 +68,8 @@ class FreeAut:
         )
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.group._hash, tuple(w.letters for w in self.images)))
         return self._hash
 
     def __repr__(self):

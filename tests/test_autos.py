@@ -89,6 +89,20 @@ class TestComposition:
         assert (swap ** 2).is_identity()
         assert swap ** -1 == swap
 
+    @pytest.mark.parametrize("group", [F2, F3], ids=["rank2", "rank3"])
+    def test_equal_automorphisms_hash_equal(self, group):
+        # the hash is computed on first use, so build each side another way
+        rng = random.Random(19 + group.rank)
+        for _ in range(30):
+            aut = random_aut(rng, group)
+            folded = is_automorphism(group, list(aut.images))
+            twice_inverted = aut.inverse().inverse()
+            composed = aut * FreeAut.identity(group)
+            assert aut == folded == twice_inverted == composed
+            assert len({hash(x) for x in (folded, twice_inverted, composed, aut)}) == 1
+            assert {aut: 1}[folded] == 1
+            assert hash(aut * aut.inverse()) == hash(FreeAut.identity(group))
+
 
 class TestBasisExpresser:
     def test_expression_in_proper_subgroup(self):

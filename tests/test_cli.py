@@ -511,6 +511,122 @@ def test_seeded_twistor_output_pinned(case, tmp_path, capsys):
     assert digests == SEEDED_SHA256[case]
 
 
+def _seeded_orbit_cases():
+    """40 seeded `whitehead orbit` pairs (rank 2 and 3, classes of one or
+    two words, plain and --product), as {case id: argv}.  Each draw gives a
+    positive, b = phi(a) for phi a random Nielsen product, and a mutant,
+    b = phi(a') for a' that changes one letter of a, or for --product
+    sometimes one center exponent instead; 11 of the 20 mutants are
+    negatives."""
+    import random
+
+    from torusconj.freegroup import FreeAut, nielsen_generators
+    from torusconj.whitehead import ProductGroup
+
+    rng = random.Random("seeded-orbit-pins")
+    # (rank, words per class, --product)
+    draws = [(2, 1, False)] * 5 + [(2, 2, False)] * 4 + [(3, 1, False)] * 4 + [(3, 2, False)] * 2
+    draws += [(2, 1, True)] * 2 + [(2, 2, True)] + [(3, 1, True)] * 2
+    cases = {}
+    for n, (rank, per_class, product) in enumerate(draws):
+        group = ProductGroup.of_rank(rank).free if product else FreeGroup(rank)
+        letters = [(i, s) for i in range(rank) for s in (1, -1)]
+        max_len = 6 if rank == 2 else 3
+
+        def word():
+            w = [rng.choice(letters)]
+            for _ in range(rng.randint(0, max_len - 1)):
+                w.append(rng.choice([x for x in letters if x != (w[-1][0], -w[-1][1])]))
+            return w
+
+        a = [[word() for _ in range(per_class)] for _ in range(rng.randint(1, 2))]
+        centers = [[rng.randint(-2, 2) if product else 0 for _ in entry] for entry in a]
+        mutant = [[list(w) for w in entry] for entry in a]
+        mutant_centers = centers
+        if product and rng.random() < 0.5:
+            mutant_centers = [list(ks) for ks in centers]
+            mutant_centers[0][0] += 1
+        else:
+            w = rng.choice(rng.choice(mutant))
+            k = rng.randrange(len(w))
+            w[k] = rng.choice([x for x in letters if x != w[k]])
+
+        def moved(classes):
+            nielsen = nielsen_generators(group)
+            phi = FreeAut.identity(group)
+            for _ in range(rng.randint(1, 4)):
+                phi = rng.choice(nielsen) * phi
+            return [[phi.apply(group.word(w)).letters for w in entry] for entry in classes]
+
+        def text(classes, ks):
+            def item(w, k):
+                return group.word(w).format() + (f" * c^{k}" if k else "")
+
+            return " ; ".join(
+                "[ " + " , ".join(map(item, entry, entry_ks)) + " ]" for entry, entry_ks in zip(classes, ks)
+            )
+
+        kind = f"{n:02d}-r{rank}-w{per_class}" + ("-product" if product else "")
+        flags = ["--rank", str(rank)] + (["--product"] if product else [])
+        for sign, b, b_centers in (("pos", moved(a), centers), ("mut", moved(mutant), mutant_centers)):
+            cases[f"{kind}-{sign}"] = ["whitehead", "orbit", text(a, centers), text(b, b_centers)] + flags
+    return cases
+
+
+SEEDED_ORBIT_CASES = _seeded_orbit_cases()
+
+# sha256 of the stdout of each seeded orbit case: pins verdicts and witnesses
+SEEDED_ORBIT_SHA256 = {
+    '00-r2-w1-mut': 'fedc542e4b6bc59e24a794cb4b32a27ea3fc6327b60182465117274dd133a11e',
+    '00-r2-w1-pos': 'dd1796e55b285d9b30a802c88cb1bc91f89391e594985d27f66ee0a8a3b06935',
+    '01-r2-w1-mut': '58e88c8de055b603d6f2db66955a7b776c0c96d86837143192fa04837a6bb5c4',
+    '01-r2-w1-pos': '58e88c8de055b603d6f2db66955a7b776c0c96d86837143192fa04837a6bb5c4',
+    '02-r2-w1-mut': 'abe92c74425e69af1d8d05ad29e72db42ccc75f59e19b2fb60f577ac46f36f27',
+    '02-r2-w1-pos': 'abe92c74425e69af1d8d05ad29e72db42ccc75f59e19b2fb60f577ac46f36f27',
+    '03-r2-w1-mut': '69dc976b0fb55220232b6ed343e2a68a63dd201e5866c1c783d38707c68f70e1',
+    '03-r2-w1-pos': '605bf6e5c945f992d89652a37d78ca05293a9034e01a997d7d5ff4f77e0d30eb',
+    '04-r2-w1-mut': 'fba93b90d92fb6e7e64a8ccf5653854600877a826ad10f25e850d94b4b92c9e4',
+    '04-r2-w1-pos': '31d9c44c6391468845a8b5bb38a084b0f09e25cf7282fc4392f3dbd086c989e0',
+    '05-r2-w2-mut': 'fedc542e4b6bc59e24a794cb4b32a27ea3fc6327b60182465117274dd133a11e',
+    '05-r2-w2-pos': 'a5ea843ced5c6178741200f4281ae37688328f99ad4ac8f4852842821030fd8e',
+    '06-r2-w2-mut': 'fedc542e4b6bc59e24a794cb4b32a27ea3fc6327b60182465117274dd133a11e',
+    '06-r2-w2-pos': '24ee30e060d3ed7c20c4559cf510dfe3ff34b07afe117f981ea87ccc22fdd33b',
+    '07-r2-w2-mut': 'fedc542e4b6bc59e24a794cb4b32a27ea3fc6327b60182465117274dd133a11e',
+    '07-r2-w2-pos': 'fba93b90d92fb6e7e64a8ccf5653854600877a826ad10f25e850d94b4b92c9e4',
+    '08-r2-w2-mut': '58e88c8de055b603d6f2db66955a7b776c0c96d86837143192fa04837a6bb5c4',
+    '08-r2-w2-pos': 'fba93b90d92fb6e7e64a8ccf5653854600877a826ad10f25e850d94b4b92c9e4',
+    '09-r3-w1-mut': 'fedc542e4b6bc59e24a794cb4b32a27ea3fc6327b60182465117274dd133a11e',
+    '09-r3-w1-pos': 'c7c08711d5ea1bdc4791501965cd7b89688cb9f8702ba0813f1ae19e8b4c4604',
+    '10-r3-w1-mut': '7242d0f60aead32eff44e4c0c4edcdc0906cd8b67755aaac46557db7d6fe4d95',
+    '10-r3-w1-pos': '6e442b56d29bc074014bbbacb34c1e5fd6e9c826d3cd17735dff4b0b5df80a68',
+    '11-r3-w1-mut': '6df26afe3d98e7a56d8a9e3a6fc9610284cd44fcc5b2e61275c63f312501131d',
+    '11-r3-w1-pos': '2fd4c7655e4bc1b59864e39bb66ce3e0a23dafc03caf9a131579a956ab9e3bfd',
+    '12-r3-w1-mut': '7ea276255cc67afb3d119e4c3b3c2ed173026ce0accf5ad5665f5b09da2d1ecc',
+    '12-r3-w1-pos': '141d9574dc8fba509ba2a501805c79290337633953e07c001be9566f516125dd',
+    '13-r3-w2-mut': 'fedc542e4b6bc59e24a794cb4b32a27ea3fc6327b60182465117274dd133a11e',
+    '13-r3-w2-pos': 'c7c08711d5ea1bdc4791501965cd7b89688cb9f8702ba0813f1ae19e8b4c4604',
+    '14-r3-w2-mut': 'fedc542e4b6bc59e24a794cb4b32a27ea3fc6327b60182465117274dd133a11e',
+    '14-r3-w2-pos': '8152427bfe5f4a6fca9b837394708bdee96277bbd7bb8daf3f30756bc16f50ec',
+    '15-r2-w1-product-mut': 'fedc542e4b6bc59e24a794cb4b32a27ea3fc6327b60182465117274dd133a11e',
+    '15-r2-w1-product-pos': '28c83919ac7ed916ad430c0de24e608c3de66f2c79fed73384bdbc4f85615b90',
+    '16-r2-w1-product-mut': 'fedc542e4b6bc59e24a794cb4b32a27ea3fc6327b60182465117274dd133a11e',
+    '16-r2-w1-product-pos': '16a27be7af9abfbf14eb8d1a4a7998b8f2eb34ef8c9610f58f1fb677e3cfeb1b',
+    '17-r2-w2-product-mut': 'fedc542e4b6bc59e24a794cb4b32a27ea3fc6327b60182465117274dd133a11e',
+    '17-r2-w2-product-pos': '16a27be7af9abfbf14eb8d1a4a7998b8f2eb34ef8c9610f58f1fb677e3cfeb1b',
+    '18-r3-w1-product-mut': 'fedc542e4b6bc59e24a794cb4b32a27ea3fc6327b60182465117274dd133a11e',
+    '18-r3-w1-product-pos': '4e0dc34e0ae656801b5dc2aa893c371920e457093683002f06a2dcd1d1b99c7f',
+    '19-r3-w1-product-mut': '3e7a144bedd54e6828bec93f424370527d8285e1e8122c2c04548bdf2a306f8d',
+    '19-r3-w1-product-pos': '7bd67d6db49a96b56a27ed7c2f88e3c8a952af154d36a6b4ac7fbd798bd1044d',
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEEDED_ORBIT_CASES))
+def test_seeded_orbit_output_pinned(case, capsys):
+    code, out, _ = run_cli(SEEDED_ORBIT_CASES[case], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SEEDED_ORBIT_SHA256[case]
+
+
 def test_make_corpus_reproduces_committed(tmp_path, capsys):
     from . import make_corpus
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from torusconj.errors import DomainError
-from torusconj.freegroup import FreeAut, FreeGroup, is_automorphism, nielsen_generators
+from torusconj.freegroup import FreeAut, FreeGroup, inner_conjugator, is_automorphism, nielsen_generators
 from torusconj.whitehead import (
     Marking,
     ProductGroup,
@@ -16,6 +16,7 @@ from torusconj.whitehead import (
     _profile,
     _relabel_profile,
     _relabellings,
+    _type_two_cuts,
     _whitehead_graph,
     compose_moves,
     level_component,
@@ -200,7 +201,7 @@ class TestLengthChanges:
             return True
 
         yielded = list(_moves_changing_length(m, record))
-        assert [move for move, _ in yielded] == [move for move in move_alphabet(m.group) if move.kind == "mult"]
+        assert [move for move, _ in yielded] == [move for move, _, _ in _type_two_cuts(m.group)]
         assert len(changes) == len(yielded)
         for (move, image), change in zip(yielded, changes):
             assert image == move.apply_marking(m)
@@ -242,6 +243,68 @@ class TestLengthChanges:
 
     def test_tuple_classes_have_no_graph_changes(self):
         assert _whitehead_graph(marking("[ a b , b' ]")) is None
+
+
+def redundant_moves(group):
+    """{dropped type-II move: its kept partner, or None for an inner move},
+    read off the move data: tau_{v, L - {v^-1}} is inner, and the partner
+    of tau_{v,Y} is tau_{v^-1, L - Y}, the earlier of the two kept."""
+    letters = [(i, s) for i in range(group.rank) for s in (1, -1)]
+    by_data = {move.data: move for move in move_alphabet(group) if move.kind == "mult"}
+    order = {move: k for k, move in enumerate(move_alphabet(group))}
+    dropped = {}
+    for (v, chosen), move in by_data.items():
+        if len(chosen) == len(letters) - 2:
+            dropped[move] = None
+            continue
+        w = (v[0], -v[1])
+        cut = set(chosen) | {v}
+        partner = by_data[(w, tuple(sorted(x for x in letters if x not in cut and x != w)))]
+        if order[partner] < order[move]:
+            dropped[move] = partner
+    return dropped
+
+
+class TestRedundantMoves:
+    """The type-II moves `_type_two_cuts` leaves out give no new image: an
+    inner move fixes every marking, and the later member of a complementary
+    pair gives the image of the earlier one."""
+
+    GROUPS = [FreeGroup(2), FreeGroup(3), FreeGroup(4)]
+
+    @pytest.mark.parametrize("group, size", zip(GROUPS, [4, 42, 248]), ids=["rank2", "rank3", "rank4"])
+    def test_table_keeps_one_move_per_pair(self, group, size):
+        kept = [move for move, _, _ in _type_two_cuts(group)]
+        dropped = redundant_moves(group)
+        assert len(kept) == size
+        assert len(kept) + len(dropped) == sum(move.kind == "mult" for move in move_alphabet(group))
+        assert set(kept).isdisjoint(dropped)
+        assert set(dropped.values()) - {None} == set(kept)
+        assert kept == [move for move in move_alphabet(group) if move.kind == "mult" and move not in dropped]
+        for move in kept:
+            assert inner_conjugator(move.aut) is None, move
+        for move, partner in dropped.items():
+            # tau_{v, L - {v^-1}} == ad_v, and tau_{v^-1, L - Y} == ad_{v^-1} tau_{v,Y},
+            # with ad_g(x) == g^-1 x g
+            v = group.word([move.data[0]])
+            if partner is None:
+                assert inner_conjugator(move.aut) == v, move
+            else:
+                assert inner_conjugator(move.aut * partner.aut.inverse()) == v, move
+
+    @pytest.mark.parametrize("group", GROUPS, ids=["rank2", "rank3", "rank4"])
+    @pytest.mark.parametrize("words_per_class", [1, 2])
+    def test_dropped_move_repeats_an_image(self, group, words_per_class):
+        rng = random.Random(1021 + 10 * group.rank + words_per_class)
+        max_len = {2: 8, 3: 5, 4: 4}[group.rank]
+        markings = [random_marking(rng, group, rng.randint(1, 3), max_len, words_per_class) for _ in range(12)]
+        identity = [group.identity()] * words_per_class
+        markings += [Marking.of(group, [identity]), Marking.of(group, [identity] + list(markings[0].classes))]
+        dropped = redundant_moves(group)
+        for m in markings:
+            for move, partner in dropped.items():
+                expected = m if partner is None else partner.apply_marking(m)
+                assert move.apply_marking(m) == expected, f"{move} on {m.format()}"
 
 
 class TestFilteredMovesMatchReference:
@@ -300,7 +363,7 @@ class TestTypeTwoLevelSearch:
     @pytest.mark.parametrize("group", [F2, F3], ids=["rank2", "rank3"])
     def test_search_yields_no_type_one_move(self, group):
         rng = random.Random(733 + group.rank)
-        type_two = sum(move.kind == "mult" for move in move_alphabet(group))
+        type_two = len(_type_two_cuts(group))
         for words_per_class in (1, 2):
             m = random_marking(rng, group, 2, 5, words_per_class)
             yielded = [move for move, _ in _moves_changing_length(m, lambda change: True)]
