@@ -299,9 +299,9 @@ def twist_coefficients(
     crossings = image.edge_crossings()
     out = []
     for t in twists:
-        e = unoriented(t.edge)
-        n = crossings[e] if t.edge == e else -crossings[e]
-        out.append(n * o.of_element(o.gog.term(t.edge), t.z) if n else 0)
+        edge = t.edge
+        n = -crossings.get(edge[:-1], 0) if edge.endswith("~") else crossings.get(edge, 0)
+        out.append(n * o.of_element(o.gog.term(edge), t.z) if n else 0)
     return out
 
 

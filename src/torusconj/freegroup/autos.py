@@ -33,9 +33,12 @@ class FreeAut:
 
     def apply(self, w: Word) -> Word:
         letters: list[Letter] = []
+        images = self.images
         for i, s in w.letters:
-            img = self.images[i] if s > 0 else self.images[i].inverse()
-            letters.extend(img.letters)
+            if s > 0:
+                letters.extend(images[i].letters)
+            else:
+                letters.extend((j, -t) for j, t in reversed(images[i].letters))
         return Word(self.group, reduce_letters(letters))
 
     def inverse(self) -> "FreeAut":
@@ -100,7 +103,12 @@ def is_automorphism(group: FreeGroup, images: Sequence[Word]) -> Optional[FreeAu
     folded graph of the image subgroup (via ``stallings.fold``) is the
     rejection certificate.
     """
-    images = [group.word(w.letters) if isinstance(w, Word) else group.word(w) for w in images]
+    # a word of this group is reduced and in range already; other input is checked
+    images = [
+        w if isinstance(w, Word) and w.group == group
+        else group.word(w.letters if isinstance(w, Word) else w)
+        for w in images
+    ]
     if len(images) != group.rank:
         raise DomainError(f"need {group.rank} images, got {len(images)}")
     folder = _Folder(group.rank)

@@ -13,7 +13,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import DomainError, FormatError, ResourceError, parse_int
-from .words import FreeGroup, Letter, Word, reduce_letters
+from .words import FreeGroup, Letter, Word
 
 if TYPE_CHECKING:
     from .autos import FreeAut
@@ -454,10 +454,21 @@ def _inverse(letters: Tuple[Letter, ...]) -> Tuple[Letter, ...]:
 
 
 def _product(*parts: Tuple[Letter, ...]) -> Tuple[Letter, ...]:
-    """Reduced concatenation; no work when every part is empty."""
-    if any(parts):
-        return reduce_letters(sum(parts, ()))
-    return ()
+    """Reduced concatenation of reduced parts: each part cancels only
+    against the end of the product so far, so an empty part costs nothing
+    and a lone non-empty part is returned as it is."""
+    out: Tuple[Letter, ...] = ()
+    for part in parts:
+        if not out:
+            out = part
+            continue
+        if not part:
+            continue
+        k, n = 0, min(len(out), len(part))
+        while k < n and out[-1 - k][0] == part[k][0] and out[-1 - k][1] == -part[k][1]:
+            k += 1
+        out = out[: len(out) - k] + part[k:]
+    return out
 
 
 def fold(group: FreeGroup, generators: Sequence[Word]) -> SubgroupGraph:

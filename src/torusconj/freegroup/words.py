@@ -34,7 +34,7 @@ def reduce_letters(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
 class FreeGroup:
     """A free group of finite rank with named generators."""
 
-    __slots__ = ("names", "rank", "_hash", "_by_length")
+    __slots__ = ("names", "rank", "_hash", "_by_length", "_tokens", "_identity")
 
     def __init__(self, names):
         if isinstance(names, int):
@@ -57,9 +57,17 @@ class FreeGroup:
         self._hash = hash(("FreeGroup", names))
         # longest-match tokenization order for `parse`
         self._by_length = sorted(range(self.rank), key=lambda i: -len(names[i]))
+        # whole tokens `parse` reads without scanning: each name and its
+        # inverse, and `1` (None); a name starting with `1` is left to the
+        # scan, which skips a leading `1` before it matches names
+        self._tokens = {"1": None}
+        for i, name in enumerate(names):
+            if not name.startswith("1"):
+                self._tokens[name], self._tokens[name + "'"] = (i, 1), (i, -1)
+        self._identity = Word(self, ())
 
     def __eq__(self, other):
-        return isinstance(other, FreeGroup) and self.names == other.names
+        return self is other or (isinstance(other, FreeGroup) and self.names == other.names)
 
     def __hash__(self):
         return self._hash
@@ -77,7 +85,8 @@ class FreeGroup:
         return Word(self, reduce_letters(letters))
 
     def identity(self) -> "Word":
-        return Word(self, ())
+        """The empty word; one shared immutable object per group."""
+        return self._identity
 
     def generator(self, i: int) -> "Word":
         if not 0 <= i < self.rank:
@@ -98,9 +107,21 @@ class FreeGroup:
         text = text.strip()
         if text in ("", "1"):
             return self.identity()
+        # a name or inverse name between spaces is read whole: no longer name
+        # is a prefix of it, so the scan below would read the same letter
+        tokens = self._tokens
+        letters: list = []
+        for token in text.split():
+            if token not in tokens:
+                break
+            letter = tokens[token]
+            if letter:
+                letters.append(letter)
+        else:
+            return Word(self, reduce_letters(letters))
         # longest-match tokenization so multi-character names work unspaced
         by_len = self._by_length
-        letters: list[Letter] = []
+        letters = []
         pos = 0
         while pos < len(text):
             if text[pos].isspace():
@@ -161,8 +182,8 @@ class Word:
     def __eq__(self, other):
         return (
             isinstance(other, Word)
-            and self.group == other.group
             and self.letters == other.letters
+            and (self.group is other.group or self.group == other.group)
         )
 
     def __hash__(self):
@@ -197,8 +218,13 @@ class Word:
         return result
 
     def conjugate(self, g: "Word") -> "Word":
-        """g^-1 * self * g."""
-        return g.inverse() * self * g
+        """g^-1 * self * g, reduced once; the word itself when g is trivial."""
+        if g.group is not self.group and g.group != self.group:
+            raise DomainError("words from different groups")
+        if not g.letters:
+            return self
+        inv = tuple(_inv(l) for l in reversed(g.letters))
+        return Word(self.group, reduce_letters(inv + self.letters + g.letters))
 
     def is_identity(self) -> bool:
         return not self.letters
@@ -340,12 +366,15 @@ def canonical_conjugate(words: Sequence[Word]) -> Tuple[Tuple[Word, ...], Word]:
     words = tuple(words)
     if not words:
         raise DomainError("empty tuple has no canonical conjugate")
-    if len(words) == 1:
-        return _canonical_single(words[0])
     group = words[0].group
-    for w in words:
+    for w in words[1:]:
         if w.group != group:
             raise DomainError("tuple entries from different groups")
+    if group.rank == 1:
+        # F_1 is abelian: the tuple is its own only conjugate
+        return words, group.identity()
+    if len(words) == 1:
+        return _canonical_single(words[0])
     return _canonical_plateau(group, words)
 
 

@@ -42,7 +42,8 @@ class GroupSlot:
 
     Slots of one free rank share one free group, so the words of every
     slot element of that rank live in the same `FreeGroup` object; a slot's
-    generators and their names are built once per slot."""
+    generators, their names and its identity are built once per slot and
+    shared, which is safe because slot elements are immutable."""
 
     free_rank: int
     has_center: bool
@@ -50,6 +51,19 @@ class GroupSlot:
     def __post_init__(self):
         if self.free_rank < 1:
             raise DomainError("slot free rank must be >= 1")
+        object.__setattr__(self, "_hash", hash((self.free_rank, self.has_center)))
+
+    # the dataclass's comparison and hash, with a shortcut for the shared
+    # instance of each kind (`from_kind`) and the hash computed once
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, GroupSlot):
+            return NotImplemented
+        return (self.free_rank, self.has_center) == (other.free_rank, other.has_center)
+
+    def __hash__(self):
+        return self._hash
 
     @cached_property
     def free_group(self) -> FreeGroup:
@@ -62,6 +76,10 @@ class GroupSlot:
         if self.has_center:
             gens.append(SlotElement(self, group.identity(), 1))
         return tuple(gens)
+
+    @cached_property
+    def _identity(self) -> "SlotElement":
+        return SlotElement(self, self.free_group.identity(), 0)
 
     @cached_property
     def _gen_names(self) -> Tuple[str, ...]:
@@ -81,7 +99,9 @@ class GroupSlot:
         return list(self._gen_names)
 
     def identity(self) -> "SlotElement":
-        return SlotElement(self, self.free_group.identity(), 0)
+        """The identity element: one shared immutable object per slot, as
+        each generator is."""
+        return self._identity
 
     def element(self, word: Word, center: int = 0) -> "SlotElement":
         return SlotElement(self, word, center)
@@ -95,18 +115,25 @@ class GroupSlot:
         return list(self._generators)
 
     def parse(self, text: str) -> "SlotElement":
-        """`w * c^k`, `c^k`, or a bare free-part word; `1` is the identity."""
+        """`w * c^k`, `c^k`, or a bare free-part word; `1` is the identity.
+        Every `*` factor must be non-empty: `x0 ** c` and `* c` are input
+        errors, not `x0 * c` and `c`."""
         center = 0
         word_parts = []
-        for part in text.split("*"):
+        factors = text.split("*")
+        for part in factors:
             part = part.strip()
             if part == "c" or part.startswith("c^"):
                 if not self.has_center:
                     raise FormatError("slot has no center")
                 center += 1 if part == "c" else parse_int(part[2:], "center exponent")
-            else:
+            elif part or len(factors) == 1:
                 word_parts.append(part)
+            else:
+                raise FormatError(f"empty factor in slot element {text.strip()!r}")
         word = self.free_group.parse(" ".join(word_parts))
+        if not word.letters and not center:
+            return self._identity
         return SlotElement(self, word, center)
 
     @staticmethod
@@ -153,8 +180,13 @@ class SlotElement:
         return SlotElement(self.slot, self.word.inverse(), -self.center)
 
     def conjugate(self, g: "SlotElement") -> "SlotElement":
-        """g^-1 * self * g; the center coordinate is untouched."""
-        return SlotElement(self.slot, self.word.conjugate(g.word), self.center)
+        """g^-1 * self * g; the center coordinate is untouched.  Slots of
+        free rank 1 (Z and Z^2) are abelian, so there, and whenever g's free
+        part is trivial, this is the element itself, with no word work."""
+        if self.slot.free_rank == 1 and g.slot.free_rank == 1:
+            return self
+        word = self.word.conjugate(g.word)
+        return self if word is self.word else SlotElement(self.slot, word, self.center)
 
     def is_identity(self) -> bool:
         return self.word.is_identity() and self.center == 0
@@ -237,6 +269,8 @@ class SlotHom:
     def apply(self, x: SlotElement) -> SlotElement:
         if x.slot != self.src:
             raise DomainError("element from the wrong slot")
+        if self._maps_identically:
+            return x
         # the images' letters reduced once: the element that multiplying
         # them one at a time gives
         letters: List = []
@@ -250,6 +284,12 @@ class SlotHom:
             letters.extend((img.word.letters if x.center > 0 else img.word.inverse().letters) * abs(x.center))
             center += x.center * img.center
         return SlotElement(self.dst, Word(self.dst.free_group, reduce_letters(letters)), center)
+
+    @cached_property
+    def _maps_identically(self) -> bool:
+        """Whether each generator is its own image, so that `apply` is the
+        identity; read once per map."""
+        return self.src == self.dst and self.images == self.src._generators
 
     @cached_property
     def expresser(self) -> BasisExpresser:
@@ -475,9 +515,7 @@ class SlotIso(SlotHom):
         return SlotIso(self.dst, self.src, tuple(inv_images))
 
     def is_identity(self) -> bool:
-        return self.src == self.dst and all(
-            img == self.src.generator(i) for i, img in enumerate(self.images)
-        )
+        return self._maps_identically
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +547,13 @@ class GraphOfGroups:
         self.vertex_slots = dict(vertex_slots)
         self.edge_slots = dict(edge_slots)
         self.injections = dict(injections)
-        # oriented edge -> (initial vertex, terminal vertex)
+        # oriented edge -> (initial vertex, terminal vertex), and the
+        # oriented edges in `oriented_edges` order
         self._ends: Dict[str, Tuple[str, str]] = {}
-        for e, (u, v) in self.edge_ends.items():
-            self._ends[e], self._ends[bar(e)] = (u, v), (v, u)
+        for e in self.edge_names:
+            u, v = self.edge_ends[e]
+            self._ends[e], self._ends[e + "~"] = (u, v), (v, u)
+        self._oriented = tuple(self._ends)
         self._validate()
 
     def _validate(self):
@@ -524,22 +565,19 @@ class GraphOfGroups:
         for v in self.vertices:
             if v not in self.vertex_slots:
                 raise DomainError(f"vertex {v} has no slot")
-        for e in self.edge_names:
-            for oe in (e, bar(e)):
-                hom = self.injections.get(oe)
-                if hom is None:
-                    raise DomainError(f"missing injection for {oe}")
-                if hom.src != self.edge_slots[e]:
-                    raise DomainError(f"injection source mismatch on {oe}")
-                if hom.dst != self.vertex_slots[self.term(oe)]:
-                    raise DomainError(f"injection target mismatch on {oe}")
-                validate_injection(hom)
+        for oe in self._oriented:
+            hom = self.injections.get(oe)
+            if hom is None:
+                raise DomainError(f"missing injection for {oe}")
+            if hom.src != self.edge_slots[unoriented(oe)]:
+                raise DomainError(f"injection source mismatch on {oe}")
+            if hom.dst != self.vertex_slots[self._ends[oe][1]]:
+                raise DomainError(f"injection target mismatch on {oe}")
+            validate_injection(hom)
 
     def oriented_edges(self) -> List[str]:
-        out = []
-        for e in self.edge_names:
-            out.extend((e, bar(e)))
-        return out
+        """e, e~ for each edge e, in the order of `edge_names`."""
+        return list(self._oriented)
 
     def init(self, edge: str) -> str:
         return self._ends[edge][0]
@@ -557,6 +595,8 @@ class GraphOfGroups:
         return self.injections[edge]
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, GraphOfGroups)
             and self.vertices == other.vertices
@@ -575,9 +615,12 @@ class GraphOfGroups:
 
 
 class BassWord:
-    """Alternating g0 e1 g1 ... en gn with the path condition t(ej) == i(ej+1)."""
+    """Alternating g0 e1 g1 ... en gn with the path condition t(ej) == i(ej+1).
 
-    __slots__ = ("gog", "start", "parts")
+    The path is walked once, at construction, which checks it and keeps
+    the vertex it ends at as `end`."""
+
+    __slots__ = ("gog", "start", "parts", "end")
 
     def __init__(self, gog: GraphOfGroups, start: str, parts: Sequence):
         self.gog = gog
@@ -585,24 +628,20 @@ class BassWord:
         parts = tuple(parts)
         if len(parts) % 2 == 0:
             raise DomainError("Bass word must alternate g0 e1 g1 ... gn")
+        slots, ends = gog.vertex_slots, gog._ends
         at = start
         for k, item in enumerate(parts):
             if k % 2 == 0:
-                if not isinstance(item, SlotElement) or item.slot != gog.vslot(at):
+                slot = slots[at]
+                if not isinstance(item, SlotElement) or (item.slot is not slot and item.slot != slot):
                     raise DomainError(f"element at position {k} is not in G_{at}")
             else:
-                if gog.init(item) != at:
+                step = ends.get(item)
+                if step is None or step[0] != at:
                     raise DomainError(f"edge {item} does not start at {at}")
-                at = gog.term(item)
+                at = step[1]
         self.parts = parts
-
-    @property
-    def end(self) -> str:
-        at = self.start
-        for k, item in enumerate(self.parts):
-            if k % 2 == 1:
-                at = self.gog.term(item)
-        return at
+        self.end = at
 
     def is_loop(self) -> bool:
         return self.start == self.end
@@ -648,6 +687,8 @@ class BassWord:
     def __eq__(self, other):
         if not isinstance(other, BassWord):
             return False
+        if self.start == other.start and self.parts == other.parts and self.gog == other.gog:
+            return True  # the same word reduces to the same form
         a, b = self.reduced(), other.reduced()
         return a.gog == b.gog and a.start == b.start and a.parts == b.parts
 
@@ -916,7 +957,10 @@ class DehnTwist:
     (Id_X, (Id_v), (Id_e), (gamma_e)) with gamma_edge == z and every other
     gamma trivial.  The Bass diagram holds iff z centralizes i_edge(G_edge),
     the only condition checked here; it runs for every twist, those of
-    `small_modular_generators` included."""
+    `small_modular_generators` included, and a twist built from outside is
+    checked the same way.  At Z and Z^2 vertices the check costs no word
+    work (`SlotElement.conjugate`), and a twist by a central element or by
+    the identity conjugates nothing either."""
 
     gog: GraphOfGroups
     edge: str
@@ -995,11 +1039,13 @@ def section_lines(text: str) -> List[Tuple[Optional[str], str]]:
     the first `[section]` header)."""
     out: List[Tuple[Optional[str], str]] = []
     section = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
+    for line in text.splitlines():
+        if "#" in line:
+            line = line[: line.index("#")]
+        line = line.strip()
         if not line:
             continue
-        if line.startswith("["):
+        if line[0] == "[":
             section = line.strip("[]").lower()
         else:
             out.append((section, line))
@@ -1022,25 +1068,31 @@ def gog_from_lines(lines: Sequence[Tuple[Optional[str], str]]) -> GraphOfGroups:
     edge_slots: Dict[str, GroupSlot] = {}
     # oriented edge -> generator name -> (image text, line)
     raw_injections: Dict[str, Dict[str, Tuple[str, str]]] = {}
+    # slot kinds and injections met so far in this text: the same few recur
+    # on every block, and slots and their homomorphisms are immutable
+    kinds: Dict[str, GroupSlot] = {}
+    homs: Dict[tuple, SlotHom] = {}
+
+    def kind(text: str) -> GroupSlot:
+        if text not in kinds:
+            kinds[text] = _parse_slot_kind(text)
+        return kinds[text]
+
     for section, line in lines:
-        if section == "vertices":
-            name, _, kind_text = line.partition(":")
-            vertex_slots[name.strip()] = _parse_slot_kind(kind_text)
+        if section == "injections":
+            edge, _, rest = line.partition(":")
+            gen, _, image = rest.partition("->")
+            raw_injections.setdefault(edge.strip(), {})[gen.strip()] = (image.strip(), line)
         elif section == "edges":
             name, _, rest = line.partition(":")
             name = name.strip()
             head, _, slot_text = rest.partition("(")
             u, _, v = head.partition("-->")
-            u, v = u.strip().rstrip("-").strip(), v.strip()
-            edge_ends[name] = (u, v)
-            if slot_text:
-                edge_slots[name] = _parse_slot_kind(slot_text.rstrip(")"))
-            else:
-                edge_slots[name] = GroupSlot.from_kind("z")
-        elif section == "injections":
-            edge, _, rest = line.partition(":")
-            gen, _, image = rest.partition("->")
-            raw_injections.setdefault(edge.strip(), {})[gen.strip()] = (image.strip(), line)
+            edge_ends[name] = (u.strip().rstrip("-").strip(), v.strip())
+            edge_slots[name] = kind(slot_text.rstrip(")") if slot_text else "z")
+        elif section == "vertices":
+            name, _, kind_text = line.partition(":")
+            vertex_slots[name.strip()] = kind(kind_text)
         elif section is None:
             raise FormatError(f"line outside a known section: {line!r}")
     injections: Dict[str, SlotHom] = {}
@@ -1055,15 +1107,20 @@ def gog_from_lines(lines: Sequence[Tuple[Optional[str], str]]) -> GraphOfGroups:
             if table is None:
                 raise FormatError(f"missing [injections] for {oe}")
             dst = vertex_slots[target]
-            images = []
-            for name in names:
-                if name not in table:
-                    raise FormatError(f"injection {oe} misses generator {name}")
-                images.append(dst.parse(table[name][0]))
+            key = (eslot, dst, tuple(table[name][0] if name in table else None for name in names))
+            hom = homs.get(key)
+            if hom is None:
+                images = []
+                for name, text in zip(names, key[2]):
+                    if text is None:
+                        raise FormatError(f"injection {oe} misses generator {name}")
+                    images.append(dst.parse(text))
             if len(table) != len(names):
                 line = next(line for gen, (_, line) in table.items() if gen not in names)
                 raise FormatError(f"injection line {line!r}: edge {e} has no generator of that name")
-            injections[oe] = SlotHom(eslot, dst, tuple(images))
+            if hom is None:
+                hom = homs[key] = SlotHom(eslot, dst, tuple(images))
+            injections[oe] = hom
     for oe, table in raw_injections.items():
         if oe not in injections:
             line = next(iter(table.values()))[1]

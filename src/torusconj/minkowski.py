@@ -135,9 +135,6 @@ class RealizingGraph:
     nvertices: int
     edges: Tuple[Tuple[int, int], ...]
 
-    def betti(self) -> int:
-        return len(self.edges) - self.nvertices + 1
-
     def degrees(self) -> List[int]:
         deg = [0] * self.nvertices
         for u, v in self.edges:
@@ -367,10 +364,6 @@ class GraphMarking:
         if aut is None:
             raise AssertionError("graph symmetry failed to give an automorphism")
         return aut
-
-
-def symmetry_to_automorphism(graph: RealizingGraph, sym: GraphSymmetry, group: FreeGroup) -> FreeAut:
-    return GraphMarking.of(graph).automorphism(sym, group)
 
 
 # ---------------------------------------------------------------------------

@@ -982,6 +982,9 @@ def parse_whitelist(text: str, jsj_a: JSJInput, jsj_b: JSJInput) -> WhiteList:
     each listing comma-separated images of all slot generators."""
     out: WhiteList = {}
     current: Optional[Tuple[str, str]] = None
+    # the candidate of each (source slot, target slot, line) met so far: the
+    # same few lines recur for every vertex pair, and slot maps are immutable
+    isos: Dict[tuple, SlotIso] = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -1001,6 +1004,10 @@ def parse_whitelist(text: str, jsj_a: JSJInput, jsj_b: JSJInput) -> WhiteList:
                 raise FormatError("iso line outside a candidates section")
             src_slot = jsj_a.gog.vslot(current[0])
             dst_slot = jsj_b.gog.vslot(current[1])
+            key = (src_slot, dst_slot, line)
+            if key in isos:
+                out[current].append(isos[key])
+                continue
             images = []
             for chunk in line[len("iso:"):].split(","):
                 name, _, image = chunk.partition("->")
@@ -1010,7 +1017,8 @@ def parse_whitelist(text: str, jsj_a: JSJInput, jsj_b: JSJInput) -> WhiteList:
                 raise FormatError(
                     f"candidate must list images of {names} in order"
                 )
-            out[current].append(SlotIso(src_slot, dst_slot, tuple(img for _, img in images)))
+            isos[key] = SlotIso(src_slot, dst_slot, tuple(img for _, img in images))
+            out[current].append(isos[key])
             continue
         raise FormatError(f"bad whitelist line: {line!r}")
     return out
@@ -1025,13 +1033,6 @@ def serialize_whitelist(whitelist: WhiteList, jsj_a: JSJInput) -> str:
             parts = [f"{n} -> {img.format()}" for n, img in zip(names, iso.images)]
             lines.append("iso: " + " , ".join(parts))
     return "\n".join(lines) + "\n"
-
-
-def invert_whitelist(whitelist: WhiteList) -> WhiteList:
-    out: WhiteList = {}
-    for (src, dst), isos in whitelist.items():
-        out.setdefault((dst, src), []).extend(iso.inverse() for iso in isos)
-    return out
 
 
 def serialize_verdict(verdict: Verdict, jsj_a: JSJInput, jsj_b: JSJInput) -> str:

@@ -130,6 +130,15 @@ def graph_isomorphisms(g1: GraphOfGroups, g2: GraphOfGroups) -> Iterator[Tuple[D
             yield dict(vmap), emap
 
 
+def invert_whitelist(whitelist):
+    """The white candidates of the swapped pair of inputs: each candidate
+    w -> w2 inverted, as a candidate w2 -> w."""
+    out = {}
+    for (src, dst), isos in whitelist.items():
+        out.setdefault((dst, src), []).extend(iso.inverse() for iso in isos)
+    return out
+
+
 def transport_options(jsj_a, jsj_b, whitelist, b: str, b2: str):
     """Oracle for the options of the black table at (b, b2): one full
     `_edge_transport` per (edge into b, edge into b2, fop white candidate

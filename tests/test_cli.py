@@ -7,8 +7,8 @@ import sys
 import pytest
 
 from torusconj.cli import build_parser, main
-from torusconj.freegroup import FreeGroup
-from torusconj.gog import GroupSlot, SlotHom
+from torusconj.freegroup import FreeGroup, Word
+from torusconj.gog import GroupSlot, SlotElement, SlotHom
 from torusconj.pipeline import parse_jsj
 
 DATA = pathlib.Path(__file__).parent / "data" / "corpus"
@@ -293,21 +293,26 @@ def test_corpus_stdout_pinned(name, capsys):
 
 
 def _seeded_twistor_cases():
-    """40 seeded twistor pairs (Z^2 with k <= 4, F_2 x Z with k <= 3), as
-    {case id: (command, poly rank, twists a, twists b)}.  A positive b takes
-    a's blocks in another order and relabels P (x0 -> x0^-1 for Z^2, a
-    signed swap of x0 and x1 for F_2 x Z); a negative retwists one block."""
+    """48 seeded twistor pairs (Z^2 with k <= 4, F_2 x Z with k <= 3, F_3 x Z
+    with k == 1), as {case id: (command, poly rank, twists a, twists b)}.  A
+    positive b takes a's blocks in another order and relabels P (x0 -> x0^-1
+    for Z^2, a signed swap of x0 and x1 for F_2 x Z, a signed 3-cycle for
+    F_3 x Z); a negative retwists one block."""
     import random
 
     rng = random.Random("seeded-twistor-pins")
-    draws = [(1, 1), (1, 2), (1, 3), (1, 4), (1, 4), (2, 1), (2, 2), (2, 2), (2, 3), (2, 3)]
+    draws = [(1, 1), (1, 2), (1, 3), (1, 4), (1, 4), (2, 1), (2, 2), (2, 2), (2, 3), (2, 3), (3, 1), (3, 1)]
+    relabels = {
+        1: {"x0": "x0'", "x0'": "x0"},
+        2: {"x0": "x1'", "x0'": "x1", "x1": "x0", "x1'": "x0'"},
+        3: {"x0": "x1", "x0'": "x1'", "x1": "x2'", "x1'": "x2", "x2": "x0", "x2'": "x0'"},
+    }
     cases = {}
     for n, (rank, k) in enumerate(draws):
         letters = [f"x{i}{s}" for i in range(rank) for s in ("", "'")]
         twists = [" ".join(rng.choices(letters, k=rng.randint(1, 2))) for _ in range(k)]
         order = rng.sample(range(k), k)
-        relabel = {"x0": "x0'", "x0'": "x0"} if rank == 1 else {"x0": "x1'", "x0'": "x1", "x1": "x0", "x1'": "x0'"}
-        positive = [" ".join(relabel[x] for x in twists[j].split()) for j in order]
+        positive = [" ".join(relabels[rank][x] for x in twists[j].split()) for j in order]
         negative = list(twists)
         negative[rng.randrange(k)] = " ".join(rng.choices(letters, k=3))
         for command in ("decide", "conj-ung"):
@@ -480,6 +485,38 @@ SEEDED_SHA256 = {
     "09-decide-r2-k3-pos": (
         "4a0f3630abcc4c04949acee22898a897ce200f8149d20b2e7528f38c4c733119",
         "4a0f3630abcc4c04949acee22898a897ce200f8149d20b2e7528f38c4c733119",
+    ),
+    "10-conj-ung-r3-k1-neg": (
+        "f29290912d737d638e5f0f70d4f57926519849d851d7999b1cbdbbb58e6d3750",
+        "f29290912d737d638e5f0f70d4f57926519849d851d7999b1cbdbbb58e6d3750",
+    ),
+    "10-conj-ung-r3-k1-pos": (
+        "12832b83830677eec20be2c91cddd2d5a5349850660676a20ea0e9f406c39e85",
+        "12832b83830677eec20be2c91cddd2d5a5349850660676a20ea0e9f406c39e85",
+    ),
+    "10-decide-r3-k1-neg": (
+        "f08a9d7dff797b007c80d45c92e544c88c4b28797ce59cb135649c6e0d96116b",
+        "f08a9d7dff797b007c80d45c92e544c88c4b28797ce59cb135649c6e0d96116b",
+    ),
+    "10-decide-r3-k1-pos": (
+        "ac0fb27a902e68814ff6957a19009d7396cae0df0c913c395887d286d9039800",
+        "ac0fb27a902e68814ff6957a19009d7396cae0df0c913c395887d286d9039800",
+    ),
+    "11-conj-ung-r3-k1-neg": (
+        "575062c12c92c69e664b259059f86a0f4cfb0f29d1cee771b059874f401eb50a",
+        "",
+    ),
+    "11-conj-ung-r3-k1-pos": (
+        "6ad39bb9140bd29310f3c20b2eb2dbf074202833ad98db947c47a34e10c9cff4",
+        "6ad39bb9140bd29310f3c20b2eb2dbf074202833ad98db947c47a34e10c9cff4",
+    ),
+    "11-decide-r3-k1-neg": (
+        "0d18b0585f44afbb58dac41aa33b28aa9320b67cc715a2975b3a6e7457cfeb9d",
+        "",
+    ),
+    "11-decide-r3-k1-pos": (
+        "721f12aa9e272a624839ffc708530f2e1d55ae0013bfd86dc0f2f1ed78604e70",
+        "721f12aa9e272a624839ffc708530f2e1d55ae0013bfd86dc0f2f1ed78604e70",
     ),
 }
 
@@ -687,6 +724,36 @@ def test_jsj_line_naming_unknown_name_is_input_error(section, line, tmp_path, ca
     assert err.startswith("input error: ") and repr(line) in err
 
 
+@pytest.mark.parametrize(
+    "file, line, mutant, element",
+    [
+        ("alpha", "e2: x0 -> x0' * c", "e2: x0 -> x0' ** c", "x0' ** c"),
+        ("alpha", "e1: x0 -> c", "e1: x0 -> * c", "* c"),
+        ("alpha", "e2: x0 -> x0' * c", "e2: x0 -> x0' * c *", "x0' * c *"),
+        ("alpha", "h0 = B : (x0)", "h0 = B : (x0 *)", "x0 *"),
+        ("alpha", "hs = B : (1) e1~ (1) e2 (1)", "hs = B : (1 * * 1) e1~ (1) e2 (1)", "1 * * 1"),
+        ("alpha", "B : (c)", "B : (* c)", "* c"),
+        ("whitelists", "iso: x0 -> x0", "iso: x0 -> x0 *", "x0 *"),
+    ],
+    ids=["injection-double-star", "injection-leading-star", "injection-trailing-star", "fiber-trailing-star",
+         "fiber-double-star", "stable-leading-star", "whitelist-trailing-star"],
+)
+def test_empty_slot_factor_is_input_error(file, line, mutant, element, tmp_path, capsys):
+    # an empty `*` factor of a slot element is an input error that quotes
+    # the element; it was once read as nothing, so `x0 ** c` meant `x0 * c`
+    # and `* c` meant `c`, and each mutant answered conjugate
+    folder = DATA / "05_twistor_swap"
+    paths = {f: folder / f"{f}.txt" for f in ("alpha", "beta", "whitelists")}
+    text = paths[file].read_text()
+    assert f"{line}\n" in text
+    paths[file] = tmp_path / f"{file}.txt"
+    paths[file].write_text(text.replace(f"{line}\n", f"{mutant}\n", 1))
+    argv = ["conj-ung", "--alpha", str(paths["alpha"]), "--beta", str(paths["beta"])]
+    code, out, err = run_cli(argv + ["--whitelists", str(paths["whitelists"])], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: ") and repr(element) in err
+
+
 @pytest.mark.parametrize("name", [n for n in CORPUS_FOLDERS if (DATA / n / "kind.txt").read_text().strip() == "decide"])
 def test_decide_reads_stored_images(name, monkeypatch, capsys):
     # work-count guard: `decide` reads the image of a slot generator from
@@ -724,6 +791,77 @@ def test_decide_reads_stored_images(name, monkeypatch, capsys):
         gog = parse_jsj((folder / f"jsj_{side}.txt").read_text()).gog
         ranks.update(slot.free_rank for slot in (*gog.vertex_slots.values(), *gog.edge_slots.values()))
     assert len(built) <= len(ranks)
+
+
+@pytest.mark.parametrize("name", ["12_orientation_shift", "13_parity_obstruction", "14_center_inverted", "15_fiber_basis_shift"])
+def test_decide_fixed_work(name, monkeypatch, capsys):
+    # work-count guard: a slot hands out one shared identity element, and
+    # conjugating an element of a slot of free rank 1 (Z, Z^2), which is
+    # abelian, does no word work: not in the twist checks of
+    # `small_modular_generators`, nor in `validate`, nor in edge transports
+    identities, rank_one, inside = {}, [], []
+    identity, conjugate, word_conjugate = GroupSlot.identity, SlotElement.conjugate, Word.conjugate
+
+    def counting_identity(slot):
+        x = identity(slot)
+        identities.setdefault(slot, []).append(x)
+        return x
+
+    def counting_conjugate(x, g):
+        inside.append(x.slot.free_rank == 1)
+        try:
+            return conjugate(x, g)
+        finally:
+            inside.pop()
+
+    def counting_word_conjugate(w, g):
+        if inside and inside[-1]:
+            rank_one.append((w, g))
+        return word_conjugate(w, g)
+
+    monkeypatch.setattr(GroupSlot, "identity", counting_identity)
+    monkeypatch.setattr(SlotElement, "conjugate", counting_conjugate)
+    monkeypatch.setattr(Word, "conjugate", counting_word_conjugate)
+    folder = DATA / name
+    argv = ["decide", "--jsj-a", str(folder / "jsj_a.txt"), "--jsj-b", str(folder / "jsj_b.txt")]
+    code, out, _ = run_cli(argv + ["--whitelists", str(folder / "whitelists.txt")], capsys)
+    assert code == 0 and out.startswith(f"status: {(folder / 'expected.txt').read_text().strip()}\n")
+    assert identities
+    assert all(x is handed[0] for handed in identities.values() for x in handed)
+    assert rank_one == []
+
+
+@pytest.mark.parametrize("name", [n for n in CORPUS_FOLDERS if (DATA / n / "kind.txt").read_text().strip() == "conj-ung"])
+def test_monodromy_check_fold_work(name, monkeypatch):
+    # work-count guard: the labeled fold that checks a monodromy and
+    # inverts it reduces no letter sequence of its own; the only
+    # reductions left are the inverse check's, one per generator
+    from torusconj import torus
+    from torusconj.freegroup import autos, stallings, words
+
+    calls, inside = [], []
+    reduce_letters, is_automorphism = words.reduce_letters, torus.is_automorphism
+
+    def counting_reduce(letters):
+        if inside:
+            calls.append(letters)
+        return reduce_letters(letters)
+
+    def checking(group, images):
+        inside.append(True)
+        try:
+            return is_automorphism(group, images)
+        finally:
+            inside.pop()
+
+    for module in (words, autos, stallings):
+        monkeypatch.setattr(module, "reduce_letters", counting_reduce, raising=False)
+    monkeypatch.setattr(torus, "is_automorphism", checking)
+    header = dict(
+        line.split(":", 1) for line in (DATA / name / "alpha.txt").read_text().partition("[jsj]")[0].splitlines() if ":" in line
+    )
+    aut = torus.parse_monodromy(header["fiber rank"], header["monodromy"])
+    assert len(calls) == aut.group.rank
 
 
 @pytest.mark.parametrize(

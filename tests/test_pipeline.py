@@ -23,7 +23,6 @@ from torusconj.pipeline import (
     edge_group_conjugator,
     fiber_correct,
     fop_slot_isos,
-    invert_whitelist,
     parse_jsj,
     parse_whitelist,
     parse_witness,
@@ -49,7 +48,7 @@ from .corpus import (
     twistor_jsj,
 )
 from .cli_helpers import load_conj_side
-from .helpers import abelian_invariants, transport_options
+from .helpers import abelian_invariants, invert_whitelist, transport_options
 
 CORPUS = pathlib.Path(__file__).parent / "data" / "corpus"
 
