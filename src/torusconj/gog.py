@@ -118,6 +118,8 @@ class GroupSlot:
         """`w * c^k`, `c^k`, or a bare free-part word; `1` is the identity.
         Every `*` factor must be non-empty: `x0 ** c` and `* c` are input
         errors, not `x0 * c` and `c`."""
+        if text == "1":  # how `format` writes the identity, the commonest text
+            return self._identity
         center = 0
         word_parts = []
         factors = text.split("*")
@@ -1107,7 +1109,7 @@ def gog_from_lines(lines: Sequence[Tuple[Optional[str], str]]) -> GraphOfGroups:
             if table is None:
                 raise FormatError(f"missing [injections] for {oe}")
             dst = vertex_slots[target]
-            key = (eslot, dst, tuple(table[name][0] if name in table else None for name in names))
+            key = (eslot, dst, tuple([table[name][0] if name in table else None for name in names]))
             hom = homs.get(key)
             if hom is None:
                 images = []

@@ -486,8 +486,9 @@ def _edge_options(jsj_a, jsj_b, whitelist: WhiteList, b: str, b2: str, memo: dic
     options, pools = [], []
     for oe in edges:
         edge_options, pool = [], []
+        ew = bar(oe)
         for f, native, w2, same, inverse in columns:
-            for k, moved in enumerate(_moved_keys(jsj_a, jsj_b, whitelist, bar(oe), w2, memo)):
+            for k, moved in enumerate(_moved_keys(jsj_a, jsj_b, whitelist, ew, w2, memo)):
                 if moved == same:
                     pool.append(native)
                 elif moved == inverse:
