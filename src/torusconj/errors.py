@@ -1,6 +1,4 @@
-"""Shared error types and the explicit "undecided" result."""
-
-from dataclasses import dataclass
+"""Shared error types."""
 
 
 class FormatError(ValueError):
@@ -24,13 +22,3 @@ class ResourceError(RuntimeError):
 
     The message names the bound that was hit.
     """
-
-
-@dataclass(frozen=True)
-class Undecided:
-    """Honest non-answer: the bounded search neither proved nor refuted."""
-
-    reason: str
-
-    def __bool__(self):
-        return False

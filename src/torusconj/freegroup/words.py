@@ -49,8 +49,9 @@ class FreeGroup:
             raise DomainError("rank must be >= 1")
         if len(set(names)) != len(names):
             raise DomainError(f"generator names must be distinct: {names}")
+        # `parse` reads `1` as the identity and `'` as an inverse mark
         for name in names:
-            if not name or name.endswith("'") or any(ch.isspace() for ch in name):
+            if not name or name.startswith("1") or name.endswith("'") or any(ch.isspace() for ch in name):
                 raise FormatError(f"bad generator name: {name!r}")
         self.names = names
         self.rank = len(names)
@@ -58,12 +59,10 @@ class FreeGroup:
         # longest-match tokenization order for `parse`
         self._by_length = sorted(range(self.rank), key=lambda i: -len(names[i]))
         # whole tokens `parse` reads without scanning: each name and its
-        # inverse, and `1` (None); a name starting with `1` is left to the
-        # scan, which skips a leading `1` before it matches names
+        # inverse, and `1` (None)
         self._tokens = {"1": None}
         for i, name in enumerate(names):
-            if not name.startswith("1"):
-                self._tokens[name], self._tokens[name + "'"] = (i, 1), (i, -1)
+            self._tokens[name], self._tokens[name + "'"] = (i, 1), (i, -1)
         self._identity = Word(self, ())
 
     def __eq__(self, other):
@@ -144,26 +143,6 @@ class FreeGroup:
                 raise FormatError(f"unknown generator symbol at {text[pos:]!r}")
         # the letters are in range by construction: reduce, do not re-check
         return Word(self, reduce_letters(letters))
-
-    def words_of_length(self, length: int) -> Iterator["Word"]:
-        """All freely reduced words of exactly the given length, lexicographic."""
-        alphabet = [(i, s) for i in range(self.rank) for s in (1, -1)]
-        if length == 0:
-            yield self.identity()
-            return
-
-        def extend(prefix):
-            if len(prefix) == length:
-                yield Word(self, tuple(prefix))
-                return
-            for letter in alphabet:
-                if prefix and prefix[-1] == _inv(letter):
-                    continue
-                prefix.append(letter)
-                yield from extend(prefix)
-                prefix.pop()
-
-        yield from extend([])
 
 
 class Word:

@@ -31,6 +31,30 @@ from .freegroup import (
 # group slots and their elements
 
 
+CENTER = "c"  # the name of the center generator of F_k x Z slots and product markings
+
+
+def split_center(text: str) -> Tuple[str, Optional[int]]:
+    """(the free-part text, the center exponent) of an element written
+    `w * c^k`, `c^k` or as a bare free-part word, split at each `*`; the
+    exponent is None when no factor is a power of the center.  Every factor
+    must be non-empty: `x0 ** c` and `* c` are input errors, not `x0 * c`
+    and `c`."""
+    center = None
+    word_parts = []
+    factors = text.split("*")
+    for part in factors:
+        part = part.strip()
+        if part == CENTER or part.startswith(CENTER + "^"):
+            power = 1 if part == CENTER else parse_int(part[len(CENTER) + 1 :], "center exponent")
+            center = (center or 0) + power
+        elif part or len(factors) == 1:
+            word_parts.append(part)
+        else:
+            raise FormatError(f"empty factor in element {text.strip()!r}")
+    return " ".join(word_parts), center
+
+
 @lru_cache(maxsize=None)
 def _slot_free_group(rank: int) -> FreeGroup:
     return FreeGroup(tuple(f"x{i}" for i in range(rank)))
@@ -83,7 +107,7 @@ class GroupSlot:
 
     @cached_property
     def _gen_names(self) -> Tuple[str, ...]:
-        return self.free_group.names + (("c",) if self.has_center else ())
+        return self.free_group.names + ((CENTER,) if self.has_center else ())
 
     @property
     def kind(self) -> str:
@@ -115,28 +139,17 @@ class GroupSlot:
         return list(self._generators)
 
     def parse(self, text: str) -> "SlotElement":
-        """`w * c^k`, `c^k`, or a bare free-part word; `1` is the identity.
-        Every `*` factor must be non-empty: `x0 ** c` and `* c` are input
-        errors, not `x0 * c` and `c`."""
+        """`w * c^k`, `c^k`, or a bare free-part word, read by
+        `split_center`; `1` is the identity."""
         if text == "1":  # how `format` writes the identity, the commonest text
             return self._identity
-        center = 0
-        word_parts = []
-        factors = text.split("*")
-        for part in factors:
-            part = part.strip()
-            if part == "c" or part.startswith("c^"):
-                if not self.has_center:
-                    raise FormatError("slot has no center")
-                center += 1 if part == "c" else parse_int(part[2:], "center exponent")
-            elif part or len(factors) == 1:
-                word_parts.append(part)
-            else:
-                raise FormatError(f"empty factor in slot element {text.strip()!r}")
-        word = self.free_group.parse(" ".join(word_parts))
+        word_text, center = split_center(text)
+        if center is not None and not self.has_center:
+            raise FormatError("slot has no center")
+        word = self.free_group.parse(word_text)
         if not word.letters and not center:
             return self._identity
-        return SlotElement(self, word, center)
+        return SlotElement(self, word, center or 0)
 
     @staticmethod
     def from_kind(kind: str, rank: int = 1) -> "GroupSlot":
@@ -208,7 +221,7 @@ class SlotElement:
         if not self.word.is_identity():
             parts.append(self.word.format())
         if self.center:
-            parts.append("c" if self.center == 1 else f"c^{self.center}")
+            parts.append(CENTER if self.center == 1 else f"{CENTER}^{self.center}")
         return " * ".join(parts)
 
     def __repr__(self):

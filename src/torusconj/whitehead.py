@@ -2,10 +2,11 @@
 
 A marking stores an ordered sequence of classes; each class is a tuple of
 words up to simultaneous conjugation, held in canonical form.  Orbit
-decisions run minimize-then-connect: greedy descent through the finite
-Whitehead move alphabet, then a breadth-first search through the
-length-preserving type-II moves at the minimal level (peak reduction) to a
-signed relabelling of the goal.
+decisions run minimize-then-connect: greedy descent through the type-II
+Whitehead moves that can shorten a marking, then a breadth-first search
+through the length-preserving ones at the minimal level (peak reduction) to
+a signed relabelling of the goal.  Each move's images and inverse images
+are built from its definition.
 
 The fiber-and-orientation variant for products H x <c> reduces to the plain
 problem on the H-parts: such automorphisms fix the center and preserve the
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import DomainError, FormatError, parse_int
+from .errors import DomainError, FormatError
 from .freegroup import (
     FreeAut,
     FreeGroup,
@@ -27,9 +28,9 @@ from .freegroup import (
     Word,
     canonical_conjugate,
     conjugacy_length,
-    is_automorphism,
     reduce_letters,
 )
+from .gog import CENTER, split_center
 
 # ---------------------------------------------------------------------------
 # markings
@@ -81,7 +82,7 @@ class Marking:
 
 
 # ---------------------------------------------------------------------------
-# the Whitehead move alphabet
+# Whitehead moves
 
 
 @dataclass(frozen=True)
@@ -125,42 +126,6 @@ def _apply_table(table, w: Word) -> Word:
     return Word(w.group, reduce_letters(letters))
 
 
-@lru_cache(maxsize=None)
-def move_alphabet(group: FreeGroup) -> Tuple[WhiteheadMove, ...]:
-    """Every nonidentity Whitehead move of the given rank, fixed order."""
-    n = group.rank
-    moves: List[WhiteheadMove] = []
-    # type I: signed permutations of the generators
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((1, -1), repeat=n):
-            if perm == tuple(range(n)) and all(s == 1 for s in signs):
-                continue
-            images = [group.word([(perm[i], signs[i])]) for i in range(n)]
-            aut = is_automorphism(group, images)
-            moves.append(WhiteheadMove("perm", (perm, signs), aut))
-    # type II: multiplier v and cut Y containing v but not v^-1;
-    # x -> (v^-1 if x^-1 in Y) x (v if x in Y) for x not the v-generator
-    letters = [(i, s) for i in range(n) for s in (1, -1)]
-    for v in letters:
-        others = [l for l in letters if l[0] != v[0]]
-        for size in range(1, len(others) + 1):
-            for subset in itertools.combinations(others, size):
-                chosen = frozenset(subset)
-                images = []
-                for i in range(n):
-                    if i == v[0]:
-                        images.append(group.generator(i))
-                        continue
-                    pre = [(v[0], -v[1])] if (i, -1) in chosen else []
-                    post = [v] if (i, 1) in chosen else []
-                    images.append(group.word(pre + [(i, 1)] + post))
-                aut = is_automorphism(group, images)
-                if aut is None:
-                    raise AssertionError("Whitehead move failed to be an automorphism")
-                moves.append(WhiteheadMove("mult", (v, tuple(sorted(chosen))), aut))
-    return tuple(moves)
-
-
 # ---------------------------------------------------------------------------
 # length changes read off the Whitehead graph
 #
@@ -183,32 +148,49 @@ def _letter_index(letter: Letter) -> int:
 @lru_cache(maxsize=None)
 def _type_two_cuts(group: FreeGroup) -> Tuple[Tuple[WhiteheadMove, int, Tuple[int, ...]], ...]:
     """(move, index of v, flat indices a * width + b with a in Y and b not
-    in Y) for each type-II move of `move_alphabet(group)` that can give a
-    marking no other move gives, in its order.
+    in Y) for each type-II move tau_{v,Y} that can give a marking no other
+    move gives, with data (v, Y - {v} sorted): v each generator in order,
+    and for each its cuts by size, in combination order of the other letters.
 
-    Markings are conjugacy classes, so two kinds of move only repeat an
-    image, L being the set of all letters.  tau_{v, L - {v^-1}} sends each
-    x to v^-1 x v, so its image is the marking itself (an inner move).  And
-    tau_{v^-1, L - Y}(x) == v tau_{v,Y}(x) v^-1, so the two moves of such a
-    complementary pair give the same image and the same length change.  The
-    table holds no inner move and only the earlier member, in alphabet
-    order, of each pair: 4 of the 12 type-II moves at rank 2, 42 of 90 at
-    rank 3 and 248 of 504 at rank 4."""
-    width = 2 * group.rank
-    letters = frozenset(range(width))
-    kept = set()
+    tau_{v,Y} fixes v and sends each other generator x to
+    (v^-1 if x^-1 in Y) x (v if x in Y); its inverse trades v for v^-1
+    there.  Markings are conjugacy classes, so two kinds of move only repeat
+    an image, L being the set of all letters.  tau_{v, L - {v^-1}} sends
+    each x to v^-1 x v, so its image is the marking itself (an inner move).
+    And tau_{v^-1, L - Y}(x) == v tau_{v,Y}(x) v^-1, so the two moves of
+    such a complementary pair give the same image and the same length
+    change.  The table holds no inner move and, of each pair, the member
+    whose multiplier is a generator: 4 of the 12 type-II moves at rank 2,
+    42 of 90 at rank 3 and 248 of 504 at rank 4."""
+    n, width = group.rank, 2 * group.rank
     table = []
-    for move in move_alphabet(group):
-        if move.kind == "mult":
-            v, chosen = move.data
-            v = _letter_index(v)
-            cut = frozenset(_letter_index(x) for x in chosen) | {v}
-            if len(cut) == width - 1 or (v ^ 1, letters - cut) in kept:
-                continue
-            kept.add((v, cut))
-            cross = tuple(a * width + b for a in sorted(cut) for b in range(width) if b not in cut)
-            table.append((move, v, cross))
+    for g in range(n):
+        others = [(i, s) for i in range(n) if i != g for s in (1, -1)]
+        # every other letter in Y gives the inner move
+        for size in range(1, len(others)):
+            for chosen in itertools.combinations(others, size):
+                aut = FreeAut(group, _multiplied(group, g, chosen, 1), _multiplied(group, g, chosen, -1))
+                move = WhiteheadMove("mult", ((g, 1), tuple(sorted(chosen))), aut)
+                cut = {2 * g} | {_letter_index(x) for x in chosen}
+                cross = tuple(a * width + b for a in sorted(cut) for b in range(width) if b not in cut)
+                table.append((move, 2 * g, cross))
     return tuple(table)
+
+
+def _multiplied(group: FreeGroup, g: int, chosen: Sequence[Letter], e: int) -> List[Word]:
+    """x -> (v^-e if x^-1 in Y) x (v^e if x in Y) on each generator x, for
+    v == x_g and Y - {v} == `chosen`: the images of tau_{v,Y} (e == 1) or of
+    its inverse (e == -1).  Each is reduced, as `chosen` holds no letter
+    of v's generator."""
+    images = []
+    for i in range(group.rank):
+        letters = [(i, 1)]
+        if (i, -1) in chosen:
+            letters.insert(0, (g, -e))
+        if (i, 1) in chosen:
+            letters.append((g, e))
+        images.append(Word(group, tuple(letters)))
+    return images
 
 
 def _whitehead_graph(m: Marking) -> Optional[Tuple[List[int], List[int]]]:
@@ -241,9 +223,9 @@ def _moves_changing_length(
     whose length change passes `keep`; type-I moves never change length.
     The type-II moves left out of that table (8 of 12 at rank 2, 48 of 90
     at rank 3, 256 of 504 at rank 4) would yield nothing new: an inner move
-    gives `m` itself, and the later member, in alphabet order, of a
-    complementary pair gives the image and length change of the earlier
-    one.  Single-word classes apply only the moves that pass `keep`;
+    gives `m` itself, and the member of a complementary pair whose
+    multiplier is an inverse gives the image and length change of the
+    other.  Single-word classes apply only the moves that pass `keep`;
     classes of several words apply every move of the table, measure each
     image by `conjugacy_length` and canonicalize only the images kept."""
     graph = _whitehead_graph(m)
@@ -350,16 +332,30 @@ def _level_walk(start: Marking) -> Iterator[Tuple[Marking, List[WhiteheadMove]]]
 
 @lru_cache(maxsize=None)
 def _relabellings(group: FreeGroup) -> Tuple[Tuple[WhiteheadMove, WhiteheadMove, Tuple[int, ...]], ...]:
-    """(sigma, sigma^-1, pre) for each type-I move sigma of the alphabet,
-    where pre[y] is the index of the letter that sigma sends to letter y."""
-    perms = {move.aut: move for move in move_alphabet(group) if move.kind == "perm"}
+    """(sigma, sigma^-1, pre) for each type-I move sigma, the signed
+    generator permutations other than the identity: permutations in
+    lexicographic order, each with its signs in product order of (1, -1).
+    Data (perm, signs) sends generator i to x_{perm[i]}^{signs[i]}; its
+    inverse is (q, the signs permuted by q), q being the inverse
+    permutation.  pre[y] is the index of the letter that sigma sends to
+    letter y."""
+    n = group.rank
+    words = {(i, s): Word(group, ((i, s),)) for i in range(n) for s in (1, -1)}
+    identity = tuple(range(n))
     table = []
-    for aut, move in perms.items():
-        pre = [0] * (2 * group.rank)
-        for i, image in enumerate(aut.images):
-            y = _letter_index(image.letters[0])
-            pre[y], pre[y ^ 1] = 2 * i, 2 * i + 1
-        table.append((move, perms[aut.inverse()], tuple(pre)))
+    for perm in itertools.permutations(identity):
+        q = tuple(sorted(identity, key=perm.__getitem__))  # q[perm[i]] == i
+        for signs in itertools.product((1, -1), repeat=n):
+            if perm == identity and -1 not in signs:
+                continue
+            q_signs = tuple(signs[j] for j in q)
+            aut = FreeAut(group, [words[x] for x in zip(perm, signs)], [words[x] for x in zip(q, q_signs)])
+            pre = [0] * (2 * n)
+            for i, x in enumerate(zip(perm, signs)):
+                y = _letter_index(x)
+                pre[y], pre[y ^ 1] = 2 * i, 2 * i + 1
+            sigma = WhiteheadMove("perm", (perm, signs), aut)
+            table.append((sigma, WhiteheadMove("perm", (q, q_signs), aut.inverse()), tuple(pre)))
     return tuple(table)
 
 
@@ -434,8 +430,6 @@ def _level_path(start: Marking, goal: Marking) -> Optional[List[WhiteheadMove]]:
 # ---------------------------------------------------------------------------
 # the F x Z variant
 
-CENTER = "c"  # the name of the center generator in product markings
-
 
 @dataclass(frozen=True)
 class ProductGroup:
@@ -500,23 +494,10 @@ class ProductMarking:
                 raise FormatError(f"marking entry must be bracketed: {chunk!r}")
             entry = []
             for part in chunk[1:-1].split(","):
-                entry.append(_parse_product_element(product, part.strip()))
+                word_text, center = split_center(part)
+                entry.append((product.free.parse(word_text), center or 0))
             classes.append(entry)
         return ProductMarking.of(product, classes)
-
-
-def _parse_product_element(product: ProductGroup, text: str) -> Tuple[Word, int]:
-    center = 0
-    word_parts = []
-    for factor in text.split("*"):
-        factor = factor.strip()
-        if factor == CENTER:
-            center += 1
-        elif factor.startswith(CENTER + "^"):
-            center += parse_int(factor[len(CENTER) + 1 :], "center exponent")
-        else:
-            word_parts.append(factor)
-    return product.free.parse(" ".join(word_parts)), center
 
 
 def mwp_product(m1: ProductMarking, m2: ProductMarking) -> Tuple[bool, Optional[FreeAut]]:

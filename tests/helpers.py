@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import lru_cache
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from torusconj.fibercorrect import smith_normal_form, solve_linear_system, solve_with_nullspace
-from torusconj.freegroup import FreeGroup, Word
+from torusconj.freegroup import FreeGroup, Word, is_automorphism
 from torusconj.gog import GraphOfGroups, SlotElement, SlotIso, bar
 from torusconj.minkowski import RealizingGraph
-from torusconj.whitehead import ProductGroup, ProductMarking, mwp_product
+from torusconj.whitehead import ProductGroup, ProductMarking, WhiteheadMove, mwp_product
 
 
 def random_word(rng: random.Random, group: FreeGroup, max_len: int) -> Word:
@@ -25,6 +26,65 @@ def random_nontrivial_word(rng: random.Random, group: FreeGroup, max_len: int) -
         w = random_word(rng, group, max_len)
         if not w.is_identity():
             return w
+
+
+def words_of_length(group: FreeGroup, length: int) -> Iterator[Word]:
+    """All freely reduced words of exactly the given length, lexicographic."""
+    alphabet = [(i, s) for i in range(group.rank) for s in (1, -1)]
+    if length == 0:
+        yield group.identity()
+        return
+
+    def extend(prefix):
+        if len(prefix) == length:
+            yield Word(group, tuple(prefix))
+            return
+        for letter in alphabet:
+            if prefix and prefix[-1] == (letter[0], -letter[1]):
+                continue
+            prefix.append(letter)
+            yield from extend(prefix)
+            prefix.pop()
+
+    yield from extend([])
+
+
+@lru_cache(maxsize=None)
+def move_alphabet(group: FreeGroup) -> Tuple[WhiteheadMove, ...]:
+    """Every nonidentity Whitehead move of the given rank, fixed order: the
+    oracle for the move tables of `torusconj.whitehead`, each move folded
+    by `is_automorphism`."""
+    n = group.rank
+    moves: List[WhiteheadMove] = []
+    # type I: signed permutations of the generators
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            if perm == tuple(range(n)) and all(s == 1 for s in signs):
+                continue
+            images = [group.word([(perm[i], signs[i])]) for i in range(n)]
+            aut = is_automorphism(group, images)
+            moves.append(WhiteheadMove("perm", (perm, signs), aut))
+    # type II: multiplier v and cut Y containing v but not v^-1;
+    # x -> (v^-1 if x^-1 in Y) x (v if x in Y) for x not the v-generator
+    letters = [(i, s) for i in range(n) for s in (1, -1)]
+    for v in letters:
+        others = [l for l in letters if l[0] != v[0]]
+        for size in range(1, len(others) + 1):
+            for subset in itertools.combinations(others, size):
+                chosen = frozenset(subset)
+                images = []
+                for i in range(n):
+                    if i == v[0]:
+                        images.append(group.generator(i))
+                        continue
+                    pre = [(v[0], -v[1])] if (i, -1) in chosen else []
+                    post = [v] if (i, 1) in chosen else []
+                    images.append(group.word(pre + [(i, 1)] + post))
+                aut = is_automorphism(group, images)
+                if aut is None:
+                    raise AssertionError("Whitehead move failed to be an automorphism")
+                moves.append(WhiteheadMove("mult", (v, tuple(sorted(chosen))), aut))
+    return tuple(moves)
 
 
 def subgroup_elements_up_to(group: FreeGroup, generators: List[Word], max_len: int) -> set:

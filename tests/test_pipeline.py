@@ -6,7 +6,7 @@ import random
 import pytest
 
 from torusconj.cli import _auto_whitelist
-from torusconj.errors import DomainError, Undecided
+from torusconj.errors import DomainError
 from torusconj.fibercorrect import OrientationFunctional
 from torusconj.freegroup import FreeAut, FreeGroup, is_automorphism, nielsen_generators
 from torusconj.gog import GroupSlot, SlotElement, SlotIso, validate

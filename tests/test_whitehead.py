@@ -5,7 +5,7 @@ import random
 import pytest
 
 from torusconj.errors import DomainError
-from torusconj.freegroup import FreeAut, FreeGroup, inner_conjugator, is_automorphism, nielsen_generators
+from torusconj.freegroup import FreeAut, FreeGroup, autos, inner_conjugator, is_automorphism, nielsen_generators
 from torusconj.whitehead import (
     Marking,
     ProductGroup,
@@ -21,12 +21,11 @@ from torusconj.whitehead import (
     compose_moves,
     level_component,
     minimize,
-    move_alphabet,
     mwp_product,
     same_orbit,
 )
 
-from .helpers import random_word
+from .helpers import move_alphabet, random_word, words_of_length
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3)
@@ -305,6 +304,77 @@ class TestRedundantMoves:
             for move, partner in dropped.items():
                 expected = m if partner is None else partner.apply_marking(m)
                 assert move.apply_marking(m) == expected, f"{move} on {m.format()}"
+
+
+def oracle_type_two_cuts(group):
+    """`_type_two_cuts` read off the oracle alphabet: its type-II moves in
+    order, less each inner move and the later member of each
+    complementary pair."""
+    width = 2 * group.rank
+    letters = frozenset(range(width))
+    kept = set()
+    table = []
+    for move in move_alphabet(group):
+        if move.kind == "mult":
+            v, chosen = move.data
+            v = 2 * v[0] + (v[1] < 0)
+            cut = frozenset(2 * i + (s < 0) for i, s in chosen) | {v}
+            if len(cut) == width - 1 or (v ^ 1, letters - cut) in kept:
+                continue
+            kept.add((v, cut))
+            cross = tuple(a * width + b for a in sorted(cut) for b in range(width) if b not in cut)
+            table.append((move, v, cross))
+    return table
+
+
+def oracle_relabellings(group):
+    """`_relabellings` read off the oracle alphabet: (sigma, sigma^-1, pre)
+    for its type-I moves in order, sigma^-1 found by its automorphism."""
+    perms = {move.aut: move for move in move_alphabet(group) if move.kind == "perm"}
+    table = []
+    for aut, move in perms.items():
+        pre = [0] * (2 * group.rank)
+        for i, image in enumerate(aut.images):
+            (j, s), = image.letters
+            y = 2 * j + (s < 0)
+            pre[y], pre[y ^ 1] = 2 * i, 2 * i + 1
+        table.append((move, perms[aut.inverse()], tuple(pre)))
+    return table
+
+
+def move_key(move):
+    # `FreeAut.__eq__` compares images only
+    return move.kind, move.data, move.aut.images, move.aut.inverse_images
+
+
+class TestMoveTables:
+    """The move tables built from each move's definition equal those read
+    off the folded oracle alphabet, in order, inverse images included."""
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_tables_match_the_oracle_alphabet(self, rank):
+        group = FreeGroup(rank)
+        built = [(move_key(move), v, cross) for move, v, cross in _type_two_cuts(group)]
+        assert built == [(move_key(move), v, cross) for move, v, cross in oracle_type_two_cuts(group)]
+        built = [(move_key(sigma), move_key(inverse), pre) for sigma, inverse, pre in _relabellings(group)]
+        oracle = oracle_relabellings(group)
+        assert built == [(move_key(sigma), move_key(inverse), pre) for sigma, inverse, pre in oracle]
+        assert len(built) == 2**rank * math.factorial(rank) - 1
+
+    def test_tables_fold_nothing(self, monkeypatch):
+        # work-count guard: every `is_automorphism` call folds once; no
+        # other test names generators p, q, r, s, so neither table is cached
+        folds = []
+        folder = autos._Folder
+
+        def counting(*args):
+            folds.append(args)
+            return folder(*args)
+
+        monkeypatch.setattr(autos, "_Folder", counting)
+        group = FreeGroup(["p", "q", "r", "s"])
+        assert (len(_type_two_cuts(group)), len(_relabellings(group))) == (248, 383)
+        assert folds == []
 
 
 class TestFilteredMovesMatchReference:
@@ -611,7 +681,7 @@ class TestSameOrbit:
     def test_witness_soundness(self):
         rng = random.Random(113)
         pairs_checked = 0
-        words = list(F2.words_of_length(3))
+        words = list(words_of_length(F2, 3))
         for u, v in itertools.product(words[:12], words[:12]):
             m1, m2 = Marking.of(F2, [[u]]), Marking.of(F2, [[v]])
             ok, witness = same_orbit(m1, m2)
@@ -625,7 +695,7 @@ class TestSameOrbit:
         markings = []
         seen = set()
         for length in range(1, 5):
-            for w in F2.words_of_length(length):
+            for w in words_of_length(F2, length):
                 m = Marking.of(F2, [[w]])
                 if m not in seen and m.total_length() == length:
                     seen.add(m)

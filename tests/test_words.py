@@ -71,6 +71,13 @@ class TestParse:
         G = FreeGroup(("x0", "x1"))
         assert G.parse("x0 x1'").format() == "x0 x1'"
 
+    @pytest.mark.parametrize("name", ["1a", "1", "a'", "a b", ""])
+    def test_unreadable_names_rejected(self, name):
+        # `parse` reads `1` as the identity and `'` as an inverse mark, so a
+        # group named `1a` could not read its own `1a`
+        with pytest.raises(FormatError):
+            FreeGroup([name, "z"])
+
 
 class TestConjugacy:
     def test_ab_ba(self):
