@@ -246,8 +246,8 @@ class OrientationFunctional:
         for e in self.gog.edge_names:
             if e not in self.edge_values:
                 raise DomainError(f"missing orientation value for edge {e}")
-        # well-definedness: o(i_e~(g)) + o(e)... the Bass relation
-        # e~ i_e~(g) e == i_e(g) forces o(i_e~(g)) == o(i_e(g))
+        # the Bass relation e~ i_e~(g) e == i_e(g) needs o(i_e~(g)) == o(i_e(g))
+        # for every edge generator g
         for e in self.gog.edge_names:
             ends = self.gog.term(bar(e)), self.gog.term(e)
             for images in zip(self.gog.injection(bar(e)).images, self.gog.injection(e).images):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -126,9 +126,6 @@ class GroupSlot:
         """The identity element: one shared immutable object per slot, as
         each generator is."""
         return self._identity
-
-    def element(self, word: Word, center: int = 0) -> "SlotElement":
-        return SlotElement(self, word, center)
 
     def generator(self, i: int) -> "SlotElement":
         if not 0 <= i < self.ngens:
@@ -347,10 +344,9 @@ def validate_injection(hom: SlotHom) -> None:
             raise DomainError("Z2 edge group image is degenerate")
         return
     # free or fxz source: the free images must freely generate their span
-    nontrivial = [w for w in free_words]
-    if any(w.is_identity() for w in nontrivial):
+    if any(w.is_identity() for w in free_words):
         raise DomainError("free edge generator maps to a central element")
-    graph = fold(dst.free_group, nontrivial)
+    graph = fold(dst.free_group, free_words)
     if graph.rank() != src.free_rank:
         raise DomainError("free part of the edge group does not embed")
     if src.kind == "fxz":
@@ -768,7 +764,8 @@ class BassDiagramError(DomainError):
 
 @dataclass(frozen=True)
 class GoGMorphism:
-    """(phi_X, (phi_v), (phi_e), (gamma_e)) between graphs of groups."""
+    """(phi_X, (phi_v), (phi_e), (gamma_e)) between graphs of groups;
+    `validate` checks its Bass diagram."""
 
     domain: GraphOfGroups
     codomain: GraphOfGroups
@@ -778,52 +775,15 @@ class GoGMorphism:
     edge_isos: Dict[str, SlotIso]  # per unoriented edge
     gammas: Dict[str, SlotElement]  # per oriented edge, in G_{phi(t(e))}
 
-    def canonical_key(self):
-        vm = tuple(sorted(self.vertex_map.items()))
-        em = tuple(sorted(self.edge_map.items()))
-        vi = tuple(
-            (v, tuple((img.word.letters, img.center) for img in iso.images))
-            for v, iso in sorted(self.vertex_isos.items())
-        )
-        ga = tuple(
-            (e, g.word.letters, g.center) for e, g in sorted(self.gammas.items())
-        )
-        return (vm, em, vi, ga)
 
-    def __hash__(self):
-        return hash(self.canonical_key())
+def validate(m: GoGMorphism) -> GoGMorphism:
+    """Check the Bass diagram of `m` from its domain to its codomain on
+    every oriented edge and generator, and return `m`.
 
-    def __eq__(self, other):
-        if not isinstance(other, GoGMorphism):
-            return False
-        return (
-            self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.vertex_map == other.vertex_map
-            and self.edge_map == other.edge_map
-            and self.vertex_isos == other.vertex_isos
-            and self.edge_isos == other.edge_isos
-            and self.gammas == other.gammas
-        )
-
-
-def validate(
-    gog: GraphOfGroups,
-    cand: dict,
-    codomain: Optional[GraphOfGroups] = None,
-) -> GoGMorphism:
-    """Check the Bass diagram on every oriented edge and generator.
-
-    `cand` has keys vertex_map, edge_map, vertex_isos, edge_isos, gammas.
     Raises BassDiagramError naming the first violated edge and generator.
     """
-    codomain = codomain if codomain is not None else gog
-    vertex_map = dict(cand["vertex_map"])
-    edge_map = dict(cand["edge_map"])
-    vertex_isos = dict(cand["vertex_isos"])
-    edge_isos = dict(cand["edge_isos"])
-    gammas = dict(cand["gammas"])
-
+    gog, codomain, vertex_map, edge_map = m.domain, m.codomain, m.vertex_map, m.edge_map
+    vertex_isos, edge_isos, gammas = m.vertex_isos, m.edge_isos, m.gammas
     _check_graph_map(gog, codomain, vertex_map, edge_map)
     keys = (set(vertex_isos), set(edge_isos), set(gammas))
     if keys != (set(gog.vertices), set(gog.edge_names), set(gog.oriented_edges())):
@@ -854,7 +814,7 @@ def validate(
             rhs = target.conjugate(gamma)
             if lhs != rhs:
                 raise BassDiagramError(oe, gog.eslot(oe).generator(i), lhs, rhs)
-    return GoGMorphism(gog, codomain, vertex_map, edge_map, vertex_isos, edge_isos, gammas)
+    return m
 
 
 def _check_graph_map(gog, codomain, vertex_map, edge_map):
@@ -876,14 +836,15 @@ def _check_graph_map(gog, codomain, vertex_map, edge_map):
 
 def identity_morphism(gog: GraphOfGroups) -> GoGMorphism:
     return validate(
-        gog,
-        {
-            "vertex_map": {v: v for v in gog.vertices},
-            "edge_map": {e: e for e in gog.oriented_edges()},
-            "vertex_isos": {v: SlotIso.identity(gog.vslot(v)) for v in gog.vertices},
-            "edge_isos": {e: SlotIso.identity(gog.eslot(e)) for e in gog.edge_names},
-            "gammas": {e: gog.vslot(gog.term(e)).identity() for e in gog.oriented_edges()},
-        },
+        GoGMorphism(
+            gog,
+            gog,
+            {v: v for v in gog.vertices},
+            {e: e for e in gog.oriented_edges()},
+            {v: SlotIso.identity(gog.vslot(v)) for v in gog.vertices},
+            {e: SlotIso.identity(gog.eslot(e)) for e in gog.edge_names},
+            {e: gog.vslot(gog.term(e)).identity() for e in gog.oriented_edges()},
+        )
     )
 
 
@@ -904,17 +865,7 @@ def compose(a: GoGMorphism, b: GoGMorphism) -> GoGMorphism:
     for e in b.domain.oriented_edges():
         relocated = b.edge_map[e]
         gammas[e] = a.vertex_isos[b.codomain.term(relocated)].apply(b.gammas[e]) * a.gammas[relocated]
-    return validate(
-        b.domain,
-        {
-            "vertex_map": vertex_map,
-            "edge_map": edge_map,
-            "vertex_isos": vertex_isos,
-            "edge_isos": edge_isos,
-            "gammas": gammas,
-        },
-        codomain=a.codomain,
-    )
+    return validate(GoGMorphism(b.domain, a.codomain, vertex_map, edge_map, vertex_isos, edge_isos, gammas))
 
 
 def invert(a: GoGMorphism) -> GoGMorphism:
@@ -928,17 +879,7 @@ def invert(a: GoGMorphism) -> GoGMorphism:
     for f in a.codomain.oriented_edges():
         e = inv_emap[f]
         gammas[f] = a.vertex_isos[a.domain.term(e)].inverse().apply(a.gammas[e].inverse())
-    return validate(
-        a.codomain,
-        {
-            "vertex_map": inv_vmap,
-            "edge_map": inv_emap,
-            "vertex_isos": vertex_isos,
-            "edge_isos": edge_isos,
-            "gammas": gammas,
-        },
-        codomain=a.domain,
-    )
+    return validate(GoGMorphism(a.codomain, a.domain, inv_vmap, inv_emap, vertex_isos, edge_isos, gammas))
 
 
 def induced_on_pi1(a: GoGMorphism, w: BassWord) -> BassWord:
@@ -987,19 +928,8 @@ class DehnTwist:
                 raise DomainError(f"twist element fails to centralize at {self.edge}")
 
     def to_morphism(self) -> GoGMorphism:
-        gog = self.gog
-        gammas = {e: gog.vslot(gog.term(e)).identity() for e in gog.oriented_edges()}
-        gammas[self.edge] = self.z
-        return validate(
-            gog,
-            {
-                "vertex_map": {v: v for v in gog.vertices},
-                "edge_map": {e: e for e in gog.oriented_edges()},
-                "vertex_isos": {v: SlotIso.identity(gog.vslot(v)) for v in gog.vertices},
-                "edge_isos": {e: SlotIso.identity(gog.eslot(e)) for e in gog.edge_names},
-                "gammas": gammas,
-            },
-        )
+        ident = identity_morphism(self.gog)
+        return validate(replace(ident, gammas={**ident.gammas, self.edge: self.z}))
 
 
 dehn_twist = DehnTwist

@@ -40,9 +40,7 @@ from .gog import (
     DehnTwist,
     GoGMorphism,
     GraphOfGroups,
-    GroupSlot,
     SlotElement,
-    SlotHom,
     SlotIso,
     bar,
     gog_from_lines,
@@ -143,21 +141,6 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# subgroup conjugators inside slots
-
-
-def edge_group_conjugator(
-    slot: GroupSlot, source: Sequence[SlotElement], target: Sequence[SlotElement]
-) -> Optional[SlotElement]:
-    """d with ad_d(source[i]) == target[i] for all i or, failing that for a
-    single generator, ad_d(source[0]) == target[0]^-1; else None."""
-    d = slot_elementwise_conjugator(slot, source, target)
-    if d is None and len(source) == 1 and len(target) == 1:
-        d = slot_elementwise_conjugator(slot, source, [target[0].inverse()])
-    return d
-
-
-# ---------------------------------------------------------------------------
 # black-vertex matching
 
 
@@ -190,11 +173,12 @@ def _edge_transport(
     gog_a, gog_b = jsj_a.gog, jsj_b.gog
     wslot2 = gog_b.vslot(gog_b.term(ew2))
     moved = [phi_w.apply(x) for x in gog_a.injection(ew).images]
-    targets = list(gog_b.injection(ew2).images)
-    d = edge_group_conjugator(wslot2, moved, targets)
+    targets = gog_b.injection(ew2).images
+    d, sigma = slot_elementwise_conjugator(wslot2, moved, targets), 1
+    if d is None and len(targets) == 1:
+        d, sigma = slot_elementwise_conjugator(wslot2, moved, [targets[0].inverse()]), -1
     if d is None:
         return None
-    sigma = 1 if [x.conjugate(d) for x in moved] == targets else -1
     images = tuple(g if sigma == 1 else g.inverse() for g in gog_b.eslot(ew2).generators())
     target_black = tuple(x if sigma == 1 else x.inverse() for x in gog_b.injection(bar(ew2)).images)
     return EdgeTransport(SlotIso(gog_a.eslot(ew), gog_b.eslot(ew2), images), d.inverse(), target_black)
@@ -472,7 +456,7 @@ def _edge_options(jsj_a, jsj_b, whitelist: WhiteList, b: str, b2: str, memo: dic
     into b, the options (f, k) under which the edge transport of oe onto f
     through white candidate k exists, and the class it carries into b2.
 
-    Read off keys, without transporting: `edge_group_conjugator` finds d
+    Read off keys, without transporting: `_edge_transport` finds d
     exactly when the moved class of oe is simultaneously conjugate to the
     class of f at its white end (sigma == 1) or, for a cyclic edge group,
     to its inverse (sigma == -1).  Then the edge isomorphism is g -> g^sigma
@@ -783,25 +767,18 @@ def fiber_correct(collection, jsj_a: JSJInput, jsj_b: JSJInput) -> Verdict:
 def verify_witness(jsj_a: JSJInput, jsj_b: JSJInput, witness: Witness) -> bool:
     """Independent end-to-end check of a positive verdict.
 
-    Revalidates the Bass diagram, recomputes the fiber generator images,
-    checks the twist-corrected images land in the fiber, and checks the
-    stable letter stays on the positive orientation coset.  The twist
+    Checks that the morphism runs from `jsj_a`'s graph of groups to
+    `jsj_b`'s, revalidates its Bass diagram, recomputes the fiber
+    generator images, checks the twist-corrected images land in the fiber,
+    and checks the stable letter stays on the positive orientation coset.  The twist
     generators are recomputed from `jsj_b` on purpose, although
     `fiber_correct` has just built the same ones: the check shares no
     objects with the search it checks.
     """
+    if witness.morphism.domain != jsj_a.gog or witness.morphism.codomain != jsj_b.gog:
+        return False
     try:
-        validate(
-            jsj_a.gog,
-            {
-                "vertex_map": witness.morphism.vertex_map,
-                "edge_map": witness.morphism.edge_map,
-                "vertex_isos": witness.morphism.vertex_isos,
-                "edge_isos": witness.morphism.edge_isos,
-                "gammas": witness.morphism.gammas,
-            },
-            codomain=jsj_b.gog,
-        )
+        validate(witness.morphism)
     except DomainError:
         return False
     recorded = dict(witness.fiber_images)
@@ -1023,17 +1000,6 @@ def parse_whitelist(text: str, jsj_a: JSJInput, jsj_b: JSJInput) -> WhiteList:
             continue
         raise FormatError(f"bad whitelist line: {line!r}")
     return out
-
-
-def serialize_whitelist(whitelist: WhiteList, jsj_a: JSJInput) -> str:
-    lines = []
-    for (src, dst), isos in sorted(whitelist.items()):
-        lines.append(f"[candidates {src} -> {dst}]")
-        names = jsj_a.gog.vslot(src).gen_names()
-        for iso in isos:
-            parts = [f"{n} -> {img.format()}" for n, img in zip(names, iso.images)]
-            lines.append("iso: " + " , ".join(parts))
-    return "\n".join(lines) + "\n"
 
 
 def serialize_verdict(verdict: Verdict, jsj_a: JSJInput, jsj_b: JSJInput) -> str:

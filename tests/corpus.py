@@ -12,6 +12,7 @@ loop is subdivided by a cyclic white vertex to keep the graph bipartite:
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from typing import Dict, Optional, Sequence, Tuple
 
 from torusconj.fibercorrect import OrientationFunctional
@@ -24,6 +25,7 @@ from torusconj.gog import (
     SlotHom,
     SlotIso,
     bar,
+    identity_morphism,
     induced_on_pi1,
     unoriented,
     validate,
@@ -242,18 +244,9 @@ def conjugate_injection(jsj: JSJInput, oriented_edge: str, g: SlotElement) -> JS
         oriented_edge: SlotHom(hom.src, hom.dst, tuple(img.conjugate(g) for img in hom.images)),
     }
     moved_gog = GraphOfGroups(gog.vertices, gog.edge_ends, gog.vertex_slots, gog.edge_slots, injections)
-    gammas = {oe: gog.vslot(gog.term(oe)).identity() for oe in gog.oriented_edges()}
-    gammas[oriented_edge] = g.inverse()
+    identity = identity_morphism(gog)
     carry = validate(
-        gog,
-        {
-            "vertex_map": {v: v for v in gog.vertices},
-            "edge_map": {oe: oe for oe in gog.oriented_edges()},
-            "vertex_isos": {v: SlotIso.identity(gog.vslot(v)) for v in gog.vertices},
-            "edge_isos": {e: SlotIso.identity(gog.eslot(e)) for e in gog.edge_names},
-            "gammas": gammas,
-        },
-        codomain=moved_gog,
+        replace(identity, codomain=moved_gog, gammas={**identity.gammas, oriented_edge: g.inverse()})
     )
     edge = unoriented(oriented_edge)
     shift = jsj.orientation.of_element(gog.term(oriented_edge), g)

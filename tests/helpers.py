@@ -199,6 +199,18 @@ def invert_whitelist(whitelist):
     return out
 
 
+def serialize_whitelist(whitelist, jsj_a) -> str:
+    """The whitelist file text that `pipeline.parse_whitelist` reads back."""
+    lines = []
+    for (src, dst), isos in sorted(whitelist.items()):
+        lines.append(f"[candidates {src} -> {dst}]")
+        names = jsj_a.gog.vslot(src).gen_names()
+        for iso in isos:
+            parts = [f"{n} -> {img.format()}" for n, img in zip(names, iso.images)]
+            lines.append("iso: " + " , ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
 def transport_options(jsj_a, jsj_b, whitelist, b: str, b2: str):
     """Oracle for the options of the black table at (b, b2): one full
     `_edge_transport` per (edge into b, edge into b2, fop white candidate

@@ -10,9 +10,10 @@ import pathlib
 import sys
 
 from torusconj.gog import SlotIso
-from torusconj.pipeline import serialize_jsj, serialize_whitelist
+from torusconj.pipeline import serialize_jsj
 
 from .corpus import identity_whitelist, one_twistor_conj_input, one_twistor_jsj, recoordinatize
+from .helpers import serialize_whitelist
 
 DATA = pathlib.Path(__file__).parent / "data" / "corpus"
 

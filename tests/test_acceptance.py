@@ -26,6 +26,7 @@ from torusconj.freegroup import (
 )
 from torusconj.gog import (
     BassWord,
+    GoGMorphism,
     GraphOfGroups,
     GroupSlot,
     SlotElement,
@@ -193,18 +194,19 @@ def _swap_morphism(gog):
     F2s = gog.vslot("w")
     swap_iso = SlotIso(F2s, F2s, (F2s.parse("x1"), F2s.parse("x0")))
     return validate(
-        gog,
-        {
-            "vertex_map": {"w": "w", "b1": "b2", "b2": "b1"},
-            "edge_map": {"e1": "e2", "e1~": "e2~", "e2": "e1", "e2~": "e1~"},
-            "vertex_isos": {
+        GoGMorphism(
+            gog,
+            gog,
+            {"w": "w", "b1": "b2", "b2": "b1"},
+            {"e1": "e2", "e1~": "e2~", "e2": "e1", "e2~": "e1~"},
+            {
                 "w": swap_iso,
                 "b1": SlotIso.identity(gog.vslot("b1")),
                 "b2": SlotIso.identity(gog.vslot("b2")),
             },
-            "edge_isos": {e: SlotIso.identity(gog.eslot(e)) for e in gog.edge_names},
-            "gammas": {e: gog.vslot(gog.term(e)).identity() for e in gog.oriented_edges()},
-        },
+            {e: SlotIso.identity(gog.eslot(e)) for e in gog.edge_names},
+            {e: gog.vslot(gog.term(e)).identity() for e in gog.oriented_edges()},
+        )
     )
 
 
@@ -221,16 +223,7 @@ def test_acceptance_bass_diagram_closure():
         nxt = rng.choice(generators)
         current = compose(nxt, current)
         try:
-            validate(
-                gog,
-                {
-                    "vertex_map": current.vertex_map,
-                    "edge_map": current.edge_map,
-                    "vertex_isos": current.vertex_isos,
-                    "edge_isos": current.edge_isos,
-                    "gammas": current.gammas,
-                },
-            )
+            validate(current)
         except Exception:
             failures += 1
         if rng.random() < 0.2:

@@ -531,9 +531,10 @@ SEEDED_SHA256 = {
 
 @pytest.mark.parametrize("case", sorted(SEEDED_CASES))
 def test_seeded_twistor_output_pinned(case, tmp_path, capsys):
-    from torusconj.pipeline import serialize_jsj, serialize_whitelist
+    from torusconj.pipeline import serialize_jsj
 
     from .corpus import identity_whitelist, twistor_jsj, twistor_side_text
+    from .helpers import serialize_whitelist
 
     command, rank, twists_a, twists_b = SEEDED_CASES[case]
     jsj_a, jsj_b = twistor_jsj(rank, twists_a), twistor_jsj(rank, twists_b)

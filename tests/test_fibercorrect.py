@@ -18,6 +18,7 @@ from torusconj.fibercorrect import (
 )
 from torusconj.gog import (
     BassWord,
+    GoGMorphism,
     GraphOfGroups,
     GroupSlot,
     SlotHom,
@@ -324,14 +325,15 @@ class TestTransvection:
         o = OrientationFunctional(gog, {"v": (0, 0)}, {"e": 1, "f": 2})
         g = F2.parse("x0 x1")
         conjugation = validate(
-            gog,
-            {
-                "vertex_map": {"v": "v"},
-                "edge_map": {e: e for e in gog.oriented_edges()},
-                "vertex_isos": {"v": SlotIso(F2, F2, tuple(x.conjugate(g) for x in F2.generators()))},
-                "edge_isos": {e: SlotIso.identity(gog.eslot(e)) for e in gog.edge_names},
-                "gammas": {e: g for e in gog.oriented_edges()},
-            },
+            GoGMorphism(
+                gog,
+                gog,
+                {"v": "v"},
+                {e: e for e in gog.oriented_edges()},
+                {"v": SlotIso(F2, F2, tuple(x.conjugate(g) for x in F2.generators()))},
+                {e: SlotIso.identity(gog.eslot(e)) for e in gog.edge_names},
+                {e: g for e in gog.oriented_edges()},
+            )
         )
         loops = [
             BassWord.parse(gog, "v: e (x0) f (x1)"),

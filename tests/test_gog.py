@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -313,15 +314,17 @@ class TestValidate:
 
     def test_non_centralizing_gamma_rejected(self):
         gog = loop_gog_f2()
-        cand = {
-            "vertex_map": {"v": "v"},
-            "edge_map": {"e": "e", "e~": "e~"},
-            "vertex_isos": {"v": SlotIso.identity(F2)},
-            "edge_isos": {"e": SlotIso.identity(Z)},
-            "gammas": {"e": F2.parse("x0"), "e~": F2.identity()},
-        }
+        morphism = GoGMorphism(
+            gog,
+            gog,
+            {"v": "v"},
+            {"e": "e", "e~": "e~"},
+            {"v": SlotIso.identity(F2)},
+            {"e": SlotIso.identity(Z)},
+            {"e": F2.parse("x0"), "e~": F2.identity()},
+        )
         with pytest.raises(BassDiagramError) as err:
-            validate(gog, cand)
+            validate(morphism)
         assert err.value.edge == "e"
 
 
@@ -333,6 +336,16 @@ class TestCompose:
         twist = dehn_twist(gog, "e", z).to_morphism()
         assert compose(twist, ident) == twist
         assert compose(ident, twist) == twist
+
+    def test_equality_is_field_wise(self):
+        # the twist differs from the identity in the gamma of e alone
+        gog = loop_gog_f2()
+        ident = identity_morphism(gog)
+        z = SlotElement(F2, F2.parse("x0 x1").word, 0)
+        twist = dehn_twist(gog, "e", z).to_morphism()
+        assert {e for e in ident.gammas if twist.gammas[e] != ident.gammas[e]} == {"e"}
+        assert twist != ident
+        assert twist == replace(ident, gammas={"e": F2.parse("x0 x1"), "e~": F2.identity()})
 
     def test_twists_merge(self):
         gog = loop_gog_f2()

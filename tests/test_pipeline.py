@@ -2,6 +2,7 @@ import itertools
 import math
 import pathlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,18 +10,18 @@ from torusconj.cli import _auto_whitelist
 from torusconj.errors import DomainError
 from torusconj.fibercorrect import OrientationFunctional
 from torusconj.freegroup import FreeAut, FreeGroup, is_automorphism, nielsen_generators
-from torusconj.gog import GroupSlot, SlotElement, SlotIso, validate
+from torusconj.gog import GroupSlot, SlotElement, SlotHom, SlotIso, validate
 from torusconj.pipeline import (
     ConjUngInput,
     JSJInput,
     PeripheralDatum,
     Verdict,
+    _edge_transport,
     _validate_ung_side,
     admissible_graph_maps,
     assemble,
     conj_ung,
     decide,
-    edge_group_conjugator,
     fiber_correct,
     fop_slot_isos,
     parse_jsj,
@@ -28,7 +29,7 @@ from torusconj.pipeline import (
     parse_witness,
     serialize_jsj,
     serialize_verdict,
-    serialize_whitelist,
+    slot_elementwise_conjugator,
     verify_witness,
 )
 
@@ -48,7 +49,7 @@ from .corpus import (
     twistor_jsj,
 )
 from .cli_helpers import load_conj_side
-from .helpers import abelian_invariants, invert_whitelist, transport_options
+from .helpers import abelian_invariants, invert_whitelist, serialize_whitelist, transport_options
 
 CORPUS = pathlib.Path(__file__).parent / "data" / "corpus"
 
@@ -202,7 +203,7 @@ class TestZSquareOrbitMatch:
                 i = rng.randrange(len(targets))
                 targets[i] = (targets[i][0] + rng.choice((1, -1)), targets[i][1])
             as_classes = [
-                [(Z2.element(Z2.free_group.generator(0) ** v[0] if v[0] else Z2.free_group.identity(), v[1]),) for v in vecs]
+                [(SlotElement(Z2, Z2.free_group.generator(0) ** v[0] if v[0] else Z2.free_group.identity(), v[1]),) for v in vecs]
                 for vecs in (sources, targets)
             ]
             eta = _match_one(Z2, o, Z2, o, *as_classes)
@@ -244,23 +245,46 @@ def _box_zsquare_match(o, sources, targets):
     return None
 
 class TestSubgroupConjugator:
+    # e1 of `one_twistor_jsj` runs from the cyclic white vertex W to B, so
+    # e1~ points at W
     def test_cyclic_in_free_slot(self):
         F2 = GroupSlot(2, False)
-        d = edge_group_conjugator(F2, [F2.parse("x0")], [F2.parse("x1 x0 x1'")])
+        d = slot_elementwise_conjugator(F2, [F2.parse("x0")], [F2.parse("x1 x0 x1'")])
         assert d is not None
         assert F2.parse("x0").conjugate(d) == F2.parse("x1 x0 x1'")
 
     def test_inverse_generator_allowed(self):
+        # the inverse is no conjugate, but an edge transport of a cyclic
+        # edge group falls back to it: the inversion at W moves the class
+        # of e1~ onto its inverse, so the edge isomorphism inverts, and so
+        # does the class carried into B
         F2 = GroupSlot(2, False)
-        d = edge_group_conjugator(F2, [F2.parse("x0")], [F2.parse("x0'")])
-        assert d is not None
+        assert slot_elementwise_conjugator(F2, [F2.parse("x0")], [F2.parse("x0'")]) is None
+        jsj = one_twistor_jsj(2, "x0")
+        w = jsj.gog.vslot("W")
+        transport = _edge_transport(jsj, jsj, "e1~", "e1~", SlotIso(w, w, (w.generator(0).inverse(),)))
+        assert transport.edge_iso.images == (jsj.gog.eslot("e1").generator(0).inverse(),)
+        assert transport.gamma_white.is_identity()
+        assert transport.target_images == tuple(x.inverse() for x in jsj.gog.injection("e1").images)
 
     def test_center_mismatch(self):
         FXZ = GroupSlot(1, True)
-        assert (
-            edge_group_conjugator(FXZ, [FXZ.parse("x0 * c")], [FXZ.parse("x0 * c^2")])
-            is None
-        )
+        assert slot_elementwise_conjugator(FXZ, [FXZ.parse("x0 * c")], [FXZ.parse("x0 * c^2")]) is None
+
+    def test_transport_of_the_class_itself(self):
+        jsj = one_twistor_jsj(2, "x0")
+        w = jsj.gog.vslot("W")
+        transport = _edge_transport(jsj, jsj, "e1~", "e1~", SlotIso.identity(w))
+        assert transport.edge_iso.images == (jsj.gog.eslot("e1").generator(0),)
+        assert transport.gamma_white.is_identity()
+        assert transport.target_images == jsj.gog.injection("e1").images
+
+    def test_no_transport_without_a_conjugate(self):
+        # W -> W sending the generator to its square reaches neither class
+        jsj = one_twistor_jsj(2, "x0")
+        w = jsj.gog.vslot("W")
+        square = w.generator(0) * w.generator(0)
+        assert _edge_transport(jsj, jsj, "e1~", "e1~", SlotHom(w, w, (square,))) is None
 
 
 class TestDecideVerdicts:
@@ -336,7 +360,7 @@ class TestDecideVerdicts:
         wl2 = {("W", "W"): [ident, ident]}
         c1 = assemble(jsj, jsj, wl1)
         c2 = assemble(jsj, jsj, wl2)
-        assert {m.canonical_key() for m in c1} == {m.canonical_key() for m in c2}
+        assert {_morphism_key(m) for m in c1} == {_morphism_key(m) for m in c2}
 
     def test_fiber_correct_monotone(self):
         jsj = one_twistor_jsj(2, "x0")
@@ -474,12 +498,25 @@ def _block_whitelist(jsj_a, jsj_b):
 
 def _validates(morphism) -> bool:
     """Whether the Bass diagram of `morphism` commutes (`gog.validate`)."""
-    parts = ("vertex_map", "edge_map", "vertex_isos", "edge_isos", "gammas")
     try:
-        validate(morphism.domain, {k: getattr(morphism, k) for k in parts}, codomain=morphism.codomain)
+        validate(morphism)
     except DomainError:
         return False
     return True
+
+
+def _morphism_key(m):
+    """A sortable key of a morphism: its graph map, vertex isomorphisms and
+    gammas, as tuples."""
+    return (
+        tuple(sorted(m.vertex_map.items())),
+        tuple(sorted(m.edge_map.items())),
+        tuple(
+            (v, tuple((img.word.letters, img.center) for img in iso.images))
+            for v, iso in sorted(m.vertex_isos.items())
+        ),
+        tuple((e, g.word.letters, g.center) for e, g in sorted(m.gammas.items())),
+    )
 
 
 def _fresh_assemblies(jsj_a, jsj_b, whitelist):
@@ -487,7 +524,7 @@ def _fresh_assemblies(jsj_a, jsj_b, whitelist):
     keeps colors and every tuple of fop white candidates, assembled with
     the reference black matcher `helpers.match_black_slot`, which shares no
     code with the black tables.  Returns {(vertex map, edge map, white
-    choices), as frozensets: canonical key} for the morphisms that validate,
+    choices), as frozensets: `_morphism_key`} for the morphisms that validate,
     checked here with `gog.validate` since the assembly does not.  White
     candidates are named by their index among the distinct fop ones."""
     from torusconj.gog import GoGMorphism, bar, unoriented
@@ -532,7 +569,7 @@ def _fresh_assemblies(jsj_a, jsj_b, whitelist):
             isos = {w: c[k] for w, c, k in zip(whites, candidates, combo)}
             morphism = assembled(vmap, emap, isos)
             if morphism is not None and _validates(morphism):
-                fresh[_map_key(vmap, emap, dict(zip(whites, combo)))] = morphism.canonical_key()
+                fresh[_map_key(vmap, emap, dict(zip(whites, combo)))] = _morphism_key(morphism)
     return fresh
 
 
@@ -553,7 +590,7 @@ def _assert_matches_oracle(jsj_a, jsj_b, whitelist):
     assert len(collection) == len(fresh)
     assert all(_validates(m) for m in collection)
     if all(jsj_a.gog.vslot(b).kind != "fxz" for b in jsj_a.black_vertices()):
-        assert [m.canonical_key() for m in collection] == sorted(fresh.values())
+        assert [_morphism_key(m) for m in collection] == sorted(fresh.values())
     return collection
 
 
@@ -1586,3 +1623,13 @@ class TestSerialization:
             witness.stable_image,
         )
         assert not verify_witness(jsj_a, jsj_b, broken)
+
+    @pytest.mark.parametrize("end", ["domain", "codomain"])
+    def test_witness_between_other_graphs_rejected(self, end):
+        # a morphism that does not run from jsj_a's graph of groups to
+        # jsj_b's is no witness, and the check says so instead of raising
+        jsj = twistor_jsj(1, ["1", "1"])
+        witness = decide(jsj, jsj, identity_whitelist(jsj, jsj)).witness
+        assert verify_witness(jsj, jsj, witness)
+        elsewhere = replace(witness.morphism, **{end: one_twistor_jsj(2, "x0").gog})
+        assert not verify_witness(jsj, jsj, replace(witness, morphism=elsewhere))
