@@ -22,6 +22,7 @@ from .stallings import (
     SubgroupGraph,
     congruence_kernel,
     fold,
+    homology_kernel,
     is_characteristic,
     subgroups_of_index_at_most,
     whole_group_graph,
@@ -45,6 +46,7 @@ __all__ = [
     "fold",
     "whole_group_graph",
     "congruence_kernel",
+    "homology_kernel",
     "subgroups_of_index_at_most",
     "is_characteristic",
 ]

@@ -514,6 +514,21 @@ def subgroups_of_index_at_most(group: FreeGroup, m: int) -> List[SubgroupGraph]:
     return sorted(found, key=lambda g: (g.nstates, g.fwd))
 
 
+def homology_kernel(group: FreeGroup, p: int) -> SubgroupGraph:
+    """The kernel of F_n -> H_1(F_n; Z/p) = (Z/p)^n, as the regular action
+    of (Z/p)^n: a state is an exponent-sum vector mod p, and generator i
+    adds 1 to coordinate i.  It is characteristic, with index p^n."""
+    if p < 1:
+        raise DomainError("modulus must be >= 1")
+    states = list(itertools.product(range(p), repeat=group.rank))
+    index = {v: k for k, v in enumerate(states)}
+    fwd = [
+        [index[v[:i] + ((v[i] + 1) % p,) + v[i + 1:]] for v in states]
+        for i in range(group.rank)
+    ]
+    return _core_and_canonicalize(group, len(states), fwd, index[(0,) * group.rank])
+
+
 def congruence_kernel(ambient, m: int, state_budget: int = STATE_BUDGET_DEFAULT) -> SubgroupGraph:
     """Intersection of all subgroups of index <= m of the ambient group.
 
@@ -525,9 +540,17 @@ def congruence_kernel(ambient, m: int, state_budget: int = STATE_BUDGET_DEFAULT)
     is characteristic, being the intersection of a set of subgroups that
     every automorphism permutes.
 
-    Enumeration runs over all transitive actions on <= m points, so the cost
-    grows like (m!)^rank; m <= 3 at rank <= 3 is the supported envelope, with
-    the state budget guarding the intersection itself.
+    For m <= 2 the kernel is built directly, with m^rank states: it is
+    ``homology_kernel(F_n, m)``.  Every subgroup of index 2 is normal with
+    quotient Z/2, so it contains the kernel of F_n -> (Z/2)^n.  Conversely
+    the index-2 subgroups are the preimages of the kernels of the nonzero
+    functionals on (Z/2)^n, and those kernels meet in 0.  For m = 1 it is
+    the whole group.  A kernel of more than ``state_budget`` states is
+    refused.
+
+    For m >= 3 enumeration runs over all transitive actions on <= m points,
+    so the cost grows like (m!)^rank; m = 3 at rank <= 3 is the supported
+    envelope, with the state budget guarding the intersection itself.
     """
     if isinstance(ambient, SubgroupGraph):
         inner = congruence_kernel(FreeGroup(ambient.rank()), m, state_budget)
@@ -542,6 +565,10 @@ def congruence_kernel(ambient, m: int, state_budget: int = STATE_BUDGET_DEFAULT)
                     for c in range(n):
                         fwd[i][s * n + c] = t * n + cosets[c]
         return _core_and_canonicalize(ambient.group, ambient.nstates * n, fwd, 0)
+    if 1 <= m <= 2:
+        if m ** ambient.rank > state_budget:
+            raise ResourceError(f"a kernel of {m}^{ambient.rank} states exceeds the state budget of {state_budget}")
+        return homology_kernel(ambient, m)
     whole, *subgroups = subgroups_of_index_at_most(ambient, m)
     return whole.intersect(*subgroups, state_budget=state_budget)
 

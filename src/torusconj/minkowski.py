@@ -10,7 +10,9 @@ identity mod 3.  An entry (i, j) with M_ij != delta_ij mod 3 gives the
 witness: the images of x_j and alpha(x_j) differ in the quotient F_n -> Z/3
 that sends x_i to a 3-cycle and every other generator to 1, and differing
 elements of an abelian group are not conjugate.  Each witness kernel
-contains K_3, so no search, intersection or closure is needed.
+contains K_3, so no search, intersection or closure is needed.  K_3 is
+``stallings.homology_kernel(F_n, 3)``, the builder that also gives the
+index-<=2 congruence kernel.
 
 A symmetry's class is read off its action on homology (the signed edge
 counts of the marking loops it moves), so only one symmetry per class is
@@ -29,6 +31,7 @@ from .freegroup import (
     FreeGroup,
     SubgroupGraph,
     Word,
+    homology_kernel,
     is_automorphism,
     is_characteristic,
     nielsen_generators,
@@ -492,18 +495,6 @@ def mod3_witness(aut: FreeAut) -> SeparationWitness:
     raise AssertionError("automorphism is the identity mod 3, so not of nontrivial finite outer order")
 
 
-def mod3_kernel(group: FreeGroup) -> SubgroupGraph:
-    """K_3 as the regular action of (Z/3)^n: a state is an exponent-sum
-    vector mod 3, and generator i adds 1 to coordinate i."""
-    states = list(itertools.product(range(3), repeat=group.rank))
-    index = {v: k for k, v in enumerate(states)}
-    fwd = [
-        [index[v[:i] + ((v[i] + 1) % 3,) + v[i + 1:]] for v in states]
-        for i in range(group.rank)
-    ]
-    return _core_and_canonicalize(group, len(states), fwd, index[(0,) * group.rank])
-
-
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -603,7 +594,7 @@ def certify(rank: int) -> CongruenceCertificate:
         for rep in culler_reps(rank)
         if rep.outer_order != 1
     )
-    certificate = CongruenceCertificate(group, mod3_kernel(group), entries)
+    certificate = CongruenceCertificate(group, homology_kernel(group, 3), entries)
     if not certificate.verify():
         raise AssertionError("the mod-3 certificate failed verification")
     return certificate

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from torusconj.fibercorrect import OrientationFunctional
-from torusconj.freegroup import FreeAut, FreeGroup, Word, is_automorphism
+from torusconj.freegroup import FreeGroup, Word, is_automorphism
 from torusconj.gog import (
     BassWord,
     GraphOfGroups,

@@ -9,8 +9,6 @@ import pathlib
 import random
 import time
 
-import pytest
-
 from torusconj.fibercorrect import (
     DiophantineSystem,
     OrientationFunctional,
@@ -29,11 +27,9 @@ from torusconj.gog import (
     GoGMorphism,
     GraphOfGroups,
     GroupSlot,
-    SlotElement,
     SlotHom,
     SlotIso,
     compose,
-    dehn_twist,
     identity_morphism,
     induced_on_pi1,
     small_modular_generators,
@@ -56,9 +52,8 @@ from torusconj.pipeline import (
     serialize_verdict,
     verify_witness,
 )
-from torusconj.whitehead import Marking, minimize, same_orbit
+from torusconj.whitehead import Marking, same_orbit
 
-from .corpus import identity_whitelist
 from .cli_helpers import load_conj_side
 from .helpers import move_alphabet, words_of_length
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from torusconj.errors import DomainError
-from torusconj.freegroup import FreeGroup, Word
 from torusconj.gog import (
     BassDiagramError,
     BassWord,
@@ -15,7 +14,6 @@ from torusconj.gog import (
     SlotElement,
     SlotHom,
     SlotIso,
-    bar,
     compose,
     dehn_twist,
     hom_preimage,

@@ -9,9 +9,7 @@ import pytest
 
 from torusconj.errors import DomainError, ResourceError
 from torusconj.freegroup import (
-    FreeAut,
     FreeGroup,
-    congruence_kernel,
     is_automorphism,
     is_characteristic,
     nielsen_generators,

@@ -15,7 +15,6 @@ from torusconj.pipeline import (
     ConjUngInput,
     JSJInput,
     PeripheralDatum,
-    Verdict,
     _edge_transport,
     _validate_ung_side,
     admissible_graph_maps,

@@ -9,6 +9,7 @@ from torusconj.freegroup import (
     SubgroupGraph,
     congruence_kernel,
     fold,
+    homology_kernel,
     is_automorphism,
     is_characteristic,
     nielsen_generators,
@@ -151,6 +152,37 @@ class TestCongruenceKernel:
         with pytest.raises(ResourceError):
             congruence_kernel(F2, 3, state_budget=4)
 
+    def test_direct_kernel_budget_and_domain(self):
+        # the index-<=2 kernel of F5 has 2^5 = 32 states
+        with pytest.raises(ResourceError):
+            congruence_kernel(FreeGroup(5), 2, state_budget=31)
+        assert congruence_kernel(FreeGroup(5), 2, state_budget=32).index() == 32
+        with pytest.raises(DomainError):
+            congruence_kernel(F2, 0)
+        with pytest.raises(DomainError):
+            homology_kernel(F2, 0)
+
+    @staticmethod
+    def intersection_oracle(group, m):
+        """The definition: the intersection of every subgroup of index <= m."""
+        whole, *rest = subgroups_of_index_at_most(group, m)
+        return whole.intersect(*rest)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_intersection_of_small_index_subgroups(self, n, m):
+        group = FreeGroup(n)
+        assert congruence_kernel(group, m) == self.intersection_oracle(group, m)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_homology_kernel_characteristic_of_index_p_to_the_n(self, n, p):
+        group = FreeGroup(n)
+        kernel = homology_kernel(group, p)
+        assert kernel.is_complete()
+        assert kernel.index() == p**n
+        assert is_characteristic(kernel, nielsen_generators(group))
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_contained_in_all_small_surjection_kernels(self, m):
         # the congruence kernel sits inside the kernel of every surjection
@@ -202,7 +234,7 @@ class TestCongruenceKernel:
         """Oracle: the kernel over h's own basis, its generators translated
         back to ambient words and folded."""
         basis = h.generators()
-        inner = congruence_kernel(FreeGroup(len(basis)), m)
+        inner = TestCongruenceKernel.intersection_oracle(FreeGroup(len(basis)), m)
 
         def substitute(w):
             out = h.group.identity()

@@ -10,7 +10,6 @@ from torusconj.whitehead import (
     Marking,
     ProductGroup,
     ProductMarking,
-    WhiteheadMove,
     _level_path,
     _moves_changing_length,
     _profile,

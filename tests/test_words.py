@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from torusconj.errors import DomainError, FormatError
 from torusconj.freegroup import (
     FreeGroup,
-    Word,
     canonical_conjugate,
     conjugacy_length,
     is_conjugate,
