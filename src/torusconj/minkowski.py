@@ -16,7 +16,15 @@ index-<=2 congruence kernel.
 
 A symmetry's class is read off its action on homology (the signed edge
 counts of the marking loops it moves), so only one symmetry per class is
-turned into image words and folded into an automorphism.
+turned into image words and folded into an automorphism.  A symmetry that
+leaves a forest invariant is not read at all: collapsing that forest
+equivariantly gives a graph with fewer vertices, met earlier, on which the
+induced symmetry acts on homology by a GL_n(Z)-conjugate matrix (Culler,
+Finite groups of outer automorphisms of a free group, Contemp. Math. 33,
+1984; Krstic-Vogtmann, Comment. Math. Helv. 68, 1993), so its class is
+already known.  Each graph class is canonicalized once per call: its first
+labelled edge list records all of its relabellings in a table that lives
+for that call, and later labellings of the class are skipped on sight.
 """
 
 from __future__ import annotations
@@ -81,12 +89,6 @@ class FiniteQuotient:
                     frontier.append(h)
         return seen
 
-    def conjugate_in_image(self, a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
-        for h in self.image_group():
-            if _perm_compose(_perm_compose(_perm_inverse(h), a), h) == b:
-                return True
-        return False
-
     def kernel_graph(self) -> SubgroupGraph:
         """Coset graph of the kernel: the Cayley graph of the image."""
         elements = sorted(self.image_group())
@@ -97,6 +99,11 @@ class FiniteQuotient:
         ]
         identity = tuple(range(self.degree))
         return _core_and_canonicalize(self.group, len(elements), fwd, index[identity])
+
+
+def conjugate_in(image: Set[Tuple[int, ...]], a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
+    """Whether h^-1 a h == b for some h in the permutation group `image`."""
+    return any(_perm_compose(_perm_compose(_perm_inverse(h), a), h) == b for h in image)
 
 
 def _perm_compose(p, q):
@@ -159,12 +166,16 @@ class RealizingGraph:
                         frontier.append(b)
         return len(seen) == self.nvertices
 
-    def canonical(self) -> Tuple[Tuple[int, int], ...]:
-        """The least sorted edge list over all vertex relabellings."""
-        return min(
+    def relabellings(self) -> List[Tuple[Tuple[int, int], ...]]:
+        """The sorted edge list under each of the nv! vertex relabellings."""
+        return [
             tuple(sorted((p[u], p[v]) if p[u] <= p[v] else (p[v], p[u]) for u, v in self.edges))
             for p in itertools.permutations(range(self.nvertices))
-        )
+        ]
+
+    def canonical(self) -> Tuple[Tuple[int, int], ...]:
+        """The least sorted edge list over all vertex relabellings."""
+        return min(self.relabellings())
 
     def name(self) -> str:
         loops = sum(1 for u, v in self.edges if u == v)
@@ -186,11 +197,16 @@ def realizing_graphs(rank: int) -> List[RealizingGraph]:
     its remaining edge ends cannot lift every vertex to degree 3, or once a
     vertex that no later slot touches is below 3.  Each complete multiset
     with non-increasing degrees (every graph has such a labelling) is
-    keyed by `canonical()`, and the list is built from the keys.
+    keyed by its least relabelling, which is `canonical()`, and the list is
+    built from the keys.  The first labelling met of each class records all
+    of the class's labellings, so a later one is skipped without a
+    connectivity check, a relabelling or a `RealizingGraph`; the record
+    lives for this call only.
     """
     if rank < 2:
         raise DomainError("realizing graphs need rank >= 2")
-    keys: Set[Tuple[int, Tuple[Tuple[int, int], ...]]] = set()
+    keys: List[Tuple[int, Tuple[Tuple[int, int], ...]]] = []
+    met: Set[Tuple[Tuple[int, int], ...]] = set()
     for nv in range(1, 2 * rank - 1):
         ne = nv + rank - 1
         cap = 2 * ne - 3 * (nv - 1)
@@ -203,10 +219,13 @@ def realizing_graphs(rank: int) -> List[RealizingGraph]:
             if sum(max(0, 3 - d) for d in degree) > ends_left:
                 return
             if not ends_left:
-                if all(a >= b for a, b in zip(degree, degree[1:])):
-                    graph = RealizingGraph(nv, tuple(edges))
+                labelled = tuple(edges)
+                if labelled not in met and all(a >= b for a, b in zip(degree, degree[1:])):
+                    graph = RealizingGraph(nv, labelled)
                     if graph.is_connected():
-                        keys.add((nv, graph.canonical()))
+                        labellings = graph.relabellings()
+                        met.update(labellings)
+                        keys.append((nv, min(labellings)))
                 return
             for k in range(start, len(slots)):
                 u, v = slots[k]
@@ -276,6 +295,39 @@ def graph_symmetries(graph: RealizingGraph) -> List[GraphSymmetry]:
                     emap[src_idx] = (dst_idx, flip)
             out.append(GraphSymmetry(vperm, tuple(emap)))
     return out
+
+
+def invariant_forest(graph: RealizingGraph, sym: GraphSymmetry) -> Tuple[int, ...]:
+    """The first edge orbit of `sym` that is a forest, as edge indices, or ().
+
+    An orbit is a forest when it holds no loop and no cycle: a union-find
+    over the ends of its edges never meets an edge whose ends are already
+    joined.  A union of orbits is a forest only if each orbit is one, so
+    `sym` leaves a nonempty forest invariant exactly when this is nonempty.
+    """
+    placed = [False] * len(graph.edges)
+    for start in range(len(graph.edges)):
+        if placed[start]:
+            continue
+        orbit = []
+        idx = start
+        while not placed[idx]:
+            placed[idx] = True
+            orbit.append(idx)
+            idx = sym.emap[idx][0]
+        parent = list(range(graph.nvertices))
+        for idx in orbit:
+            u, v = graph.edges[idx]
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if u == v:
+                break
+            parent[u] = v
+        else:
+            return tuple(orbit)
+    return ()
 
 
 Oriented = Tuple[Tuple[int, bool], ...]  # (edge index, reversed?) per step
@@ -429,6 +481,18 @@ def culler_reps(rank: int) -> List[TorsionRep]:
     both come from one power chain M, M^2, ..., I.  M^-1 has the same key,
     so it is marked as seen together with M.  Only a symmetry with a new key
     is turned into image words and folded.
+
+    A symmetry with an invariant forest (`invariant_forest`) gets no matrix
+    and no key, and this changes no output.  Collapsing that forest
+    equivariantly gives a connected graph with the same Betti number, all
+    degrees >= 3 and strictly fewer vertices, so it is in the list and comes
+    earlier: the graphs are processed in (nvertices, canonical) order.  The
+    collapse is a homotopy equivalence that commutes with the symmetries, so
+    the induced symmetry there acts on homology by a GL_n(Z)-conjugate
+    matrix, which has the same key (Culler 1984; Krstic-Vogtmann 1993).  By
+    induction on the vertex count, that key was already found there, so
+    the first symmetry with each key never has an invariant forest, and the
+    same representatives come out in the same order.
     """
     if rank > RANK_BOUND:
         raise ResourceError(f"culler_reps supports rank <= {RANK_BOUND}")
@@ -444,6 +508,8 @@ def culler_reps(rank: int) -> List[TorsionRep]:
     for graph in realizing_graphs(rank):
         marking = GraphMarking.of(graph)
         for sym in graph_symmetries(graph):
+            if invariant_forest(graph, sym):
+                continue
             mat = marking.homology(sym)
             if mat in seen:
                 continue
@@ -516,19 +582,23 @@ class CongruenceCertificate:
         """Re-check characteristicity and every non-conjugacy witness."""
         if not is_characteristic(self.kernel, nielsen_generators(self.group)):
             return False
-        # the certified kernel must sit inside every witness kernel; entries
-        # share quotients, so each distinct one is checked once, in entry order
-        for q in dict.fromkeys(entry.witness.quotient for entry in self.entries):
+        # entries share quotients: each distinct one is checked once to
+        # contain the certified kernel in its own, and its image group is
+        # built once for the non-conjugacy checks of all of its entries
+        by_quotient: Dict[FiniteQuotient, List[CertifiedRep]] = {}
+        for entry in self.entries:
+            by_quotient.setdefault(entry.witness.quotient, []).append(entry)
+        for q, entries in by_quotient.items():
             if self.kernel.intersect(q.kernel_graph()) != self.kernel:
                 return False
-        for entry in self.entries:
-            q = entry.witness.quotient
-            img = q.image_of(entry.witness.word)
-            img_a = q.image_of(entry.rep.aut.apply(entry.witness.word))
-            if img != entry.witness.image_word or img_a != entry.witness.image_aut_word:
-                return False
-            if q.conjugate_in_image(img, img_a):
-                return False
+            image = q.image_group()
+            for entry in entries:
+                img = q.image_of(entry.witness.word)
+                img_a = q.image_of(entry.rep.aut.apply(entry.witness.word))
+                if img != entry.witness.image_word or img_a != entry.witness.image_aut_word:
+                    return False
+                if conjugate_in(image, img, img_a):
+                    return False
         return True
 
     def serialize(self) -> str:

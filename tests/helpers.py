@@ -10,7 +10,14 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 from torusconj.fibercorrect import smith_normal_form, solve_linear_system, solve_with_nullspace
 from torusconj.freegroup import FreeGroup, Word, is_automorphism
 from torusconj.gog import GraphOfGroups, SlotElement, SlotIso, bar
-from torusconj.minkowski import RealizingGraph
+from torusconj.minkowski import (
+    GraphMarking,
+    RealizingGraph,
+    TorsionRep,
+    _gl_conjugacy_invariant,
+    _power_chain,
+    graph_symmetries,
+)
 from torusconj.whitehead import ProductGroup, ProductMarking, WhiteheadMove, mwp_product
 
 
@@ -345,3 +352,24 @@ def realizing_graphs_oracle(rank: int) -> List[RealizingGraph]:
             if key not in found:
                 found[key] = graph
     return [RealizingGraph(nv, edges) for (nv, edges) in sorted(found.keys())]
+
+
+def culler_reps_oracle(rank: int) -> List[TorsionRep]:
+    """Oracle for `minkowski.culler_reps` at rank >= 2 that keys every
+    symmetry of every realizing graph, with or without an invariant forest."""
+    group = FreeGroup(rank)
+    reps: Dict[tuple, TorsionRep] = {}
+    seen: set = set()
+    for graph in realizing_graphs_oracle(rank):
+        marking = GraphMarking.of(graph)
+        for sym in graph_symmetries(graph):
+            mat = marking.homology(sym)
+            if mat in seen:
+                continue
+            chain = _power_chain(mat, 12)
+            seen.add(mat)
+            seen.add(chain[-2] if len(chain) > 1 else mat)  # M^-1
+            key = _gl_conjugacy_invariant(chain)
+            if key not in reps:
+                reps[key] = TorsionRep(marking.automorphism(sym, group), len(chain), graph.name())
+    return sorted(reps.values(), key=lambda r: (r.outer_order, r.provenance))

@@ -19,6 +19,8 @@ from torusconj.minkowski import (
     CongruenceCertificate,
     FiniteQuotient,
     GraphMarking,
+    GraphSymmetry,
+    RealizingGraph,
     _gl_conjugacy_invariant,
     _matrix_order,
     _power_chain,
@@ -27,15 +29,17 @@ from torusconj.minkowski import (
     certify_product,
     certify_zsquare,
     characteristic_closure,
+    conjugate_in,
     culler_reps,
     cycle_type,
     gl2_finite_order_classes,
     graph_symmetries,
+    invariant_forest,
     mod3_witness,
     realizing_graphs,
 )
 
-from .helpers import mat_mul, random_word, realizing_graphs_oracle
+from .helpers import culler_reps_oracle, mat_mul, random_word, realizing_graphs_oracle
 
 F1 = FreeGroup(1)
 F2 = FreeGroup(2)
@@ -90,6 +94,39 @@ class TestRealizingGraphs:
                 assert len(g.edges) - g.nvertices + 1 == rank
                 assert min(g.degrees()) >= 3
                 assert g.is_connected()
+
+
+def collapse_forest(graph, sym, forest):
+    """The graph with the sym-invariant edge set `forest` collapsed, each
+    vertex class numbered by its least vertex, and the induced symmetry."""
+    comp = list(range(graph.nvertices))
+    for idx in forest:
+        u, v = graph.edges[idx]
+        old, new = comp[v], comp[u]
+        comp = [new if c == old else c for c in comp]
+    label = {c: k for k, c in enumerate(sorted(set(comp)))}
+    kept = []  # (pair, original index, stored against the original direction?)
+    for idx, (u, v) in enumerate(graph.edges):
+        if idx not in forest:
+            a, b = label[comp[u]], label[comp[v]]
+            kept.append(((min(a, b), max(a, b)), idx, a > b))
+    kept.sort(key=lambda item: item[0])
+    new_index = {idx: k for k, (_, idx, _) in enumerate(kept)}
+    reversed_ = {idx: rev for _, idx, rev in kept}
+    vperm = {}
+    for v in range(graph.nvertices):
+        image = label[comp[sym.vperm[v]]]
+        assert vperm.setdefault(label[comp[v]], image) == image
+    emap = [None] * len(kept)
+    for _, idx, rev in kept:
+        dst, flip = sym.emap[idx]
+        emap[new_index[idx]] = (new_index[dst], flip ^ rev ^ reversed_[dst])
+    collapsed = RealizingGraph(len(label), tuple(pair for pair, _, _ in kept))
+    return collapsed, GraphSymmetry(tuple(vperm[c] for c in range(len(label))), tuple(emap))
+
+
+def _key(marking, sym):
+    return _gl_conjugacy_invariant(_power_chain(marking.homology(sym), 12))
 
 
 class TestCullerReps:
@@ -182,6 +219,34 @@ class TestCullerReps:
         monkeypatch.setattr(minkowski, "is_automorphism", counting)
         assert len(culler_reps(rank)) == len(calls) == folds
 
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_against_oracle(self, rank):
+        # skipping the symmetries with an invariant forest keeps the same
+        # representatives, orders and provenances, in the same order
+        assert culler_reps(rank) == culler_reps_oracle(rank)
+
+    @pytest.mark.parametrize("rank, skipped", [(2, 16), (3, 226)])
+    def test_forest_collapse(self, rank, skipped):
+        # every skipped symmetry collapses its invariant forest onto a graph
+        # with fewer vertices, earlier in the list, where the induced
+        # symmetry is a graph symmetry with the same class key
+        listed = {(g.nvertices, g.canonical()) for g in realizing_graphs(rank)}
+        count = 0
+        for graph in realizing_graphs(rank):
+            marking = GraphMarking.of(graph)
+            for sym in graph_symmetries(graph):
+                forest = invariant_forest(graph, sym)
+                if not forest:
+                    continue
+                count += 1
+                assert {sym.emap[idx][0] for idx in forest} == set(forest)
+                collapsed, induced = collapse_forest(graph, sym, forest)
+                assert collapsed.nvertices < graph.nvertices
+                assert (collapsed.nvertices, collapsed.canonical()) in listed
+                assert induced in graph_symmetries(collapsed)
+                assert _key(GraphMarking.of(collapsed), induced) == _key(marking, sym)
+        assert count == skipped
+
     @pytest.mark.parametrize("rank, symmetries, matrices", [(2, 28, 16), (3, 304, 113)])
     def test_inverse_shares_the_key(self, rank, symmetries, matrices):
         # M read off the loops is the abelianized image words, and M^-1 (the
@@ -206,15 +271,19 @@ class TestCullerReps:
                 assert _gl_conjugacy_invariant(_power_chain(inverse, 12)) == full
         assert (checked, len(distinct)) == (symmetries, matrices)
 
-    @pytest.mark.parametrize("rank, smiths, graphs", [(2, 15, 6), (3, 109, 77)])
-    def test_work_per_call(self, monkeypatch, rank, smiths, graphs):
-        # Smith forms per culler_reps (45 and 375 when every power of every
-        # new matrix was reduced) and RealizingGraph constructions per
-        # realizing_graphs (14 and 5,288 over every multiset of edge slots);
-        # a second call repeats the same work, so nothing is kept between calls
+    @pytest.mark.parametrize(
+        "rank, smiths, graphs, homologies", [(2, 11, 6, 12), (3, 69, 45, 78)]
+    )
+    def test_work_per_call(self, monkeypatch, rank, smiths, graphs, homologies):
+        # Smith forms and homology matrices per culler_reps (15/109 and 28/304
+        # when every symmetry was keyed, 45/375 Smith forms when every power
+        # of every new matrix was reduced) and RealizingGraph constructions
+        # per realizing_graphs (6/77 when every labelling was canonicalized,
+        # 14/5,288 over every multiset of edge slots); a second call repeats
+        # the same work, so nothing is kept between calls
         import torusconj.minkowski as minkowski
 
-        counts = {"smith": 0, "graph": 0}
+        counts = {"smith": 0, "graph": 0, "homology": 0}
 
         def counting(name, original):
             def wrapper(*args):
@@ -225,13 +294,16 @@ class TestCullerReps:
 
         monkeypatch.setattr(minkowski, "_shift_smith", counting("smith", minkowski._shift_smith))
         monkeypatch.setattr(minkowski, "RealizingGraph", counting("graph", minkowski.RealizingGraph))
+        monkeypatch.setattr(
+            minkowski.GraphMarking, "homology", counting("homology", minkowski.GraphMarking.homology)
+        )
         for _ in range(2):
-            counts.update(smith=0, graph=0)
+            counts.update(smith=0, graph=0, homology=0)
             realizing_graphs(rank)
-            assert counts == {"smith": 0, "graph": graphs}
-            counts.update(smith=0, graph=0)
+            assert counts == {"smith": 0, "graph": graphs, "homology": 0}
+            counts.update(smith=0, graph=0, homology=0)
             culler_reps(rank)
-            assert counts == {"smith": smiths, "graph": graphs}
+            assert counts == {"smith": smiths, "graph": graphs, "homology": homologies}
 
 
 class TestSeparate:
@@ -241,7 +313,7 @@ class TestSeparate:
         q = witness.quotient
         img = q.image_of(witness.word)
         img_a = q.image_of(swap.apply(witness.word))
-        assert not q.conjugate_in_image(img, img_a)
+        assert not conjugate_in(q.image_group(), img, img_a)
 
     def test_cycle_type_example(self):
         # a -> (12), b -> (123) in S3 separates the swap with witness a
