@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import itertools
@@ -9,6 +10,7 @@ import pytest
 
 from torusconj.errors import DomainError, ResourceError
 from torusconj.freegroup import (
+    FreeAut,
     FreeGroup,
     is_automorphism,
     is_characteristic,
@@ -16,6 +18,7 @@ from torusconj.freegroup import (
 )
 from torusconj.freegroup.autos import abelianization
 from torusconj.minkowski import (
+    CertifiedRep,
     CongruenceCertificate,
     FiniteQuotient,
     GraphMarking,
@@ -394,6 +397,19 @@ class TestCertify:
         assert isinstance(cert, CongruenceCertificate)
         assert cert.verify()
         assert sorted({e.rep.outer_order for e in cert.entries}) == [2, 3, 4, 6]
+
+    def test_verify_checks_every_entry(self):
+        # entries that share a witness quotient are checked together; an
+        # identity representative in any one entry, with the witness images
+        # it gives, must still fail the non-conjugacy check
+        cert = certify(3)
+        identity = FreeAut.identity(cert.group)
+        for k, entry in enumerate(cert.entries):
+            witness = dataclasses.replace(entry.witness, image_aut_word=entry.witness.image_word)
+            rep = dataclasses.replace(entry.rep, aut=identity)
+            broken = CertifiedRep(rep, witness)
+            entries = cert.entries[:k] + (broken,) + cert.entries[k + 1 :]
+            assert not dataclasses.replace(cert, entries=entries).verify()
 
 
 def _exponent_sums(w):
