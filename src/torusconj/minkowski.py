@@ -17,21 +17,31 @@ index-<=2 congruence kernel.
 A symmetry's class is read off its action on homology (the signed edge
 counts of the marking loops it moves), so only one symmetry per class is
 turned into image words and folded into an automorphism.  A symmetry that
-leaves a forest invariant is not read at all: collapsing that forest
+leaves a forest invariant is never built: collapsing that forest
 equivariantly gives a graph with fewer vertices, met earlier, on which the
 induced symmetry acts on homology by a GL_n(Z)-conjugate matrix (Culler,
 Finite groups of outer automorphisms of a free group, Contemp. Math. 33,
 1984; Krstic-Vogtmann, Comment. Math. Helv. 68, 1993), so its class is
-already known.  Each graph class is canonicalized once per call: its first
-labelled edge list records all of its relabellings in a table that lives
-for that call, and later labellings of the class are skipped on sight.
+already known.  Whether it has such a forest is read per orbit O of vertex
+pairs under its vertex permutation: an edge orbit over O passes each pair
+of O equally often, so it is a forest exactly when it passes each pair
+once and the pairs of O span a forest.  The graphs' edge multisets keep
+non-increasing degrees as they are built, each graph class is
+canonicalized once per call (its first labelled edge list records all of
+its relabellings in a table that lives for that call, and later labellings
+of the class are skipped on sight), and the classes are listed up to
+`RANK_BOUND`.
+
+A certificate's kernel is checked to lie in each witness quotient's kernel
+by one walk over its graph, labelling every state with the image of a path
+to it, with no fiber product.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import DomainError, ResourceError
 from .freegroup import (
@@ -47,7 +57,7 @@ from .freegroup import (
 from .freegroup.stallings import _core_and_canonicalize
 from .fibercorrect import smith_normal_form
 
-RANK_BOUND = 3
+RANK_BOUND = 4
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +109,36 @@ class FiniteQuotient:
         ]
         identity = tuple(range(self.degree))
         return _core_and_canonicalize(self.group, len(elements), fwd, index[identity])
+
+    def kernel_contains(self, graph: SubgroupGraph) -> bool:
+        """Whether the subgroup of `graph` lies in the kernel.
+
+        Each state is labelled with the image of a path to it from the base.
+        The subgroup maps to the identity exactly when the labels agree
+        along every edge, since a disagreeing edge closes a base loop with a
+        nontrivial image; the walk stops at the first disagreement.
+        """
+        steps = [
+            (fwd, bwd, p, _perm_inverse(p))
+            for fwd, bwd, p in zip(graph.fwd, graph.bwd, self.perms)
+        ]
+        label = {graph.base: tuple(range(self.degree))}
+        frontier = [graph.base]
+        while frontier:
+            s = frontier.pop()
+            g = label[s]
+            for fwd, bwd, p, p_inv in steps:
+                for t, step in ((fwd[s], p), (bwd[s], p_inv)):
+                    if t is None:
+                        continue
+                    image = _perm_compose(step, g)
+                    known = label.get(t)
+                    if known is None:
+                        label[t] = image
+                        frontier.append(t)
+                    elif known != image:
+                        return False
+        return True
 
 
 def conjugate_in(image: Set[Tuple[int, ...]], a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
@@ -195,13 +235,15 @@ def realizing_graphs(rank: int) -> List[RealizingGraph]:
     lexicographic order.  A vertex never rises above 2*ne - 3*(nv - 1), the
     degree left once every other vertex has degree 3; a branch is cut once
     its remaining edge ends cannot lift every vertex to degree 3, or once a
-    vertex that no later slot touches is below 3.  Each complete multiset
-    with non-increasing degrees (every graph has such a labelling) is
-    keyed by its least relabelling, which is `canonical()`, and the list is
-    built from the keys.  The first labelling met of each class records all
-    of the class's labellings, so a later one is skipped without a
-    connectivity check, a relabelling or a `RealizingGraph`; the record
-    lives for this call only.
+    vertex that no later slot touches is below 3.  Only a multiset with
+    non-increasing degrees is kept (every graph has such a labelling), and
+    once row u of the slots starts, vertex u - 1 is touched no more, so a
+    slot that would lift u or v above the degree of u - 1 is skipped.  Each
+    kept multiset is keyed by its least relabelling, which is
+    `canonical()`, and the list is built from the keys.  The first
+    labelling met of each class records all of the class's labellings, so
+    a later one is skipped without a connectivity check, a relabelling or
+    a `RealizingGraph`; the record lives for this call only.
     """
     if rank < 2:
         raise DomainError("realizing graphs need rank >= 2")
@@ -231,7 +273,9 @@ def realizing_graphs(rank: int) -> List[RealizingGraph]:
                 u, v = slots[k]
                 if u and degree[u - 1] < 3:
                     return  # no later slot touches vertex u - 1
-                if degree[u] + 1 + (u == v) > cap or degree[v] == cap:
+                # vertex u - 1 is final, and no vertex after it may exceed it
+                top = degree[u - 1] if u else cap
+                if degree[u] + 1 + (u == v) > top or degree[v] >= top:
                     continue  # a loop adds 2 to its vertex
                 degree[u] += 1
                 degree[v] += 1
@@ -254,80 +298,102 @@ class GraphSymmetry:
     emap: Tuple[Tuple[int, bool], ...]
 
 
-def graph_symmetries(graph: RealizingGraph) -> List[GraphSymmetry]:
+def forest_free_symmetries(graph: RealizingGraph) -> Iterator[GraphSymmetry]:
+    """The symmetries of `graph` that leave no forest invariant, ordered by
+    vertex permutation and then by edge bijection, pair by sorted pair.
+
+    A vertex permutation pi permutes the non-loop vertex pairs in orbits.
+    An edge orbit over a pair orbit O passes every pair of O equally often,
+    and one that passes a pair twice holds two parallel edges, a cycle.  So
+    an edge orbit over O is a forest exactly when it passes each pair once,
+    which is when the return map on O's first pair fixes its edge, and the
+    pairs of O span a forest; a loop is never a forest.  A pi with such an
+    O of single edges is dropped before any edge bijection is built, and
+    under a forest O of parallel edges only the bijections whose return
+    map on O's first pair has no fixed point are kept.
+    """
     edges = graph.edges
-    out = []
     by_pair: Dict[Tuple[int, int], List[int]] = {}
-    for idx, (u, v) in enumerate(edges):
-        by_pair.setdefault((u, v), []).append(idx)
+    for idx, pair in enumerate(edges):
+        by_pair.setdefault(pair, []).append(idx)
+    pair_list = sorted(by_pair)
     for vperm in itertools.permutations(range(graph.nvertices)):
         image_pairs = {}
-        ok = True
-        for pair, idxs in by_pair.items():
-            u, v = pair
-            target = tuple(sorted((vperm[u], vperm[v])))
-            if target not in by_pair or len(by_pair[target]) != len(idxs):
-                ok = False
+        for u, v in pair_list:
+            a, b = vperm[u], vperm[v]
+            target = (a, b) if a <= b else (b, a)
+            if len(by_pair.get(target, ())) != len(by_pair[u, v]):
                 break
-            image_pairs[pair] = target
-        if not ok:
-            continue
-        per_pair_choices = []
-        pair_list = sorted(by_pair)
-        for pair in pair_list:
-            idxs = by_pair[pair]
-            targets = by_pair[image_pairs[pair]]
-            u, v = pair
-            choices = []
-            for tperm in itertools.permutations(targets):
-                if u == v:
-                    # loops: each image may be traversed either way
-                    for flips in itertools.product((False, True), repeat=len(idxs)):
-                        choices.append(list(zip(tperm, flips)))
-                else:
-                    swapped = vperm[u] > vperm[v]
-                    choices.append([(t, swapped) for t in tperm])
-            per_pair_choices.append(choices)
-        for combo in itertools.product(*per_pair_choices):
-            emap: List[Tuple[int, bool]] = [None] * len(edges)  # type: ignore[list-item]
-            for pair, assignment in zip(pair_list, combo):
-                for src_idx, (dst_idx, flip) in zip(by_pair[pair], assignment):
-                    emap[src_idx] = (dst_idx, flip)
-            out.append(GraphSymmetry(vperm, tuple(emap)))
-    return out
-
-
-def invariant_forest(graph: RealizingGraph, sym: GraphSymmetry) -> Tuple[int, ...]:
-    """The first edge orbit of `sym` that is a forest, as edge indices, or ().
-
-    An orbit is a forest when it holds no loop and no cycle: a union-find
-    over the ends of its edges never meets an edge whose ends are already
-    joined.  A union of orbits is a forest only if each orbit is one, so
-    `sym` leaves a nonempty forest invariant exactly when this is nonempty.
-    """
-    placed = [False] * len(graph.edges)
-    for start in range(len(graph.edges)):
-        if placed[start]:
-            continue
-        orbit = []
-        idx = start
-        while not placed[idx]:
-            placed[idx] = True
-            orbit.append(idx)
-            idx = sym.emap[idx][0]
-        parent = list(range(graph.nvertices))
-        for idx in orbit:
-            u, v = graph.edges[idx]
-            while parent[u] != u:
-                u = parent[u]
-            while parent[v] != v:
-                v = parent[v]
-            if u == v:
-                break
-            parent[u] = v
+            image_pairs[u, v] = target
         else:
-            return tuple(orbit)
-    return ()
+            # (edges over the first pair, orbit length) per forest pair
+            # orbit of parallel edges, whose return map must move each edge
+            deranged: List[Tuple[List[int], int]] = []
+            placed: Set[Tuple[int, int]] = set()
+            for first in pair_list:
+                if first in placed or first[0] == first[1]:
+                    continue
+                orbit = [first]
+                while image_pairs[orbit[-1]] != first:
+                    orbit.append(image_pairs[orbit[-1]])
+                placed.update(orbit)
+                if _spans_forest(orbit, graph.nvertices):
+                    if len(by_pair[first]) == 1:
+                        break
+                    deranged.append((by_pair[first], len(orbit)))
+            else:
+                yield from _edge_bijections(graph, vperm, by_pair, pair_list, image_pairs, deranged)
+
+
+def _spans_forest(pairs: Sequence[Tuple[int, int]], nvertices: int) -> bool:
+    """Whether distinct vertex pairs span a forest: a union-find over their
+    ends never meets a pair whose ends are already joined."""
+    parent = list(range(nvertices))
+    for u, v in pairs:
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        if u == v:
+            return False
+        parent[u] = v
+    return True
+
+
+def _edge_bijections(graph, vperm, by_pair, pair_list, image_pairs, deranged) -> Iterator[GraphSymmetry]:
+    """The edge bijections over `vperm`, in product order over `pair_list`,
+    whose return maps move every edge listed in `deranged`."""
+    per_pair_choices = []
+    for pair in pair_list:
+        idxs = by_pair[pair]
+        targets = by_pair[image_pairs[pair]]
+        u, v = pair
+        choices = []
+        for tperm in itertools.permutations(targets):
+            if u == v:
+                # loops: each image may be traversed either way
+                for flips in itertools.product((False, True), repeat=len(idxs)):
+                    choices.append(list(zip(tperm, flips)))
+            else:
+                swapped = vperm[u] > vperm[v]
+                choices.append([(t, swapped) for t in tperm])
+        per_pair_choices.append(choices)
+    for combo in itertools.product(*per_pair_choices):
+        emap: List[Tuple[int, bool]] = [None] * len(graph.edges)  # type: ignore[list-item]
+        for pair, assignment in zip(pair_list, combo):
+            for src_idx, image in zip(by_pair[pair], assignment):
+                emap[src_idx] = image
+        if any(_returns(emap, idx, length) for idxs, length in deranged for idx in idxs):
+            continue
+        yield GraphSymmetry(vperm, tuple(emap))
+
+
+def _returns(emap, idx: int, length: int) -> bool:
+    """Whether `length` steps of `emap` bring edge `idx` back to itself."""
+    dst = idx
+    for _ in range(length):
+        dst = emap[dst][0]
+    return dst == idx
 
 
 Oriented = Tuple[Tuple[int, bool], ...]  # (edge index, reversed?) per step
@@ -445,12 +511,6 @@ def _power_chain(m: Sequence[Sequence[int]], bound: int) -> Optional[List[Matrix
     return chain
 
 
-def _matrix_order(m, bound: int) -> Optional[int]:
-    """The least k <= bound with m^k == I, else None."""
-    chain = _power_chain(m, bound)
-    return None if chain is None else len(chain)
-
-
 def _gl_conjugacy_invariant(chain: Sequence[Matrix]) -> tuple:
     """Dedup key from the power chain of M: the order o, then the Smith
     invariants of M^k - I for k = 1..o.  Entries k and o - k agree, since
@@ -471,7 +531,8 @@ def _shift_smith(mat) -> Tuple[int, ...]:
 
 
 def culler_reps(rank: int) -> List[TorsionRep]:
-    """Representatives of every finite-order outer class, from graph symmetries.
+    """Representatives of the finite-order outer classes, one per class key,
+    from graph symmetries.
 
     Rank 1 is special-cased (the outer group is Z/2); otherwise the
     degree-capped realizing graphs are enumerated, each gets one spanning-tree
@@ -482,20 +543,28 @@ def culler_reps(rank: int) -> List[TorsionRep]:
     so it is marked as seen together with M.  Only a symmetry with a new key
     is turned into image words and folded.
 
-    A symmetry with an invariant forest (`invariant_forest`) gets no matrix
-    and no key, and this changes no output.  Collapsing that forest
-    equivariantly gives a connected graph with the same Betti number, all
-    degrees >= 3 and strictly fewer vertices, so it is in the list and comes
-    earlier: the graphs are processed in (nvertices, canonical) order.  The
-    collapse is a homotopy equivalence that commutes with the symmetries, so
+    A symmetry with an invariant forest is never built
+    (`forest_free_symmetries`), and this changes no output.  Collapsing
+    that forest equivariantly gives a connected graph with the same Betti
+    number, all degrees >= 3 and strictly fewer vertices, so it is in the
+    list and comes earlier: the graphs are processed in (nvertices,
+    canonical) order.  The collapse is a homotopy equivalence that
+    commutes with the symmetries, so
     the induced symmetry there acts on homology by a GL_n(Z)-conjugate
     matrix, which has the same key (Culler 1984; Krstic-Vogtmann 1993).  By
     induction on the vertex count, that key was already found there, so
     the first symmetry with each key never has an invariant forest, and the
     same representatives come out in the same order.
+
+    The key has not been proved a complete GL_n(Z) conjugacy invariant, so
+    this is one representative per key.  The power chain is cut at 12,
+    which is exact through rank 5: every finite order in GL_n(Z) with
+    n <= 5 is at most 12 (Kuzmanovich-Pavlichenkov, Amer. Math. Monthly
+    109, 2002).  `RANK_BOUND` caps the rank because the per-call tables of
+    `realizing_graphs` grow with nv!, not because the method stops.
     """
     if rank > RANK_BOUND:
-        raise ResourceError(f"culler_reps supports rank <= {RANK_BOUND}")
+        raise ResourceError(f"culler_reps supports rank <= RANK_BOUND = {RANK_BOUND}")
     group = FreeGroup(rank)
     if rank == 1:
         flip = is_automorphism(group, [group.generator(0).inverse()])
@@ -507,13 +576,11 @@ def culler_reps(rank: int) -> List[TorsionRep]:
     seen: Set[Matrix] = set()
     for graph in realizing_graphs(rank):
         marking = GraphMarking.of(graph)
-        for sym in graph_symmetries(graph):
-            if invariant_forest(graph, sym):
-                continue
+        for sym in forest_free_symmetries(graph):
             mat = marking.homology(sym)
             if mat in seen:
                 continue
-            chain = _power_chain(mat, 12)  # finite orders in GL_n(Z), n <= 3, divide 12
+            chain = _power_chain(mat, 12)  # finite orders in GL_n(Z), n <= 5, are <= 12
             if chain is None:
                 raise AssertionError("a graph symmetry acts on homology with order above 12")
             seen.add(mat)
@@ -589,7 +656,7 @@ class CongruenceCertificate:
         for entry in self.entries:
             by_quotient.setdefault(entry.witness.quotient, []).append(entry)
         for q, entries in by_quotient.items():
-            if self.kernel.intersect(q.kernel_graph()) != self.kernel:
+            if not q.kernel_contains(self.kernel):
                 return False
             image = q.image_group()
             for entry in entries:
@@ -689,28 +756,13 @@ class ZSquareCertificate:
         return True
 
 
-def gl2_finite_order_classes(entry_bound: int = 2) -> List[Tuple[Tuple[int, ...], ...]]:
-    """Bounded-entry enumeration of finite-order elements of GL_2(Z), one per
-    conjugacy invariant (order, trace, det)."""
-    classes: Dict[tuple, Tuple[Tuple[int, ...], ...]] = {}
-    rng = range(-entry_bound, entry_bound + 1)
-    for a, b, c, d in itertools.product(rng, repeat=4):
-        det = a * d - b * c
-        if det not in (1, -1):
-            continue
-        m = ((a, b), (c, d))
-        order = _matrix_order(m, 12)
-        if order is None:
-            continue
-        key = (order, a + d, det, _shift_smith(m))
-        if key not in classes:
-            classes[key] = m
-    return sorted(classes.values())
-
-
 def certify_zsquare() -> ZSquareCertificate:
-    """Kernel 3 Z^2: Minkowski's congruence separates all finite order."""
-    reps = tuple(m for m in gl2_finite_order_classes() if m != ((1, 0), (0, 1)))
+    """Kernel 3 Z^2: Minkowski's congruence separates all finite order.  The
+    classes are the homology matrices of the nontrivial `culler_reps(2)`,
+    since Out(F_2) -> GL_2(Z) is an isomorphism (Nielsen)."""
+    reps = tuple(
+        tuple(map(tuple, rep.aut.abelianized())) for rep in culler_reps(2) if rep.outer_order != 1
+    )
     cert = ZSquareCertificate(3, reps)
     if not cert.verify():
         raise AssertionError("3 Z^2 failed to separate a finite-order class")

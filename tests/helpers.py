@@ -5,18 +5,19 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from torusconj.fibercorrect import smith_normal_form, solve_linear_system, solve_with_nullspace
 from torusconj.freegroup import FreeGroup, Word, is_automorphism
 from torusconj.gog import GraphOfGroups, SlotElement, SlotIso, bar
 from torusconj.minkowski import (
     GraphMarking,
+    GraphSymmetry,
     RealizingGraph,
     TorsionRep,
     _gl_conjugacy_invariant,
     _power_chain,
-    graph_symmetries,
+    _shift_smith,
 )
 from torusconj.whitehead import ProductGroup, ProductMarking, WhiteheadMove, mwp_product
 
@@ -333,6 +334,110 @@ def _gl2_solve(o_src, o_dst, sources, targets):
     return None
 
 
+def graph_symmetries(graph: RealizingGraph) -> List[GraphSymmetry]:
+    """Every symmetry of `graph`: each vertex permutation that keeps the edge
+    multiplicities, with every edge bijection over it, pair by sorted pair.
+    Oracle for `minkowski.forest_free_symmetries`."""
+    edges = graph.edges
+    out = []
+    by_pair: Dict[Tuple[int, int], List[int]] = {}
+    for idx, (u, v) in enumerate(edges):
+        by_pair.setdefault((u, v), []).append(idx)
+    for vperm in itertools.permutations(range(graph.nvertices)):
+        image_pairs = {}
+        ok = True
+        for pair, idxs in by_pair.items():
+            u, v = pair
+            target = tuple(sorted((vperm[u], vperm[v])))
+            if target not in by_pair or len(by_pair[target]) != len(idxs):
+                ok = False
+                break
+            image_pairs[pair] = target
+        if not ok:
+            continue
+        per_pair_choices = []
+        pair_list = sorted(by_pair)
+        for pair in pair_list:
+            idxs = by_pair[pair]
+            targets = by_pair[image_pairs[pair]]
+            u, v = pair
+            choices = []
+            for tperm in itertools.permutations(targets):
+                if u == v:
+                    # loops: each image may be traversed either way
+                    for flips in itertools.product((False, True), repeat=len(idxs)):
+                        choices.append(list(zip(tperm, flips)))
+                else:
+                    swapped = vperm[u] > vperm[v]
+                    choices.append([(t, swapped) for t in tperm])
+            per_pair_choices.append(choices)
+        for combo in itertools.product(*per_pair_choices):
+            emap: List[Tuple[int, bool]] = [None] * len(edges)  # type: ignore[list-item]
+            for pair, assignment in zip(pair_list, combo):
+                for src_idx, (dst_idx, flip) in zip(by_pair[pair], assignment):
+                    emap[src_idx] = (dst_idx, flip)
+            out.append(GraphSymmetry(vperm, tuple(emap)))
+    return out
+
+
+def invariant_forest(graph: RealizingGraph, sym: GraphSymmetry) -> Tuple[int, ...]:
+    """The first edge orbit of `sym` that is a forest, as edge indices, or ().
+
+    An orbit is a forest when it holds no loop and no cycle: a union-find
+    over the ends of its edges never meets an edge whose ends are already
+    joined.  A union of orbits is a forest only if each orbit is one, so
+    `sym` leaves a nonempty forest invariant exactly when this is nonempty.
+    """
+    placed = [False] * len(graph.edges)
+    for start in range(len(graph.edges)):
+        if placed[start]:
+            continue
+        orbit = []
+        idx = start
+        while not placed[idx]:
+            placed[idx] = True
+            orbit.append(idx)
+            idx = sym.emap[idx][0]
+        parent = list(range(graph.nvertices))
+        for idx in orbit:
+            u, v = graph.edges[idx]
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if u == v:
+                break
+            parent[u] = v
+        else:
+            return tuple(orbit)
+    return ()
+
+
+def matrix_order(m, bound: int) -> Optional[int]:
+    """The least k <= bound with m^k == I, else None."""
+    chain = _power_chain(m, bound)
+    return None if chain is None else len(chain)
+
+
+def gl2_finite_order_classes(entry_bound: int = 2) -> List[Tuple[Tuple[int, ...], ...]]:
+    """Bounded-entry enumeration of finite-order elements of GL_2(Z), one per
+    conjugacy invariant (order, trace, det)."""
+    classes: Dict[tuple, Tuple[Tuple[int, ...], ...]] = {}
+    rng = range(-entry_bound, entry_bound + 1)
+    for a, b, c, d in itertools.product(rng, repeat=4):
+        det = a * d - b * c
+        if det not in (1, -1):
+            continue
+        m = ((a, b), (c, d))
+        order = matrix_order(m, 12)
+        if order is None:
+            continue
+        key = (order, a + d, det, _shift_smith(m))
+        if key not in classes:
+            classes[key] = m
+    return sorted(classes.values())
+
+
 def realizing_graphs_oracle(rank: int) -> List[RealizingGraph]:
     """Brute-force oracle for `minkowski.realizing_graphs`: every multiset of
     edge slots, kept when connected with all degrees >= 3, keyed by its
@@ -354,13 +459,14 @@ def realizing_graphs_oracle(rank: int) -> List[RealizingGraph]:
     return [RealizingGraph(nv, edges) for (nv, edges) in sorted(found.keys())]
 
 
-def culler_reps_oracle(rank: int) -> List[TorsionRep]:
+def culler_reps_oracle(rank: int, graphs: Optional[List[RealizingGraph]] = None) -> List[TorsionRep]:
     """Oracle for `minkowski.culler_reps` at rank >= 2 that keys every
-    symmetry of every realizing graph, with or without an invariant forest."""
+    symmetry of every realizing graph, with or without an invariant forest;
+    the graphs are `realizing_graphs_oracle(rank)` unless given."""
     group = FreeGroup(rank)
     reps: Dict[tuple, TorsionRep] = {}
     seen: set = set()
-    for graph in realizing_graphs_oracle(rank):
+    for graph in realizing_graphs_oracle(rank) if graphs is None else graphs:
         marking = GraphMarking.of(graph)
         for sym in graph_symmetries(graph):
             mat = marking.homology(sym)

@@ -39,9 +39,7 @@ from torusconj.minkowski import (
     certify,
     certify_zsquare,
     culler_reps,
-    gl2_finite_order_classes,
     realizing_graphs,
-    _matrix_order,
 )
 from torusconj.pipeline import (
     conj_ung,
@@ -55,7 +53,7 @@ from torusconj.pipeline import (
 from torusconj.whitehead import Marking, same_orbit
 
 from .cli_helpers import load_conj_side
-from .helpers import move_alphabet, words_of_length
+from .helpers import gl2_finite_order_classes, matrix_order, move_alphabet, words_of_length
 
 DATA = pathlib.Path(__file__).parent / "data" / "corpus"
 F2 = FreeGroup(2)
@@ -300,9 +298,14 @@ def test_acceptance_minkowski_rank1_and_zsquare():
     assert [w.format() for w in cert1.kernel.generators()] == ["a a a"]
     assert cert1.verify()
     z2 = certify_zsquare()
+    assert z2.verify()
     classes = gl2_finite_order_classes()
-    orders = {_matrix_order(m, 12) for m in classes}
+    orders = {matrix_order(m, 12) for m in classes}
     assert orders == {1, 2, 3, 4, 6}
+    # the certified classes, read off culler_reps(2), are the oracle's
+    # nontrivial ones
+    certified = sorted(matrix_order(m, 12) for m in z2.representatives)
+    assert certified == sorted(matrix_order(m, 12) for m in classes if m != ((1, 0), (0, 1)))
     misses = [
         m
         for m in classes

@@ -131,11 +131,19 @@ class TestMinkowskiCommand:
         assert code == 0
         assert bounded == plain
 
-    def test_rank_four_is_a_resource_limit(self, capsys):
-        code, out, err = run_cli(["minkowski", "certify", "--rank", "4"], capsys)
+    def test_rank_four_certificate_is_pinned(self, capsys):
+        # digest pinned after verify() and the benchmark's independent
+        # certificate check passed on the same text
+        code, out, _ = run_cli(["minkowski", "certify", "--rank", "4"], capsys)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "0d2e493d5545c102233fc995ef21e38ab014cd375b14bdaff0c718a0f9ab58b4"
+
+    def test_rank_five_is_a_resource_limit(self, capsys):
+        code, out, err = run_cli(["minkowski", "certify", "--rank", "5"], capsys)
         assert code == 2
         assert out == ""
-        assert "resource limit: culler_reps supports rank <= 3" in err
+        assert "resource limit: culler_reps supports rank <= RANK_BOUND = 4" in err
 
     @pytest.mark.parametrize("product", [False, True])
     def test_rank_zero_is_an_input_error(self, capsys, product):

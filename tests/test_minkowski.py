@@ -25,7 +25,6 @@ from torusconj.minkowski import (
     GraphSymmetry,
     RealizingGraph,
     _gl_conjugacy_invariant,
-    _matrix_order,
     _power_chain,
     _shift_smith,
     certify,
@@ -35,14 +34,21 @@ from torusconj.minkowski import (
     conjugate_in,
     culler_reps,
     cycle_type,
-    gl2_finite_order_classes,
-    graph_symmetries,
-    invariant_forest,
+    forest_free_symmetries,
     mod3_witness,
     realizing_graphs,
 )
 
-from .helpers import culler_reps_oracle, mat_mul, random_word, realizing_graphs_oracle
+from .helpers import (
+    culler_reps_oracle,
+    gl2_finite_order_classes,
+    graph_symmetries,
+    invariant_forest,
+    mat_mul,
+    matrix_order,
+    random_word,
+    realizing_graphs_oracle,
+)
 
 F1 = FreeGroup(1)
 F2 = FreeGroup(2)
@@ -91,8 +97,18 @@ class TestRealizingGraphs:
             assert graphs == realizing_graphs_oracle(rank)
             assert len(graphs) == count
 
+    def test_rank4_count(self):
+        # the brute-force oracle is out of reach at rank 4, so the count of
+        # classes is pinned, as are their Betti number, degrees, order and
+        # distinctness
+        graphs = realizing_graphs(4)
+        assert len(graphs) == 111
+        keys = [(g.nvertices, g.canonical()) for g in graphs]
+        assert keys == sorted(set(keys))
+        assert [g.edges for g in graphs] == [edges for _, edges in keys]
+
     def test_betti_and_degrees(self):
-        for rank in (2, 3):
+        for rank in (2, 3, 4):
             for g in realizing_graphs(rank):
                 assert len(g.edges) - g.nvertices + 1 == rank
                 assert min(g.degrees()) >= 3
@@ -188,8 +204,8 @@ class TestCullerReps:
                     assert inner_conjugator(rep.aut ** d) is None
 
     def test_rank_above_bound_rejected(self):
-        with pytest.raises(ResourceError):
-            culler_reps(4)
+        with pytest.raises(ResourceError, match="rank <= RANK_BOUND = 4"):
+            culler_reps(5)
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_outer_order_from_abelianization(self, rank):
@@ -202,7 +218,7 @@ class TestCullerReps:
             for sym in graph_symmetries(graph):
                 aut = GraphMarking.of(graph).automorphism(sym, group)
                 oracle = next(d for d in range(1, 13) if inner_conjugator(aut**d) is not None)
-                assert _matrix_order(aut.abelianized(), 12) == oracle
+                assert matrix_order(aut.abelianized(), 12) == oracle
                 checked += 1
         assert checked == {2: 28, 3: 304}[rank]
 
@@ -227,6 +243,15 @@ class TestCullerReps:
         # skipping the symmetries with an invariant forest keeps the same
         # representatives, orders and provenances, in the same order
         assert culler_reps(rank) == culler_reps_oracle(rank)
+
+    def test_rank4_against_all_symmetries(self):
+        # at rank 4 the oracle keys every symmetry of the graphs listed by
+        # realizing_graphs(4), since its brute-force graph list is out of
+        # reach; GL_4(Z) adds the orders 5, 8, 10 and 12
+        reps = culler_reps(4)
+        assert reps == culler_reps_oracle(4, realizing_graphs(4))
+        assert len(reps) == 36
+        assert sorted({r.outer_order for r in reps}) == [1, 2, 3, 4, 5, 6, 8, 10, 12]
 
     @pytest.mark.parametrize("rank, skipped", [(2, 16), (3, 226)])
     def test_forest_collapse(self, rank, skipped):
@@ -280,13 +305,16 @@ class TestCullerReps:
     def test_work_per_call(self, monkeypatch, rank, smiths, graphs, homologies):
         # Smith forms and homology matrices per culler_reps (15/109 and 28/304
         # when every symmetry was keyed, 45/375 Smith forms when every power
-        # of every new matrix was reduced) and RealizingGraph constructions
-        # per realizing_graphs (6/77 when every labelling was canonicalized,
-        # 14/5,288 over every multiset of edge slots); a second call repeats
-        # the same work, so nothing is kept between calls
+        # of every new matrix was reduced), GraphSymmetry constructions per
+        # culler_reps, one per homology matrix (28/304 when every symmetry
+        # was built and those with an invariant forest thrown away), and
+        # RealizingGraph constructions per realizing_graphs (6/77 when every
+        # labelling was canonicalized, 14/5,288 over every multiset of edge
+        # slots); a second call repeats the same work, so nothing is kept
+        # between calls
         import torusconj.minkowski as minkowski
 
-        counts = {"smith": 0, "graph": 0, "homology": 0}
+        counts = {"smith": 0, "graph": 0, "homology": 0, "symmetry": 0}
 
         def counting(name, original):
             def wrapper(*args):
@@ -297,16 +325,53 @@ class TestCullerReps:
 
         monkeypatch.setattr(minkowski, "_shift_smith", counting("smith", minkowski._shift_smith))
         monkeypatch.setattr(minkowski, "RealizingGraph", counting("graph", minkowski.RealizingGraph))
+        monkeypatch.setattr(minkowski, "GraphSymmetry", counting("symmetry", minkowski.GraphSymmetry))
         monkeypatch.setattr(
             minkowski.GraphMarking, "homology", counting("homology", minkowski.GraphMarking.homology)
         )
         for _ in range(2):
-            counts.update(smith=0, graph=0, homology=0)
+            counts.update(smith=0, graph=0, homology=0, symmetry=0)
             realizing_graphs(rank)
-            assert counts == {"smith": 0, "graph": graphs, "homology": 0}
-            counts.update(smith=0, graph=0, homology=0)
+            assert counts == {"smith": 0, "graph": graphs, "homology": 0, "symmetry": 0}
+            counts.update(smith=0, graph=0, homology=0, symmetry=0)
             culler_reps(rank)
-            assert counts == {"smith": smiths, "graph": graphs, "homology": homologies}
+            assert counts == {
+                "smith": smiths,
+                "graph": graphs,
+                "homology": homologies,
+                "symmetry": homologies,
+            }
+
+
+class TestForestFreeSymmetries:
+    @pytest.mark.parametrize("rank, kept", [(2, 12), (3, 78), (4, 609)])
+    def test_against_filtered_oracle(self, rank, kept):
+        # the same symmetries in the same order as building every symmetry
+        # and dropping those with an invariant forest
+        count = 0
+        for graph in realizing_graphs(rank):
+            generated = list(forest_free_symmetries(graph))
+            assert generated == [s for s in graph_symmetries(graph) if not invariant_forest(graph, s)]
+            count += len(generated)
+        assert count == kept
+
+    def test_parallel_edges_need_a_deranged_return_map(self):
+        # theta4: the two vertices span one pair with four parallel edges,
+        # a forest orbit of pairs, so an edge bijection is kept exactly when
+        # its return map (here the bijection itself) fixes no edge: 9
+        # derangements of 4 edges for each of the 2 vertex permutations
+        theta4 = RealizingGraph(2, ((0, 1),) * 4)
+        kept = list(forest_free_symmetries(theta4))
+        assert len(kept) == 2 * 9
+        assert all(sym.emap[idx][0] != idx for sym in kept for idx in range(4))
+
+    def test_single_edge_forest_orbit_drops_the_permutation(self):
+        # the dumbbell's bar is a forest fixed by every symmetry, so none is
+        # kept; theta3 with its ends swapped still moves the parallel edges
+        dumbbell = RealizingGraph(2, ((0, 0), (0, 1), (1, 1)))
+        assert list(forest_free_symmetries(dumbbell)) == []
+        theta3 = RealizingGraph(2, ((0, 1),) * 3)
+        assert len(list(forest_free_symmetries(theta3))) == 2 * 2
 
 
 class TestSeparate:
@@ -398,6 +463,13 @@ class TestCertify:
         assert cert.verify()
         assert sorted({e.rep.outer_order for e in cert.entries}) == [2, 3, 4, 6]
 
+    def test_rank4_certificate(self):
+        cert = certify(4)
+        assert cert.verify()
+        assert cert.kernel.index() == 3**4
+        assert len(cert.entries) == 35
+        assert sorted({e.rep.outer_order for e in cert.entries}) == [2, 3, 4, 5, 6, 8, 10, 12]
+
     def test_verify_checks_every_entry(self):
         # entries that share a witness quotient are checked together; an
         # identity representative in any one entry, with the witness images
@@ -410,6 +482,48 @@ class TestCertify:
             broken = CertifiedRep(rep, witness)
             entries = cert.entries[:k] + (broken,) + cert.entries[k + 1 :]
             assert not dataclasses.replace(cert, entries=entries).verify()
+
+
+class TestKernelContains:
+    def test_agrees_with_the_intersection(self):
+        # the direct walk over the kernel's graph against the fiber product
+        # K & ker q == K, on the certified kernels and on seeded subgroups
+        # of finite and infinite index, for the witness quotients and for
+        # seeded random ones; both answers occur
+        from torusconj.freegroup import fold
+
+        rng = random.Random(31)
+        answers = []
+        for rank in (1, 2, 3):
+            group = FreeGroup(rank)
+            cert = certify(rank)
+            quotients = [entry.witness.quotient for entry in cert.entries]
+            for _ in range(4):
+                degree = rng.randint(2, 4)
+                quotients.append(
+                    FiniteQuotient(group, degree, tuple(tuple(rng.sample(range(degree), degree)) for _ in range(rank)))
+                )
+            kernels = [cert.kernel] + [q.kernel_graph() for q in quotients[-2:]]
+            kernels += [fold(group, [random_word(rng, group, 6) for _ in range(2)]) for _ in range(2)]
+            for kernel in kernels:
+                for q in quotients:
+                    expected = kernel.intersect(q.kernel_graph()) == kernel
+                    assert q.kernel_contains(kernel) == expected
+                    answers.append(expected)
+        assert True in answers and False in answers
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_verify_rejects_a_kernel_outside_the_witness_quotients(self, rank):
+        # K_2, the mod-2 homology kernel, is characteristic but holds x^2,
+        # which no mod-3 witness quotient kills, so only the containment
+        # check can fail the certificate built over it
+        from torusconj.freegroup import homology_kernel
+
+        cert = certify(rank)
+        k2 = homology_kernel(cert.group, 2)
+        assert is_characteristic(k2, nielsen_generators(cert.group))
+        assert not any(entry.witness.quotient.kernel_contains(k2) for entry in cert.entries)
+        assert not dataclasses.replace(cert, kernel=k2).verify()
 
 
 def _exponent_sums(w):
@@ -483,8 +597,19 @@ class TestZSquare:
         # oracle: the bounded-entry enumeration covers orders 2, 3, 4, 6
         orders = set()
         for m in gl2_finite_order_classes():
-            orders.add(_matrix_order(m, 12))
+            orders.add(matrix_order(m, 12))
         assert orders == {1, 2, 3, 4, 6}
+
+    def test_classes_match_bounded_entry_oracle(self):
+        # the homology matrices of culler_reps(2) give one matrix per
+        # nontrivial key class of the bounded-entry search, and no more
+        def key(m):
+            return _gl_conjugacy_invariant(_power_chain(m, 12))
+
+        certified = [key(m) for m in certify_zsquare().representatives]
+        oracle = {key(m) for m in gl2_finite_order_classes() if m != ((1, 0), (0, 1))}
+        assert len(certified) == len(set(certified)) == 6
+        assert set(certified) == oracle
 
     def test_every_representative_nontrivial_mod3(self):
         cert = certify_zsquare()
