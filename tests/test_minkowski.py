@@ -99,8 +99,8 @@ class TestRealizingGraphs:
 
     def test_rank4_count(self):
         # the brute-force oracle is out of reach at rank 4, so the count of
-        # classes is pinned, as are their Betti number, degrees, order and
-        # distinctness
+        # classes is pinned, with their (nvertices, canonical) order and
+        # distinctness; test_betti_and_degrees checks each graph
         graphs = realizing_graphs(4)
         assert len(graphs) == 111
         keys = [(g.nvertices, g.canonical()) for g in graphs]
