@@ -315,14 +315,6 @@ def _commute(a: SlotElement, b: SlotElement) -> bool:
     return a * b == b * a
 
 
-def _pow_slot(x: SlotElement, n: int) -> SlotElement:
-    out = x.slot.identity()
-    step = x if n >= 0 else x.inverse()
-    for _ in range(abs(n)):
-        out = out * step
-    return out
-
-
 def validate_injection(hom: SlotHom) -> None:
     """Reject generator images that cannot define an injective map of the kind.
 
@@ -378,66 +370,38 @@ def _cyclic_coordinates(*elements: SlotElement):
 
 
 def hom_preimage(hom: SlotHom, y: SlotElement) -> Optional[SlotElement]:
-    """Solve hom(x) == y for injective homs of the supported configurations."""
-    src, dst = hom.src, hom.dst
-    if y.slot != dst:
+    """The x with hom(x) == y, or None when y is off the image; `hom` is an
+    injection of a supported configuration (validate_injection), a slot
+    isomorphism among them.  One candidate is read off coordinates: over
+    (root, center) for Z and Z^2 sources, from the expresser and the center
+    residual for F_k and F_k x Z sources.  It is returned only when it maps
+    to y, which decides every divisibility and membership question."""
+    src = hom.src
+    if y.slot != hom.dst:
         raise DomainError("element from the wrong slot")
-    if src.kind == "Z":
-        img = hom.images[0]
-        if not img.word.is_identity():
-            root, n = root_power(img.word)
-            if y.word.is_identity():
-                return src.identity() if y.is_identity() else None
-            ry, ny = root_power(y.word)
-            if ry == root:
-                k, rem = divmod(ny, n)
-            elif ry == root.inverse():
-                k, rem = divmod(-ny, n)
-            else:
-                return None
-            if rem:
-                return None
-        else:
-            if not y.word.is_identity() or img.center == 0:
-                return None
-            k, rem = divmod(y.center, img.center)
-            if rem:
-                return None
-        cand = src.generator(0)
-        return _check_preimage(hom, _pow_slot(cand, k), y)
-    if src.kind == "Z2":
+    if src.free_rank == 1:
         # the images come first, so a valid injection fixes the root
-        coords = _cyclic_coordinates(hom.images[0], hom.images[1], y)
+        coords = _cyclic_coordinates(*hom.images, y)
         if coords is None:
             return None
-        (m1, c1), (m2, c2), (p, q) = coords
-        det = m1 * c2 - m2 * c1
-        # solve (a, b) with a*(m1,c1) + b*(m2,c2) == (p,q)
-        num_a = p * c2 - q * m2
-        num_b = q * m1 - p * c1
-        if num_a % det or num_b % det:
+        *columns, (p, q) = coords
+        if src.has_center:  # a*(m1, c1) + b*(m2, c2) == (p, q), by Cramer's rule
+            (m1, c1), (m2, c2) = columns
+            det = m1 * c2 - m2 * c1
+            a, center = (p * c2 - q * m2) // det, (q * m1 - p * c1) // det
+        else:
+            ((m, c),) = columns
+            a, center = (p // m if m else q // c), 0
+        candidate = SlotElement(src, src.free_group.generator(0) ** a, center)
+    else:
+        sym = hom.expresser.express(y.word)
+        if sym is None:
             return None
-        a, b = num_a // det, num_b // det
-        cand = _pow_slot(src.generator(0), a) * _pow_slot(src.generator(1), b)
-        return _check_preimage(hom, cand, y)
-    # free / fxz
-    sym = hom.expresser.express(y.word)
-    if sym is None:
-        return None
-    word = Word(src.free_group, sym.letters)
-    if src.kind == "free":
-        return _check_preimage(hom, SlotElement(src, word, 0), y)
-    c_img = hom.images[-1]
-    partial = hom.apply(SlotElement(src, word, 0))
-    residual = y.center - partial.center
-    k, rem = divmod(residual, c_img.center)
-    if rem:
-        return None
-    return _check_preimage(hom, SlotElement(src, word, k), y)
-
-
-def _check_preimage(hom: SlotHom, cand: SlotElement, y: SlotElement) -> Optional[SlotElement]:
-    return cand if hom.apply(cand) == y else None
+        candidate = SlotElement(src, Word(src.free_group, sym.letters), 0)
+        if src.has_center:
+            residual = y.center - hom.apply(candidate).center
+            candidate = SlotElement(src, candidate.word, residual // hom.images[-1].center)
+    return candidate if hom.apply(candidate) == y else None
 
 
 # ---------------------------------------------------------------------------
@@ -497,33 +461,8 @@ class SlotIso(SlotHom):
         return SlotIso(other.src, self.dst, tuple(self.apply(img) for img in other.images))
 
     def inverse(self) -> "SlotIso":
-        kind = self.src.kind
-        if kind == "Z":
-            return SlotIso(self.dst, self.src, (SlotElement(self.src, Word(self.src.free_group, self.images[0].word.letters), 0),))
-        if kind == "Z2":
-            (a, b), (c, d) = self.matrix()
-            det = a * d - b * c
-            return SlotIso.from_matrix(self.dst, self.src, [[d * det, -b * det], [-c * det, a * det]])
-        free_words = [img.word for img in self.images[: self.src.free_rank]]
-        aut = is_automorphism(self.dst.free_group, free_words)
-        assert aut is not None
-        lam = [img.center for img in self.images[: self.src.free_rank]]
-        if kind == "free":
-            images = tuple(
-                SlotElement(self.src, Word(self.src.free_group, w.letters), 0)
-                for w in aut.inverse_images
-            )
-            return SlotIso(self.dst, self.src, images)
-        eps = self.images[-1].center
-        inv_images = []
-        for i in range(self.src.free_rank):
-            w = aut.inverse_images[i]
-            lam_w = sum(s * lam[j] for j, s in w.letters)
-            inv_images.append(
-                SlotElement(self.src, Word(self.src.free_group, w.letters), -eps * lam_w)
-            )
-        inv_images.append(SlotElement(self.src, self.src.free_group.identity(), eps))
-        return SlotIso(self.dst, self.src, tuple(inv_images))
+        """The map sending each generator of the target to its preimage."""
+        return SlotIso(self.dst, self.src, tuple(hom_preimage(self, g) for g in self.dst._generators))
 
     def is_identity(self) -> bool:
         return self._maps_identically
@@ -696,12 +635,23 @@ class BassWord:
         return BassWord(self.gog, self.start, parts)
 
     def __eq__(self, other):
+        """Equality of the elements of pi_1: u == v exactly when u * v^-1
+        reduces to the trivial vertex element, since a word that has an edge
+        and admits no pinch e i_e(h) e~ is not trivial (Britton's lemma for
+        graphs of groups: Serre, Trees, I.5.2, Thm 11)."""
         if not isinstance(other, BassWord):
             return False
         if self.start == other.start and self.parts == other.parts and self.gog == other.gog:
-            return True  # the same word reduces to the same form
-        a, b = self.reduced(), other.reduced()
-        return a.gog == b.gog and a.start == b.start and a.parts == b.parts
+            return True
+        if (self.start, self.end) != (other.start, other.end) or self.gog != other.gog:
+            return False
+        quotient = (self * other.inverse()).reduced().parts
+        return len(quotient) == 1 and quotient[0].is_identity()
+
+    def inverse(self) -> "BassWord":
+        """gn^-1 en~ ... e1~ g0^-1, the path walked back."""
+        parts = [item.inverse() if k % 2 == 0 else bar(item) for k, item in enumerate(self.parts)]
+        return BassWord(self.gog, self.end, reversed(parts))
 
     def __mul__(self, other: "BassWord") -> "BassWord":
         if self.end != other.start:
@@ -930,9 +880,6 @@ class DehnTwist:
     def to_morphism(self) -> GoGMorphism:
         ident = identity_morphism(self.gog)
         return validate(replace(ident, gammas={**ident.gammas, self.edge: self.z}))
-
-
-dehn_twist = DehnTwist
 
 
 def small_modular_generators(gog: GraphOfGroups) -> List[DehnTwist]:

@@ -1052,7 +1052,6 @@ def parse_witness(text: str, jsj_a: JSJInput, jsj_b: JSJInput) -> Tuple[str, Opt
         return table[name]
 
     status = None
-    section = None
     vertex_map: Dict[str, str] = {}
     edge_map: Dict[str, str] = {}
     vertex_isos: Dict[str, SlotIso] = {}
@@ -1061,19 +1060,12 @@ def parse_witness(text: str, jsj_a: JSJInput, jsj_b: JSJInput) -> Tuple[str, Opt
     twist_entries: List[Tuple[str, SlotElement, int]] = []
     fiber_images: List[Tuple[str, BassWord]] = []
     stable_image: Optional[BassWord] = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for section, line in section_lines(text):
         if line.startswith("status:"):
             status = line.partition(":")[2].strip()
+        elif line.startswith("detail:"):
             continue
-        if line.startswith("detail:"):
-            continue
-        if line.startswith("["):
-            section = line.strip("[]").lower()
-            continue
-        if section == "vertex map":
+        elif section == "vertex map":
             src, _, dst = line.partition("->")
             vertex_map[src.strip()] = dst.strip()
         elif section == "edge map":

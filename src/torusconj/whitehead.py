@@ -36,6 +36,16 @@ from .gog import CENTER, split_center
 # markings
 
 
+def _entry_parts(text: str) -> Iterator[List[str]]:
+    """The comma-separated parts of each `[ ... ]` entry of a marking text
+    `[ ... ] ; [ ... ]`, one entry at a time."""
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if not (chunk.startswith("[") and chunk.endswith("]")):
+            raise FormatError(f"marking entry must be bracketed: {chunk!r}")
+        yield chunk[1:-1].split(",")
+
+
 @dataclass(frozen=True)
 class Marking:
     """Ordered tuple of canonical simultaneous-conjugacy classes, canonical
@@ -68,14 +78,7 @@ class Marking:
 
     @staticmethod
     def parse(group: FreeGroup, text: str) -> "Marking":
-        classes = []
-        for chunk in text.split(";"):
-            chunk = chunk.strip()
-            if not (chunk.startswith("[") and chunk.endswith("]")):
-                raise FormatError(f"marking entry must be bracketed: {chunk!r}")
-            words = [group.parse(part) for part in chunk[1:-1].split(",")]
-            classes.append(words)
-        return Marking.of(group, classes)
+        return Marking.of(group, [[group.parse(part) for part in parts] for parts in _entry_parts(text)])
 
     def __repr__(self):
         return f"<Marking {self.format()}>"
@@ -488,12 +491,9 @@ class ProductMarking:
     @staticmethod
     def parse(product: ProductGroup, text: str) -> "ProductMarking":
         classes = []
-        for chunk in text.split(";"):
-            chunk = chunk.strip()
-            if not (chunk.startswith("[") and chunk.endswith("]")):
-                raise FormatError(f"marking entry must be bracketed: {chunk!r}")
+        for parts in _entry_parts(text):
             entry = []
-            for part in chunk[1:-1].split(","):
+            for part in parts:
                 word_text, center = split_center(part)
                 entry.append((product.free.parse(word_text), center or 0))
             classes.append(entry)

@@ -1,5 +1,6 @@
 import hashlib
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 from torusconj.cli import build_parser, main
 from torusconj.freegroup import FreeGroup, Word
-from torusconj.gog import GroupSlot, SlotElement, SlotHom
+from torusconj.gog import BassWord, GroupSlot, SlotElement, SlotHom, bar
 from torusconj.pipeline import parse_jsj
 
 DATA = pathlib.Path(__file__).parent / "data" / "corpus"
@@ -314,8 +315,6 @@ def _seeded_twistor_cases():
     positive b takes a's blocks in another order and relabels P (x0 -> x0^-1
     for Z^2, a signed swap of x0 and x1 for F_2 x Z, a signed 3-cycle for
     F_3 x Z); a negative retwists one block."""
-    import random
-
     rng = random.Random("seeded-twistor-pins")
     draws = [(1, 1), (1, 2), (1, 3), (1, 4), (1, 4), (2, 1), (2, 2), (2, 2), (2, 3), (2, 3), (3, 1), (3, 1)]
     relabels = {
@@ -572,8 +571,6 @@ def _seeded_orbit_cases():
     b = phi(a') for a' that changes one letter of a, or for --product
     sometimes one center exponent instead; 11 of the 20 mutants are
     negatives."""
-    import random
-
     from torusconj.freegroup import FreeAut, nielsen_generators
     from torusconj.whitehead import ProductGroup
 
@@ -968,6 +965,87 @@ def test_conj_ung_default_whitelists_flipped_white(tmp_path, capsys):
     argv = ["conj-ung", "--alpha", str(folder / "alpha.txt"), "--beta", str(folder / "beta.txt"), "--jsj-b", str(jsj_b)]
     code, out, _ = run_cli(argv, capsys)
     assert (code, out.splitlines()[0]) == (0, "status: conjugate")
+
+
+def _slid(loop, rng, wrong_at=None):
+    """`loop` with a random nontrivial edge-group element h slid across each
+    crossing e: g e g' becomes g i_e~(h) e i_e(h)^-1 g', the same element of
+    pi_1, since e i_e(h) e~ == i_e~(h).  At the crossing with index
+    `wrong_at` the exponent is +1 instead, which multiplies the element by
+    i_e(h)^2 there and so changes it."""
+    gog = loop.gog
+    parts = list(loop.parts)
+    for k in range(1, len(parts), 2):
+        e = parts[k]
+        gens = gog.eslot(e).generators()
+        h = gens[0].slot.identity()
+        while h.is_identity():
+            for _ in range(rng.randint(1, 3)):
+                g = rng.choice(gens)
+                h = h * (g if rng.random() < 0.5 else g.inverse())
+        moved = gog.injection(e).apply(h)
+        parts[k - 1] = parts[k - 1] * gog.injection(bar(e)).apply(h)
+        parts[k + 1] = (moved if k == wrong_at else moved.inverse()) * parts[k + 1]
+    return BassWord(gog, loop.start, parts)
+
+
+def _witness_loops_rewritten(text, gog, rewrite):
+    """The witness `text` with each loop of its [fiber images] and
+    [stable image] sections replaced by `rewrite(loop)`."""
+    out, section = [], None
+    for line in text.splitlines(keepends=True):
+        if line.startswith("["):
+            section = line.strip().strip("[]")
+        elif section == "fiber images":
+            name, _, loop_text = line.partition("=")
+            line = f"{name}= {rewrite(BassWord.parse(gog, loop_text.strip())).format()}\n"
+        elif section == "stable image":
+            line = rewrite(BassWord.parse(gog, line.strip())).format() + "\n"
+        out.append(line)
+    return "".join(out)
+
+
+@pytest.mark.parametrize("name", POSITIVE_FOLDERS)
+def test_slid_witness_loops_verify(name, tmp_path, capsys):
+    # metamorphic: the recorded fiber and stable images of a witness may be
+    # written in any form of the same loop, since Bass words compare as
+    # elements of pi_1 (Britton's lemma); sliding an edge-group element
+    # across a crossing keeps the element, and sliding it with the wrong
+    # exponent at one crossing does not.  Slid images were once rejected
+    folder = DATA / name
+    witness = tmp_path / "witness.txt"
+    if (folder / "kind.txt").read_text().strip() == "decide":
+        jsj_a, jsj_b = folder / "jsj_a.txt", folder / "jsj_b.txt"
+        argv = ["decide", "--jsj-a", str(jsj_a), "--jsj-b", str(jsj_b)]
+    else:
+        jsj_a, jsj_b = tmp_path / "jsj_alpha.txt", tmp_path / "jsj_beta.txt"
+        for path, side in ((jsj_a, "alpha"), (jsj_b, "beta")):
+            path.write_text((folder / f"{side}.txt").read_text().partition("[jsj]\n")[2])
+        argv = ["conj-ung", "--alpha", str(folder / "alpha.txt"), "--beta", str(folder / "beta.txt")]
+    argv += ["--whitelists", str(folder / "whitelists.txt"), "--witness-out", str(witness)]
+    assert run_cli(argv, capsys)[0] == 0
+    text = witness.read_text()
+    gog = parse_jsj(jsj_b.read_text()).gog
+    slid = tmp_path / "slid.txt"
+    verify = ["verify-witness", "--jsj-a", str(jsj_a), "--jsj-b", str(jsj_b), "--witness", str(slid)]
+    rng = random.Random(name)
+    rejected = 0
+    for _ in range(4):
+        slid.write_text(_witness_loops_rewritten(text, gog, lambda loop: _slid(loop, rng)))
+        assert run_cli(verify, capsys)[:2] == (0, "witness verified\n")
+        wrong = []  # the first loop that crosses an edge gets one wrong slide
+
+        def wrong_once(loop):
+            if wrong or len(loop.parts) == 1:
+                return _slid(loop, rng)
+            wrong.append(loop)
+            return _slid(loop, rng, wrong_at=rng.randrange(1, len(loop.parts), 2))
+
+        slid.write_text(_witness_loops_rewritten(text, gog, wrong_once))
+        if wrong:
+            assert run_cli(verify, capsys)[:2] == (1, "witness REJECTED\n")
+            rejected += 1
+    assert rejected == 4
 
 
 def _replaced(lines, i, line):

@@ -18,6 +18,7 @@ from torusconj.fibercorrect import (
 )
 from torusconj.gog import (
     BassWord,
+    DehnTwist,
     GoGMorphism,
     GraphOfGroups,
     GroupSlot,
@@ -25,7 +26,6 @@ from torusconj.gog import (
     SlotIso,
     bar,
     compose,
-    dehn_twist,
     induced_on_pi1,
     small_modular_generators,
     unoriented,
@@ -261,7 +261,7 @@ class TestTransvection:
     def test_hnn_twist_adds_fiber_generator(self):
         gog = hnn_z_gog()
         o = OrientationFunctional(gog, {"v": (1,)}, {"e": 0})
-        twist = dehn_twist(gog, "e", Z.parse("x0"))
+        twist = DehnTwist(gog, "e", Z.parse("x0"))
         loop = BassWord.parse(gog, "v: e")
         # the image of e gains one x0, so its degree gains o(x0) == 1
         image = induced_on_pi1(twist.to_morphism(), loop)
@@ -272,7 +272,7 @@ class TestTransvection:
     def test_identity_twist(self):
         gog = hnn_z_gog()
         o = OrientationFunctional(gog, {"v": (1,)}, {"e": 0})
-        twist = dehn_twist(gog, "e", Z.identity())
+        twist = DehnTwist(gog, "e", Z.identity())
         for text in ("v: e", "v: e (x0) e~ (x0')", "v: (x0)"):
             loop = BassWord.parse(gog, text)
             assert induced_on_pi1(twist.to_morphism(), loop) == loop
@@ -283,11 +283,11 @@ class TestTransvection:
         # shifts add
         gog = two_loop_gog()
         o = OrientationFunctional(gog, {"v": (1, 2)}, {"e": 1, "f": 2})
-        t1 = dehn_twist(gog, "e", F2.parse("x0"))
-        t2 = dehn_twist(gog, "e", F2.parse("x0 x0"))
+        t1 = DehnTwist(gog, "e", F2.parse("x0"))
+        t2 = DehnTwist(gog, "e", F2.parse("x0 x0"))
         merged_gamma = compose(t1.to_morphism(), t2.to_morphism()).gammas["e"]
         assert merged_gamma == F2.parse("x0 x0 x0")
-        t3 = dehn_twist(gog, "e", merged_gamma)
+        t3 = DehnTwist(gog, "e", merged_gamma)
         for text in self.LOOPS:
             loop = BassWord.parse(gog, text)
             assert self.shift(o, t3, loop) == self.shift(o, t1, loop) + self.shift(o, t2, loop)
@@ -359,7 +359,7 @@ class TestBuildSystem:
         # x0 has degree 1 here: twisting by x0 shifts the e-column degree
         o = OrientationFunctional(gog, {"v": (1,)}, {"e": 0})
         loop = BassWord.parse(gog, "v: e (x0 x0 x0)")
-        twist = dehn_twist(gog, "e", Z.parse("x0"))
+        twist = DehnTwist(gog, "e", Z.parse("x0"))
         system = build_system([loop], [twist], o)
         assert system.a == ((1,),) and system.b == (-3,)
         assert solve(system) == [-3]
@@ -368,7 +368,7 @@ class TestBuildSystem:
         gog = hnn_z_gog()
         o = OrientationFunctional(gog, {"v": (2,)}, {"e": 1})
         loop = BassWord.parse(gog, "v: e (x0)")
-        twist = dehn_twist(gog, "e", Z.parse("x0"))
+        twist = DehnTwist(gog, "e", Z.parse("x0"))
         system = build_system([loop], [twist], o)
         assert system.a == ((2,),) and system.b == (-3,)
         assert solve(system) is None

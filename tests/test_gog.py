@@ -1,4 +1,6 @@
+import pathlib
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -8,6 +10,7 @@ from torusconj.errors import DomainError
 from torusconj.gog import (
     BassDiagramError,
     BassWord,
+    DehnTwist,
     GoGMorphism,
     GraphOfGroups,
     GroupSlot,
@@ -15,7 +18,6 @@ from torusconj.gog import (
     SlotHom,
     SlotIso,
     compose,
-    dehn_twist,
     hom_preimage,
     identity_morphism,
     induced_on_pi1,
@@ -25,10 +27,14 @@ from torusconj.gog import (
     slot_centralizer_of_subgroup,
     small_modular_generators,
     validate,
+    validate_injection,
 )
+from torusconj.pipeline import parse_jsj
 
 from .corpus import twistor_jsj
 from .helpers import graph_isomorphisms
+
+CORPUS = pathlib.Path(__file__).parent / "data" / "corpus"
 
 Z = GroupSlot(1, False)
 Z2 = GroupSlot(1, True)
@@ -252,6 +258,76 @@ class TestZ2FreeParts:
         assert _one_sign(hom.apply(hom.src.parse(_element_text(letters, center))))
 
 
+def _seeded_element(rng, slot, length=4):
+    letters = [(rng.randrange(slot.free_rank), rng.choice((1, -1))) for _ in range(rng.randint(0, length))]
+    return slot.parse(_element_text(letters, rng.randint(-3, 3) if slot.has_center else 0))
+
+
+def _seeded_injection(rng, src, dst):
+    """A random injection of a pair of SLOT_PAIRS that `validate_injection`
+    accepts; the first generator's image is squared half of the time, so
+    that the images often span a proper sublattice."""
+    while True:
+        if src.kind == "Z2":
+            root = dst.free_group.generator(0) if dst.free_rank == 1 else _seeded_element(rng, dst).word
+            m = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
+            images = [SlotElement(dst, root ** m[0][j], m[1][j]) for j in range(2)]
+        else:
+            images = [_seeded_element(rng, dst) for _ in range(src.free_rank)]
+            if src.has_center:
+                images.append(SlotElement(dst, dst.free_group.identity(), rng.choice((1, -1, 2, -3))))
+        if rng.random() < 0.5:
+            images[0] = images[0] * images[0]
+        try:
+            hom = SlotHom(src, dst, tuple(images))
+            validate_injection(hom)
+        except DomainError:
+            continue
+        return hom
+
+
+def _seeded_iso(rng, slot):
+    """A random slot isomorphism: a product of elementary moves on the
+    generator images, and for F_k x Z a center sign and center shifts."""
+    gens = slot.generators()
+    images = gens[: slot.free_rank] if slot.free_rank > 1 else gens
+    for _ in range(rng.randint(0, 6)):
+        i = rng.randrange(len(images))
+        j = rng.choice([k for k in range(len(images)) if k != i] or [i])
+        move = rng.random()
+        if move < 0.3 or i == j:
+            images[i] = images[i].inverse()
+        elif move < 0.6:
+            images[i] = images[i] * images[j]
+        elif move < 0.8:
+            images[i] = images[j].inverse() * images[i]
+        else:
+            images[i], images[j] = images[j], images[i]
+    if slot.kind == "fxz":
+        center = gens[-1] if rng.random() < 0.5 else gens[-1].inverse()
+        images = [SlotElement(slot, img.word, rng.randint(-2, 2)) for img in images] + [center]
+    return SlotIso(slot, slot, tuple(images))
+
+
+def _span_mod2(vectors):
+    """A basis of the span of integer vectors mod 2, as bit masks with
+    distinct leading bits, largest first."""
+    basis = []
+    for v in vectors:
+        mask = _reduce_mod2(basis, v)
+        if mask:
+            basis = sorted(basis + [mask], reverse=True)
+    return basis
+
+
+def _reduce_mod2(basis, v):
+    """The bit mask of v mod 2 reduced by `basis`: 0 when v is in its span."""
+    mask = sum(1 << i for i, a in enumerate(v) if a % 2)
+    for b in basis:
+        mask = min(mask, mask ^ b)
+    return mask
+
+
 class TestHomPreimage:
     def test_cyclic_preimage(self):
         hom = SlotHom(Z, F2, (F2.parse("x0 x1"),))
@@ -297,6 +373,30 @@ class TestHomPreimage:
             assert hom_preimage(hom, hom.apply(x)) == x
         assert hom_preimage(hom, FXZ2.parse("x1")) is None
         assert len(built) == 1
+        # seeded injections of every supported pair: each image has its
+        # preimage back, and an element whose abelianization mod 2 is off
+        # the span of the images' is off the image
+        rng = random.Random(79)
+        off_image = Counter()
+        for src, dst in SLOT_PAIRS:
+            for _ in range(20):
+                hom = _seeded_injection(rng, src, dst)
+                span = _span_mod2([img.abelianized() for img in hom.images])
+                for _ in range(5):
+                    x = _seeded_element(rng, src)
+                    y = hom.apply(x)
+                    assert hom_preimage(hom, y) == x
+                    for t in dst.generators():
+                        if _reduce_mod2(span, t.abelianized()):
+                            assert hom_preimage(hom, y * t) is None
+                            off_image[src, dst] += 1
+        assert set(off_image) == set(SLOT_PAIRS)
+        # a slot isomorphism's inverse is built from preimages
+        for slot in (Z, Z2, F2, GroupSlot(3, False), FXZ2, GroupSlot(3, True)):
+            for _ in range(20):
+                iso = _seeded_iso(rng, slot)
+                assert iso.compose(iso.inverse()).is_identity()
+                assert iso.inverse().compose(iso).is_identity()
 
 class TestValidate:
     def test_identity_accepted(self):
@@ -306,7 +406,7 @@ class TestValidate:
     def test_dehn_twist_accepted(self):
         gog = loop_gog_f2()
         z = F2.parse("x0 x1")  # centralizes the edge image <x0 x1>
-        sme = dehn_twist(gog, "e", SlotElement(F2, z.word, 0))
+        sme = DehnTwist(gog, "e", SlotElement(F2, z.word, 0))
         morphism = sme.to_morphism()
         assert morphism.gammas["e"].word == z.word
 
@@ -331,7 +431,7 @@ class TestCompose:
         gog = loop_gog_f2()
         ident = identity_morphism(gog)
         z = SlotElement(F2, F2.parse("x0 x1").word, 0)
-        twist = dehn_twist(gog, "e", z).to_morphism()
+        twist = DehnTwist(gog, "e", z).to_morphism()
         assert compose(twist, ident) == twist
         assert compose(ident, twist) == twist
 
@@ -340,7 +440,7 @@ class TestCompose:
         gog = loop_gog_f2()
         ident = identity_morphism(gog)
         z = SlotElement(F2, F2.parse("x0 x1").word, 0)
-        twist = dehn_twist(gog, "e", z).to_morphism()
+        twist = DehnTwist(gog, "e", z).to_morphism()
         assert {e for e in ident.gammas if twist.gammas[e] != ident.gammas[e]} == {"e"}
         assert twist != ident
         assert twist == replace(ident, gammas={"e": F2.parse("x0 x1"), "e~": F2.identity()})
@@ -348,8 +448,8 @@ class TestCompose:
     def test_twists_merge(self):
         gog = loop_gog_f2()
         root = F2.parse("x0 x1")
-        t1 = dehn_twist(gog, "e", root).to_morphism()
-        t2 = dehn_twist(gog, "e", root * root).to_morphism()
+        t1 = DehnTwist(gog, "e", root).to_morphism()
+        t2 = DehnTwist(gog, "e", root * root).to_morphism()
         merged = compose(t1, t2)
         # oracle: apply the composition rule symbolically and compare fields
         assert merged.gammas["e"] == root * root * root
@@ -394,7 +494,7 @@ class TestInducedOnPi1:
     def test_twist_inserts_after_positive_crossing(self):
         gog = loop_gog_f2()
         z = SlotElement(F2, F2.parse("x0 x1").word, 0)
-        twist = dehn_twist(gog, "e", z).to_morphism()
+        twist = DehnTwist(gog, "e", z).to_morphism()
         loop = BassWord.parse(gog, "v: e")
         image = induced_on_pi1(twist, loop)
         assert image == BassWord.parse(gog, "v: e (x0 x1)")
@@ -402,7 +502,7 @@ class TestInducedOnPi1:
     def test_balanced_crossings_cancel_in_exponent(self):
         gog = loop_gog_f2()
         z = SlotElement(F2, F2.parse("x0 x1").word, 0)
-        twist = dehn_twist(gog, "e", z).to_morphism()
+        twist = DehnTwist(gog, "e", z).to_morphism()
         loop = BassWord.parse(gog, "v: e (x0) e~ (x1)")
         image = induced_on_pi1(twist, loop)
         assert image.edge_exponent("e") == 0
@@ -454,6 +554,32 @@ class TestBassWords:
         reduced = loop.reduced()
         assert loop.edge_exponent("e") == reduced.edge_exponent("e")
 
+    def test_equality_is_exact(self):
+        # Britton's lemma: u == v exactly when u * v^-1 reduces to the
+        # trivial vertex element.  In the 03_twistor_equal JSJ, e1 maps x0 to
+        # c and e1~ maps it to x0, so c e1~ == e1~ x0: sliding the edge
+        # generator across e1~ keeps the loop, with the wrong exponent it
+        # does not.  Comparing reduced parts once said False to both
+        text = (CORPUS / "03_twistor_equal" / "alpha.txt").read_text().partition("[jsj]\n")[2]
+        gog = parse_jsj(text).gog
+        loop = BassWord.parse(gog, "B : (1) e1~ (1) e2 (1)")
+        assert BassWord.parse(gog, "B : (c) e1~ (x0') e2 (1)") == loop
+        assert BassWord.parse(gog, "B : (c) e1~ (x0) e2 (1)") != loop
+        assert BassWord.parse(gog, "B : (c^-1) e1~ (x0) e2 (1)") == loop
+        # words with other ends differ, and so do words over other graphs
+        assert BassWord.parse(gog, "B : e1~") != BassWord.parse(gog, "B : e2~")
+        assert BassWord.parse(gog, "B : (x0)") != BassWord.parse(loop_gog_f2(), "v : (x0)")
+
+    def test_inverse(self):
+        gog = star_gog()
+        word = BassWord.parse(gog, "w: (x0) e1 (x0 * c) e1~ (x1) e2 (c^2)")
+        inverse = word.inverse()
+        assert (inverse.start, inverse.end) == ("b2", "w")
+        assert inverse.format() == "b2 : (c^-2) e2~ (x1') e1 (x0' * c^-1) e1~ (x0')"
+        assert (word * inverse).reduced().parts == (F2.identity(),)
+        assert (inverse * word).reduced().parts == (Z2.identity(),)
+        assert word * inverse == BassWord.parse(gog, "w:")
+
     def test_multiplication(self):
         gog = loop_gog_f2()
         l1 = BassWord.parse(gog, "v: e (x0)")
@@ -498,18 +624,18 @@ class TestSmallModular:
     def test_non_centralizing_twist_rejected(self):
         # x0 fails to commute with the edge image x0 x1
         with pytest.raises(DomainError):
-            dehn_twist(loop_gog_f2(), "e", F2.parse("x0"))
+            DehnTwist(loop_gog_f2(), "e", F2.parse("x0"))
 
     def test_twist_checks_only_its_own_edge(self):
         # x0 x1 centralizes i_e(G_e) == <x0 x1> but not i_{e~}(G_e) == <x1 x0>,
         # the other edge image at the same vertex: the twist along e is valid
         gog = loop_gog_f2()
         z = F2.parse("x0 x1")
-        twist = dehn_twist(gog, "e", z)
+        twist = DehnTwist(gog, "e", z)
         assert (twist.edge, twist.z) == ("e", z)
         assert twist.to_morphism().gammas == {"e": z, "e~": F2.identity()}
         with pytest.raises(DomainError):
-            dehn_twist(gog, "e~", z)
+            DehnTwist(gog, "e~", z)
 
 
 class TestGraphIsomorphisms:

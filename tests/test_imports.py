@@ -1,8 +1,14 @@
-"""Every module-level or local import in ``src/`` and ``tests/`` is used.
+"""Every module-level or local import in ``src/`` and ``tests/`` is used,
+and every private function of ``src/`` is read there.
 
 A name bound by an import counts as used when it is read anywhere in the
 module, string annotations included.  ``__init__.py`` files re-export their
 imports and ``__future__`` imports bind nothing, so neither is checked.
+
+A private (``_name``, not ``__name__``) module-level function or method in
+``src/`` counts as read when some module of ``src/`` reads that name, as a
+variable or as an attribute.  A mention in a docstring or a comment does not
+count, so a helper that only tests call cannot stay in ``src/``.
 """
 
 import ast
@@ -17,6 +23,7 @@ MODULES = sorted(
     for path in (ROOT / folder).rglob("*.py")
     if path.name != "__init__.py"
 )
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
 
 
 def _bound_names(tree):
@@ -66,3 +73,60 @@ def test_scanner_finds_unused_and_accepts_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private_functions(tree):
+    """(name, line) for each private module-level function and method."""
+    for node in tree.body:
+        for item in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = item.name
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    yield name, item.lineno
+
+
+def _read_names(tree):
+    """The names a module reads, as variables or as attributes."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def unread_private_functions(sources):
+    """(source index, name, line) for each private function of `sources`
+    whose name no source reads."""
+    trees = [ast.parse(source) for source in sources]
+    read = set().union(*(_read_names(tree) for tree in trees))
+    return [
+        (i, name, line)
+        for i, tree in enumerate(trees)
+        for name, line in _private_functions(tree)
+        if name not in read
+    ]
+
+
+def test_private_scanner_finds_unread_and_accepts_read():
+    module = (
+        "def _used():\n"
+        "    '''_documented and _method are only mentioned here.'''\n"
+        "def _documented():\n"
+        "    pass  # _documented\n"
+        "class K:\n"
+        "    def __init__(self):\n"
+        "        self._attr()\n"
+        "    def _attr(self):\n"
+        "        return _used()\n"
+        "    def _method(self):\n"
+        "        pass\n"
+    )
+    other = "from m import _documented as alias\nK()._method = None\n"
+    assert unread_private_functions([module, other]) == [(0, "_documented", 3), (0, "_method", 10)]
+
+
+def test_every_private_function_is_read():
+    unread = unread_private_functions([path.read_text() for path in SOURCES])
+    assert [(str(SOURCES[i].relative_to(ROOT)), name, line) for i, name, line in unread] == []
