@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import replace
 
 from .errors import DomainError, FormatError, ResourceError
 from .fibercorrect import DiophantineSystem, solve
@@ -119,16 +120,16 @@ def _parse_conj_side(path: str) -> ConjUngInput:
         for gens, gamma in peripherals
     )
     jsj = parse_jsj("\n".join(jsj_text_lines))
-    return ConjUngInput(group, aut, data, jsj)
+    return ConjUngInput(aut, data, jsj)
 
 
 def cmd_conj_ung(args) -> int:
     a = _parse_conj_side(args.alpha)
     b = _parse_conj_side(args.beta)
     if args.jsj_a:
-        a = ConjUngInput(a.group, a.aut, a.peripherals, parse_jsj(_read(args.jsj_a)))
+        a = replace(a, jsj=parse_jsj(_read(args.jsj_a)))
     if args.jsj_b:
-        b = ConjUngInput(b.group, b.aut, b.peripherals, parse_jsj(_read(args.jsj_b)))
+        b = replace(b, jsj=parse_jsj(_read(args.jsj_b)))
     verdict = conj_ung(a, b, _whitelist(args, a.jsj, b.jsj))
     return _report(args, verdict, a.jsj, b.jsj)
 

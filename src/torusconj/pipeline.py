@@ -9,7 +9,15 @@ assembled.  Per black vertex pair, one matcher (`fop_slot_isos`) gives the
 classes of fiber-and-orientation isomorphisms of the black slots, and a
 table computed once per call (`BlackTable`) lists the edge images each
 class matches, with one isomorphism of the class that assembly takes as is.
-The tables are exact for every black slot kind and edge group.
+Which edge images exist is read off conjugacy keys, and assembly reads each
+white end (edge isomorphism and gamma) off the same keys and their
+canonical conjugators, with no second conjugacy search.
+
+The tables are exact for every black slot kind, given the edge
+isomorphisms they consider: g -> g^sigma, where sigma == -1 only for a
+cyclic edge group.  A non-cyclic edge group (Z^2, F_k, F_k x Z) admits
+other edge isomorphisms, which no table tries, so a negative over such an
+edge is relative to that restriction as well.
 
 White lists are inputs, not computed; a negative verdict is therefore sound
 relative to the completeness of the supplied lists, and the verdict
@@ -34,7 +42,7 @@ from .fibercorrect import (
     solve_with_nullspace,
     twist_coefficients,
 )
-from .freegroup import FreeAut, FreeGroup, Word, canonical_conjugate, fold
+from .freegroup import FreeAut, Word, canonical_conjugate, fold
 from .gog import (
     BassWord,
     DehnTwist,
@@ -142,46 +150,6 @@ class Verdict:
 
 # ---------------------------------------------------------------------------
 # black-vertex matching
-
-
-@dataclass(frozen=True)
-class EdgeTransport:
-    """White-side data for one unoriented edge under the current graph map."""
-
-    edge_iso: SlotIso
-    gamma_white: SlotElement  # at the white end orientation
-    target_images: Tuple[SlotElement, ...]  # i_{e'} of the transported edge gens
-
-
-def _edge_transport(
-    jsj_a: JSJInput,
-    jsj_b: JSJInput,
-    ew: str,
-    ew2: str,
-    phi_w: SlotIso,
-) -> Optional[EdgeTransport]:
-    """Transport the edge group of `ew` (oriented towards its white vertex)
-    onto `ew2` through the white vertex candidate `phi_w`.
-
-    d conjugates the moved class onto the class of `ew2` (sigma == 1) or,
-    for a cyclic edge group, onto its inverse (sigma == -1), so the edge
-    isomorphism is g -> g^sigma and the gamma is d^-1.
-
-    Only maps being assembled need the edge isomorphism and the gamma; the
-    black tables read which transports exist, and the class each carries,
-    off conjugacy keys instead (`_edge_options`)."""
-    gog_a, gog_b = jsj_a.gog, jsj_b.gog
-    wslot2 = gog_b.vslot(gog_b.term(ew2))
-    moved = [phi_w.apply(x) for x in gog_a.injection(ew).images]
-    targets = gog_b.injection(ew2).images
-    d, sigma = slot_elementwise_conjugator(wslot2, moved, targets), 1
-    if d is None and len(targets) == 1:
-        d, sigma = slot_elementwise_conjugator(wslot2, moved, [targets[0].inverse()]), -1
-    if d is None:
-        return None
-    images = tuple(g if sigma == 1 else g.inverse() for g in gog_b.eslot(ew2).generators())
-    target_black = tuple(x if sigma == 1 else x.inverse() for x in gog_b.injection(bar(ew2)).images)
-    return EdgeTransport(SlotIso(gog_a.eslot(ew), gog_b.eslot(ew2), images), d.inverse(), target_black)
 
 
 def _black_classes(jsj: JSJInput, side: str, b: str, memo: dict):
@@ -393,9 +361,9 @@ class BlackTable:
     (sorted, as in `_black_classes`): pairs (f, k) of an oriented edge f
     into b2 and the index k of a fop white candidate between the two white
     ends (see `_white_candidates`) under which the edge transport exists,
-    as `_edge_options` reads off conjugacy keys without transporting.  Each
-    row stands for one class of fop slot isomorphisms of `fop_slot_isos`,
-    in its order, and holds, per edge, the indices of the options whose
+    as `_edge_options` reads off conjugacy keys.  Each row stands for one
+    class of fop slot isomorphisms of `fop_slot_isos`, in its order, and
+    holds, per edge, the indices of the options whose
     transported class those isomorphisms carry the edge's class to a
     conjugate of; `isos[r]` builds the representative of row r.  An
     assignment admits a black match exactly when one row holds all of its
@@ -419,17 +387,22 @@ def _white_candidates(jsj_a, jsj_b, whitelist: WhiteList, w: str, w2: str, memo:
     return memo[key]
 
 
-def _class_key(elements: Sequence[SlotElement]) -> tuple:
-    """A key of a tuple of slot elements up to simultaneous conjugation:
-    the canonical conjugate of the free parts, and the centers (which
-    conjugation leaves alone)."""
-    words, _ = canonical_conjugate(tuple(x.word for x in elements))
-    return words, tuple(x.center for x in elements)
+def _class_key(elements: Sequence[SlotElement]) -> Tuple[tuple, Word]:
+    """A key of a tuple of slot elements up to simultaneous conjugation
+    (the canonical conjugate of the free parts, and the centers, which
+    conjugation leaves alone), and the canonical conjugator g, with
+    g^-1 x g giving the key's word for each free part x."""
+    words, g = canonical_conjugate(tuple(x.word for x in elements))
+    return (words, tuple(x.center for x in elements)), g
 
 
-def _moved_keys(jsj_a, jsj_b, whitelist: WhiteList, ew: str, w2: str, memo: dict) -> List[tuple]:
-    """Per fop white candidate k from the white end of `ew` to w2, the key
-    of the edge class of `ew` moved by it."""
+def _signed(elements: Sequence[SlotElement], sigma: int) -> Tuple[SlotElement, ...]:
+    return tuple(elements) if sigma == 1 else tuple(x.inverse() for x in elements)
+
+
+def _moved_keys(jsj_a, jsj_b, whitelist: WhiteList, ew: str, w2: str, memo: dict) -> List[Tuple[tuple, Word]]:
+    """Per fop white candidate k from the white end of `ew` to w2, the
+    (key, conjugator) of the edge class of `ew` moved by it."""
     key = ("moved keys", ew, w2)
     if key not in memo:
         edge_class = jsj_a.gog.injection(ew).images
@@ -440,14 +413,19 @@ def _moved_keys(jsj_a, jsj_b, whitelist: WhiteList, ew: str, w2: str, memo: dict
     return memo[key]
 
 
-def _target_keys(jsj_b, ew2: str, memo: dict) -> Tuple[tuple, Optional[tuple]]:
-    """The key of the edge class of `ew2` (oriented towards its white
-    vertex) and, for a cyclic edge group, the key of its inverse."""
+def _target_keys(jsj_b, ew2: str, memo: dict) -> Dict[tuple, Tuple[int, Word, Tuple[SlotElement, ...]]]:
+    """The edge transports onto `ew2` (oriented towards its white vertex),
+    keyed by the key of the edge class of `ew2` to the power sigma: sigma
+    == 1, and sigma == -1 for a cyclic edge group.  Each holds sigma, the
+    canonical conjugator of that class, and the class carried into the
+    black end, the edge class of bar(ew2) to the power sigma."""
     key = ("target keys", ew2)
     if key not in memo:
-        edge_class = jsj_b.gog.injection(ew2).images
-        inverse = _class_key([edge_class[0].inverse()]) if len(edge_class) == 1 else None
-        memo[key] = _class_key(edge_class), inverse
+        white, black = jsj_b.gog.injection(ew2).images, jsj_b.gog.injection(bar(ew2)).images
+        memo[key] = {}
+        for sigma in (1, -1) if len(white) == 1 else (1,):
+            class_key, g = _class_key(_signed(white, sigma))
+            memo[key].setdefault(class_key, (sigma, g, _signed(black, sigma)))
     return memo[key]
 
 
@@ -456,30 +434,26 @@ def _edge_options(jsj_a, jsj_b, whitelist: WhiteList, b: str, b2: str, memo: dic
     into b, the options (f, k) under which the edge transport of oe onto f
     through white candidate k exists, and the class it carries into b2.
 
-    Read off keys, without transporting: `_edge_transport` finds d
-    exactly when the moved class of oe is simultaneously conjugate to the
-    class of f at its white end (sigma == 1) or, for a cyclic edge group,
-    to its inverse (sigma == -1).  Then the edge isomorphism is g -> g^sigma
-    and the carried class is f's class into b2 to the power sigma.
+    The transport exists exactly when the key of the class of oe's white
+    end moved by candidate k is one of `_target_keys` of bar(f): the moved
+    class is then simultaneously conjugate to the class of bar(f) to the
+    power sigma, the edge isomorphism is g -> g^sigma and the carried class
+    is f's class to the power sigma.  These are the only edge isomorphisms
+    considered, so for a non-cyclic edge group the edge isomorphism is the
+    one that fixes each generator, and an edge image that only another
+    edge isomorphism reaches is missed.
     """
     edges, _ = _black_classes(jsj_a, "source", b, memo)
-    targets, natives = _black_classes(jsj_b, "target", b2, memo)
-    columns = [
-        (f, native, jsj_b.gog.init(f), *_target_keys(jsj_b, bar(f), memo)) for f, native in zip(targets, natives)
-    ]
+    targets, _ = _black_classes(jsj_b, "target", b2, memo)
     options, pools = [], []
     for oe in edges:
         edge_options, pool = [], []
-        ew = bar(oe)
-        for f, native, w2, same, inverse in columns:
-            for k, moved in enumerate(_moved_keys(jsj_a, jsj_b, whitelist, ew, w2, memo)):
-                if moved == same:
-                    pool.append(native)
-                elif moved == inverse:
-                    pool.append((native[0].inverse(),))
-                else:
-                    continue
-                edge_options.append((f, k))
+        for f in targets:
+            transports = _target_keys(jsj_b, bar(f), memo)
+            for k, (moved, _) in enumerate(_moved_keys(jsj_a, jsj_b, whitelist, bar(oe), jsj_b.gog.init(f), memo)):
+                if moved in transports:
+                    edge_options.append((f, k))
+                    pool.append(transports[moved][2])
         options.append(tuple(edge_options))
         pools.append(pool)
     return options, pools
@@ -488,7 +462,7 @@ def _edge_options(jsj_a, jsj_b, whitelist: WhiteList, b: str, b2: str, memo: dic
 def _black_table(jsj_a, jsj_b, whitelist: WhiteList, b: str, b2: str, memo: dict) -> BlackTable:
     """The `BlackTable` of (b, b2), kept in `memo`: its options and carried
     classes come from conjugacy keys (`_edge_options`), its rows from
-    `fop_slot_isos`; no edge transport runs here, only in `_assemble_one`."""
+    `fop_slot_isos`."""
     key = ("black table", b, b2)
     if key in memo:
         return memo[key]
@@ -676,12 +650,13 @@ def assemble(jsj_a: JSJInput, jsj_b: JSJInput, whitelist: WhiteList):
     (no vertexwise isomorphism relative to the supplied lists).
     """
     # Pieces shared between graph maps, computed once per call: fop-filtered
-    # white candidates per vertex pair, the conjugacy key of each edge class
-    # moved by each candidate and of each target edge class, each black
-    # vertex's adjacent edges and classes, the black tables, the minimized
-    # markings and level components (with their paths) behind the F_k x Z
-    # tables, the representative of each table row used, and the full edge
-    # transports of assembled maps.  The memo is dropped with the generator.
+    # white candidates per vertex pair, the (conjugacy key, canonical
+    # conjugator) pair of each edge class moved by each candidate and of each
+    # target edge class and its inverse, each black vertex's adjacent edges
+    # and classes, the black tables, the minimized markings and level
+    # components (with their paths) behind the F_k x Z tables, the
+    # representative of each table row used, and the edge isomorphisms
+    # g -> g^sigma.  The memo is dropped with the generator.
     memo: dict = {}
     for vmap, emap, chosen, rows in admissible_graph_maps(jsj_a, jsj_b, whitelist, memo):
         yield _assemble_one(jsj_a, jsj_b, whitelist, vmap, emap, chosen, rows, memo)
@@ -690,47 +665,52 @@ def assemble(jsj_a: JSJInput, jsj_b: JSJInput, whitelist: WhiteList):
 def _assemble_one(jsj_a, jsj_b, whitelist: WhiteList, vmap, emap, chosen, rows, memo: dict) -> GoGMorphism:
     """The morphism of one graph map, with white vertex w taking its
     candidate chosen[w] (an index into `_white_candidates`) and black vertex
-    b the representative of row rows[b] of its `BlackTable`; the only place
-    where full edge transports run.  The tables are exact, so every edge
-    transport and black-end conjugator exists; a missing one is a table
-    bug, and an assertion rather than a map silently dropped.  The morphism
-    is not validated, as its Bass diagram commutes by construction: the
-    graph map is a bar-equivariant bijection keeping colors and incidence,
-    `_edge_transport` closes the diagram at white ends and the black-end
-    gammas (`slot_elementwise_conjugator`) at black ends.  `verify_witness`
+    b the representative of row rows[b] of its `BlackTable`.
+
+    Each white end is read off the (key, conjugator) pairs the tables were
+    built from, with no conjugacy search: the moved key of the edge under
+    the chosen candidate is the key of its image's class to the power sigma
+    (`_target_keys`), with canonical conjugators g_m and g_t, so ad_d with
+    d == g_m g_t^-1 carries the moved class onto that class, the gamma is
+    d^-1 == g_t g_m^-1, the edge isomorphism is g -> g^sigma, and the class
+    carried into the black vertex is the table's pool entry.  The tables
+    are exact, so every black-end conjugator exists; a missing one is a
+    table bug, and an assertion rather than a map silently dropped.  The
+    morphism is not validated, as its Bass diagram commutes by
+    construction: the graph map is a bar-equivariant bijection keeping
+    colors and incidence, and the gammas close the diagram at white ends
+    and (`slot_elementwise_conjugator`) at black ends.  `verify_witness`
     checks each positive."""
     gog_a, gog_b = jsj_a.gog, jsj_b.gog
     vertex_isos: Dict[str, SlotIso] = {
         w: _white_candidates(jsj_a, jsj_b, whitelist, w, vmap[w], memo)[k] for w, k in chosen.items()
     }
-    transports: Dict[str, EdgeTransport] = {}
+    edge_isos: Dict[str, SlotIso] = {}
     gammas: Dict[str, SlotElement] = {}
+    carried: Dict[str, Tuple[SlotElement, ...]] = {}
     for edge in gog_a.edge_names:
         ew = edge if jsj_a.colors[gog_a.term(edge)] == "white" else bar(edge)
-        w = gog_a.term(ew)
-        # a transport depends only on the edge, the image of its white end
-        # and the index of the white candidate there
-        key = ("transport", ew, emap[ew], chosen[w])
+        ew2, w = emap[ew], gog_a.term(ew)
+        moved, g_m = _moved_keys(jsj_a, jsj_b, whitelist, ew, vmap[w], memo)[chosen[w]]
+        sigma, g_t, carried[bar(ew)] = _target_keys(jsj_b, ew2, memo)[moved]
+        gammas[ew] = SlotElement(gog_b.vslot(vmap[w]), g_t * g_m.inverse(), 0)
+        slot, slot2 = gog_a.eslot(edge), gog_b.eslot(ew2)
+        key = ("edge iso", slot, slot2, sigma)
         if key not in memo:
-            memo[key] = _edge_transport(jsj_a, jsj_b, ew, emap[ew], vertex_isos[w])
-        transport = memo[key]
-        assert transport is not None, f"table admits {ew} -> {emap[ew]} without an edge transport"
-        transports[edge] = transport
-        gammas[ew] = transport.gamma_white
+            memo[key] = SlotIso(slot, slot2, _signed(slot2.generators(), sigma))
+        edge_isos[edge] = memo[key]
     for b, r in rows.items():
         b2 = vmap[b]
         slot_b2 = gog_b.vslot(b2)
         adjacent, sources = _black_classes(jsj_a, "source", b, memo)
-        targets = [transports[unoriented(oe)].target_images for oe in adjacent]
         key = ("black iso", b, b2, r)
         if key not in memo:
             memo[key] = _black_table(jsj_a, jsj_b, whitelist, b, b2, memo).isos[r]()
         phi_b = vertex_isos[b] = memo[key]
-        for oe, source, target in zip(adjacent, sources, targets):
-            p = slot_elementwise_conjugator(slot_b2, tuple(phi_b.apply(x) for x in source), target)
+        for oe, source in zip(adjacent, sources):
+            p = slot_elementwise_conjugator(slot_b2, tuple(phi_b.apply(x) for x in source), carried[oe])
             assert p is not None, f"row {r} of ({b}, {b2}) does not carry {oe} to a conjugate of its target"
             gammas[oe] = p.inverse()
-    edge_isos = {edge: transports[edge].edge_iso for edge in gog_a.edge_names}
     return GoGMorphism(gog_a, gog_b, vmap, emap, vertex_isos, edge_isos, gammas)
 
 
@@ -828,7 +808,6 @@ class PeripheralDatum:
 
 @dataclass(frozen=True)
 class ConjUngInput:
-    group: FreeGroup
     aut: FreeAut
     peripherals: Tuple[PeripheralDatum, ...]
     jsj: JSJInput
@@ -867,7 +846,7 @@ def _validate_ung_side(side: ConjUngInput) -> List[int]:
                     f"ad_gamma . phi is not the identity on {subgroup_name} "
                     f"(fails at {p.format()})"
                 )
-        ranks.append(fold(side.group, list(datum.generators)).rank())
+        ranks.append(fold(side.aut.group, list(datum.generators)).rank())
     return ranks
 
 

@@ -319,7 +319,7 @@ def one_twistor_conj_input(rank: int, twist_word_text: str,
         tuple(group.generator(i) for i in range(poly)), gamma
     )
     jsj = one_twistor_jsj(poly, twist_word_text)
-    return ConjUngInput(group, aut, (peripheral,), jsj)
+    return ConjUngInput(aut, (peripheral,), jsj)
 
 
 def twistor_side_text(poly_rank: int, twist_word_texts: Sequence[str]) -> str:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from torusconj.fibercorrect import smith_normal_form, solve_linear_system, solve_with_nullspace
 from torusconj.freegroup import FreeGroup, Word, is_automorphism
@@ -219,12 +219,45 @@ def serialize_whitelist(whitelist, jsj_a) -> str:
     return "\n".join(lines) + "\n"
 
 
+class EdgeTransport(NamedTuple):
+    """White-side data for one unoriented edge under a graph map."""
+
+    edge_iso: SlotIso
+    gamma_white: SlotElement  # at the white end orientation
+    target_images: Tuple[SlotElement, ...]  # i_{e'} of the transported edge gens
+
+
+def edge_transport(jsj_a, jsj_b, ew: str, ew2: str, phi_w) -> Optional[EdgeTransport]:
+    """Reference edge transport, by a fresh conjugacy search per call:
+    transport the edge group of `ew` (oriented towards its white vertex)
+    onto `ew2` through the white vertex candidate `phi_w`.
+
+    d conjugates the moved class onto the class of `ew2` (sigma == 1) or,
+    for a cyclic edge group, onto its inverse (sigma == -1), so the edge
+    isomorphism is g -> g^sigma and the gamma is d^-1.  The pipeline reads
+    the same data off the conjugacy keys of its black tables."""
+    from torusconj.pipeline import slot_elementwise_conjugator
+
+    gog_a, gog_b = jsj_a.gog, jsj_b.gog
+    wslot2 = gog_b.vslot(gog_b.term(ew2))
+    moved = [phi_w.apply(x) for x in gog_a.injection(ew).images]
+    targets = gog_b.injection(ew2).images
+    d, sigma = slot_elementwise_conjugator(wslot2, moved, targets), 1
+    if d is None and len(targets) == 1:
+        d, sigma = slot_elementwise_conjugator(wslot2, moved, [targets[0].inverse()]), -1
+    if d is None:
+        return None
+    images = tuple(g if sigma == 1 else g.inverse() for g in gog_b.eslot(ew2).generators())
+    target_black = tuple(x if sigma == 1 else x.inverse() for x in gog_b.injection(bar(ew2)).images)
+    return EdgeTransport(SlotIso(gog_a.eslot(ew), gog_b.eslot(ew2), images), d.inverse(), target_black)
+
+
 def transport_options(jsj_a, jsj_b, whitelist, b: str, b2: str):
     """Oracle for the options of the black table at (b, b2): one full
-    `_edge_transport` per (edge into b, edge into b2, fop white candidate
+    `edge_transport` per (edge into b, edge into b2, fop white candidate
     between their white ends).  Returns (options, transports): per sorted
     edge into b, the (f, k) whose transport exists, and those transports."""
-    from torusconj.pipeline import _edge_transport, _white_candidates
+    from torusconj.pipeline import _white_candidates
 
     gog_a, gog_b = jsj_a.gog, jsj_b.gog
     targets = sorted(f for f in gog_b.oriented_edges() if gog_b.term(f) == b2)
@@ -234,7 +267,7 @@ def transport_options(jsj_a, jsj_b, whitelist, b: str, b2: str):
         for f in targets:
             candidates = _white_candidates(jsj_a, jsj_b, whitelist, gog_a.init(oe), gog_b.init(f), {})
             for k, phi in enumerate(candidates):
-                transport = _edge_transport(jsj_a, jsj_b, bar(oe), bar(f), phi)
+                transport = edge_transport(jsj_a, jsj_b, bar(oe), bar(f), phi)
                 if transport is not None:
                     edge_options.append((f, k))
                     edge_transports.append(transport)

@@ -86,7 +86,7 @@ def jsj_text(jsj) -> str:
 
 
 def side_file_text(side) -> str:
-    group = side.group
+    group = side.aut.group
     lines = [f"fiber rank: {group.rank}"]
     monodromy = ", ".join(
         f"{group.names[i]} -> {img.format()}" for i, img in enumerate(side.aut.images)

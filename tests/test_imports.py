@@ -1,5 +1,6 @@
 """Every module-level or local import in ``src/`` and ``tests/`` is used,
-and every private function of ``src/`` is read there.
+and every private function and every module-level class of ``src/`` is read
+there.
 
 A name bound by an import counts as used when it is read anywhere in the
 module, string annotations included.  ``__init__.py`` files re-export their
@@ -8,7 +9,9 @@ imports and ``__future__`` imports bind nothing, so neither is checked.
 A private (``_name``, not ``__name__``) module-level function or method in
 ``src/`` counts as read when some module of ``src/`` reads that name, as a
 variable or as an attribute.  A mention in a docstring or a comment does not
-count, so a helper that only tests call cannot stay in ``src/``.
+count, so a helper that only tests call cannot stay in ``src/``.  The same
+holds for a module-level class of ``src/``, so a class that only tests build
+cannot stay there either.
 """
 
 import ast
@@ -96,17 +99,36 @@ def _read_names(tree):
     return read
 
 
-def unread_private_functions(sources):
-    """(source index, name, line) for each private function of `sources`
-    whose name no source reads."""
+def _module_classes(tree):
+    """(name, line) for each module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield node.name, node.lineno
+
+
+def _unread(sources, definitions):
+    """(source index, name, line) for each definition that `definitions`
+    finds in one of `sources` and whose name no source reads."""
     trees = [ast.parse(source) for source in sources]
     read = set().union(*(_read_names(tree) for tree in trees))
     return [
         (i, name, line)
         for i, tree in enumerate(trees)
-        for name, line in _private_functions(tree)
+        for name, line in definitions(tree)
         if name not in read
     ]
+
+
+def unread_private_functions(sources):
+    """(source index, name, line) for each private function of `sources`
+    whose name no source reads."""
+    return _unread(sources, _private_functions)
+
+
+def unread_classes(sources):
+    """(source index, name, line) for each module-level class of `sources`
+    whose name no source reads."""
+    return _unread(sources, _module_classes)
 
 
 def test_private_scanner_finds_unread_and_accepts_read():
@@ -129,4 +151,28 @@ def test_private_scanner_finds_unread_and_accepts_read():
 
 def test_every_private_function_is_read():
     unread = unread_private_functions([path.read_text() for path in SOURCES])
+    assert [(str(SOURCES[i].relative_to(ROOT)), name, line) for i, name, line in unread] == []
+
+
+def test_class_scanner_finds_unread_and_accepts_read():
+    module = (
+        "class Base:\n"
+        "    '''Documented is only mentioned here.'''\n"
+        "class Built(Base):\n"
+        "    pass\n"
+        "class Documented:\n"
+        "    pass  # Documented\n"
+        "class Reached:\n"
+        "    pass\n"
+        "def make():\n"
+        "    class Local:\n"
+        "        pass\n"
+        "    return Built()\n"
+    )
+    other = "import m\nfrom m import Documented as alias\nm.Reached\n"
+    assert unread_classes([module, other]) == [(0, "Documented", 5)]
+
+
+def test_every_class_is_read():
+    unread = unread_classes([path.read_text() for path in SOURCES])
     assert [(str(SOURCES[i].relative_to(ROOT)), name, line) for i, name, line in unread] == []

@@ -15,7 +15,6 @@ from torusconj.pipeline import (
     ConjUngInput,
     JSJInput,
     PeripheralDatum,
-    _edge_transport,
     _validate_ung_side,
     admissible_graph_maps,
     assemble,
@@ -244,46 +243,83 @@ def _box_zsquare_match(o, sources, targets):
     return None
 
 class TestSubgroupConjugator:
-    # e1 of `one_twistor_jsj` runs from the cyclic white vertex W to B, so
-    # e1~ points at W
     def test_cyclic_in_free_slot(self):
         F2 = GroupSlot(2, False)
         d = slot_elementwise_conjugator(F2, [F2.parse("x0")], [F2.parse("x1 x0 x1'")])
         assert d is not None
         assert F2.parse("x0").conjugate(d) == F2.parse("x1 x0 x1'")
 
-    def test_inverse_generator_allowed(self):
-        # the inverse is no conjugate, but an edge transport of a cyclic
-        # edge group falls back to it: the inversion at W moves the class
-        # of e1~ onto its inverse, so the edge isomorphism inverts, and so
-        # does the class carried into B
-        F2 = GroupSlot(2, False)
-        assert slot_elementwise_conjugator(F2, [F2.parse("x0")], [F2.parse("x0'")]) is None
-        jsj = one_twistor_jsj(2, "x0")
-        w = jsj.gog.vslot("W")
-        transport = _edge_transport(jsj, jsj, "e1~", "e1~", SlotIso(w, w, (w.generator(0).inverse(),)))
-        assert transport.edge_iso.images == (jsj.gog.eslot("e1").generator(0).inverse(),)
-        assert transport.gamma_white.is_identity()
-        assert transport.target_images == tuple(x.inverse() for x in jsj.gog.injection("e1").images)
-
     def test_center_mismatch(self):
         FXZ = GroupSlot(1, True)
         assert slot_elementwise_conjugator(FXZ, [FXZ.parse("x0 * c")], [FXZ.parse("x0 * c^2")]) is None
 
-    def test_transport_of_the_class_itself(self):
-        jsj = one_twistor_jsj(2, "x0")
-        w = jsj.gog.vslot("W")
-        transport = _edge_transport(jsj, jsj, "e1~", "e1~", SlotIso.identity(w))
-        assert transport.edge_iso.images == (jsj.gog.eslot("e1").generator(0),)
-        assert transport.gamma_white.is_identity()
-        assert transport.target_images == jsj.gog.injection("e1").images
 
-    def test_no_transport_without_a_conjugate(self):
-        # W -> W sending the generator to its square reaches neither class
-        jsj = one_twistor_jsj(2, "x0")
-        w = jsj.gog.vslot("W")
-        square = w.generator(0) * w.generator(0)
-        assert _edge_transport(jsj, jsj, "e1~", "e1~", SlotHom(w, w, (square,))) is None
+class TestWhiteEnds:
+    """An edge's white end read off the black tables' conjugacy keys, as
+    `_edge_options` offers it and as an assembled morphism takes it.  Side
+    a of `_rigid_star_pair` has cyclic edges e1 and e2 from the free white
+    vertex w (o(w) == 0, so every automorphism there is fop) into the Z^2
+    black vertex b1 and the F_2 x Z one b2, with classes x0 and x1 at w."""
+
+    @staticmethod
+    def _single(jsj, images):
+        """The one morphism `assemble` builds from jsj to itself with the
+        white candidate at w given by its generator images, and the options
+        and carried classes of the table at (b1, b1)."""
+        from torusconj.pipeline import _edge_options
+
+        W = jsj.gog.vslot("w")
+        whitelist = {("w", "w"): [SlotIso(W, W, tuple(W.parse(x) for x in images))]}
+        [morphism] = assemble(jsj, jsj, whitelist)
+        assert _validates(morphism)
+        return morphism, _edge_options(jsj, jsj, whitelist, "b1", "b1", {})
+
+    def test_inverse_candidate(self):
+        # the inverse is no conjugate, but a cyclic edge group falls back to
+        # it: the inversion of x0 at w moves the class of e1~ onto its
+        # inverse, so the edge isomorphism inverts, and so does the class
+        # carried into b1
+        F2 = GroupSlot(2, False)
+        assert slot_elementwise_conjugator(F2, [F2.parse("x0")], [F2.parse("x0'")]) is None
+        jsj, _ = _rigid_star_pair()
+        morphism, (options, pools) = self._single(jsj, ["x0'", "x1"])
+        carried = tuple(x.inverse() for x in jsj.gog.injection("e1").images)
+        assert options == [(("e1", 0),)] and pools == [[carried]]
+        assert morphism.edge_isos["e1"].images == (jsj.gog.eslot("e1").generator(0).inverse(),)
+        assert morphism.edge_isos["e2"].is_identity()
+        assert morphism.gammas["e1~"].is_identity()
+        source = jsj.gog.injection("e1").images
+        assert tuple(morphism.vertex_isos["b1"].apply(x) for x in source) == carried
+
+    def test_the_class_itself(self):
+        jsj, _ = _rigid_star_pair()
+        morphism, (options, pools) = self._single(jsj, ["x0", "x1"])
+        assert options == [(("e1", 0),)] and pools == [[jsj.gog.injection("e1").images]]
+        assert all(iso.is_identity() for iso in morphism.edge_isos.values())
+        assert all(gamma.is_identity() for gamma in morphism.gammas.values())
+
+    def test_conjugated_class(self):
+        # x0 -> x1 x0 x1' moves the class of e1~ onto a conjugate of itself,
+        # x1' x0 x1 == x0 under d == x1: the gamma at the white end is d^-1,
+        # and the edge isomorphism stays the identity
+        jsj, _ = _rigid_star_pair()
+        morphism, (options, _) = self._single(jsj, ["x1 x0 x1'", "x1"])
+        W = jsj.gog.vslot("w")
+        assert options == [(("e1", 0),)]
+        assert morphism.edge_isos["e1"].is_identity()
+        assert morphism.gammas["e1~"] == W.parse("x1'")
+
+    def test_no_option_without_a_conjugate(self):
+        # x0 -> x0 x1 moves the class of e1~ onto neither the class nor its
+        # inverse: no option, so nothing assembles
+        from torusconj.pipeline import _edge_options
+
+        jsj, _ = _rigid_star_pair()
+        W = jsj.gog.vslot("w")
+        whitelist = {("w", "w"): [SlotIso(W, W, (W.parse("x0 x1"), W.parse("x1")))]}
+        assert _edge_options(jsj, jsj, whitelist, "b1", "b1", {}) == ([()], [[]])
+        assert not list(assemble(jsj, jsj, whitelist))
+        assert decide(jsj, jsj, whitelist).status == "no-vertexwise-iso"
 
 
 class TestDecideVerdicts:
@@ -527,9 +563,9 @@ def _fresh_assemblies(jsj_a, jsj_b, whitelist):
     checked here with `gog.validate` since the assembly does not.  White
     candidates are named by their index among the distinct fop ones."""
     from torusconj.gog import GoGMorphism, bar, unoriented
-    from torusconj.pipeline import _edge_transport, _white_candidates, slot_elementwise_conjugator
+    from torusconj.pipeline import _white_candidates, slot_elementwise_conjugator
 
-    from .helpers import graph_isomorphisms, match_black_slot
+    from .helpers import edge_transport, graph_isomorphisms, match_black_slot
 
     gog_a, gog_b = jsj_a.gog, jsj_b.gog
     whites = jsj_a.white_vertices()
@@ -538,7 +574,7 @@ def _fresh_assemblies(jsj_a, jsj_b, whitelist):
         transports, gammas = {}, {}
         for edge in gog_a.edge_names:
             ew = edge if jsj_a.colors[gog_a.term(edge)] == "white" else bar(edge)
-            transports[edge] = _edge_transport(jsj_a, jsj_b, ew, emap[ew], isos[gog_a.term(ew)])
+            transports[edge] = edge_transport(jsj_a, jsj_b, ew, emap[ew], isos[gog_a.term(ew)])
             if transports[edge] is None:
                 return None
             gammas[ew] = transports[edge].gamma_white
@@ -612,35 +648,42 @@ class TestAssembleMemo:
         for jsj_b in pairs:
             _assert_matches_oracle(jsj_a, jsj_b, _block_whitelist(jsj_a, jsj_b))
 
-    def test_edge_transport_once_per_key(self, monkeypatch):
-        # the black tables read their options off conjugacy keys, so full
-        # transports run only for the maps admissible_graph_maps yields, each
-        # edge once per (edge, image, candidate): at most #edges x #maps,
-        # below #edges x #edges x #candidates, the count when every option
-        # was transported (36 at k = 3, 100 at k = 5)
+    def test_no_conjugacy_search_at_white_ends(self, monkeypatch):
+        # the black tables key each moved and each target edge class once,
+        # with its canonical conjugator, and assembly reads every white end
+        # off those pairs: inside `_assemble_one` the only conjugacy searches
+        # (`slot_elementwise_conjugator`, and the canonical conjugates it
+        # computes) are at black ends, in the black slot of B
         import torusconj.pipeline as pipeline
 
-        calls = []
-        original = pipeline._edge_transport
+        events, where = [], []
+        assemble_one, conjugator = pipeline._assemble_one, pipeline.slot_elementwise_conjugator
+        canonical = pipeline.canonical_conjugate
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def entered(frame, call):
+            where.append(frame)
+            events.append(tuple(where))
+            try:
+                return call()
+            finally:
+                where.pop()
 
-        monkeypatch.setattr(pipeline, "_edge_transport", counting)
+        monkeypatch.setattr(pipeline, "_assemble_one", lambda *args: entered("assemble", lambda: assemble_one(*args)))
+        monkeypatch.setattr(
+            pipeline, "slot_elementwise_conjugator", lambda slot, *args: entered(slot, lambda: conjugator(slot, *args))
+        )
+        monkeypatch.setattr(pipeline, "canonical_conjugate", lambda words: entered("key", lambda: canonical(words)))
         for twists_a, twists_b in [
             (["x0", "x0'", "x0 x0"], ["x0 x0", "x0", "x0'"]),
             (["x0", "x0'", "x0 x0", "x0 x0 x0", "x0' x0'"], ["x0 x0 x0", "x0' x0'", "x0", "x0 x0", "x0'"]),
         ]:
             jsj_a, jsj_b = twistor_jsj(1, twists_a), twistor_jsj(1, twists_b)
-            whitelist = identity_whitelist(jsj_a, jsj_b)
-            calls.clear()
-            maps = sum(1 for _ in admissible_graph_maps(jsj_a, jsj_b, whitelist, {}))
-            assert not calls
-            assert list(assemble(jsj_a, jsj_b, whitelist))
-            edges = len(jsj_a.gog.edge_names)
-            per_pair = max(len(isos) for isos in whitelist.values())
-            assert 0 < len(calls) <= edges * maps < edges * len(jsj_b.gog.edge_names) * per_pair
+            events.clear()
+            assert list(assemble(jsj_a, jsj_b, identity_whitelist(jsj_a, jsj_b)))
+            black = jsj_b.gog.vslot("B")
+            searches = [e for e in events if e[0] == "assemble" and len(e) > 1]
+            assert searches and all(e[1] == black for e in searches)
+            assert ("key",) in events
 
     def test_validate_once_per_positive(self, monkeypatch):
         # assemble builds its morphisms without validating them, so the Bass
@@ -1458,7 +1501,7 @@ class TestConjUng:
         )
         peripheral = PeripheralDatum((group.parse("a"), group.parse("b")), group.parse("1"))
         jsj = one_twistor_jsj(2, "1")
-        bad = ConjUngInput(group, aut, (peripheral,), jsj)
+        bad = ConjUngInput(aut, (peripheral,), jsj)
         good = one_twistor_conj_input(3, "x0")
         with pytest.raises(DomainError):
             conj_ung(bad, good, identity_whitelist(jsj, good.jsj))
@@ -1475,14 +1518,14 @@ class TestConjUng:
             tuple(group.parse(w) for w in ("a", "b a b'", "b b")), group.parse("b'")
         )
         jsj = one_twistor_jsj(2, "1")
-        side = ConjUngInput(group, aut, (peripheral,), jsj)
+        side = ConjUngInput(aut, (peripheral,), jsj)
         assert _validate_ung_side(side) == [3]
         assert_conj_ung(side, side, identity_whitelist(jsj, jsj), "conjugate")
         # a redundant generator b^2 a b^-2 of P leaves the rank at 3
         redundant = PeripheralDatum(
             peripheral.generators + (group.parse("b b a b' b'"),), peripheral.conjugator
         )
-        assert _validate_ung_side(ConjUngInput(group, aut, (redundant,), jsj)) == [3]
+        assert _validate_ung_side(ConjUngInput(aut, (redundant,), jsj)) == [3]
 
 
 CONJ_UNG_FOLDERS = sorted(
@@ -1507,7 +1550,7 @@ def transport_side(side, theta):
         )
         for datum in side.peripherals
     )
-    return ConjUngInput(side.group, theta * side.aut * theta.inverse(), peripherals, side.jsj)
+    return ConjUngInput(theta * side.aut * theta.inverse(), peripherals, side.jsj)
 
 
 def rebase_side(rng, side):
@@ -1525,7 +1568,7 @@ def rebase_side(rng, side):
         else:
             gens[i] = gens[i] * gens[j]
         peripherals.append(PeripheralDatum(tuple(gens), datum.conjugator))
-    return ConjUngInput(side.group, side.aut, tuple(peripherals), side.jsj)
+    return ConjUngInput(side.aut, tuple(peripherals), side.jsj)
 
 
 class TestConjUngMetamorphic:
@@ -1545,8 +1588,8 @@ class TestConjUngMetamorphic:
         a, b, whitelist, expected = self._load(name)
         rng = random.Random(f"theta-{name}")
         for _ in range(3):
-            theta_a = random_automorphism(rng, a.group, rng.randint(1, 6))
-            theta_b = random_automorphism(rng, b.group, rng.randint(1, 6))
+            theta_a = random_automorphism(rng, a.aut.group, rng.randint(1, 6))
+            theta_b = random_automorphism(rng, b.aut.group, rng.randint(1, 6))
             moved_a, moved_b = transport_side(a, theta_a), transport_side(b, theta_b)
             assert _validate_ung_side(moved_a) == _validate_ung_side(a)
             assert _validate_ung_side(moved_b) == _validate_ung_side(b)
