@@ -140,6 +140,22 @@ class TestMinkowskiCommand:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "0d2e493d5545c102233fc995ef21e38ab014cd375b14bdaff0c718a0f9ab58b4"
 
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (["--rank", "1"], "9bc98eab5fc31022b516a718a729080b43990347a6a4c2183b536819680aeae5"),
+            (["--rank", "4", "--product"], "c569b1753c24dd45752d0e015898e1d7126fa8dc6fe072227dc547297f24ba9d"),
+            (["--zsquare"], "187e5005d1e6a3a95c4f2e9bcc4e58d6634582930d1a2ed500f2b3fdf42c4875"),
+        ],
+    )
+    def test_remaining_outputs_are_pinned(self, capsys, flags, digest):
+        # with test_rank_four_certificate_is_pinned and the four digests of
+        # test_minkowski's test_pinned_serialization, every output of
+        # `minkowski certify` is pinned
+        code, out, _ = run_cli(["minkowski", "certify"] + flags, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_rank_five_is_a_resource_limit(self, capsys):
         code, out, err = run_cli(["minkowski", "certify", "--rank", "5"], capsys)
         assert code == 2
