@@ -40,46 +40,65 @@ def mat_vec(a: Matrix, x: Sequence[int]) -> List[int]:
 
 def smith_normal_form(a: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
     """Return (d, s, t) with s * a * t == d diagonal, d_i | d_{i+1}."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    d = [row[:] for row in a]
-    s = identity_matrix(m)
-    t = identity_matrix(n)
+    d = [list(row) for row in a]
+    s = identity_matrix(len(d))
+    t = identity_matrix(len(d[0]) if d else 0)
+    _smith_eliminate(d, (d, s), (d, t))
+    return d, s, t
+
+
+def smith_diagonal(a: Sequence[Sequence[int]]) -> List[int]:
+    """The diagonal d_1 | d_2 | ... of the Smith form of a, min(m, n) long,
+    from the elimination of `smith_normal_form` without its transforms."""
+    d = [list(row) for row in a]
+    _smith_eliminate(d, (d,), (d,))
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+
+
+def _smith_eliminate(d: Matrix, row_mats: Sequence[Matrix], col_mats: Sequence[Matrix]) -> None:
+    """Bring d to Smith form in place.  Each row operation is applied to
+    every matrix of `row_mats` and each column operation to every matrix of
+    `col_mats`; both hold d, and the transforms when they are wanted."""
+    m = len(d)
+    n = len(d[0]) if m else 0
 
     def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        s[i], s[j] = s[j], s[i]
+        for x in row_mats:
+            x[i], x[j] = x[j], x[i]
 
     def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in t:
-            row[i], row[j] = row[j], row[i]
+        for x in col_mats:
+            for row in x:
+                row[i], row[j] = row[j], row[i]
 
     def add_row(i, j, q):
         # row_i += q * row_j
-        d[i] = [x + q * y for x, y in zip(d[i], d[j])]
-        s[i] = [x + q * y for x, y in zip(s[i], s[j])]
+        for x in row_mats:
+            x[i] = [a + q * b for a, b in zip(x[i], x[j])]
 
     def add_col(i, j, q):
-        for row in d:
-            row[i] += q * row[j]
-        for row in t:
-            row[i] += q * row[j]
+        for x in col_mats:
+            for row in x:
+                row[i] += q * row[j]
 
     def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        s[i] = [-x for x in s[i]]
+        for x in row_mats:
+            x[i] = [-a for a in x[i]]
 
     rank_pos = 0
     while True:
+        # the first entry of least nonzero size, row by row; none is below 1
         pivot = None
-        best = None
+        best = 0
         for i in range(rank_pos, m):
+            row = d[i]
             for j in range(rank_pos, n):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < best):
-                    best = abs(d[i][j])
+                x = row[j]
+                if x and (not best or abs(x) < best):
+                    best = abs(x)
                     pivot = (i, j)
+            if best == 1:
+                break
         if pivot is None:
             break
         pi, pj = pivot
@@ -104,18 +123,17 @@ def smith_normal_form(a: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
             continue
         # divisibility propagation: pivot must divide the remaining block
         offender = None
-        for i in range(rank_pos + 1, m):
-            for j in range(rank_pos + 1, n):
-                if d[i][j] % d[rank_pos][rank_pos]:
+        pivot_value = d[rank_pos][rank_pos]
+        if pivot_value != 1:
+            for i in range(rank_pos + 1, m):
+                row = d[i]
+                if any(row[j] % pivot_value for j in range(rank_pos + 1, n)):
                     offender = i
                     break
-            if offender is not None:
-                break
         if offender is not None:
             add_row(rank_pos, offender, 1)
             continue
         rank_pos += 1
-    return d, s, t
 
 
 def solve_with_nullspace(a: Matrix, b: Sequence[int]):

@@ -4,6 +4,8 @@
 petal's first edge carries its abstract generator as a label.  A fold that
 would drop the graph's first Betti number proves the images are not a
 basis; otherwise the final rose reads off the inverse images directly.
+The Nielsen generators are the exception: each is written down with its
+inverse from its definition, and nothing is folded.
 """
 
 from __future__ import annotations
@@ -167,21 +169,21 @@ class BasisExpresser:
 
 
 def nielsen_generators(group: FreeGroup) -> list[FreeAut]:
-    """A standard generating set of the automorphism group."""
+    """A standard generating set of the automorphism group, each written
+    down with its inverse: the shift's inverse shifts the other way, the
+    swap and the inversion are their own inverses, and x0 -> x0 x1 is
+    undone by x0 -> x0 x1^-1."""
     gens = group.generators()
-    auts = []
+    inverted = [gens[0].inverse()] + gens[1:]
     if group.rank == 1:
-        auts.append(is_automorphism(group, [gens[0].inverse()]))
-        return auts
-    # cyclic shift of generators
-    auts.append(is_automorphism(group, gens[1:] + gens[:1]))
-    # swap the first two
-    auts.append(is_automorphism(group, [gens[1], gens[0]] + gens[2:]))
-    # invert the first
-    auts.append(is_automorphism(group, [gens[0].inverse()] + gens[1:]))
-    # right-multiply the first by the second
-    auts.append(is_automorphism(group, [gens[0] * gens[1]] + gens[1:]))
-    return auts
+        return [FreeAut(group, inverted, inverted)]
+    swap = [gens[1], gens[0]] + gens[2:]
+    return [
+        FreeAut(group, gens[1:] + gens[:1], gens[-1:] + gens[:-1]),
+        FreeAut(group, swap, swap),
+        FreeAut(group, inverted, inverted),
+        FreeAut(group, [gens[0] * gens[1]] + gens[1:], [gens[0] * gens[1].inverse()] + gens[1:]),
+    ]
 
 
 def inner_conjugator(aut: FreeAut) -> Optional[Word]:

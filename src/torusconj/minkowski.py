@@ -15,18 +15,25 @@ contains K_3, so no search, intersection or closure is needed.  K_3 is
 index-<=2 congruence kernel.
 
 A symmetry's class is read off its action on homology (the signed edge
-counts of the marking loops it moves), so only one symmetry per class is
-turned into image words and folded into an automorphism.  A symmetry that
-leaves a forest invariant is never built: collapsing that forest
-equivariantly gives a graph with fewer vertices, met earlier, on which the
-induced symmetry acts on homology by a GL_n(Z)-conjugate matrix (Culler,
-Finite groups of outer automorphisms of a free group, Contemp. Math. 33,
-1984; Krstic-Vogtmann, Comment. Math. Helv. 68, 1993), so its class is
-already known.  Whether it has such a forest is read per orbit O of vertex
-pairs under its vertex permutation: an edge orbit over O passes each pair
-of O equally often, so it is a forest exactly when it passes each pair
-once and the pairs of O span a forest.  The graphs' edge multisets keep
-non-increasing degrees as they are built, each graph class is
+counts of the marking loops it moves), and so is its order: the power chain
+M, M^2, ... stops at the first power that is the identity mod 3, which is
+the identity exactly when M has finite order, by the same torsion-free
+kernel.  The class key takes the Smith invariants of M^k - I from the
+elimination without its transforms.  Only one symmetry per class is turned
+into an automorphism: the loops' images under it, and the inverse images
+under the inverse symmetry, conjugated by the image of one tree path, with
+one check that the two compose to the identity.  Nothing is folded.
+
+A symmetry that leaves a forest invariant is never built: collapsing that
+forest equivariantly gives a graph with fewer vertices, met earlier, on
+which the induced symmetry acts on homology by a GL_n(Z)-conjugate matrix
+(Culler, Finite groups of outer automorphisms of a free group, Contemp.
+Math. 33, 1984; Krstic-Vogtmann, Comment. Math. Helv. 68, 1993), so its
+class is already known.  Whether it has such a forest is read per orbit O
+of vertex pairs under its vertex permutation: an edge orbit over O passes
+each pair of O equally often, so it is a forest exactly when it passes each
+pair once and the pairs of O span a forest.  The graphs' edge multisets
+keep non-increasing degrees as they are built, each graph class is
 canonicalized once per call (its first labelled edge list records all of
 its relabellings in a table that lives for that call, and later labellings
 of the class are skipped on sight), and the classes are listed up to
@@ -41,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import DomainError, ResourceError
@@ -50,12 +58,11 @@ from .freegroup import (
     SubgroupGraph,
     Word,
     homology_kernel,
-    is_automorphism,
     is_characteristic,
     nielsen_generators,
 )
 from .freegroup.stallings import _core_and_canonicalize
-from .fibercorrect import smith_normal_form
+from .fibercorrect import smith_diagonal
 
 RANK_BOUND = 4
 
@@ -148,7 +155,7 @@ def conjugate_in(image: Set[Tuple[int, ...]], a: Tuple[int, ...], b: Tuple[int, 
 
 def _perm_compose(p, q):
     """(p compose q)(x) == p[q[x]]."""
-    return tuple(p[q[x]] for x in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def _perm_inverse(p):
@@ -235,7 +242,8 @@ def realizing_graphs(rank: int) -> List[RealizingGraph]:
     lexicographic order.  A vertex never rises above 2*ne - 3*(nv - 1), the
     degree left once every other vertex has degree 3; a branch is cut once
     its remaining edge ends cannot lift every vertex to degree 3, or once a
-    vertex that no later slot touches is below 3.  Only a multiset with
+    vertex that no later slot touches is below 3; the edge ends still
+    missing are kept as a running count.  Only a multiset with
     non-increasing degrees is kept (every graph has such a labelling), and
     once row u of the slots starts, vertex u - 1 is touched no more, so a
     slot that would lift u or v above the degree of u - 1 is skipped.  Each
@@ -256,9 +264,10 @@ def realizing_graphs(rank: int) -> List[RealizingGraph]:
         degree = [0] * nv
         edges: List[Tuple[int, int]] = []
 
-        def extend(start: int) -> None:
+        def extend(start: int, deficit: int) -> None:
+            # deficit: the edge ends still needed to lift every vertex to 3
             ends_left = 2 * (ne - len(edges))
-            if sum(max(0, 3 - d) for d in degree) > ends_left:
+            if deficit > ends_left:
                 return
             if not ends_left:
                 labelled = tuple(edges)
@@ -277,15 +286,16 @@ def realizing_graphs(rank: int) -> List[RealizingGraph]:
                 top = degree[u - 1] if u else cap
                 if degree[u] + 1 + (u == v) > top or degree[v] >= top:
                     continue  # a loop adds 2 to its vertex
+                lifted = (degree[u] < 3) + (degree[v] + (u == v) < 3)
                 degree[u] += 1
                 degree[v] += 1
                 edges.append((u, v))
-                extend(k)
+                extend(k, deficit - lifted)
                 edges.pop()
                 degree[u] -= 1
                 degree[v] -= 1
 
-        extend(0)
+        extend(0, 3 * nv)
     return [RealizingGraph(nv, edges) for nv, edges in sorted(keys)]
 
 
@@ -452,38 +462,54 @@ class GraphMarking:
             loops.append(paths[u] + ((idx, False),) + back)
         return cls({idx: k for k, idx in enumerate(basis)}, paths, tuple(loops))
 
+    def read(self, emap: Sequence[Tuple[int, bool]], oriented: Oriented) -> List[Tuple[int, int]]:
+        """rho of the image of an edge path under the edge map `emap`: the
+        signed generators of the non-tree edges it passes.  On a closed path
+        at any vertex, rho is its class carried back to vertex 0 along the
+        tree, whose edges read as nothing."""
+        index = self.index
+        out = []
+        for idx, reversed_ in oriented:
+            dst, flip = emap[idx]
+            if dst in index:
+                out.append((index[dst], -1 if reversed_ != flip else 1))
+        return out
+
     def homology(self, sym: GraphSymmetry) -> Matrix:
         """M[i][j]: the signed count of basis edge i in the image of loop j,
-        which is abelianization(images(sym)); the tree path to the image of
-        vertex 0 conjugates every image and cancels in homology."""
-        index = self.index
-        mat = [[0] * len(index) for _ in index]
+        which is abelianization(images(sym))."""
+        mat = [[0] * len(self.index) for _ in self.index]
         for j, loop in enumerate(self.loops):
-            for idx, reversed_ in loop:
-                dst, flip = sym.emap[idx]
-                if dst in index:
-                    mat[index[dst]][j] += -1 if reversed_ != flip else 1
+            for i, sign in self.read(sym.emap, loop):
+                mat[i][j] += sign
         return tuple(map(tuple, mat))
 
     def images(self, sym: GraphSymmetry, group: FreeGroup) -> List[Word]:
-        """The loops' images, each conjugated back to vertex 0."""
-        index = self.index
-        assert len(index) == group.rank
-
-        def rho(oriented: Sequence[Tuple[int, bool]]) -> List[Tuple[int, int]]:
-            return [(index[idx], -1 if reversed_ else 1) for idx, reversed_ in oriented if idx in index]
-
-        def apply_sym(oriented: Oriented):
-            return [(sym.emap[idx][0], reversed_ != sym.emap[idx][1]) for idx, reversed_ in oriented]
-
-        conj = rho(self.paths[sym.vperm[0]])
-        inverse_conj = [(i, -s) for i, s in reversed(conj)]
-        return [group.word(inverse_conj + rho(apply_sym(loop)) + conj) for loop in self.loops]
+        """phi(x_j) == rho(s(loop_j)) for the symmetry s."""
+        assert len(self.index) == group.rank
+        return [group.word(self.read(sym.emap, loop)) for loop in self.loops]
 
     def automorphism(self, sym: GraphSymmetry, group: FreeGroup) -> FreeAut:
-        aut = is_automorphism(group, self.images(sym, group))
-        if aut is None:
-            raise AssertionError("graph symmetry failed to give an automorphism")
+        """The automorphism phi of `images`, with its inverse read off s^-1.
+
+        phi_{s^-1} phi_s is the conjugation x -> c x c^-1 by
+        c == rho(s^-1(path to s(v0))), so psi(x_j) ==
+        c^-1 rho(s^-1(loop_j)) c is a left inverse of phi.  Checking
+        phi(psi(x_j)) == x_j for every j shows that phi is onto, hence an
+        automorphism (F_n is Hopfian), with inverse psi.  Nothing is folded.
+        """
+        inverse_emap: List[Tuple[int, bool]] = [None] * len(sym.emap)  # type: ignore[list-item]
+        for idx, (dst, flip) in enumerate(sym.emap):
+            inverse_emap[dst] = (idx, flip)
+        conj = self.read(inverse_emap, self.paths[sym.vperm[0]])
+        inverse_conj = [(i, -sign) for i, sign in reversed(conj)]
+        inverse_images = [
+            group.word(inverse_conj + self.read(inverse_emap, loop) + conj) for loop in self.loops
+        ]
+        aut = FreeAut(group, self.images(sym, group), inverse_images)
+        for i, w in enumerate(inverse_images):
+            if aut.apply(w) != group.generator(i):
+                raise AssertionError("graph symmetry failed to give an automorphism")
         return aut
 
 
@@ -498,16 +524,26 @@ class TorsionRep:
     provenance: str
 
 
-def _power_chain(m: Sequence[Sequence[int]], bound: int) -> Optional[List[Matrix]]:
-    """The powers m, m^2, ..., m^k == I for the least k <= bound, else None."""
+def _power_chain(m: Sequence[Sequence[int]]) -> Optional[List[Matrix]]:
+    """The powers m, m^2, ..., m^o == I when m has finite order o, else None.
+
+    The chain stops at the least k with m^k == I mod 3, which exists since
+    m is invertible mod 3, as every matrix of GL_n(Z) is.  The kernel of
+    GL_n(Z) -> GL_n(Z/3) is torsion-free (Minkowski), so m^k == I exactly
+    when m has finite order, and then k is that order; otherwise m^k is a
+    nonidentity element of the kernel and m has infinite order.  This is
+    exact at every rank.
+    """
     m = tuple(map(tuple, m))
     identity = tuple(tuple(int(i == j) for j in range(len(m))) for i in range(len(m)))
     cols = tuple(zip(*m))
     chain = [m]
-    while chain[-1] != identity:
-        if len(chain) == bound:
+    power = m
+    while power != identity:
+        if all((x - y) % 3 == 0 for row, one in zip(power, identity) for x, y in zip(row, one)):
             return None
-        chain.append(tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in chain[-1]))
+        power = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in power)
+        chain.append(power)
     return chain
 
 
@@ -525,9 +561,7 @@ def _gl_conjugacy_invariant(chain: Sequence[Matrix]) -> tuple:
 def _shift_smith(mat) -> Tuple[int, ...]:
     """The Smith invariants of M - I, a GL_n(Z) conjugacy invariant of M."""
     n = len(mat)
-    delta = [[mat[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    d, _, _ = smith_normal_form(delta)
-    return tuple(abs(d[i][i]) for i in range(n))
+    return tuple(smith_diagonal([[mat[i][j] - (i == j) for j in range(n)] for i in range(n)]))
 
 
 def culler_reps(rank: int) -> List[TorsionRep]:
@@ -539,9 +573,11 @@ def culler_reps(rank: int) -> List[TorsionRep]:
     marking, and each of its symmetries is read through that marking.  The
     class key and outer order depend only on the homology matrix M
     (Baumslag-Taylor), which is read straight off the marking's loops, and
-    both come from one power chain M, M^2, ..., I.  M^-1 has the same key,
-    so it is marked as seen together with M.  Only a symmetry with a new key
-    is turned into image words and folded.
+    both come from one power chain M, M^2, ..., I, which is exact
+    (`_power_chain`).  M^-1 has the same key, so it is marked as seen
+    together with M.  Only a symmetry with a new key is turned into an
+    automorphism, written down with its inverse
+    (`GraphMarking.automorphism`).
 
     A symmetry with an invariant forest is never built
     (`forest_free_symmetries`), and this changes no output.  Collapsing
@@ -557,17 +593,17 @@ def culler_reps(rank: int) -> List[TorsionRep]:
     same representatives come out in the same order.
 
     The key has not been proved a complete GL_n(Z) conjugacy invariant, so
-    this is one representative per key.  The power chain is cut at 12,
-    which is exact through rank 5: every finite order in GL_n(Z) with
-    n <= 5 is at most 12 (Kuzmanovich-Pavlichenkov, Amer. Math. Monthly
-    109, 2002).  `RANK_BOUND` caps the rank because the per-call tables of
-    `realizing_graphs` grow with nv!, not because the method stops.
+    this is one representative per key.  A graph symmetry has finite order,
+    so its chain always ends in I.  `RANK_BOUND` caps the rank because the
+    per-call tables of `realizing_graphs` grow with nv!, not because the
+    method stops.
     """
     if rank > RANK_BOUND:
         raise ResourceError(f"culler_reps supports rank <= RANK_BOUND = {RANK_BOUND}")
     group = FreeGroup(rank)
     if rank == 1:
-        flip = is_automorphism(group, [group.generator(0).inverse()])
+        inverse = [group.generator(0).inverse()]
+        flip = FreeAut(group, inverse, inverse)  # x -> x^-1 is its own inverse
         return [
             TorsionRep(FreeAut.identity(group), 1, "rose1"),
             TorsionRep(flip, 2, "rose1"),
@@ -580,9 +616,9 @@ def culler_reps(rank: int) -> List[TorsionRep]:
             mat = marking.homology(sym)
             if mat in seen:
                 continue
-            chain = _power_chain(mat, 12)  # finite orders in GL_n(Z), n <= 5, are <= 12
+            chain = _power_chain(mat)
             if chain is None:
-                raise AssertionError("a graph symmetry acts on homology with order above 12")
+                raise AssertionError("a graph symmetry acts on homology with infinite order")
             seen.add(mat)
             seen.add(chain[-2] if len(chain) > 1 else mat)  # M^-1
             key = _gl_conjugacy_invariant(chain)

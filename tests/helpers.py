@@ -446,9 +446,9 @@ def invariant_forest(graph: RealizingGraph, sym: GraphSymmetry) -> Tuple[int, ..
     return ()
 
 
-def matrix_order(m, bound: int) -> Optional[int]:
-    """The least k <= bound with m^k == I, else None."""
-    chain = _power_chain(m, bound)
+def matrix_order(m) -> Optional[int]:
+    """The order of m in GL_n(Z), or None when it is infinite."""
+    chain = _power_chain(m)
     return None if chain is None else len(chain)
 
 
@@ -462,7 +462,7 @@ def gl2_finite_order_classes(entry_bound: int = 2) -> List[Tuple[Tuple[int, ...]
         if det not in (1, -1):
             continue
         m = ((a, b), (c, d))
-        order = matrix_order(m, 12)
+        order = matrix_order(m)
         if order is None:
             continue
         key = (order, a + d, det, _shift_smith(m))
@@ -505,7 +505,7 @@ def culler_reps_oracle(rank: int, graphs: Optional[List[RealizingGraph]] = None)
             mat = marking.homology(sym)
             if mat in seen:
                 continue
-            chain = _power_chain(mat, 12)
+            chain = _power_chain(mat)
             seen.add(mat)
             seen.add(chain[-2] if len(chain) > 1 else mat)  # M^-1
             key = _gl_conjugacy_invariant(chain)

@@ -300,12 +300,12 @@ def test_acceptance_minkowski_rank1_and_zsquare():
     z2 = certify_zsquare()
     assert z2.verify()
     classes = gl2_finite_order_classes()
-    orders = {matrix_order(m, 12) for m in classes}
+    orders = {matrix_order(m) for m in classes}
     assert orders == {1, 2, 3, 4, 6}
     # the certified classes, read off culler_reps(2), are the oracle's
     # nontrivial ones
-    certified = sorted(matrix_order(m, 12) for m in z2.representatives)
-    assert certified == sorted(matrix_order(m, 12) for m in classes if m != ((1, 0), (0, 1)))
+    certified = sorted(matrix_order(m) for m in z2.representatives)
+    assert certified == sorted(matrix_order(m) for m in classes if m != ((1, 0), (0, 1)))
     misses = [
         m
         for m in classes

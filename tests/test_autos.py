@@ -70,6 +70,16 @@ class TestIsAutomorphism:
                 x = F3.generator(i)
                 assert rebuilt.apply(rebuilt.inverse_images[i]) == x
 
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    def test_nielsen_generators_agree_with_folding(self, rank):
+        # each generator written down with its inverse against the labeled
+        # fold of the same images
+        group = FreeGroup(rank)
+        for aut in nielsen_generators(group):
+            folded = is_automorphism(group, list(aut.images))
+            assert aut.images == folded.images
+            assert aut.inverse_images == folded.inverse_images
+
 
 class TestComposition:
     def test_compose_applies_right_first(self):

@@ -11,6 +11,7 @@ from torusconj.fibercorrect import (
     OrientationFunctional,
     build_system,
     mat_vec,
+    smith_diagonal,
     smith_normal_form,
     solve,
     solve_with_nullspace,
@@ -110,6 +111,41 @@ class TestNormalForms:
             nz = [x for x in diag if x]
             for x, y in zip(nz, nz[1:]):
                 assert y % x == 0
+
+    def test_diagonal_without_transforms(self):
+        # the elimination run without s and t gives the same diagonal, on
+        # square and rectangular matrices with negative entries, zero rows
+        # and columns, and rank deficiency; every kind occurs
+        rng = random.Random(83)
+        kinds = set()
+        for _ in range(300):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+            if rng.random() < 0.3:
+                a[rng.randrange(m)] = [0] * n
+            if rng.random() < 0.3:
+                j = rng.randrange(n)
+                for row in a:
+                    row[j] = 0
+            if m > 1 and rng.random() < 0.3:
+                i, k = rng.sample(range(m), 2)
+                q = rng.randint(-2, 2)
+                a[i] = [q * x for x in a[k]]
+            d, _, _ = smith_normal_form(a)
+            diag = [d[i][i] for i in range(min(m, n))]
+            assert smith_diagonal(a) == diag
+            kinds.add("square" if m == n else "rectangular")
+            kinds.update(
+                kind
+                for kind, present in (
+                    ("negative", any(x < 0 for row in a for x in row)),
+                    ("zero row", any(not any(row) for row in a)),
+                    ("zero column", any(not any(row[j] for row in a) for j in range(n))),
+                    ("deficient", sum(1 for x in diag if x) < min(m, n)),
+                )
+                if present
+            )
+        assert kinds == {"square", "rectangular", "negative", "zero row", "zero column", "deficient"}
 
 
 

@@ -145,7 +145,7 @@ def collapse_forest(graph, sym, forest):
 
 
 def _key(marking, sym):
-    return _gl_conjugacy_invariant(_power_chain(marking.homology(sym), 12))
+    return _gl_conjugacy_invariant(_power_chain(marking.homology(sym)))
 
 
 class TestCullerReps:
@@ -218,25 +218,56 @@ class TestCullerReps:
             for sym in graph_symmetries(graph):
                 aut = GraphMarking.of(graph).automorphism(sym, group)
                 oracle = next(d for d in range(1, 13) if inner_conjugator(aut**d) is not None)
-                assert matrix_order(aut.abelianized(), 12) == oracle
+                assert matrix_order(aut.abelianized()) == oracle
                 checked += 1
         assert checked == {2: 28, 3: 304}[rank]
 
-    @pytest.mark.parametrize("rank, folds", [(2, 7), (3, 14)])
-    def test_one_fold_per_representative(self, monkeypatch, rank, folds):
-        # a symmetry is folded into an automorphism only when its homology
-        # matrix gives a new class, against one fold per symmetry (28, 304)
+    @pytest.mark.parametrize("rank, built", [(2, 7), (3, 14)])
+    def test_one_automorphism_per_representative(self, monkeypatch, rank, built):
+        # a symmetry is made into an automorphism only when its homology
+        # matrix gives a new class, against one per symmetry (28, 304), and
+        # the automorphism is written down, not folded
+        import torusconj.freegroup as freegroup
         import torusconj.minkowski as minkowski
+        from torusconj.freegroup import autos
 
-        calls = []
-        original = minkowski.is_automorphism
+        calls = {"fold": 0, "automorphism": 0}
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
 
-        monkeypatch.setattr(minkowski, "is_automorphism", counting)
-        assert len(culler_reps(rank)) == len(calls) == folds
+            return wrapper
+
+        fold = counting("fold", autos.is_automorphism)
+        monkeypatch.setattr(autos, "is_automorphism", fold)
+        monkeypatch.setattr(freegroup, "is_automorphism", fold)
+        monkeypatch.setattr(
+            minkowski.GraphMarking,
+            "automorphism",
+            counting("automorphism", minkowski.GraphMarking.automorphism),
+        )
+        assert len(culler_reps(rank)) == calls["automorphism"] == built
+        assert calls["fold"] == 0
+
+    @pytest.mark.parametrize("rank, count", [(2, 28), (3, 304), (4, 609)])
+    def test_automorphism_agrees_with_folding(self, rank, count):
+        # images and inverse images of the written-down automorphism against
+        # the labeled fold of the same images, for every graph symmetry at
+        # ranks 2 and 3 and every forest-free one at rank 4
+        group = FreeGroup(rank)
+        checked = 0
+        for graph in realizing_graphs(rank):
+            marking = GraphMarking.of(graph)
+            symmetries = forest_free_symmetries(graph) if rank == 4 else graph_symmetries(graph)
+            for sym in symmetries:
+                aut = marking.automorphism(sym, group)
+                folded = is_automorphism(group, marking.images(sym, group))
+                assert aut.images == folded.images
+                assert aut.inverse_images == folded.inverse_images
+                checked += 1
+        assert checked == count
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_against_oracle(self, rank):
@@ -290,13 +321,13 @@ class TestCullerReps:
                 if mat in distinct:
                     continue
                 distinct.add(mat)
-                chain = _power_chain(mat, 12)
+                chain = _power_chain(mat)
                 inverse = chain[-2] if len(chain) > 1 else mat
                 identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
                 assert mat_mul([list(r) for r in mat], [list(r) for r in inverse]) == identity
                 full = (len(chain), *map(_shift_smith, chain))
                 assert _gl_conjugacy_invariant(chain) == full
-                assert _gl_conjugacy_invariant(_power_chain(inverse, 12)) == full
+                assert _gl_conjugacy_invariant(_power_chain(inverse)) == full
         assert (checked, len(distinct)) == (symmetries, matrices)
 
     @pytest.mark.parametrize(
@@ -341,6 +372,17 @@ class TestCullerReps:
                 "homology": homologies,
                 "symmetry": homologies,
             }
+
+
+class TestPowerChain:
+    def test_order_is_exact_without_a_bound(self):
+        # -I has order 2 although it is the identity mod 2; the
+        # transvection and the hyperbolic matrix have infinite order, and
+        # the chain stops at their first power that is the identity mod 3
+        minus_one = ((-1, 0), (0, -1))
+        assert _power_chain(minus_one) == [minus_one, ((1, 0), (0, 1))]
+        assert _power_chain(((1, 1), (0, 1))) is None
+        assert _power_chain(((2, 1), (1, 1))) is None
 
 
 class TestForestFreeSymmetries:
@@ -597,14 +639,14 @@ class TestZSquare:
         # oracle: the bounded-entry enumeration covers orders 2, 3, 4, 6
         orders = set()
         for m in gl2_finite_order_classes():
-            orders.add(matrix_order(m, 12))
+            orders.add(matrix_order(m))
         assert orders == {1, 2, 3, 4, 6}
 
     def test_classes_match_bounded_entry_oracle(self):
         # the homology matrices of culler_reps(2) give one matrix per
         # nontrivial key class of the bounded-entry search, and no more
         def key(m):
-            return _gl_conjugacy_invariant(_power_chain(m, 12))
+            return _gl_conjugacy_invariant(_power_chain(m))
 
         certified = [key(m) for m in certify_zsquare().representatives]
         oracle = {key(m) for m in gl2_finite_order_classes() if m != ((1, 0), (0, 1))}
