@@ -462,7 +462,7 @@ class GraphMarking:
             loops.append(paths[u] + ((idx, False),) + back)
         return cls({idx: k for k, idx in enumerate(basis)}, paths, tuple(loops))
 
-    def read(self, emap: Sequence[Tuple[int, bool]], oriented: Oriented) -> List[Tuple[int, int]]:
+    def read(self, emap, oriented: Oriented) -> List[Tuple[int, int]]:
         """rho of the image of an edge path under the edge map `emap`: the
         signed generators of the non-tree edges it passes.  On a closed path
         at any vertex, rho is its class carried back to vertex 0 along the
@@ -498,9 +498,7 @@ class GraphMarking:
         phi(psi(x_j)) == x_j for every j shows that phi is onto, hence an
         automorphism (F_n is Hopfian), with inverse psi.  Nothing is folded.
         """
-        inverse_emap: List[Tuple[int, bool]] = [None] * len(sym.emap)  # type: ignore[list-item]
-        for idx, (dst, flip) in enumerate(sym.emap):
-            inverse_emap[dst] = (idx, flip)
+        inverse_emap = {dst: (idx, flip) for idx, (dst, flip) in enumerate(sym.emap)}
         conj = self.read(inverse_emap, self.paths[sym.vperm[0]])
         inverse_conj = [(i, -sign) for i, sign in reversed(conj)]
         inverse_images = [
