@@ -102,8 +102,10 @@ def _smith_eliminate(d: Matrix, row_mats: Sequence[Matrix], col_mats: Sequence[M
         if pivot is None:
             break
         pi, pj = pivot
-        swap_rows(rank_pos, pi)
-        swap_cols(rank_pos, pj)
+        if pi != rank_pos:
+            swap_rows(rank_pos, pi)
+        if pj != rank_pos:
+            swap_cols(rank_pos, pj)
         if d[rank_pos][rank_pos] < 0:
             negate_row(rank_pos)
         dirty = False

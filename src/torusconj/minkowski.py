@@ -478,10 +478,13 @@ class GraphMarking:
     def homology(self, sym: GraphSymmetry) -> Matrix:
         """M[i][j]: the signed count of basis edge i in the image of loop j,
         which is abelianization(images(sym))."""
-        mat = [[0] * len(self.index) for _ in self.index]
+        index = self.index
+        mat = [[0] * len(index) for _ in index]
         for j, loop in enumerate(self.loops):
-            for i, sign in self.read(sym.emap, loop):
-                mat[i][j] += sign
+            for idx, reversed_ in loop:
+                dst, flip = sym.emap[idx]
+                if dst in index:
+                    mat[index[dst]][j] += -1 if reversed_ != flip else 1
         return tuple(map(tuple, mat))
 
     def images(self, sym: GraphSymmetry, group: FreeGroup) -> List[Word]:
