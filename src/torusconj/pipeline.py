@@ -266,19 +266,22 @@ def fop_slot_isos(slot_a, o_a, slot_b, o_b, sources, pools, natives, memo: dict)
     return [[carried(cls) for cls in pool] for pool in pools], [
         (
             list(zip(level.classes, centers)),
-            functools.partial(_fxz_row_iso, slot_a, o_a, slot_b, o_b, alpha + path, beta_aut),
+            functools.partial(
+                _fxz_row_iso, slot_a, o_a, slot_b, o_b, alpha + path + [move.inverse() for move in reversed(beta)]
+            ),
         )
         for level, path in memo[key].items()
     ]
 
 
-def _fxz_row_iso(slot_a, o_a, slot_b, o_b, moves, beta: FreeAut) -> SlotIso:
+def _fxz_row_iso(slot_a, o_a, slot_b, o_b, moves) -> SlotIso:
     """The representative of an F_k x Z class of `fop_slot_isos`: psi x id
-    in fiber coordinates, with psi == beta^-1 . (moves), where `moves` are
-    alpha then the level path.  In slot coordinates phi(x_i) == psi(x_i)
-    c^l_i with l_i == (o_a(x_i) - o_b(psi(x_i))) / o_b(c), and phi(c) ==
-    c^(o_a(c) / o_b(c))."""
-    psi = beta.inverse() * compose_moves(slot_b.free_group, moves)
+    in fiber coordinates, with psi == beta^-1 . (path) . alpha composed in
+    one pass, where `moves` are alpha, the level path, then the inverses
+    of beta's moves in reverse order.  In slot coordinates phi(x_i) ==
+    psi(x_i) c^l_i with l_i == (o_a(x_i) - o_b(psi(x_i))) / o_b(c), and
+    phi(c) == c^(o_a(c) / o_b(c))."""
+    psi = compose_moves(slot_b.free_group, moves)
     d_a, d_b = o_a[-1], o_b[-1]
     images = []
     for i in range(slot_a.free_rank):

@@ -5,8 +5,13 @@ words up to simultaneous conjugation, held in canonical form.  Orbit
 decisions run minimize-then-connect: greedy descent through the type-II
 Whitehead moves that can shorten a marking, then a breadth-first search
 through the length-preserving ones at the minimal level (peak reduction) to
-a signed relabelling of the goal.  Each move's images and inverse images
-are built from its definition.
+a signed relabelling of the goal, and one composition of the moves into
+the witness.  Each move's images and inverse images are built from its
+definition.  When every class is a single word, descent runs on letter
+indices (2i for generator i, 2i + 1 for its inverse), cyclically reducing
+each image and canonicalizing only the result.  The level search
+generates, per marking it visits, only the signed relabellings that carry
+the goal's letter counts to the marking's, in table order.
 
 The fiber-and-orientation variant for products H x <c> reduces to the plain
 problem on the H-parts: such automorphisms fix the center and preserve the
@@ -99,6 +104,16 @@ class WhiteheadMove:
     def apply_marking(self, m: Marking) -> Marking:
         return _canonical_marking(m.group, _image_classes(self, m))
 
+    def inverse(self) -> "WhiteheadMove":
+        """The inverse move: tau_{v^-1,Y'} for tau_{v,Y}, Y' - {v^-1} being
+        Y - {v}, and the inverse signed permutation."""
+        if self.kind == "mult":
+            (g, s), chosen = self.data
+            return WhiteheadMove("mult", ((g, -s), chosen), self.aut.inverse())
+        perm, signs = self.data
+        q = tuple(sorted(range(len(perm)), key=perm.__getitem__))  # q[perm[i]] == i
+        return WhiteheadMove("perm", (q, tuple(signs[j] for j in q)), self.aut.inverse())
+
     def __repr__(self):
         return f"<WhiteheadMove {self.kind} {self.data}>"
 
@@ -136,6 +151,7 @@ def _apply_table(table, w: Word) -> Word:
 # inverts.  The Whitehead graph of a set of cyclically reduced words has one
 # vertex per letter and, for each cyclic successor pair x y, one edge joining
 # x and y^-1; so the degree of x is the count of x plus the count of x^-1.
+# It depends only on the cyclic words, not on where each is cut.
 # A type-II move with multiplier v and cut Y (v in Y, v^-1 not) changes the
 # total length by the capacity of the cut minus the degree of v (Whitehead;
 # Lyndon-Schupp, Prop. I.4.16):
@@ -144,16 +160,20 @@ def _apply_table(table, w: Word) -> Word:
 # change length.
 
 
-def _letter_index(letter: Letter) -> int:
-    return 2 * letter[0] + (letter[1] < 0)
+def _letters(indices: Iterable[int]) -> Tuple[Letter, ...]:
+    return tuple((x >> 1, -1 if x & 1 else 1) for x in indices)
 
 
 @lru_cache(maxsize=None)
-def _type_two_cuts(group: FreeGroup) -> Tuple[Tuple[WhiteheadMove, int, Tuple[int, ...]], ...]:
+def _type_two_cuts(
+    group: FreeGroup,
+) -> Tuple[Tuple[WhiteheadMove, int, Tuple[int, ...], Tuple[Tuple[int, ...], ...]], ...]:
     """(move, index of v, flat indices a * width + b with a in Y and b not
-    in Y) for each type-II move tau_{v,Y} that can give a marking no other
-    move gives, with data (v, Y - {v} sorted): v each generator in order,
-    and for each its cuts by size, in combination order of the other letters.
+    in Y, images) for each type-II move tau_{v,Y} that can give a marking
+    no other move gives, with data (v, Y - {v} sorted): v each generator in
+    order, and for each its cuts by size, in combination order of the other
+    letters.  images[x] is the move's image of the letter of index x, as
+    letter indices.
 
     tau_{v,Y} fixes v and sends each other generator x to
     (v^-1 if x^-1 in Y) x (v if x in Y); its inverse trades v for v^-1
@@ -166,48 +186,66 @@ def _type_two_cuts(group: FreeGroup) -> Tuple[Tuple[WhiteheadMove, int, Tuple[in
     whose multiplier is a generator: 4 of the 12 type-II moves at rank 2,
     42 of 90 at rank 3 and 248 of 504 at rank 4."""
     n, width = group.rank, 2 * group.rank
+    # the moves share their few distinct letter images and the word of each
+    shared: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], Word]] = {}
+
+    def part(image: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Word]:
+        if image not in shared:
+            shared[image] = image, Word(group, _letters(image))
+        return shared[image]
+
     table = []
     for g in range(n):
-        others = [(i, s) for i in range(n) if i != g for s in (1, -1)]
+        others = [x for x in range(width) if x >> 1 != g]
         # every other letter in Y gives the inner move
         for size in range(1, len(others)):
             for chosen in itertools.combinations(others, size):
-                aut = FreeAut(group, _multiplied(group, g, chosen, 1), _multiplied(group, g, chosen, -1))
-                move = WhiteheadMove("mult", ((g, 1), tuple(sorted(chosen))), aut)
-                cut = {2 * g} | {_letter_index(x) for x in chosen}
+                forward, backward = _multiplied(n, 2 * g, chosen), _multiplied(n, 2 * g + 1, chosen)
+                aut = FreeAut(group, [part(x)[1] for x in forward], [part(x)[1] for x in backward])
+                move = WhiteheadMove("mult", ((g, 1), tuple(sorted(_letters(chosen)))), aut)
+                cut = {2 * g, *chosen}
                 cross = tuple(a * width + b for a in sorted(cut) for b in range(width) if b not in cut)
-                table.append((move, 2 * g, cross))
+                images = tuple(part(y)[0] for x in forward for y in (x, tuple(z ^ 1 for z in reversed(x))))
+                table.append((move, 2 * g, cross, images))
     return tuple(table)
 
 
-def _multiplied(group: FreeGroup, g: int, chosen: Sequence[Letter], e: int) -> List[Word]:
-    """x -> (v^-e if x^-1 in Y) x (v^e if x in Y) on each generator x, for
-    v == x_g and Y - {v} == `chosen`: the images of tau_{v,Y} (e == 1) or of
-    its inverse (e == -1).  Each is reduced, as `chosen` holds no letter
-    of v's generator."""
+def _multiplied(n: int, v: int, chosen: Sequence[int]) -> List[Tuple[int, ...]]:
+    """x -> (v^-1 if x^-1 in Y) x (v if x in Y) on each generator x, as
+    letter indices, for the letter of index v and Y - {v} == `chosen`: the
+    images of tau_{v,Y}, and with v^-1 for v those of its inverse.  Each is
+    reduced, as `chosen` holds no letter of v's generator."""
     images = []
-    for i in range(group.rank):
-        letters = [(i, 1)]
-        if (i, -1) in chosen:
-            letters.insert(0, (g, -e))
-        if (i, 1) in chosen:
-            letters.append((g, e))
-        images.append(Word(group, tuple(letters)))
+    for i in range(n):
+        image = (2 * i,)
+        if 2 * i + 1 in chosen:
+            image = (v ^ 1,) + image
+        if 2 * i in chosen:
+            image += (v,)
+        images.append(image)
     return images
 
 
-def _whitehead_graph(m: Marking) -> Optional[Tuple[List[int], List[int]]]:
-    """(E flattened as a * width + b, the degree of each letter) for the
-    Whitehead graph of `m`; None when a class holds several words.  The
-    classes must be canonical, as `Marking.of` and `apply_marking` leave
-    them, so each single word is cyclically reduced."""
-    width = 2 * m.group.rank
-    edges = [0] * (width * width)
-    degrees = [0] * width
+def _letter_codes(m: Marking) -> Optional[List[List[int]]]:
+    """The letter indices of the word of each class of `m`; None when a
+    class holds several words.  The classes must be canonical, as
+    `Marking.of` and `apply_marking` leave them, so each word is cyclically
+    reduced."""
+    words = []
     for entry in m.classes:
         if len(entry) != 1:
             return None
-        word = [_letter_index(letter) for letter in entry[0].letters]
+        words.append([2 * i + (s < 0) for i, s in entry[0].letters])
+    return words
+
+
+def _whitehead_graph(words: Iterable[Sequence[int]], width: int) -> Tuple[List[int], List[int]]:
+    """(E flattened as a * width + b, the degree of each letter) for the
+    Whitehead graph of cyclically reduced words given as letter indices,
+    over `width` letters."""
+    edges = [0] * (width * width)
+    degrees = [0] * width
+    for word in words:
         prev = word[-1] if word else 0
         for x in word:
             y = x ^ 1
@@ -217,6 +255,23 @@ def _whitehead_graph(m: Marking) -> Optional[Tuple[List[int], List[int]]]:
             degrees[y] += 1
             prev = x
     return edges, degrees
+
+
+def _cyclic_image(images: Sequence[Tuple[int, ...]], word: Sequence[int]) -> List[int]:
+    """The cyclic reduction of the image of `word`, as letter indices, under
+    the move whose image of the letter of index x is images[x]."""
+    out: List[int] = []
+    for x in word:
+        for y in images[x]:
+            if out and out[-1] == y ^ 1:
+                out.pop()
+            else:
+                out.append(y)
+    i, j = 0, len(out) - 1
+    while i < j and out[i] == out[j] ^ 1:
+        i += 1
+        j -= 1
+    return out[i : j + 1]
 
 
 def _moves_changing_length(
@@ -231,16 +286,17 @@ def _moves_changing_length(
     other.  Single-word classes apply only the moves that pass `keep`;
     classes of several words apply every move of the table, measure each
     image by `conjugacy_length` and canonicalize only the images kept."""
-    graph = _whitehead_graph(m)
-    if graph is None:
+    words = _letter_codes(m)
+    if words is None:
         length = m.total_length()
-        for move, _, _ in _type_two_cuts(m.group):
+        for move, _, _, _ in _type_two_cuts(m.group):
             images = _image_classes(move, m)
             if keep(sum(map(conjugacy_length, images)) - length):
                 yield move, _canonical_marking(m.group, images)
         return
-    edge, degrees = graph[0].__getitem__, graph[1]
-    for move, v, cross in _type_two_cuts(m.group):
+    edges, degrees = _whitehead_graph(words, 2 * m.group.rank)
+    edge = edges.__getitem__
+    for move, v, cross, _ in _type_two_cuts(m.group):
         if keep(sum(map(edge, cross)) - degrees[v]):
             yield move, move.apply_marking(m)
 
@@ -251,17 +307,47 @@ def _moves_changing_length(
 
 def minimize(m: Marking) -> Tuple[Marking, List[WhiteheadMove]]:
     """Greedy descent to a length-minimal marking; peak reduction makes the
-    first strictly shortening move in the fixed enumeration sufficient."""
-    current = m
+    first strictly shortening move in the fixed enumeration sufficient.
+
+    Single-word classes descend on letter indices: each step takes the
+    first move of `_type_two_cuts` that the Whitehead graph shows to
+    shorten, and only cyclically reduces the images.  The graph depends on
+    the cyclic words alone, so these are the moves a descent through
+    canonical markings takes, and the result is canonicalized once, or not
+    at all when no move shortens `m`.  Classes of several words apply and
+    measure each move (`_moves_changing_length`)."""
+    words = _letter_codes(m)
     applied: List[WhiteheadMove] = []
+    if words is None:
+        current = m
+        while True:
+            step = next(_moves_changing_length(current, lambda change: change < 0), None)
+            if step is None:
+                return current, applied
+            move, image = step
+            assert image.total_length() < current.total_length()
+            current = image
+            applied.append(move)
+    group = m.group
+    table, width = _type_two_cuts(group), 2 * group.rank
+    length = sum(map(len, words))
     while True:
-        step = next(_moves_changing_length(current, lambda change: change < 0), None)
+        edges, degrees = _whitehead_graph(words, width)
+        edge = edges.__getitem__
+        step = next(
+            ((move, images) for move, v, cross, images in table if sum(map(edge, cross)) < degrees[v]), None
+        )
         if step is None:
-            return current, applied
-        move, image = step
-        assert image.total_length() < current.total_length()
-        current = image
+            break
+        move, images = step
+        words = [_cyclic_image(images, word) for word in words]
+        shorter = sum(map(len, words))
+        assert shorter < length
+        length = shorter
         applied.append(move)
+    if not applied:
+        return m, applied
+    return _canonical_marking(group, [(Word(group, _letters(word)),) for word in words]), applied
 
 
 def compose_moves(group: FreeGroup, moves: Sequence[WhiteheadMove]) -> FreeAut:
@@ -274,17 +360,17 @@ def compose_moves(group: FreeGroup, moves: Sequence[WhiteheadMove]) -> FreeAut:
 
 def same_orbit(m1: Marking, m2: Marking) -> Tuple[bool, Optional[FreeAut]]:
     """Orbit decision under the full automorphism group, with witness:
-    minimize both, then `_level_path` at the minimal level.
-    `mwp_product` is the fiber-and-orientation preserving variant.  The
-    decision pipeline asks no orbit question: its black tables enumerate
-    the minimal level once (`level_component`)."""
+    minimize both, then `_level_path` at the minimal level, and compose
+    the descent of `m1`, the path and the inverse of the descent of `m2`
+    in one pass.  `mwp_product` is the fiber-and-orientation preserving
+    variant.  The decision pipeline asks no orbit question: its black
+    tables enumerate the minimal level once (`level_component`)."""
     if m1.group != m2.group:
         raise DomainError("markings over different groups")
     if len(m1.classes) != len(m2.classes):
         return False, None
     if tuple(len(e) for e in m1.classes) != tuple(len(e) for e in m2.classes):
         return False, None
-    fg = m1.group
     min1, moves1 = minimize(m1)
     min2, moves2 = minimize(m2)
     if min1.total_length() != min2.total_length():
@@ -292,11 +378,7 @@ def same_orbit(m1: Marking, m2: Marking) -> Tuple[bool, Optional[FreeAut]]:
     path = _level_path(min1, min2)
     if path is None:
         return False, None
-    witness = (
-        compose_moves(fg, moves2).inverse()
-        * compose_moves(fg, path)
-        * compose_moves(fg, moves1)
-    )
+    witness = compose_moves(m1.group, moves1 + path + [move.inverse() for move in reversed(moves2)])
     assert m1.apply(witness) == m2
     return True, witness
 
@@ -333,40 +415,47 @@ def _level_walk(start: Marking) -> Iterator[Tuple[Marking, List[WhiteheadMove]]]
         frontier = nxt
 
 
+def _signed_permutation(group: FreeGroup, words: Dict[Letter, Word], perm, signs) -> WhiteheadMove:
+    """The type-I move with data (perm, signs), which sends generator i to
+    x_{perm[i]}^{signs[i]} and whose inverse sends x_{perm[i]} to
+    x_i^{signs[i]}; `words` holds the word of each letter."""
+    images, inverse_images = [], [None] * group.rank
+    for i, (j, s) in enumerate(zip(perm, signs)):
+        images.append(words[j, s])
+        inverse_images[j] = words[i, s]
+    return WhiteheadMove("perm", (perm, signs), FreeAut(group, images, inverse_images))
+
+
+def _letter_words(group: FreeGroup) -> Dict[Letter, Word]:
+    return {(i, s): Word(group, ((i, s),)) for i in range(group.rank) for s in (1, -1)}
+
+
 @lru_cache(maxsize=None)
 def _relabellings(group: FreeGroup) -> Tuple[Tuple[WhiteheadMove, WhiteheadMove, Tuple[int, ...]], ...]:
     """(sigma, sigma^-1, pre) for each type-I move sigma, the signed
     generator permutations other than the identity: permutations in
-    lexicographic order, each with its signs in product order of (1, -1).
-    Data (perm, signs) sends generator i to x_{perm[i]}^{signs[i]}; its
-    inverse is (q, the signs permuted by q), q being the inverse
-    permutation.  pre[y] is the index of the letter that sigma sends to
-    letter y."""
-    n = group.rank
-    words = {(i, s): Word(group, ((i, s),)) for i in range(n) for s in (1, -1)}
-    identity = tuple(range(n))
+    lexicographic order, each with its signs in product order of (1, -1),
+    as `_matching_relabellings` generates them when every relabelling
+    matches.  pre[y] is the index of the letter that sigma sends to letter
+    y.  Only `level_component` applies them all; an orbit question builds
+    the few its goal's profile admits."""
+    words = _letter_words(group)
     table = []
-    for perm in itertools.permutations(identity):
-        q = tuple(sorted(identity, key=perm.__getitem__))  # q[perm[i]] == i
-        for signs in itertools.product((1, -1), repeat=n):
-            if perm == identity and -1 not in signs:
-                continue
-            q_signs = tuple(signs[j] for j in q)
-            aut = FreeAut(group, [words[x] for x in zip(perm, signs)], [words[x] for x in zip(q, q_signs)])
-            pre = [0] * (2 * n)
-            for i, x in enumerate(zip(perm, signs)):
-                y = _letter_index(x)
-                pre[y], pre[y ^ 1] = 2 * i, 2 * i + 1
-            sigma = WhiteheadMove("perm", (perm, signs), aut)
-            table.append((sigma, WhiteheadMove("perm", (q, q_signs), aut.inverse()), tuple(pre)))
+    for perm, signs in itertools.islice(_matching_relabellings((), (), group.rank), 1, None):
+        pre = [0] * (2 * group.rank)
+        for i, (j, s) in enumerate(zip(perm, signs)):
+            y = 2 * j + (s < 0)
+            pre[y], pre[y ^ 1] = 2 * i, 2 * i + 1
+        sigma = _signed_permutation(group, words, perm, signs)
+        table.append((sigma, sigma.inverse(), tuple(pre)))
     return tuple(table)
 
 
 def _profile(m: Marking) -> Tuple[int, ...]:
     """The letter counts, by letter index, of the cyclic reduction of each
     word of each class, in order.  Simultaneous conjugation keeps them, and
-    a signed relabelling permutes them (`_relabel_profile`).  Single words
-    of canonical classes are already cyclically reduced."""
+    a signed relabelling permutes them (`_matching_relabellings`).  Single
+    words of canonical classes are already cyclically reduced."""
     width = 2 * m.group.rank
     profile: List[int] = []
     for entry in m.classes:
@@ -380,12 +469,44 @@ def _profile(m: Marking) -> Tuple[int, ...]:
     return tuple(profile)
 
 
-def _relabel_profile(profile: Tuple[int, ...], pre: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The profile of sigma(m) from that of m, with `pre` as in `_relabellings`."""
-    width = len(pre)
-    return tuple(
-        profile[base + x] for base in range(0, len(profile), width) for x in pre
-    )
+def _matching_relabellings(
+    source: Tuple[int, ...], target: Tuple[int, ...], n: int
+) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """(perm, signs) for each signed permutation sigma of rank `n`, the
+    identity included, with `target` the profile of sigma(m) when `source`
+    is that of m: in lexicographic order of perm, then in product order of
+    (1, -1) for the signs, so the identity comes first and the others in
+    the order of `_relabellings`.
+
+    Column i of a profile is the pair (the counts of x_i, the counts of
+    x_i^-1), word by word.  sigma sends x_i to x_{perm[i]}^{signs[i]}, so
+    it matches exactly when each column i of `source` is column perm[i] of
+    `target`, its two halves swapped where signs[i] == -1.  Only the
+    permutations that match column by column are generated."""
+    width = 2 * n
+    columns = [(target[2 * j :: width], target[2 * j + 1 :: width]) for j in range(n)]
+    # options[i][j]: the signs s with x_i -> x_j^s matching, (1, -1) in
+    # order; the slice [::-1] swaps a column's halves
+    options = []
+    for i in range(n):
+        column = (source[2 * i :: width], source[2 * i + 1 :: width])
+        options.append([[s for s in (1, -1) if columns[j][::s] == column] for j in range(n)])
+    perm: List[int] = []
+
+    def extend() -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        i = len(perm)
+        if i == n:
+            done = tuple(perm)
+            for signs in itertools.product(*(options[k][j] for k, j in enumerate(done))):
+                yield done, signs
+            return
+        for j in range(n):
+            if options[i][j] and j not in perm:
+                perm.append(j)
+                yield from extend()
+                perm.pop()
+
+    return extend()
 
 
 def _level_path(start: Marking, goal: Marking) -> Optional[List[WhiteheadMove]]:
@@ -400,26 +521,24 @@ def _level_path(start: Marking, goal: Marking) -> Optional[List[WhiteheadMove]]:
     of the old ones and keep their lengths.
 
     A marking is compared only with the sigma(goal) whose profile equals its
-    own, each built on first use, and matches the first such sigma in the
-    order of `_relabellings`, after the identity."""
+    own (`_matching_relabellings`), each sigma and sigma(goal) built on
+    first use, and matches the first such sigma in the order of
+    `_relabellings`, after the identity."""
     if start == goal:
         return []
-    profile = _profile(goal)
-    # (sigma, the path's tail sigma^-1), the identity first
-    steps: List[Tuple[Optional[WhiteheadMove], List[WhiteheadMove]]] = [(None, [])]
-    by_profile: Dict[Tuple[int, ...], List[int]] = {profile: [0]}
-    for sigma, inverse, pre in _relabellings(goal.group):
-        by_profile.setdefault(_relabel_profile(profile, pre), []).append(len(steps))
-        steps.append((sigma, [inverse]))
-    images: Dict[int, Marking] = {0: goal}
+    group, profile = goal.group, _profile(goal)
+    words = _letter_words(group)
+    # (perm, signs) -> (sigma(goal), the path's tail sigma^-1)
+    images = {(tuple(range(group.rank)), (1,) * group.rank): (goal, [])}
 
     def tail(marking: Marking) -> Optional[List[WhiteheadMove]]:
         """sigma^-1 for the first sigma with sigma(goal) == marking."""
-        for k in by_profile.get(_profile(marking), ()):
-            sigma, rest = steps[k]
-            if k not in images:
-                images[k] = sigma.apply_marking(goal)
-            if images[k] == marking:
+        for key in _matching_relabellings(profile, _profile(marking), group.rank):
+            if key not in images:
+                sigma = _signed_permutation(group, words, *key)
+                images[key] = (sigma.apply_marking(goal), [sigma.inverse()])
+            image, rest = images[key]
+            if image == marking:
                 return rest
         return None
 

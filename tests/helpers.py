@@ -19,7 +19,14 @@ from torusconj.minkowski import (
     _power_chain,
     _shift_smith,
 )
-from torusconj.whitehead import ProductGroup, ProductMarking, WhiteheadMove, mwp_product
+from torusconj.whitehead import (
+    Marking,
+    ProductGroup,
+    ProductMarking,
+    WhiteheadMove,
+    _moves_changing_length,
+    mwp_product,
+)
 
 
 def random_word(rng: random.Random, group: FreeGroup, max_len: int) -> Word:
@@ -93,6 +100,27 @@ def move_alphabet(group: FreeGroup) -> Tuple[WhiteheadMove, ...]:
                     raise AssertionError("Whitehead move failed to be an automorphism")
                 moves.append(WhiteheadMove("mult", (v, tuple(sorted(chosen))), aut))
     return tuple(moves)
+
+
+def relabel_profile(profile: Tuple[int, ...], pre: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The `whitehead._profile` of sigma(m) from that of m, with `pre` as in
+    `whitehead._relabellings`: the oracle for `_matching_relabellings`."""
+    width = len(pre)
+    return tuple(profile[base + x] for base in range(0, len(profile), width) for x in pre)
+
+
+def marking_minimize(m: Marking) -> Tuple[Marking, List[WhiteheadMove]]:
+    """Greedy descent through canonical markings: each step applies the
+    first shortening move that `whitehead._moves_changing_length` yields
+    and canonicalizes its image.  The oracle for `whitehead.minimize`,
+    which descends on letter indices."""
+    current, applied = m, []
+    while True:
+        step = next(_moves_changing_length(current, lambda change: change < 0), None)
+        if step is None:
+            return current, applied
+        move, current = step
+        applied.append(move)
 
 
 def subgroup_elements_up_to(group: FreeGroup, generators: List[Word], max_len: int) -> set:

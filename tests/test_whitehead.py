@@ -5,18 +5,27 @@ import random
 import pytest
 
 from torusconj.errors import DomainError
-from torusconj.freegroup import FreeAut, FreeGroup, autos, inner_conjugator, is_automorphism, nielsen_generators
+from torusconj import whitehead
+from torusconj.freegroup import (
+    FreeAut,
+    FreeGroup,
+    autos,
+    canonical_conjugate,
+    inner_conjugator,
+    is_automorphism,
+    nielsen_generators,
+)
 from torusconj.whitehead import (
     Marking,
     ProductGroup,
     ProductMarking,
     _level_path,
     _moves_changing_length,
+    _letter_codes,
+    _matching_relabellings,
     _profile,
-    _relabel_profile,
     _relabellings,
     _type_two_cuts,
-    _whitehead_graph,
     compose_moves,
     level_component,
     minimize,
@@ -24,7 +33,7 @@ from torusconj.whitehead import (
     same_orbit,
 )
 
-from .helpers import move_alphabet, random_word, words_of_length
+from .helpers import marking_minimize, move_alphabet, random_word, relabel_profile, words_of_length
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3)
@@ -199,7 +208,7 @@ class TestLengthChanges:
             return True
 
         yielded = list(_moves_changing_length(m, record))
-        assert [move for move, _ in yielded] == [move for move, _, _ in _type_two_cuts(m.group)]
+        assert [move for move, _ in yielded] == [move for move, _, _, _ in _type_two_cuts(m.group)]
         assert len(changes) == len(yielded)
         for (move, image), change in zip(yielded, changes):
             assert image == move.apply_marking(m)
@@ -240,7 +249,7 @@ class TestLengthChanges:
                 assert move.apply_marking(m).total_length() == m.total_length()
 
     def test_tuple_classes_have_no_graph_changes(self):
-        assert _whitehead_graph(marking("[ a b , b' ]")) is None
+        assert _letter_codes(marking("[ a b , b' ]")) is None
 
 
 def redundant_moves(group):
@@ -272,7 +281,7 @@ class TestRedundantMoves:
 
     @pytest.mark.parametrize("group, size", zip(GROUPS, [4, 42, 248]), ids=["rank2", "rank3", "rank4"])
     def test_table_keeps_one_move_per_pair(self, group, size):
-        kept = [move for move, _, _ in _type_two_cuts(group)]
+        kept = [move for move, _, _, _ in _type_two_cuts(group)]
         dropped = redundant_moves(group)
         assert len(kept) == size
         assert len(kept) + len(dropped) == sum(move.kind == "mult" for move in move_alphabet(group))
@@ -308,7 +317,8 @@ class TestRedundantMoves:
 def oracle_type_two_cuts(group):
     """`_type_two_cuts` read off the oracle alphabet: its type-II moves in
     order, less each inner move and the later member of each
-    complementary pair."""
+    complementary pair, each with its image of every letter as letter
+    indices."""
     width = 2 * group.rank
     letters = frozenset(range(width))
     kept = set()
@@ -322,7 +332,11 @@ def oracle_type_two_cuts(group):
                 continue
             kept.add((v, cut))
             cross = tuple(a * width + b for a in sorted(cut) for b in range(width) if b not in cut)
-            table.append((move, v, cross))
+            images = tuple(
+                tuple(2 * i + (s < 0) for i, s in move.aut.apply(group.word([(x >> 1, 1 - 2 * (x & 1))])).letters)
+                for x in range(width)
+            )
+            table.append((move, v, cross, images))
     return table
 
 
@@ -353,8 +367,9 @@ class TestMoveTables:
     @pytest.mark.parametrize("rank", [2, 3, 4, 5])
     def test_tables_match_the_oracle_alphabet(self, rank):
         group = FreeGroup(rank)
-        built = [(move_key(move), v, cross) for move, v, cross in _type_two_cuts(group)]
-        assert built == [(move_key(move), v, cross) for move, v, cross in oracle_type_two_cuts(group)]
+        built = [(move_key(move), v, cross, images) for move, v, cross, images in _type_two_cuts(group)]
+        oracle = oracle_type_two_cuts(group)
+        assert built == [(move_key(move), v, cross, images) for move, v, cross, images in oracle]
         built = [(move_key(sigma), move_key(inverse), pre) for sigma, inverse, pre in _relabellings(group)]
         oracle = oracle_relabellings(group)
         assert built == [(move_key(sigma), move_key(inverse), pre) for sigma, inverse, pre in oracle]
@@ -409,7 +424,7 @@ class TestFilteredMovesMatchReference:
         rng = random.Random(709)
         for i in range(12):
             m1 = random_marking(rng, F2, 1, 4, words_per_class=2)
-            assert _whitehead_graph(m1) is None
+            assert _letter_codes(m1) is None
             m2 = m1.apply(random_aut(rng, F2, 3)) if i % 2 else random_marking(rng, F2, 1, 4, 2)
             assert minimize(m1) == reference_minimize(m1)
             self.assert_same_verdict(m1, m2)
@@ -579,7 +594,7 @@ class TestProfile:
             m = random_marking(rng, group, rng.randint(1, 3), 6, words_per_class)
             profile = _profile(m)
             for sigma, _, pre in _relabellings(group):
-                assert _profile(sigma.apply_marking(m)) == _relabel_profile(profile, pre), (
+                assert _profile(sigma.apply_marking(m)) == relabel_profile(profile, pre), (
                     f"{sigma} on {m.format()}"
                 )
 
@@ -589,6 +604,140 @@ class TestProfile:
         assert m == conjugated and _profile(m) == _profile(conjugated)
         # the cyclic reductions of a b and b a' count one a, one b, one a'
         assert _profile(m) == (1, 0, 1, 0, 0, 1, 1, 0)
+
+
+class TestCodedDescent:
+    """`minimize` descends on letter indices and canonicalizes once; it
+    takes the moves of a descent through canonical markings."""
+
+    GROUPS = [FreeGroup(2), FreeGroup(3), FreeGroup(4)]
+
+    @pytest.mark.parametrize("group", GROUPS, ids=["rank2", "rank3", "rank4"])
+    @pytest.mark.parametrize("words_per_class", [1, 2])
+    def test_same_marking_and_moves_as_marking_descent(self, group, words_per_class):
+        rng = random.Random(1103 + 10 * group.rank + words_per_class)
+        max_len = {2: 10, 3: 6, 4: 5}[group.rank]
+        changed = 0
+        for i in range(40):
+            m = random_marking(rng, group, rng.randint(1, 2), max_len, words_per_class)
+            if i % 2:
+                m = m.apply(random_aut(rng, group, rng.randint(1, 4)))
+            minimal, moves = minimize(m)
+            assert (minimal, moves) == marking_minimize(m), m.format()
+            changed += bool(moves)
+        assert changed >= 10
+
+    @pytest.mark.parametrize("group", [F2, F3], ids=["rank2", "rank3"])
+    def test_one_canonicalization_per_class(self, group, monkeypatch):
+        # work guard: a changed result canonicalizes each class once, a
+        # minimal input not at all
+        calls = []
+
+        def counting(words):
+            calls.append(words)
+            return canonical_conjugate(words)
+
+        rng = random.Random(1151 + group.rank)
+        markings = [random_marking(rng, group, rng.randint(1, 3), 8).apply(random_aut(rng, group, 3)) for _ in range(20)]
+        monkeypatch.setattr(whitehead, "canonical_conjugate", counting)
+        changed = 0
+        for m in markings:
+            calls.clear()
+            minimal, moves = minimize(m)
+            assert len(calls) == (len(m.classes) if moves else 0), m.format()
+            changed += bool(moves)
+            calls.clear()
+            assert minimize(minimal) == (minimal, [])
+            assert calls == []
+        assert changed >= 10
+
+
+class TestMoveInverse:
+    @pytest.mark.parametrize("group", [F2, F3], ids=["rank2", "rank3"])
+    def test_inverse_is_the_alphabet_move_of_the_inverse(self, group):
+        by_aut = {move.aut: move for move in move_alphabet(group)}
+        for move in move_alphabet(group):
+            inverse = move.inverse()
+            assert move_key(inverse) == move_key(by_aut[move.aut.inverse()]), move
+            assert move_key(inverse.inverse()) == move_key(move)
+
+
+class TestOnePassWitness:
+    @pytest.mark.parametrize("group", [F2, F3], ids=["rank2", "rank3"])
+    def test_witness_equals_three_factor_product(self, group):
+        rng = random.Random(1201 + group.rank)
+        max_len = 8 if group.rank == 2 else 4
+        for i in range(30):
+            m1 = random_marking(rng, group, rng.randint(1, 2), max_len, 1 + i % 2)
+            m2 = m1.apply(random_aut(rng, group, rng.randint(1, 4)))
+            ok, witness = same_orbit(m1, m2)
+            assert ok
+            (min1, moves1), (min2, moves2) = minimize(m1), minimize(m2)
+            path = _level_path(min1, min2)
+            oracle = compose_moves(group, moves2).inverse() * compose_moves(group, path) * compose_moves(group, moves1)
+            assert (witness.images, witness.inverse_images) == (oracle.images, oracle.inverse_images)
+
+
+class TestMatchingRelabellings:
+    """The relabellings generated per profile are those of the full table
+    whose relabelled profile matches, in its order, the identity first."""
+
+    @staticmethod
+    def filtered_table(group, source, target):
+        n = group.rank
+        identity = [(tuple(range(n)), (1,) * n)] if source == target else []
+        return identity + [
+            sigma.data for sigma, _, pre in _relabellings(group) if relabel_profile(source, pre) == target
+        ]
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_generated_equals_filtered_table(self, rank):
+        group = FreeGroup(rank)
+        rng = random.Random(1301 + rank)
+        texts = [
+            "[ a b ]",  # equal columns
+            "[ a ]",  # zero columns
+            "[ a b a' b' ]",  # x and x^-1 counted alike
+            "[ a b ] ; [ a b ]",
+            "[ a , b ]",
+            "[ a a b ] ; [ b' a ]",
+        ]
+        goals = [Marking.parse(group, text) for text in texts]
+        goals += [random_marking(rng, group, rng.randint(1, 2), 6, rng.randint(1, 2)) for _ in range(6)]
+        table = _relabellings(group)
+        matched = 0
+        for goal in goals:
+            source = _profile(goal)
+            targets = [source] + [_profile(rng.choice(table)[0].apply_marking(goal)) for _ in range(3)]
+            targets.append(_profile(random_marking(rng, group, len(goal.classes), 6, len(goal.classes[0]))))
+            for target in targets:
+                if len(target) != len(source):
+                    continue
+                expected = self.filtered_table(group, source, target)
+                assert list(_matching_relabellings(source, target, rank)) == expected, goal.format()
+                matched += len(expected)
+        assert matched > len(goals)
+
+    def test_question_builds_no_full_table(self, monkeypatch):
+        def forbidden(group):
+            raise AssertionError("an orbit question built every relabelling")
+
+        monkeypatch.setattr(whitehead, "_relabellings", forbidden)
+        group = FreeGroup(6)
+        # each pair reaches the level search: the positives end with a
+        # relabelling, and the negative walks the whole level
+        cases = [
+            ("[ a b ]", "[ a ]", True),
+            ("[ a ] ; [ b ]", "[ f' ] ; [ c ]", True),
+            ("[ a b a' b' ]", "[ c' e c e' ]", True),
+            ("[ a b a' b' ]", "[ a a b b ]", False),
+        ]
+        for text1, text2, expected in cases:
+            m1, m2 = Marking.parse(group, text1), Marking.parse(group, text2)
+            ok, witness = same_orbit(m1, m2)
+            assert ok == expected
+            if ok:
+                assert m1.apply(witness) == m2
 
 
 class TestMetamorphic:
