@@ -55,6 +55,42 @@ def smith_diagonal(a: Sequence[Sequence[int]]) -> List[int]:
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
+def invariant_factors(diagonal: Sequence[int], size: int) -> Tuple[int, ...]:
+    """The invariant factors of Z^size modulo a lattice with Smith diagonal
+    `diagonal`: the torsion factors, then one 0 per free rank."""
+    torsion = tuple(d for d in diagonal if d > 1)
+    return torsion + (0,) * (size - sum(1 for d in diagonal if d))
+
+
+def abelian_invariants(gog: GraphOfGroups, tree: Sequence[str]) -> Tuple[int, ...]:
+    """The invariant factors of H_1(pi_1(gog)), for any spanning tree
+    `tree` of its graph.
+
+    H_1 is presented on the vertex generators and the Bass edges: each
+    Bass relator e^-1 i_e~(g) e == i_e(g) abelianizes to i_e~(g) - i_e(g),
+    and each tree edge is killed.  Center commutators vanish.
+    """
+    index = {}
+    for v in gog.vertices:
+        for i in range(gog.vslot(v).ngens):
+            index[(v, i)] = len(index)
+    for e in gog.edge_names:
+        index[e] = len(index)
+    columns = []
+    for e in gog.edge_names:
+        for gen in gog.eslot(e).generators():
+            col = [0] * len(index)
+            for sign, oriented in ((1, bar(e)), (-1, e)):
+                image = gog.injection(oriented).apply(gen).abelianized()
+                for i, x in enumerate(image):
+                    col[index[(gog.term(oriented), i)]] += sign * x
+            columns.append(col)
+    for e in tree:
+        columns.append([1 if key == e else 0 for key in index])
+    rows = [[col[i] for col in columns] for i in range(len(index))]
+    return invariant_factors(smith_diagonal(rows), len(index))
+
+
 def _smith_eliminate(d: Matrix, row_mats: Sequence[Matrix], col_mats: Sequence[Matrix]) -> None:
     """Bring d to Smith form in place.  Each row operation is applied to
     every matrix of `row_mats` and each column operation to every matrix of

@@ -36,7 +36,10 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from .errors import DomainError, FormatError, parse_int
 from .fibercorrect import (
     OrientationFunctional,
+    abelian_invariants,
     build_system,
+    invariant_factors,
+    smith_diagonal,
     solve,
     solve_linear_system,
     solve_with_nullspace,
@@ -820,7 +823,8 @@ def conj_ung(a: ConjUngInput, b: ConjUngInput, whitelist: WhiteList) -> Verdict:
     """Conjugacy in Out(F) for the unipotent non-growing class.
 
     Each side's peripheral datum (P, gamma) is validated on P's generators:
-    ad_gamma . phi(p) == p, with ad_gamma(x) == gamma^-1 x gamma.  Then the
+    ad_gamma . phi(p) == p, with ad_gamma(x) == gamma^-1 x gamma, and its
+    JSJ must have the first homology of its mapping torus.  Then the
     sub-mapping torus <P, t gamma> is P x Z, so its product rank is
     fold(P).rank() and no period search is needed.  Malnormality of P (true
     of parabolic subgroups) is an input assumption and is not checked.  The
@@ -829,6 +833,8 @@ def conj_ung(a: ConjUngInput, b: ConjUngInput, whitelist: WhiteList) -> Verdict:
     """
     ranks_a = _validate_ung_side(a)
     ranks_b = _validate_ung_side(b)
+    _check_first_homology(a, "alpha")
+    _check_first_homology(b, "beta")
     if sorted(ranks_a) != sorted(ranks_b):
         return Verdict("not-conjugate", detail="peripheral product ranks differ")
     verdict = decide(a.jsj, b.jsj, whitelist)
@@ -851,6 +857,41 @@ def _validate_ung_side(side: ConjUngInput) -> List[int]:
                 )
         ranks.append(fold(side.aut.group, list(datum.generators)).rank())
     return ranks
+
+
+def _check_first_homology(side: ConjUngInput, name: str) -> None:
+    """Raise unless the side's JSJ has the first homology of its mapping
+    torus, Z^n / (M - I) + Z for the abelianized monodromy M."""
+    m = side.aut.abelianized()
+    for i, row in enumerate(m):
+        row[i] -= 1
+    torus = invariant_factors(smith_diagonal(m), len(m)) + (0,)
+    gog = side.jsj.gog
+    jsj = abelian_invariants(gog, _spanning_tree(gog))
+    if torus != jsj:
+        raise DomainError(
+            f"{name}: H_1 of the mapping torus has invariant factors {torus}, "
+            f"but H_1 of its JSJ has {jsj}"
+        )
+
+
+def _spanning_tree(gog: GraphOfGroups) -> List[str]:
+    """The edges, in name order, that join two vertices no earlier edge of
+    the tree connects."""
+    parent = {v: v for v in gog.vertices}
+
+    def root(v: str) -> str:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    tree = []
+    for e in gog.edge_names:
+        u, v = (root(x) for x in gog.edge_ends[e])
+        if u != v:
+            parent[u] = v
+            tree.append(e)
+    return tree
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,24 @@
 """Whitehead's algorithm for markings: tuples of conjugacy classes of tuples.
 
 A marking stores an ordered sequence of classes; each class is a tuple of
-words up to simultaneous conjugation, held in canonical form.  Orbit
-decisions run minimize-then-connect: greedy descent through the type-II
-Whitehead moves that can shorten a marking, then a breadth-first search
-through the length-preserving ones at the minimal level (peak reduction) to
-a signed relabelling of the goal, and one composition of the moves into
-the witness.  Each move's images and inverse images are built from its
-definition.  When every class is a single word, descent runs on letter
-indices (2i for generator i, 2i + 1 for its inverse), cyclically reducing
-each image and canonicalizing only the result.  The level search
-generates, per marking it visits, only the signed relabellings that carry
-the goal's letter counts to the marking's, in table order.
+words up to simultaneous conjugation, held in canonical form.  A Whitehead
+move is its image of every letter, as letter indices (2i for generator i,
+2i + 1 for its inverse), written down from its definition.  Applying a
+move rewrites each word through those images; composing moves rewrites the
+generators' images, and their inverse images through the inverse moves,
+and builds one automorphism at the end.
+
+Orbit decisions run minimize-then-connect: greedy descent through the
+type-II Whitehead moves that can shorten a marking, then a breadth-first
+search through the length-preserving ones at the minimal level (peak
+reduction) to a signed relabelling of the goal, and one composition of the
+moves into the witness.  When every class is a single word, descent runs on
+letter indices, cyclically reducing each image and canonicalizing only the
+result.  The level search generates, per marking it visits, only the signed
+relabellings that carry the goal's letter counts to the marking's;
+`level_component` generates all of them once per call.  The one table kept
+for the life of the process is that of the type-II moves searched at each
+rank (`_type_two_cuts`).
 
 The fiber-and-orientation variant for products H x <c> reduces to the plain
 problem on the H-parts: such automorphisms fix the center and preserve the
@@ -33,7 +40,6 @@ from .freegroup import (
     Word,
     canonical_conjugate,
     conjugacy_length,
-    reduce_letters,
 )
 from .gog import CENTER, split_center
 
@@ -91,66 +97,102 @@ class Marking:
 
 # ---------------------------------------------------------------------------
 # Whitehead moves
+#
+# Letters are indexed 2i (generator i) and 2i + 1 (its inverse), so index ^ 1
+# inverts.
 
 
 @dataclass(frozen=True)
 class WhiteheadMove:
-    """Type I: signed generator permutation.  Type II: multiplier and cut."""
+    """A Whitehead automorphism given by its image of every letter:
+    images[x] is the reduced image of the letter of index x, as letter
+    indices.  Type I ("perm"): data (perm, signs), the signed generator
+    permutation sending generator i to x_{perm[i]}^{signs[i]}.  Type II
+    ("mult"): data (v, Y - {v} sorted), as letters, for tau_{v,Y}."""
 
     kind: str  # "perm" or "mult"
     data: tuple
-    aut: FreeAut
+    images: Tuple[Tuple[int, ...], ...]
 
     def apply_marking(self, m: Marking) -> Marking:
-        return _canonical_marking(m.group, _image_classes(self, m))
+        return _canonical_marking(m.group, [[_moved(self.images, w) for w in entry] for entry in m.classes])
 
     def inverse(self) -> "WhiteheadMove":
         """The inverse move: tau_{v^-1,Y'} for tau_{v,Y}, Y' - {v^-1} being
         Y - {v}, and the inverse signed permutation."""
         if self.kind == "mult":
             (g, s), chosen = self.data
-            return WhiteheadMove("mult", ((g, -s), chosen), self.aut.inverse())
+            return _type_two_move(len(self.images) // 2, (g, -s), chosen)
         perm, signs = self.data
         q = tuple(sorted(range(len(perm)), key=perm.__getitem__))  # q[perm[i]] == i
-        return WhiteheadMove("perm", (q, tuple(signs[j] for j in q)), self.aut.inverse())
+        return _signed_permutation(q, tuple(signs[j] for j in q))
 
     def __repr__(self):
         return f"<WhiteheadMove {self.kind} {self.data}>"
 
 
-@lru_cache(maxsize=None)
-def _letter_table(aut: FreeAut) -> Dict[Letter, Tuple[Letter, ...]]:
-    table = {}
-    for i, img in enumerate(aut.images):
-        table[(i, 1)] = img.letters
-        table[(i, -1)] = img.inverse().letters
-    return table
+def _signed_permutation(perm: Tuple[int, ...], signs: Tuple[int, ...]) -> WhiteheadMove:
+    """The type-I move with data (perm, signs)."""
+    images: List[Tuple[int, ...]] = []
+    for j, s in zip(perm, signs):
+        y = 2 * j + (s < 0)
+        images += [(y,), (y ^ 1,)]
+    return WhiteheadMove("perm", (perm, signs), tuple(images))
 
 
-def _canonical_marking(group: FreeGroup, classes: Iterable[Tuple[Word, ...]]) -> Marking:
+def _type_two_move(n: int, v: Letter, chosen: Tuple[Letter, ...]) -> WhiteheadMove:
+    """The type-II move tau_{v,Y} of rank `n`, for Y - {v} == `chosen`: it
+    fixes v and sends each other generator x to
+    (v^-1 if x^-1 in Y) x (v if x in Y), which is reduced, as `chosen`
+    holds no letter of v's generator."""
+    cut = {2 * i + (s < 0) for i, s in chosen}
+    u = 2 * v[0] + (v[1] < 0)
+    images: List[Tuple[int, ...]] = []
+    for x in range(0, 2 * n, 2):
+        image = (x,)
+        if x + 1 in cut:
+            image = (u ^ 1,) + image
+        if x in cut:
+            image += (u,)
+        images += [image, tuple(y ^ 1 for y in reversed(image))]
+    return WhiteheadMove("mult", (v, chosen), tuple(images))
+
+
+def _codes(w: Word) -> List[int]:
+    return [2 * i + (s < 0) for i, s in w.letters]
+
+
+def _letters(indices: Iterable[int]) -> Tuple[Letter, ...]:
+    return tuple([(x >> 1, -1 if x & 1 else 1) for x in indices])
+
+
+def _rewrite(images: Sequence[Tuple[int, ...]], word: Iterable[int]) -> List[int]:
+    """The reduced image of `word`, as letter indices, under the move whose
+    image of the letter of index x is images[x]."""
+    out: List[int] = []
+    for x in word:
+        for y in images[x]:
+            if out and out[-1] == y ^ 1:
+                out.pop()
+            else:
+                out.append(y)
+    return out
+
+
+def _moved(images: Sequence[Tuple[int, ...]], w: Word) -> Word:
+    return Word(w.group, _letters(_rewrite(images, _codes(w))))
+
+
+def _canonical_marking(group: FreeGroup, classes: Iterable[Sequence[Word]]) -> Marking:
     return Marking(group, tuple(canonical_conjugate(words)[0] for words in classes))
-
-
-def _image_classes(move: WhiteheadMove, m: Marking) -> List[Tuple[Word, ...]]:
-    """The move's image of each class of `m`, not yet canonical."""
-    table = _letter_table(move.aut)
-    return [tuple(_apply_table(table, w) for w in entry) for entry in m.classes]
-
-
-def _apply_table(table, w: Word) -> Word:
-    letters: List[Letter] = []
-    for letter in w.letters:
-        letters.extend(table[letter])
-    return Word(w.group, reduce_letters(letters))
 
 
 # ---------------------------------------------------------------------------
 # length changes read off the Whitehead graph
 #
-# Letters are indexed 2i (generator i) and 2i + 1 (its inverse), so index ^ 1
-# inverts.  The Whitehead graph of a set of cyclically reduced words has one
-# vertex per letter and, for each cyclic successor pair x y, one edge joining
-# x and y^-1; so the degree of x is the count of x plus the count of x^-1.
+# The Whitehead graph of a set of cyclically reduced words has one vertex
+# per letter and, for each cyclic successor pair x y, one edge joining x
+# and y^-1; so the degree of x is the count of x plus the count of x^-1.
 # It depends only on the cyclic words, not on where each is cut.
 # A type-II move with multiplier v and cut Y (v in Y, v^-1 not) changes the
 # total length by the capacity of the cut minus the degree of v (Whitehead;
@@ -160,20 +202,13 @@ def _apply_table(table, w: Word) -> Word:
 # change length.
 
 
-def _letters(indices: Iterable[int]) -> Tuple[Letter, ...]:
-    return tuple((x >> 1, -1 if x & 1 else 1) for x in indices)
-
-
 @lru_cache(maxsize=None)
-def _type_two_cuts(
-    group: FreeGroup,
-) -> Tuple[Tuple[WhiteheadMove, int, Tuple[int, ...], Tuple[Tuple[int, ...], ...]], ...]:
+def _type_two_cuts(group: FreeGroup) -> Tuple[Tuple[WhiteheadMove, int, Tuple[int, ...]], ...]:
     """(move, index of v, flat indices a * width + b with a in Y and b not
-    in Y, images) for each type-II move tau_{v,Y} that can give a marking
-    no other move gives, with data (v, Y - {v} sorted): v each generator in
-    order, and for each its cuts by size, in combination order of the other
-    letters.  images[x] is the move's image of the letter of index x, as
-    letter indices.
+    in Y) for each type-II move tau_{v,Y} that can give a marking no other
+    move gives, with data (v, Y - {v} sorted): v each generator in order,
+    and for each its cuts by size, in combination order of the other
+    letters.
 
     tau_{v,Y} fixes v and sends each other generator x to
     (v^-1 if x^-1 in Y) x (v if x in Y); its inverse trades v for v^-1
@@ -186,44 +221,21 @@ def _type_two_cuts(
     whose multiplier is a generator: 4 of the 12 type-II moves at rank 2,
     42 of 90 at rank 3 and 248 of 504 at rank 4."""
     n, width = group.rank, 2 * group.rank
-    # the moves share their few distinct letter images and the word of each
-    shared: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], Word]] = {}
-
-    def part(image: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Word]:
-        if image not in shared:
-            shared[image] = image, Word(group, _letters(image))
-        return shared[image]
-
+    letters = _letters(range(width))
+    # the moves share their few distinct letter images
+    shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     table = []
     for g in range(n):
         others = [x for x in range(width) if x >> 1 != g]
         # every other letter in Y gives the inner move
         for size in range(1, len(others)):
             for chosen in itertools.combinations(others, size):
-                forward, backward = _multiplied(n, 2 * g, chosen), _multiplied(n, 2 * g + 1, chosen)
-                aut = FreeAut(group, [part(x)[1] for x in forward], [part(x)[1] for x in backward])
-                move = WhiteheadMove("mult", ((g, 1), tuple(sorted(_letters(chosen)))), aut)
+                move = _type_two_move(n, letters[2 * g], tuple(sorted(letters[x] for x in chosen)))
+                move = WhiteheadMove("mult", move.data, tuple(shared.setdefault(x, x) for x in move.images))
                 cut = {2 * g, *chosen}
                 cross = tuple(a * width + b for a in sorted(cut) for b in range(width) if b not in cut)
-                images = tuple(part(y)[0] for x in forward for y in (x, tuple(z ^ 1 for z in reversed(x))))
-                table.append((move, 2 * g, cross, images))
+                table.append((move, 2 * g, cross))
     return tuple(table)
-
-
-def _multiplied(n: int, v: int, chosen: Sequence[int]) -> List[Tuple[int, ...]]:
-    """x -> (v^-1 if x^-1 in Y) x (v if x in Y) on each generator x, as
-    letter indices, for the letter of index v and Y - {v} == `chosen`: the
-    images of tau_{v,Y}, and with v^-1 for v those of its inverse.  Each is
-    reduced, as `chosen` holds no letter of v's generator."""
-    images = []
-    for i in range(n):
-        image = (2 * i,)
-        if 2 * i + 1 in chosen:
-            image = (v ^ 1,) + image
-        if 2 * i in chosen:
-            image += (v,)
-        images.append(image)
-    return images
 
 
 def _letter_codes(m: Marking) -> Optional[List[List[int]]]:
@@ -235,7 +247,7 @@ def _letter_codes(m: Marking) -> Optional[List[List[int]]]:
     for entry in m.classes:
         if len(entry) != 1:
             return None
-        words.append([2 * i + (s < 0) for i, s in entry[0].letters])
+        words.append(_codes(entry[0]))
     return words
 
 
@@ -260,13 +272,7 @@ def _whitehead_graph(words: Iterable[Sequence[int]], width: int) -> Tuple[List[i
 def _cyclic_image(images: Sequence[Tuple[int, ...]], word: Sequence[int]) -> List[int]:
     """The cyclic reduction of the image of `word`, as letter indices, under
     the move whose image of the letter of index x is images[x]."""
-    out: List[int] = []
-    for x in word:
-        for y in images[x]:
-            if out and out[-1] == y ^ 1:
-                out.pop()
-            else:
-                out.append(y)
+    out = _rewrite(images, word)
     i, j = 0, len(out) - 1
     while i < j and out[i] == out[j] ^ 1:
         i += 1
@@ -289,14 +295,14 @@ def _moves_changing_length(
     words = _letter_codes(m)
     if words is None:
         length = m.total_length()
-        for move, _, _, _ in _type_two_cuts(m.group):
-            images = _image_classes(move, m)
+        for move, _, _ in _type_two_cuts(m.group):
+            images = [[_moved(move.images, w) for w in entry] for entry in m.classes]
             if keep(sum(map(conjugacy_length, images)) - length):
                 yield move, _canonical_marking(m.group, images)
         return
     edges, degrees = _whitehead_graph(words, 2 * m.group.rank)
     edge = edges.__getitem__
-    for move, v, cross, _ in _type_two_cuts(m.group):
+    for move, v, cross in _type_two_cuts(m.group):
         if keep(sum(map(edge, cross)) - degrees[v]):
             yield move, move.apply_marking(m)
 
@@ -334,13 +340,10 @@ def minimize(m: Marking) -> Tuple[Marking, List[WhiteheadMove]]:
     while True:
         edges, degrees = _whitehead_graph(words, width)
         edge = edges.__getitem__
-        step = next(
-            ((move, images) for move, v, cross, images in table if sum(map(edge, cross)) < degrees[v]), None
-        )
-        if step is None:
+        move = next((move for move, v, cross in table if sum(map(edge, cross)) < degrees[v]), None)
+        if move is None:
             break
-        move, images = step
-        words = [_cyclic_image(images, word) for word in words]
+        words = [_cyclic_image(move.images, word) for word in words]
         shorter = sum(map(len, words))
         assert shorter < length
         length = shorter
@@ -351,11 +354,18 @@ def minimize(m: Marking) -> Tuple[Marking, List[WhiteheadMove]]:
 
 
 def compose_moves(group: FreeGroup, moves: Sequence[WhiteheadMove]) -> FreeAut:
-    """The automorphism that applies `moves` in order."""
-    aut = FreeAut.identity(group)
+    """The automorphism that applies `moves` in order: each generator's
+    image rewritten through each move in order, and its inverse image
+    through each move's inverse in reverse order, on letter indices."""
+    images = inverse_images = [(2 * i,) for i in range(group.rank)]
     for move in moves:
-        aut = move.aut * aut
-    return aut
+        images = [_rewrite(move.images, image) for image in images]
+    for move in reversed(moves):
+        inverse = move.inverse().images
+        inverse_images = [_rewrite(inverse, image) for image in inverse_images]
+    return FreeAut(
+        group, [Word(group, _letters(x)) for x in images], [Word(group, _letters(x)) for x in inverse_images]
+    )
 
 
 def same_orbit(m1: Marking, m2: Marking) -> Tuple[bool, Optional[FreeAut]]:
@@ -388,11 +398,14 @@ def level_component(m: Marking) -> Dict[Marking, List[WhiteheadMove]]:
     length-minimal `m`, with a path of moves from `m` to it: by peak
     reduction, all the minimal markings of its orbit (McCool's minimal
     level).  The walk is `_level_path`'s, run to the end; the signed
-    relabellings are applied once afterwards, so a path ends with its
-    relabelling.  In order of discovery, the relabelled markings last."""
+    relabellings, built once per call in the order of
+    `_matching_relabellings`, are applied afterwards, so a path ends with
+    its relabelling.  In order of discovery, the relabelled markings last."""
     paths = dict(_level_walk(m))
+    relabellings = itertools.islice(_matching_relabellings((), (), m.group.rank), 1, None)
+    sigmas = [_signed_permutation(perm, signs) for perm, signs in relabellings]
     for x, path in list(paths.items()):
-        for sigma, _, _ in _relabellings(m.group):
+        for sigma in sigmas:
             paths.setdefault(sigma.apply_marking(x), path + [sigma])
     return paths
 
@@ -415,42 +428,6 @@ def _level_walk(start: Marking) -> Iterator[Tuple[Marking, List[WhiteheadMove]]]
         frontier = nxt
 
 
-def _signed_permutation(group: FreeGroup, words: Dict[Letter, Word], perm, signs) -> WhiteheadMove:
-    """The type-I move with data (perm, signs), which sends generator i to
-    x_{perm[i]}^{signs[i]} and whose inverse sends x_{perm[i]} to
-    x_i^{signs[i]}; `words` holds the word of each letter."""
-    images, inverse_images = [], [None] * group.rank
-    for i, (j, s) in enumerate(zip(perm, signs)):
-        images.append(words[j, s])
-        inverse_images[j] = words[i, s]
-    return WhiteheadMove("perm", (perm, signs), FreeAut(group, images, inverse_images))
-
-
-def _letter_words(group: FreeGroup) -> Dict[Letter, Word]:
-    return {(i, s): Word(group, ((i, s),)) for i in range(group.rank) for s in (1, -1)}
-
-
-@lru_cache(maxsize=None)
-def _relabellings(group: FreeGroup) -> Tuple[Tuple[WhiteheadMove, WhiteheadMove, Tuple[int, ...]], ...]:
-    """(sigma, sigma^-1, pre) for each type-I move sigma, the signed
-    generator permutations other than the identity: permutations in
-    lexicographic order, each with its signs in product order of (1, -1),
-    as `_matching_relabellings` generates them when every relabelling
-    matches.  pre[y] is the index of the letter that sigma sends to letter
-    y.  Only `level_component` applies them all; an orbit question builds
-    the few its goal's profile admits."""
-    words = _letter_words(group)
-    table = []
-    for perm, signs in itertools.islice(_matching_relabellings((), (), group.rank), 1, None):
-        pre = [0] * (2 * group.rank)
-        for i, (j, s) in enumerate(zip(perm, signs)):
-            y = 2 * j + (s < 0)
-            pre[y], pre[y ^ 1] = 2 * i, 2 * i + 1
-        sigma = _signed_permutation(group, words, perm, signs)
-        table.append((sigma, sigma.inverse(), tuple(pre)))
-    return tuple(table)
-
-
 def _profile(m: Marking) -> Tuple[int, ...]:
     """The letter counts, by letter index, of the cyclic reduction of each
     word of each class, in order.  Simultaneous conjugation keeps them, and
@@ -463,8 +440,8 @@ def _profile(m: Marking) -> Tuple[int, ...]:
             if len(entry) > 1:
                 word = word.cyclic_reduction()[1]
             counts = [0] * width
-            for i, s in word.letters:
-                counts[2 * i + (s < 0)] += 1
+            for x in _codes(word):
+                counts[x] += 1
             profile.extend(counts)
     return tuple(profile)
 
@@ -475,8 +452,9 @@ def _matching_relabellings(
     """(perm, signs) for each signed permutation sigma of rank `n`, the
     identity included, with `target` the profile of sigma(m) when `source`
     is that of m: in lexicographic order of perm, then in product order of
-    (1, -1) for the signs, so the identity comes first and the others in
-    the order of `_relabellings`.
+    (1, -1) for the signs, so the identity comes first.  With empty
+    profiles every sigma matches, in the order `level_component` applies
+    them.
 
     Column i of a profile is the pair (the counts of x_i, the counts of
     x_i^-1), word by word.  sigma sends x_i to x_{perm[i]}^{signs[i]}, so
@@ -522,12 +500,11 @@ def _level_path(start: Marking, goal: Marking) -> Optional[List[WhiteheadMove]]:
 
     A marking is compared only with the sigma(goal) whose profile equals its
     own (`_matching_relabellings`), each sigma and sigma(goal) built on
-    first use, and matches the first such sigma in the order of
-    `_relabellings`, after the identity."""
+    first use, and matches the first such sigma in the order that
+    generator gives, the identity first."""
     if start == goal:
         return []
     group, profile = goal.group, _profile(goal)
-    words = _letter_words(group)
     # (perm, signs) -> (sigma(goal), the path's tail sigma^-1)
     images = {(tuple(range(group.rank)), (1,) * group.rank): (goal, [])}
 
@@ -535,7 +512,7 @@ def _level_path(start: Marking, goal: Marking) -> Optional[List[WhiteheadMove]]:
         """sigma^-1 for the first sigma with sigma(goal) == marking."""
         for key in _matching_relabellings(profile, _profile(marking), group.rank):
             if key not in images:
-                sigma = _signed_permutation(group, words, *key)
+                sigma = _signed_permutation(*key)
                 images[key] = (sigma.apply_marking(goal), [sigma.inverse()])
             image, rest = images[key]
             if image == marking:

@@ -5,10 +5,10 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from torusconj.fibercorrect import smith_normal_form, solve_linear_system, solve_with_nullspace
-from torusconj.freegroup import FreeGroup, Word, is_automorphism
+from torusconj.fibercorrect import solve_linear_system, solve_with_nullspace
+from torusconj.freegroup import FreeAut, FreeGroup, Word, is_automorphism
 from torusconj.gog import GraphOfGroups, SlotElement, SlotIso, bar
 from torusconj.minkowski import (
     GraphMarking,
@@ -65,20 +65,28 @@ def words_of_length(group: FreeGroup, length: int) -> Iterator[Word]:
 
 
 @lru_cache(maxsize=None)
-def move_alphabet(group: FreeGroup) -> Tuple[WhiteheadMove, ...]:
-    """Every nonidentity Whitehead move of the given rank, fixed order: the
-    oracle for the move tables of `torusconj.whitehead`, each move folded
-    by `is_automorphism`."""
+def alphabet_auts(group: FreeGroup) -> Dict[WhiteheadMove, FreeAut]:
+    """Every nonidentity Whitehead move of the given rank, fixed order, with
+    its automorphism folded by `is_automorphism`: the oracle for the moves
+    of `torusconj.whitehead`, each move's letter images read off its
+    folded automorphism."""
     n = group.rank
-    moves: List[WhiteheadMove] = []
+    moves: Dict[WhiteheadMove, FreeAut] = {}
+
+    def add(kind, data, images):
+        aut = is_automorphism(group, images)
+        if aut is None:
+            raise AssertionError("Whitehead move failed to be an automorphism")
+        letters = [group.word([(x >> 1, -1 if x & 1 else 1)]) for x in range(2 * n)]
+        codes = tuple(tuple(2 * i + (s < 0) for i, s in aut.apply(w).letters) for w in letters)
+        moves[WhiteheadMove(kind, data, codes)] = aut
+
     # type I: signed permutations of the generators
     for perm in itertools.permutations(range(n)):
         for signs in itertools.product((1, -1), repeat=n):
             if perm == tuple(range(n)) and all(s == 1 for s in signs):
                 continue
-            images = [group.word([(perm[i], signs[i])]) for i in range(n)]
-            aut = is_automorphism(group, images)
-            moves.append(WhiteheadMove("perm", (perm, signs), aut))
+            add("perm", (perm, signs), [group.word([(perm[i], signs[i])]) for i in range(n)])
     # type II: multiplier v and cut Y containing v but not v^-1;
     # x -> (v^-1 if x^-1 in Y) x (v if x in Y) for x not the v-generator
     letters = [(i, s) for i in range(n) for s in (1, -1)]
@@ -95,16 +103,20 @@ def move_alphabet(group: FreeGroup) -> Tuple[WhiteheadMove, ...]:
                     pre = [(v[0], -v[1])] if (i, -1) in chosen else []
                     post = [v] if (i, 1) in chosen else []
                     images.append(group.word(pre + [(i, 1)] + post))
-                aut = is_automorphism(group, images)
-                if aut is None:
-                    raise AssertionError("Whitehead move failed to be an automorphism")
-                moves.append(WhiteheadMove("mult", (v, tuple(sorted(chosen))), aut))
-    return tuple(moves)
+                add("mult", (v, tuple(sorted(chosen))), images)
+    return moves
+
+
+def move_alphabet(group: FreeGroup) -> Tuple[WhiteheadMove, ...]:
+    """The moves of `alphabet_auts`, in its order."""
+    return tuple(alphabet_auts(group))
 
 
 def relabel_profile(profile: Tuple[int, ...], pre: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The `whitehead._profile` of sigma(m) from that of m, with `pre` as in
-    `whitehead._relabellings`: the oracle for `_matching_relabellings`."""
+    """The `whitehead._profile` of sigma(m) from that of m, where pre[y] is
+    the index of the letter that sigma sends to letter y (as
+    `tests/test_whitehead.py::oracle_relabellings` gives it): the oracle
+    for `_matching_relabellings`."""
     width = len(pre)
     return tuple(profile[base + x] for base in range(0, len(profile), width) for x in pre)
 
@@ -145,37 +157,6 @@ def mat_mul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
         return []
     n, k, m = len(a), len(b), len(b[0])
     return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
-def abelian_invariants(gog: GraphOfGroups, tree: Sequence[str]) -> Tuple[int, ...]:
-    """Invariant factors of H_1(pi_1(gog)): torsion factors, then one 0 per
-    free rank.
-
-    Oracle from the presentation on vertex generators and Bass edges: each
-    Bass relator e^-1 i_e~(g) e == i_e(g) abelianizes to i_e~(g) - i_e(g),
-    and each spanning-tree edge is killed.  Center commutators vanish.
-    """
-    index = {}
-    for v in gog.vertices:
-        for i in range(gog.vslot(v).ngens):
-            index[(v, i)] = len(index)
-    for e in gog.edge_names:
-        index[e] = len(index)
-    columns = []
-    for e in gog.edge_names:
-        for gen in gog.eslot(e).generators():
-            col = [0] * len(index)
-            for sign, oriented in ((1, bar(e)), (-1, e)):
-                image = gog.injection(oriented).apply(gen).abelianized()
-                for i, x in enumerate(image):
-                    col[index[(gog.term(oriented), i)]] += sign * x
-            columns.append(col)
-    for e in tree:
-        columns.append([1 if key == e else 0 for key in index])
-    d, _, _ = smith_normal_form([[col[i] for col in columns] for i in range(len(index))])
-    diag = [d[i][i] for i in range(min(len(index), len(columns)))]
-    torsion = [x for x in diag if x not in (0, 1)]
-    return tuple(torsion + [0] * (len(index) - sum(1 for x in diag if x)))
 
 
 def graph_isomorphisms(g1: GraphOfGroups, g2: GraphOfGroups) -> Iterator[Tuple[Dict, Dict]]:

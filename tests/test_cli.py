@@ -284,6 +284,27 @@ class TestConjUngCommand:
         assert code == 1
         assert "input error" in err
 
+    @pytest.mark.parametrize("side", ["alpha", "beta"])
+    def test_monodromy_against_its_jsj_homology(self, side, tmp_path, capsys):
+        # c -> c a a with the JSJ of c -> c a: the mapping torus has
+        # H_1 == Z/2 + Z^3, the JSJ Z^3
+        folder = DATA / "03_twistor_equal"
+        text = (folder / "alpha.txt").read_text()
+        assert "c -> c a\n" in text
+        mutant = tmp_path / "mutant.txt"
+        mutant.write_text(text.replace("c -> c a\n", "c -> c a a\n", 1))
+        other = str(folder / "beta.txt")
+        sides = [str(mutant), other] if side == "alpha" else [other, str(mutant)]
+        code, out, err = run_cli(
+            ["conj-ung", "--alpha", sides[0], "--beta", sides[1], "--whitelists", str(folder / "whitelists.txt")],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"input error: {side}: H_1 of the mapping torus has invariant factors (2, 0, 0, 0), "
+            "but H_1 of its JSJ has (0, 0, 0)\n"
+        )
+
 
 CORPUS_FOLDERS = sorted(f.name for f in DATA.iterdir() if (f / "kind.txt").exists())
 POSITIVE_FOLDERS = [

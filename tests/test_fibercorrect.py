@@ -9,6 +9,7 @@ from torusconj.errors import DomainError
 from torusconj.fibercorrect import (
     DiophantineSystem,
     OrientationFunctional,
+    abelian_invariants,
     build_system,
     mat_vec,
     smith_diagonal,
@@ -36,7 +37,7 @@ from torusconj.pipeline import decide, parse_jsj, parse_whitelist
 
 from .cli_helpers import load_conj_side
 from .corpus import identity_whitelist, twistor_jsj
-from .helpers import abelian_invariants, mat_mul
+from .helpers import mat_mul
 
 CORPUS = pathlib.Path(__file__).parent / "data" / "corpus"
 
@@ -227,7 +228,7 @@ class TestSolveWithNullspace:
 
 
 class TestAbelianize:
-    """The H_1 oracle of tests.helpers on groups of known homology."""
+    """`abelian_invariants` on groups of known homology."""
 
     def test_free_rank_two(self):
         gog = GraphOfGroups(["v"], {}, {"v": F2}, {}, {})

@@ -8,7 +8,7 @@ import pytest
 
 from torusconj.cli import _auto_whitelist
 from torusconj.errors import DomainError
-from torusconj.fibercorrect import OrientationFunctional
+from torusconj.fibercorrect import OrientationFunctional, abelian_invariants
 from torusconj.freegroup import FreeAut, FreeGroup, is_automorphism, nielsen_generators
 from torusconj.gog import GroupSlot, SlotElement, SlotHom, SlotIso, validate
 from torusconj.pipeline import (
@@ -47,7 +47,7 @@ from .corpus import (
     twistor_jsj,
 )
 from .cli_helpers import load_conj_side
-from .helpers import abelian_invariants, invert_whitelist, serialize_whitelist, transport_options
+from .helpers import invert_whitelist, serialize_whitelist, transport_options
 
 CORPUS = pathlib.Path(__file__).parent / "data" / "corpus"
 
@@ -1517,7 +1517,9 @@ class TestConjUng:
         peripheral = PeripheralDatum(
             tuple(group.parse(w) for w in ("a", "b a b'", "b b")), group.parse("b'")
         )
-        jsj = one_twistor_jsj(2, "1")
+        # the mapping torus of an inner automorphism is that of the identity,
+        # F2 x Z, whose decomposition `conj_ung` checks by H_1 == Z^3
+        jsj = one_twistor_jsj(1, "1")
         side = ConjUngInput(aut, (peripheral,), jsj)
         assert _validate_ung_side(side) == [3]
         assert_conj_ung(side, side, identity_whitelist(jsj, jsj), "conjugate")

@@ -24,7 +24,7 @@ from torusconj.whitehead import (
     _letter_codes,
     _matching_relabellings,
     _profile,
-    _relabellings,
+    _signed_permutation,
     _type_two_cuts,
     compose_moves,
     level_component,
@@ -33,7 +33,14 @@ from torusconj.whitehead import (
     same_orbit,
 )
 
-from .helpers import marking_minimize, move_alphabet, random_word, relabel_profile, words_of_length
+from .helpers import (
+    alphabet_auts,
+    marking_minimize,
+    move_alphabet,
+    random_word,
+    relabel_profile,
+    words_of_length,
+)
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3)
@@ -189,7 +196,7 @@ def reference_same_orbit(m1, m2):
     def compose(moves):
         aut = FreeAut.identity(group)
         for move in moves:
-            aut = move.aut * aut
+            aut = alphabet_auts(group)[move] * aut
         return aut
 
     return True, compose(moves2).inverse() * compose(path) * compose(moves1)
@@ -208,7 +215,7 @@ class TestLengthChanges:
             return True
 
         yielded = list(_moves_changing_length(m, record))
-        assert [move for move, _ in yielded] == [move for move, _, _, _ in _type_two_cuts(m.group)]
+        assert [move for move, _ in yielded] == [move for move, _, _ in _type_two_cuts(m.group)]
         assert len(changes) == len(yielded)
         for (move, image), change in zip(yielded, changes):
             assert image == move.apply_marking(m)
@@ -281,7 +288,7 @@ class TestRedundantMoves:
 
     @pytest.mark.parametrize("group, size", zip(GROUPS, [4, 42, 248]), ids=["rank2", "rank3", "rank4"])
     def test_table_keeps_one_move_per_pair(self, group, size):
-        kept = [move for move, _, _, _ in _type_two_cuts(group)]
+        kept = [move for move, _, _ in _type_two_cuts(group)]
         dropped = redundant_moves(group)
         assert len(kept) == size
         assert len(kept) + len(dropped) == sum(move.kind == "mult" for move in move_alphabet(group))
@@ -289,15 +296,15 @@ class TestRedundantMoves:
         assert set(dropped.values()) - {None} == set(kept)
         assert kept == [move for move in move_alphabet(group) if move.kind == "mult" and move not in dropped]
         for move in kept:
-            assert inner_conjugator(move.aut) is None, move
+            assert inner_conjugator(compose_moves(group, [move])) is None, move
         for move, partner in dropped.items():
             # tau_{v, L - {v^-1}} == ad_v, and tau_{v^-1, L - Y} == ad_{v^-1} tau_{v,Y},
             # with ad_g(x) == g^-1 x g
             v = group.word([move.data[0]])
             if partner is None:
-                assert inner_conjugator(move.aut) == v, move
+                assert inner_conjugator(compose_moves(group, [move])) == v, move
             else:
-                assert inner_conjugator(move.aut * partner.aut.inverse()) == v, move
+                assert inner_conjugator(compose_moves(group, [partner.inverse(), move])) == v, move
 
     @pytest.mark.parametrize("group", GROUPS, ids=["rank2", "rank3", "rank4"])
     @pytest.mark.parametrize("words_per_class", [1, 2])
@@ -317,8 +324,7 @@ class TestRedundantMoves:
 def oracle_type_two_cuts(group):
     """`_type_two_cuts` read off the oracle alphabet: its type-II moves in
     order, less each inner move and the later member of each
-    complementary pair, each with its image of every letter as letter
-    indices."""
+    complementary pair."""
     width = 2 * group.rank
     letters = frozenset(range(width))
     kept = set()
@@ -332,18 +338,16 @@ def oracle_type_two_cuts(group):
                 continue
             kept.add((v, cut))
             cross = tuple(a * width + b for a in sorted(cut) for b in range(width) if b not in cut)
-            images = tuple(
-                tuple(2 * i + (s < 0) for i, s in move.aut.apply(group.word([(x >> 1, 1 - 2 * (x & 1))])).letters)
-                for x in range(width)
-            )
-            table.append((move, v, cross, images))
+            table.append((move, v, cross))
     return table
 
 
 def oracle_relabellings(group):
-    """`_relabellings` read off the oracle alphabet: (sigma, sigma^-1, pre)
-    for its type-I moves in order, sigma^-1 found by its automorphism."""
-    perms = {move.aut: move for move in move_alphabet(group) if move.kind == "perm"}
+    """The signed relabellings read off the oracle alphabet: (sigma,
+    sigma^-1, pre) for its type-I moves in order, sigma^-1 found by its
+    folded automorphism, and pre[y] the index of the letter that sigma
+    sends to letter y."""
+    perms = {aut: move for move, aut in alphabet_auts(group).items() if move.kind == "perm"}
     table = []
     for aut, move in perms.items():
         pre = [0] * (2 * group.rank)
@@ -355,9 +359,24 @@ def oracle_relabellings(group):
     return table
 
 
-def move_key(move):
+def relabellings(group):
+    """The signed relabellings `level_component` applies, in its order."""
+    return [
+        _signed_permutation(perm, signs)
+        for perm, signs in itertools.islice(_matching_relabellings((), (), group.rank), 1, None)
+    ]
+
+
+def move_key(group, move):
     # `FreeAut.__eq__` compares images only
-    return move.kind, move.data, move.aut.images, move.aut.inverse_images
+    aut = compose_moves(group, [move])
+    return move.kind, move.data, aut.images, aut.inverse_images
+
+
+def folded_key(group, move):
+    """`move_key` with the automorphism the oracle alphabet folded."""
+    aut = alphabet_auts(group)[move]
+    return move.kind, move.data, aut.images, aut.inverse_images
 
 
 class TestMoveTables:
@@ -367,17 +386,18 @@ class TestMoveTables:
     @pytest.mark.parametrize("rank", [2, 3, 4, 5])
     def test_tables_match_the_oracle_alphabet(self, rank):
         group = FreeGroup(rank)
-        built = [(move_key(move), v, cross, images) for move, v, cross, images in _type_two_cuts(group)]
+        built = [(move_key(group, move), v, cross) for move, v, cross in _type_two_cuts(group)]
         oracle = oracle_type_two_cuts(group)
-        assert built == [(move_key(move), v, cross, images) for move, v, cross, images in oracle]
-        built = [(move_key(sigma), move_key(inverse), pre) for sigma, inverse, pre in _relabellings(group)]
+        assert built == [(folded_key(group, move), v, cross) for move, v, cross in oracle]
+        built = [(move_key(group, sigma), move_key(group, sigma.inverse())) for sigma in relabellings(group)]
         oracle = oracle_relabellings(group)
-        assert built == [(move_key(sigma), move_key(inverse), pre) for sigma, inverse, pre in oracle]
+        assert built == [(folded_key(group, sigma), folded_key(group, inverse)) for sigma, inverse, _ in oracle]
         assert len(built) == 2**rank * math.factorial(rank) - 1
 
     def test_tables_fold_nothing(self, monkeypatch):
         # work-count guard: every `is_automorphism` call folds once; no
-        # other test names generators p, q, r, s, so neither table is cached
+        # other test names generators p, q, r, s, so the type-II table is
+        # not cached
         folds = []
         folder = autos._Folder
 
@@ -387,7 +407,10 @@ class TestMoveTables:
 
         monkeypatch.setattr(autos, "_Folder", counting)
         group = FreeGroup(["p", "q", "r", "s"])
-        assert (len(_type_two_cuts(group)), len(_relabellings(group))) == (248, 383)
+        moves = [move for move, _, _ in _type_two_cuts(group)] + relabellings(group)
+        assert len(moves) == 248 + 383
+        for move in moves:
+            assert compose_moves(group, [move, move.inverse()]).is_identity(), move
         assert folds == []
 
 
@@ -436,9 +459,9 @@ class TestTypeTwoLevelSearch:
 
     @pytest.mark.parametrize("group", [F2, F3], ids=["rank2", "rank3"])
     def test_type_two_closed_under_signed_conjugation(self, group):
-        moves = move_alphabet(group)
-        type_two = {move.aut for move in moves if move.kind == "mult"}
-        perms = [move.aut for move in moves if move.kind == "perm"]
+        auts = alphabet_auts(group)
+        type_two = {aut for move, aut in auts.items() if move.kind == "mult"}
+        perms = [aut for move, aut in auts.items() if move.kind == "perm"]
         assert len(perms) == 2**group.rank * math.factorial(group.rank) - 1
         for sigma in perms:
             for tau in type_two:
@@ -478,7 +501,7 @@ def eager_level_path(start, goal):
     if start == goal:
         return []
     targets = {goal: []}
-    for sigma, inverse, _ in _relabellings(goal.group):
+    for sigma, inverse, _ in oracle_relabellings(goal.group):
         targets.setdefault(sigma.apply_marking(goal), [inverse])
     if start in targets:
         return targets[start]
@@ -533,7 +556,7 @@ class TestLazyRelabelledGoals:
         # several sigma send the goal to the same start, so the first one
         # in order must be the one chosen
         goal = Marking.parse(group, text)
-        starts = [goal] + [sigma.apply_marking(goal) for sigma, _, _ in _relabellings(group)]
+        starts = [goal] + [sigma.apply_marking(goal) for sigma, _, _ in oracle_relabellings(group)]
         assert len(set(starts)) < len(starts)
         for start in starts:
             path = _level_path(start, goal)
@@ -555,7 +578,7 @@ def bfs_level_component(m):
                     seen.add(candidate)
                     nxt.append(candidate)
         frontier = nxt
-    relabelled = {move.apply_marking(x) for x in seen for move, _, _ in _relabellings(m.group)}
+    relabelled = {move.apply_marking(x) for x in seen for move, _, _ in oracle_relabellings(m.group)}
     return frozenset(seen | relabelled)
 
 
@@ -593,7 +616,7 @@ class TestProfile:
         for _ in range(20):
             m = random_marking(rng, group, rng.randint(1, 3), 6, words_per_class)
             profile = _profile(m)
-            for sigma, _, pre in _relabellings(group):
+            for sigma, _, pre in oracle_relabellings(group):
                 assert _profile(sigma.apply_marking(m)) == relabel_profile(profile, pre), (
                     f"{sigma} on {m.format()}"
                 )
@@ -655,11 +678,12 @@ class TestCodedDescent:
 class TestMoveInverse:
     @pytest.mark.parametrize("group", [F2, F3], ids=["rank2", "rank3"])
     def test_inverse_is_the_alphabet_move_of_the_inverse(self, group):
-        by_aut = {move.aut: move for move in move_alphabet(group)}
-        for move in move_alphabet(group):
+        auts = alphabet_auts(group)
+        by_aut = {aut: move for move, aut in auts.items()}
+        for move, aut in auts.items():
             inverse = move.inverse()
-            assert move_key(inverse) == move_key(by_aut[move.aut.inverse()]), move
-            assert move_key(inverse.inverse()) == move_key(move)
+            assert move_key(group, inverse) == folded_key(group, by_aut[aut.inverse()]), move
+            assert move_key(group, inverse.inverse()) == folded_key(group, move)
 
 
 class TestOnePassWitness:
@@ -687,7 +711,7 @@ class TestMatchingRelabellings:
         n = group.rank
         identity = [(tuple(range(n)), (1,) * n)] if source == target else []
         return identity + [
-            sigma.data for sigma, _, pre in _relabellings(group) if relabel_profile(source, pre) == target
+            sigma.data for sigma, _, pre in oracle_relabellings(group) if relabel_profile(source, pre) == target
         ]
 
     @pytest.mark.parametrize("rank", [2, 3, 4, 5])
@@ -704,7 +728,7 @@ class TestMatchingRelabellings:
         ]
         goals = [Marking.parse(group, text) for text in texts]
         goals += [random_marking(rng, group, rng.randint(1, 2), 6, rng.randint(1, 2)) for _ in range(6)]
-        table = _relabellings(group)
+        table = oracle_relabellings(group)
         matched = 0
         for goal in goals:
             source = _profile(goal)
@@ -719,25 +743,73 @@ class TestMatchingRelabellings:
         assert matched > len(goals)
 
     def test_question_builds_no_full_table(self, monkeypatch):
-        def forbidden(group):
-            raise AssertionError("an orbit question built every relabelling")
+        # work guard: of the 2^6 * 6! - 1 == 46,079 signed relabellings,
+        # each question builds only the few sigma its goal's profile admits
+        # before the first match, each with its inverse, and the witness
+        # inverts the path's last move once more
+        calls = []
+        build = whitehead._signed_permutation
 
-        monkeypatch.setattr(whitehead, "_relabellings", forbidden)
+        def counting(perm, signs):
+            calls.append((perm, signs))
+            return build(perm, signs)
+
+        monkeypatch.setattr(whitehead, "_signed_permutation", counting)
         group = FreeGroup(6)
         # each pair reaches the level search: the positives end with a
         # relabelling, and the negative walks the whole level
         cases = [
-            ("[ a b ]", "[ a ]", True),
-            ("[ a ] ; [ b ]", "[ f' ] ; [ c ]", True),
-            ("[ a b a' b' ]", "[ c' e c e' ]", True),
-            ("[ a b a' b' ]", "[ a a b b ]", False),
+            ("[ a b ]", "[ a ]", True, 3),
+            ("[ a ] ; [ b ]", "[ f' ] ; [ c ]", True, 3),
+            ("[ a b a' b' ]", "[ c' e c e' ]", True, 7),
+            ("[ a b a' b' ]", "[ a a b b ]", False, 0),
         ]
-        for text1, text2, expected in cases:
+        for text1, text2, expected, built in cases:
+            calls.clear()
             m1, m2 = Marking.parse(group, text1), Marking.parse(group, text2)
             ok, witness = same_orbit(m1, m2)
             assert ok == expected
             if ok:
                 assert m1.apply(witness) == m2
+            assert len(calls) <= built, (text1, text2, calls)
+
+
+class TestComposeMoves:
+    """`compose_moves` equals the product of the folded automorphisms, in
+    the order the moves apply, images and inverse images alike."""
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_matches_the_product_oracle(self, rank):
+        group = FreeGroup(rank)
+        auts = alphabet_auts(group)
+        type_one = [move for move in auts if move.kind == "perm"]
+        type_two = [move for move, _, _ in _type_two_cuts(group)]
+        rng = random.Random(1401 + rank)
+        for _ in range(40):
+            moves, product = [], FreeAut.identity(group)
+            for _ in range(rng.randint(0, 8)):
+                move = rng.choice(rng.choice([type_one, type_two]))
+                aut = auts[move]
+                if rng.random() < 0.5:
+                    move, aut = move.inverse(), aut.inverse()
+                moves.append(move)
+                product = aut * product
+            composed = compose_moves(group, moves)
+            assert (composed.images, composed.inverse_images) == (product.images, product.inverse_images)
+
+
+class TestNoProcessTables:
+    def test_level_component_leaves_one_cache(self):
+        group = FreeGroup(4)
+        m = Marking.parse(group, "[ a b a' b' ] ; [ c ]")
+        assert minimize(m) == (m, [])
+        assert len(level_component(m)) > 1
+        caches = {
+            name
+            for name, value in vars(whitehead).items()
+            if hasattr(value, "cache_info") and value.__module__ == whitehead.__name__
+        }
+        assert caches == {"_type_two_cuts"}
 
 
 class TestMetamorphic:
