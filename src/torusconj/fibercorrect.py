@@ -6,6 +6,13 @@ to the fiber; `twist_coefficients` is the one formula for how a twist moves
 the orientation value of a loop, and `build_system` turns it into an integer
 system.  All arithmetic is arbitrary-precision; the one normal form is
 Smith's, over plain Python integers.
+
+First homology is read off Smith diagonals too: `shift_smith` gives the
+diagonal of M - I, which presents the fiber part of a mapping torus's H_1,
+and `abelian_invariants` gives H_1 of a graph of groups from its vertex
+block alone.  Abelianizing a Bass relator e^-1 i_e~(g) e == i_e(g) drops
+its edge letter, so the edges add only one free Z each beyond a spanning
+forest, counted by the rank of the incidence matrix.
 """
 
 from __future__ import annotations
@@ -62,33 +69,45 @@ def invariant_factors(diagonal: Sequence[int], size: int) -> Tuple[int, ...]:
     return torsion + (0,) * (size - sum(1 for d in diagonal if d))
 
 
-def abelian_invariants(gog: GraphOfGroups, tree: Sequence[str]) -> Tuple[int, ...]:
-    """The invariant factors of H_1(pi_1(gog)), for any spanning tree
-    `tree` of its graph.
+def shift_smith(m: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """The Smith diagonal of M - I for a square M: a GL_n(Z) conjugacy
+    invariant of M, and for a monodromy M the relations of the fiber part
+    of its mapping torus's H_1."""
+    n = len(m)
+    return tuple(smith_diagonal([[m[i][j] - (i == j) for j in range(n)] for i in range(n)]))
 
-    H_1 is presented on the vertex generators and the Bass edges: each
-    Bass relator e^-1 i_e~(g) e == i_e(g) abelianizes to i_e~(g) - i_e(g),
-    and each tree edge is killed.  Center commutators vanish.
+
+def abelian_invariants(gog: GraphOfGroups) -> Tuple[int, ...]:
+    """The invariant factors of H_1(pi_1(gog)).
+
+    pi_1 is presented on the vertex generators and one letter per edge,
+    with a Bass relator e^-1 i_e~(g) e == i_e(g) per edge generator g and
+    e == 1 for each edge of a spanning forest.  Abelianized, the relator
+    loses its edge letter and becomes i_e~(g) - i_e(g), a relation among
+    vertex generators alone; center commutators vanish.  So H_1 is the
+    cokernel of that vertex block, one column per edge generator, plus one
+    free Z per edge outside a spanning forest.  A spanning forest has
+    rank(d) edges, d the vertex-edge incidence matrix (a loop's column is
+    zero), so no forest is built: the count is |E| - rank(d).
     """
-    index = {}
+    start, size = {}, 0
     for v in gog.vertices:
-        for i in range(gog.vslot(v).ngens):
-            index[(v, i)] = len(index)
+        start[v], size = size, size + gog.vslot(v).ngens
+    relators = []
     for e in gog.edge_names:
-        index[e] = len(index)
-    columns = []
-    for e in gog.edge_names:
-        for gen in gog.eslot(e).generators():
-            col = [0] * len(index)
-            for sign, oriented in ((1, bar(e)), (-1, e)):
-                image = gog.injection(oriented).apply(gen).abelianized()
-                for i, x in enumerate(image):
-                    col[index[(gog.term(oriented), i)]] += sign * x
-            columns.append(col)
-    for e in tree:
-        columns.append([1 if key == e else 0 for key in index])
-    rows = [[col[i] for col in columns] for i in range(len(index))]
-    return invariant_factors(smith_diagonal(rows), len(index))
+        u, v = gog.edge_ends[e]
+        for at_u, at_v in zip(gog.injection(bar(e)).images, gog.injection(e).images):
+            col = [0] * size
+            for i, x in enumerate(at_u.abelianized()):
+                col[start[u] + i] += x
+            for i, x in enumerate(at_v.abelianized()):
+                col[start[v] + i] -= x
+            relators.append(col)
+    block = [[col[i] for col in relators] for i in range(size)]
+    ends = [gog.edge_ends[e] for e in gog.edge_names]
+    incidence = [[(w == v) - (w == u) for u, v in ends] for w in gog.vertices]
+    forest = sum(1 for d in smith_diagonal(incidence) if d)
+    return invariant_factors(smith_diagonal(block), size) + (0,) * (len(ends) - forest)
 
 
 def _smith_eliminate(d: Matrix, row_mats: Sequence[Matrix], col_mats: Sequence[Matrix]) -> None:

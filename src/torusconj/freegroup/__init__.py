@@ -6,7 +6,6 @@ from .words import (
     Word,
     canonical_conjugate,
     conjugacy_length,
-    is_conjugate,
     primitive_root,
     reduce_letters,
     root_power,
@@ -32,7 +31,6 @@ __all__ = [
     "FreeGroup",
     "Word",
     "reduce_letters",
-    "is_conjugate",
     "primitive_root",
     "root_power",
     "canonical_conjugate",

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from ..errors import DomainError
 from .stallings import _Folder, _inverse
-from .words import FreeGroup, Letter, Word, is_conjugate, reduce_letters
+from .words import FreeGroup, Letter, Word, canonical_conjugate, reduce_letters
 
 
 class FreeAut:
@@ -189,18 +189,21 @@ def nielsen_generators(group: FreeGroup) -> list[FreeAut]:
 def inner_conjugator(aut: FreeAut) -> Optional[Word]:
     """The g with aut == ad_g (x -> g^-1 x g), or None if aut is not inner.
 
-    Exact.  For rank >= 2 the centralizer of x0 is <x0>, so g == x0^k w for
-    the conjugacy witness w of x0 and aut(x0).  Then w aut(x1) w^-1 must be
-    the reduced word x0^-k x1 x0^k, whose leading x0-run gives k; the one
-    candidate is verified on every generator.
+    Exact.  x0 is its own canonical conjugate, so aut(x0) is conjugate to
+    x0 exactly when its canonical conjugate g^-1 aut(x0) g is x0, and then
+    w == g^-1 has w^-1 x0 w == aut(x0).  For rank >= 2 the centralizer of
+    x0 is <x0>, so the conjugator is x0^k w for some k.  Then
+    w aut(x1) w^-1 must be the reduced word x0^-k x1 x0^k, whose leading
+    x0-run gives k; the one candidate is verified on every generator.
     """
     group = aut.group
     if group.rank == 1:
         return group.identity() if aut.is_identity() else None
     x0 = group.generator(0)
-    ok, witness = is_conjugate(x0, aut.images[0])
-    if not ok:
+    (core,), g = canonical_conjugate([aut.images[0]])
+    if core != x0:
         return None
+    witness = g.inverse()
     k = 0
     for i, s in (witness * aut.images[1] * witness.inverse()).letters:
         if i != 0:

@@ -12,7 +12,7 @@ import itertools
 from collections import deque
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..errors import DomainError, FormatError, ResourceError, parse_int
+from ..errors import DomainError, ResourceError
 from .words import FreeGroup, Letter, Word
 
 if TYPE_CHECKING:
@@ -178,40 +178,6 @@ class SubgroupGraph:
                 if t is not None:
                     lines.append(f"{s} --{self.group.names[i]}--> {t}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def deserialize(cls, group: FreeGroup, text: str) -> "SubgroupGraph":
-        base = None
-        edges = []
-        states: Set[int] = set()
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("base:"):
-                base = parse_int(line.split(":", 1)[1], "base state")
-                states.add(base)
-                continue
-            try:
-                left, rest = line.split("--", 1)
-                gen, right = rest.rsplit("-->", 1)
-            except ValueError as exc:
-                raise FormatError(f"bad graph line: {line!r}") from exc
-            gen = gen.strip().rstrip("-")
-            if gen not in group.names:
-                raise FormatError(f"unknown generator {gen!r}")
-            u, v = parse_int(left, "state"), parse_int(right, "state")
-            edges.append((u, group.names.index(gen), v))
-            states.update((u, v))
-        if base is None:
-            raise FormatError("missing base: header")
-        renumber = {s: k for k, s in enumerate(sorted(states))}
-        fwd = [[None] * len(states) for _ in range(group.rank)]
-        for u, i, v in edges:
-            if fwd[i][renumber[u]] is not None and fwd[i][renumber[u]] != renumber[v]:
-                raise FormatError("graph is not deterministic")
-            fwd[i][renumber[u]] = renumber[v]
-        return _core_and_canonicalize(group, len(states), fwd, renumber[base])
 
 
 def _core_and_canonicalize(group, nstates, fwd, base) -> SubgroupGraph:

@@ -7,7 +7,7 @@ reduced.  Conjugation follows the convention ``a ** g == g^-1 * a * g``.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 from ..errors import DomainError, FormatError
 
@@ -260,27 +260,6 @@ def root_power(w: Word) -> Tuple[Word, int]:
     root = primitive_root(w)
     n = len(w.cyclic_reduction()[1]) // len(root.cyclic_reduction()[1])
     return root, n
-
-
-def is_conjugate(u: Word, v: Word) -> Tuple[bool, Optional[Word]]:
-    """Decide conjugacy; on success return a witness w with w^-1 u w == v.
-
-    Among the rotations of the cyclic reduction matching v, the witness uses
-    the least starting index.
-    """
-    if u.group != v.group:
-        raise DomainError("words from different groups")
-    p, ucore = u.cyclic_reduction()
-    q, vcore = v.cyclic_reduction()
-    if len(ucore) != len(vcore):
-        return False, None
-    if ucore.is_identity():
-        return True, u.group.identity() if u == v else p.inverse() * q
-    for r in range(len(ucore)):
-        if ucore.letters[r:] + ucore.letters[:r] == vcore.letters:
-            s = Word(u.group, ucore.letters[:r])
-            return True, p * s * q.inverse()
-    return False, None
 
 
 def _conj_letters(letters: Tuple[Letter, ...], l: Letter) -> Tuple[Letter, ...]:

@@ -62,7 +62,7 @@ from .freegroup import (
     nielsen_generators,
 )
 from .freegroup.stallings import _core_and_canonicalize
-from .fibercorrect import smith_diagonal
+from .fibercorrect import shift_smith
 
 RANK_BOUND = 4
 
@@ -554,15 +554,9 @@ def _gl_conjugacy_invariant(chain: Sequence[Matrix]) -> tuple:
     M^-k - I == -M^-k (M^k - I) with M^-k unimodular, so only k <= o/2 is
     computed; M^o - I is zero."""
     order = len(chain)
-    half = [_shift_smith(power) for power in chain[: order // 2]]
+    half = [shift_smith(power) for power in chain[: order // 2]]
     mirrored = [half[min(k, order - k) - 1] for k in range(1, order)]
     return (order, *mirrored, (0,) * len(chain[0]))
-
-
-def _shift_smith(mat) -> Tuple[int, ...]:
-    """The Smith invariants of M - I, a GL_n(Z) conjugacy invariant of M."""
-    n = len(mat)
-    return tuple(smith_diagonal([[mat[i][j] - (i == j) for j in range(n)] for i in range(n)]))
 
 
 def culler_reps(rank: int) -> List[TorsionRep]:

@@ -7,7 +7,13 @@ import random
 from functools import lru_cache
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from torusconj.fibercorrect import solve_linear_system, solve_with_nullspace
+from torusconj.fibercorrect import (
+    invariant_factors,
+    shift_smith,
+    smith_diagonal,
+    solve_linear_system,
+    solve_with_nullspace,
+)
 from torusconj.freegroup import FreeAut, FreeGroup, Word, is_automorphism
 from torusconj.gog import GraphOfGroups, SlotElement, SlotIso, bar
 from torusconj.minkowski import (
@@ -17,7 +23,6 @@ from torusconj.minkowski import (
     TorsionRep,
     _gl_conjugacy_invariant,
     _power_chain,
-    _shift_smith,
 )
 from torusconj.whitehead import (
     Marking,
@@ -205,6 +210,59 @@ def graph_isomorphisms(g1: GraphOfGroups, g2: GraphOfGroups) -> Iterator[Tuple[D
             for part in combo:
                 emap.update(part)
             yield dict(vmap), emap
+
+
+def spanning_forests(gog: GraphOfGroups) -> List[Tuple[str, ...]]:
+    """Every maximal spanning forest of gog's graph, as a tuple of edges.
+    All of them have the same size, so they are the acyclic edge sets of
+    the largest size that has any."""
+
+    def acyclic(edges) -> bool:
+        parent = {v: v for v in gog.vertices}
+
+        def root(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for e in edges:
+            u, v = (root(x) for x in gog.edge_ends[e])
+            if u == v:
+                return False
+            parent[u] = v
+        return True
+
+    for size in range(min(len(gog.edge_names), len(gog.vertices) - 1), -1, -1):
+        forests = [f for f in itertools.combinations(gog.edge_names, size) if acyclic(f)]
+        if forests:
+            return forests
+    return [()]
+
+
+def abelian_invariants_by_tree(gog: GraphOfGroups, tree) -> Tuple[int, ...]:
+    """Oracle for `abelian_invariants`, given a maximal spanning forest
+    `tree`: H_1 presented on the vertex generators and every Bass edge, each
+    Bass relator e^-1 i_e~(g) e == i_e(g) abelianized to i_e~(g) - i_e(g),
+    and each edge of `tree` killed.  Center commutators vanish."""
+    index = {}
+    for v in gog.vertices:
+        for i in range(gog.vslot(v).ngens):
+            index[(v, i)] = len(index)
+    for e in gog.edge_names:
+        index[e] = len(index)
+    columns = []
+    for e in gog.edge_names:
+        for gen in gog.eslot(e).generators():
+            col = [0] * len(index)
+            for sign, oriented in ((1, bar(e)), (-1, e)):
+                image = gog.injection(oriented).apply(gen).abelianized()
+                for i, x in enumerate(image):
+                    col[index[(gog.term(oriented), i)]] += sign * x
+            columns.append(col)
+    for e in tree:
+        columns.append([1 if key == e else 0 for key in index])
+    rows = [[col[i] for col in columns] for i in range(len(index))]
+    return invariant_factors(smith_diagonal(rows), len(index))
 
 
 def invert_whitelist(whitelist):
@@ -474,7 +532,7 @@ def gl2_finite_order_classes(entry_bound: int = 2) -> List[Tuple[Tuple[int, ...]
         order = matrix_order(m)
         if order is None:
             continue
-        key = (order, a + d, det, _shift_smith(m))
+        key = (order, a + d, det, shift_smith(m))
         if key not in classes:
             classes[key] = m
     return sorted(classes.values())

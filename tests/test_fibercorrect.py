@@ -36,8 +36,8 @@ from torusconj.gog import (
 from torusconj.pipeline import decide, parse_jsj, parse_whitelist
 
 from .cli_helpers import load_conj_side
-from .corpus import identity_whitelist, twistor_jsj
-from .helpers import mat_mul
+from .corpus import attached_jsj, identity_whitelist, twistor_jsj
+from .helpers import abelian_invariants_by_tree, mat_mul, random_word, spanning_forests
 
 CORPUS = pathlib.Path(__file__).parent / "data" / "corpus"
 
@@ -227,30 +227,89 @@ class TestSolveWithNullspace:
         assert solve_with_nullspace([[1, 2], [1, 2], [0, 1]], [3, 3, 1]) == ([1, 1], [])
 
 
+def _double_gog():
+    """Two Z vertices joined by two Z edges: two spanning trees."""
+    inj = SlotHom(Z, Z, (Z.parse("x0"),))
+    return GraphOfGroups(
+        ["u", "v"],
+        {"e": ("u", "v"), "f": ("u", "v")},
+        {"u": Z, "v": Z},
+        {"e": Z, "f": Z},
+        {"e": inj, "e~": inj, "f": inj, "f~": inj},
+    )
+
+
+def _disconnected_gog():
+    """Four vertices in three components: an edge identifying u^2 with
+    v^2, an HNN loop at w, and a lone F_2 vertex x."""
+    inj = SlotHom(Z, Z, (Z.parse("x0"),))
+    square = SlotHom(Z, Z, (Z.parse("x0 x0"),))
+    return GraphOfGroups(
+        ["u", "v", "w", "x"],
+        {"e": ("u", "v"), "f": ("w", "w")},
+        {"u": Z, "v": Z, "w": Z, "x": F2},
+        {"e": Z, "f": Z},
+        {"e": square, "e~": square, "f": inj, "f~": inj},
+    )
+
+
+def _isolated_gog():
+    """A Z vertex and an F_2 vertex with no edge."""
+    return GraphOfGroups(["u", "v"], {}, {"u": Z, "v": F2}, {}, {})
+
+
+def _seeded_twistor_gogs():
+    """Twistor JSJs with random twist words: Z^2 and F_p x Z black
+    vertices, p = 2..4, each with 1..4 blocks."""
+    rng = random.Random(11)
+    out = {}
+    for p in range(1, 5):
+        free = GroupSlot(p, True).free_group
+        for blocks in range(1, 5):
+            words = [random_word(rng, free, 3).format() for _ in range(blocks)]
+            out[f"twistor-{p}-{blocks}"] = twistor_jsj(p, words).gog
+    return out
+
+
+ORACLE_GOGS = {
+    "free-vertex": GraphOfGroups(["v"], {}, {"v": F2}, {}, {}),
+    "hnn": hnn_z_gog(),
+    "amalgam": amalgam_zz_gog(),
+    "two-loops": two_loop_gog(),
+    "double-edge": _double_gog(),
+    "disconnected": _disconnected_gog(),
+    "isolated": _isolated_gog(),
+    "twistor-2-torsion": twistor_jsj(2, ["x0 x0", "x1 x1 x1 x1"]).gog,
+    "attached": attached_jsj(
+        {"B1": 1, "B2": 2}, [("W", "B1", "x0 x0"), ("W", "B2", "x1"), ("V", "B2", "x0")]
+    ).gog,
+    **_seeded_twistor_gogs(),
+}
+
+
 class TestAbelianize:
-    """`abelian_invariants` on groups of known homology."""
+    """`abelian_invariants` on groups of known homology, and against the
+    presentation with every edge letter under each spanning forest."""
 
     def test_free_rank_two(self):
         gog = GraphOfGroups(["v"], {}, {"v": F2}, {}, {})
-        assert abelian_invariants(gog, []) == (0, 0)
+        assert abelian_invariants(gog) == (0, 0)
 
     def test_hnn_relator_dies(self):
-        assert abelian_invariants(hnn_z_gog(), []) == (0, 0)
+        assert abelian_invariants(hnn_z_gog()) == (0, 0)
 
     def test_amalgam(self):
-        assert abelian_invariants(amalgam_zz_gog(), ["e"]) == (0,)
+        assert abelian_invariants(amalgam_zz_gog()) == (0,)
 
-    def test_tree_choice_preserves_invariants(self):
-        # two spanning trees of a two-vertex, two-edge graph
-        inj = SlotHom(Z, Z, (Z.parse("x0"),))
-        double = GraphOfGroups(
-            ["u", "v"],
-            {"e": ("u", "v"), "f": ("u", "v")},
-            {"u": Z, "v": Z},
-            {"e": Z, "f": Z},
-            {"e": inj, "e~": inj, "f": inj, "f~": inj},
-        )
-        assert abelian_invariants(double, ["e"]) == abelian_invariants(double, ["f"])
+    def test_disconnected(self):
+        # Z + Z/2 from u - v, Z^2 from the loop at w, Z^2 from x
+        assert abelian_invariants(_disconnected_gog()) == (2, 0, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GOGS))
+    def test_matches_tree_oracle(self, name):
+        gog = ORACLE_GOGS[name]
+        for tree in spanning_forests(gog):
+            assert abelian_invariants(gog) == abelian_invariants_by_tree(gog, tree), tree
 
 
 class TestOrientation:

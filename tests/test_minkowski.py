@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from torusconj.errors import DomainError, ResourceError
+from torusconj.fibercorrect import shift_smith
 from torusconj.freegroup import (
     FreeAut,
     FreeGroup,
@@ -26,7 +27,6 @@ from torusconj.minkowski import (
     RealizingGraph,
     _gl_conjugacy_invariant,
     _power_chain,
-    _shift_smith,
     certify,
     certify_product,
     certify_zsquare,
@@ -325,7 +325,7 @@ class TestCullerReps:
                 inverse = chain[-2] if len(chain) > 1 else mat
                 identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
                 assert mat_mul([list(r) for r in mat], [list(r) for r in inverse]) == identity
-                full = (len(chain), *map(_shift_smith, chain))
+                full = (len(chain), *map(shift_smith, chain))
                 assert _gl_conjugacy_invariant(chain) == full
                 assert _gl_conjugacy_invariant(_power_chain(inverse)) == full
         assert (checked, len(distinct)) == (symmetries, matrices)
@@ -354,7 +354,7 @@ class TestCullerReps:
 
             return wrapper
 
-        monkeypatch.setattr(minkowski, "_shift_smith", counting("smith", minkowski._shift_smith))
+        monkeypatch.setattr(minkowski, "shift_smith", counting("smith", minkowski.shift_smith))
         monkeypatch.setattr(minkowski, "RealizingGraph", counting("graph", minkowski.RealizingGraph))
         monkeypatch.setattr(minkowski, "GraphSymmetry", counting("symmetry", minkowski.GraphSymmetry))
         monkeypatch.setattr(

@@ -6,7 +6,6 @@ import pytest
 from torusconj.errors import DomainError, ResourceError
 from torusconj.freegroup import (
     FreeGroup,
-    SubgroupGraph,
     congruence_kernel,
     fold,
     homology_kernel,
@@ -359,16 +358,6 @@ class TestSerialization:
         g = fold(F2, [F2.parse("a a"), F2.parse("b"), F2.parse("a b a'")])
         text = g.serialize()
         assert "base:" in text
-        assert SubgroupGraph.deserialize(F2, text) == g
-
-    def test_infinite_index_round_trip(self):
-        g = fold(F2, [F2.parse("a b a b")])
-        assert SubgroupGraph.deserialize(F2, g.serialize()) == g
-
-    def test_trailing_comments_ignored(self):
-        g = fold(F2, [F2.parse("a a"), F2.parse("b")])
-        commented = "".join(line + "  # note\n" for line in g.serialize().splitlines())
-        assert SubgroupGraph.deserialize(F2, commented) == g
 
 
 class TestSubgroupEnumeration:
