@@ -124,9 +124,10 @@ class SubgroupGraph:
         nedges = sum(1 for row in self.fwd for t in row if t is not None)
         return nedges - self.nstates + 1
 
-    def intersect(self, *others: "SubgroupGraph", state_budget: int = STATE_BUDGET_DEFAULT) -> "SubgroupGraph":
+    def intersect(self, *others: "SubgroupGraph") -> "SubgroupGraph":
         """Fiber product of this graph and all of ``others`` over their base
         states, cored and canonicalized: the intersection of the subgroups.
+        A product of more than ``STATE_BUDGET_DEFAULT`` states is refused.
 
         One walk over tuples of states.  It goes backward too, to find the
         whole component of the base, unless every graph is complete: each
@@ -149,8 +150,8 @@ class SubgroupGraph:
                     continue
                 n = numbering.get(neighbour)
                 if n is None:
-                    if len(order) >= state_budget:
-                        raise ResourceError(f"fiber product exceeded the state budget of {state_budget}")
+                    if len(order) >= STATE_BUDGET_DEFAULT:
+                        raise ResourceError(f"fiber product exceeded the state budget of {STATE_BUDGET_DEFAULT}")
                     n = numbering[neighbour] = len(order)
                     order.append(neighbour)
                 edges.append((k, i, n) if forward else (n, i, k))
@@ -495,7 +496,7 @@ def homology_kernel(group: FreeGroup, p: int) -> SubgroupGraph:
     return _core_and_canonicalize(group, len(states), fwd, index[(0,) * group.rank])
 
 
-def congruence_kernel(ambient, m: int, state_budget: int = STATE_BUDGET_DEFAULT) -> SubgroupGraph:
+def congruence_kernel(ambient, m: int) -> SubgroupGraph:
     """Intersection of all subgroups of index <= m of the ambient group.
 
     The ambient group may be a FreeGroup or a SubgroupGraph H.  For H the
@@ -511,15 +512,15 @@ def congruence_kernel(ambient, m: int, state_budget: int = STATE_BUDGET_DEFAULT)
     quotient Z/2, so it contains the kernel of F_n -> (Z/2)^n.  Conversely
     the index-2 subgroups are the preimages of the kernels of the nonzero
     functionals on (Z/2)^n, and those kernels meet in 0.  For m = 1 it is
-    the whole group.  A kernel of more than ``state_budget`` states is
-    refused.
+    the whole group.  A kernel of more than ``STATE_BUDGET_DEFAULT`` states
+    is refused.
 
     For m >= 3 enumeration runs over all transitive actions on <= m points,
     so the cost grows like (m!)^rank; m = 3 at rank <= 3 is the supported
     envelope, with the state budget guarding the intersection itself.
     """
     if isinstance(ambient, SubgroupGraph):
-        inner = congruence_kernel(FreeGroup(ambient.rank()), m, state_budget)
+        inner = congruence_kernel(FreeGroup(ambient.rank()), m)
         n = inner.nstates
         _, basis_edges = ambient._non_tree_edges()
         moves = {(s, i): inner.fwd[k] for k, (s, i, _) in enumerate(basis_edges)}
@@ -532,11 +533,13 @@ def congruence_kernel(ambient, m: int, state_budget: int = STATE_BUDGET_DEFAULT)
                         fwd[i][s * n + c] = t * n + cosets[c]
         return _core_and_canonicalize(ambient.group, ambient.nstates * n, fwd, 0)
     if 1 <= m <= 2:
-        if m ** ambient.rank > state_budget:
-            raise ResourceError(f"a kernel of {m}^{ambient.rank} states exceeds the state budget of {state_budget}")
+        if m ** ambient.rank > STATE_BUDGET_DEFAULT:
+            raise ResourceError(
+                f"a kernel of {m}^{ambient.rank} states exceeds the state budget of {STATE_BUDGET_DEFAULT}"
+            )
         return homology_kernel(ambient, m)
     whole, *subgroups = subgroups_of_index_at_most(ambient, m)
-    return whole.intersect(*subgroups, state_budget=state_budget)
+    return whole.intersect(*subgroups)
 
 
 def is_characteristic(h: SubgroupGraph, auts: Sequence[FreeAut]) -> bool:

@@ -610,11 +610,8 @@ def mwp_product(m1: ProductMarking, m2: ProductMarking) -> Tuple[bool, Optional[
     """
     if m1.product != m2.product:
         raise DomainError("markings over different product groups")
-    if len(m1.classes) != len(m2.classes):
-        return False, None
-    if tuple(len(e) for e in m1.classes) != tuple(len(e) for e in m2.classes):
-        return False, None
-    # fiber preservation forces lambda == 0, which pins the centers entrywise
+    # fiber preservation forces lambda == 0, which pins the centers entrywise;
+    # markings of different shapes have different centers
     if m1.centers() != m2.centers():
         return False, None
     return same_orbit(m1.h_marking(), m2.h_marking())

@@ -14,9 +14,10 @@ from torusconj.fibercorrect import (
     solve_linear_system,
     solve_with_nullspace,
 )
-from torusconj.freegroup import FreeAut, FreeGroup, Word, is_automorphism
+from torusconj.freegroup import FreeAut, FreeGroup, Word, is_automorphism, is_characteristic, nielsen_generators
 from torusconj.gog import GraphOfGroups, SlotElement, SlotIso, bar
 from torusconj.minkowski import (
+    CongruenceCertificate,
     GraphMarking,
     GraphSymmetry,
     RealizingGraph,
@@ -579,3 +580,27 @@ def culler_reps_oracle(rank: int, graphs: Optional[List[RealizingGraph]] = None)
             if key not in reps:
                 reps[key] = TorsionRep(marking.automorphism(sym, group), len(chain), graph.name())
     return sorted(reps.values(), key=lambda r: (r.outer_order, r.provenance))
+
+
+def generic_certificate_check(cert: CongruenceCertificate) -> bool:
+    """Reference for `CongruenceCertificate.verify` that assumes nothing
+    about the kernel or the quotients: the kernel is characteristic under
+    the Nielsen generators, it lies in every witness quotient's kernel (its
+    fiber product with the quotient's coset graph is itself), and every
+    witness's recorded images are right and not conjugate in the image."""
+    if not is_characteristic(cert.kernel, nielsen_generators(cert.group)):
+        return False
+    for entry in cert.entries:
+        witness = entry.witness
+        q = witness.quotient
+        if cert.kernel.intersect(q.kernel_graph()) != cert.kernel:
+            return False
+        img = q.image_of(witness.word)
+        img_a = q.image_of(entry.rep.aut.apply(witness.word))
+        if img != witness.image_word or img_a != witness.image_aut_word:
+            return False
+        for h in q.image_group():
+            h_inv = {v: k for k, v in enumerate(h)}
+            if tuple(h_inv[img[h[x]]] for x in range(q.degree)) == img_a:
+                return False
+    return True

@@ -1004,6 +1004,18 @@ def test_conj_ung_default_whitelists_flipped_white(tmp_path, capsys):
     assert (code, out.splitlines()[0]) == (0, "status: conjugate")
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a supplied list for a Z white pair is trusted as complete")
+def test_conj_ung_supplied_whitelists_flipped_white(tmp_path, capsys):
+    # the same conjugate pair with the instance's own whitelists.txt, which
+    # lists only x0 -> x0 for W: it answers not-conjugate
+    folder = DATA / "03_twistor_equal"
+    jsj_b = tmp_path / "jsj_b.txt"
+    jsj_b.write_text(_white_flipped((folder / "beta.txt").read_text().partition("[jsj]\n")[2]))
+    argv = ["conj-ung", "--alpha", str(folder / "alpha.txt"), "--beta", str(folder / "beta.txt"), "--jsj-b", str(jsj_b)]
+    code, out, _ = run_cli(argv + ["--whitelists", str(folder / "whitelists.txt")], capsys)
+    assert (code, out.splitlines()[0]) == (0, "status: conjugate")
+
+
 def _slid(loop, rng, wrong_at=None):
     """`loop` with a random nontrivial edge-group element h slid across each
     crossing e: g e g' becomes g i_e~(h) e i_e(h)^-1 g', the same element of

@@ -15,6 +15,7 @@ from torusconj.freegroup import (
     subgroups_of_index_at_most,
     whole_group_graph,
 )
+from torusconj.freegroup import stallings
 from torusconj.freegroup.stallings import _core_and_canonicalize
 
 from .helpers import random_nontrivial_word, random_word, subgroup_elements_up_to
@@ -147,15 +148,18 @@ class TestCongruenceKernel:
     def test_m1_whole_group(self):
         assert congruence_kernel(F2, 1) == whole_group_graph(F2)
 
-    def test_budget_error(self):
+    def test_budget_error(self, monkeypatch):
+        monkeypatch.setattr(stallings, "STATE_BUDGET_DEFAULT", 4)
         with pytest.raises(ResourceError):
-            congruence_kernel(F2, 3, state_budget=4)
+            congruence_kernel(F2, 3)
 
-    def test_direct_kernel_budget_and_domain(self):
+    def test_direct_kernel_budget_and_domain(self, monkeypatch):
         # the index-<=2 kernel of F5 has 2^5 = 32 states
+        monkeypatch.setattr(stallings, "STATE_BUDGET_DEFAULT", 31)
         with pytest.raises(ResourceError):
-            congruence_kernel(FreeGroup(5), 2, state_budget=31)
-        assert congruence_kernel(FreeGroup(5), 2, state_budget=32).index() == 32
+            congruence_kernel(FreeGroup(5), 2)
+        monkeypatch.setattr(stallings, "STATE_BUDGET_DEFAULT", 32)
+        assert congruence_kernel(FreeGroup(5), 2).index() == 32
         with pytest.raises(DomainError):
             congruence_kernel(F2, 0)
         with pytest.raises(DomainError):
@@ -327,10 +331,11 @@ class TestNaryIntersect:
         g = fold(F2, [F2.parse("a a"), F2.parse("b a b")])
         assert g.intersect() == g
 
-    def test_budget_error(self):
+    def test_budget_error(self, monkeypatch):
         graphs = subgroups_of_index_at_most(F2, 3)
+        monkeypatch.setattr(stallings, "STATE_BUDGET_DEFAULT", 4)
         with pytest.raises(ResourceError, match="state budget of 4"):
-            graphs[0].intersect(*graphs[1:], state_budget=4)
+            graphs[0].intersect(*graphs[1:])
 
 
 class TestCharacteristicEquivalence:
