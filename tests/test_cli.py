@@ -1004,7 +1004,9 @@ def test_conj_ung_default_whitelists_flipped_white(tmp_path, capsys):
     assert (code, out.splitlines()[0]) == (0, "status: conjugate")
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a supplied list for a Z white pair is trusted as complete")
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ROADMAP item 1: a supplied list for a Z white pair is trusted as complete"
+)
 def test_conj_ung_supplied_whitelists_flipped_white(tmp_path, capsys):
     # the same conjugate pair with the instance's own whitelists.txt, which
     # lists only x0 -> x0 for W: it answers not-conjugate

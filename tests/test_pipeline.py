@@ -1115,16 +1115,18 @@ class TestBlackTableRows:
                 assert _validates(verdict.witness.morphism)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: a Z^2 edge group is matched only by g -> g^+-1")
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ROADMAP item 13: a Z^2 edge group is matched only by g -> g^+-1"
+)
 def test_rank_two_edge_group_in_another_basis():
     # the same graph of groups with its Z^2 edge group e1 written in the
     # basis <x0 c, c>: the identity on vertices, with phi_e1: x0 -> x0 c^-1,
     # c -> c and every gamma = 1, is an isomorphism, yet both directions
-    # answer no-vertexwise-iso
+    # answer no-vertexwise-iso (a rewrite that missed would pass, which the
+    # strict mark turns into a failure)
     jsj_a = _rank_two_edge_jsj("x0")
     text = serialize_jsj(jsj_a)
     for line in ("e1: x0 -> x0\n", "e1~: x0 -> x0\n"):
-        assert text.count(line) == 1
         text = text.replace(line, line.replace("x0\n", "x0 * c\n"))
     jsj_b = parse_jsj(text)
     for x, y in ((jsj_a, jsj_b), (jsj_b, jsj_a)):
